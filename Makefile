@@ -34,9 +34,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Fuzz smoke: a short differential-fuzz run of the SLX toolchain against
-# its Go reference model. CI runs the same budget.
+# Fuzz smoke: the loader's trust-boundary decoders (SLXO container,
+# registry manifest and blobs), then a short differential-fuzz run of the
+# SLX toolchain against its Go reference model. CI runs the same budget.
 fuzz:
+	$(GO) test -fuzz=FuzzDeserialize -fuzztime=10s -run '^$$' ./internal/safext/toolchain
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/registry
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -run '^$$' ./internal/safext/runtime
 
 # Soundness smoke: the statecheck oracle (state-embedding cross-check of

@@ -3,6 +3,7 @@ package concheck
 import (
 	"fmt"
 
+	"kex/internal/rng"
 	"kex/internal/safext/compile/mir"
 	"kex/internal/safext/lang"
 )
@@ -227,17 +228,14 @@ func runSchedule(funcs map[string]*mir.Func, main *mir.Func,
 		}(t, myInvs)
 	}
 
-	rng := schedSeed*0x9e3779b97f4a7c15 | 1
+	sched := rng.XorShift(schedSeed*0x9e3779b97f4a7c15 | 1)
 	alive := shards
 	for step := 0; alive > 0; step++ {
 		if step > maxSchedulerSteps {
 			return nil, fmt.Errorf("oracle: scheduler did not converge (livelocked lock?)")
 		}
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
 		// Pick the n-th live task.
-		n := int(rng % uint64(alive))
+		n := int(sched.Next() % uint64(alive))
 		var t *shardTask
 		for _, c := range tasks {
 			if c.done {

@@ -75,7 +75,7 @@ func DefaultConfig(root string) Config {
 		// dispatch, so the same source must classify identically on every
 		// build host — and its interleaving oracle must replay schedules
 		// bit-for-bit from its seeds.
-		DeterministicDirs: []string{"internal/faultinject", "internal/kernel/callgraph", "internal/analysis/statecheck", "internal/analysis/transval", "internal/analysis/concheck", "internal/registry", "internal/fleet", "internal/safext/compile"},
+		DeterministicDirs: []string{"internal/faultinject", "internal/kernel/callgraph", "internal/analysis/statecheck", "internal/analysis/transval", "internal/analysis/concheck", "internal/registry", "internal/fleet", "internal/safext/compile", "internal/rng"},
 		HelperDirs:        []string{"internal/ebpf/helpers"},
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"kex/internal/ebpf/verifier"
 	"kex/internal/exec"
 	"kex/internal/kernel"
+	"kex/internal/rng"
 )
 
 // Program is the unit the checker operates on: bytecode plus the maps it
@@ -128,12 +129,9 @@ func DefaultRuns(seed int64) []RunSpec {
 			}
 		case 2, 3:
 			// Two xorshift fills; seed-dependent but engine-independent.
-			x := uint64(seed)*2654435761 + uint64(i)
+			x := rng.XorShift(uint64(seed)*2654435761 + uint64(i))
 			for j := range ctx {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				ctx[j] = byte(x)
+				ctx[j] = byte(x.Next())
 			}
 		case 4: // sign bit set in every 32-bit word
 			for j := 3; j < len(ctx); j += 4 {

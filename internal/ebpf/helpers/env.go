@@ -5,6 +5,7 @@ import (
 
 	"kex/internal/ebpf/maps"
 	"kex/internal/kernel"
+	"kex/internal/rng"
 )
 
 // BugConfig gates the deliberately reintroduced helper bugs used by the
@@ -97,7 +98,7 @@ type Env struct {
 	FuelUsed uint64
 
 	// randState drives bpf_get_prandom_u32 deterministically.
-	randState uint64
+	randState rng.Star
 }
 
 // NewEnv builds an execution environment on the given kernel and maps.
@@ -158,12 +159,7 @@ func (e *Env) Charge(n uint64) { e.Ctx.Tick(n) }
 
 // Rand returns the next deterministic pseudo-random u32 (xorshift*).
 func (e *Env) Rand() uint32 {
-	x := e.randState
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	e.randState = x
-	return uint32((x * 0x2545F4914F6CDD1D) >> 32)
+	return uint32(e.randState.Next() >> 32)
 }
 
 // LockAt returns the spin lock backing the given map-value address,

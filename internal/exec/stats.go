@@ -26,46 +26,119 @@ type Stats struct {
 	phaseOrder []string
 }
 
-// progCell is the hot accumulator behind one ProgramStats row.
+// progCounter names one per-program counter; it indexes progCell.n.
+type progCounter int
+
+const (
+	pInvocations progCounter = iota
+	pErrors
+	pInstructions
+	pFuelUsed
+	pMapOps
+	pRuntimeNs
+	pWallNs
+	pCPUTimeNs
+	pFaults
+	pDenied
+	pFallbacks
+	pProbeFailures
+	pReloadFailures
+	pDynamicChecks
+	pElidedChecks
+	pFuelElisions
+	pTVDemotions
+	pConcDemotions
+	numProgCounters
+)
+
+// progReason names one most-recent-reason string; it indexes
+// progCell.reasons.
+type progReason int
+
+const (
+	rReloadError progReason = iota
+	rTVDemotion
+	rConcDemotion
+	numProgReasons
+)
+
+// cpuCounter names one per-CPU counter; it indexes cpuCell.n.
+type cpuCounter int
+
+const (
+	cInvocations cpuCounter = iota
+	cInstructions
+	cRuntimeNs
+	cWallNs
+	cCPUTimeNs
+	numCPUCounters
+)
+
+// progCell is the hot accumulator behind one ProgramStats row. The ns
+// counters are int64 in ProgramStats and stored here as their two's
+// complement, which adds identically.
 type progCell struct {
-	invocations  atomic.Uint64
-	errors       atomic.Uint64
-	instructions atomic.Uint64
-	fuelUsed     atomic.Uint64
-	mapOps       atomic.Uint64
-	runtimeNs    atomic.Int64
-	wallNs       atomic.Int64
-	cpuTimeNs    atomic.Int64
-
-	faults    atomic.Uint64
-	denied    atomic.Uint64
-	fallbacks atomic.Uint64
-
-	probeFailures  atomic.Uint64
-	reloadFailures atomic.Uint64
-	lastReloadErr  atomic.Pointer[string]
-
-	dynamicChecks atomic.Uint64
-	elidedChecks  atomic.Uint64
-	fuelElisions  atomic.Uint64
-
-	tvDemotions    atomic.Uint64
-	lastTVDemotion atomic.Pointer[string]
-
-	concDemotions    atomic.Uint64
-	lastConcDemotion atomic.Pointer[string]
-
+	n           [numProgCounters]atomic.Uint64
+	reasons     [numProgReasons]atomic.Pointer[string]
 	helperCalls sync.Map // helper name -> *atomic.Uint64
 	transitions sync.Map // "from->to" -> *atomic.Uint64
 }
 
 // cpuCell is the hot accumulator behind one CPUStats row.
 type cpuCell struct {
-	invocations  atomic.Uint64
-	instructions atomic.Uint64
-	runtimeNs    atomic.Int64
-	wallNs       atomic.Int64
-	cpuTimeNs    atomic.Int64
+	n [numCPUCounters]atomic.Uint64
+}
+
+// statField reads and adds to one numeric field of a stats row.
+type statField[S any] struct {
+	load func(*S) uint64
+	add  func(*S, uint64)
+}
+
+func field[S any, T uint64 | int64](f func(*S) *T) statField[S] {
+	return statField[S]{
+		load: func(s *S) uint64 { return uint64(*f(s)) },
+		add:  func(s *S, v uint64) { *f(s) += T(v) },
+	}
+}
+
+// progFields maps each counter to its ProgramStats field: adding a counter
+// is one enum value and one row here.
+var progFields = [numProgCounters]statField[ProgramStats]{
+	pInvocations:    field(func(p *ProgramStats) *uint64 { return &p.Invocations }),
+	pErrors:         field(func(p *ProgramStats) *uint64 { return &p.Errors }),
+	pInstructions:   field(func(p *ProgramStats) *uint64 { return &p.Instructions }),
+	pFuelUsed:       field(func(p *ProgramStats) *uint64 { return &p.FuelUsed }),
+	pMapOps:         field(func(p *ProgramStats) *uint64 { return &p.MapOps }),
+	pRuntimeNs:      field(func(p *ProgramStats) *int64 { return &p.RuntimeNs }),
+	pWallNs:         field(func(p *ProgramStats) *int64 { return &p.WallNs }),
+	pCPUTimeNs:      field(func(p *ProgramStats) *int64 { return &p.CPUTimeNs }),
+	pFaults:         field(func(p *ProgramStats) *uint64 { return &p.Faults }),
+	pDenied:         field(func(p *ProgramStats) *uint64 { return &p.Denied }),
+	pFallbacks:      field(func(p *ProgramStats) *uint64 { return &p.Fallbacks }),
+	pProbeFailures:  field(func(p *ProgramStats) *uint64 { return &p.ProbeFailures }),
+	pReloadFailures: field(func(p *ProgramStats) *uint64 { return &p.ReloadFailures }),
+	pDynamicChecks:  field(func(p *ProgramStats) *uint64 { return &p.DynamicChecks }),
+	pElidedChecks:   field(func(p *ProgramStats) *uint64 { return &p.ElidedChecks }),
+	pFuelElisions:   field(func(p *ProgramStats) *uint64 { return &p.FuelElisions }),
+	pTVDemotions:    field(func(p *ProgramStats) *uint64 { return &p.TVDemotions }),
+	pConcDemotions:  field(func(p *ProgramStats) *uint64 { return &p.ConcDemotions }),
+}
+
+// reasonFields maps each reason to its ProgramStats field.
+var reasonFields = [numProgReasons]func(*ProgramStats) *string{
+	rReloadError:  func(p *ProgramStats) *string { return &p.LastReloadError },
+	rTVDemotion:   func(p *ProgramStats) *string { return &p.LastTVDemotionReason },
+	rConcDemotion: func(p *ProgramStats) *string { return &p.LastConcReason },
+}
+
+// cpuFields maps each counter to its CPUStats field.
+var cpuFields = [numCPUCounters]statField[CPUStats]{
+	cInvocations:  field(func(c *CPUStats) *uint64 { return &c.Invocations }),
+	cInstructions: field(func(c *CPUStats) *uint64 { return &c.Instructions }),
+	cRuntimeNs:    field(func(c *CPUStats) *int64 { return &c.RuntimeNs }),
+	cWallNs:       field(func(c *CPUStats) *int64 { return &c.WallNs }),
+	cCPUTimeNs:    field(func(c *CPUStats) *int64 { return &c.CPUTimeNs }),
 }
 
 // counterIn bumps a named counter inside a sync.Map of atomic cells.
@@ -162,8 +235,8 @@ func (s *Stats) RecordLoad(program string, phases PhaseTimings) {
 // program, as read from its signed object metadata.
 func (s *Stats) RecordChecks(program string, dynamic, elided uint64) {
 	ps := s.prog(program)
-	ps.dynamicChecks.Store(dynamic)
-	ps.elidedChecks.Store(elided)
+	ps.n[pDynamicChecks].Store(dynamic)
+	ps.n[pElidedChecks].Store(elided)
 }
 
 // RecordTVDemotion accounts one load whose OptMIR build failed translation
@@ -171,8 +244,8 @@ func (s *Stats) RecordChecks(program string, dynamic, elided uint64) {
 // operator can see *what* the optimizer got wrong, not just that it did.
 func (s *Stats) RecordTVDemotion(program, reason string) {
 	ps := s.prog(program)
-	ps.tvDemotions.Add(1)
-	ps.lastTVDemotion.Store(&reason)
+	ps.n[pTVDemotions].Add(1)
+	ps.reasons[rTVDemotion].Store(&reason)
 }
 
 // RecordConcDemotion accounts one invocation serialized onto a single shard
@@ -181,14 +254,14 @@ func (s *Stats) RecordTVDemotion(program, reason string) {
 // forfeited the parallelism.
 func (s *Stats) RecordConcDemotion(program, reason string) {
 	ps := s.prog(program)
-	ps.concDemotions.Add(1)
-	ps.lastConcDemotion.Store(&reason)
+	ps.n[pConcDemotions].Add(1)
+	ps.reasons[rConcDemotion].Store(&reason)
 }
 
 // RecordFuelElision accounts one invocation that ran without fuel metering
 // because the toolchain proved a static instruction bound under budget.
 func (s *Stats) RecordFuelElision(program string) {
-	s.prog(program).fuelElisions.Add(1)
+	s.prog(program).n[pFuelElisions].Add(1)
 }
 
 // FuelElisionRecorder returns a recorder bound to one program's cell, for
@@ -196,7 +269,7 @@ func (s *Stats) RecordFuelElision(program string) {
 // the coalesced-fuel dispatch path resolves it once at load time.
 func (s *Stats) FuelElisionRecorder(program string) func() {
 	cell := s.prog(program)
-	return func() { cell.fuelElisions.Add(1) }
+	return func() { cell.n[pFuelElisions].Add(1) }
 }
 
 // prog returns (creating on first use) the per-program accumulator.
@@ -220,16 +293,16 @@ func (s *Stats) cpu(id int) *cpuCell {
 // recordFault accounts one supervised run the supervisor classified as a
 // fault (engine error or exit-audit damage).
 func (s *Stats) recordFault(program string) {
-	s.prog(program).faults.Add(1)
+	s.prog(program).n[pFaults].Add(1)
 }
 
 // recordDenied accounts one dispatch refused at the supervisor gate;
 // fallback marks it as served the configured fallback R0.
 func (s *Stats) recordDenied(program string, fallback bool) {
 	ps := s.prog(program)
-	ps.denied.Add(1)
+	ps.n[pDenied].Add(1)
 	if fallback {
-		ps.fallbacks.Add(1)
+		ps.n[pFallbacks].Add(1)
 	}
 }
 
@@ -239,11 +312,11 @@ func (s *Stats) recordDenied(program string, fallback bool) {
 // operator can see *why* the program never recovers.
 func (s *Stats) recordProbeFailure(program string, reloadErr error) {
 	ps := s.prog(program)
-	ps.probeFailures.Add(1)
+	ps.n[pProbeFailures].Add(1)
 	if reloadErr != nil {
-		ps.reloadFailures.Add(1)
+		ps.n[pReloadFailures].Add(1)
 		msg := reloadErr.Error()
-		ps.lastReloadErr.Store(&msg)
+		ps.reasons[rReloadError].Store(&msg)
 	}
 }
 
@@ -256,25 +329,25 @@ func (s *Stats) recordTransition(program string, from, to State) {
 // report; engineErr marks abnormal termination.
 func (s *Stats) recordRun(cpu int, rep *Report, engineErr error) {
 	ps := s.prog(rep.Program)
-	ps.invocations.Add(1)
+	ps.n[pInvocations].Add(1)
 	if engineErr != nil {
-		ps.errors.Add(1)
+		ps.n[pErrors].Add(1)
 	}
-	ps.instructions.Add(rep.Instructions)
-	ps.fuelUsed.Add(rep.FuelUsed)
-	ps.mapOps.Add(rep.MapOps)
-	ps.runtimeNs.Add(rep.RuntimeNs)
-	ps.wallNs.Add(rep.WallNs)
-	ps.cpuTimeNs.Add(rep.CPUTimeNs)
+	ps.n[pInstructions].Add(rep.Instructions)
+	ps.n[pFuelUsed].Add(rep.FuelUsed)
+	ps.n[pMapOps].Add(rep.MapOps)
+	ps.n[pRuntimeNs].Add(uint64(rep.RuntimeNs))
+	ps.n[pWallNs].Add(uint64(rep.WallNs))
+	ps.n[pCPUTimeNs].Add(uint64(rep.CPUTimeNs))
 	for name, n := range rep.HelperCalls {
 		counterIn(&ps.helperCalls, name, n)
 	}
 	cs := s.cpu(cpu)
-	cs.invocations.Add(1)
-	cs.instructions.Add(rep.Instructions)
-	cs.runtimeNs.Add(rep.RuntimeNs)
-	cs.wallNs.Add(rep.WallNs)
-	cs.cpuTimeNs.Add(rep.CPUTimeNs)
+	cs.n[cInvocations].Add(1)
+	cs.n[cInstructions].Add(rep.Instructions)
+	cs.n[cRuntimeNs].Add(uint64(rep.RuntimeNs))
+	cs.n[cWallNs].Add(uint64(rep.WallNs))
+	cs.n[cCPUTimeNs].Add(uint64(rep.CPUTimeNs))
 }
 
 // Snapshot is a consistent, caller-owned copy of the accumulated stats.
@@ -314,92 +387,46 @@ func (s *Stats) Snapshot() Snapshot {
 	s.phaseMu.Unlock()
 	s.programs.Range(func(k, v any) bool {
 		c := v.(*progCell)
-		var lastReload string
-		if p := c.lastReloadErr.Load(); p != nil {
-			lastReload = *p
+		ps := ProgramStats{
+			HelperCalls: counterMap(&c.helperCalls),
+			Transitions: counterMap(&c.transitions),
 		}
-		var lastTV string
-		if p := c.lastTVDemotion.Load(); p != nil {
-			lastTV = *p
+		for i, f := range progFields {
+			f.add(&ps, c.n[i].Load())
 		}
-		var lastConc string
-		if p := c.lastConcDemotion.Load(); p != nil {
-			lastConc = *p
+		for i, f := range reasonFields {
+			if p := c.reasons[i].Load(); p != nil {
+				*f(&ps) = *p
+			}
 		}
-		snap.Programs[k.(string)] = ProgramStats{
-			Invocations:     c.invocations.Load(),
-			Errors:          c.errors.Load(),
-			Instructions:    c.instructions.Load(),
-			FuelUsed:        c.fuelUsed.Load(),
-			MapOps:          c.mapOps.Load(),
-			HelperCalls:     counterMap(&c.helperCalls),
-			RuntimeNs:       c.runtimeNs.Load(),
-			WallNs:          c.wallNs.Load(),
-			CPUTimeNs:       c.cpuTimeNs.Load(),
-			Faults:          c.faults.Load(),
-			Denied:          c.denied.Load(),
-			Fallbacks:       c.fallbacks.Load(),
-			Transitions:     counterMap(&c.transitions),
-			ProbeFailures:   c.probeFailures.Load(),
-			ReloadFailures:  c.reloadFailures.Load(),
-			LastReloadError: lastReload,
-			DynamicChecks:   c.dynamicChecks.Load(),
-			ElidedChecks:    c.elidedChecks.Load(),
-			FuelElisions:    c.fuelElisions.Load(),
-
-			TVDemotions:          c.tvDemotions.Load(),
-			LastTVDemotionReason: lastTV,
-
-			ConcDemotions:  c.concDemotions.Load(),
-			LastConcReason: lastConc,
-		}
+		snap.Programs[k.(string)] = ps
 		return true
 	})
 	s.cpus.Range(func(k, v any) bool {
 		c := v.(*cpuCell)
-		snap.CPUs[k.(int)] = CPUStats{
-			Invocations:  c.invocations.Load(),
-			Instructions: c.instructions.Load(),
-			RuntimeNs:    c.runtimeNs.Load(),
-			WallNs:       c.wallNs.Load(),
-			CPUTimeNs:    c.cpuTimeNs.Load(),
+		var cs CPUStats
+		for i, f := range cpuFields {
+			f.add(&cs, c.n[i].Load())
 		}
+		snap.CPUs[k.(int)] = cs
 		return true
 	})
 	return snap
 }
 
 // Totals sums the per-program stats into one row — the "whole stack" line
-// of a Table 2-style overhead comparison.
+// of a Table 2-style overhead comparison. Counters are summed; each reason
+// carries a non-empty value from some program.
 func (snap Snapshot) Totals() ProgramStats {
 	var t ProgramStats
 	for _, ps := range snap.Programs {
-		t.Invocations += ps.Invocations
-		t.Errors += ps.Errors
-		t.Instructions += ps.Instructions
-		t.FuelUsed += ps.FuelUsed
-		t.MapOps += ps.MapOps
-		t.RuntimeNs += ps.RuntimeNs
-		t.WallNs += ps.WallNs
-		t.CPUTimeNs += ps.CPUTimeNs
-		t.Faults += ps.Faults
-		t.Denied += ps.Denied
-		t.Fallbacks += ps.Fallbacks
-		t.ProbeFailures += ps.ProbeFailures
-		t.ReloadFailures += ps.ReloadFailures
-		if ps.LastReloadError != "" {
-			t.LastReloadError = ps.LastReloadError
+		for _, f := range progFields {
+			f.add(&t, f.load(&ps))
 		}
-		t.DynamicChecks += ps.DynamicChecks
-		t.ElidedChecks += ps.ElidedChecks
-		t.FuelElisions += ps.FuelElisions
-		t.TVDemotions += ps.TVDemotions
-		if ps.LastTVDemotionReason != "" {
-			t.LastTVDemotionReason = ps.LastTVDemotionReason
-		}
-		t.ConcDemotions += ps.ConcDemotions
-		if ps.LastConcReason != "" {
-			t.LastConcReason = ps.LastConcReason
+		for _, f := range reasonFields {
+			if r := *f(&ps); r != "" {
+				*f(&t) = r
+			}
 		}
 		for h, n := range ps.HelperCalls {
 			if t.HelperCalls == nil {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"kex/internal/rng"
 )
 
 // ErrQuarantined is returned for dispatches refused at the supervisor gate
@@ -154,7 +156,7 @@ type progHealth struct {
 	trips   int
 	until   int64 // virtual deadline of the current quarantine
 	backoff int64 // current (jittered) backoff duration
-	rng     uint64
+	jitter  rng.Star
 	// probing single-flights the recovery probe: when several shards hit
 	// an expired backoff together, exactly one dispatch becomes the probe
 	// and the rest stay denied until its outcome is observed.
@@ -208,7 +210,7 @@ func (s *Supervisor) health(program string) *progHealth {
 		st = &progHealth{
 			state:  StateHealthy,
 			window: make([]bool, s.cfg.Window),
-			rng:    jitterSeed(s.cfg.JitterSeed, program),
+			jitter: rng.Star(jitterSeed(s.cfg.JitterSeed, program)),
 		}
 		s.progs[program] = st
 	}
@@ -228,16 +230,6 @@ func jitterSeed(seed uint64, program string) uint64 {
 		h = 0x9E3779B97F4A7C15
 	}
 	return h
-}
-
-// next steps the program's xorshift64* jitter stream.
-func (st *progHealth) next() uint64 {
-	x := st.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	st.rng = x
-	return x * 0x2545F4914F6CDD1D
 }
 
 // Run dispatches one invocation through the supervisor gate. Quarantined
@@ -422,7 +414,7 @@ func (s *Supervisor) backoffFor(st *progHealth) int64 {
 		b = s.cfg.MaxBackoffNs
 	}
 	if half := b / 2; half > 0 {
-		b = b - b/4 + int64(st.next()%uint64(half+1))
+		b = b - b/4 + int64(st.jitter.Next()%uint64(half+1))
 	}
 	return b
 }

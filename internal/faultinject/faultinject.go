@@ -21,6 +21,7 @@ import (
 	"kex/internal/ebpf/maps"
 	"kex/internal/exec"
 	"kex/internal/kernel"
+	"kex/internal/rng"
 )
 
 // Site names one injection seam.
@@ -102,7 +103,7 @@ type Injector struct {
 	seed uint64
 
 	mu     sync.Mutex
-	state  uint64
+	state  rng.Star
 	counts []int
 	events []Event
 }
@@ -115,7 +116,7 @@ func New(seed uint64, plan Plan) *Injector {
 	return &Injector{
 		plan:   plan,
 		seed:   seed,
-		state:  seed,
+		state:  rng.Star(seed),
 		counts: make([]int, len(plan.Rules)),
 	}
 }
@@ -148,16 +149,6 @@ func (inj *Injector) CountBySite() map[Site]int {
 	return out
 }
 
-// next steps the campaign's xorshift64* stream. Caller holds mu.
-func (inj *Injector) next() uint64 {
-	x := inj.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	inj.state = x
-	return x * 0x2545F4914F6CDD1D
-}
-
 // decide consults every armed rule for the site/name pair, drawing once
 // per armed rule so the stream position depends only on the consultation
 // sequence. It returns the first rule that fires.
@@ -172,7 +163,7 @@ func (inj *Injector) decide(site Site, name string) (Rule, bool) {
 		if r.Max > 0 && inj.counts[i] >= r.Max {
 			continue
 		}
-		draw := float64(inj.next()>>11) / float64(1<<53)
+		draw := float64(inj.state.Next()>>11) / float64(1<<53)
 		if fired < 0 && draw < r.Prob {
 			fired = i
 		}

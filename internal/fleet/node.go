@@ -13,6 +13,7 @@ import (
 	"kex/internal/faultinject"
 	"kex/internal/kernel"
 	"kex/internal/registry"
+	"kex/internal/rng"
 	"kex/internal/safext/runtime"
 )
 
@@ -110,7 +111,7 @@ type Node struct {
 	hs atomic.Pointer[exec.HotSwap]
 
 	mu              sync.Mutex
-	rng             uint64
+	jitter          rng.Star
 	manifestVersion uint64
 	exts            map[string]*runtime.Extension // digest -> loaded artifact
 	stats           NodeStats
@@ -138,27 +139,17 @@ func NewNode(id int, tr Transport, cfg NodeConfig) *Node {
 	}
 	sup := rt.Supervise(cfg.Supervisor)
 	n := &Node{
-		ID:   id,
-		cfg:  cfg,
-		tr:   tr,
-		rt:   rt,
-		sup:  sup,
-		sh:   rt.NewSharded(exec.ShardedConfig{Shards: cfg.NumCPU, RingSize: cfg.RingSize, Conc: cfg.Conc}),
-		ver:  registry.NewVerifier(),
-		rng:  cfg.Seed | 1,
-		exts: make(map[string]*runtime.Extension),
+		ID:     id,
+		cfg:    cfg,
+		tr:     tr,
+		rt:     rt,
+		sup:    sup,
+		sh:     rt.NewSharded(exec.ShardedConfig{Shards: cfg.NumCPU, RingSize: cfg.RingSize, Conc: cfg.Conc}),
+		ver:    registry.NewVerifier(),
+		jitter: rng.Star(cfg.Seed | 1),
+		exts:   make(map[string]*runtime.Extension),
 	}
 	return n
-}
-
-// next steps the node's xorshift64* jitter stream. Caller holds mu.
-func (n *Node) next() uint64 {
-	x := n.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	n.rng = x
-	return x * 0x2545F4914F6CDD1D
 }
 
 // transient reports whether a request failure is worth retrying: injected
@@ -180,7 +171,7 @@ func (n *Node) request(ctx context.Context, fn func(context.Context) error) erro
 			n.mu.Lock()
 			n.stats.Retries++
 			// ±25% deterministic jitter, like the supervisor's backoff.
-			d := backoff - backoff/4 + time.Duration(n.next()%uint64(backoff/2+1))
+			d := backoff - backoff/4 + time.Duration(n.jitter.Next()%uint64(backoff/2+1))
 			n.mu.Unlock()
 			select {
 			case <-time.After(d):

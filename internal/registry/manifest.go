@@ -5,10 +5,10 @@ import (
 	"crypto/ed25519"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"kex/internal/ebpf/isa"
 	"kex/internal/safext/toolchain"
+	"kex/internal/wire"
 )
 
 // Entry names one member of a bundle: the program's logical name, what
@@ -48,24 +48,18 @@ var manifestMagic = [4]byte{'K', 'X', 'M', 'F'}
 const manifestFormat = 1
 
 func (m *Manifest) encode() []byte {
-	var buf bytes.Buffer
-	buf.Write(manifestMagic[:])
-	var v4 [4]byte
-	le := binary.LittleEndian
-	le.PutUint32(v4[:], manifestFormat)
-	buf.Write(v4[:])
-	putStr(&buf, m.Bundle)
-	var v8 [8]byte
-	le.PutUint64(v8[:], m.Version)
-	buf.Write(v8[:])
-	le.PutUint32(v4[:], uint32(len(m.Entries)))
-	buf.Write(v4[:])
+	var w wire.Writer
+	w.Raw(manifestMagic[:])
+	w.U32(manifestFormat)
+	w.Str(m.Bundle)
+	w.U64(m.Version)
+	w.U32(uint32(len(m.Entries)))
 	for _, e := range m.Entries {
-		putStr(&buf, e.Name)
-		putStr(&buf, string(e.Kind))
-		putStr(&buf, e.Digest)
+		w.Str(e.Name)
+		w.Str(string(e.Kind))
+		w.Str(e.Digest)
 	}
-	return buf.Bytes()
+	return w.Data()
 }
 
 // DecodeManifest parses a canonical manifest encoding.
@@ -76,36 +70,17 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	if v := binary.LittleEndian.Uint32(b[4:8]); v != manifestFormat {
 		return nil, fmt.Errorf("registry: unsupported manifest format %d", v)
 	}
-	r := bytes.NewReader(b[8:])
-	m := &Manifest{}
-	var err error
-	if m.Bundle, err = getStr(r); err != nil {
+	r := wire.NewReader(b[8:], "registry", "manifest")
+	m := &Manifest{Bundle: r.Str(wire.Unbounded), Version: r.U64()}
+	for i, n := 0, r.Count(wire.Unbounded); i < n; i++ {
+		m.Entries = append(m.Entries, Entry{
+			Name:   r.Str(wire.Unbounded),
+			Kind:   Kind(r.Str(wire.Unbounded)),
+			Digest: r.Str(wire.Unbounded),
+		})
+	}
+	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	var v8 [8]byte
-	if _, err := io.ReadFull(r, v8[:]); err != nil {
-		return nil, fmt.Errorf("registry: truncated manifest")
-	}
-	m.Version = binary.LittleEndian.Uint64(v8[:])
-	var v4 [4]byte
-	if _, err := io.ReadFull(r, v4[:]); err != nil {
-		return nil, fmt.Errorf("registry: truncated manifest")
-	}
-	n := binary.LittleEndian.Uint32(v4[:])
-	for i := uint32(0); i < n; i++ {
-		var e Entry
-		if e.Name, err = getStr(r); err != nil {
-			return nil, err
-		}
-		var kind string
-		if kind, err = getStr(r); err != nil {
-			return nil, err
-		}
-		e.Kind = Kind(kind)
-		if e.Digest, err = getStr(r); err != nil {
-			return nil, err
-		}
-		m.Entries = append(m.Entries, e)
 	}
 	return m, nil
 }
@@ -175,12 +150,12 @@ var sobjMagic = [4]byte{'S', 'O', 'B', 'J'}
 // EncodeSignedObject fixes a toolchain.SignedObject into registry payload
 // bytes.
 func EncodeSignedObject(so *toolchain.SignedObject) []byte {
-	var buf bytes.Buffer
-	buf.Write(sobjMagic[:])
-	putBytes(&buf, so.Payload)
-	putBytes(&buf, so.Signature)
-	putBytes(&buf, so.PublicKey)
-	return buf.Bytes()
+	var w wire.Writer
+	w.Raw(sobjMagic[:])
+	w.Bytes(so.Payload)
+	w.Bytes(so.Signature)
+	w.Bytes(so.PublicKey)
+	return w.Data()
 }
 
 // DecodeSignedObject parses registry payload bytes back into a
@@ -189,25 +164,21 @@ func DecodeSignedObject(b []byte) (*toolchain.SignedObject, error) {
 	if len(b) < 4 || !bytes.Equal(b[:4], sobjMagic[:]) {
 		return nil, fmt.Errorf("registry: bad signed-object magic")
 	}
-	r := bytes.NewReader(b[4:])
-	so := &toolchain.SignedObject{}
-	var err error
-	if so.Payload, err = getBytes(r); err != nil {
+	r := wire.NewReader(b[4:], "registry", "signed object")
+	so := &toolchain.SignedObject{
+		Payload:   r.Bytes(wire.Unbounded),
+		Signature: r.Bytes(wire.Unbounded),
+		PublicKey: ed25519.PublicKey(r.Bytes(wire.Unbounded)),
+	}
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	if so.Signature, err = getBytes(r); err != nil {
-		return nil, err
-	}
-	var pub []byte
-	if pub, err = getBytes(r); err != nil {
-		return nil, err
-	}
-	so.PublicKey = ed25519.PublicKey(pub)
 	return so, nil
 }
 
 // The eBPF program wire form: "EBPF" | name str | license str |
-// prog type u32 | encoded instruction stream.
+// prog type u32 | encoded instruction stream. The stream runs to the end
+// of the payload; isa.Decode rejects a partial instruction.
 var ebpfMagic = [4]byte{'E', 'B', 'P', 'F'}
 
 // EncodeProgram fixes an eBPF program into registry payload bytes.
@@ -216,15 +187,13 @@ func EncodeProgram(p *isa.Program) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: encode program %s: %w", p.Name, err)
 	}
-	var buf bytes.Buffer
-	buf.Write(ebpfMagic[:])
-	putStr(&buf, p.Name)
-	putStr(&buf, p.License)
-	var v4 [4]byte
-	binary.LittleEndian.PutUint32(v4[:], uint32(p.Type))
-	buf.Write(v4[:])
-	buf.Write(code)
-	return buf.Bytes(), nil
+	var w wire.Writer
+	w.Raw(ebpfMagic[:])
+	w.Str(p.Name)
+	w.Str(p.License)
+	w.U32(uint32(p.Type))
+	w.Raw(code)
+	return w.Data(), nil
 }
 
 // DecodeProgram parses registry payload bytes back into an eBPF program.
@@ -232,62 +201,16 @@ func DecodeProgram(b []byte) (*isa.Program, error) {
 	if len(b) < 4 || !bytes.Equal(b[:4], ebpfMagic[:]) {
 		return nil, fmt.Errorf("registry: bad program magic")
 	}
-	r := bytes.NewReader(b[4:])
-	name, err := getStr(r)
-	if err != nil {
+	r := wire.NewReader(b[4:], "registry", "program")
+	p := &isa.Program{Name: r.Str(wire.Unbounded), License: r.Str(wire.Unbounded), Type: isa.ProgType(r.U32())}
+	code := r.Rest()
+	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	license, err := getStr(r)
-	if err != nil {
-		return nil, err
-	}
-	var v4 [4]byte
-	if _, err := io.ReadFull(r, v4[:]); err != nil {
-		return nil, fmt.Errorf("registry: truncated program")
-	}
-	ptype := binary.LittleEndian.Uint32(v4[:])
-	code := make([]byte, r.Len())
-	if _, err := io.ReadFull(r, code); err != nil {
-		return nil, fmt.Errorf("registry: truncated program")
 	}
 	insns, err := isa.Decode(code)
 	if err != nil {
 		return nil, err
 	}
-	return &isa.Program{Name: name, License: license, Type: isa.ProgType(ptype), Insns: insns}, nil
-}
-
-func putStr(b *bytes.Buffer, s string) {
-	var v4 [4]byte
-	binary.LittleEndian.PutUint32(v4[:], uint32(len(s)))
-	b.Write(v4[:])
-	b.WriteString(s)
-}
-
-func putBytes(b *bytes.Buffer, p []byte) {
-	var v4 [4]byte
-	binary.LittleEndian.PutUint32(v4[:], uint32(len(p)))
-	b.Write(v4[:])
-	b.Write(p)
-}
-
-func getStr(r *bytes.Reader) (string, error) {
-	b, err := getBytes(r)
-	return string(b), err
-}
-
-func getBytes(r *bytes.Reader) ([]byte, error) {
-	var v4 [4]byte
-	if _, err := io.ReadFull(r, v4[:]); err != nil {
-		return nil, fmt.Errorf("registry: truncated field")
-	}
-	n := binary.LittleEndian.Uint32(v4[:])
-	if uint32(r.Len()) < n {
-		return nil, fmt.Errorf("registry: truncated field")
-	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("registry: truncated field")
-	}
-	return out, nil
+	p.Insns = insns
+	return p, nil
 }

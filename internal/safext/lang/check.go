@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // TypeError is a semantic rejection by the checker — the moral equivalent
 // of rustc refusing to build the extension.
@@ -77,6 +80,9 @@ func Check(f *File) (*Checked, error) {
 	for name := range c.crate {
 		c.out.CrateCalls = append(c.out.CrateCalls, name)
 	}
+	// Sorted, because CrateCalls becomes the signed CAPS section: map order
+	// would make the payload, and its registry digest, differ per process.
+	sort.Strings(c.out.CrateCalls)
 	return c.out, nil
 }
 

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"kex/internal/ebpf/isa"
 	"kex/internal/safext/compile"
+	"kex/internal/wire"
 )
 
 // The SLXO container: a little-endian TLV format.
 //
 //	magic "SLXO" | version u32 | sections...
 //	section: tag [4]byte | length u32 | payload
+//
+// Sections are the rows of objSections, written in table order. Every
+// section rides inside the signed payload, so the signature vouches for
+// what was proven (CHEK, OPTM, TVAL, CONC), not only for the code.
 //
 // Map references in the code section are symbolic: the code is encoded
 // with zeroed immediates and a RELO section lists (insn index, map name)
@@ -24,45 +28,9 @@ var objMagic = [4]byte{'S', 'L', 'X', 'O'}
 
 const objVersion = 1
 
-// Section tags.
-var (
-	secName = [4]byte{'N', 'A', 'M', 'E'}
-	secCode = [4]byte{'C', 'O', 'D', 'E'}
-	secRoda = [4]byte{'R', 'O', 'D', 'A'}
-	secMaps = [4]byte{'M', 'A', 'P', 'S'}
-	secCaps = [4]byte{'C', 'A', 'P', 'S'}
-	secRelo = [4]byte{'R', 'E', 'L', 'O'}
-	// secChek carries the check ledger: emitted/elided counts, the static
-	// instruction bound, and the per-site elision records. It rides inside
-	// the signed payload, so the signature vouches for what was proven,
-	// not just for the final instruction stream.
-	secChek = [4]byte{'C', 'H', 'E', 'K'}
-	// secOptm carries the optimization metadata: the level the object was
-	// built at and the MIR pipeline's rewrite counters. Also inside the
-	// signed payload — an operator auditing a fleet can see exactly how
-	// aggressively each object was transformed, with the signature vouching
-	// that the counters came from the toolchain that did the transforming.
-	secOptm = [4]byte{'O', 'P', 'T', 'M'}
-	// secTval carries the translation-validation certificate for OptMIR
-	// builds: validated/demoted flags, the refutation reason (if any),
-	// vector counts, validation wall time, and per-function coverage and
-	// site tallies. Inside the signed payload like CHEK/OPTM — the
-	// kernel-side loader refuses OptMIR objects whose certificate is
-	// missing, unvalidated, or demoted, so "the optimizer was proven
-	// against this exact build" is part of what the signature vouches for.
-	secTval = [4]byte{'T', 'V', 'A', 'L'}
-	// secConc carries the shard-safety report: the per-map concurrency
-	// verdicts (ShardSafe / ReadOnly / Racy) and the classified access
-	// sites behind them. Inside the signed payload like CHEK/TVAL — the
-	// per-CPU data plane enforces the verdict at dispatch (strict mode
-	// refuses Racy programs on a multi-shard plane; warn mode serializes
-	// them onto one shard), so "this program cannot lose updates across
-	// shards" is part of what the signature vouches for.
-	secConc = [4]byte{'C', 'O', 'N', 'C'}
-)
-
 // Certificate field caps: the loader runs before trust is established, so
-// every variable-length field is bounded at deserialization.
+// every variable-length field is bounded at deserialization, and Serialize
+// refuses to write what Deserialize would reject.
 const (
 	tvalMaxReason = 512
 	tvalMaxFuncs  = 256
@@ -71,217 +39,312 @@ const (
 	concMaxStr    = 512
 )
 
+// objSection is one row of the section table: a new proven property is one
+// more row. omit, when set, leaves an optional section out of the container
+// (older pipelines then stay byte-identical). decode reads the section body
+// to its end; the caller rejects trailing bytes and reports the first error.
+type objSection struct {
+	tag    string
+	omit   func(obj *compile.Object) bool
+	encode func(w *wire.Writer, obj *compile.Object) error
+	decode func(r *wire.Reader, d *decoded)
+}
+
+// decoded is the object under construction plus the CODE and RELO bodies,
+// which are joined after every section is read.
+type decoded struct {
+	obj        compile.Object
+	code, relo []byte
+}
+
+var objSections = []objSection{
+	{
+		tag:    "NAME",
+		encode: func(w *wire.Writer, obj *compile.Object) error { w.Raw([]byte(obj.Name)); return nil },
+		decode: func(r *wire.Reader, d *decoded) { d.obj.Name = string(r.Rest()) },
+	},
+	{
+		tag: "CODE",
+		encode: func(w *wire.Writer, obj *compile.Object) error {
+			// Strip symbolic map names; RELO carries them.
+			insns := append([]isa.Instruction(nil), obj.Insns...)
+			for i := range insns {
+				if insns[i].IsMapRef() && insns[i].MapName != "" {
+					insns[i].MapName = ""
+					insns[i].Const = 0
+					insns[i].Imm = 0
+				}
+			}
+			code, err := isa.Encode(insns)
+			if err != nil {
+				return fmt.Errorf("toolchain: encode: %w", err)
+			}
+			w.Raw(code)
+			return nil
+		},
+		decode: func(r *wire.Reader, d *decoded) { d.code = r.Rest() },
+	},
+	{
+		tag: "RELO",
+		encode: func(w *wire.Writer, obj *compile.Object) error {
+			for i, ins := range obj.Insns {
+				if ins.IsMapRef() && ins.MapName != "" {
+					w.U32(uint32(i))
+					w.Str(ins.MapName)
+				}
+			}
+			return nil
+		},
+		decode: func(r *wire.Reader, d *decoded) { d.relo = r.Rest() },
+	},
+	{
+		tag:    "RODA",
+		encode: func(w *wire.Writer, obj *compile.Object) error { w.Raw(obj.Rodata); return nil },
+		decode: func(r *wire.Reader, d *decoded) { d.obj.Rodata = append([]byte(nil), r.Rest()...) },
+	},
+	{
+		tag: "MAPS",
+		encode: func(w *wire.Writer, obj *compile.Object) error {
+			for _, m := range obj.Maps {
+				w.Str(m.Name)
+				w.Str(m.Kind)
+				w.U32(uint32(m.KeySize))
+				w.U32(uint32(m.ValSize))
+				w.U32(uint32(m.Entries))
+				locked := uint32(0)
+				if m.Locked {
+					locked = 1
+				}
+				w.U32(locked)
+			}
+			return nil
+		},
+		decode: func(r *wire.Reader, d *decoded) {
+			for r.Len() > 0 {
+				m := compile.MapSpec{Name: r.Str(wire.Unbounded), Kind: r.Str(wire.Unbounded)}
+				m.KeySize = int(r.U32())
+				m.ValSize = int(r.U32())
+				m.Entries = int64(r.U32())
+				m.Locked = r.U32() == 1
+				d.obj.Maps = append(d.obj.Maps, m)
+			}
+		},
+	},
+	{
+		tag: "CAPS",
+		encode: func(w *wire.Writer, obj *compile.Object) error {
+			for _, c := range obj.Capabilities {
+				w.Str(c)
+			}
+			return nil
+		},
+		decode: func(r *wire.Reader, d *decoded) {
+			for r.Len() > 0 {
+				d.obj.Capabilities = append(d.obj.Capabilities, r.Str(wire.Unbounded))
+			}
+		},
+	},
+	{
+		// The check ledger: emitted/elided counts, the static instruction
+		// bound, and the per-site elision records.
+		tag: "CHEK",
+		encode: func(w *wire.Writer, obj *compile.Object) error {
+			cs := &obj.Checks
+			putInts(w, chekFields(cs))
+			w.U64(uint64(cs.StaticInsnBound))
+			w.U32(uint32(len(cs.Elisions)))
+			for _, el := range cs.Elisions {
+				w.Str(el.Kind)
+				w.U32(uint32(el.Line))
+			}
+			return nil
+		},
+		decode: func(r *wire.Reader, d *decoded) {
+			cs := &d.obj.Checks
+			getInts(r, chekFields(cs))
+			cs.StaticInsnBound = int64(r.U64())
+			for i, n := 0, r.Count(wire.Unbounded); i < n; i++ {
+				cs.Elisions = append(cs.Elisions, compile.Elision{Kind: r.Str(wire.Unbounded), Line: int(r.U32())})
+			}
+		},
+	},
+	{
+		// The optimization level and the MIR pipeline's rewrite counters.
+		tag:    "OPTM",
+		encode: func(w *wire.Writer, obj *compile.Object) error { putInts(w, optmFields(&obj.Opt)); return nil },
+		decode: func(r *wire.Reader, d *decoded) { getInts(r, optmFields(&d.obj.Opt)) },
+	},
+	{
+		// The translation-validation certificate of an OptMIR build. The
+		// loader refuses OptMIR objects whose certificate is missing,
+		// unvalidated or demoted. WallNanos is a measurement, not part of
+		// the proof, and is not serialized: two builds of the same source
+		// must stay byte-identical (the registry deduplicates by hash).
+		tag:  "TVAL",
+		omit: func(obj *compile.Object) bool { return obj.TVal == nil },
+		encode: func(w *wire.Writer, obj *compile.Object) error {
+			tv := obj.TVal
+			if len(tv.Funcs) > tvalMaxFuncs {
+				return fmt.Errorf("toolchain: TVAL certificate covers %d functions, cap is %d", len(tv.Funcs), tvalMaxFuncs)
+			}
+			flags := uint32(0)
+			if tv.Validated {
+				flags |= 1
+			}
+			if tv.Demoted {
+				flags |= 2
+			}
+			w.U32(flags)
+			reason := tv.Reason
+			if len(reason) > tvalMaxReason {
+				reason = reason[:tvalMaxReason]
+			}
+			w.Str(reason)
+			w.U32(uint32(tv.Vectors))
+			w.U32(uint32(tv.Bounded))
+			w.U32(uint32(len(tv.Funcs)))
+			for _, fc := range tv.Funcs {
+				w.Str(fc.Name)
+				putInts(w, tvalFuncFields(&fc))
+			}
+			return nil
+		},
+		decode: func(r *wire.Reader, d *decoded) {
+			tv := &compile.TValCert{}
+			flags := r.U32()
+			tv.Validated = flags&1 != 0
+			tv.Demoted = flags&2 != 0
+			tv.Reason = r.Str(tvalMaxReason)
+			tv.Vectors = int(r.U32())
+			tv.Bounded = int(r.U32())
+			for i, n := 0, r.Count(tvalMaxFuncs); i < n; i++ {
+				fc := compile.TValFuncCert{Name: r.Str(wire.Unbounded)}
+				getInts(r, tvalFuncFields(&fc))
+				tv.Funcs = append(tv.Funcs, fc)
+			}
+			d.obj.TVal = tv
+		},
+	},
+	{
+		// The shard-safety report: per-map concurrency verdicts and the
+		// classified access sites behind them, enforced by the per-CPU
+		// data plane at dispatch. WallNanos is not serialized (as TVAL).
+		tag:    "CONC",
+		omit:   func(obj *compile.Object) bool { return obj.Conc == nil },
+		encode: encodeConc,
+		decode: func(r *wire.Reader, d *decoded) {
+			cc := &compile.ConcReport{Verdict: r.Str(concMaxStr), Reason: r.Str(concMaxStr)}
+			cc.Sites = int(r.U32())
+			cc.Proven = int(r.U32())
+			for i, nmaps := 0, r.Count(concMaxMaps); i < nmaps; i++ {
+				mv := compile.ConcMapVerdict{
+					Map: r.Str(concMaxStr), Kind: r.Str(concMaxStr),
+					Verdict: r.Str(concMaxStr), Reason: r.Str(concMaxStr),
+				}
+				for j, nsites := 0, r.Count(concMaxSites); j < nsites; j++ {
+					s := compile.ConcSite{Map: mv.Map, Func: r.Str(concMaxStr)}
+					s.PC = int(r.U32())
+					s.Line = int(r.U32())
+					s.Op = r.Str(concMaxStr)
+					s.Class = r.Str(concMaxStr)
+					s.Key = r.Str(concMaxStr)
+					s.Note = r.Str(concMaxStr)
+					mv.Sites = append(mv.Sites, s)
+				}
+				cc.Maps = append(cc.Maps, mv)
+			}
+			d.obj.Conc = cc
+		},
+	},
+}
+
+func encodeConc(w *wire.Writer, obj *compile.Object) error {
+	cc := obj.Conc
+	var err error
+	str := func(s string) {
+		if len(s) > concMaxStr && err == nil {
+			err = fmt.Errorf("toolchain: CONC string of %d bytes, cap is %d", len(s), concMaxStr)
+		}
+		w.Str(s)
+	}
+	if len(cc.Maps) > concMaxMaps {
+		return fmt.Errorf("toolchain: CONC report covers %d maps, cap is %d", len(cc.Maps), concMaxMaps)
+	}
+	str(cc.Verdict)
+	str(cc.Reason)
+	w.U32(uint32(cc.Sites))
+	w.U32(uint32(cc.Proven))
+	w.U32(uint32(len(cc.Maps)))
+	for _, mv := range cc.Maps {
+		if len(mv.Sites) > concMaxSites {
+			return fmt.Errorf("toolchain: CONC map %s has %d sites, cap is %d", mv.Map, len(mv.Sites), concMaxSites)
+		}
+		str(mv.Map)
+		str(mv.Kind)
+		str(mv.Verdict)
+		str(mv.Reason)
+		w.U32(uint32(len(mv.Sites)))
+		for _, s := range mv.Sites {
+			str(s.Func)
+			w.U32(uint32(s.PC))
+			w.U32(uint32(s.Line))
+			str(s.Op)
+			str(s.Class)
+			str(s.Key)
+			str(s.Note)
+		}
+	}
+	return err
+}
+
+// The fixed u32 fields of a section in wire order, shared by both
+// directions so encoder and decoder cannot disagree on the layout.
+func chekFields(cs *compile.CheckStats) []*int {
+	return []*int{&cs.BoundsEmitted, &cs.BoundsElided, &cs.DivEmitted, &cs.DivElided, &cs.MaskEmitted, &cs.MaskElided}
+}
+
+func optmFields(o *compile.OptStats) []*int {
+	return []*int{&o.Level, &o.Folded, &o.Hoisted, &o.LoadsEliminated, &o.DeadRemoved, &o.BlocksRemoved, &o.Spills, &o.RegAssigned}
+}
+
+func tvalFuncFields(fc *compile.TValFuncCert) []*int {
+	return []*int{&fc.Vectors, &fc.Bounded, &fc.BlocksCovered, &fc.BlocksTotal, &fc.SitesEmitted, &fc.SitesElided, &fc.SitesFolded}
+}
+
+func putInts(w *wire.Writer, fields []*int) {
+	for _, f := range fields {
+		w.U32(uint32(*f))
+	}
+}
+
+func getInts(r *wire.Reader, fields []*int) {
+	for _, f := range fields {
+		*f = int(r.U32())
+	}
+}
+
 // Serialize encodes a compiled object into the SLXO container.
 func Serialize(obj *compile.Object) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(objMagic[:])
-	le := binary.LittleEndian
-	var v4 [4]byte
-	le.PutUint32(v4[:], objVersion)
-	buf.Write(v4[:])
-
-	section := func(tag [4]byte, payload []byte) {
-		buf.Write(tag[:])
-		le.PutUint32(v4[:], uint32(len(payload)))
-		buf.Write(v4[:])
-		buf.Write(payload)
-	}
-
-	section(secName, []byte(obj.Name))
-
-	// Strip symbolic map names into the relocation table.
-	insns := append([]isa.Instruction(nil), obj.Insns...)
-	var relo bytes.Buffer
-	for i := range insns {
-		if insns[i].IsMapRef() && insns[i].MapName != "" {
-			le.PutUint32(v4[:], uint32(i))
-			relo.Write(v4[:])
-			name := []byte(insns[i].MapName)
-			le.PutUint32(v4[:], uint32(len(name)))
-			relo.Write(v4[:])
-			relo.Write(name)
-			insns[i].MapName = ""
-			insns[i].Const = 0
-			insns[i].Imm = 0
+	var out wire.Writer
+	out.Raw(objMagic[:])
+	out.U32(objVersion)
+	for _, sec := range objSections {
+		if sec.omit != nil && sec.omit(obj) {
+			continue
 		}
-	}
-	code, err := isa.Encode(insns)
-	if err != nil {
-		return nil, fmt.Errorf("toolchain: encode: %w", err)
-	}
-	section(secCode, code)
-	section(secRelo, relo.Bytes())
-	section(secRoda, obj.Rodata)
-
-	var mapsBuf bytes.Buffer
-	for _, m := range obj.Maps {
-		writeStr(&mapsBuf, m.Name)
-		writeStr(&mapsBuf, m.Kind)
-		var v [8]byte
-		le.PutUint32(v[:4], uint32(m.KeySize))
-		le.PutUint32(v[4:], uint32(m.ValSize))
-		mapsBuf.Write(v[:])
-		le.PutUint32(v[:4], uint32(m.Entries))
-		locked := uint32(0)
-		if m.Locked {
-			locked = 1
+		var body wire.Writer
+		if err := sec.encode(&body, obj); err != nil {
+			return nil, err
 		}
-		le.PutUint32(v[4:], locked)
-		mapsBuf.Write(v[:])
+		out.Raw([]byte(sec.tag))
+		out.Bytes(body.Data())
 	}
-	section(secMaps, mapsBuf.Bytes())
-
-	var capsBuf bytes.Buffer
-	for _, c := range obj.Capabilities {
-		writeStr(&capsBuf, c)
-	}
-	section(secCaps, capsBuf.Bytes())
-
-	cs := obj.Checks
-	var chekBuf bytes.Buffer
-	for _, n := range []int{
-		cs.BoundsEmitted, cs.BoundsElided,
-		cs.DivEmitted, cs.DivElided,
-		cs.MaskEmitted, cs.MaskElided,
-	} {
-		le.PutUint32(v4[:], uint32(n))
-		chekBuf.Write(v4[:])
-	}
-	var v8 [8]byte
-	le.PutUint64(v8[:], uint64(cs.StaticInsnBound))
-	chekBuf.Write(v8[:])
-	le.PutUint32(v4[:], uint32(len(cs.Elisions)))
-	chekBuf.Write(v4[:])
-	for _, el := range cs.Elisions {
-		writeStr(&chekBuf, el.Kind)
-		le.PutUint32(v4[:], uint32(el.Line))
-		chekBuf.Write(v4[:])
-	}
-	section(secChek, chekBuf.Bytes())
-
-	var optmBuf bytes.Buffer
-	for _, n := range []int{
-		obj.Opt.Level, obj.Opt.Folded, obj.Opt.Hoisted, obj.Opt.LoadsEliminated,
-		obj.Opt.DeadRemoved, obj.Opt.BlocksRemoved, obj.Opt.Spills, obj.Opt.RegAssigned,
-	} {
-		le.PutUint32(v4[:], uint32(n))
-		optmBuf.Write(v4[:])
-	}
-	section(secOptm, optmBuf.Bytes())
-
-	// TVAL is emitted only when a certificate exists, so pre-validator
-	// objects (and OptElide/naive builds) stay byte-identical.
-	if tv := obj.TVal; tv != nil {
-		var tvBuf bytes.Buffer
-		flags := uint32(0)
-		if tv.Validated {
-			flags |= 1
-		}
-		if tv.Demoted {
-			flags |= 2
-		}
-		le.PutUint32(v4[:], flags)
-		tvBuf.Write(v4[:])
-		reason := tv.Reason
-		if len(reason) > tvalMaxReason {
-			reason = reason[:tvalMaxReason]
-		}
-		writeStr(&tvBuf, reason)
-		le.PutUint32(v4[:], uint32(tv.Vectors))
-		tvBuf.Write(v4[:])
-		le.PutUint32(v4[:], uint32(tv.Bounded))
-		tvBuf.Write(v4[:])
-		// WallNanos is intentionally NOT serialized: it is a measurement,
-		// not part of the proof, and two builds of the same source must
-		// stay byte-identical (the registry deduplicates by payload hash).
-		funcs := tv.Funcs
-		if len(funcs) > tvalMaxFuncs {
-			return nil, fmt.Errorf("toolchain: TVAL certificate covers %d functions, cap is %d", len(funcs), tvalMaxFuncs)
-		}
-		le.PutUint32(v4[:], uint32(len(funcs)))
-		tvBuf.Write(v4[:])
-		for _, fc := range funcs {
-			writeStr(&tvBuf, fc.Name)
-			for _, n := range []int{
-				fc.Vectors, fc.Bounded, fc.BlocksCovered, fc.BlocksTotal,
-				fc.SitesEmitted, fc.SitesElided, fc.SitesFolded,
-			} {
-				le.PutUint32(v4[:], uint32(n))
-				tvBuf.Write(v4[:])
-			}
-		}
-		section(secTval, tvBuf.Bytes())
-	}
-
-	// CONC is emitted only when the shard-safety analysis ran, so older
-	// pipelines produce byte-identical containers.
-	if cc := obj.Conc; cc != nil {
-		var ccBuf bytes.Buffer
-		writeStr(&ccBuf, cc.Verdict)
-		writeStr(&ccBuf, cc.Reason)
-		le.PutUint32(v4[:], uint32(cc.Sites))
-		ccBuf.Write(v4[:])
-		le.PutUint32(v4[:], uint32(cc.Proven))
-		ccBuf.Write(v4[:])
-		// WallNanos is intentionally NOT serialized (same rule as TVAL):
-		// a measurement, not part of the proof.
-		if len(cc.Maps) > concMaxMaps {
-			return nil, fmt.Errorf("toolchain: CONC report covers %d maps, cap is %d", len(cc.Maps), concMaxMaps)
-		}
-		le.PutUint32(v4[:], uint32(len(cc.Maps)))
-		ccBuf.Write(v4[:])
-		for _, mv := range cc.Maps {
-			writeStr(&ccBuf, mv.Map)
-			writeStr(&ccBuf, mv.Kind)
-			writeStr(&ccBuf, mv.Verdict)
-			writeStr(&ccBuf, mv.Reason)
-			if len(mv.Sites) > concMaxSites {
-				return nil, fmt.Errorf("toolchain: CONC map %s has %d sites, cap is %d", mv.Map, len(mv.Sites), concMaxSites)
-			}
-			le.PutUint32(v4[:], uint32(len(mv.Sites)))
-			ccBuf.Write(v4[:])
-			for _, s := range mv.Sites {
-				writeStr(&ccBuf, s.Func)
-				le.PutUint32(v4[:], uint32(s.PC))
-				ccBuf.Write(v4[:])
-				le.PutUint32(v4[:], uint32(s.Line))
-				ccBuf.Write(v4[:])
-				writeStr(&ccBuf, s.Op)
-				writeStr(&ccBuf, s.Class)
-				writeStr(&ccBuf, s.Key)
-				writeStr(&ccBuf, s.Note)
-			}
-		}
-		section(secConc, ccBuf.Bytes())
-	}
-
-	return buf.Bytes(), nil
+	return out.Data(), nil
 }
 
-func writeStr(b *bytes.Buffer, s string) {
-	var v4 [4]byte
-	binary.LittleEndian.PutUint32(v4[:], uint32(len(s)))
-	b.Write(v4[:])
-	b.WriteString(s)
-}
-
-func readStr(b *bytes.Reader) (string, error) {
-	var v4 [4]byte
-	if _, err := io.ReadFull(b, v4[:]); err != nil {
-		return "", fmt.Errorf("toolchain: truncated string")
-	}
-	n := binary.LittleEndian.Uint32(v4[:])
-	if uint32(b.Len()) < n {
-		return "", fmt.Errorf("toolchain: truncated string")
-	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(b, out); err != nil {
-		return "", fmt.Errorf("toolchain: truncated string")
-	}
-	return string(out), nil
-}
-
-// Deserialize parses an SLXO container back into a compiled object.
+// Deserialize parses an SLXO container back into a compiled object. It
+// rejects unknown and repeated sections and any section with bytes left
+// over after its fields.
 func Deserialize(payload []byte) (*compile.Object, error) {
 	if len(payload) < 8 || !bytes.Equal(payload[:4], objMagic[:]) {
 		return nil, fmt.Errorf("toolchain: bad magic")
@@ -289,286 +352,59 @@ func Deserialize(payload []byte) (*compile.Object, error) {
 	if v := binary.LittleEndian.Uint32(payload[4:8]); v != objVersion {
 		return nil, fmt.Errorf("toolchain: unsupported version %d", v)
 	}
-	obj := &compile.Object{}
-	rest := payload[8:]
-	var code, relo []byte
-	for len(rest) > 0 {
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("toolchain: truncated section header")
+	var d decoded
+	var seen uint32 // bit i: objSections[i] was read
+	r := wire.NewReader(payload[8:], "toolchain", "section")
+	for r.Len() > 0 {
+		tag := string(r.Raw(4))
+		body := r.Bytes(wire.Unbounded)
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		var tag [4]byte
-		copy(tag[:], rest[:4])
-		n := binary.LittleEndian.Uint32(rest[4:8])
-		if uint32(len(rest)-8) < n {
-			return nil, fmt.Errorf("toolchain: truncated section %s", tag)
-		}
-		body := rest[8 : 8+n]
-		rest = rest[8+n:]
-		switch tag {
-		case secName:
-			obj.Name = string(body)
-		case secCode:
-			code = body
-		case secRelo:
-			relo = body
-		case secRoda:
-			obj.Rodata = append([]byte(nil), body...)
-		case secMaps:
-			r := bytes.NewReader(body)
-			for r.Len() > 0 {
-				var m compile.MapSpec
-				var err error
-				if m.Name, err = readStr(r); err != nil {
-					return nil, err
-				}
-				if m.Kind, err = readStr(r); err != nil {
-					return nil, err
-				}
-				var v [8]byte
-				if _, err := io.ReadFull(r, v[:]); err != nil {
-					return nil, fmt.Errorf("toolchain: truncated MAPS section")
-				}
-				m.KeySize = int(binary.LittleEndian.Uint32(v[:4]))
-				m.ValSize = int(binary.LittleEndian.Uint32(v[4:]))
-				if _, err := io.ReadFull(r, v[:]); err != nil {
-					return nil, fmt.Errorf("toolchain: truncated MAPS section")
-				}
-				m.Entries = int64(binary.LittleEndian.Uint32(v[:4]))
-				m.Locked = binary.LittleEndian.Uint32(v[4:]) == 1
-				obj.Maps = append(obj.Maps, m)
-			}
-		case secCaps:
-			r := bytes.NewReader(body)
-			for r.Len() > 0 {
-				c, err := readStr(r)
-				if err != nil {
-					return nil, err
-				}
-				obj.Capabilities = append(obj.Capabilities, c)
-			}
-		case secChek:
-			r := bytes.NewReader(body)
-			var v4 [4]byte
-			counts := [6]*int{
-				&obj.Checks.BoundsEmitted, &obj.Checks.BoundsElided,
-				&obj.Checks.DivEmitted, &obj.Checks.DivElided,
-				&obj.Checks.MaskEmitted, &obj.Checks.MaskElided,
-			}
-			for _, dst := range counts {
-				if _, err := io.ReadFull(r, v4[:]); err != nil {
-					return nil, fmt.Errorf("toolchain: truncated CHEK section")
-				}
-				*dst = int(binary.LittleEndian.Uint32(v4[:]))
-			}
-			var v8 [8]byte
-			if _, err := io.ReadFull(r, v8[:]); err != nil {
-				return nil, fmt.Errorf("toolchain: truncated CHEK section")
-			}
-			obj.Checks.StaticInsnBound = int64(binary.LittleEndian.Uint64(v8[:]))
-			if _, err := io.ReadFull(r, v4[:]); err != nil {
-				return nil, fmt.Errorf("toolchain: truncated CHEK section")
-			}
-			n := binary.LittleEndian.Uint32(v4[:])
-			for i := uint32(0); i < n; i++ {
-				var el compile.Elision
-				var err error
-				if el.Kind, err = readStr(r); err != nil {
-					return nil, err
-				}
-				if _, err := io.ReadFull(r, v4[:]); err != nil {
-					return nil, fmt.Errorf("toolchain: truncated CHEK section")
-				}
-				el.Line = int(binary.LittleEndian.Uint32(v4[:]))
-				obj.Checks.Elisions = append(obj.Checks.Elisions, el)
-			}
-		case secOptm:
-			r := bytes.NewReader(body)
-			var v4 [4]byte
-			fields := [8]*int{
-				&obj.Opt.Level, &obj.Opt.Folded, &obj.Opt.Hoisted, &obj.Opt.LoadsEliminated,
-				&obj.Opt.DeadRemoved, &obj.Opt.BlocksRemoved, &obj.Opt.Spills, &obj.Opt.RegAssigned,
-			}
-			for _, dst := range fields {
-				if _, err := io.ReadFull(r, v4[:]); err != nil {
-					return nil, fmt.Errorf("toolchain: truncated OPTM section")
-				}
-				*dst = int(binary.LittleEndian.Uint32(v4[:]))
-			}
-			if r.Len() != 0 {
-				return nil, fmt.Errorf("toolchain: oversized OPTM section")
-			}
-		case secTval:
-			r := bytes.NewReader(body)
-			var v4 [4]byte
-			if _, err := io.ReadFull(r, v4[:]); err != nil {
-				return nil, fmt.Errorf("toolchain: truncated TVAL section")
-			}
-			tv := &compile.TValCert{}
-			flags := binary.LittleEndian.Uint32(v4[:])
-			tv.Validated = flags&1 != 0
-			tv.Demoted = flags&2 != 0
-			reason, err := readStr(r)
-			if err != nil {
-				return nil, fmt.Errorf("toolchain: truncated TVAL section")
-			}
-			if len(reason) > tvalMaxReason {
-				return nil, fmt.Errorf("toolchain: oversized TVAL reason (%d bytes)", len(reason))
-			}
-			tv.Reason = reason
-			if _, err := io.ReadFull(r, v4[:]); err != nil {
-				return nil, fmt.Errorf("toolchain: truncated TVAL section")
-			}
-			tv.Vectors = int(binary.LittleEndian.Uint32(v4[:]))
-			if _, err := io.ReadFull(r, v4[:]); err != nil {
-				return nil, fmt.Errorf("toolchain: truncated TVAL section")
-			}
-			tv.Bounded = int(binary.LittleEndian.Uint32(v4[:]))
-			if _, err := io.ReadFull(r, v4[:]); err != nil {
-				return nil, fmt.Errorf("toolchain: truncated TVAL section")
-			}
-			nfuncs := binary.LittleEndian.Uint32(v4[:])
-			if nfuncs > tvalMaxFuncs {
-				return nil, fmt.Errorf("toolchain: TVAL claims %d functions, cap is %d", nfuncs, tvalMaxFuncs)
-			}
-			for i := uint32(0); i < nfuncs; i++ {
-				var fc compile.TValFuncCert
-				if fc.Name, err = readStr(r); err != nil {
-					return nil, fmt.Errorf("toolchain: truncated TVAL section")
-				}
-				fields := [7]*int{
-					&fc.Vectors, &fc.Bounded, &fc.BlocksCovered, &fc.BlocksTotal,
-					&fc.SitesEmitted, &fc.SitesElided, &fc.SitesFolded,
-				}
-				for _, dst := range fields {
-					if _, err := io.ReadFull(r, v4[:]); err != nil {
-						return nil, fmt.Errorf("toolchain: truncated TVAL section")
-					}
-					*dst = int(binary.LittleEndian.Uint32(v4[:]))
-				}
-				tv.Funcs = append(tv.Funcs, fc)
-			}
-			if r.Len() != 0 {
-				return nil, fmt.Errorf("toolchain: oversized TVAL section")
-			}
-			obj.TVal = tv
-		case secConc:
-			r := bytes.NewReader(body)
-			var v4 [4]byte
-			cc := &compile.ConcReport{}
-			var err error
-			readCapped := func(what string) (string, error) {
-				s, err := readStr(r)
-				if err != nil {
-					return "", fmt.Errorf("toolchain: truncated CONC section")
-				}
-				if len(s) > concMaxStr {
-					return "", fmt.Errorf("toolchain: oversized CONC %s (%d bytes)", what, len(s))
-				}
-				return s, nil
-			}
-			readU32 := func(dst *int) error {
-				if _, err := io.ReadFull(r, v4[:]); err != nil {
-					return fmt.Errorf("toolchain: truncated CONC section")
-				}
-				*dst = int(binary.LittleEndian.Uint32(v4[:]))
-				return nil
-			}
-			if cc.Verdict, err = readCapped("verdict"); err != nil {
-				return nil, err
-			}
-			if cc.Reason, err = readCapped("reason"); err != nil {
-				return nil, err
-			}
-			if err = readU32(&cc.Sites); err != nil {
-				return nil, err
-			}
-			if err = readU32(&cc.Proven); err != nil {
-				return nil, err
-			}
-			var nmaps int
-			if err = readU32(&nmaps); err != nil {
-				return nil, err
-			}
-			if nmaps > concMaxMaps {
-				return nil, fmt.Errorf("toolchain: CONC claims %d maps, cap is %d", nmaps, concMaxMaps)
-			}
-			for i := 0; i < nmaps; i++ {
-				var mv compile.ConcMapVerdict
-				if mv.Map, err = readCapped("map name"); err != nil {
-					return nil, err
-				}
-				if mv.Kind, err = readCapped("map kind"); err != nil {
-					return nil, err
-				}
-				if mv.Verdict, err = readCapped("map verdict"); err != nil {
-					return nil, err
-				}
-				if mv.Reason, err = readCapped("map reason"); err != nil {
-					return nil, err
-				}
-				var nsites int
-				if err = readU32(&nsites); err != nil {
-					return nil, err
-				}
-				if nsites > concMaxSites {
-					return nil, fmt.Errorf("toolchain: CONC map %s claims %d sites, cap is %d", mv.Map, nsites, concMaxSites)
-				}
-				for j := 0; j < nsites; j++ {
-					s := compile.ConcSite{Map: mv.Map}
-					if s.Func, err = readCapped("site func"); err != nil {
-						return nil, err
-					}
-					if err = readU32(&s.PC); err != nil {
-						return nil, err
-					}
-					if err = readU32(&s.Line); err != nil {
-						return nil, err
-					}
-					if s.Op, err = readCapped("site op"); err != nil {
-						return nil, err
-					}
-					if s.Class, err = readCapped("site class"); err != nil {
-						return nil, err
-					}
-					if s.Key, err = readCapped("site key"); err != nil {
-						return nil, err
-					}
-					if s.Note, err = readCapped("site note"); err != nil {
-						return nil, err
-					}
-					mv.Sites = append(mv.Sites, s)
-				}
-				cc.Maps = append(cc.Maps, mv)
-			}
-			if r.Len() != 0 {
-				return nil, fmt.Errorf("toolchain: oversized CONC section")
-			}
-			obj.Conc = cc
-		default:
+		i := sectionIndex(tag)
+		if i < 0 {
 			return nil, fmt.Errorf("toolchain: unknown section %q", tag)
 		}
+		if seen&(1<<i) != 0 {
+			return nil, fmt.Errorf("toolchain: repeated %s section", tag)
+		}
+		seen |= 1 << i
+		sr := wire.NewReader(body, "toolchain", tag+" section")
+		objSections[i].decode(sr, &d)
+		if err := sr.Done(); err != nil {
+			return nil, err
+		}
 	}
-	insns, err := isa.Decode(code)
+	insns, err := isa.Decode(d.code)
 	if err != nil {
 		return nil, err
 	}
-	// Reapply symbolic map references.
-	r := bytes.NewReader(relo)
-	for r.Len() > 0 {
-		var v4 [4]byte
-		if _, err := io.ReadFull(r, v4[:]); err != nil {
-			return nil, fmt.Errorf("toolchain: truncated RELO section")
-		}
-		idx := binary.LittleEndian.Uint32(v4[:])
-		name, err := readStr(r)
-		if err != nil {
+	// Reapply symbolic map references. Serialize zeroes a relocated load's
+	// immediate, so a nonzero one is refused: it could not re-encode.
+	rr := wire.NewReader(d.relo, "toolchain", "RELO section")
+	for rr.Len() > 0 {
+		idx := rr.U32()
+		name := rr.Str(wire.Unbounded)
+		if err := rr.Err(); err != nil {
 			return nil, err
 		}
 		if int(idx) >= len(insns) || !insns[idx].IsMapRef() {
 			return nil, fmt.Errorf("toolchain: relocation %d does not target a map load", idx)
 		}
+		if insns[idx].Imm != 0 || insns[idx].Const != 0 {
+			return nil, fmt.Errorf("toolchain: relocation %d targets a load with a nonzero immediate", idx)
+		}
 		insns[idx].MapName = name
 	}
-	obj.Insns = insns
-	return obj, nil
+	d.obj.Insns = insns
+	return &d.obj, nil
+}
+
+func sectionIndex(tag string) int {
+	for i := range objSections {
+		if objSections[i].tag == tag {
+			return i
+		}
+	}
+	return -1
 }

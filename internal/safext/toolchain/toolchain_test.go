@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"kex/internal/ebpf/isa"
+	"kex/internal/safext/compile"
 )
 
 const sample = `
@@ -210,19 +213,78 @@ func TestDeserializeRejectsCorruptOptm(t *testing.T) {
 	}
 }
 
-func TestDeserializeRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("nope"),
-		[]byte("SLXO\x02\x00\x00\x00"), // bad version
-		[]byte("SLXO\x01\x00\x00\x00XXXX\xff\xff\xff\xff"), // truncated section
-		// CHEK body cut 2 bytes short of the elision count: the reader
-		// must report truncation, not parse a short read as zero.
-		append([]byte("SLXO\x01\x00\x00\x00CHEK\x22\x00\x00\x00"), make([]byte, 34)...),
+// garbageObjects are containers Deserialize must reject. FuzzDeserialize
+// seeds from them too.
+var garbageObjects = [][]byte{
+	nil,
+	[]byte("nope"),
+	[]byte("SLXO\x02\x00\x00\x00"), // bad version
+	[]byte("SLXO\x01\x00\x00\x00XXXX\xff\xff\xff\xff"), // truncated section
+	// CHEK body cut 2 bytes short of the elision count: the reader
+	// must report truncation, not parse a short read as zero.
+	append([]byte("SLXO\x01\x00\x00\x00CHEK\x22\x00\x00\x00"), make([]byte, 34)...),
+	// A well-formed section with an unknown tag.
+	container("XXXX", nil),
+	// Repeated sections: a second NAME or CODE must not silently replace
+	// the first.
+	container("NAME", []byte("a"), "NAME", []byte("b")),
+	container("CODE", mustEncode(isa.Exit()), "CODE", mustEncode(isa.Mov64Imm(0, 1), isa.Exit())),
+	// CHEK with one trailing byte after an empty elision list, like the
+	// padded OPTM case.
+	container("CHEK", make([]byte, 24+8+4+1)),
+	// An elision count far beyond the body.
+	container("CHEK", append(make([]byte, 24+8), 0xff, 0xff, 0xff, 0xff)),
+	// A CONC verdict over the 512-byte string cap.
+	container("CONC", append([]byte{0x01, 0x02, 0, 0}, make([]byte, 513)...)),
+	// A relocation onto a map load whose immediate is not zeroed: Serialize
+	// never writes one, and it would not re-encode to the same object.
+	container(
+		"CODE", mustEncode(isa.Instruction{Op: isa.LoadMapRef(1, "").Op, Dst: 1, Src: isa.PseudoMapFD, Imm: 5, Const: 5}, isa.Exit()),
+		"RELO", []byte{0, 0, 0, 0, 1, 0, 0, 0, 'm'},
+	),
+}
+
+// container assembles an SLXO container from (tag, body) pairs.
+func container(sections ...any) []byte {
+	out := []byte("SLXO\x01\x00\x00\x00")
+	for i := 0; i < len(sections); i += 2 {
+		body, _ := sections[i+1].([]byte)
+		out = append(out, sections[i].(string)...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
+		out = append(out, body...)
 	}
-	for _, raw := range cases {
+	return out
+}
+
+func mustEncode(insns ...isa.Instruction) []byte {
+	b, err := isa.Encode(insns)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+func TestDeserializeRejectsGarbage(t *testing.T) {
+	for _, raw := range garbageObjects {
 		if _, err := Deserialize(raw); err == nil {
 			t.Errorf("accepted %q", raw)
+		}
+	}
+}
+
+// TestSerializeEnforcesDecoderCaps: Serialize refuses to write a
+// certificate Deserialize would reject.
+func TestSerializeEnforcesDecoderCaps(t *testing.T) {
+	long := strings.Repeat("x", concMaxStr+1)
+	cases := map[string]*compile.Object{
+		"CONC verdict":   {Conc: &compile.ConcReport{Verdict: long}},
+		"CONC site note": {Conc: &compile.ConcReport{Maps: []compile.ConcMapVerdict{{Sites: []compile.ConcSite{{Note: long}}}}}},
+		"CONC maps":      {Conc: &compile.ConcReport{Maps: make([]compile.ConcMapVerdict, concMaxMaps+1)}},
+		"TVAL funcs":     {TVal: &compile.TValCert{Funcs: make([]compile.TValFuncCert, tvalMaxFuncs+1)}},
+	}
+	for name, obj := range cases {
+		if _, err := Serialize(obj); err == nil {
+			t.Errorf("%s: serialized past the decoder cap", name)
 		}
 	}
 }
