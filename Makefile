@@ -94,8 +94,9 @@ bench:
 
 # The instrumentation-vs-verification gap, in one number: runs the
 # exec-core family (which includes the MIR-optimized safext JIT legs)
-# plus the SLXOpt family so writeSLXOptBench can emit the gap/* rows,
-# then prints them. Acceptance: gap/safext/jit-opt ratio_vs_ebpf <= 3.
+# plus the SLXOpt family so the BENCH_slxopt.json summary can emit the
+# gap/* rows, then prints them. Acceptance: gap/safext/jit-opt
+# ratio_vs_ebpf <= 3.
 bench-gap:
 	$(GO) test -bench 'BenchmarkExecCore|BenchmarkSLXOpt' -benchtime 200x .
 	@grep -A 3 '"config": "gap/' BENCH_slxopt.json
@@ -105,7 +106,7 @@ check: lint build test race
 
 
 clean:
-	rm -f BENCH_exec.json BENCH_supervisor.json BENCH_slxopt.json BENCH_statecheck.json BENCH_throughput.json BENCH_fleet.json BENCH_tval.json BENCH_conc.json
+	rm -f BENCH_*.json
 	rm -rf internal/ebpf/statecheck_witnesses
 	rm -rf internal/analysis/transval/tval_counterexamples
 	$(GO) clean -testcache

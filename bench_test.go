@@ -319,25 +319,15 @@ func BenchmarkA3RuntimeTax(b *testing.B) {
 	}
 
 	b.Run("safext-slx", func(b *testing.B) {
-		k := kernel.NewDefault()
-		rt := runtime.New(k, runtime.DefaultConfig())
-		signer, _ := toolchain.NewSigner()
-		rt.AddKey(signer.PublicKey())
-		so, err := signer.BuildAndSign("hot", fmt.Sprintf(`
+		rt := runtime.New(kernel.NewDefault(), runtime.DefaultConfig())
+		ext := loadSLX(b, rt, "hot", fmt.Sprintf(`
 fn main() -> i64 {
 	let mut x: i64 = 0;
 	for i in 0..%d {
 		x += 3;
 	}
 	return 0;
-}`, iters))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ext, err := rt.Load(so)
-		if err != nil {
-			b.Fatal(err)
-		}
+}`, iters), 0)
 		b.ResetTimer()
 		var insns uint64
 		for i := 0; i < b.N; i++ {
@@ -372,18 +362,8 @@ func BenchmarkA4Expressiveness(b *testing.B) {
 		}
 	})
 	b.Run("safext-complete", func(b *testing.B) {
-		k := kernel.NewDefault()
-		rt := runtime.New(k, runtime.DefaultConfig())
-		signer, _ := toolchain.NewSigner()
-		rt.AddKey(signer.PublicKey())
-		so, err := signer.BuildAndSign("big", slxLine(2000))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ext, err := rt.Load(so)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rt := runtime.New(kernel.NewDefault(), runtime.DefaultConfig())
+		ext := loadSLX(b, rt, "big", slxLine(2000), 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			v, err := ext.Run(runtime.RunOptions{})
@@ -451,7 +431,10 @@ fn main() -> i64 {
 
 // BenchmarkSignatureValidation isolates the loader's cryptographic check.
 func BenchmarkSignatureValidation(b *testing.B) {
-	signer, _ := toolchain.NewSigner()
+	signer, err := toolchain.NewSigner()
+	if err != nil {
+		b.Fatal(err)
+	}
 	so, err := signer.BuildAndSign("bench", "fn main() -> i64 { return 0; }")
 	if err != nil {
 		b.Fatal(err)

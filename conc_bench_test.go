@@ -1,13 +1,8 @@
 package kexbench
 
 import (
-	"encoding/json"
-	"os"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"kex/examples/progs"
 	"kex/internal/analysis/concheck"
@@ -15,7 +10,6 @@ import (
 	"kex/internal/safext/compile"
 	"kex/internal/safext/lang"
 	"kex/internal/safext/runtime"
-	"kex/internal/safext/toolchain"
 )
 
 // The BenchmarkConc_* family measures what shard-safety analysis costs at
@@ -26,8 +20,7 @@ import (
 // benchmarks drive a CONC-certified program through a multi-shard plane
 // with enforcement off and strict and record the per-invocation overhead:
 // the acceptance bar is that strict mode stays off the hot path (one atomic
-// load) for certified fleets. TestMain persists the rows to
-// BENCH_conc.json.
+// load) for certified fleets. The rows persist to BENCH_conc.json.
 
 type concRow struct {
 	Program           string  `json:"program"`
@@ -46,10 +39,7 @@ type concRow struct {
 	GateOverheadPct  float64 `json:"certified_gate_overhead_pct,omitempty"`
 }
 
-var (
-	concBenchMu   sync.Mutex
-	concBenchRows = map[string]concRow{}
-)
+var concBench = newArtifact[concRow]("BENCH_conc.json", summarizeConc)
 
 func benchConc(b *testing.B, name, src string) {
 	f, err := lang.Parse(src)
@@ -80,8 +70,7 @@ func benchConc(b *testing.B, name, src string) {
 	if rep.Sites > 0 {
 		rate = float64(rep.Proven) / float64(rep.Sites)
 	}
-	concBenchMu.Lock()
-	concBenchRows[name] = concRow{
+	concBench.record(name, concRow{
 		Program:           name,
 		WallNsPerAnalysis: wallPer,
 		Sites:             rep.Sites,
@@ -89,8 +78,7 @@ func benchConc(b *testing.B, name, src string) {
 		ProvenRate:        rate,
 		Verdict:           rep.Verdict,
 		BenchmarkIter:     b.N,
-	}
-	concBenchMu.Unlock()
+	})
 	b.ReportMetric(wallPer, "ns/analysis")
 	b.ReportMetric(rate*100, "proven-%")
 }
@@ -113,127 +101,53 @@ func BenchmarkConc(b *testing.B) {
 func benchConcGate(b *testing.B, mode exec.ConcMode, config string) {
 	const shards, batch = 4, 16
 	rt := runtime.New(tputKernel(), runtime.DefaultConfig())
-	signer, err := toolchain.NewSigner()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt.AddKey(signer.PublicKey())
-	so, err := signer.BuildAndSign("conc_gate", tputSLX)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ext, err := rt.Load(so)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ext.Close()
+	ext := loadSLX(b, rt, "conc_gate", tputSLX, 0)
 	if ext.Conc == nil || ext.Conc.Racy() {
 		b.Fatalf("gate benchmark program must be certified, got %+v", ext.Conc)
 	}
-	var failed atomic.Uint64
 	sh := rt.NewSharded(exec.ShardedConfig{Shards: shards, RingSize: 256, Conc: mode})
 	defer sh.Close()
-
-	submit := func(cpu int, preps []*runtime.Prepared) {
-		reqs := make([]exec.Request, len(preps))
-		for i := range preps {
-			reqs[i] = preps[i].Request()
-		}
-		b2 := exec.Batch{Engine: ext.Engine(), Reqs: reqs, Done: func(results []exec.BatchResult) {
-			for i, res := range results {
-				if v, ferr := preps[i].Finish(res.Report, res.Err); ferr != nil || !v.Completed {
-					failed.Add(1)
-				}
-			}
-		}}
-		if err := sh.SubmitWait(cpu, b2); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	b.ResetTimer()
-	start := time.Now()
-	preps := make([]*runtime.Prepared, 0, batch)
-	cpu := 0
-	for i := 0; i < b.N; i++ {
-		preps = append(preps, ext.Prepare(runtime.RunOptions{CPU: cpu}))
-		if len(preps) == batch {
-			submit(cpu, preps)
-			preps = make([]*runtime.Prepared, 0, batch)
-			cpu = (cpu + 1) % shards
-		}
-	}
-	if len(preps) > 0 {
-		submit(cpu, preps)
-	}
-	sh.Flush()
-	wall := time.Since(start)
-	b.StopTimer()
-	if n := failed.Load(); n > 0 {
-		b.Fatalf("%d invocations failed", n)
-	}
+	wall := driveSafextPlane(b, ext, sh, shards, batch)
 	wallPer := float64(wall.Nanoseconds()) / float64(b.N)
-	concBenchMu.Lock()
-	concBenchRows[config] = concRow{Program: config, WallNsPerOp: wallPer, BenchmarkIter: b.N}
-	concBenchMu.Unlock()
+	concBench.record(config, concRow{Program: config, WallNsPerOp: wallPer, BenchmarkIter: b.N})
 	b.ReportMetric(wallPer, "wall-ns/op")
 }
 
 func BenchmarkConc_GateOff(b *testing.B)    { benchConcGate(b, exec.ConcOff, "gate/off") }
 func BenchmarkConc_GateStrict(b *testing.B) { benchConcGate(b, exec.ConcStrict, "gate/strict") }
 
-// writeConcBench persists the BenchmarkConc rows plus a corpus summary row:
-// median analysis wall time, corpus-wide proven-site rate, the demotion
-// (racy) rate, and the certified strict-gate overhead when both gate rows
-// ran.
-func writeConcBench() {
-	concBenchMu.Lock()
-	defer concBenchMu.Unlock()
-	if len(concBenchRows) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(concBenchRows))
-	for k := range concBenchRows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]concRow, 0, len(keys)+1)
+// summarizeConc appends a corpus summary row: median analysis wall time,
+// corpus-wide proven-site rate, the demotion (racy) rate, and the
+// certified strict-gate overhead when both gate rows ran.
+func summarizeConc(rows []concRow) any {
 	var walls []float64
-	sites, proven, racy, corpus := 0, 0, 0, 0
-	for _, k := range keys {
-		r := concBenchRows[k]
-		rows = append(rows, r)
-		if r.Verdict == "" {
-			continue // gate rows
-		}
-		corpus++
-		walls = append(walls, r.WallNsPerAnalysis)
-		sites += r.Sites
-		proven += r.Proven
-		if r.Verdict == compile.VerdictRacy {
-			racy++
+	var gateOff, gateStrict float64
+	sites, proven, racy := 0, 0, 0
+	for _, r := range rows {
+		switch {
+		case r.Program == "gate/off":
+			gateOff = r.WallNsPerOp
+		case r.Program == "gate/strict":
+			gateStrict = r.WallNsPerOp
+		case r.Verdict != "":
+			walls = append(walls, r.WallNsPerAnalysis)
+			sites += r.Sites
+			proven += r.Proven
+			if r.Verdict == compile.VerdictRacy {
+				racy++
+			}
 		}
 	}
 	summary := concRow{Program: "corpus-summary"}
-	if corpus > 0 {
-		sort.Float64s(walls)
-		median := walls[len(walls)/2]
-		if len(walls)%2 == 0 {
-			median = (walls[len(walls)/2-1] + walls[len(walls)/2]) / 2
-		}
-		summary.MedianWallNs = median
+	if len(walls) > 0 {
+		summary.MedianWallNs = median(walls)
 		if sites > 0 {
 			summary.CorpusProvenRate = float64(proven) / float64(sites)
 		}
-		summary.DemotionRate = float64(racy) / float64(corpus)
+		summary.DemotionRate = float64(racy) / float64(len(walls))
 	}
-	off, okOff := concBenchRows["gate/off"]
-	strict, okStrict := concBenchRows["gate/strict"]
-	if okOff && okStrict && off.WallNsPerOp > 0 {
-		summary.GateOverheadPct = (strict.WallNsPerOp - off.WallNsPerOp) / off.WallNsPerOp * 100
+	if gateOff > 0 && gateStrict > 0 {
+		summary.GateOverheadPct = overheadPct(gateStrict, gateOff)
 	}
-	rows = append(rows, summary)
-	if data, err := json.MarshalIndent(rows, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_conc.json", append(data, '\n'), 0o644)
-	}
+	return append(rows, summary)
 }

@@ -1,24 +1,21 @@
 package kexbench
 
 import (
-	"encoding/json"
-	"os"
-	"sort"
-	"sync"
 	"testing"
 
 	"kex/internal/ebpf"
 	"kex/internal/ebpf/isa"
+	"kex/internal/exec"
 	"kex/internal/kernel"
 	"kex/internal/safext/runtime"
-	"kex/internal/safext/toolchain"
 )
 
 // The BenchmarkExecCore_* family measures the same workload — a 1000-iter
 // loop calling a clock helper each pass — on every stack×engine pair, all
 // through the shared execution core, and persists the per-invocation
-// figures to BENCH_exec.json (via TestMain) so the overhead comparison is
-// machine-readable across commits.
+// figures to BENCH_exec.json so the overhead comparison is
+// machine-readable across commits. The BenchmarkSupervisor_* healthy-path
+// legs run the same workload through the same two bodies.
 
 type execBenchRow struct {
 	Config        string  `json:"config"`
@@ -31,77 +28,7 @@ type execBenchRow struct {
 	BenchmarkIter int     `json:"benchmark_iters"`
 }
 
-var (
-	execBenchMu   sync.Mutex
-	execBenchRows = map[string]execBenchRow{}
-)
-
-func recordExecBench(row execBenchRow) {
-	execBenchMu.Lock()
-	defer execBenchMu.Unlock()
-	execBenchRows[row.Config] = row
-}
-
-// TestMain writes BENCH_exec.json / BENCH_supervisor.json after a benchmark
-// run that exercised the respective family; plain `go test` runs leave no
-// artifact behind.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	execBenchMu.Lock()
-	if len(execBenchRows) > 0 {
-		keys := make([]string, 0, len(execBenchRows))
-		for k := range execBenchRows {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		rows := make([]execBenchRow, 0, len(keys))
-		for _, k := range keys {
-			rows = append(rows, execBenchRows[k])
-		}
-		if data, err := json.MarshalIndent(rows, "", "  "); err == nil {
-			_ = os.WriteFile("BENCH_exec.json", append(data, '\n'), 0o644)
-		}
-	}
-	execBenchMu.Unlock()
-	writeSupervisorBench()
-	writeSLXOptBench()
-	writeStatecheckBench()
-	writeThroughputBench()
-	writeFleetBench()
-	writeTValBench()
-	writeConcBench()
-	os.Exit(code)
-}
-
-// writeSupervisorBench persists the BenchmarkSupervisor_* rows, filling in
-// the supervised-vs-bare overhead percentage the acceptance bar checks.
-func writeSupervisorBench() {
-	supBenchMu.Lock()
-	defer supBenchMu.Unlock()
-	if len(supBenchRows) == 0 {
-		return
-	}
-	for _, stack := range []string{"ebpf", "safext"} {
-		bare, okB := supBenchRows[stack+"/bare"]
-		sup, okS := supBenchRows[stack+"/supervised"]
-		if okB && okS && bare.WallNsPerOp > 0 {
-			sup.OverheadPct = (sup.WallNsPerOp/bare.WallNsPerOp - 1) * 100
-			supBenchRows[stack+"/supervised"] = sup
-		}
-	}
-	keys := make([]string, 0, len(supBenchRows))
-	for k := range supBenchRows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]supBenchRow, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, supBenchRows[k])
-	}
-	if data, err := json.MarshalIndent(rows, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_supervisor.json", append(data, '\n'), 0o644)
-	}
-}
+var execBench = newArtifact[execBenchRow]("BENCH_exec.json", nil)
 
 const execBenchIters = 1000
 
@@ -134,9 +61,21 @@ fn main() -> i64 {
 }
 `
 
-func benchExecEBPF(b *testing.B, useJIT bool, config string) {
+// coreLeg is one configuration of the exec-core workload.
+type coreLeg struct {
+	jit        bool
+	opt        int // safext build tier: 0 naive, 1 elided, 2 MIR
+	supervised bool
+}
+
+// runCoreEBPF runs the exec-core workload b.N times on the verified stack
+// and returns the program's counters.
+func runCoreEBPF(b *testing.B, leg coreLeg) exec.ProgramStats {
 	s := ebpf.NewStack(kernel.NewDefault())
-	s.UseJIT = useJIT
+	s.UseJIT = leg.jit
+	if leg.supervised {
+		s.Supervise(exec.DefaultSupervisorConfig())
+	}
 	l, err := s.Load(execBenchProgram(b, s))
 	if err != nil {
 		b.Fatal(err)
@@ -150,53 +89,18 @@ func benchExecEBPF(b *testing.B, useJIT bool, config string) {
 		}
 	}
 	b.StopTimer()
-	ps := s.Stats.Snapshot().Programs["core_bench"]
-	n := float64(ps.Invocations)
-	var helperTotal uint64
-	for _, c := range ps.HelperCalls {
-		helperTotal += c
-	}
-	row := execBenchRow{
-		Config:        config,
-		WallNsPerOp:   float64(ps.WallNs) / n,
-		VirtNsPerOp:   float64(ps.RuntimeNs) / n,
-		InsnsPerOp:    float64(ps.Instructions) / n,
-		HelpersPerOp:  float64(helperTotal) / n,
-		MapOpsPerOp:   float64(ps.MapOps) / n,
-		FuelPerOp:     float64(ps.FuelUsed) / n,
-		BenchmarkIter: b.N,
-	}
-	b.ReportMetric(row.VirtNsPerOp, "virtual-ns/op")
-	b.ReportMetric(row.HelpersPerOp, "helper-calls/op")
-	recordExecBench(row)
+	return s.Stats.Snapshot().Programs["core_bench"]
 }
 
-func benchExecSafext(b *testing.B, useJIT bool, config string, opt int) {
+// runCoreSafext does the same on the safext stack.
+func runCoreSafext(b *testing.B, leg coreLeg) exec.ProgramStats {
 	cfg := runtime.DefaultConfig()
-	cfg.UseJIT = useJIT
+	cfg.UseJIT = leg.jit
 	rt := runtime.New(kernel.NewDefault(), cfg)
-	signer, err := toolchain.NewSigner()
-	if err != nil {
-		b.Fatal(err)
+	if leg.supervised {
+		rt.Supervise(exec.DefaultSupervisorConfig())
 	}
-	rt.AddKey(signer.PublicKey())
-	var so *toolchain.SignedObject
-	switch opt {
-	case 2:
-		so, err = signer.BuildAndSignOptimizedMIR("core_bench", execBenchSLX)
-	case 1:
-		so, err = signer.BuildAndSignOptimized("core_bench", execBenchSLX)
-	default:
-		so, err = signer.BuildAndSign("core_bench", execBenchSLX)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	ext, err := rt.Load(so)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ext.Close()
+	ext := loadSLX(b, rt, "core_bench", execBenchSLX, leg.opt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v, err := ext.Run(runtime.RunOptions{})
@@ -205,7 +109,11 @@ func benchExecSafext(b *testing.B, useJIT bool, config string, opt int) {
 		}
 	}
 	b.StopTimer()
-	ps := rt.Core.Stats.Snapshot().Programs["core_bench"]
+	return rt.Core.Stats.Snapshot().Programs["core_bench"]
+}
+
+// benchExec records one exec-core leg's per-invocation figures.
+func benchExec(b *testing.B, config string, ps exec.ProgramStats) {
 	n := float64(ps.Invocations)
 	var helperTotal uint64
 	for _, c := range ps.HelperCalls {
@@ -223,18 +131,28 @@ func benchExecSafext(b *testing.B, useJIT bool, config string, opt int) {
 	}
 	b.ReportMetric(row.VirtNsPerOp, "virtual-ns/op")
 	b.ReportMetric(row.HelpersPerOp, "helper-calls/op")
-	recordExecBench(row)
+	execBench.record(config, row)
 }
 
-func BenchmarkExecCore_EBPFInterp(b *testing.B)   { benchExecEBPF(b, false, "ebpf/interp") }
-func BenchmarkExecCore_EBPFJIT(b *testing.B)      { benchExecEBPF(b, true, "ebpf/jit") }
-func BenchmarkExecCore_SafextInterp(b *testing.B) { benchExecSafext(b, false, "safext/interp", 0) }
-func BenchmarkExecCore_SafextJIT(b *testing.B)    { benchExecSafext(b, true, "safext/jit", 0) }
+func BenchmarkExecCore_EBPFInterp(b *testing.B) {
+	benchExec(b, "ebpf/interp", runCoreEBPF(b, coreLeg{}))
+}
+func BenchmarkExecCore_EBPFJIT(b *testing.B) {
+	benchExec(b, "ebpf/jit", runCoreEBPF(b, coreLeg{jit: true}))
+}
+func BenchmarkExecCore_SafextInterp(b *testing.B) {
+	benchExec(b, "safext/interp", runCoreSafext(b, coreLeg{}))
+}
+func BenchmarkExecCore_SafextJIT(b *testing.B) {
+	benchExec(b, "safext/jit", runCoreSafext(b, coreLeg{jit: true}))
+}
 
 // The -opt legs run the MIR-optimized build of the same workload; the
 // safext/jit-opt vs ebpf/jit wall ratio is the instrumentation-gap number
 // the paper's argument hangs on (tracked in BENCH_slxopt.json).
 func BenchmarkExecCore_SafextInterpOpt(b *testing.B) {
-	benchExecSafext(b, false, "safext/interp-opt", 2)
+	benchExec(b, "safext/interp-opt", runCoreSafext(b, coreLeg{opt: 2}))
 }
-func BenchmarkExecCore_SafextJITOpt(b *testing.B) { benchExecSafext(b, true, "safext/jit-opt", 2) }
+func BenchmarkExecCore_SafextJITOpt(b *testing.B) {
+	benchExec(b, "safext/jit-opt", runCoreSafext(b, coreLeg{jit: true, opt: 2}))
+}

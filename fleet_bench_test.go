@@ -1,10 +1,6 @@
 package kexbench
 
 import (
-	"encoding/json"
-	"os"
-	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,7 +8,7 @@ import (
 )
 
 // The BenchmarkFleet_* family runs the X5 rollout campaign end to end and
-// persists BENCH_fleet.json (via TestMain): fleet-wide swap and rollback
+// persists BENCH_fleet.json: fleet-wide swap and rollback
 // wall latencies, transport fault counters, and the zero-dropped ledger.
 // One benchmark iteration is one full campaign — run it with
 // -benchtime=1x; the figures of record come from the campaign itself, not
@@ -37,30 +33,7 @@ type fleetBenchRow struct {
 	BenchmarkIter      int     `json:"benchmark_iters"`
 }
 
-var (
-	fleetBenchMu   sync.Mutex
-	fleetBenchRows = map[string]fleetBenchRow{}
-)
-
-func writeFleetBench() {
-	fleetBenchMu.Lock()
-	defer fleetBenchMu.Unlock()
-	if len(fleetBenchRows) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(fleetBenchRows))
-	for k := range fleetBenchRows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]fleetBenchRow, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, fleetBenchRows[k])
-	}
-	if data, err := json.MarshalIndent(rows, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_fleet.json", append(data, '\n'), 0o644)
-	}
-}
+var fleetBench = newArtifact[fleetBenchRow]("BENCH_fleet.json", nil)
 
 func benchFleetRollout(b *testing.B, nodes int, config string) {
 	var row fleetBenchRow
@@ -92,9 +65,7 @@ func benchFleetRollout(b *testing.B, nodes int, config string) {
 		b.ReportMetric(st.SwapWallNsMean, "swap-wall-ns/node")
 		b.ReportMetric(st.RollbackWallNsMean, "rollback-wall-ns/node")
 	}
-	fleetBenchMu.Lock()
-	fleetBenchRows[config] = row
-	fleetBenchMu.Unlock()
+	fleetBench.record(config, row)
 }
 
 func BenchmarkFleet_Rollout64(b *testing.B)   { benchFleetRollout(b, 64, "fleet/nodes=64") }

@@ -274,7 +274,7 @@ func (e *mirEmitter) emitInsn(in *mir.Insn) error {
 		t := e.target(in.Dst, isa.R1)
 		e.readInto(in.A, t)
 		e.emit(isa.Neg64(t))
-		e.finish(in.Dst, t)
+		e.writeV(in.Dst, t)
 
 	case mir.OpBin:
 		return e.emitBin(in)
@@ -287,7 +287,7 @@ func (e *mirEmitter) emitInsn(in *mir.Insn) error {
 		if in.IdxIsImm {
 			t := e.target(in.Dst, isa.R1)
 			e.emit(isa.LoadMem(isa.SizeB, t, isa.R10, int16(off+in.IdxImm)))
-			e.finish(in.Dst, t)
+			e.writeV(in.Dst, t)
 			return nil
 		}
 		rI := e.readV(in.A, isa.R1)
@@ -300,7 +300,7 @@ func (e *mirEmitter) emitInsn(in *mir.Insn) error {
 		e.emit(isa.ALU64Reg(isa.OpAdd, isa.R2, rI))
 		t := e.target(in.Dst, isa.R1)
 		e.emit(isa.LoadMem(isa.SizeB, t, isa.R2, 0))
-		e.finish(in.Dst, t)
+		e.writeV(in.Dst, t)
 
 	case mir.OpArrStore:
 		off := e.arrOff[in.Arr]
@@ -356,19 +356,14 @@ func (e *mirEmitter) emitInsn(in *mir.Insn) error {
 }
 
 // target picks the register to compute a result in: the destination's own
-// register when it has one, else the scratch.
+// register when it has one, else the scratch. Callers that detour around
+// an aliased operand compute elsewhere; writeV then moves the result into
+// the destination, whether that is a register or a spill slot.
 func (e *mirEmitter) target(dst mir.VReg, scratch isa.Register) isa.Register {
 	if r, ok := e.inReg(dst); ok {
 		return r
 	}
 	return scratch
-}
-
-// finish writes the computed value back when the destination is spilled.
-func (e *mirEmitter) finish(dst mir.VReg, t isa.Register) {
-	if _, ok := e.inReg(dst); !ok {
-		e.writeV(dst, t)
-	}
 }
 
 func (e *mirEmitter) emitBin(in *mir.Insn) error {
@@ -383,7 +378,7 @@ func (e *mirEmitter) emitBin(in *mir.Insn) error {
 	t := e.target(in.Dst, isa.R1)
 	// When B lives in the destination register (B == Dst, the only way the
 	// allocator lets them share), computing in place would clobber the
-	// operand — detour through scratch.
+	// operand — detour through scratch (writeV moves the result back).
 	if !in.BIsImm && rB == t {
 		t = isa.R1
 	}
@@ -408,7 +403,7 @@ func (e *mirEmitter) emitBin(in *mir.Insn) error {
 	} else {
 		e.emit(isa.ALU64Reg(op, t, rB))
 	}
-	e.finish(in.Dst, t)
+	e.writeV(in.Dst, t)
 	return nil
 }
 
@@ -439,7 +434,7 @@ func (e *mirEmitter) emitCmpInsn(in *mir.Insn) error {
 		e.emit(isa.JmpReg(op, rA, rB, 1))
 	}
 	e.emit(isa.Mov64Imm(t, 0))
-	e.finish(in.Dst, t)
+	e.writeV(in.Dst, t)
 	return nil
 }
 

@@ -72,7 +72,8 @@ func TestSLXCorpusMIREquivalence(t *testing.T) {
 // random generator leave out: scoped sockets released on every exit path,
 // while loops with break/continue, short-circuit operators in value and
 // branch position, compound array assignment, per-CPU maps, explicit
-// traps, and watchdog termination.
+// traps, watchdog termination, and compound assignments whose operand is
+// their own destination.
 var mirStressProgs = map[string]string{
 	"sock_paths": `
 fn main() -> i64 {
@@ -164,6 +165,21 @@ fn main() -> i64 {
 		t += addsq(i, t % 97);
 	}
 	return t;
+}
+`,
+	"self_compound": `
+fn main() -> i64 {
+	let mut v: i64 = 5;
+	v += v;
+	let mut w: i64 = kernel::rand() % 4 + 2;
+	w *= w;
+	let mut a: i64 = kernel::rand() % 8 + 1;
+	let mut m: i64 = 3;
+	for i in 0..4 {
+		a += a;
+		m *= m;
+	}
+	return v * 1000000000 + w * 10000000 + a * 100000 + m % 100000;
 }
 `,
 }

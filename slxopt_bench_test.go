@@ -1,24 +1,20 @@
 package kexbench
 
 import (
-	"encoding/json"
-	"os"
 	stdruntime "runtime"
 	"sort"
-	"sync"
 	"testing"
 
 	"kex/examples/progs"
 	"kex/internal/kernel"
 	"kex/internal/safext/runtime"
-	"kex/internal/safext/toolchain"
 )
 
 // The BenchmarkSLXOpt_* family measures what the abstract-interpretation
 // pass buys at run time: the same SLX program built naively (every check
 // dynamic, fuel metered per instruction) and optimized (proven checks
 // elided, fuel coalesced under the static bound), side by side on the
-// interpreter. TestMain persists the rows to BENCH_slxopt.json so the
+// interpreter. The rows persist to BENCH_slxopt.json so the
 // naive-vs-elided delta is machine-readable across commits.
 
 type slxOptRow struct {
@@ -38,35 +34,11 @@ type slxOptRow struct {
 	RatioVsEBPFJIT float64 `json:"ratio_vs_ebpf,omitempty"`
 }
 
-var (
-	slxOptMu   sync.Mutex
-	slxOptRows = map[string]slxOptRow{}
-)
+var slxOptBench = newArtifact[slxOptRow]("BENCH_slxopt.json", summarizeSLXOpt)
 
 func benchSLXOpt(b *testing.B, config, name, src string, opt int) {
 	rt := runtime.New(kernel.NewDefault(), runtime.DefaultConfig())
-	signer, err := toolchain.NewSigner()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt.AddKey(signer.PublicKey())
-	var so *toolchain.SignedObject
-	switch opt {
-	case 2:
-		so, err = signer.BuildAndSignOptimizedMIR(name, src)
-	case 1:
-		so, err = signer.BuildAndSignOptimized(name, src)
-	default:
-		so, err = signer.BuildAndSign(name, src)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	ext, err := rt.Load(so)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ext.Close()
+	ext := loadSLX(b, rt, name, src, opt)
 	// Settle the collector before timing: at the short iteration counts CI
 	// uses, one GC cycle landing inside the loop of exactly one tier is
 	// enough to invert a comparison (the committed histogram/elided wall
@@ -96,9 +68,7 @@ func benchSLXOpt(b *testing.B, config, name, src string, opt int) {
 	}
 	b.ReportMetric(row.VirtNsPerOp, "virtual-ns/op")
 	b.ReportMetric(float64(row.ElidedChecks), "elided-checks")
-	slxOptMu.Lock()
-	slxOptRows[config] = row
-	slxOptMu.Unlock()
+	slxOptBench.record(config, row)
 }
 
 func BenchmarkSLXOpt_HistogramNaive(b *testing.B) {
@@ -129,41 +99,23 @@ func BenchmarkSLXOpt_CounterOpt(b *testing.B) {
 	benchSLXOpt(b, "counter/opt", "counter", progs.Counter, 2)
 }
 
-// writeSLXOptBench persists the BenchmarkSLXOpt_* rows, appending gap rows
-// that relate the safext JIT legs of the exec-core benchmark to ebpf/jit —
-// the instrumentation-vs-verification overhead number the paper's §3
-// argument turns on.
-func writeSLXOptBench() {
-	slxOptMu.Lock()
-	defer slxOptMu.Unlock()
-	execBenchMu.Lock()
-	ebpfJIT, okE := execBenchRows["ebpf/jit"]
+// summarizeSLXOpt adds gap rows that relate the safext JIT legs of the
+// exec-core benchmark to ebpf/jit — the instrumentation-vs-verification
+// overhead number the paper's §3 argument turns on.
+func summarizeSLXOpt(rows []slxOptRow) any {
+	ebpfJIT, okE := execBench.get("ebpf/jit")
 	for _, leg := range []string{"safext/jit", "safext/jit-opt"} {
-		if r, ok := execBenchRows[leg]; ok && okE && ebpfJIT.WallNsPerOp > 0 {
-			slxOptRows["gap/"+leg] = slxOptRow{
+		if r, ok := execBench.get(leg); ok && okE && ebpfJIT.WallNsPerOp > 0 {
+			rows = append(rows, slxOptRow{
 				Config:         "gap/" + leg,
 				WallNsPerOp:    r.WallNsPerOp,
 				VirtNsPerOp:    r.VirtNsPerOp,
 				InsnsPerOp:     r.InsnsPerOp,
 				BenchmarkIter:  r.BenchmarkIter,
 				RatioVsEBPFJIT: r.WallNsPerOp / ebpfJIT.WallNsPerOp,
-			}
+			})
 		}
 	}
-	execBenchMu.Unlock()
-	if len(slxOptRows) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(slxOptRows))
-	for k := range slxOptRows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]slxOptRow, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, slxOptRows[k])
-	}
-	if data, err := json.MarshalIndent(rows, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_slxopt.json", append(data, '\n'), 0o644)
-	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Config < rows[j].Config })
+	return rows
 }

@@ -8,7 +8,6 @@ import (
 	"kex/examples/progs"
 	"kex/internal/kernel"
 	"kex/internal/safext/runtime"
-	"kex/internal/safext/toolchain"
 )
 
 // TestSLXOptWallOrdering pins the fix for the histogram/elided wall-time
@@ -27,32 +26,11 @@ func TestSLXOptWallOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive guard; skipped in -short runs")
 	}
-	signer, err := toolchain.NewSigner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	builders := []struct {
-		tier  string
-		build func(name, src string) (*toolchain.SignedObject, error)
-	}{
-		{"naive", signer.BuildAndSign},
-		{"elided", signer.BuildAndSignOptimized},
-		{"opt", signer.BuildAndSignOptimizedMIR},
-	}
-	exts := make([]*runtime.Extension, len(builders))
-	for i, bl := range builders {
-		so, err := bl.build("hist-"+bl.tier, progs.Histogram)
-		if err != nil {
-			t.Fatalf("%s: %v", bl.tier, err)
-		}
+	tiers := []string{"naive", "elided", "opt"}
+	exts := make([]*runtime.Extension, len(tiers))
+	for opt, tier := range tiers {
 		rt := runtime.New(kernel.NewDefault(), runtime.DefaultConfig())
-		rt.AddKey(signer.PublicKey())
-		ext, err := rt.Load(so)
-		if err != nil {
-			t.Fatalf("%s: %v", bl.tier, err)
-		}
-		defer ext.Close()
-		exts[i] = ext
+		exts[opt] = loadSLX(t, rt, "hist-"+tier, progs.Histogram, opt)
 	}
 
 	const (
@@ -76,7 +54,7 @@ func TestSLXOptWallOrdering(t *testing.T) {
 			for k := 0; k < batchIters; k++ {
 				v, err := ext.Run(runtime.RunOptions{})
 				if err != nil || !v.Completed {
-					t.Fatalf("%s: %+v, %v", builders[i].tier, v, err)
+					t.Fatalf("%s: %+v, %v", tiers[i], v, err)
 				}
 			}
 			if d := time.Since(start); d < best[i] {

@@ -1,10 +1,6 @@
 package kexbench
 
 import (
-	"encoding/json"
-	"os"
-	"sort"
-	"sync"
 	"testing"
 
 	"kex/internal/analysis/statecheck"
@@ -30,38 +26,7 @@ type statecheckBenchRow struct {
 	Witnesses int                 `json:"witnesses,omitempty"`
 }
 
-var (
-	statecheckBenchMu   sync.Mutex
-	statecheckBenchRows = map[string]statecheckBenchRow{}
-)
-
-func recordStatecheckBench(row statecheckBenchRow) {
-	statecheckBenchMu.Lock()
-	defer statecheckBenchMu.Unlock()
-	statecheckBenchRows[row.Config] = row
-}
-
-// writeStatecheckBench persists the BenchmarkStatecheck_* rows; called
-// from TestMain alongside the other artifact writers.
-func writeStatecheckBench() {
-	statecheckBenchMu.Lock()
-	defer statecheckBenchMu.Unlock()
-	if len(statecheckBenchRows) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(statecheckBenchRows))
-	for k := range statecheckBenchRows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]statecheckBenchRow, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, statecheckBenchRows[k])
-	}
-	if data, err := json.MarshalIndent(rows, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_statecheck.json", append(data, '\n'), 0o644)
-	}
-}
+var statecheckBench = newArtifact[statecheckBenchRow]("BENCH_statecheck.json", nil)
 
 // benchStatecheckProgram prices one full Check of a fixed program.
 func benchStatecheckProgram(b *testing.B, config string, p statecheck.Program) {
@@ -86,7 +51,7 @@ func benchStatecheckProgram(b *testing.B, config string, p statecheck.Program) {
 		BenchmarkIter: b.N,
 	}
 	b.ReportMetric(row.StatesPerOp, "states/op")
-	recordStatecheckBench(row)
+	statecheckBench.record(row.Config, row)
 }
 
 func BenchmarkStatecheck_Corpus(b *testing.B) {
@@ -129,5 +94,5 @@ func BenchmarkStatecheck_Campaign(b *testing.B) {
 	}
 	b.ReportMetric(row.StatesPerOp, "states/op")
 	b.ReportMetric(last.Precision.MeanSnapsPerInsn, "snaps/insn")
-	recordStatecheckBench(row)
+	statecheckBench.record(row.Config, row)
 }

@@ -1,10 +1,6 @@
 package kexbench
 
 import (
-	"encoding/json"
-	"os"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,12 +11,11 @@ import (
 	"kex/internal/exec"
 	"kex/internal/kernel"
 	"kex/internal/safext/runtime"
-	"kex/internal/safext/toolchain"
 )
 
 // The BenchmarkThroughput_* family drives steady-state traffic through the
-// per-CPU sharded data plane and persists BENCH_throughput.json (via
-// TestMain). Two figures matter:
+// per-CPU sharded data plane and persists BENCH_throughput.json. Two
+// figures matter:
 //
 //   - ops_per_sec is SIMULATED throughput: completed ops divided by the
 //     busiest shard's consumed virtual CPU time. It is what sharding is
@@ -43,54 +38,34 @@ type tputRow struct {
 	BenchmarkIter int     `json:"benchmark_iters"`
 }
 
-var (
-	tputMu   sync.Mutex
-	tputRows = map[string]tputRow{}
-)
+var tputBench = newArtifact[tputRow]("BENCH_throughput.json", summarizeThroughput)
 
-func recordTputBench(row tputRow) {
-	tputMu.Lock()
-	defer tputMu.Unlock()
-	tputRows[row.Config] = row
-}
-
-// writeThroughputBench persists the throughput rows plus the two derived
-// acceptance figures: simulated 1-to-4-shard scaling per stack, and the
-// single-shard RunBatch-vs-Run wall ratio.
-func writeThroughputBench() {
-	tputMu.Lock()
-	defer tputMu.Unlock()
-	if len(tputRows) == 0 {
-		return
+// summarizeThroughput adds the two derived acceptance figures: simulated
+// 1-to-4-shard scaling per stack, and the single-shard RunBatch-vs-Run
+// wall ratio.
+func summarizeThroughput(rows []tputRow) any {
+	byConfig := make(map[string]tputRow, len(rows))
+	for _, r := range rows {
+		byConfig[r.Config] = r
 	}
-	keys := make([]string, 0, len(tputRows))
-	for k := range tputRows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	out := struct {
 		Rows                   []tputRow          `json:"rows"`
 		ScalingSim1To4         map[string]float64 `json:"scaling_sim_ops_1_to_4_shards"`
 		RunBatchVsRunWallRatio float64            `json:"runbatch_vs_run_wall_ratio,omitempty"`
-	}{ScalingSim1To4: map[string]float64{}}
-	for _, k := range keys {
-		out.Rows = append(out.Rows, tputRows[k])
-	}
+	}{Rows: rows, ScalingSim1To4: map[string]float64{}}
 	for _, stack := range []string{"ebpf/jit", "safext/jit"} {
-		one, ok1 := tputRows[stack+"/shards=1"]
-		four, ok4 := tputRows[stack+"/shards=4"]
+		one, ok1 := byConfig[stack+"/shards=1"]
+		four, ok4 := byConfig[stack+"/shards=4"]
 		if ok1 && ok4 && one.SimOpsPerSec > 0 {
 			out.ScalingSim1To4[stack] = four.SimOpsPerSec / one.SimOpsPerSec
 		}
 	}
-	if run, ok1 := tputRows["serial/run"]; ok1 {
-		if rb, ok2 := tputRows["serial/runbatch"]; ok2 && run.WallNsPerOp > 0 {
-			out.RunBatchVsRunWallRatio = rb.WallNsPerOp / run.WallNsPerOp
-		}
+	run, ok1 := byConfig["serial/run"]
+	rb, ok2 := byConfig["serial/runbatch"]
+	if ok1 && ok2 && run.WallNsPerOp > 0 {
+		out.RunBatchVsRunWallRatio = rb.WallNsPerOp / run.WallNsPerOp
 	}
-	if data, err := json.MarshalIndent(out, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_throughput.json", append(data, '\n'), 0o644)
-	}
+	return out
 }
 
 // tputKernel boots a kernel wide enough for the 8-shard sweep.
@@ -202,24 +177,18 @@ func benchThroughputEBPF(b *testing.B, shards, batch int, config string) {
 
 func benchThroughputSafext(b *testing.B, shards, batch int, config string) {
 	rt := runtime.New(tputKernel(), runtime.DefaultConfig())
-	signer, err := toolchain.NewSigner()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt.AddKey(signer.PublicKey())
-	so, err := signer.BuildAndSign("tput_policy", tputSLX)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ext, err := rt.Load(so)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ext.Close()
-	var failed atomic.Uint64
+	ext := loadSLX(b, rt, "tput_policy", tputSLX, 0)
 	sh := rt.NewSharded(exec.ShardedConfig{Shards: shards, RingSize: 256})
 	defer sh.Close()
+	wall := driveSafextPlane(b, ext, sh, shards, batch)
+	recordTput(b, config, shards, batch, wall, sh)
+}
 
+// driveSafextPlane submits b.N invocations of ext to the sharded plane in
+// batches, round-robin over the first shards CPUs, and returns the wall
+// time until the plane drained. Any failed invocation fails the benchmark.
+func driveSafextPlane(b *testing.B, ext *runtime.Extension, sh *exec.Sharded, shards, batch int) time.Duration {
+	var failed atomic.Uint64
 	submit := func(cpu int, preps []*runtime.Prepared) {
 		reqs := make([]exec.Request, len(preps))
 		for i := range preps {
@@ -258,7 +227,7 @@ func benchThroughputSafext(b *testing.B, shards, batch int, config string) {
 	if n := failed.Load(); n > 0 {
 		b.Fatalf("%d invocations failed", n)
 	}
-	recordTput(b, config, shards, batch, wall, sh)
+	return wall
 }
 
 func recordTput(b *testing.B, config string, shards, batch int, wall time.Duration, sh *exec.Sharded) {
@@ -280,7 +249,7 @@ func recordTput(b *testing.B, config string, shards, batch int, wall time.Durati
 	}
 	b.ReportMetric(sim, "sim-ops/sec")
 	b.ReportMetric(row.WallNsPerOp, "wall-ns/op")
-	recordTputBench(row)
+	tputBench.record(config, row)
 }
 
 // Shard sweep at a fixed batch size, both stacks on the JIT engine.
@@ -338,7 +307,7 @@ func BenchmarkThroughput_SerialRun(b *testing.B) {
 	}
 	wall := time.Since(start)
 	b.StopTimer()
-	recordTputBench(tputRow{
+	tputBench.record("serial/run", tputRow{
 		Config: "serial/run", Shards: 1, Batch: 1, Ops: b.N,
 		WallNsPerOp:   float64(wall.Nanoseconds()) / float64(b.N),
 		WallOpsPerSec: float64(b.N) / wall.Seconds(),
@@ -371,7 +340,7 @@ func BenchmarkThroughput_SerialRunBatch(b *testing.B) {
 	}
 	wall := time.Since(start)
 	b.StopTimer()
-	recordTputBench(tputRow{
+	tputBench.record("serial/runbatch", tputRow{
 		Config: "serial/runbatch", Shards: 1, Batch: chunk, Ops: b.N,
 		WallNsPerOp:   float64(wall.Nanoseconds()) / float64(b.N),
 		WallOpsPerSec: float64(b.N) / wall.Seconds(),

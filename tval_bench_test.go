@@ -1,10 +1,7 @@
 package kexbench
 
 import (
-	"encoding/json"
-	"os"
 	"sort"
-	"sync"
 	"testing"
 
 	"kex/examples/progs"
@@ -19,7 +16,7 @@ import (
 // build time: per-corpus-program validation wall time, the serialized
 // certificate's size in the SLXO container, and the demotion rate (pinned
 // at zero — a validator that demotes correct optimizer output is too
-// imprecise to leave in the build loop). TestMain persists the rows to
+// imprecise to leave in the build loop). The rows persist to
 // BENCH_tval.json; the acceptance bar is a corpus median under 250ms.
 
 type tvalRow struct {
@@ -36,10 +33,7 @@ type tvalRow struct {
 	DemotionRate float64 `json:"corpus_demotion_rate,omitempty"`
 }
 
-var (
-	tvalMu   sync.Mutex
-	tvalRows = map[string]tvalRow{}
-)
+var tvalBench = newArtifact[tvalRow]("BENCH_tval.json", summarizeTVal)
 
 func benchTVal(b *testing.B, name, src string) {
 	f, err := lang.Parse(src)
@@ -84,8 +78,7 @@ func benchTVal(b *testing.B, name, src string) {
 	}
 
 	wallPer := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	tvalMu.Lock()
-	tvalRows[name] = tvalRow{
+	tvalBench.record(name, tvalRow{
 		Program:       name,
 		WallNsPerVal:  wallPer,
 		CertBytes:     len(withCert) - len(withoutCert),
@@ -94,8 +87,7 @@ func benchTVal(b *testing.B, name, src string) {
 		Funcs:         len(res.Funcs),
 		Demoted:       false,
 		BenchmarkIter: b.N,
-	}
-	tvalMu.Unlock()
+	})
 	b.ReportMetric(wallPer, "ns/validation")
 	b.ReportMetric(float64(len(withCert)-len(withoutCert)), "cert-bytes")
 }
@@ -113,41 +105,20 @@ func BenchmarkTVal(b *testing.B) {
 	b.Run("buggy", func(b *testing.B) { benchTVal(b, "buggy", progs.ProfilerBuggy) })
 }
 
-// writeTValBench persists the BenchmarkTVal rows plus a corpus summary row
-// carrying the median validation wall time and the demotion rate.
-func writeTValBench() {
-	tvalMu.Lock()
-	defer tvalMu.Unlock()
-	if len(tvalRows) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(tvalRows))
-	for k := range tvalRows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]tvalRow, 0, len(keys)+1)
-	walls := make([]float64, 0, len(keys))
+// summarizeTVal appends a corpus summary row carrying the median
+// validation wall time and the demotion rate.
+func summarizeTVal(rows []tvalRow) any {
+	walls := make([]float64, len(rows))
 	demoted := 0
-	for _, k := range keys {
-		r := tvalRows[k]
-		rows = append(rows, r)
-		walls = append(walls, r.WallNsPerVal)
+	for i, r := range rows {
+		walls[i] = r.WallNsPerVal
 		if r.Demoted {
 			demoted++
 		}
 	}
-	sort.Float64s(walls)
-	median := walls[len(walls)/2]
-	if len(walls)%2 == 0 {
-		median = (walls[len(walls)/2-1] + walls[len(walls)/2]) / 2
-	}
-	rows = append(rows, tvalRow{
+	return append(rows, tvalRow{
 		Program:      "corpus-summary",
-		MedianWallNs: median,
-		DemotionRate: float64(demoted) / float64(len(keys)),
+		MedianWallNs: median(walls),
+		DemotionRate: float64(demoted) / float64(len(rows)),
 	})
-	if data, err := json.MarshalIndent(rows, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_tval.json", append(data, '\n'), 0o644)
-	}
 }
