@@ -60,11 +60,11 @@ func AnalyzeBPF(prog *isa.Program, reg *helpers.Registry, mapMeta map[string]*ve
 type bkind uint8
 
 const (
-	bScalar bkind = iota
-	bCtxPtr       // the program context pointer: loads through it are ctx
-	bMapPtr       // a ConstPtrToMap handle from LDDW
-	bMapVal       // a PtrToMapValue from a lookup, carrying its key
-	bStackPtr     // a pointer into the current frame's stack
+	bScalar   bkind = iota
+	bCtxPtr         // the program context pointer: loads through it are ctx
+	bMapPtr         // a ConstPtrToMap handle from LDDW
+	bMapVal         // a PtrToMapValue from a lookup, carrying its key
+	bStackPtr       // a pointer into the current frame's stack
 )
 
 // bval is one abstract register or stack-slot value.

@@ -44,9 +44,11 @@ type FaultHook interface {
 	HelperCall(env *Env, name string) (r0 uint64, err error, injected bool)
 }
 
-// Env is the kernel-side environment one program execution sees. Both the
-// interpreter and the JIT construct an Env per run; helpers do all their
-// kernel work through it.
+// Env is the kernel-side environment one program execution sees. Helpers
+// do all their kernel work through it. An Env serves one run at a time:
+// the execution core reuses one per run frame, resetting it in place
+// (Reset) between runs, so nothing may retain an Env past the run it was
+// handed to.
 type Env struct {
 	K    *kernel.Kernel
 	Ctx  *kernel.Context
@@ -67,8 +69,10 @@ type Env struct {
 	// job (the kernel allows 33).
 	TailCall func(index uint64) error
 
-	// LockTable maps a map-value address to its spin lock, shared across
-	// runs of programs attached to the same maps.
+	// LockTable maps a map-value address to its spin lock. It is built on
+	// the first LockAt of a run and dropped by Reset, so it lives for one
+	// run only: bpf_spin_lock on one map value excludes within a run but
+	// never across runs or shards (DESIGN §3.5, known limit).
 	LockTable map[uint64]*kernel.SpinLock
 
 	// Trace accumulates bpf_trace_printk output.
@@ -83,10 +87,10 @@ type Env struct {
 	// campaigns. Nil (the default) costs one pointer compare per call.
 	Fault FaultHook
 
-	// HelperCalls counts helper invocations by name. Engines bump it via
-	// CountHelper; the execution core folds it into its Report and Stats.
-	// Nil until the first helper call, so helper-free runs stay free.
-	HelperCalls map[string]uint64
+	// HelperCalls counts helper invocations by count slot. Engines bump
+	// it via CountCall; the execution core copies it into its Report
+	// and Stats. Its backing array is kept across Reset.
+	HelperCalls Calls
 
 	// MapOps counts map-handle resolutions (MapByHandle), the common
 	// entry to every map operation a helper performs.
@@ -99,14 +103,32 @@ type Env struct {
 
 	// randState drives bpf_get_prandom_u32 deterministically.
 	randState rng.Star
+
+	// keyBuf backs KeyBuf; Reset keeps it.
+	keyBuf []byte
 }
+
+// randSeed starts every run's bpf_get_prandom_u32 stream.
+const randSeed rng.Star = 0x2545F4914F6CDD1D
 
 // NewEnv builds an execution environment on the given kernel and maps.
 func NewEnv(k *kernel.Kernel, ctx *kernel.Context, reg *maps.Registry) *Env {
-	return &Env{
+	e := &Env{}
+	e.Reset(k, ctx, reg)
+	return e
+}
+
+// Reset returns the environment to the state NewEnv builds, for a new run
+// in ctx. It keeps the backing array of the helper counts, so a reused Env
+// costs no allocation per run; the trace is not reused, because a report
+// takes it over.
+func (e *Env) Reset(k *kernel.Kernel, ctx *kernel.Context, reg *maps.Registry) {
+	clear(e.HelperCalls)
+	*e = Env{
 		K: k, Ctx: ctx, Maps: reg,
-		LockTable: make(map[uint64]*kernel.SpinLock),
-		randState: 0x2545F4914F6CDD1D,
+		HelperCalls: e.HelperCalls[:0],
+		randState:   randSeed,
+		keyBuf:      e.keyBuf,
 	}
 }
 
@@ -125,6 +147,26 @@ func (e *Env) ReadMem(addr, size uint64) ([]byte, error) {
 		return nil, e.crash(f)
 	}
 	return b, nil
+}
+
+// KeyBuf returns an n-byte buffer the Env reuses for map keys, so a helper
+// can build or read a key without allocating. The buffer is valid until
+// the next KeyBuf, which suits map operations that do not retain their key
+// (Lookup, Delete; Update copies it).
+func (e *Env) KeyBuf(n int) []byte {
+	if cap(e.keyBuf) < n {
+		e.keyBuf = make([]byte, n)
+	}
+	return e.keyBuf[:n]
+}
+
+// readKey reads a map key like ReadMem, into KeyBuf.
+func (e *Env) readKey(addr, size uint64) ([]byte, error) {
+	key := e.KeyBuf(int(size))
+	if f := e.K.Mem.ReadInto(addr, key); f != nil {
+		return nil, e.crash(f)
+	}
+	return key, nil
 }
 
 // WriteMem writes kernel memory, crashing on fault.
@@ -168,18 +210,22 @@ func (e *Env) LockAt(addr uint64) *kernel.SpinLock {
 	if l, ok := e.LockTable[addr]; ok {
 		return l
 	}
+	if e.LockTable == nil {
+		e.LockTable = make(map[uint64]*kernel.SpinLock)
+	}
 	l := e.K.LockDep().NewLock(fmt.Sprintf("bpf_spin_lock@%#x", addr))
 	e.LockTable[addr] = l
 	return l
 }
 
 // CountHelper accounts one invocation of the named helper.
-func (e *Env) CountHelper(name string) {
-	if e.HelperCalls == nil {
-		e.HelperCalls = make(map[string]uint64, 4)
-	}
-	e.HelperCalls[name]++
-}
+func (e *Env) CountHelper(name string) { e.count(slotOf(name)) }
+
+// CountCall accounts one invocation of the helper, by its cached count
+// slot: the engines' per-call path.
+func (e *Env) CountCall(spec *Spec) { e.count(spec.countSlot()) }
+
+func (e *Env) count(slot int) { e.HelperCalls = e.HelperCalls.add(slot, 1) }
 
 // MapByHandle resolves a map handle argument, failing like the kernel
 // (with an abort, not a crash) when the handle is bogus.

@@ -49,7 +49,7 @@ func implMapLookupElem(e *Env, a [5]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key, err := e.ReadMem(a[1], uint64(m.Spec().KeySize))
+	key, err := e.readKey(a[1], uint64(m.Spec().KeySize))
 	if err != nil {
 		return 0, err
 	}
@@ -83,7 +83,7 @@ func implMapDeleteElem(e *Env, a [5]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key, err := e.ReadMem(a[1], uint64(m.Spec().KeySize))
+	key, err := e.readKey(a[1], uint64(m.Spec().KeySize))
 	if err != nil {
 		return 0, err
 	}

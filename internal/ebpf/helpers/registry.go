@@ -233,6 +233,7 @@ func NewRegistry() *Registry {
 	for i := range specs {
 		s := &specs[i]
 		s.ID = ID(i + 1)
+		s.slot = new(callSlot)
 		r.byID[s.ID] = s
 		r.byName[s.Name] = s
 		r.ordered = append(r.ordered, s)
@@ -301,6 +302,7 @@ func (r *Registry) Register(spec Spec) ID {
 	}
 	s := spec
 	s.ID = ID(len(r.ordered) + 1)
+	s.slot = new(callSlot)
 	p := &s
 	r.byID[p.ID] = p
 	r.byName[p.Name] = p
@@ -320,6 +322,7 @@ func (r *Registry) RegisterAt(id ID, spec Spec) ID {
 	}
 	s := spec
 	s.ID = id
+	s.slot = new(callSlot)
 	p := &s
 	r.byID[id] = p
 	r.byName[p.Name] = p

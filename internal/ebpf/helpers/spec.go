@@ -123,6 +123,10 @@ type Spec struct {
 	// Impl executes the helper. Metadata-only registry entries (most of
 	// the 249) have a nil Impl; calling one is an ErrUnimplemented.
 	Impl Func `json:"-"`
+
+	// slot caches the helper's count slot (see Calls); the registry sets
+	// it up at registration.
+	slot *callSlot
 }
 
 // Func is a helper implementation: five untyped argument registers in, R0

@@ -144,8 +144,30 @@ func Relocate(insns []isa.Instruction, reg *maps.Registry) error {
 	return nil
 }
 
-// run holds the mutable state of one execution.
+// maxDepth is the deepest BPF-to-BPF activation (0-based): the main frame
+// plus 8 nested calls.
+const maxDepth = 8
+
+// run holds the mutable state of one execution. Runs take one from
+// runPool and return it when they finish, so a run allocates neither the
+// state, nor its register files, nor the Env hooks.
 type run struct {
+	perRun
+
+	// files holds the register files of the live activations: activation
+	// n (1-based) runs on files[n-1], and a caller writes its callee's
+	// arguments into files[level] before entering it. The extra file lets
+	// a call past the limit be set up before it is refused. Callers clear
+	// a file before use, so finish leaves them as they are.
+	files [maxDepth + 2][11]uint64
+
+	// callFunc and tailCall are this state's Env hooks, bound once.
+	callFunc func(pc int32, r1, r2, r3 uint64) (uint64, error)
+	tailCall func(index uint64) error
+}
+
+// perRun is the part of run that finish resets for the next run.
+type perRun struct {
 	m    *Machine
 	env  *helpers.Env
 	opts Options
@@ -160,7 +182,22 @@ type run struct {
 	tailCalls int
 
 	tailTo *isa.Program // set when a tail call replaces the program
+
+	// level counts the live activations and picks their register files.
+	// Callbacks nest one level below the helper's caller although they
+	// observe at depth 1, so level, not depth, picks the file.
+	level int
 }
+
+// runPool recycles run state. It holds no mapped memory: a run returns its
+// stack frames to the machine before its state goes back to the pool,
+// which may drop entries at any time.
+var runPool = sync.Pool{New: func() any {
+	r := &run{}
+	r.callFunc = r.callback
+	r.tailCall = r.tail
+	return r
+}}
 
 // tickBatch is how many retired instructions are charged to the kernel
 // clock at once.
@@ -171,33 +208,18 @@ const tickBatch = 64
 // on the kernel afterwards. The returned error reports abnormal
 // termination (crash, fuel exhaustion), not the program's exit code.
 func (m *Machine) Run(prog *isa.Program, env *helpers.Env, opts Options) (uint64, error) {
-	r := &run{m: m, env: env, opts: opts, insns: prog.Insns, fuel: opts.Fuel, obs: opts.Observe}
+	r := runPool.Get().(*run)
+	r.m, r.env, r.opts = m, env, opts
+	r.insns, r.fuel, r.obs = prog.Insns, opts.Fuel, opts.Observe
 	env.Bugs = opts.Bugs
-	env.CallFunc = func(pc int32, a1, a2, a3 uint64) (uint64, error) {
-		var regs [11]uint64
-		regs[1], regs[2], regs[3] = a1, a2, a3
-		return r.exec(int(pc), regs, 1)
-	}
-	env.TailCall = func(index uint64) error {
-		if r.tailCalls >= 33 {
-			return ErrTailCallLimit
-		}
-		if index >= uint64(len(opts.ProgArray)) || opts.ProgArray[index] == nil {
-			return fmt.Errorf("interp: no program at index %d", index)
-		}
-		r.tailCalls++
-		r.tailTo = opts.ProgArray[index]
-		return nil
-	}
-	defer r.releaseStacks()
-	// Publish the fuel meter's final reading for the execution core's
-	// report, on normal and abnormal exits alike.
-	defer func() { env.FuelUsed = r.used }()
+	env.CallFunc, env.TailCall = r.callFunc, r.tailCall
+	defer r.finish()
 
-	var regs [11]uint64
-	regs[1] = env.CtxAddr
 	for {
-		ret, err := r.exec(0, regs, 0)
+		regs := &r.files[0]
+		*regs = [11]uint64{}
+		regs[1] = env.CtxAddr
+		ret, err := r.exec(0, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -209,16 +231,49 @@ func (m *Machine) Run(prog *isa.Program, env *helpers.Env, opts Options) (uint64
 		r.insns = r.tailTo.Insns
 		r.tailTo = nil
 		r.obs = nil
-		regs = [11]uint64{}
-		regs[1] = env.CtxAddr
 	}
 }
 
-func (r *run) releaseStacks() {
-	for _, s := range r.stacks {
-		r.m.ReleaseFrame(r.env.Ctx.CPUID, s)
+// callback is the Env.CallFunc hook: it runs a BPF-to-BPF function for a
+// callback helper (bpf_loop, bpf_for_each_map_elem).
+func (r *run) callback(pc int32, a1, a2, a3 uint64) (uint64, error) {
+	if r.level >= len(r.files) {
+		return 0, ErrCallDepth
 	}
-	r.stacks = nil
+	regs := &r.files[r.level]
+	*regs = [11]uint64{}
+	regs[1], regs[2], regs[3] = a1, a2, a3
+	return r.exec(int(pc), 1)
+}
+
+// tail is the Env.TailCall hook.
+func (r *run) tail(index uint64) error {
+	if r.tailCalls >= 33 {
+		return ErrTailCallLimit
+	}
+	if index >= uint64(len(r.opts.ProgArray)) || r.opts.ProgArray[index] == nil {
+		return fmt.Errorf("interp: no program at index %d", index)
+	}
+	r.tailCalls++
+	r.tailTo = r.opts.ProgArray[index]
+	return nil
+}
+
+// finish publishes the fuel meter's final reading for the execution
+// core's report, on normal and abnormal exits alike, returns the run's
+// stack frames to the machine and its state to the pool, and unhooks the
+// Env.
+func (r *run) finish() {
+	env := r.env
+	env.FuelUsed = r.used
+	for _, s := range r.stacks {
+		r.m.ReleaseFrame(env.Ctx.CPUID, s)
+	}
+	env.CallFunc, env.TailCall = nil, nil
+	clear(r.stacks)
+	clear(r.freeStack)
+	r.perRun = perRun{stacks: r.stacks[:0], freeStack: r.freeStack[:0]}
+	runPool.Put(r)
 }
 
 // newStack returns the top address of a 512-byte stack frame, reusing
@@ -258,11 +313,15 @@ func (r *run) crash(f *kernel.Fault) error {
 	return helpers.ErrKernelCrash
 }
 
-// exec interprets one function activation starting at pc.
-func (r *run) exec(pc int, regs [11]uint64, depth int) (uint64, error) {
-	if depth > 8 {
+// exec interprets one function activation starting at pc, on the register
+// file its caller set up in files[level].
+func (r *run) exec(pc int, depth int) (uint64, error) {
+	if depth > maxDepth {
 		return 0, ErrCallDepth
 	}
+	regs := &r.files[r.level]
+	r.level++
+	defer func() { r.level-- }()
 	frame := r.newStack()
 	defer r.freeFrame(frame)
 	regs[10] = frame.End()
@@ -275,7 +334,7 @@ func (r *run) exec(pc int, regs [11]uint64, depth int) (uint64, error) {
 		}
 		ins := r.insns[pc]
 		if r.obs != nil {
-			r.obs(pc, &regs, depth)
+			r.obs(pc, regs, depth)
 		}
 		batch++
 		if batch >= tickBatch {
@@ -363,9 +422,13 @@ func (r *run) exec(pc int, regs [11]uint64, depth int) (uint64, error) {
 					return 0, err
 				}
 				batch = 0
-				var sub [11]uint64
+				if r.level >= len(r.files) {
+					return 0, ErrCallDepth
+				}
+				sub := &r.files[r.level]
+				*sub = [11]uint64{}
 				copy(sub[1:6], regs[1:6])
-				ret, err := r.exec(pc+1+int(ins.Imm), sub, depth+1)
+				ret, err := r.exec(pc+1+int(ins.Imm), depth+1)
 				if err != nil {
 					return 0, err
 				}
@@ -388,7 +451,7 @@ func (r *run) exec(pc int, regs [11]uint64, depth int) (uint64, error) {
 }
 
 // src returns the second operand value.
-func (r *run) src(ins isa.Instruction, regs [11]uint64) uint64 {
+func (r *run) src(ins isa.Instruction, regs *[11]uint64) uint64 {
 	if ins.UsesX() {
 		return regs[ins.Src]
 	}
@@ -403,7 +466,7 @@ func (r *run) helperCall(ins isa.Instruction, regs []uint64) (uint64, error) {
 	if spec.Impl == nil {
 		return 0, fmt.Errorf("%w: %s", helpers.ErrUnimplemented, spec.Name)
 	}
-	r.env.CountHelper(spec.Name)
+	r.env.CountCall(spec)
 	if r.env.Fault != nil {
 		if r0, err, injected := r.env.Fault.HelperCall(r.env, spec.Name); injected {
 			return r0, err

@@ -12,6 +12,7 @@ package jit
 
 import (
 	"fmt"
+	"sync"
 
 	"kex/internal/ebpf/helpers"
 	"kex/internal/ebpf/interp"
@@ -37,13 +38,36 @@ type Compiled struct {
 // regs is the runtime register file.
 type regs [isa.NumRegisters]uint64
 
-// exec is the per-run mutable state shared by all closures.
+// maxDepth is the activation limit: the main frame plus 8 nested calls,
+// the kernel's limit.
+const maxDepth = 9
+
+// exec is the per-run mutable state shared by all closures. Runs take one
+// from execPool and return it when they finish, so a run allocates
+// neither the state, nor its register files, nor the Env hooks.
 type exec struct {
+	perRun
+
+	// files holds one register file per activation: activation d (1-based
+	// depth) runs on files[d-1], and a caller at depth d writes the
+	// arguments of its callee into files[d]. The extra file lets a call
+	// past the limit be set up before it is refused. Each activation
+	// clears its file on entry, so finish leaves them as they are.
+	files [maxDepth + 1]regs
+
+	// callFunc and tailCall are this state's Env hooks, bound once.
+	callFunc func(pc int32, r1, r2, r3 uint64) (uint64, error)
+	tailCall func(index uint64) error
+}
+
+// perRun is the part of exec that finish resets for the next run.
+type perRun struct {
 	m          *interp.Machine
 	env        *helpers.Env
 	fuel       uint64
 	used       uint64
 	watchdogNs int64
+	progArray  []*isa.Program
 
 	stacks     []*kernel.Region
 	freeStack  []*kernel.Region
@@ -53,6 +77,16 @@ type exec struct {
 	err        error
 	currentOps []op
 }
+
+// execPool recycles run state. It holds no mapped memory: a run returns
+// its stack frames to the machine before its state goes back to the pool,
+// which may drop entries at any time.
+var execPool = sync.Pool{New: func() any {
+	ex := &exec{}
+	ex.callFunc = ex.callback
+	ex.tailCall = ex.tail
+	return ex
+}}
 
 // op executes one compiled instruction: it receives the register file and
 // returns the next pc, or -1 to stop (exit or error — check ex.err).
@@ -202,7 +236,7 @@ func (c *Compiled) compileJump(ins isa.Instruction) (op, error) {
 			if !ok || spec.Impl == nil {
 				return ex.fail(fmt.Errorf("jit: helper %d unavailable", id))
 			}
-			ex.env.CountHelper(spec.Name)
+			ex.env.CountCall(spec)
 			if ex.env.Fault != nil {
 				if r0, ferr, injected := ex.env.Fault.HelperCall(ex.env, spec.Name); injected {
 					if ferr != nil {
@@ -227,9 +261,10 @@ func (c *Compiled) compileJump(ins isa.Instruction) (op, error) {
 	case ins.IsBPFCall():
 		target := ins.Imm
 		return func(ex *exec, r *regs, pc int) int {
-			var sub regs
+			sub := &ex.files[ex.depth]
+			*sub = regs{}
 			copy(sub[1:6], r[1:6])
-			ret, err := ex.call(int(int32(pc)+1+target), sub, 1)
+			ret, err := ex.call(int(int32(pc) + 1 + target))
 			if err != nil {
 				return ex.fail(err)
 			}
@@ -300,15 +335,17 @@ func (ex *exec) newStack() *kernel.Region {
 // jitTickBatch matches the interpreter's time-accounting granularity.
 const jitTickBatch = 64
 
-// call runs one function activation of the compiled program. Depth is
-// tracked on the exec so nested activations through closures and callback
-// helpers share one budget, as the interpreter's explicit threading does.
-func (ex *exec) call(entry int, r regs, _ int) (uint64, error) {
+// call runs one function activation of the compiled program on the
+// register file its caller set up. Depth is tracked on the exec so nested
+// activations through closures and callback helpers share one budget, as
+// the interpreter's explicit threading does.
+func (ex *exec) call(entry int) (uint64, error) {
 	ex.depth++
 	defer func() { ex.depth-- }()
-	if ex.depth > 9 { // main frame + 8 nested calls, the kernel's limit
+	if ex.depth > maxDepth {
 		return 0, interp.ErrCallDepth
 	}
+	r := &ex.files[ex.depth-1]
 	frame := ex.newStack()
 	defer func() { ex.freeStack = append(ex.freeStack, frame) }()
 	r[10] = frame.End()
@@ -332,7 +369,7 @@ func (ex *exec) call(entry int, r regs, _ int) (uint64, error) {
 				return 0, interp.ErrWatchdogExpired
 			}
 		}
-		pc = ops[pc](ex, &r, pc)
+		pc = ops[pc](ex, r, pc)
 	}
 	ex.used += batch
 	ex.env.Ctx.Tick(batch)
@@ -347,41 +384,59 @@ func (ex *exec) call(entry int, r regs, _ int) (uint64, error) {
 	return r[0], nil
 }
 
+// callback is the Env.CallFunc hook: it runs a BPF-to-BPF function for a
+// callback helper (bpf_loop, bpf_for_each_map_elem).
+func (ex *exec) callback(pc int32, a1, a2, a3 uint64) (uint64, error) {
+	r := &ex.files[ex.depth]
+	*r = regs{}
+	r[1], r[2], r[3] = a1, a2, a3
+	return ex.call(int(pc))
+}
+
+// tail is the Env.TailCall hook.
+func (ex *exec) tail(index uint64) error {
+	if ex.tailCalls >= 33 {
+		return interp.ErrTailCallLimit
+	}
+	if index >= uint64(len(ex.progArray)) || ex.progArray[index] == nil {
+		return fmt.Errorf("jit: no program at index %d", index)
+	}
+	ex.tailCalls++
+	ex.tailTo = ex.progArray[index]
+	return nil
+}
+
+// finish publishes the run's fuel reading, returns its stack frames to
+// the machine and its state to the pool, and unhooks the Env.
+func (ex *exec) finish() {
+	env, m := ex.env, ex.m
+	env.FuelUsed = ex.used
+	for _, s := range ex.stacks {
+		m.ReleaseFrame(env.Ctx.CPUID, s)
+	}
+	env.CallFunc, env.TailCall = nil, nil
+	clear(ex.stacks)
+	clear(ex.freeStack)
+	ex.perRun = perRun{stacks: ex.stacks[:0], freeStack: ex.freeStack[:0]}
+	execPool.Put(ex)
+}
+
 // Run executes the compiled program, mirroring interp.Machine.Run.
 func (c *Compiled) Run(m *interp.Machine, env *helpers.Env, opts interp.Options) (uint64, error) {
-	ex := &exec{m: m, env: env, fuel: opts.Fuel, watchdogNs: opts.WatchdogNs}
+	ex := execPool.Get().(*exec)
+	ex.m, ex.env = m, env
+	ex.fuel, ex.watchdogNs, ex.progArray = opts.Fuel, opts.WatchdogNs, opts.ProgArray
 	env.Bugs = opts.Bugs
-	defer func() {
-		// Publish the fuel meter's final reading for the execution core.
-		env.FuelUsed = ex.used
-		for _, s := range ex.stacks {
-			m.ReleaseFrame(env.Ctx.CPUID, s)
-		}
-	}()
+	env.CallFunc, env.TailCall = ex.callFunc, ex.tailCall
+	defer ex.finish()
 
 	cur := c
-	env.CallFunc = func(pc int32, a1, a2, a3 uint64) (uint64, error) {
-		var r regs
-		r[1], r[2], r[3] = a1, a2, a3
-		return ex.call(int(pc), r, 1)
-	}
-	env.TailCall = func(index uint64) error {
-		if ex.tailCalls >= 33 {
-			return interp.ErrTailCallLimit
-		}
-		if index >= uint64(len(opts.ProgArray)) || opts.ProgArray[index] == nil {
-			return fmt.Errorf("jit: no program at index %d", index)
-		}
-		ex.tailCalls++
-		ex.tailTo = opts.ProgArray[index]
-		return nil
-	}
-
 	for {
 		ex.currentOps = cur.ops
-		var r regs
+		r := &ex.files[0]
+		*r = regs{}
 		r[1] = env.CtxAddr
-		ret, err := ex.call(0, r, 0)
+		ret, err := ex.call(0)
 		if err != nil {
 			return 0, err
 		}

@@ -191,7 +191,7 @@ func TestTailCallBothEngines(t *testing.T) {
 		if err != nil || rep.R0 != 99 {
 			t.Fatalf("jit=%v: R0 = %d, %v", useJIT, rep.R0, err)
 		}
-		if rep.HelperCalls["bpf_tail_call"] != 1 {
+		if rep.HelperCalls.Get("bpf_tail_call") != 1 {
 			t.Fatalf("jit=%v: helper calls = %v", useJIT, rep.HelperCalls)
 		}
 	}
@@ -225,8 +225,8 @@ func TestTailCallChainLimit(t *testing.T) {
 	if rep.R0 != 7 {
 		t.Fatalf("R0 = %d, want fall-through after chain limit", rep.R0)
 	}
-	if rep.HelperCalls["bpf_tail_call"] < 33 {
-		t.Fatalf("tail-call attempts = %d, want >= 33", rep.HelperCalls["bpf_tail_call"])
+	if rep.HelperCalls.Get("bpf_tail_call") < 33 {
+		t.Fatalf("tail-call attempts = %d, want >= 33", rep.HelperCalls.Get("bpf_tail_call"))
 	}
 }
 

@@ -15,6 +15,7 @@
 package exec
 
 import (
+	"sync"
 	"time"
 
 	"kex/internal/ebpf/helpers"
@@ -39,7 +40,8 @@ type Engine interface {
 // Injector is the execution core's fault-injection seam. BeforeRun may
 // rewrite the request (budget jitter shrinks Fuel/WatchdogNs); the embedded
 // helper hook is installed on the run's Env. internal/faultinject
-// implements it; a nil Core.Inject costs one comparison per run.
+// implements it; a nil Core.Inject costs one comparison per run. The
+// request BeforeRun sees belongs to the run frame: it must not be retained.
 type Injector interface {
 	helpers.FaultHook
 	BeforeRun(req *Request)
@@ -66,6 +68,9 @@ type Core struct {
 	// the toolchain convicted of cross-shard races, consulted by the
 	// sharded data plane's submission gate (see conc.go).
 	Conc concTable
+
+	// frames recycles run frames across invocations (see runFrame).
+	frames sync.Pool
 }
 
 // NewCore assembles an execution core on the given kernel and registries.
@@ -96,14 +101,88 @@ type Request struct {
 	// Interpreter-only; the JIT engine ignores it.
 	Observe interp.Observer
 
-	// Setup, when set, adjusts the freshly built Env before execution —
-	// the safext runtime hangs its resource-record state on Env.Scratch.
+	// Scratch, when non-nil, becomes the run's Env.Scratch before Setup
+	// runs: per-invocation state for the hooks and helpers of a stack,
+	// carried without building a closure per invocation (the safext
+	// runtime passes its Prepared invocation here).
+	Scratch any
+	// Setup, when set, adjusts the freshly reset Env before execution.
 	Setup func(env *helpers.Env)
 	// Finish, when set, runs after the engine returns but still inside
 	// the RCU read-side critical section, with the engine's error — the
 	// window the safext trusted-cleanup path needs. It may read the
 	// report (exit-audit results and wall latency are not yet filled in).
+	//
+	// The Env both hooks receive belongs to the core's run frame and is
+	// reset for the next invocation as soon as this one returns: hooks
+	// must not retain it, or anything hanging off it, past the call.
 	Finish func(env *helpers.Env, rep *Report, engineErr error)
+}
+
+// runFrame is the state one invocation runs in: its kernel context, its
+// helper environment and a copy of its request. Core.Run takes a frame
+// from the core's pool, re-enters the context and resets the environment
+// in place, and returns the frame when the run is accounted, so the
+// lifecycle allocates neither per run. Every run still starts from state
+// indistinguishable from a fresh NewContext and NewEnv.
+//
+// The pool is a sync.Pool, which may drop frames at any time, so a frame
+// must not own anything that needs releasing: engines return their stack
+// frames to the machine's per-CPU cache before a run ends. A frame whose
+// context leaves the exit audit still holding locks, RCU nesting or
+// references (an audit that panicked under oops=panic) is not reused:
+// those locks now belong to a dead context, as they would without reuse.
+type runFrame struct {
+	ctx kernel.Context
+	env helpers.Env
+	req Request
+}
+
+// frame takes a run frame from the pool.
+func (c *Core) frame() *runFrame {
+	if fr, ok := c.frames.Get().(*runFrame); ok {
+		return fr
+	}
+	fr := &runFrame{}
+	fr.ctx.K = c.K
+	return fr
+}
+
+// release returns a frame to the pool unless its context is still dirty.
+// The request and environment are cleared first, so the pool pins no
+// caller data.
+func (c *Core) release(fr *runFrame) {
+	if !fr.ctx.Exited() {
+		return
+	}
+	fr.req = Request{}
+	fr.env.Reset(nil, nil, nil)
+	c.frames.Put(fr)
+}
+
+// reportBox is a Report allocated together with the backing array of its
+// helper counts, so assembling a report costs one allocation. The caller
+// owns the box through its Report.
+type reportBox struct {
+	Report
+	calls [inlineCalls]uint64
+}
+
+// inlineCalls is how many helper-count slots a report stores inline;
+// helpers past it (a process that has called more distinct helpers) cost
+// the report one more allocation.
+const inlineCalls = 16
+
+// setCalls copies the run's helper counts into the report.
+func (b *reportBox) setCalls(calls helpers.Calls) {
+	switch n := len(calls); {
+	case n == 0:
+	case n <= inlineCalls:
+		copy(b.calls[:], calls)
+		b.HelperCalls = b.calls[:n:n]
+	default:
+		b.HelperCalls = append(helpers.Calls(nil), calls...)
+	}
 }
 
 // Run invokes the engine once under the full lifecycle: context and
@@ -111,7 +190,8 @@ type Request struct {
 // non-terminating program into an RCU stall, §2.2), engine dispatch,
 // report assembly, exit audit, and stats accumulation. The returned error
 // is the engine's abnormal-termination error, if any; kernel damage is
-// visible in the report's ExitOopses and on the kernel itself.
+// visible in the report's ExitOopses and on the kernel itself. The caller
+// owns the returned Report.
 //
 // Under Config.PanicOnOops a kernel.KernelPanic can unwind out of the
 // engine, a helper, the Finish hook, or the exit audit. Run recovers
@@ -119,34 +199,47 @@ type Request struct {
 // figure, and stats accounting all still happen — and surfaces it as the
 // run error so a supervisor can classify the invocation. Any other panic
 // is a harness bug and keeps propagating.
-func (c *Core) Run(eng Engine, req Request) (rep *Report, err error) {
+func (c *Core) Run(eng Engine, req Request) (*Report, error) {
+	box := new(reportBox)
+	err := c.run(eng, req, box)
+	return &box.Report, err
+}
+
+// run is Run writing its report into box.
+func (c *Core) run(eng Engine, req Request, box *reportBox) (err error) {
+	fr := c.frame()
+	fr.req = req
+	r := &fr.req
 	if c.Inject != nil {
-		c.Inject.BeforeRun(&req)
+		c.Inject.BeforeRun(r)
 	}
-	ctx := c.K.NewContext(req.CPU)
-	env := helpers.NewEnv(c.K, ctx, c.Maps)
-	env.CtxAddr = req.CtxAddr
+	ctx, env := &fr.ctx, &fr.env
+	ctx.Reenter(r.CPU)
+	env.Reset(c.K, ctx, c.Maps)
+	env.CtxAddr = r.CtxAddr
 	if c.Inject != nil {
 		env.Fault = c.Inject
 	}
-	if req.Setup != nil {
-		req.Setup(env)
+	env.Scratch = r.Scratch
+	if r.Setup != nil {
+		r.Setup(env)
 	}
 	virtStart := c.K.Clock.Now()
 	wallStart := time.Now()
 
-	buildReport := func(r0 uint64) *Report {
-		return &Report{
-			Program:      req.Program,
-			Engine:       eng.Name(),
-			R0:           r0,
-			Instructions: ctx.Instructions,
-			FuelUsed:     env.FuelUsed,
-			HelperCalls:  env.HelperCalls,
-			MapOps:       env.MapOps,
-			RuntimeNs:    c.K.Clock.Now() - virtStart,
-			Trace:        env.Trace,
-		}
+	rep := &box.Report
+	reported := false
+	report := func(r0 uint64) {
+		reported = true
+		rep.Program = r.Program
+		rep.Engine = eng.Name()
+		rep.R0 = r0
+		rep.Instructions = ctx.Instructions
+		rep.FuelUsed = env.FuelUsed
+		box.setCalls(env.HelperCalls)
+		rep.MapOps = env.MapOps
+		rep.RuntimeNs = c.K.Clock.Now() - virtStart
+		rep.Trace = env.Trace
 	}
 	// finish runs the caller's Finish hook still inside the RCU read-side
 	// section. A destructor that oopses under PanicOnOops must not mask
@@ -154,36 +247,36 @@ func (c *Core) Run(eng Engine, req Request) (rep *Report, err error) {
 	// error is pending yet.
 	finishDone := false
 	finish := func() {
-		if req.Finish == nil || finishDone {
+		if r.Finish == nil || finishDone {
 			return
 		}
 		finishDone = true
 		defer func() {
-			if r := recover(); r != nil {
-				kp, ok := r.(kernel.KernelPanic)
+			if p := recover(); p != nil {
+				kp, ok := p.(kernel.KernelPanic)
 				if !ok {
-					panic(r)
+					panic(p)
 				}
 				if err == nil {
 					err = kp
 				}
 			}
 		}()
-		req.Finish(env, rep, err)
+		r.Finish(env, rep, err)
 	}
 
 	c.K.RCU().ReadLock(ctx)
 	defer func() {
-		if r := recover(); r != nil {
-			kp, ok := r.(kernel.KernelPanic)
+		if p := recover(); p != nil {
+			kp, ok := p.(kernel.KernelPanic)
 			if !ok {
-				panic(r)
+				panic(p)
 			}
 			if err == nil {
 				err = kp
 			}
-			if rep == nil {
-				rep = buildReport(0)
+			if !reported {
+				report(0)
 			}
 			finish()
 		}
@@ -193,10 +286,10 @@ func (c *Core) Run(eng Engine, req Request) (rep *Report, err error) {
 		// unwinding with accounting half done.
 		func() {
 			defer func() {
-				if r := recover(); r != nil {
-					kp, ok := r.(kernel.KernelPanic)
+				if p := recover(); p != nil {
+					kp, ok := p.(kernel.KernelPanic)
 					if !ok {
-						panic(r)
+						panic(p)
 					}
 					rep.ExitOopses = append(rep.ExitOopses, kp.Oops)
 					if err == nil {
@@ -209,21 +302,22 @@ func (c *Core) Run(eng Engine, req Request) (rep *Report, err error) {
 		}()
 		rep.WallNs = time.Since(wallStart).Nanoseconds()
 		rep.CPUTimeNs = ctx.ConsumedNs()
-		c.Stats.recordRun(req.CPU, rep, err)
+		c.Stats.recordRun(r.CPU, rep, err)
+		c.release(fr)
 	}()
 
 	iopts := interp.Options{
-		Fuel:       req.Fuel,
-		WatchdogNs: req.WatchdogNs,
-		Bugs:       req.Bugs,
-		ProgArray:  req.ProgArray,
-		Observe:    req.Observe,
+		Fuel:       r.Fuel,
+		WatchdogNs: r.WatchdogNs,
+		Bugs:       r.Bugs,
+		ProgArray:  r.ProgArray,
+		Observe:    r.Observe,
 	}
 	var r0 uint64
 	r0, err = eng.Run(env, iopts)
-	rep = buildReport(r0)
+	report(r0)
 	finish()
-	return rep, err
+	return err
 }
 
 // BatchResult pairs one batched request with its outcome.
@@ -237,14 +331,17 @@ type BatchResult struct {
 // per-invocation lifecycle — fresh context, RCU bracketing, exit audit —
 // so the safety guarantees are identical to serial Run calls; what the
 // batch amortizes is everything around the lifecycle (ring hand-off,
-// supervisor gating, engine/report plumbing staying hot in cache). This is
-// the unit of work a Sharded ring delivers to its worker.
+// supervisor gating, engine/report plumbing staying hot in cache, one
+// allocation for all of the batch's reports). This is the unit of work a
+// Sharded ring delivers to its worker. The caller owns every returned
+// Report.
 func (c *Core) RunBatch(eng Engine, cpu int, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
+	boxes := make([]reportBox, len(reqs))
 	for i := range reqs {
 		reqs[i].CPU = cpu
-		rep, err := c.Run(eng, reqs[i])
-		out[i] = BatchResult{Report: rep, Err: err}
+		err := c.run(eng, reqs[i], &boxes[i])
+		out[i] = BatchResult{Report: &boxes[i].Report, Err: err}
 	}
 	return out
 }

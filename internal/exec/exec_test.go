@@ -175,7 +175,7 @@ func TestCoreHelperCounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-		if rep.HelperCalls["bpf_ktime_get_ns"] != 2 {
+		if rep.HelperCalls.Get("bpf_ktime_get_ns") != 2 {
 			t.Fatalf("%s: helper calls = %v, want bpf_ktime_get_ns×2", eng.Name(), rep.HelperCalls)
 		}
 		if rep.FuelUsed == 0 {
@@ -318,7 +318,7 @@ func TestStatsConcurrent(t *testing.T) {
 				s.recordRun(g%2, &Report{
 					Program:      "p",
 					Instructions: 1,
-					HelperCalls:  map[string]uint64{"h": 1},
+					HelperCalls:  helpers.Calls(nil).Add("h", 1),
 				}, nil)
 				_ = s.Snapshot()
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"kex/internal/ebpf/helpers"
 	"kex/internal/kernel"
 )
 
@@ -31,9 +32,10 @@ type Report struct {
 	// quantity the fuel meter decrements. Zero-fuel runs still report it.
 	FuelUsed uint64
 
-	// HelperCalls counts helper invocations by helper name. Nil when the
-	// program called no helpers.
-	HelperCalls map[string]uint64
+	// HelperCalls counts helper invocations by helper count slot; read
+	// one helper's count with HelperCalls.Get(name). Nil when the program
+	// called no helpers.
+	HelperCalls helpers.Calls
 
 	// MapOps counts map operations performed by helpers on the program's
 	// behalf (handle resolutions through Env.MapByHandle).

@@ -6,18 +6,29 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"kex/internal/ebpf/helpers"
 )
 
 // Stats accumulates per-program and per-CPU execution counters plus
 // cumulative load-phase timings for one Core. The write path — one call
 // per invocation, from every shard worker — is lock-free: counters live in
-// atomic cells resolved through sync.Map, so parallel shards never queue
-// behind a stats mutex. Aggregation into the public Snapshot types happens
-// only on read, which is the cold path.
+// atomic cells, so parallel shards never queue behind a stats mutex. A
+// program's run counters and helper counts are striped by CPU, so shards
+// running one program do not bounce a shared cache line, and the cells of
+// the last program and of low-numbered CPUs are cached, so the common run
+// resolves them without a map lookup. Aggregation into the public
+// Snapshot types, summing the stripes, happens only on read, which is the
+// cold path.
 type Stats struct {
 	programs sync.Map // program name -> *progCell
 	cpus     sync.Map // cpu id -> *cpuCell
 	loads    atomic.Uint64
+
+	// lastProg is the cell prog resolved last; cpuCache holds the cells of
+	// CPUs 0..len-1 once created.
+	lastProg atomic.Pointer[progCell]
+	cpuCache [64]atomic.Pointer[cpuCell]
 
 	// Load-phase timings are control-plane only (one update per program
 	// load), so a small mutex is fine and keeps the insertion order simple.
@@ -38,6 +49,8 @@ const (
 	pRuntimeNs
 	pWallNs
 	pCPUTimeNs
+	// The counters above are the run counters recordRun adds per
+	// invocation; they live in the CPU stripes.
 	pFaults
 	pDenied
 	pFallbacks
@@ -74,14 +87,91 @@ const (
 	numCPUCounters
 )
 
+// numRunCounters is how many leading progCounters are run counters.
+const numRunCounters = pFaults
+
 // progCell is the hot accumulator behind one ProgramStats row. The ns
 // counters are int64 in ProgramStats and stored here as their two's
-// complement, which adds identically.
+// complement, which adds identically. A counter's total is its n entry
+// plus, for run counters, the sum of its stripe entries.
 type progCell struct {
+	name        string
 	n           [numProgCounters]atomic.Uint64
+	stripes     [statStripes]runStripe
 	reasons     [numProgReasons]atomic.Pointer[string]
-	helperCalls sync.Map // helper name -> *atomic.Uint64
 	transitions sync.Map // "from->to" -> *atomic.Uint64
+}
+
+// statStripes is how many CPU stripes a program's run counters have; CPU
+// i writes stripe i mod statStripes.
+const statStripes = 8
+
+// runStripe is one CPU stripe of a program's run counters and helper
+// counts, padded so neighbouring stripes do not share a cache line.
+type runStripe struct {
+	n       [numRunCounters]atomic.Uint64
+	helpers helperCells
+	_       [48]byte // pads the stripe to 128 bytes
+}
+
+// helperCells counts helper calls by count slot (helpers.Calls) in chunks
+// allocated on first use, so growing never moves a live counter.
+type helperCells struct {
+	mu     sync.Mutex // serialises growth
+	chunks atomic.Pointer[[]*helperChunk]
+}
+
+// chunkSlots is how many helper count slots one chunk holds.
+const chunkSlots = 32
+
+type helperChunk [chunkSlots]atomic.Uint64
+
+// add counts n calls in the given slot.
+func (h *helperCells) add(slot int, n uint64) {
+	ci := slot / chunkSlots
+	p := h.chunks.Load()
+	if p == nil || ci >= len(*p) {
+		p = h.grow(ci + 1)
+	}
+	(*p)[ci][slot%chunkSlots].Add(n)
+}
+
+// grow extends the chunk table to at least n chunks.
+func (h *helperCells) grow(n int) *[]*helperChunk {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var chunks []*helperChunk
+	if p := h.chunks.Load(); p != nil {
+		if len(*p) >= n {
+			return p
+		}
+		chunks = *p
+	}
+	grown := append(chunks[:len(chunks):len(chunks)], make([]*helperChunk, n-len(chunks))...)
+	for i := len(chunks); i < n; i++ {
+		grown[i] = new(helperChunk)
+	}
+	h.chunks.Store(&grown)
+	return &grown
+}
+
+// addTo adds every nonzero count to the name-keyed total.
+func (h *helperCells) addTo(out map[string]uint64) map[string]uint64 {
+	p := h.chunks.Load()
+	if p == nil {
+		return out
+	}
+	for ci, chunk := range *p {
+		for i := range chunk {
+			if n := chunk[i].Load(); n != 0 {
+				if out == nil {
+					out = make(map[string]uint64)
+				}
+				out[helpers.SlotName(ci*chunkSlots+i)] += n
+			}
+		}
+	}
+	return out
 }
 
 // cpuCell is the hot accumulator behind one CPUStats row.
@@ -274,20 +364,34 @@ func (s *Stats) FuelElisionRecorder(program string) func() {
 
 // prog returns (creating on first use) the per-program accumulator.
 func (s *Stats) prog(name string) *progCell {
-	if c, ok := s.programs.Load(name); ok {
-		return c.(*progCell)
+	if c := s.lastProg.Load(); c != nil && c.name == name {
+		return c
 	}
-	c, _ := s.programs.LoadOrStore(name, &progCell{})
-	return c.(*progCell)
+	v, ok := s.programs.Load(name)
+	if !ok {
+		v, _ = s.programs.LoadOrStore(name, &progCell{name: name})
+	}
+	c := v.(*progCell)
+	s.lastProg.Store(c)
+	return c
 }
 
 // cpu returns (creating on first use) the per-CPU accumulator.
 func (s *Stats) cpu(id int) *cpuCell {
-	if c, ok := s.cpus.Load(id); ok {
-		return c.(*cpuCell)
+	if uint(id) < uint(len(s.cpuCache)) {
+		if c := s.cpuCache[id].Load(); c != nil {
+			return c
+		}
 	}
-	c, _ := s.cpus.LoadOrStore(id, &cpuCell{})
-	return c.(*cpuCell)
+	v, ok := s.cpus.Load(id)
+	if !ok {
+		v, _ = s.cpus.LoadOrStore(id, &cpuCell{})
+	}
+	c := v.(*cpuCell)
+	if uint(id) < uint(len(s.cpuCache)) {
+		s.cpuCache[id].Store(c)
+	}
+	return c
 }
 
 // recordFault accounts one supervised run the supervisor classified as a
@@ -328,19 +432,21 @@ func (s *Stats) recordTransition(program string, from, to State) {
 // recordRun accounts one invocation. The core calls it after assembling the
 // report; engineErr marks abnormal termination.
 func (s *Stats) recordRun(cpu int, rep *Report, engineErr error) {
-	ps := s.prog(rep.Program)
-	ps.n[pInvocations].Add(1)
+	st := &s.prog(rep.Program).stripes[uint(cpu)%statStripes]
+	st.n[pInvocations].Add(1)
 	if engineErr != nil {
-		ps.n[pErrors].Add(1)
+		st.n[pErrors].Add(1)
 	}
-	ps.n[pInstructions].Add(rep.Instructions)
-	ps.n[pFuelUsed].Add(rep.FuelUsed)
-	ps.n[pMapOps].Add(rep.MapOps)
-	ps.n[pRuntimeNs].Add(uint64(rep.RuntimeNs))
-	ps.n[pWallNs].Add(uint64(rep.WallNs))
-	ps.n[pCPUTimeNs].Add(uint64(rep.CPUTimeNs))
-	for name, n := range rep.HelperCalls {
-		counterIn(&ps.helperCalls, name, n)
+	st.n[pInstructions].Add(rep.Instructions)
+	st.n[pFuelUsed].Add(rep.FuelUsed)
+	st.n[pMapOps].Add(rep.MapOps)
+	st.n[pRuntimeNs].Add(uint64(rep.RuntimeNs))
+	st.n[pWallNs].Add(uint64(rep.WallNs))
+	st.n[pCPUTimeNs].Add(uint64(rep.CPUTimeNs))
+	for slot, n := range rep.HelperCalls {
+		if n != 0 {
+			st.helpers.add(slot, n)
+		}
 	}
 	cs := s.cpu(cpu)
 	cs.n[cInvocations].Add(1)
@@ -387,12 +493,16 @@ func (s *Stats) Snapshot() Snapshot {
 	s.phaseMu.Unlock()
 	s.programs.Range(func(k, v any) bool {
 		c := v.(*progCell)
-		ps := ProgramStats{
-			HelperCalls: counterMap(&c.helperCalls),
-			Transitions: counterMap(&c.transitions),
-		}
+		ps := ProgramStats{Transitions: counterMap(&c.transitions)}
 		for i, f := range progFields {
 			f.add(&ps, c.n[i].Load())
+		}
+		for j := range c.stripes {
+			st := &c.stripes[j]
+			for i := range st.n {
+				progFields[i].add(&ps, st.n[i].Load())
+			}
+			ps.HelperCalls = st.helpers.addTo(ps.HelperCalls)
 		}
 		for i, f := range reasonFields {
 			if p := c.reasons[i].Load(); p != nil {

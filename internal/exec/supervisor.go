@@ -106,8 +106,10 @@ type Supervisor struct {
 	mu    sync.Mutex
 	progs map[string]*progHealth
 	// notify queues trip notifications recorded under mu; Run flushes them
-	// to the OnTrip hook after releasing the lock.
+	// to the OnTrip hook after releasing the lock. queued mirrors
+	// len(notify), so a dispatch with nothing queued skips the lock.
 	notify []tripNote
+	queued atomic.Int32
 
 	// onTrip, when armed, is invoked (outside mu, on the dispatching
 	// goroutine) whenever a program transitions into StateQuarantined or
@@ -132,11 +134,17 @@ func (s *Supervisor) OnTrip(fn func(program string, to State)) {
 	s.onTrip.Store(&fn)
 }
 
-// flushTrips delivers queued trip notifications outside the lock.
+// flushTrips delivers queued trip notifications outside the lock. Every
+// dispatch that queues a note flushes after it, so a dispatch that sees
+// nothing queued has nothing of its own to deliver.
 func (s *Supervisor) flushTrips() {
+	if s.queued.Load() == 0 {
+		return
+	}
 	s.mu.Lock()
 	notes := s.notify
 	s.notify = nil
+	s.queued.Store(0)
 	s.mu.Unlock()
 	fn := s.onTrip.Load()
 	if fn == nil {
@@ -237,8 +245,16 @@ func jitterSeed(seed uint64, program string) uint64 {
 // accounted, and answered per the degradation policy. When a quarantine's
 // backoff has expired the dispatch becomes a recovery probe — reload first
 // (re-verify / re-validate), then one real run whose outcome decides
-// between recovery and a longer quarantine.
+// between recovery and a longer quarantine. The caller owns the returned
+// Report.
 func (s *Supervisor) Run(eng Engine, req Request, reload Reload) (*Report, error) {
+	box := new(reportBox)
+	err := s.run(eng, req, reload, box)
+	return &box.Report, err
+}
+
+// run is Run writing its report into box.
+func (s *Supervisor) run(eng Engine, req Request, reload Reload, box *reportBox) error {
 	// Trip notifications queue under mu on every path below; deliver them
 	// once all locks are released, whatever way the dispatch returns.
 	defer s.flushTrips()
@@ -252,13 +268,13 @@ func (s *Supervisor) Run(eng Engine, req Request, reload Reload) (*Report, error
 	switch st.state {
 	case StateDetached:
 		s.mu.Unlock()
-		return s.deny(eng, req)
+		return s.deny(eng, req.Program, box)
 	case StateQuarantined:
 		if s.core.K.Clock.Now() < st.until || st.probing {
 			// Still backing off — or another shard's dispatch already
 			// claimed the recovery probe and hasn't been observed yet.
 			s.mu.Unlock()
-			return s.deny(eng, req)
+			return s.deny(eng, req.Program, box)
 		}
 		// Backoff expired: this dispatch is the recovery probe.
 		st.probing = true
@@ -271,52 +287,56 @@ func (s *Supervisor) Run(eng Engine, req Request, reload Reload) (*Report, error
 				st.probing = false
 				s.requarantine(st, req.Program)
 				s.mu.Unlock()
-				rep, _ := s.deny(eng, req)
-				return rep, fmt.Errorf("exec: recovery reload of %q failed: %w", req.Program, err)
+				s.deny(eng, req.Program, box)
+				return fmt.Errorf("exec: recovery reload of %q failed: %w", req.Program, err)
 			}
 		}
 	default:
 		s.mu.Unlock()
 	}
 
-	rep, err := s.core.Run(eng, req)
+	program := req.Program
+	err := s.core.run(eng, req, box)
+	rep := &box.Report
 	fault := err != nil || len(rep.ExitOopses) > 0
 	s.mu.Lock()
-	s.observe(st, req.Program, fault, probe)
+	s.observe(st, program, fault, probe)
 	rep.Supervision = string(st.state)
 	s.mu.Unlock()
-	return rep, err
+	return err
 }
 
 // RunBatch dispatches a batch through the supervisor gate on one CPU.
 // Every request passes the gate individually, so a trip mid-batch denies
 // the remainder of the batch exactly as it would deny fresh dispatches.
+// Like Core.RunBatch it allocates the batch's reports in one slab; the
+// caller owns every returned Report.
 func (s *Supervisor) RunBatch(eng Engine, cpu int, reqs []Request, reload Reload) []BatchResult {
 	out := make([]BatchResult, len(reqs))
+	boxes := make([]reportBox, len(reqs))
 	for i := range reqs {
 		reqs[i].CPU = cpu
-		rep, err := s.Run(eng, reqs[i], reload)
-		out[i] = BatchResult{Report: rep, Err: err}
+		err := s.run(eng, reqs[i], reload, &boxes[i])
+		out[i] = BatchResult{Report: &boxes[i].Report, Err: err}
 	}
 	return out
 }
 
 // deny answers a dispatch without running the program.
-func (s *Supervisor) deny(eng Engine, req Request) (*Report, error) {
+func (s *Supervisor) deny(eng Engine, program string, box *reportBox) error {
 	s.core.K.Clock.Advance(s.cfg.DeniedCostNs)
 	fallback := s.cfg.Policy == DegradeFallback
-	s.core.Stats.recordDenied(req.Program, fallback)
-	rep := &Report{
-		Program:     req.Program,
-		Engine:      eng.Name(),
-		Supervision: "denied",
-	}
+	s.core.Stats.recordDenied(program, fallback)
+	rep := &box.Report
+	rep.Program = program
+	rep.Engine = eng.Name()
+	rep.Supervision = "denied"
 	if fallback {
 		rep.R0 = s.cfg.FallbackR0
 		rep.Fallback = true
-		return rep, nil
+		return nil
 	}
-	return rep, ErrQuarantined
+	return ErrQuarantined
 }
 
 // observe folds one run outcome into the breaker state. Caller holds mu.
@@ -435,5 +455,6 @@ func (s *Supervisor) transition(st *progHealth, program string, to State) {
 	s.core.Stats.recordTransition(program, from, to)
 	if to == StateQuarantined || to == StateDetached {
 		s.notify = append(s.notify, tripNote{program: program, to: to})
+		s.queued.Store(int32(len(s.notify)))
 	}
 }

@@ -44,6 +44,27 @@ type Context struct {
 	// lastDetectNs is the consumed time the periodic detectors last ran;
 	// they re-run at detectorGranularity to keep Tick cheap.
 	lastDetectNs int64
+
+	// held lists the extension spin locks this context holds, in
+	// acquisition order (see LockDep).
+	held []*SpinLock
+
+	// RCU read-side state. The fields are guarded by the mutex of the RCU
+	// shard for this context's CPU, which also lists the context while
+	// rcuDepth > 0.
+	rcuDepth int
+	// rcuSince is the virtual clock time the outermost read lock was
+	// taken, used by the harness-driven detector and for reporting.
+	rcuSince int64
+	// rcuSinceNs is this context's consumed CPU time at the outermost
+	// lock; the tick-driven detector judges stalls against it so one
+	// shard's progress cannot stall another shard's reader.
+	rcuSinceNs int64
+	// rcuStalled records that the stall of this critical section was
+	// already reported.
+	rcuStalled bool
+	// rcuIdx is the context's position in its shard's active list.
+	rcuIdx int
 }
 
 // detectorGranularity is how often (in consumed virtual ns) Tick runs the
@@ -53,8 +74,37 @@ const detectorGranularity = 1000
 
 // NewContext enters a fresh execution context on the given CPU.
 func (k *Kernel) NewContext(cpu int) *Context {
-	now := k.Clock.Now()
-	return &Context{K: k, CPUID: cpu, InstrCost: 1, startTime: now}
+	c := &Context{K: k}
+	c.Reenter(cpu)
+	return c
+}
+
+// Reenter resets a context that has exited (its exit audit has run) to the
+// state NewContext returns, on the given CPU, keeping only the backing
+// storage of its logs. It lets an execution core reuse one Context per
+// invocation instead of allocating it. Reentering a context that still
+// holds locks, RCU nesting or references panics: that state belongs to the
+// exit audit, and carrying it into the next run would misattribute it.
+func (c *Context) Reenter(cpu int) {
+	if !c.Exited() {
+		panic("kernel: Reenter of a context that has not passed its exit audit")
+	}
+	c.CPUID = cpu
+	c.InstrCost = 1
+	c.Instructions = 0
+	c.consumedNs.Store(0)
+	c.startTime = c.K.Clock.Now()
+	c.lastYieldNs = 0
+	c.softLockupHit = false
+	c.lastDetectNs = 0
+	c.rcuSince, c.rcuSinceNs, c.rcuStalled = 0, 0, false
+}
+
+// Exited reports whether the context holds no locks, RCU nesting or
+// references: the state a passed exit audit leaves, and the state Reenter
+// requires.
+func (c *Context) Exited() bool {
+	return len(c.acquired) == 0 && len(c.held) == 0 && c.rcuDepth == 0
 }
 
 // Tick charges virtual time for n retired instructions and runs the
@@ -104,7 +154,9 @@ func (c *Context) TrackRef(r *Ref) { c.acquired = append(c.acquired, r) }
 func (c *Context) UntrackRef(r *Ref) {
 	for i, got := range c.acquired {
 		if got == r {
-			c.acquired = append(c.acquired[:i], c.acquired[i+1:]...)
+			n := copy(c.acquired[i:], c.acquired[i+1:])
+			c.acquired[i+n] = nil
+			c.acquired = c.acquired[:i+n]
 			return
 		}
 	}
@@ -123,8 +175,15 @@ func (c *Context) AcquiredRefs() []*Ref {
 // harness to inspect. The verified-eBPF stack relies on the verifier to
 // make this audit trivially pass; the safext runtime instead guarantees it
 // by construction via trusted cleanup.
+//
+// A clean context returns nil without touching shared kernel state. A
+// dirty one reads the oops log's length first and copies only the entries
+// added during the audit, so the audit's cost does not grow with the log.
 func (c *Context) ExitAudit() []*Oops {
-	before := len(c.K.Oopses())
+	if c.Exited() {
+		return nil
+	}
+	before := c.K.OopsCount()
 	c.K.lockdep.AuditExit(c)
 	if d := c.K.rcu.Depth(c); d > 0 {
 		c.K.Oops(OopsBug, c.CPUID, "rcu: context exited with read-lock depth %d", d)
@@ -132,10 +191,10 @@ func (c *Context) ExitAudit() []*Oops {
 			c.K.rcu.ReadUnlock(c)
 		}
 	}
-	for _, r := range c.acquired {
+	for i, r := range c.acquired {
 		c.K.Oops(OopsRefLeak, c.CPUID, "refcount: program leaked reference to %q", r.Name())
+		c.acquired[i] = nil
 	}
-	c.acquired = nil
-	all := c.K.Oopses()
-	return all[before:]
+	c.acquired = c.acquired[:0]
+	return c.K.oopsSince(before)
 }

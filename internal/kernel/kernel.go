@@ -162,6 +162,24 @@ func (k *Kernel) Oopses() []*Oops {
 	return out
 }
 
+// OopsCount returns the number of oopses logged so far, without copying
+// the log.
+func (k *Kernel) OopsCount() int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return len(k.oopses)
+}
+
+// oopsSince copies the oopses logged after the first n.
+func (k *Kernel) oopsSince(n int) []*Oops {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if n >= len(k.oopses) {
+		return nil
+	}
+	return append([]*Oops(nil), k.oopses[n:]...)
+}
+
 // LastOops returns the most recent oops, or nil if the kernel is healthy.
 func (k *Kernel) LastOops() *Oops {
 	k.mu.Lock()

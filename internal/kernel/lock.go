@@ -26,16 +26,15 @@ func (l *SpinLock) Owner() *Context {
 // two disciplines the eBPF verifier enforces statically for bpf_spin_lock —
 // at most one extension lock held at a time, and no lock held at program
 // exit — but at runtime, which is where the safext framework checks them.
+//
+// The locks a context holds are listed on the Context itself: a context
+// belongs to one goroutine, so acquisition and the exit audit need no
+// shared table and no lock beyond the spin lock's own.
 type LockDep struct {
-	k  *Kernel
-	mu sync.Mutex
-
-	held map[*Context][]*SpinLock
+	k *Kernel
 }
 
-func newLockDep(k *Kernel) *LockDep {
-	return &LockDep{k: k, held: make(map[*Context][]*SpinLock)}
-}
+func newLockDep(k *Kernel) *LockDep { return &LockDep{k: k} }
 
 // NewLock creates a named spin lock.
 func (ld *LockDep) NewLock(name string) *SpinLock { return &SpinLock{Name: name} }
@@ -61,9 +60,7 @@ func (ld *LockDep) Acquire(ctx *Context, l *SpinLock) bool {
 			"lockdep: %q held by another context; spinning forever", l.Name)
 		return false
 	}
-	ld.mu.Lock()
-	ld.held[ctx] = append(ld.held[ctx], l)
-	ld.mu.Unlock()
+	ctx.held = append(ctx.held, l)
 	return true
 }
 
@@ -78,34 +75,33 @@ func (ld *LockDep) Release(ctx *Context, l *SpinLock) bool {
 	l.owner = nil
 	l.mu.Unlock()
 
-	ld.mu.Lock()
-	locks := ld.held[ctx]
-	for i, got := range locks {
+	for i, got := range ctx.held {
 		if got == l {
-			ld.held[ctx] = append(locks[:i], locks[i+1:]...)
+			n := copy(ctx.held[i:], ctx.held[i+1:])
+			ctx.held[i+n] = nil
+			ctx.held = ctx.held[:i+n]
 			break
 		}
 	}
-	if len(ld.held[ctx]) == 0 {
-		delete(ld.held, ctx)
-	}
-	ld.mu.Unlock()
 	return true
 }
 
 // Held returns the locks ctx currently holds.
 func (ld *LockDep) Held(ctx *Context) []*SpinLock {
-	ld.mu.Lock()
-	defer ld.mu.Unlock()
-	out := make([]*SpinLock, len(ld.held[ctx]))
-	copy(out, ld.held[ctx])
-	return out
+	if len(ctx.held) == 0 {
+		return nil
+	}
+	return append([]*SpinLock(nil), ctx.held...)
 }
 
 // AuditExit checks that ctx exits clean: any lock still held is force-
 // released (so the kernel survives) and reported as a deadlock oops,
-// mirroring the lockup a leaked bpf_spin_lock causes on Linux.
+// mirroring the lockup a leaked bpf_spin_lock causes on Linux. A context
+// holding nothing returns nil without copying anything.
 func (ld *LockDep) AuditExit(ctx *Context) []*SpinLock {
+	if len(ctx.held) == 0 {
+		return nil
+	}
 	leaked := ld.Held(ctx)
 	for _, l := range leaked {
 		ld.k.Oops(OopsDeadlock, ctx.CPUID,

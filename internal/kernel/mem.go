@@ -87,15 +87,14 @@ func (f *Fault) Error() string {
 // of mapped regions ordered by base address. Mapping operations are
 // serialised on an internal lock (the simulator's mmap_lock), while the
 // access paths — locate, check, the Load/Store family — read an immutable
-// copy-on-write snapshot of the region list and take no lock at all. That
-// is what lets per-CPU shard workers translate addresses concurrently
-// without the address space becoming the data plane's serialization point.
+// snapshot of the region list and take no lock at all. That is what lets
+// per-CPU shard workers translate addresses concurrently without the
+// address space becoming the data plane's serialization point.
 type AddressSpace struct {
-	// regions points at the current sorted, non-overlapping region list.
-	// Mutators build a fresh slice under wmu and publish it here; readers
-	// load whatever snapshot is current, exactly like RCU-protected VMA
-	// walks against a held-off unmap.
-	regions atomic.Pointer[[]*Region]
+	// regions points at the current snapshot. Mutators publish a new
+	// snapshot here under wmu; readers load whatever snapshot is current,
+	// exactly like RCU-protected VMA walks against a held-off unmap.
+	regions atomic.Pointer[regionSet]
 	wmu     sync.Mutex // serialises Map/MapAt/Unmap and guards next
 	next    uint64     // next allocation cursor
 
@@ -105,23 +104,45 @@ type AddressSpace struct {
 	ActiveKeys uint64
 }
 
+// regionSet is one snapshot of the mapped regions, sorted by base address
+// and non-overlapping. ends[i] is regs[i].End(), kept in its own array so
+// that a lookup binary-searches contiguous integers. A snapshot's own
+// elements never change once published: Map appends past the end of the
+// shared backing arrays, which older snapshots cannot see, and Unmap and
+// MapAt build fresh arrays.
+type regionSet struct {
+	regs []*Region
+	ends []uint64
+}
+
 // NewAddressSpace returns an empty address space whose allocator starts at
 // KernelBase and which permits every protection key.
 func NewAddressSpace() *AddressSpace {
 	as := &AddressSpace{next: KernelBase, ActiveKeys: ^uint64(0)}
-	as.regions.Store(&[]*Region{})
+	as.regions.Store(&regionSet{})
 	return as
 }
 
-// snapshot returns the current region list. The slice is immutable.
-func (as *AddressSpace) snapshot() []*Region { return *as.regions.Load() }
-
 // locate returns the region containing addr, or nil.
-func (as *AddressSpace) locate(addr uint64) *Region {
-	regions := as.snapshot()
-	i := sort.Search(len(regions), func(i int) bool { return regions[i].End() > addr })
-	if i < len(regions) && regions[i].Base <= addr {
-		return regions[i]
+func (as *AddressSpace) locate(addr uint64) *Region { return as.regions.Load().locate(addr) }
+
+// locate returns the snapshot's region containing addr, or nil.
+func (set *regionSet) locate(addr uint64) *Region {
+	ends := set.ends
+	// Binary search for the first region ending past addr.
+	lo, hi := 0, len(ends)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ends[mid] <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(ends) {
+		if r := set.regs[lo]; r.Base <= addr {
+			return r
+		}
 	}
 	return nil
 }
@@ -137,11 +158,11 @@ func (as *AddressSpace) Map(size int, prot Prot, name string) *Region {
 	r := &Region{Base: as.next, Data: make([]byte, size), Prot: prot, Name: name}
 	// Leave an unmapped guard gap between regions so adjacent overruns fault.
 	as.next += uint64(size) + 4096
-	old := as.snapshot()
-	fresh := make([]*Region, len(old)+1)
-	copy(fresh, old)
-	fresh[len(old)] = r // next is monotonic, so appending keeps the sort
-	as.regions.Store(&fresh)
+	// next is monotonic, so appending keeps the sort. Appending in place
+	// is amortised O(1): the published snapshot's length does not cover
+	// the new slot, so no reader can observe the write.
+	old := as.regions.Load()
+	as.regions.Store(&regionSet{regs: append(old.regs, r), ends: append(old.ends, r.End())})
 	return r
 }
 
@@ -157,22 +178,22 @@ func (as *AddressSpace) MapAt(base uint64, size int, prot Prot, name string) (*R
 	as.wmu.Lock()
 	defer as.wmu.Unlock()
 	end := base + uint64(size)
-	old := as.snapshot()
-	for _, r := range old {
+	old := as.regions.Load()
+	for _, r := range old.regs {
 		if base < r.End() && r.Base < end {
 			return nil, fmt.Errorf("kernel: MapAt [%#x,%#x) overlaps %s", base, end, r.Name)
 		}
 	}
 	r := &Region{Base: base, Data: make([]byte, size), Prot: prot, Name: name}
-	i := sort.Search(len(old), func(i int) bool { return old[i].Base > base })
-	fresh := make([]*Region, 0, len(old)+1)
-	fresh = append(fresh, old[:i]...)
+	i := sort.Search(len(old.regs), func(i int) bool { return old.regs[i].Base > base })
+	fresh := make([]*Region, 0, len(old.regs)+1)
+	fresh = append(fresh, old.regs[:i]...)
 	fresh = append(fresh, r)
-	fresh = append(fresh, old[i:]...)
+	fresh = append(fresh, old.regs[i:]...)
 	if end+4096 > as.next {
 		as.next = end + 4096
 	}
-	as.regions.Store(&fresh)
+	as.regions.Store(newRegionSet(fresh))
 	return r, nil
 }
 
@@ -183,17 +204,26 @@ func (as *AddressSpace) MapAt(base uint64, size int, prot Prot, name string) (*R
 func (as *AddressSpace) Unmap(r *Region) {
 	as.wmu.Lock()
 	defer as.wmu.Unlock()
-	old := as.snapshot()
-	for i, got := range old {
+	old := as.regions.Load()
+	for i, got := range old.regs {
 		if got == r {
-			fresh := make([]*Region, 0, len(old)-1)
-			fresh = append(fresh, old[:i]...)
-			fresh = append(fresh, old[i+1:]...)
-			as.regions.Store(&fresh)
+			fresh := make([]*Region, 0, len(old.regs)-1)
+			fresh = append(fresh, old.regs[:i]...)
+			fresh = append(fresh, old.regs[i+1:]...)
+			as.regions.Store(newRegionSet(fresh))
 			return
 		}
 	}
 	panic(fmt.Sprintf("kernel: Unmap of unknown region %q", r.Name))
+}
+
+// newRegionSet builds a snapshot over freshly allocated sorted regions.
+func newRegionSet(regs []*Region) *regionSet {
+	ends := make([]uint64, len(regs))
+	for i, r := range regs {
+		ends[i] = r.End()
+	}
+	return &regionSet{regs: regs, ends: ends}
 }
 
 // keyOK reports whether the region's protection key is currently active.
@@ -221,13 +251,22 @@ func (as *AddressSpace) check(addr, size uint64, write bool) (*Region, uint64, *
 
 // Read copies size bytes at addr into a fresh slice, or returns a Fault.
 func (as *AddressSpace) Read(addr, size uint64) ([]byte, *Fault) {
-	r, off, f := as.check(addr, size, false)
-	if f != nil {
+	out := make([]byte, size)
+	if f := as.ReadInto(addr, out); f != nil {
 		return nil, f
 	}
-	out := make([]byte, size)
-	copy(out, r.Data[off:off+size])
 	return out, nil
+}
+
+// ReadInto copies len(dst) bytes at addr into dst, or returns a Fault.
+func (as *AddressSpace) ReadInto(addr uint64, dst []byte) *Fault {
+	size := uint64(len(dst))
+	r, off, f := as.check(addr, size, false)
+	if f != nil {
+		return f
+	}
+	copy(dst, r.Data[off:off+size])
+	return nil
 }
 
 // Write stores the given bytes at addr, or returns a Fault.
@@ -306,5 +345,10 @@ func (as *AddressSpace) CString(addr uint64, max int) (string, *Fault) {
 }
 
 // Regions returns the current mappings in address order. The returned slice
-// is an immutable snapshot; callers must not mutate it.
-func (as *AddressSpace) Regions() []*Region { return as.snapshot() }
+// is an immutable snapshot; callers must not mutate it. Its capacity is
+// clipped to its length, so appending to it copies instead of writing into
+// the backing array later mappings share.
+func (as *AddressSpace) Regions() []*Region {
+	regs := as.regions.Load().regs
+	return regs[:len(regs):len(regs)]
+}

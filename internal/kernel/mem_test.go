@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -193,5 +194,88 @@ func TestReadWriteRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotSurvivesInPlaceMap checks that Map's in-place append never
+// shows a new region to a snapshot taken before it.
+func TestSnapshotSurvivesInPlaceMap(t *testing.T) {
+	as := NewAddressSpace()
+	var old []*Region
+	for i := 0; i < 10; i++ {
+		old = append(old, as.Map(16, ProtRW, "old"))
+	}
+	snap := as.regions.Load()
+	var added []*Region
+	for i := 0; i < 1000; i++ {
+		added = append(added, as.Map(16, ProtRW, "new"))
+	}
+	for _, r := range old {
+		if got := snap.locate(r.Base + 3); got != r {
+			t.Fatalf("old snapshot locates %v for its own region %q", got, r.Name)
+		}
+	}
+	for _, r := range added {
+		if got := snap.locate(r.Base); got != nil {
+			t.Fatalf("old snapshot sees region %#x mapped after it", r.Base)
+		}
+		if got := as.locate(r.Base + 15); got != r {
+			t.Fatalf("current snapshot misses region %#x", r.Base)
+		}
+	}
+}
+
+// TestRegionsIsCapacityClipped checks that appending to Regions' result
+// cannot write into the backing array later mappings share.
+func TestRegionsIsCapacityClipped(t *testing.T) {
+	as := NewAddressSpace()
+	for i := 0; i < 5; i++ {
+		as.Map(8, ProtRW, "r")
+	}
+	regs := as.Regions()
+	if cap(regs) != len(regs) {
+		t.Fatalf("Regions cap = %d, len = %d", cap(regs), len(regs))
+	}
+	bogus := &Region{Base: KernelBase - 1<<20, Data: make([]byte, 8), Name: "bogus"}
+	_ = append(regs, bogus)
+	next := as.Map(8, ProtRW, "next")
+	now := as.Regions()
+	if now[len(now)-1] != next || as.locate(next.Base) != next {
+		t.Fatalf("a caller's append leaked into the address space: %v", now[len(now)-1].Name)
+	}
+}
+
+// TestUnmapStillFaults keeps use-after-free detection: an access to an
+// unmapped region faults as unmapped.
+func TestUnmapStillFaults(t *testing.T) {
+	as := NewAddressSpace()
+	a := as.Map(8, ProtRW, "a")
+	b := as.Map(8, ProtRW, "b")
+	as.Unmap(a)
+	if _, f := as.LoadUint(a.Base, 8); f == nil || f.Cause != "unmapped" {
+		t.Fatalf("access after Unmap = %v, want an unmapped fault", f)
+	}
+	if _, f := as.LoadUint(b.Base, 8); f != nil {
+		t.Fatalf("neighbour faulted after Unmap: %v", f)
+	}
+	c := as.Map(8, ProtRW, "c")
+	if _, f := as.LoadUint(c.Base, 8); f != nil {
+		t.Fatalf("Map after Unmap faulted: %v", f)
+	}
+}
+
+// TestMapIsLinear bounds what filling the address space allocates: 20k
+// small mappings stay under 64 MB in total, where copying the region list
+// on every Map allocates gigabytes.
+func TestMapIsLinear(t *testing.T) {
+	as := NewAddressSpace()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20_000; i++ {
+		as.Map(8, ProtRW, "small")
+	}
+	runtime.ReadMemStats(&after)
+	if total := after.TotalAlloc - before.TotalAlloc; total >= 64<<20 {
+		t.Fatalf("20k Maps allocated %d MB, want < 64 MB", total>>20)
 	}
 }

@@ -26,20 +26,11 @@ type RCUState struct {
 }
 
 type rcuShard struct {
-	mu      sync.Mutex
-	readers map[*Context]*rcuReader
-}
-
-type rcuReader struct {
-	depth int
-	// since is the virtual clock time the outermost read lock was taken,
-	// used by the harness-driven detector and for reporting.
-	since int64
-	// sinceNs is the owning context's consumed CPU time at the outermost
-	// lock; the tick-driven detector judges stalls against it so one
-	// shard's progress cannot stall another shard's reader.
-	sinceNs int64
-	stalled bool // stall already reported for this critical section
+	mu sync.Mutex
+	// active lists the contexts of this shard inside a read-side critical
+	// section. The reader state itself lives on each Context, so entering
+	// and leaving a section allocates and hashes nothing.
+	active []*Context
 }
 
 func newRCUState(k *Kernel) *RCUState {
@@ -47,11 +38,7 @@ func newRCUState(k *Kernel) *RCUState {
 	if n < 1 {
 		n = 1
 	}
-	r := &RCUState{k: k, shards: make([]rcuShard, n)}
-	for i := range r.shards {
-		r.shards[i].readers = make(map[*Context]*rcuReader)
-	}
-	return r
+	return &RCUState{k: k, shards: make([]rcuShard, n)}
 }
 
 // shard returns the reader shard for a context.
@@ -69,33 +56,35 @@ func (r *RCUState) shard(ctx *Context) *rcuShard {
 func (r *RCUState) ReadLock(ctx *Context) {
 	s := r.shard(ctx)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	rd := s.readers[ctx]
-	if rd == nil {
-		rd = &rcuReader{}
-		s.readers[ctx] = rd
+	if ctx.rcuDepth == 0 {
+		ctx.rcuSince = r.k.Clock.Now()
+		ctx.rcuSinceNs = ctx.ConsumedNs()
+		ctx.rcuStalled = false
+		ctx.rcuIdx = len(s.active)
+		s.active = append(s.active, ctx)
 	}
-	if rd.depth == 0 {
-		rd.since = r.k.Clock.Now()
-		rd.sinceNs = ctx.ConsumedNs()
-		rd.stalled = false
-	}
-	rd.depth++
+	ctx.rcuDepth++
+	s.mu.Unlock()
 }
 
 // ReadUnlock leaves a read-side critical section. Unbalanced unlocks oops.
 func (r *RCUState) ReadUnlock(ctx *Context) {
 	s := r.shard(ctx)
 	s.mu.Lock()
-	rd := s.readers[ctx]
-	if rd == nil || rd.depth == 0 {
+	if ctx.rcuDepth == 0 {
 		s.mu.Unlock()
 		r.k.Oops(OopsBug, ctx.CPUID, "rcu: unbalanced rcu_read_unlock")
 		return
 	}
-	rd.depth--
-	if rd.depth == 0 {
-		delete(s.readers, ctx)
+	ctx.rcuDepth--
+	if ctx.rcuDepth == 0 {
+		// Swap-remove: the last active context takes this one's slot.
+		last := len(s.active) - 1
+		moved := s.active[last]
+		s.active[ctx.rcuIdx] = moved
+		moved.rcuIdx = ctx.rcuIdx
+		s.active[last] = nil
+		s.active = s.active[:last]
 	}
 	s.mu.Unlock()
 }
@@ -105,10 +94,7 @@ func (r *RCUState) Depth(ctx *Context) int {
 	s := r.shard(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rd := s.readers[ctx]; rd != nil {
-		return rd.depth
-	}
-	return 0
+	return ctx.rcuDepth
 }
 
 // ActiveReaders returns the number of contexts currently inside read-side
@@ -118,7 +104,7 @@ func (r *RCUState) ActiveReaders() int {
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
-		n += len(s.readers)
+		n += len(s.active)
 		s.mu.Unlock()
 	}
 	return n
@@ -136,9 +122,9 @@ func (r *RCUState) CheckStalls() []*Oops {
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
-		for ctx, rd := range s.readers {
-			if !rd.stalled && now-rd.since >= timeout {
-				rd.stalled = true
+		for _, ctx := range s.active {
+			if !ctx.rcuStalled && now-ctx.rcuSince >= timeout {
+				ctx.rcuStalled = true
 				stalled = append(stalled, ctx)
 			}
 		}
@@ -156,13 +142,16 @@ func (r *RCUState) checkStalls(ctx *Context) []*Oops {
 	s := r.shard(ctx)
 	var stalled []*Context
 	s.mu.Lock()
-	for rctx, rd := range s.readers {
-		if !rd.stalled && rctx.ConsumedNs()-rd.sinceNs >= timeout {
-			rd.stalled = true
+	for _, rctx := range s.active {
+		if !rctx.rcuStalled && rctx.ConsumedNs()-rctx.rcuSinceNs >= timeout {
+			rctx.rcuStalled = true
 			stalled = append(stalled, rctx)
 		}
 	}
 	s.mu.Unlock()
+	if stalled == nil {
+		return nil
+	}
 	return r.reportStalls(stalled, r.k.Clock.Now(), timeout)
 }
 
@@ -189,7 +178,7 @@ func (r *RCUState) Synchronize() bool {
 	}
 	ok := true
 	for i := range r.shards {
-		if len(r.shards[i].readers) != 0 {
+		if len(r.shards[i].active) != 0 {
 			ok = false
 			break
 		}

@@ -32,24 +32,27 @@ const (
 
 // runState is the per-invocation state the crate implementations share:
 // the resource record log (backed by the pre-allocated unwind pool) and
-// the runtime it belongs to.
+// the runtime it belongs to. It lives in the invocation's Prepared, which
+// the execution core installs as the run's Env.Scratch.
 type runState struct {
 	rt  *Runtime
 	ext *Extension
 
 	// records are the live resource-log entries: addresses of 16-byte
 	// pool chunks holding {kind u64, payload u64}. The chunk memory is the
-	// pre-allocated per-CPU storage of §3.1; this slice is its index.
+	// pre-allocated per-CPU storage of §3.1; this slice is its index,
+	// backed by recBuf until a run holds more than len(recBuf) resources.
 	records []uint64
+	recBuf  [4]uint64
 	cpu     int
 }
 
 func stateOf(env *helpers.Env) *runState {
-	rs, ok := env.Scratch.(*runState)
+	p, ok := env.Scratch.(*Prepared)
 	if !ok {
 		panic("safext: crate call outside a safext run")
 	}
-	return rs
+	return &p.rs
 }
 
 // record logs an acquired resource into pool-backed storage.
@@ -242,7 +245,7 @@ func valueAddr(e *helpers.Env, handle, key uint64, create bool) (uint64, maps.Ma
 	if err != nil {
 		return 0, nil, err
 	}
-	kb := make([]byte, m.Spec().KeySize)
+	kb := e.KeyBuf(m.Spec().KeySize)
 	for i := range kb {
 		kb[i] = byte(key >> (8 * i))
 	}
@@ -288,7 +291,7 @@ func crateMapDel(e *helpers.Env, a [5]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	kb := make([]byte, m.Spec().KeySize)
+	kb := e.KeyBuf(m.Spec().KeySize)
 	for i := range kb {
 		kb[i] = byte(a[1] >> (8 * i))
 	}

@@ -397,9 +397,9 @@ type Verdict struct {
 	// monotonic wall-clock latency (the benchmark's view).
 	RuntimeNs int64
 	WallNs    int64
-	// HelperCalls counts crate calls by helper name, from the shared
-	// core's instrumentation.
-	HelperCalls map[string]uint64
+	// HelperCalls counts crate calls by helper count slot, from the
+	// shared core's instrumentation; HelperCalls.Get(name) reads one.
+	HelperCalls helpers.Calls
 	Trace       []string
 }
 
@@ -410,14 +410,18 @@ type RunOptions struct {
 }
 
 // Prepared is one assembled invocation: the execution-core request plus
-// the verdict slots its completion hook fills. Batch submitters Prepare
-// each invocation, run the Requests through RunBatch or a Sharded plane,
-// then call Finish with each result to obtain the Verdict. A Prepared
-// serves exactly one dispatch.
+// the verdict its completion hook fills. Batch submitters Prepare each
+// invocation, run the Requests through RunBatch or a Sharded plane, then
+// call Finish with each result to obtain the Verdict. A Prepared serves
+// exactly one dispatch; it is one allocation, holding the run's resource
+// log and its verdict, and the request reaches it through Request.Scratch
+// with hooks that are plain functions, not per-invocation closures.
 type Prepared struct {
 	ext        *Extension
 	req        exec.Request
-	verdict    *Verdict
+	rs         runState
+	verdict    Verdict
+	ran        bool // the Finish hook filled verdict
 	runtimeErr error
 }
 
@@ -448,7 +452,6 @@ func (ext *Extension) Run(opts RunOptions) (*Verdict, error) {
 func (ext *Extension) Prepare(opts RunOptions) *Prepared {
 	rt := ext.rt
 	rt.stats.invocations.Add(1)
-	rs := &runState{rt: rt, ext: ext, cpu: opts.CPU}
 
 	// Fuel coalescing: when the signed object proves a static instruction
 	// bound that fits the budget, the per-instruction fuel meter collapses
@@ -463,88 +466,100 @@ func (ext *Extension) Prepare(opts RunOptions) *Prepared {
 	}
 
 	p := &Prepared{ext: ext}
+	p.rs = runState{rt: rt, ext: ext, cpu: opts.CPU}
+	p.rs.records = p.rs.recBuf[:0]
 	p.req = exec.Request{
 		Program:    ext.Name,
 		CPU:        opts.CPU,
 		CtxAddr:    opts.CtxAddr,
 		Fuel:       fuel,
 		WatchdogNs: rt.Cfg.WatchdogNs,
-		Setup: func(env *helpers.Env) {
-			// The effective CPU is the context's, not the prepared one:
-			// the batched path re-pins requests to the shard's CPU, and the
-			// cleanup path must free into that CPU's pools.
-			rs.cpu = env.Ctx.CPUID
-			env.Scratch = rs
-		},
-		Finish: func(env *helpers.Env, rep *exec.Report, engineErr error) {
-			v := &Verdict{
-				R0:           int64(rep.R0),
-				Instructions: rep.Instructions,
-				RuntimeNs:    rep.RuntimeNs,
-				HelperCalls:  rep.HelperCalls,
-				Trace:        rep.Trace,
-			}
-			var kp kernel.KernelPanic
-			switch {
-			case engineErr == nil:
-				v.Completed = true
-			default:
-				v.Terminated = true
-				var trap *TrapError
-				switch {
-				case errors.As(engineErr, &trap):
-					v.Reason, v.TrapCode = "trap", trap.Code
-					rt.stats.traps.Add(1)
-				case errors.Is(engineErr, interp.ErrWatchdogExpired):
-					v.Reason = "watchdog"
-					rt.stats.watchdogKills.Add(1)
-				case errors.Is(engineErr, interp.ErrFuelExhausted):
-					v.Reason = "fuel"
-					rt.stats.fuelKills.Add(1)
-				case errors.Is(engineErr, helpers.ErrKernelCrash):
-					// A crash here means trusted crate code faulted — the
-					// language layer cannot produce one. Report it loudly.
-					v.Reason = "crash"
-				case errors.As(engineErr, &kp):
-					// The kernel panicked out of the engine (oops=panic).
-					// The damage is done, but the resource log must still
-					// be drained — a held lock or socket ref surviving the
-					// unwind would corrupt the next invocation too.
-					v.Reason = "panic"
-					rt.stats.panicKills.Add(1)
-				default:
-					// The runtime itself failed; skip cleanup and surface
-					// the raw error to the caller.
-					p.runtimeErr = engineErr
-					return
-				}
-			}
-
-			// Safe termination: run the trusted cleanup over the resource
-			// log, still inside the RCU read-side section. On the
-			// completed path the log holds at most unfreed heap
-			// allocations; after a termination it releases everything the
-			// program held. If a destructor itself oopses under
-			// oops=panic, the core keeps the original error — cleanup
-			// cannot mask the run's verdict.
-			socks, locks, mem := rt.cleanup(env, rs)
-			v.CleanedSocks, v.CleanedLocks, v.CleanedMem = socks, locks, mem
-			rt.stats.cleanedSocks.Add(int64(socks))
-			rt.stats.cleanedLocks.Add(int64(locks))
-			p.verdict = v
-		},
+		Scratch:    p,
+		Setup:      setupRun,
+		Finish:     finishRun,
 	}
 	return p
 }
 
+// setupRun is every safext request's Setup hook. The effective CPU is the
+// context's, not the prepared one: the batched path re-pins requests to
+// the shard's CPU, and the cleanup path must free into that CPU's pools.
+func setupRun(env *helpers.Env) {
+	env.Scratch.(*Prepared).rs.cpu = env.Ctx.CPUID
+}
+
+// finishRun is every safext request's Finish hook: it classifies the
+// engine's outcome and runs the trusted cleanup.
+func finishRun(env *helpers.Env, rep *exec.Report, engineErr error) {
+	p := env.Scratch.(*Prepared)
+	rt := p.ext.rt
+	v := &p.verdict
+	*v = Verdict{
+		R0:           int64(rep.R0),
+		Instructions: rep.Instructions,
+		RuntimeNs:    rep.RuntimeNs,
+		HelperCalls:  rep.HelperCalls,
+		Trace:        rep.Trace,
+	}
+	switch {
+	case engineErr == nil:
+		v.Completed = true
+	default:
+		v.Terminated = true
+		var kp kernel.KernelPanic
+		var trap *TrapError
+		switch {
+		case errors.As(engineErr, &trap):
+			v.Reason, v.TrapCode = "trap", trap.Code
+			rt.stats.traps.Add(1)
+		case errors.Is(engineErr, interp.ErrWatchdogExpired):
+			v.Reason = "watchdog"
+			rt.stats.watchdogKills.Add(1)
+		case errors.Is(engineErr, interp.ErrFuelExhausted):
+			v.Reason = "fuel"
+			rt.stats.fuelKills.Add(1)
+		case errors.Is(engineErr, helpers.ErrKernelCrash):
+			// A crash here means trusted crate code faulted — the
+			// language layer cannot produce one. Report it loudly.
+			v.Reason = "crash"
+		case errors.As(engineErr, &kp):
+			// The kernel panicked out of the engine (oops=panic).
+			// The damage is done, but the resource log must still
+			// be drained — a held lock or socket ref surviving the
+			// unwind would corrupt the next invocation too.
+			v.Reason = "panic"
+			rt.stats.panicKills.Add(1)
+		default:
+			// The runtime itself failed; skip cleanup and surface
+			// the raw error to the caller.
+			p.runtimeErr = engineErr
+			return
+		}
+	}
+
+	// Safe termination: run the trusted cleanup over the resource
+	// log, still inside the RCU read-side section. On the
+	// completed path the log holds at most unfreed heap
+	// allocations; after a termination it releases everything the
+	// program held. If a destructor itself oopses under
+	// oops=panic, the core keeps the original error — cleanup
+	// cannot mask the run's verdict.
+	socks, locks, mem := rt.cleanup(env, &p.rs)
+	v.CleanedSocks, v.CleanedLocks, v.CleanedMem = socks, locks, mem
+	rt.stats.cleanedSocks.Add(int64(socks))
+	rt.stats.cleanedLocks.Add(int64(locks))
+	p.ran = true
+}
+
 // Finish converts one dispatch's result into the extension's verdict —
-// the tail of Run, shared with the batched path.
+// the tail of Run, shared with the batched path. The verdict is part of
+// the Prepared.
 func (p *Prepared) Finish(rep *exec.Report, runErr error) (*Verdict, error) {
 	rt := p.ext.rt
 	if p.runtimeErr != nil {
 		return nil, p.runtimeErr
 	}
-	if p.verdict == nil {
+	if !p.ran {
 		// The dispatch never reached the engine: the supervisor denied it
 		// (quarantined or detached) or a recovery reload failed.
 		rt.stats.quarantines.Add(1)
@@ -558,7 +573,7 @@ func (p *Prepared) Finish(rep *exec.Report, runErr error) (*Verdict, error) {
 			WallNs:     rep.WallNs,
 		}, nil
 	}
-	v := p.verdict
+	v := &p.verdict
 	v.WallNs = rep.WallNs
 	if len(rep.ExitOopses) > 0 {
 		return nil, fmt.Errorf("safext: exit audit failed after cleanup: %v", rep.ExitOopses[0])
@@ -654,6 +669,6 @@ func (rt *Runtime) cleanup(env *helpers.Env, rs *runState) (socks, locks, mem in
 		}
 		rt.unwindPool.On(rs.cpu).Free(addr)
 	}
-	rs.records = nil
+	rs.records = rs.records[:0]
 	return socks, locks, mem
 }

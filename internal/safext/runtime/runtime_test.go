@@ -591,7 +591,7 @@ fn main() -> i64 {
 	if v.WallNs <= 0 {
 		t.Fatalf("wall latency = %d, want > 0", v.WallNs)
 	}
-	if v.HelperCalls["slx_ktime"] != 1 {
+	if v.HelperCalls.Get("slx_ktime") != 1 {
 		t.Fatalf("helper calls = %v", v.HelperCalls)
 	}
 	snap := f.rt.Core.Stats.Snapshot()
