@@ -145,7 +145,8 @@ func Relocate(insns []isa.Instruction, reg *maps.Registry) error {
 }
 
 // maxDepth is the deepest BPF-to-BPF activation (0-based): the main frame
-// plus 8 nested calls.
+// plus 8 nested calls. A callback starts again at depth 1, as the verifier
+// checks its body with a fresh frame count.
 const maxDepth = 8
 
 // run holds the mutable state of one execution. Runs take one from
@@ -154,12 +155,12 @@ const maxDepth = 8
 type run struct {
 	perRun
 
-	// files holds the register files of the live activations: activation
-	// n (1-based) runs on files[n-1], and a caller writes its callee's
-	// arguments into files[level] before entering it. The extra file lets
-	// a call past the limit be set up before it is refused. Callers clear
-	// a file before use, so finish leaves them as they are.
-	files [maxDepth + 2][11]uint64
+	// files holds the register files of the first live activations: the
+	// activation at level n runs on files[n]. Levels past the array, which
+	// a callback nested in a deep call chain reaches, get a heap file (see
+	// file). Callers clear a file before use, so finish leaves them as
+	// they are.
+	files [maxDepth + 1][11]uint64
 
 	// callFunc and tailCall are this state's Env hooks, bound once.
 	callFunc func(pc int32, r1, r2, r3 uint64) (uint64, error)
@@ -185,7 +186,7 @@ type perRun struct {
 
 	// level counts the live activations and picks their register files.
 	// Callbacks nest one level below the helper's caller although they
-	// observe at depth 1, so level, not depth, picks the file.
+	// start again at depth 1, so level, not depth, picks the file.
 	level int
 }
 
@@ -216,10 +217,9 @@ func (m *Machine) Run(prog *isa.Program, env *helpers.Env, opts Options) (uint64
 	defer r.finish()
 
 	for {
-		regs := &r.files[0]
-		*regs = [11]uint64{}
+		regs := r.file()
 		regs[1] = env.CtxAddr
-		ret, err := r.exec(0, 0)
+		ret, err := r.exec(0, regs, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -237,13 +237,21 @@ func (m *Machine) Run(prog *isa.Program, env *helpers.Env, opts Options) (uint64
 // callback is the Env.CallFunc hook: it runs a BPF-to-BPF function for a
 // callback helper (bpf_loop, bpf_for_each_map_elem).
 func (r *run) callback(pc int32, a1, a2, a3 uint64) (uint64, error) {
+	regs := r.file()
+	regs[1], regs[2], regs[3] = a1, a2, a3
+	return r.exec(int(pc), regs, 1)
+}
+
+// file returns a cleared register file for the next activation, the one at
+// level r.level. Levels past the inline files are rare, so their files
+// come from the heap.
+func (r *run) file() *[11]uint64 {
 	if r.level >= len(r.files) {
-		return 0, ErrCallDepth
+		return new([11]uint64)
 	}
 	regs := &r.files[r.level]
 	*regs = [11]uint64{}
-	regs[1], regs[2], regs[3] = a1, a2, a3
-	return r.exec(int(pc), 1)
+	return regs
 }
 
 // tail is the Env.TailCall hook.
@@ -314,12 +322,11 @@ func (r *run) crash(f *kernel.Fault) error {
 }
 
 // exec interprets one function activation starting at pc, on the register
-// file its caller set up in files[level].
-func (r *run) exec(pc int, depth int) (uint64, error) {
+// file its caller set up with file.
+func (r *run) exec(pc int, regs *[11]uint64, depth int) (uint64, error) {
 	if depth > maxDepth {
 		return 0, ErrCallDepth
 	}
-	regs := &r.files[r.level]
 	r.level++
 	defer func() { r.level-- }()
 	frame := r.newStack()
@@ -422,13 +429,9 @@ func (r *run) exec(pc int, depth int) (uint64, error) {
 					return 0, err
 				}
 				batch = 0
-				if r.level >= len(r.files) {
-					return 0, ErrCallDepth
-				}
-				sub := &r.files[r.level]
-				*sub = [11]uint64{}
+				sub := r.file()
 				copy(sub[1:6], regs[1:6])
-				ret, err := r.exec(pc+1+int(ins.Imm), depth+1)
+				ret, err := r.exec(pc+1+int(ins.Imm), sub, depth+1)
 				if err != nil {
 					return 0, err
 				}

@@ -409,3 +409,49 @@ func TestCallDepthLimit(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+func TestCallbackDepthRestartsInDeepChain(t *testing.T) {
+	f := newFixture(t)
+	// main calls f1..f8, reaching the deepest activation; f8 runs a
+	// bpf_loop callback that makes two nested calls of its own. The
+	// callback starts again at depth 1, so the program completes.
+	insns := []isa.Instruction{
+		isa.Mov64Imm(isa.R1, 0),
+		isa.CallBPF(1), // f1 at 3
+		isa.Exit(),
+	}
+	for i := 1; i < 8; i++ { // f1..f7: call the next function
+		insns = append(insns, isa.CallBPF(1), isa.Exit())
+	}
+	insns = append(insns,
+		// f8 at 17: *fp-8 = 0; bpf_loop(1, cb, fp-8, 0); return *fp-8
+		isa.StoreImm(isa.SizeDW, isa.R10, -8, 0),
+		isa.Mov64Imm(isa.R1, 1),
+		isa.LoadFuncRef(isa.R2, 26),
+		isa.Mov64Reg(isa.R3, isa.R10),
+		isa.ALU64Imm(isa.OpAdd, isa.R3, -8),
+		isa.Mov64Imm(isa.R4, 0),
+		isa.Call(f.helperID(t, "bpf_loop")),
+		isa.LoadMem(isa.SizeDW, isa.R0, isa.R10, -8),
+		isa.Exit(),
+		// cb at 26: *ctx = g1(); return 0
+		isa.Mov64Reg(isa.R6, isa.R2),
+		isa.CallBPF(3), // g1 at 31
+		isa.StoreMem(isa.SizeDW, isa.R6, 0, isa.R0),
+		isa.Mov64Imm(isa.R0, 0),
+		isa.Exit(),
+		// g1 at 31: return g2() + 1
+		isa.CallBPF(2), // g2 at 34
+		isa.ALU64Imm(isa.OpAdd, isa.R0, 1),
+		isa.Exit(),
+		// g2 at 34: return 41
+		isa.Mov64Imm(isa.R0, 41),
+		isa.Exit(),
+	)
+	for run := 0; run < 2; run++ {
+		got, err := f.run(t, insns, Options{})
+		if err != nil || got != 42 {
+			t.Fatalf("run %d: R0 = %d, %v", run, got, err)
+		}
+	}
+}

@@ -336,9 +336,9 @@ func (ex *exec) newStack() *kernel.Region {
 const jitTickBatch = 64
 
 // call runs one function activation of the compiled program on the
-// register file its caller set up. Depth is tracked on the exec so nested
-// activations through closures and callback helpers share one budget, as
-// the interpreter's explicit threading does.
+// register file its caller set up. Depth is tracked on the exec, so nested
+// activations through closures and callback helpers share one budget;
+// the interpreter instead starts a callback again at depth 1.
 func (ex *exec) call(entry int) (uint64, error) {
 	ex.depth++
 	defer func() { ex.depth-- }()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -67,6 +68,46 @@ func TestCoreRunAllocs(t *testing.T) {
 	run()
 	if got := testing.AllocsPerRun(200, run); got > 1 {
 		t.Fatalf("Core.Run allocs = %.1f, want <= 1", got)
+	}
+}
+
+// TestCoreRunAllocsLateSlot pins the documented limit of the inline helper
+// counts: in a process that has already called more than 16 distinct
+// helpers, a run calling a helper first called after them costs exactly
+// one more allocation, for its report's count array.
+func TestCoreRunAllocsLateSlot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under -race")
+	}
+	c, eng, ctx := newAllocsFixture(t)
+	// Give the fixture's helpers their slots before the filler names.
+	if _, err := c.Run(eng, Request{Program: "allocs", CPU: 1, CtxAddr: ctx}); err != nil {
+		t.Fatal(err)
+	}
+	var filler helpers.Calls
+	for i := 0; i < 20; i++ {
+		filler = filler.Add(fmt.Sprintf("late_slot_filler_%d", i), 1)
+	}
+	late := c.Helpers.Register(helpers.Spec{
+		Name: "late_slot_probe",
+		Impl: func(*helpers.Env, [5]uint64) (uint64, error) { return 0, nil },
+	})
+	insns := []isa.Instruction{isa.Call(int32(late)), isa.Exit()}
+	compiled, err := jit.Compile(&isa.Program{Name: "late", Type: isa.Tracing, Insns: insns}, jit.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateEng := JITEngine(c.Machine, compiled)
+	req := Request{Program: "late", CPU: 1, CtxAddr: ctx}
+	run := func() {
+		rep, err := c.Run(lateEng, req)
+		if err != nil || rep.HelperCalls.Get("late_slot_probe") != 1 || len(rep.HelperCalls) <= 16 {
+			t.Fatalf("run: err=%v calls=%d slots=%d", err, rep.HelperCalls.Get("late_slot_probe"), len(rep.HelperCalls))
+		}
+	}
+	run()
+	if got := testing.AllocsPerRun(200, run); got != 2 {
+		t.Fatalf("Core.Run allocs with a late helper slot = %.1f, want 2", got)
 	}
 }
 

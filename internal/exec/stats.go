@@ -15,20 +15,13 @@ import (
 // per invocation, from every shard worker — is lock-free: counters live in
 // atomic cells, so parallel shards never queue behind a stats mutex. A
 // program's run counters and helper counts are striped by CPU, so shards
-// running one program do not bounce a shared cache line, and the cells of
-// the last program and of low-numbered CPUs are cached, so the common run
-// resolves them without a map lookup. Aggregation into the public
-// Snapshot types, summing the stripes, happens only on read, which is the
-// cold path.
+// running one program do not bounce a shared cache line. Aggregation into
+// the public Snapshot types, summing the stripes, happens only on read,
+// which is the cold path.
 type Stats struct {
 	programs sync.Map // program name -> *progCell
 	cpus     sync.Map // cpu id -> *cpuCell
 	loads    atomic.Uint64
-
-	// lastProg is the cell prog resolved last; cpuCache holds the cells of
-	// CPUs 0..len-1 once created.
-	lastProg atomic.Pointer[progCell]
-	cpuCache [64]atomic.Pointer[cpuCell]
 
 	// Load-phase timings are control-plane only (one update per program
 	// load), so a small mutex is fine and keeps the insertion order simple.
@@ -37,7 +30,8 @@ type Stats struct {
 	phaseOrder []string
 }
 
-// progCounter names one per-program counter; it indexes progCell.n.
+// progCounter names one per-program counter. Run counters index
+// runStripe.n; the others index progCell.n through progCell.at.
 type progCounter int
 
 const (
@@ -92,11 +86,10 @@ const numRunCounters = pFaults
 
 // progCell is the hot accumulator behind one ProgramStats row. The ns
 // counters are int64 in ProgramStats and stored here as their two's
-// complement, which adds identically. A counter's total is its n entry
-// plus, for run counters, the sum of its stripe entries.
+// complement, which adds identically. A run counter's total is the sum of
+// its stripe entries; every other counter has one entry in n.
 type progCell struct {
-	name        string
-	n           [numProgCounters]atomic.Uint64
+	n           [numProgCounters - numRunCounters]atomic.Uint64
 	stripes     [statStripes]runStripe
 	reasons     [numProgReasons]atomic.Pointer[string]
 	transitions sync.Map // "from->to" -> *atomic.Uint64
@@ -325,8 +318,8 @@ func (s *Stats) RecordLoad(program string, phases PhaseTimings) {
 // program, as read from its signed object metadata.
 func (s *Stats) RecordChecks(program string, dynamic, elided uint64) {
 	ps := s.prog(program)
-	ps.n[pDynamicChecks].Store(dynamic)
-	ps.n[pElidedChecks].Store(elided)
+	ps.at(pDynamicChecks).Store(dynamic)
+	ps.at(pElidedChecks).Store(elided)
 }
 
 // RecordTVDemotion accounts one load whose OptMIR build failed translation
@@ -334,7 +327,7 @@ func (s *Stats) RecordChecks(program string, dynamic, elided uint64) {
 // operator can see *what* the optimizer got wrong, not just that it did.
 func (s *Stats) RecordTVDemotion(program, reason string) {
 	ps := s.prog(program)
-	ps.n[pTVDemotions].Add(1)
+	ps.at(pTVDemotions).Add(1)
 	ps.reasons[rTVDemotion].Store(&reason)
 }
 
@@ -344,14 +337,14 @@ func (s *Stats) RecordTVDemotion(program, reason string) {
 // forfeited the parallelism.
 func (s *Stats) RecordConcDemotion(program, reason string) {
 	ps := s.prog(program)
-	ps.n[pConcDemotions].Add(1)
+	ps.at(pConcDemotions).Add(1)
 	ps.reasons[rConcDemotion].Store(&reason)
 }
 
 // RecordFuelElision accounts one invocation that ran without fuel metering
 // because the toolchain proved a static instruction bound under budget.
 func (s *Stats) RecordFuelElision(program string) {
-	s.prog(program).n[pFuelElisions].Add(1)
+	s.prog(program).at(pFuelElisions).Add(1)
 }
 
 // FuelElisionRecorder returns a recorder bound to one program's cell, for
@@ -359,54 +352,45 @@ func (s *Stats) RecordFuelElision(program string) {
 // the coalesced-fuel dispatch path resolves it once at load time.
 func (s *Stats) FuelElisionRecorder(program string) func() {
 	cell := s.prog(program)
-	return func() { cell.n[pFuelElisions].Add(1) }
+	return func() { cell.at(pFuelElisions).Add(1) }
 }
 
 // prog returns (creating on first use) the per-program accumulator.
 func (s *Stats) prog(name string) *progCell {
-	if c := s.lastProg.Load(); c != nil && c.name == name {
-		return c
+	if c, ok := s.programs.Load(name); ok {
+		return c.(*progCell)
 	}
-	v, ok := s.programs.Load(name)
-	if !ok {
-		v, _ = s.programs.LoadOrStore(name, &progCell{name: name})
-	}
-	c := v.(*progCell)
-	s.lastProg.Store(c)
-	return c
+	c, _ := s.programs.LoadOrStore(name, &progCell{})
+	return c.(*progCell)
+}
+
+// at returns the cell of a counter that is not a run counter.
+func (c *progCell) at(i progCounter) *atomic.Uint64 {
+	return &c.n[i-numRunCounters]
 }
 
 // cpu returns (creating on first use) the per-CPU accumulator.
 func (s *Stats) cpu(id int) *cpuCell {
-	if uint(id) < uint(len(s.cpuCache)) {
-		if c := s.cpuCache[id].Load(); c != nil {
-			return c
-		}
+	if c, ok := s.cpus.Load(id); ok {
+		return c.(*cpuCell)
 	}
-	v, ok := s.cpus.Load(id)
-	if !ok {
-		v, _ = s.cpus.LoadOrStore(id, &cpuCell{})
-	}
-	c := v.(*cpuCell)
-	if uint(id) < uint(len(s.cpuCache)) {
-		s.cpuCache[id].Store(c)
-	}
-	return c
+	c, _ := s.cpus.LoadOrStore(id, &cpuCell{})
+	return c.(*cpuCell)
 }
 
 // recordFault accounts one supervised run the supervisor classified as a
 // fault (engine error or exit-audit damage).
 func (s *Stats) recordFault(program string) {
-	s.prog(program).n[pFaults].Add(1)
+	s.prog(program).at(pFaults).Add(1)
 }
 
 // recordDenied accounts one dispatch refused at the supervisor gate;
 // fallback marks it as served the configured fallback R0.
 func (s *Stats) recordDenied(program string, fallback bool) {
 	ps := s.prog(program)
-	ps.n[pDenied].Add(1)
+	ps.at(pDenied).Add(1)
 	if fallback {
-		ps.n[pFallbacks].Add(1)
+		ps.at(pFallbacks).Add(1)
 	}
 }
 
@@ -416,9 +400,9 @@ func (s *Stats) recordDenied(program string, fallback bool) {
 // operator can see *why* the program never recovers.
 func (s *Stats) recordProbeFailure(program string, reloadErr error) {
 	ps := s.prog(program)
-	ps.n[pProbeFailures].Add(1)
+	ps.at(pProbeFailures).Add(1)
 	if reloadErr != nil {
-		ps.n[pReloadFailures].Add(1)
+		ps.at(pReloadFailures).Add(1)
 		msg := reloadErr.Error()
 		ps.reasons[rReloadError].Store(&msg)
 	}
@@ -494,8 +478,8 @@ func (s *Stats) Snapshot() Snapshot {
 	s.programs.Range(func(k, v any) bool {
 		c := v.(*progCell)
 		ps := ProgramStats{Transitions: counterMap(&c.transitions)}
-		for i, f := range progFields {
-			f.add(&ps, c.n[i].Load())
+		for i := numRunCounters; i < numProgCounters; i++ {
+			progFields[i].add(&ps, c.at(i).Load())
 		}
 		for j := range c.stripes {
 			st := &c.stripes[j]

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -12,12 +13,20 @@ import (
 func TestStatsTableCoverage(t *testing.T) {
 	var s Stats
 	a, b := s.prog("a"), s.prog("b")
-	if len(a.n) != 18 {
-		t.Fatalf("%d counters, test covers 18", len(a.n))
+	// cell returns counter i's cell: a run counter's in CPU stripe 0, any
+	// other's in n.
+	cell := func(c *progCell, i progCounter) *atomic.Uint64 {
+		if i < numRunCounters {
+			return &c.stripes[0].n[i]
+		}
+		return c.at(i)
 	}
-	for i := range a.n {
-		a.n[i].Store(uint64(100 + i))
-		b.n[i].Store(uint64(1000 + i))
+	if n := len(a.stripes[0].n) + len(a.n); n != 18 {
+		t.Fatalf("%d counters, test covers 18", n)
+	}
+	for i := progCounter(0); i < numProgCounters; i++ {
+		cell(a, i).Store(uint64(100 + i))
+		cell(b, i).Store(uint64(1000 + i))
 	}
 	if len(a.reasons) != 3 {
 		t.Fatalf("%d reasons, test covers 3", len(a.reasons))

@@ -89,15 +89,12 @@ func (c *Context) Reenter(cpu int) {
 	if !c.Exited() {
 		panic("kernel: Reenter of a context that has not passed its exit audit")
 	}
-	c.CPUID = cpu
-	c.InstrCost = 1
-	c.Instructions = 0
-	c.consumedNs.Store(0)
-	c.startTime = c.K.Clock.Now()
-	c.lastYieldNs = 0
-	c.softLockupHit = false
-	c.lastDetectNs = 0
-	c.rcuSince, c.rcuSinceNs, c.rcuStalled = 0, 0, false
+	*c = Context{
+		K: c.K, CPUID: cpu, InstrCost: 1,
+		startTime: c.K.Clock.Now(),
+		acquired:  c.acquired[:0],
+		held:      c.held[:0],
+	}
 }
 
 // Exited reports whether the context holds no locks, RCU nesting or
