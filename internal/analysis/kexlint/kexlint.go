@@ -75,7 +75,11 @@ func DefaultConfig(root string) Config {
 		// dispatch, so the same source must classify identically on every
 		// build host — and its interleaving oracle must replay schedules
 		// bit-for-bit from its seeds.
-		DeterministicDirs: []string{"internal/faultinject", "internal/kernel/callgraph", "internal/analysis/statecheck", "internal/analysis/transval", "internal/analysis/concheck", "internal/registry", "internal/fleet", "internal/safext/compile", "internal/rng"},
+		// internal/ebpf/interp and internal/ebpf/jit are the two execution
+		// engines: their instruction, fuel and virtual-time accounting
+		// feeds the X3 replay and the statecheck traces, which must be
+		// bit-identical from run to run and from one engine to the other.
+		DeterministicDirs: []string{"internal/faultinject", "internal/kernel/callgraph", "internal/analysis/statecheck", "internal/analysis/transval", "internal/analysis/concheck", "internal/registry", "internal/fleet", "internal/safext/compile", "internal/rng", "internal/ebpf/interp", "internal/ebpf/jit"},
 		HelperDirs:        []string{"internal/ebpf/helpers"},
 	}
 }

@@ -97,22 +97,6 @@ func TestJITCrashOnBadAccess(t *testing.T) {
 	}
 }
 
-func TestJITFuel(t *testing.T) {
-	f := newFixture(t)
-	prog := &isa.Program{Name: "inf", Type: isa.Tracing, Insns: []isa.Instruction{
-		isa.Mov64Imm(isa.R0, 0),
-		isa.Ja(-1),
-		isa.Exit(),
-	}}
-	c, err := Compile(prog, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(f.m, f.env, interp.Options{Fuel: 5000}); !errors.Is(err, interp.ErrFuelExhausted) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestJITRejectsUnresolvedMapRef(t *testing.T) {
 	prog := &isa.Program{Name: "m", Type: isa.Tracing, Insns: []isa.Instruction{
 		isa.LoadMapRef(isa.R1, "counts"),
@@ -250,5 +234,43 @@ func TestJITMatchesInterpreter(t *testing.T) {
 		if errI == nil && got != want {
 			t.Fatalf("trial %d: interp %#x, jit %#x\nprog:\n%v", trial, want, got, insns)
 		}
+	}
+}
+
+func TestJIT32BitOps(t *testing.T) {
+	f := newFixture(t)
+	got, err := f.jitRun(t, []isa.Instruction{
+		isa.LoadImm64(isa.R1, 0x1_0000_0010),
+		isa.Mov32Reg(isa.R0, isa.R1), // truncates to 0x10
+		isa.ALU32Imm(isa.OpAdd, isa.R0, 2),
+		isa.Jmp32Imm(isa.OpJeq, isa.R0, 0x12, 1),
+		isa.Mov64Imm(isa.R0, 0),
+		isa.Exit(),
+	}, Config{})
+	if err != nil || got != 0x12 {
+		t.Fatalf("R0 = %#x, %v", got, err)
+	}
+}
+
+func TestJITSignedJumps(t *testing.T) {
+	f := newFixture(t)
+	got, err := f.jitRun(t, []isa.Instruction{
+		isa.Mov64Imm(isa.R1, -5),
+		isa.Mov64Imm(isa.R0, 0),
+		isa.JmpImm(isa.OpJslt, isa.R1, 0, 1), // -5 s< 0: taken
+		isa.Exit(),
+		isa.Mov64Imm(isa.R0, 1),
+		isa.Exit(),
+	}, Config{})
+	if err != nil || got != 1 {
+		t.Fatalf("R0 = %d, %v", got, err)
+	}
+}
+
+func TestJITRejectsStructurallyInvalid(t *testing.T) {
+	if _, err := Compile(&isa.Program{Name: "bad", Type: isa.Tracing, Insns: []isa.Instruction{
+		isa.Mov64Imm(isa.R0, 0),
+	}}, Config{}); err == nil {
+		t.Fatal("program without exit compiled")
 	}
 }
