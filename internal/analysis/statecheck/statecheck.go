@@ -26,6 +26,7 @@ import (
 	"kex/internal/ebpf/helpers"
 	"kex/internal/ebpf/interp"
 	"kex/internal/ebpf/isa"
+	"kex/internal/ebpf/jit"
 	"kex/internal/ebpf/maps"
 	"kex/internal/ebpf/verifier"
 	"kex/internal/exec"
@@ -196,7 +197,10 @@ func Check(p Program, cfg Config) (*Verdict, error) {
 		return nil, fmt.Errorf("statecheck: relocate: %w", err)
 	}
 	fixed := &isa.Program{Name: p.Name, Type: p.Type, Insns: insns}
-	eng := exec.InterpEngine(core.Machine, fixed)
+	eng, err := exec.NewEngine(core.Machine, fixed, false, jit.Config{})
+	if err != nil {
+		return nil, err
+	}
 	ctx := k.Mem.Map(ctxSize, kernel.ProtRW, "statecheck_ctx")
 
 	for ri, rs := range runs {
@@ -220,7 +224,7 @@ func Check(p Program, cfg Config) (*Verdict, error) {
 		// The run's own outcome (crash, damage) is the acceptance fuzz's
 		// property; here only the trace matters. A crash mid-run still
 		// validated every observation up to the faulting instruction.
-		_, _ = core.Run(eng, req)
+		_, _ = core.Run(eng, req, nil)
 		verdict.Runs++
 		verdict.Checked += obs.checked
 		verdict.Witnesses = append(verdict.Witnesses, obs.witnesses...)

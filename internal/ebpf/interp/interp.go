@@ -150,8 +150,11 @@ func Relocate(insns []isa.Instruction, reg *maps.Registry) error {
 // Run executes the program in the given helper environment and returns R0
 // (see RunCode).
 func (m *Machine) Run(prog *isa.Program, env *helpers.Env, opts Options) (uint64, error) {
-	return m.RunCode((*program)(prog), env, opts)
+	return m.RunCode(Interpreted(prog), env, opts)
 }
+
+// Interpreted returns the interpreter's Code for prog.
+func Interpreted(prog *isa.Program) Code { return (*program)(prog) }
 
 // program is the interpreter's Code: it decodes each instruction as it
 // runs it.

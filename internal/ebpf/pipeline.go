@@ -22,7 +22,9 @@ import (
 )
 
 // Stack is one kernel's eBPF subsystem: the shared execution core (helper
-// registry, map registry, engines, stats) plus verifier configuration.
+// registry, map registry, engines, stats, supervision) plus verifier
+// configuration. Core.Supervise puts the stack's programs under the
+// circuit breaker; their recovery probe re-verifies the original program.
 type Stack struct {
 	*exec.Core
 
@@ -43,7 +45,6 @@ type Stack struct {
 
 	mapMeta  map[string]*verifier.MapMeta
 	mapKinds map[string]string
-	sup      *exec.Supervisor
 }
 
 // NewStack boots an eBPF subsystem on the kernel.
@@ -56,18 +57,6 @@ func NewStack(k *kernel.Kernel) *Stack {
 		mapKinds:       make(map[string]string),
 	}
 }
-
-// Supervise wraps every subsequent Loaded.Run in an exec.Supervisor:
-// faulting programs are quarantined with exponential backoff and must pass
-// re-verification before a recovery probe. It returns the supervisor for
-// state inspection.
-func (s *Stack) Supervise(cfg exec.SupervisorConfig) *exec.Supervisor {
-	s.sup = exec.NewSupervisor(s.Core, cfg)
-	return s.sup
-}
-
-// Supervisor returns the stack's supervisor, nil when unsupervised.
-func (s *Stack) Supervisor() *exec.Supervisor { return s.sup }
 
 // CreateMap creates and registers a map, making it referenceable from
 // programs by name.
@@ -148,16 +137,13 @@ func (s *Stack) Load(prog *isa.Program) (*Loaded, error) {
 		s.Core.SetConc(prog.Name, cc.Racy(), cc.Reason)
 	}
 	l.defaultCtx = s.K.Mem.Map(64, kernel.ProtRW, "bpf_ctx:"+prog.Name)
+	l.engine, err = exec.NewEngine(s.Machine, fixed, s.UseJIT, s.JITConfig)
+	if err != nil {
+		s.K.Mem.Unmap(l.defaultCtx)
+		return nil, fmt.Errorf("ebpf: JIT of %q failed: %w", prog.Name, err)
+	}
 	if s.UseJIT {
-		c, err := jit.Compile(fixed, s.JITConfig)
-		if err != nil {
-			s.K.Mem.Unmap(l.defaultCtx)
-			return nil, fmt.Errorf("ebpf: JIT of %q failed: %w", prog.Name, err)
-		}
 		rec.Mark("jit-compile")
-		l.engine = exec.JITEngine(s.Machine, c)
-	} else {
-		l.engine = exec.InterpEngine(s.Machine, fixed)
 	}
 	l.LoadPhases = rec.Phases()
 	s.Core.Stats.RecordLoad(prog.Name, l.LoadPhases)
@@ -197,30 +183,23 @@ type RunOptions struct {
 }
 
 // Run invokes the program once on the given CPU through the shared
-// execution core. The returned error reports abnormal termination (kernel
+// execution core (and its supervisor's gate when the stack is
+// supervised). The returned error reports abnormal termination (kernel
 // crash, fuel exhaustion); kernel damage is also visible in the report's
 // ExitOopses and on the kernel.
 func (l *Loaded) Run(opts RunOptions) (*RunReport, error) {
-	req := l.Request(opts)
-	if l.stack.sup != nil {
-		return l.stack.sup.Run(l.engine, req, l.reverify)
-	}
-	return l.stack.Core.Run(l.engine, req)
+	return l.stack.Core.Run(l.engine, l.Request(opts), l.reverify)
 }
 
 // RunBatch invokes the program once per option set, back-to-back and
-// pinned to one simulated CPU, through the core's batched path (and
-// through the supervisor's gate when the stack is supervised). It is the
+// pinned to one simulated CPU, through the core's batched path. It is the
 // unit of work a Sharded worker executes.
 func (l *Loaded) RunBatch(cpu int, opts []RunOptions) []exec.BatchResult {
 	reqs := make([]exec.Request, len(opts))
 	for i := range opts {
 		reqs[i] = l.Request(opts[i])
 	}
-	if l.stack.sup != nil {
-		return l.stack.sup.RunBatch(l.engine, cpu, reqs, l.reverify)
-	}
-	return l.stack.Core.RunBatch(l.engine, cpu, reqs)
+	return l.stack.Core.RunBatch(l.engine, cpu, reqs, l.reverify)
 }
 
 // Request builds the execution-core request for one invocation, resolving
@@ -252,14 +231,6 @@ func (l *Loaded) Engine() exec.Engine { return l.engine }
 // Reverify exposes the supervised recovery reload hook for batched
 // submission (exec.Batch.Reload).
 func (l *Loaded) Reverify() exec.Reload { return l.reverify }
-
-// NewSharded starts a per-CPU sharded data plane over this stack's core.
-// When the stack is supervised, every batch routes through the
-// supervisor's admission gate. The caller owns the plane's lifecycle and
-// must Close it.
-func (s *Stack) NewSharded(cfg exec.ShardedConfig) *exec.Sharded {
-	return exec.NewSharded(s.Core, s.sup, cfg)
-}
 
 // reverify is the supervised recovery reload for the verified stack: the
 // original program must pass the verifier again before a probe runs.

@@ -92,7 +92,7 @@ func TestConcStrictRefusesRacyOnMultiShard(t *testing.T) {
 	c.SetConc("safe", false, "")
 	var ran [8]atomic.Uint64
 	eng := countingEngine(&ran)
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 4, RingSize: 8, Conc: ConcStrict})
+	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 8, Conc: ConcStrict})
 	defer sh.Close()
 
 	err := submitOne(t, sh, eng, 2, "racy")
@@ -117,7 +117,7 @@ func TestConcStrictAllowsRacyOnSingleShard(t *testing.T) {
 	c.SetConc("racy", true, "unguarded window")
 	var ran [8]atomic.Uint64
 	eng := countingEngine(&ran)
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 1, RingSize: 8, Conc: ConcStrict})
+	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 8, Conc: ConcStrict})
 	defer sh.Close()
 	if err := submitOne(t, sh, eng, 0, "racy"); err != nil {
 		t.Fatalf("single-shard racy submit refused: %v", err)
@@ -133,7 +133,7 @@ func TestConcWarnDemotesToShardZero(t *testing.T) {
 	c.SetConc("racy", true, "unguarded window at pc 7")
 	var ran [8]atomic.Uint64
 	eng := countingEngine(&ran)
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 4, RingSize: 16, Conc: ConcWarn})
+	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 16, Conc: ConcWarn})
 	defer sh.Close()
 	const per = 3
 	for cpu := 0; cpu < 4; cpu++ {
@@ -172,7 +172,7 @@ func TestConcOffIgnoresVerdicts(t *testing.T) {
 	c.SetConc("racy", true, "unguarded window")
 	var ran [8]atomic.Uint64
 	eng := countingEngine(&ran)
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 4, RingSize: 8})
+	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 8})
 	defer sh.Close()
 	if err := submitOne(t, sh, eng, 3, "racy"); err != nil {
 		t.Fatalf("off-mode submit refused: %v", err)
@@ -196,7 +196,7 @@ func TestConcDemotionsConcurrent(t *testing.T) {
 	c.SetConc("safe", false, "")
 	var ran [8]atomic.Uint64
 	eng := countingEngine(&ran)
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 4, RingSize: 64, Conc: ConcWarn})
+	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 64, Conc: ConcWarn})
 	defer sh.Close()
 	const workers, per = 8, 25
 	var wg sync.WaitGroup

@@ -16,6 +16,7 @@ package exec
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kex/internal/ebpf/helpers"
@@ -26,8 +27,8 @@ import (
 	"kex/internal/kernel"
 )
 
-// Engine executes one prepared program in a helper environment. The
-// interpreter and the JIT both implement it; a Loaded program or Extension
+// Engine executes one prepared program in a helper environment. NewEngine
+// binds the interpreter or the JIT to it; a Loaded program or Extension
 // binds an Engine at load time and the core dispatches through it.
 type Engine interface {
 	// Name identifies the engine ("interp", "jit") in reports and stats.
@@ -71,12 +72,30 @@ type Core struct {
 
 	// frames recycles run frames across invocations (see runFrame).
 	frames sync.Pool
+
+	// sup, once Supervise installs it, gates every dispatch through this
+	// core. Shard workers read it while the control plane may write it.
+	sup atomic.Pointer[Supervisor]
 }
 
 // NewCore assembles an execution core on the given kernel and registries.
 func NewCore(k *kernel.Kernel, reg *helpers.Registry, mreg *maps.Registry) *Core {
 	return &Core{K: k, Helpers: reg, Maps: mreg, Machine: interp.NewMachine(k, reg, mreg)}
 }
+
+// Supervise installs a supervisor on the core: from then on every
+// dispatch through Run, RunBatch and the core's sharded planes, including
+// planes built before this call, passes the supervisor's gate. Zero-value
+// config fields fall back to DefaultSupervisorConfig. It returns the
+// supervisor for state inspection.
+func (c *Core) Supervise(cfg SupervisorConfig) *Supervisor {
+	s := newSupervisor(c, cfg)
+	c.sup.Store(s)
+	return s
+}
+
+// Supervisor returns the core's supervisor, nil when unsupervised.
+func (c *Core) Supervisor() *Supervisor { return c.sup.Load() }
 
 // Request describes one invocation through the core.
 type Request struct {
@@ -193,19 +212,33 @@ func (b *reportBox) setCalls(calls helpers.Calls) {
 // visible in the report's ExitOopses and on the kernel itself. The caller
 // owns the returned Report.
 //
+// On a supervised core the invocation first passes the supervisor's gate
+// (see Supervisor): a quarantined or detached program is answered without
+// running, and reload, which may be nil, re-prepares the program before a
+// recovery probe.
+//
 // Under Config.PanicOnOops a kernel.KernelPanic can unwind out of the
 // engine, a helper, the Finish hook, or the exit audit. Run recovers
 // exactly that panic type — the read-side unlock, exit audit, wall-clock
 // figure, and stats accounting all still happen — and surfaces it as the
 // run error so a supervisor can classify the invocation. Any other panic
 // is a harness bug and keeps propagating.
-func (c *Core) Run(eng Engine, req Request) (*Report, error) {
+func (c *Core) Run(eng Engine, req Request, reload Reload) (*Report, error) {
 	box := new(reportBox)
-	err := c.run(eng, req, box)
+	err := c.dispatch(eng, req, reload, box)
 	return &box.Report, err
 }
 
-// run is Run writing its report into box.
+// dispatch is Run writing its report into box: the one place the run path
+// asks whether the core is supervised.
+func (c *Core) dispatch(eng Engine, req Request, reload Reload, box *reportBox) error {
+	if s := c.sup.Load(); s != nil {
+		return s.gate(eng, req, reload, box)
+	}
+	return c.run(eng, req, box)
+}
+
+// run is the lifecycle of one invocation, writing its report into box.
 func (c *Core) run(eng Engine, req Request, box *reportBox) (err error) {
 	fr := c.frame()
 	fr.req = req
@@ -328,52 +361,48 @@ type BatchResult struct {
 
 // RunBatch dispatches a batch of requests on one simulated CPU, forcing
 // every request's CPU to the batch's. Each request still gets the full
-// per-invocation lifecycle — fresh context, RCU bracketing, exit audit —
-// so the safety guarantees are identical to serial Run calls; what the
-// batch amortizes is everything around the lifecycle (ring hand-off,
-// supervisor gating, engine/report plumbing staying hot in cache, one
-// allocation for all of the batch's reports). This is the unit of work a
-// Sharded ring delivers to its worker. The caller owns every returned
-// Report.
-func (c *Core) RunBatch(eng Engine, cpu int, reqs []Request) []BatchResult {
+// per-invocation lifecycle — supervisor gate, fresh context, RCU
+// bracketing, exit audit — so the safety guarantees are identical to
+// serial Run calls, and a trip mid-batch denies the rest of the batch
+// exactly as it would deny fresh dispatches. What the batch amortizes is
+// everything around the lifecycle (ring hand-off, engine/report plumbing
+// staying hot in cache, one allocation for all of the batch's reports).
+// This is the unit of work a Sharded ring delivers to its worker. The
+// caller owns every returned Report.
+func (c *Core) RunBatch(eng Engine, cpu int, reqs []Request, reload Reload) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	boxes := make([]reportBox, len(reqs))
 	for i := range reqs {
 		reqs[i].CPU = cpu
-		err := c.run(eng, reqs[i], &boxes[i])
+		err := c.dispatch(eng, reqs[i], reload, &boxes[i])
 		out[i] = BatchResult{Report: &boxes[i].Report, Err: err}
 	}
 	return out
 }
 
-// interpEngine runs a program on the interpreter.
-type interpEngine struct {
+// codeEngine runs one engine's Code on the shared machine: the
+// interpreter and the JIT differ only in the Code they supply.
+type codeEngine struct {
+	name string
 	m    *interp.Machine
-	prog *isa.Program
+	code interp.Code
 }
 
-func (e interpEngine) Name() string { return "interp" }
-func (e interpEngine) Run(env *helpers.Env, opts interp.Options) (uint64, error) {
-	return e.m.Run(e.prog, env, opts)
+func (e codeEngine) Name() string { return e.name }
+func (e codeEngine) Run(env *helpers.Env, opts interp.Options) (uint64, error) {
+	return e.m.RunCode(e.code, env, opts)
 }
 
-// InterpEngine binds a program to the interpreter.
-func InterpEngine(m *interp.Machine, prog *isa.Program) Engine {
-	return interpEngine{m: m, prog: prog}
-}
-
-// jitEngine runs a compiled program on the JIT.
-type jitEngine struct {
-	m *interp.Machine
-	c *jit.Compiled
-}
-
-func (e jitEngine) Name() string { return "jit" }
-func (e jitEngine) Run(env *helpers.Env, opts interp.Options) (uint64, error) {
-	return e.c.Run(e.m, env, opts)
-}
-
-// JITEngine binds a compiled program to the JIT.
-func JITEngine(m *interp.Machine, c *jit.Compiled) Engine {
-	return jitEngine{m: m, c: c}
+// NewEngine binds a program to an engine on the machine: the JIT, which
+// compiles it with cfg, or the interpreter, which decodes it as it runs.
+// Only the JIT's compile can fail.
+func NewEngine(m *interp.Machine, prog *isa.Program, useJIT bool, cfg jit.Config) (Engine, error) {
+	if !useJIT {
+		return codeEngine{name: "interp", m: m, code: interp.Interpreted(prog)}, nil
+	}
+	c, err := jit.Compile(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return codeEngine{name: "jit", m: m, code: c}, nil
 }

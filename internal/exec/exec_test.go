@@ -57,7 +57,7 @@ func TestCoreRunLifecycle(t *testing.T) {
 				t.Errorf("Finish got engineErr = %v", engineErr)
 			}
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +98,14 @@ func TestCoreRunStatsAccumulate(t *testing.T) {
 	}}
 	boom := errors.New("boom")
 	for i := 0; i < 3; i++ {
-		if _, err := c.Run(eng, Request{Program: "a", CPU: 0}); err != nil {
+		if _, err := c.Run(eng, Request{Program: "a", CPU: 0}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	bad := fakeEngine{name: "fake", run: func(env *helpers.Env, opts interp.Options) (uint64, error) {
 		return 0, boom
 	}}
-	if _, err := c.Run(bad, Request{Program: "a", CPU: 1}); !errors.Is(err, boom) {
+	if _, err := c.Run(bad, Request{Program: "a", CPU: 1}, nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	snap := c.Stats.Snapshot()
@@ -130,18 +130,29 @@ func TestCoreRunStatsAccumulate(t *testing.T) {
 	}
 }
 
+// bindEngine binds prog to the JIT or the interpreter.
+func bindEngine(t *testing.T, c *Core, prog *isa.Program, useJIT bool) Engine {
+	t.Helper()
+	eng, err := NewEngine(c.Machine, prog, useJIT, jit.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// bothEngines binds prog to the interpreter and to the JIT.
+func bothEngines(t *testing.T, c *Core, prog *isa.Program) []Engine {
+	return []Engine{bindEngine(t, c, prog, false), bindEngine(t, c, prog, true)}
+}
+
 func TestCoreRunRealEngines(t *testing.T) {
 	prog := &isa.Program{Name: "const42", Type: isa.Tracing, Insns: []isa.Instruction{
 		isa.Mov64Imm(isa.R0, 42),
 		isa.Exit(),
 	}}
 	c := newTestCore()
-	compiled, err := jit.Compile(prog, jit.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []Engine{InterpEngine(c.Machine, prog), JITEngine(c.Machine, compiled)} {
-		rep, err := c.Run(eng, Request{Program: prog.Name})
+	for _, eng := range bothEngines(t, c, prog) {
+		rep, err := c.Run(eng, Request{Program: prog.Name}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -166,12 +177,8 @@ func TestCoreHelperCounting(t *testing.T) {
 		isa.Mov64Imm(isa.R0, 0),
 		isa.Exit(),
 	}}
-	compiled, err := jit.Compile(prog, jit.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []Engine{InterpEngine(c.Machine, prog), JITEngine(c.Machine, compiled)} {
-		rep, err := c.Run(eng, Request{Program: prog.Name})
+	for _, eng := range bothEngines(t, c, prog) {
+		rep, err := c.Run(eng, Request{Program: prog.Name}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -202,12 +209,8 @@ func TestCoreTailCall(t *testing.T) {
 		isa.Mov64Imm(isa.R0, 1), // only reached if the tail call fails
 		isa.Exit(),
 	}}
-	compiled, err := jit.Compile(caller, jit.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []Engine{InterpEngine(c.Machine, caller), JITEngine(c.Machine, compiled)} {
-		rep, err := c.Run(eng, Request{Program: caller.Name, ProgArray: []*isa.Program{target}})
+	for _, eng := range bothEngines(t, c, caller) {
+		rep, err := c.Run(eng, Request{Program: caller.Name, ProgArray: []*isa.Program{target}}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -227,7 +230,7 @@ func TestCoreExitAuditRefLeak(t *testing.T) {
 		env.Ctx.TrackRef(sock.Ref())
 		return 0, nil
 	}}
-	rep, err := c.Run(eng, Request{Program: "leaker"})
+	rep, err := c.Run(eng, Request{Program: "leaker"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestCoreExitAuditRCUImbalance(t *testing.T) {
 		c.K.RCU().ReadLock(env.Ctx) // nested lock never released
 		return 0, nil
 	}}
-	rep, err := c.Run(eng, Request{Program: "nester"})
+	rep, err := c.Run(eng, Request{Program: "nester"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"kex/internal/ebpf/helpers"
 	"kex/internal/ebpf/interp"
 	"kex/internal/ebpf/isa"
-	"kex/internal/ebpf/jit"
 	"kex/internal/ebpf/maps"
 	"kex/internal/kernel"
 )
@@ -41,13 +40,10 @@ func newAllocsFixture(t *testing.T) (*Core, Engine, uint64) {
 	if err := interp.Relocate(insns, c.Maps); err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := jit.Compile(&isa.Program{Name: "allocs", Type: isa.Tracing, Insns: insns}, jit.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := bindEngine(t, c, &isa.Program{Name: "allocs", Type: isa.Tracing, Insns: insns}, true)
 	ctx := c.K.Mem.Map(8, kernel.ProtRW, "ctx")
 	c.K.Mem.StoreUint(ctx.Base, 4, 2)
-	return c, JITEngine(c.Machine, compiled), ctx.Base
+	return c, eng, ctx.Base
 }
 
 // TestCoreRunAllocs pins the fixed cost of one invocation: the run frame,
@@ -60,7 +56,7 @@ func TestCoreRunAllocs(t *testing.T) {
 	c, eng, ctx := newAllocsFixture(t)
 	req := Request{Program: "allocs", CPU: 1, CtxAddr: ctx}
 	run := func() {
-		rep, err := c.Run(eng, req)
+		rep, err := c.Run(eng, req, nil)
 		if err != nil || rep.HelperCalls.Total() != 2 || len(rep.ExitOopses) != 0 {
 			t.Fatalf("run: err=%v report=%+v", err, rep)
 		}
@@ -81,7 +77,7 @@ func TestCoreRunAllocsLateSlot(t *testing.T) {
 	}
 	c, eng, ctx := newAllocsFixture(t)
 	// Give the fixture's helpers their slots before the filler names.
-	if _, err := c.Run(eng, Request{Program: "allocs", CPU: 1, CtxAddr: ctx}); err != nil {
+	if _, err := c.Run(eng, Request{Program: "allocs", CPU: 1, CtxAddr: ctx}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var filler helpers.Calls
@@ -93,14 +89,10 @@ func TestCoreRunAllocsLateSlot(t *testing.T) {
 		Impl: func(*helpers.Env, [5]uint64) (uint64, error) { return 0, nil },
 	})
 	insns := []isa.Instruction{isa.Call(int32(late)), isa.Exit()}
-	compiled, err := jit.Compile(&isa.Program{Name: "late", Type: isa.Tracing, Insns: insns}, jit.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lateEng := JITEngine(c.Machine, compiled)
+	lateEng := bindEngine(t, c, &isa.Program{Name: "late", Type: isa.Tracing, Insns: insns}, true)
 	req := Request{Program: "late", CPU: 1, CtxAddr: ctx}
 	run := func() {
-		rep, err := c.Run(lateEng, req)
+		rep, err := c.Run(lateEng, req, nil)
 		if err != nil || rep.HelperCalls.Get("late_slot_probe") != 1 || len(rep.HelperCalls) <= 16 {
 			t.Fatalf("run: err=%v calls=%d slots=%d", err, rep.HelperCalls.Get("late_slot_probe"), len(rep.HelperCalls))
 		}
@@ -117,18 +109,17 @@ func TestRunBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race")
 	}
-	c, eng, ctx := newAllocsFixture(t)
-	reqs := make([]Request, 16)
-	for i := range reqs {
-		reqs[i] = Request{Program: "allocs", CtxAddr: ctx}
-	}
-	sup := NewSupervisor(c, SupervisorConfig{})
-	for name, batch := range map[string]func() []BatchResult{
-		"core":       func() []BatchResult { return c.RunBatch(eng, 1, reqs) },
-		"supervisor": func() []BatchResult { return sup.RunBatch(eng, 1, reqs, nil) },
-	} {
+	for _, name := range []string{"core", "supervisor"} {
+		c, eng, ctx := newAllocsFixture(t)
+		if name == "supervisor" {
+			c.Supervise(SupervisorConfig{})
+		}
+		reqs := make([]Request, 16)
+		for i := range reqs {
+			reqs[i] = Request{Program: "allocs", CtxAddr: ctx}
+		}
 		run := func() {
-			for _, res := range batch() {
+			for _, res := range c.RunBatch(eng, 1, reqs, nil) {
 				if res.Err != nil || res.Report.HelperCalls.Total() != 2 {
 					t.Fatalf("%s: err=%v report=%+v", name, res.Err, res.Report)
 				}
@@ -177,7 +168,7 @@ func TestRunFrameHygiene(t *testing.T) {
 	var fresh frameView
 	{
 		c := newTestCore()
-		if _, err := c.Run(clean, Request{Program: "p", CPU: 1, Setup: func(env *helpers.Env) { fresh = viewFrame(env) }}); err != nil {
+		if _, err := c.Run(clean, Request{Program: "p", CPU: 1, Setup: func(env *helpers.Env) { fresh = viewFrame(env) }}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +197,7 @@ func TestRunFrameHygiene(t *testing.T) {
 			}
 			return 0, nil
 		}}
-		rep, err := c.Run(dirty, Request{Program: "p", CPU: 1, Scratch: "req"})
+		rep, err := c.Run(dirty, Request{Program: "p", CPU: 1, Scratch: "req"}, nil)
 		if _, died := err.(kernel.KernelPanic); died != panicOnOops {
 			t.Fatalf("panicOnOops=%v: run 1 err = %v", panicOnOops, err)
 		}
@@ -215,7 +206,7 @@ func TestRunFrameHygiene(t *testing.T) {
 		}
 
 		var got frameView
-		if _, err := c.Run(clean, Request{Program: "p", CPU: 1, Setup: func(env *helpers.Env) { got = viewFrame(env) }}); err != nil {
+		if _, err := c.Run(clean, Request{Program: "p", CPU: 1, Setup: func(env *helpers.Env) { got = viewFrame(env) }}, nil); err != nil {
 			t.Fatalf("panicOnOops=%v: run 2: %v", panicOnOops, err)
 		}
 		if got != fresh {
@@ -235,7 +226,7 @@ func TestExitOopsesAfterLongLog(t *testing.T) {
 		env.Ctx.TrackRef(env.K.Refs().New("leaked", nil))
 		return 0, nil
 	}}
-	rep, err := c.Run(leak, Request{Program: "p"})
+	rep, err := c.Run(leak, Request{Program: "p"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +234,7 @@ func TestExitOopsesAfterLongLog(t *testing.T) {
 		t.Fatalf("ExitOopses = %v, want the one reference leak", rep.ExitOopses)
 	}
 	clean := fakeEngine{name: "fake", run: func(*helpers.Env, interp.Options) (uint64, error) { return 0, nil }}
-	if rep, err := c.Run(clean, Request{Program: "p"}); err != nil || rep.ExitOopses != nil {
+	if rep, err := c.Run(clean, Request{Program: "p"}, nil); err != nil || rep.ExitOopses != nil {
 		t.Fatalf("clean run: err=%v ExitOopses=%v", err, rep.ExitOopses)
 	}
 }
@@ -263,7 +254,7 @@ func TestCoreRunConcurrentSameCPU(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
-				rep, err := c.Run(eng, Request{Program: "allocs", CPU: 0, CtxAddr: ctx})
+				rep, err := c.Run(eng, Request{Program: "allocs", CPU: 0, CtxAddr: ctx}, nil)
 				if err != nil || rep.HelperCalls.Get("bpf_map_lookup_elem") != 1 || len(rep.ExitOopses) != 0 {
 					t.Errorf("run: err=%v report=%+v", err, rep)
 					return

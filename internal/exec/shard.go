@@ -45,8 +45,8 @@ type Batch struct {
 	Engine Engine
 	// Reqs are the invocations; each request's CPU is forced to the shard's.
 	Reqs []Request
-	// Reload, for supervised executors, is the recovery-probe reload hook
-	// (see Supervisor.Run). Ignored when the executor has no supervisor.
+	// Reload is the recovery-probe reload hook the supervisor's gate calls
+	// (see Core.Run). Ignored while the core is unsupervised.
 	Reload Reload
 	// Done, when set, receives the batch's results on the shard worker
 	// goroutine after the batch completes. It must not block the worker
@@ -68,7 +68,6 @@ type Batch struct {
 // without queueing on shared locks.
 type Sharded struct {
 	core *Core
-	sup  *Supervisor // nil for unsupervised executors
 	conc ConcMode
 
 	rings []chan Batch
@@ -92,12 +91,12 @@ type Sharded struct {
 	closed  bool
 }
 
-// NewSharded starts the shard workers over a core. A non-nil supervisor
-// routes every batch through its gate, making the circuit breaker the
-// shared admission control of all shards. Close must be called to stop
-// the workers.
-func NewSharded(core *Core, sup *Supervisor, cfg ShardedConfig) *Sharded {
-	ncpu := len(core.K.CPUs())
+// NewSharded starts the shard workers over the core. Every batch runs
+// through Core.RunBatch, so once the core is supervised its circuit
+// breaker is the shared admission control of all shards. Close must be
+// called to stop the workers.
+func (c *Core) NewSharded(cfg ShardedConfig) *Sharded {
+	ncpu := len(c.K.CPUs())
 	if cfg.Shards <= 0 || cfg.Shards > ncpu {
 		cfg.Shards = ncpu
 	}
@@ -105,8 +104,7 @@ func NewSharded(core *Core, sup *Supervisor, cfg ShardedConfig) *Sharded {
 		cfg.RingSize = 64
 	}
 	s := &Sharded{
-		core:  core,
-		sup:   sup,
+		core:  c,
 		conc:  cfg.Conc,
 		rings: make([]chan Batch, cfg.Shards),
 		busy:  make([]atomic.Int64, cfg.Shards),
@@ -126,12 +124,7 @@ func NewSharded(core *Core, sup *Supervisor, cfg ShardedConfig) *Sharded {
 func (s *Sharded) worker(cpu int) {
 	defer s.wg.Done()
 	for b := range s.rings[cpu] {
-		var results []BatchResult
-		if s.sup != nil {
-			results = s.sup.RunBatch(b.Engine, cpu, b.Reqs, b.Reload)
-		} else {
-			results = s.core.RunBatch(b.Engine, cpu, b.Reqs)
-		}
+		results := s.core.RunBatch(b.Engine, cpu, b.Reqs, b.Reload)
 		var consumed int64
 		for _, r := range results {
 			if r.Report != nil {

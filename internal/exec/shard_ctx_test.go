@@ -23,7 +23,7 @@ func TestShardedSubmitWaitDeadline(t *testing.T) {
 		env.Ctx.Tick(1)
 		return 0, nil
 	}}
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 1, RingSize: 1})
+	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 1})
 	defer sh.Close()
 
 	// The worker picks up the first batch and wedges inside the engine.
@@ -73,7 +73,7 @@ func TestShardedFlushDeadline(t *testing.T) {
 		env.Ctx.Tick(1)
 		return 0, nil
 	}}
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 1, RingSize: 4})
+	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 4})
 	defer sh.Close()
 	if err := sh.SubmitWait(0, Batch{Engine: eng, Reqs: []Request{{Program: "w"}}}); err != nil {
 		t.Fatal(err)

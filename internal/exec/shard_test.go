@@ -22,7 +22,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Program: "p", CPU: 99} // CPU must be overridden
 	}
-	results := c.RunBatch(eng, 2, reqs)
+	results := c.RunBatch(eng, 2, reqs, nil)
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -55,7 +55,7 @@ func TestShardedExecutesAcrossShards(t *testing.T) {
 		ran[env.Ctx.CPUID].Add(1)
 		return 0, nil
 	}}
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 4, RingSize: 8})
+	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 8})
 	defer sh.Close()
 	if sh.Shards() != 4 {
 		t.Fatalf("shards = %d", sh.Shards())
@@ -109,7 +109,7 @@ func TestShardedBackpressureAndClose(t *testing.T) {
 		<-block
 		return 0, nil
 	}}
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 1, RingSize: 1})
+	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 1})
 	// First batch occupies the worker, second fills the ring; the third
 	// non-blocking submit must bounce.
 	if err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: "p"}}}); err != nil {
@@ -151,7 +151,7 @@ func TestShardedCloseWithBlockedSubmitWait(t *testing.T) {
 		<-block
 		return 0, nil
 	}}
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 1, RingSize: 1})
+	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 1})
 	// First batch occupies the worker; the second (SubmitWait blocks until
 	// the worker dequeues the first) fills the ring's single slot.
 	if err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: "p"}}}); err != nil {
@@ -193,7 +193,7 @@ func TestShardedFullRingFlushWake(t *testing.T) {
 		env.Ctx.Tick(1)
 		return 0, nil
 	}}
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 1, RingSize: 1})
+	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 1})
 	defer sh.Close()
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
@@ -226,13 +226,13 @@ func TestShardedFullRingFlushWake(t *testing.T) {
 
 func TestShardedInvalidShard(t *testing.T) {
 	c := newTestCore()
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 2})
+	sh := c.NewSharded(ShardedConfig{Shards: 2})
 	defer sh.Close()
 	if err := sh.Submit(7, Batch{}); err == nil || errors.Is(err, ErrRingFull) {
 		t.Fatalf("submit to shard 7 of 2 = %v", err)
 	}
 	// Shard count clamps to the kernel's CPUs.
-	sh2 := NewSharded(c, nil, ShardedConfig{Shards: 64})
+	sh2 := c.NewSharded(ShardedConfig{Shards: 64})
 	defer sh2.Close()
 	if sh2.Shards() != len(c.K.CPUs()) {
 		t.Fatalf("shards = %d, want %d", sh2.Shards(), len(c.K.CPUs()))
@@ -257,7 +257,7 @@ func TestShardedWatchdogPerShard(t *testing.T) {
 		}
 		return 1, nil
 	}}
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 4, RingSize: 64})
+	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 64})
 	defer sh.Close()
 	var mu sync.Mutex
 	var errs []error
@@ -287,7 +287,7 @@ func TestShardedWatchdogPerShard(t *testing.T) {
 	}
 	mu.Unlock()
 	// A genuinely over-budget run still trips.
-	if _, err := c.Run(eng, Request{Program: "p", CPU: 0, WatchdogNs: 50}); !errors.Is(err, wd) {
+	if _, err := c.Run(eng, Request{Program: "p", CPU: 0, WatchdogNs: 50}, nil); !errors.Is(err, wd) {
 		t.Fatalf("over-budget run = %v, want watchdog", err)
 	}
 }
@@ -302,7 +302,7 @@ func TestShardedStatsConcurrent(t *testing.T) {
 		env.MapOps++
 		return 0, nil
 	}}
-	sh := NewSharded(c, nil, ShardedConfig{Shards: 4, RingSize: 16})
+	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 16})
 	const batches, per = 25, 4
 	var wg sync.WaitGroup
 	for cpu := 0; cpu < 4; cpu++ {

@@ -92,7 +92,8 @@ func DefaultSupervisorConfig() SupervisorConfig {
 // error re-quarantines immediately.
 type Reload func() error
 
-// Supervisor wraps Core.Run with per-program fault containment: a circuit
+// Supervisor is the core's gate, installed by Core.Supervise: per-program
+// fault containment on every dispatch through the core, with a circuit
 // breaker (TripThreshold faults in the last Window runs → quarantine),
 // deterministic exponential backoff with jittered recovery probes, and
 // graceful degradation for dispatches that arrive while a program is
@@ -105,7 +106,7 @@ type Supervisor struct {
 
 	mu    sync.Mutex
 	progs map[string]*progHealth
-	// notify queues trip notifications recorded under mu; Run flushes them
+	// notify queues trip notifications recorded under mu; gate flushes them
 	// to the OnTrip hook after releasing the lock. queued mirrors
 	// len(notify), so a dispatch with nothing queued skips the lock.
 	notify []tripNote
@@ -115,7 +116,7 @@ type Supervisor struct {
 	// goroutine) whenever a program transitions into StateQuarantined or
 	// StateDetached — the seam a hot-swap layer uses to trigger rollback
 	// the moment a freshly attached version trips. The hook must not block
-	// for long and must not dispatch through this supervisor.
+	// for long and must not dispatch through the supervised core.
 	onTrip atomic.Pointer[func(program string, to State)]
 }
 
@@ -171,9 +172,9 @@ type progHealth struct {
 	probing bool
 }
 
-// NewSupervisor builds a supervisor over the core. Zero-value config fields
+// newSupervisor builds a supervisor over the core. Zero-value config fields
 // fall back to DefaultSupervisorConfig.
-func NewSupervisor(core *Core, cfg SupervisorConfig) *Supervisor {
+func newSupervisor(core *Core, cfg SupervisorConfig) *Supervisor {
 	def := DefaultSupervisorConfig()
 	if cfg.Window <= 0 {
 		cfg.Window = def.Window
@@ -240,21 +241,13 @@ func jitterSeed(seed uint64, program string) uint64 {
 	return h
 }
 
-// Run dispatches one invocation through the supervisor gate. Quarantined
-// and detached programs never reach Core.Run: the dispatch is denied,
+// gate dispatches one invocation through the supervisor. Quarantined and
+// detached programs never reach the lifecycle: the dispatch is denied,
 // accounted, and answered per the degradation policy. When a quarantine's
 // backoff has expired the dispatch becomes a recovery probe — reload first
 // (re-verify / re-validate), then one real run whose outcome decides
-// between recovery and a longer quarantine. The caller owns the returned
-// Report.
-func (s *Supervisor) Run(eng Engine, req Request, reload Reload) (*Report, error) {
-	box := new(reportBox)
-	err := s.run(eng, req, reload, box)
-	return &box.Report, err
-}
-
-// run is Run writing its report into box.
-func (s *Supervisor) run(eng Engine, req Request, reload Reload, box *reportBox) error {
+// between recovery and a longer quarantine.
+func (s *Supervisor) gate(eng Engine, req Request, reload Reload, box *reportBox) error {
 	// Trip notifications queue under mu on every path below; deliver them
 	// once all locks are released, whatever way the dispatch returns.
 	defer s.flushTrips()
@@ -285,7 +278,7 @@ func (s *Supervisor) run(eng Engine, req Request, reload Reload, box *reportBox)
 				s.core.Stats.recordProbeFailure(req.Program, err)
 				s.mu.Lock()
 				st.probing = false
-				s.requarantine(st, req.Program)
+				s.trip(st, req.Program)
 				s.mu.Unlock()
 				s.deny(eng, req.Program, box)
 				return fmt.Errorf("exec: recovery reload of %q failed: %w", req.Program, err)
@@ -304,22 +297,6 @@ func (s *Supervisor) run(eng Engine, req Request, reload Reload, box *reportBox)
 	rep.Supervision = string(st.state)
 	s.mu.Unlock()
 	return err
-}
-
-// RunBatch dispatches a batch through the supervisor gate on one CPU.
-// Every request passes the gate individually, so a trip mid-batch denies
-// the remainder of the batch exactly as it would deny fresh dispatches.
-// Like Core.RunBatch it allocates the batch's reports in one slab; the
-// caller owns every returned Report.
-func (s *Supervisor) RunBatch(eng Engine, cpu int, reqs []Request, reload Reload) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	boxes := make([]reportBox, len(reqs))
-	for i := range reqs {
-		reqs[i].CPU = cpu
-		err := s.run(eng, reqs[i], reload, &boxes[i])
-		out[i] = BatchResult{Report: &boxes[i].Report, Err: err}
-	}
-	return out
 }
 
 // deny answers a dispatch without running the program.
@@ -341,7 +318,7 @@ func (s *Supervisor) deny(eng Engine, program string, box *reportBox) error {
 
 // observe folds one run outcome into the breaker state. Caller holds mu.
 // probe is true only for the dispatch that claimed the recovery probe in
-// Run — a late completion of a run admitted before the trip must not be
+// gate — a late completion of a run admitted before the trip must not be
 // mistaken for the probe's verdict.
 func (s *Supervisor) observe(st *progHealth, program string, fault, probe bool) {
 	if fault {
@@ -353,7 +330,7 @@ func (s *Supervisor) observe(st *progHealth, program string, fault, probe bool) 
 		st.probing = false
 		if fault {
 			s.core.Stats.recordProbeFailure(program, nil)
-			s.requarantine(st, program)
+			s.trip(st, program)
 			return
 		}
 		s.transition(st, program, StateRecovered)
@@ -397,22 +374,11 @@ func (s *Supervisor) observe(st *progHealth, program string, fault, probe bool) 
 }
 
 // trip opens the breaker: detach permanently when the trip budget is
-// spent, else quarantine with exponentially longer, jittered backoff.
+// spent, else quarantine with exponentially longer, jittered backoff. A
+// failed recovery probe (or reload) trips again from quarantine, so its
+// "quarantined->quarantined" transition row makes failed probes visible
+// in stats.
 func (s *Supervisor) trip(st *progHealth, program string) {
-	st.trips++
-	if s.cfg.MaxTrips > 0 && st.trips >= s.cfg.MaxTrips {
-		s.transition(st, program, StateDetached)
-		return
-	}
-	st.backoff = s.backoffFor(st)
-	st.until = s.core.K.Clock.Now() + st.backoff
-	s.transition(st, program, StateQuarantined)
-}
-
-// requarantine handles a failed recovery probe (or reload): one more trip,
-// doubled backoff. The "quarantined->quarantined" transition row makes
-// failed probes visible in stats.
-func (s *Supervisor) requarantine(st *progHealth, program string) {
 	st.trips++
 	if s.cfg.MaxTrips > 0 && st.trips >= s.cfg.MaxTrips {
 		s.transition(st, program, StateDetached)

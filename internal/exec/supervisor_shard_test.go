@@ -23,7 +23,7 @@ func TestSupervisorConcurrentTrip(t *testing.T) {
 		faults.Add(1)
 		return 0, errBoom
 	}}
-	sup := NewSupervisor(c, SupervisorConfig{
+	sup := c.Supervise(SupervisorConfig{
 		Window:        8,
 		TripThreshold: 2,
 		BaseBackoffNs: 1 << 40, // far beyond what the runs advance: no probes
@@ -31,7 +31,7 @@ func TestSupervisorConcurrentTrip(t *testing.T) {
 		Policy:        DegradeFallback,
 		FallbackR0:    99,
 	})
-	sh := NewSharded(c, sup, ShardedConfig{Shards: 4, RingSize: 32})
+	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 32})
 	var wg sync.WaitGroup
 	for cpu := 0; cpu < 4; cpu++ {
 		wg.Add(1)
@@ -105,7 +105,7 @@ func TestSupervisorLateCompletionDuringQuarantine(t *testing.T) {
 		env.Ctx.Tick(1)
 		return 1, nil
 	}}
-	sup := NewSupervisor(c, SupervisorConfig{
+	sup := c.Supervise(SupervisorConfig{
 		Window:        8,
 		TripThreshold: 2,
 		BaseBackoffNs: 1 << 30,
@@ -121,7 +121,7 @@ func TestSupervisorLateCompletionDuringQuarantine(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, lateErrs[i] = sup.Run(late, Request{Program: "p", CPU: i + 1}, nil)
+			_, lateErrs[i] = c.Run(late, Request{Program: "p", CPU: i + 1}, nil)
 		}(i)
 	}
 	<-started
@@ -129,7 +129,7 @@ func TestSupervisorLateCompletionDuringQuarantine(t *testing.T) {
 
 	// Trip the breaker on another shard while both late runs are in flight.
 	for i := 0; i < 2; i++ {
-		if _, err := sup.Run(failing, Request{Program: "p", CPU: 0}, nil); err == nil {
+		if _, err := c.Run(failing, Request{Program: "p", CPU: 0}, nil); err == nil {
 			t.Fatal("faulty run did not error")
 		}
 	}
@@ -166,7 +166,7 @@ func TestSupervisorLateCompletionDuringQuarantine(t *testing.T) {
 	// The breaker itself still works: once the backoff really expires the
 	// next dispatch is the probe and its success recovers the program.
 	c.K.Clock.Advance(1 << 33)
-	if _, err := sup.Run(ok, Request{Program: "p", CPU: 0}, nil); err != nil {
+	if _, err := c.Run(ok, Request{Program: "p", CPU: 0}, nil); err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
 	if st := sup.State("p"); st != StateRecovered {
@@ -197,7 +197,7 @@ func TestSupervisorProbeSingleFlight(t *testing.T) {
 		}
 		return 1, nil
 	}}
-	sup := NewSupervisor(c, SupervisorConfig{
+	sup := c.Supervise(SupervisorConfig{
 		Window:        4,
 		TripThreshold: 1,
 		BaseBackoffNs: 1000,
@@ -205,7 +205,7 @@ func TestSupervisorProbeSingleFlight(t *testing.T) {
 		Policy:        DegradeFallback,
 	})
 	// Trip the breaker serially.
-	if _, err := sup.Run(eng, Request{Program: "p"}, nil); err == nil {
+	if _, err := c.Run(eng, Request{Program: "p"}, nil); err == nil {
 		t.Fatal("faulty run did not error")
 	}
 	if st := sup.State("p"); st != StateQuarantined {
@@ -219,7 +219,7 @@ func TestSupervisorProbeSingleFlight(t *testing.T) {
 	var reloads atomic.Uint64
 	reload := func() error { reloads.Add(1); return nil }
 	ranBefore := runs.Load()
-	sh := NewSharded(c, sup, ShardedConfig{Shards: 4, RingSize: 64})
+	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 64})
 	var wg sync.WaitGroup
 	for cpu := 0; cpu < 4; cpu++ {
 		wg.Add(1)

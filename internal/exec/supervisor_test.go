@@ -7,7 +7,6 @@ import (
 	"kex/internal/ebpf/helpers"
 	"kex/internal/ebpf/interp"
 	"kex/internal/ebpf/isa"
-	"kex/internal/ebpf/jit"
 	"kex/internal/kernel"
 )
 
@@ -33,18 +32,9 @@ func TestKernelPanicPropagation(t *testing.T) {
 				isa.Call(int32(id)),
 				isa.Exit(),
 			}}
-			var eng Engine
-			if kind == "interp" {
-				eng = InterpEngine(c.Machine, prog)
-			} else {
-				compiled, err := jit.Compile(prog, jit.Config{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng = JITEngine(c.Machine, compiled)
-			}
+			eng := bindEngine(t, c, prog, kind == "jit")
 
-			rep, err := c.Run(eng, Request{Program: "crash", CPU: 0})
+			rep, err := c.Run(eng, Request{Program: "crash", CPU: 0}, nil)
 			var kp kernel.KernelPanic
 			if !errors.As(err, &kp) {
 				t.Fatalf("run error = %v, want kernel.KernelPanic", err)
@@ -70,7 +60,7 @@ func TestKernelPanicPropagation(t *testing.T) {
 				isa.Mov64Imm(isa.R0, 7),
 				isa.Exit(),
 			}}
-			rep2, err2 := c.Run(InterpEngine(c.Machine, ok), Request{Program: "ok"})
+			rep2, err2 := c.Run(bindEngine(t, c, ok, false), Request{Program: "ok"}, nil)
 			if err2 != nil || rep2.R0 != 7 {
 				t.Fatalf("post-panic run: r0=%d err=%v", rep2.R0, err2)
 			}
@@ -96,7 +86,7 @@ func TestFinishRunsOnPanicPath(t *testing.T) {
 			finishRan = true
 			finishErr = engineErr
 		},
-	})
+	}, nil)
 	var kp kernel.KernelPanic
 	if !errors.As(err, &kp) {
 		t.Fatalf("run error = %v, want KernelPanic", err)
@@ -126,7 +116,7 @@ func TestFinishOopsDoesNotMaskRunError(t *testing.T) {
 		Finish: func(env *helpers.Env, rep *Report, engineErr error) {
 			env.K.Oops(kernel.OopsBadAccess, env.Ctx.CPUID, "test: destructor oops")
 		},
-	})
+	}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("run error = %v, want the original engine error", err)
 	}
@@ -176,13 +166,13 @@ func healthyEngine(calls *int) Engine {
 
 func TestSupervisorTripAndDeny(t *testing.T) {
 	c := newTestCore()
-	s := NewSupervisor(c, supCfg())
+	s := c.Supervise(supCfg())
 	var calls int
 	eng := faultyEngine(&calls)
 	req := Request{Program: "p"}
 
 	for i := 0; i < 3; i++ {
-		if _, err := s.Run(eng, req, nil); err == nil {
+		if _, err := c.Run(eng, req, nil); err == nil {
 			t.Fatalf("faulty run %d returned no error", i)
 		}
 	}
@@ -195,7 +185,7 @@ func TestSupervisorTripAndDeny(t *testing.T) {
 
 	// Denied dispatches must not reach the engine and must serve fallback.
 	for i := 0; i < 5; i++ {
-		rep, err := s.Run(eng, req, nil)
+		rep, err := c.Run(eng, req, nil)
 		if err != nil {
 			t.Fatalf("fallback deny returned error: %v", err)
 		}
@@ -219,14 +209,14 @@ func TestSupervisorDetachPolicy(t *testing.T) {
 	c := newTestCore()
 	cfg := supCfg()
 	cfg.Policy = DegradeDetach
-	s := NewSupervisor(c, cfg)
+	c.Supervise(cfg)
 	var calls int
 	eng := faultyEngine(&calls)
 	req := Request{Program: "p"}
 	for i := 0; i < 3; i++ {
-		s.Run(eng, req, nil)
+		c.Run(eng, req, nil)
 	}
-	rep, err := s.Run(eng, req, nil)
+	rep, err := c.Run(eng, req, nil)
 	if !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("deny under DegradeDetach = %v, want ErrQuarantined", err)
 	}
@@ -246,11 +236,11 @@ func TestSupervisorBackoffDeterministic(t *testing.T) {
 		c := newTestCore()
 		cfg := supCfg()
 		cfg.JitterSeed = seed
-		s := NewSupervisor(c, cfg)
+		s := c.Supervise(cfg)
 		var calls int
 		eng := faultyEngine(&calls)
 		for i := 0; i < 3; i++ {
-			s.Run(eng, Request{Program: "p"}, nil)
+			c.Run(eng, Request{Program: "p"}, nil)
 		}
 		return s, c, s.BackoffNs("p")
 	}
@@ -274,7 +264,7 @@ func TestSupervisorBackoffDeterministic(t *testing.T) {
 	s, c, first := tripOnce(0xfeed)
 	c.K.Clock.Advance(first + 1)
 	var calls int
-	if _, err := s.Run(faultyEngine(&calls), Request{Program: "p"}, nil); err == nil {
+	if _, err := c.Run(faultyEngine(&calls), Request{Program: "p"}, nil); err == nil {
 		t.Fatal("failed probe returned no error")
 	}
 	if calls != 1 {
@@ -292,17 +282,17 @@ func TestSupervisorBackoffDeterministic(t *testing.T) {
 
 func TestSupervisorRecoveryProbe(t *testing.T) {
 	c := newTestCore()
-	s := NewSupervisor(c, supCfg())
+	s := c.Supervise(supCfg())
 	var faultCalls, okCalls, reloads int
 	req := Request{Program: "p"}
 	for i := 0; i < 3; i++ {
-		s.Run(faultyEngine(&faultCalls), req, nil)
+		c.Run(faultyEngine(&faultCalls), req, nil)
 	}
 	backoff := s.BackoffNs("p")
 	reload := func() error { reloads++; return nil }
 
 	// Before the deadline the dispatch is denied and reload never runs.
-	if rep, _ := s.Run(healthyEngine(&okCalls), req, reload); rep.Supervision != "denied" {
+	if rep, _ := c.Run(healthyEngine(&okCalls), req, reload); rep.Supervision != "denied" {
 		t.Fatalf("pre-deadline dispatch = %+v", rep)
 	}
 	if reloads != 0 || okCalls != 0 {
@@ -310,7 +300,7 @@ func TestSupervisorRecoveryProbe(t *testing.T) {
 	}
 
 	c.K.Clock.Advance(backoff + 1)
-	rep, err := s.Run(healthyEngine(&okCalls), req, reload)
+	rep, err := c.Run(healthyEngine(&okCalls), req, reload)
 	if err != nil {
 		t.Fatalf("probe failed: %v", err)
 	}
@@ -321,7 +311,7 @@ func TestSupervisorRecoveryProbe(t *testing.T) {
 		t.Fatalf("probe report supervision = %q, want recovered", rep.Supervision)
 	}
 	// One more clean run promotes back to healthy.
-	if _, err := s.Run(healthyEngine(&okCalls), req, reload); err != nil {
+	if _, err := c.Run(healthyEngine(&okCalls), req, reload); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.State("p"); st != StateHealthy {
@@ -335,15 +325,15 @@ func TestSupervisorRecoveryProbe(t *testing.T) {
 
 func TestSupervisorReloadFailureRequarantines(t *testing.T) {
 	c := newTestCore()
-	s := NewSupervisor(c, supCfg())
+	s := c.Supervise(supCfg())
 	var faultCalls, okCalls int
 	req := Request{Program: "p"}
 	for i := 0; i < 3; i++ {
-		s.Run(faultyEngine(&faultCalls), req, nil)
+		c.Run(faultyEngine(&faultCalls), req, nil)
 	}
 	c.K.Clock.Advance(s.BackoffNs("p") + 1)
 	bad := errors.New("signature no longer valid")
-	rep, err := s.Run(healthyEngine(&okCalls), req, func() error { return bad })
+	rep, err := c.Run(healthyEngine(&okCalls), req, func() error { return bad })
 	if !errors.Is(err, bad) {
 		t.Fatalf("probe error = %v, want the reload failure", err)
 	}
@@ -362,15 +352,15 @@ func TestSupervisorMaxTripsDetaches(t *testing.T) {
 	c := newTestCore()
 	cfg := supCfg()
 	cfg.MaxTrips = 2
-	s := NewSupervisor(c, cfg)
+	s := c.Supervise(cfg)
 	var calls int
 	eng := faultyEngine(&calls)
 	req := Request{Program: "p"}
 	for i := 0; i < 3; i++ {
-		s.Run(eng, req, nil)
+		c.Run(eng, req, nil)
 	}
 	c.K.Clock.Advance(s.BackoffNs("p") + 1)
-	s.Run(eng, req, nil) // failed probe: second trip, budget spent
+	c.Run(eng, req, nil) // failed probe: second trip, budget spent
 	if st := s.State("p"); st != StateDetached {
 		t.Fatalf("state after trip budget spent = %s, want detached", st)
 	}
@@ -378,7 +368,7 @@ func TestSupervisorMaxTripsDetaches(t *testing.T) {
 	// Detachment is permanent: no amount of time re-admits the program.
 	c.K.Clock.Advance(1_000_000_000_000)
 	for i := 0; i < 3; i++ {
-		rep, err := s.Run(eng, req, nil)
+		rep, err := c.Run(eng, req, nil)
 		if err != nil || rep.Supervision != "denied" {
 			t.Fatalf("detached dispatch: rep=%+v err=%v", rep, err)
 		}
@@ -400,14 +390,14 @@ func TestSupervisorDeniedCostExpiresBackoff(t *testing.T) {
 	cfg := supCfg()
 	cfg.BaseBackoffNs = 10_000 // 10 denied dispatches' worth
 	cfg.MaxBackoffNs = 20_000
-	s := NewSupervisor(c, cfg)
+	s := c.Supervise(cfg)
 	var faultCalls, okCalls int
 	req := Request{Program: "p"}
 	for i := 0; i < 3; i++ {
-		s.Run(faultyEngine(&faultCalls), req, nil)
+		c.Run(faultyEngine(&faultCalls), req, nil)
 	}
 	for i := 0; i < 1000 && s.State("p") == StateQuarantined; i++ {
-		s.Run(healthyEngine(&okCalls), req, nil)
+		c.Run(healthyEngine(&okCalls), req, nil)
 	}
 	if st := s.State("p"); st != StateRecovered {
 		t.Fatalf("state = %s, want recovered via denied-cost clock advance", st)

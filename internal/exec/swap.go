@@ -148,8 +148,7 @@ type soakState struct {
 // Swap must not be called from a shard worker goroutine (a Batch.Done
 // hook): it blocks on drains that need the workers to make progress.
 type HotSwap struct {
-	sh  *Sharded
-	sup *Supervisor // nil disables soak monitoring and rollback
+	sh *Sharded
 
 	cur atomic.Pointer[attached]
 
@@ -157,14 +156,10 @@ type HotSwap struct {
 	soak *soakState
 }
 
-// NewHotSwap attaches the initial version to the plane. With a non-nil
-// supervisor the hot-swap layer claims its OnTrip hook.
-func NewHotSwap(sh *Sharded, sup *Supervisor, initial Version) *HotSwap {
-	h := &HotSwap{sh: sh, sup: sup}
+// NewHotSwap attaches the initial version to the plane.
+func NewHotSwap(sh *Sharded, initial Version) *HotSwap {
+	h := &HotSwap{sh: sh}
 	h.cur.Store(newAttached(initial))
-	if sup != nil {
-		sup.OnTrip(h.onTrip)
-	}
 	return h
 }
 
@@ -252,9 +247,14 @@ func (h *HotSwap) endSoak(sk *soakState) bool {
 // the supervisor through the soak window. A trip inside the window rolls
 // back automatically — the report says so; rollback is a resolution, not
 // an error. A ctx expiry mid-drain returns an error wrapping ErrDeadline
-// with the cutover already done.
+// with the cutover already done. Soak monitoring and rollback need the
+// plane's core to be supervised; Swap claims the supervisor's OnTrip hook.
 func (h *HotSwap) Swap(ctx context.Context, next Version, soak SoakConfig) (*SwapReport, error) {
 	na := newAttached(next)
+	sup := h.sh.core.Supervisor()
+	if sup != nil {
+		sup.OnTrip(h.onTrip)
+	}
 	h.mu.Lock()
 	if h.soak != nil && !h.soak.finished {
 		h.mu.Unlock()
@@ -288,7 +288,7 @@ func (h *HotSwap) Swap(ctx context.Context, next Version, soak SoakConfig) (*Swa
 	rep.SwapWallNs = time.Since(wallStart).Nanoseconds()
 	rep.SwapVirtNs = h.sh.core.K.Clock.Now() - virtStart
 
-	if soak.Runs <= 0 || h.sup == nil {
+	if soak.Runs <= 0 || sup == nil {
 		if !h.endSoak(sk) {
 			return h.rollback(ctx, sk, rep)
 		}

@@ -63,12 +63,12 @@ func tickBad(name string) fakeEngine {
 // version or the other. Run under -race.
 func TestHotSwapCleanCutoverUnderTraffic(t *testing.T) {
 	c := newTestCore()
-	sup := NewSupervisor(c, SupervisorConfig{Window: 8, TripThreshold: 4})
-	sh := NewSharded(c, sup, ShardedConfig{Shards: 2, RingSize: 32})
+	c.Supervise(SupervisorConfig{Window: 8, TripThreshold: 4})
+	sh := c.NewSharded(ShardedConfig{Shards: 2, RingSize: 32})
 	var answered, submitted atomic.Int64
 	v1 := mkVersion("fw@d1", "d1", tickOK("v1"), &answered)
 	v2 := mkVersion("fw@d2", "d2", tickOK("v2"), &answered)
-	hs := NewHotSwap(sh, sup, v1)
+	hs := NewHotSwap(sh, v1)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -122,18 +122,18 @@ func TestHotSwapCleanCutoverUnderTraffic(t *testing.T) {
 // records the rollback — with no invocation dropped. Run under -race.
 func TestHotSwapRollbackOnTripDuringSoak(t *testing.T) {
 	c := newTestCore()
-	sup := NewSupervisor(c, SupervisorConfig{
+	sup := c.Supervise(SupervisorConfig{
 		Window:        8,
 		TripThreshold: 2,
 		BaseBackoffNs: 1 << 40, // no probes: the bad version stays down
 		MaxBackoffNs:  1 << 41,
 		Policy:        DegradeFallback,
 	})
-	sh := NewSharded(c, sup, ShardedConfig{Shards: 2, RingSize: 32})
+	sh := c.NewSharded(ShardedConfig{Shards: 2, RingSize: 32})
 	var answered, submitted atomic.Int64
 	v1 := mkVersion("fw@d1", "d1", tickOK("v1"), &answered)
 	v2 := mkVersion("fw@d2", "d2", tickBad("v2"), &answered)
-	hs := NewHotSwap(sh, sup, v1)
+	hs := NewHotSwap(sh, v1)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -193,18 +193,18 @@ func TestHotSwapRollbackOnTripDuringSoak(t *testing.T) {
 // denials — and must not be mistaken for a soak trip. Run under -race.
 func TestHotSwapWhileOldQuarantined(t *testing.T) {
 	c := newTestCore()
-	sup := NewSupervisor(c, SupervisorConfig{
+	sup := c.Supervise(SupervisorConfig{
 		Window:        8,
 		TripThreshold: 2,
 		BaseBackoffNs: 1 << 40,
 		MaxBackoffNs:  1 << 41,
 		Policy:        DegradeFallback,
 	})
-	sh := NewSharded(c, sup, ShardedConfig{Shards: 2, RingSize: 32})
+	sh := c.NewSharded(ShardedConfig{Shards: 2, RingSize: 32})
 	var answered atomic.Int64
 	v1 := mkVersion("fw@d1", "d1", tickBad("v1"), &answered)
 	v2 := mkVersion("fw@d2", "d2", tickOK("v2"), &answered)
-	hs := NewHotSwap(sh, sup, v1)
+	hs := NewHotSwap(sh, v1)
 
 	// Trip the current version first. The trip fires the hot-swap hook with
 	// no soak open; it must be ignored.
@@ -258,8 +258,8 @@ func TestHotSwapWhileOldQuarantined(t *testing.T) {
 // -race.
 func TestHotSwapCutoverMidRunBatch(t *testing.T) {
 	c := newTestCore()
-	sup := NewSupervisor(c, SupervisorConfig{Window: 8, TripThreshold: 4})
-	sh := NewSharded(c, sup, ShardedConfig{Shards: 2, RingSize: 32})
+	c.Supervise(SupervisorConfig{Window: 8, TripThreshold: 4})
+	sh := c.NewSharded(ShardedConfig{Shards: 2, RingSize: 32})
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	var parked atomic.Bool
@@ -274,7 +274,7 @@ func TestHotSwapCutoverMidRunBatch(t *testing.T) {
 	var answered1, answered2 atomic.Int64
 	v1 := mkVersion("fw@d1", "d1", v1eng, &answered1)
 	v2 := mkVersion("fw@d2", "d2", tickOK("v2"), &answered2)
-	hs := NewHotSwap(sh, sup, v1)
+	hs := NewHotSwap(sh, v1)
 
 	// Park shard 0 inside the first request of a 4-request v1 batch.
 	if err := hs.Submit(context.Background(), 0, 4); err != nil {
@@ -333,7 +333,7 @@ func TestHotSwapCutoverMidRunBatch(t *testing.T) {
 // Run under -race.
 func TestHotSwapRollbackRacingRecoveryProbe(t *testing.T) {
 	c := newTestCore()
-	sup := NewSupervisor(c, SupervisorConfig{
+	sup := c.Supervise(SupervisorConfig{
 		Window:        4,
 		TripThreshold: 1,
 		BaseBackoffNs: 2000,
@@ -341,13 +341,13 @@ func TestHotSwapRollbackRacingRecoveryProbe(t *testing.T) {
 		Policy:        DegradeFallback,
 		DeniedCostNs:  1000,
 	})
-	sh := NewSharded(c, sup, ShardedConfig{Shards: 1, RingSize: 32})
+	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 32})
 	var answered1, answered2 atomic.Int64
 	errReload := errors.New("revalidation failed")
 	v1 := mkVersion("fw@d1", "d1", tickOK("v1"), &answered1)
 	v2 := mkVersion("fw@d2", "d2", tickBad("v2"), &answered2)
 	v2.Reload = func() error { return errReload }
-	hs := NewHotSwap(sh, sup, v1)
+	hs := NewHotSwap(sh, v1)
 
 	// Park the single worker behind a plain gate batch so a backlog of
 	// new-version batches can queue before any of them runs.

@@ -103,7 +103,6 @@ type Node struct {
 	tr  Transport
 
 	rt  *runtime.Runtime
-	sup *exec.Supervisor
 	sh  *exec.Sharded
 	ver *registry.Verifier
 
@@ -137,13 +136,12 @@ func NewNode(id int, tr Transport, cfg NodeConfig) *Node {
 	for _, key := range cfg.ToolchainKeys {
 		rt.AddKey(key)
 	}
-	sup := rt.Supervise(cfg.Supervisor)
+	rt.Supervise(cfg.Supervisor)
 	n := &Node{
 		ID:     id,
 		cfg:    cfg,
 		tr:     tr,
 		rt:     rt,
-		sup:    sup,
 		sh:     rt.NewSharded(exec.ShardedConfig{Shards: cfg.NumCPU, RingSize: cfg.RingSize, Conc: cfg.Conc}),
 		ver:    registry.NewVerifier(),
 		jitter: rng.Star(cfg.Seed | 1),
@@ -406,7 +404,7 @@ func (n *Node) versionFor(name, digest string, ext *runtime.Extension) exec.Vers
 func (n *Node) apply(ctx context.Context, v exec.Version) error {
 	hs := n.hs.Load()
 	if hs == nil {
-		n.hs.Store(exec.NewHotSwap(n.sh, n.sup, v))
+		n.hs.Store(exec.NewHotSwap(n.sh, v))
 		return nil
 	}
 	if hs.Current().Digest == v.Digest {
@@ -484,7 +482,7 @@ func (n *Node) LastSwap() *exec.SwapReport {
 }
 
 // Supervisor exposes the node's breaker for state assertions.
-func (n *Node) Supervisor() *exec.Supervisor { return n.sup }
+func (n *Node) Supervisor() *exec.Supervisor { return n.rt.Supervisor() }
 
 // Runtime exposes the node's safext runtime.
 func (n *Node) Runtime() *runtime.Runtime { return n.rt }

@@ -35,14 +35,7 @@ fn main() -> i64 {
 		}
 		run := func() {
 			p := ext.Prepare(RunOptions{CPU: 1})
-			var rep *exec.Report
-			var err error
-			if supervised {
-				rep, err = f.rt.sup.Run(ext.Engine(), p.Request(), ext.Revalidate())
-			} else {
-				rep, err = f.rt.Core.Run(ext.Engine(), p.Request())
-			}
-			v, err := p.Finish(rep, err)
+			v, err := p.Finish(f.rt.Core.Run(ext.Engine(), p.Request(), ext.Revalidate()))
 			if err != nil || !v.Completed {
 				t.Fatalf("supervised=%v: verdict %+v err %v", supervised, v, err)
 			}

@@ -67,8 +67,10 @@ func DefaultConfig() Config {
 }
 
 // Runtime hosts safext extensions on one simulated kernel. It shares the
-// execution core (registries, engines, exec.Stats) with the eBPF stack's
-// architecture, layering signature validation and trusted cleanup on top.
+// execution core (registries, engines, exec.Stats, supervision) with the
+// eBPF stack's architecture, layering signature validation and trusted
+// cleanup on top. Core.Supervise puts the runtime's extensions under the
+// circuit breaker; their recovery probe re-validates the signature.
 type Runtime struct {
 	*exec.Core
 	Cfg Config
@@ -81,8 +83,6 @@ type Runtime struct {
 	locks map[uint64]*kernel.SpinLock
 
 	stats runtimeStats
-
-	sup *exec.Supervisor
 }
 
 // Stats counts the runtime's safety interventions. Snapshot it with
@@ -157,18 +157,6 @@ func New(k *kernel.Kernel, cfg Config) *Runtime {
 func (rt *Runtime) AddKey(pub ed25519.PublicKey) {
 	rt.keyring = append(rt.keyring, pub)
 }
-
-// Supervise wraps every subsequent Extension.Run in an exec.Supervisor:
-// faulting extensions are quarantined with exponential backoff and must
-// re-validate their signature before a recovery probe. It returns the
-// supervisor for state inspection.
-func (rt *Runtime) Supervise(cfg exec.SupervisorConfig) *exec.Supervisor {
-	rt.sup = exec.NewSupervisor(rt.Core, cfg)
-	return rt.sup
-}
-
-// Supervisor returns the runtime's supervisor, nil when unsupervised.
-func (rt *Runtime) Supervisor() *exec.Supervisor { return rt.sup }
 
 // lockAt returns the persistent spin lock guarding the given address.
 // Cleanup runs on shard workers, so the table is mutex-guarded.
@@ -346,15 +334,11 @@ func (rt *Runtime) install(obj *compile.Object) (*Extension, error) {
 	if err := ext.prog.ValidateStructure(); err != nil {
 		return nil, err
 	}
-	if rt.Cfg.UseJIT {
-		c, err := jit.Compile(ext.prog, jit.Config{})
-		if err != nil {
-			return nil, err
-		}
-		ext.engine = exec.JITEngine(rt.Machine, c)
-	} else {
-		ext.engine = exec.InterpEngine(rt.Machine, ext.prog)
+	engine, err := exec.NewEngine(rt.Machine, ext.prog, rt.Cfg.UseJIT, jit.Config{})
+	if err != nil {
+		return nil, err
 	}
+	ext.engine = engine
 	return ext, nil
 }
 
@@ -411,7 +395,7 @@ type RunOptions struct {
 
 // Prepared is one assembled invocation: the execution-core request plus
 // the verdict its completion hook fills. Batch submitters Prepare each
-// invocation, run the Requests through RunBatch or a Sharded plane, then
+// invocation, run the Requests through Core.RunBatch or a Sharded plane, then
 // call Finish with each result to obtain the Verdict. A Prepared serves
 // exactly one dispatch; it is one allocation, holding the run's resource
 // log and its verdict, and the request reaches it through Request.Scratch
@@ -430,19 +414,13 @@ type Prepared struct {
 func (p *Prepared) Request() exec.Request { return p.req }
 
 // Run invokes the extension under full runtime protection, dispatching
-// through the shared execution core. It never returns an error for program
+// through the shared execution core (and its supervisor's gate when the
+// runtime is supervised). It never returns an error for program
 // misbehaviour — misbehaviour is terminated and reported in the Verdict;
 // an error means the runtime itself failed.
 func (ext *Extension) Run(opts RunOptions) (*Verdict, error) {
 	p := ext.Prepare(opts)
-	var rep *exec.Report
-	var runErr error
-	if ext.rt.sup != nil {
-		rep, runErr = ext.rt.sup.Run(ext.engine, p.req, ext.revalidate)
-	} else {
-		rep, runErr = ext.rt.Core.Run(ext.engine, p.req)
-	}
-	return p.Finish(rep, runErr)
+	return p.Finish(ext.rt.Core.Run(ext.engine, p.req, ext.revalidate))
 }
 
 // Prepare assembles one invocation without dispatching it. The returned
@@ -581,39 +559,6 @@ func (p *Prepared) Finish(rep *exec.Report, runErr error) (*Verdict, error) {
 	return v, nil
 }
 
-// BatchVerdict pairs one batched invocation's verdict with its error.
-type BatchVerdict struct {
-	Verdict *Verdict
-	Err     error
-}
-
-// RunBatch invokes the extension once per option set, back-to-back and
-// pinned to one simulated CPU, through the core's batched path (and the
-// supervisor's gate when supervised). It is the unit of work a Sharded
-// worker executes for the safext stack.
-func (ext *Extension) RunBatch(cpu int, opts []RunOptions) []BatchVerdict {
-	preps := make([]*Prepared, len(opts))
-	reqs := make([]exec.Request, len(opts))
-	for i := range opts {
-		o := opts[i]
-		o.CPU = cpu
-		preps[i] = ext.Prepare(o)
-		reqs[i] = preps[i].req
-	}
-	var results []exec.BatchResult
-	if ext.rt.sup != nil {
-		results = ext.rt.sup.RunBatch(ext.engine, cpu, reqs, ext.revalidate)
-	} else {
-		results = ext.rt.Core.RunBatch(ext.engine, cpu, reqs)
-	}
-	out := make([]BatchVerdict, len(results))
-	for i, r := range results {
-		v, err := preps[i].Finish(r.Report, r.Err)
-		out[i] = BatchVerdict{Verdict: v, Err: err}
-	}
-	return out
-}
-
 // Engine exposes the extension's execution engine for direct submission
 // to a Sharded plane; pair it with Prepare and Finish.
 func (ext *Extension) Engine() exec.Engine { return ext.engine }
@@ -621,13 +566,6 @@ func (ext *Extension) Engine() exec.Engine { return ext.engine }
 // Revalidate exposes the supervised recovery reload hook for batched
 // submission (exec.Batch.Reload).
 func (ext *Extension) Revalidate() exec.Reload { return ext.revalidate }
-
-// NewSharded starts a per-CPU sharded data plane over the runtime's core,
-// routed through its supervisor when one is installed. The caller owns
-// the plane and must Close it.
-func (rt *Runtime) NewSharded(cfg exec.ShardedConfig) *exec.Sharded {
-	return exec.NewSharded(rt.Core, rt.sup, cfg)
-}
 
 // revalidate is the supervised recovery reload for the safext stack: the
 // signed object must validate against the current keyring again before a

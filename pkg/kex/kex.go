@@ -190,8 +190,10 @@ type PhaseTimings = exec.PhaseTimings
 
 // Sharded is the per-CPU sharded data plane over a stack's execution
 // core: one submission ring and worker per simulated CPU. Build one with
-// EBPFStack.NewSharded / SafeRuntime.NewSharded, submit Batch values to a
-// shard, and read aggregate progress via Completed/BusyNs/MaxBusyNs.
+// NewSharded on either stack (a method of the core both embed), submit
+// Batch values to a shard, and read aggregate progress via
+// Completed/BusyNs/MaxBusyNs. Batches pass the core's supervisor gate
+// whenever the stack is supervised, even if the plane was built first.
 type Sharded = exec.Sharded
 
 // ShardedConfig sizes the sharded data plane (shard count, ring size).
@@ -211,15 +213,13 @@ var (
 	ErrShardedClosed = exec.ErrShardedClosed
 )
 
-// BatchVerdict pairs one batched safext invocation's verdict with its
-// error (see Extension.RunBatch).
-type BatchVerdict = runtime.BatchVerdict
-
 // ---- supervision and fault injection ----------------------------------------------
 
-// Supervisor wraps a stack's dispatches with a per-program circuit
-// breaker, exponential-backoff quarantine and graceful degradation.
-// Enable with EBPFStack.Supervise / SafeRuntime.Supervise.
+// Supervisor is the gate of a stack's execution core: a per-program
+// circuit breaker, exponential-backoff quarantine and graceful
+// degradation on every dispatch, whether through Run, RunBatch or a
+// Sharded plane. Install it with Supervise on either stack (a method of
+// the core both embed) and read it back with Supervisor.
 type Supervisor = exec.Supervisor
 
 // SupervisorConfig tunes the circuit breaker and recovery schedule.
