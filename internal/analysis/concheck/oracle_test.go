@@ -6,6 +6,7 @@ import (
 
 	"kex/examples/progs"
 	"kex/internal/analysis/concheck/mutants"
+	"kex/internal/analysis/mirrun"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/lang"
 )
@@ -215,7 +216,7 @@ func TestOracleGeneratedSweep(t *testing.T) {
 	for _, kind := range kinds {
 		for v := 0; v < variants; v++ {
 			name := fmt.Sprintf("sweep_%s_%d", kind, v)
-			src := sweepProgram(kind, oMix(oracleSeed, oHashStr(kind), uint64(v)))
+			src := sweepProgram(kind, mirrun.Mix(oracleSeed, mirrun.Hash(kind), uint64(v)))
 			rep, orep := runBoth(t, name, src)
 			assertNoFalseNegatives(t, name, rep, orep)
 			if safe[kind] {

@@ -144,3 +144,20 @@ func TestDirMatching(t *testing.T) {
 		}
 	}
 }
+
+// TestDeterministicCoverage pins the replayable packages the repo-wide
+// configuration must hold to the determinism rule, listed or inherited.
+func TestDeterministicCoverage(t *testing.T) {
+	dirs := DefaultConfig(".").DeterministicDirs
+	for _, rel := range []string{
+		"internal/analysis/mirrun",
+		"internal/analysis/transval",
+		"internal/analysis/concheck",
+		"internal/safext/compile",
+		"internal/safext/compile/mir",
+	} {
+		if !matchDir(rel, dirs) {
+			t.Errorf("%s is not held to the determinism rule", rel)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package transval
 import (
 	"fmt"
 
+	"kex/internal/analysis/mirrun"
 	"kex/internal/safext/compile/mir"
 	"kex/internal/safext/lang"
 )
@@ -39,31 +40,84 @@ func (e effect) String() string {
 	return fmt.Sprintf("%s%v", e.name, e.args)
 }
 
+// outcome is one side's result over one vector: a return (nil stop) or
+// the stop, and the effect log.
+type outcome struct {
+	stop    *mirrun.Stop
+	ret     uint64
+	effects []effect
+}
+
+// kind is the stop kind, or 0 for a return.
+func (o *outcome) kind() int {
+	if o.stop == nil {
+		return 0
+	}
+	return o.stop.Kind
+}
+
+func (o *outcome) verdict() string {
+	switch o.kind() {
+	case 0:
+		return fmt.Sprintf("ret %d", int64(o.ret))
+	case mirrun.StopTrap:
+		return fmt.Sprintf("trap %d", o.stop.Trap)
+	case mirrun.StopFuel:
+		return "fuel exhausted"
+	}
+	return "model error: " + o.stop.Msg
+}
+
+// world is one side of a validation: the reference machine over one
+// lowering plus the kernel state its crate calls observe. Validate binds
+// one world per side and resets it for every vector.
 type world struct {
+	mirrun.Machine
 	seed uint64
 	pal  []uint64
-	fuel int
-	args []uint64 // current activation's parameters
 
 	maps    map[string]map[uint64]uint64 // keyed-map store (writes are logged)
 	occ     map[string]map[uint64]uint64 // per-(map,key) percpu get occurrence
 	seq     map[string]uint64            // per-name volatile call sequence
 	effects []effect
+	out     outcome
+
+	vals, buf []uint64 // scratch: crate operands, pick inputs
 }
 
-func newWorld(seed uint64, pal []uint64, fuel int) *world {
-	return &world{
-		seed: seed,
+func newWorld(funcs map[string]mirrun.Code, pal []uint64) *world {
+	w := &world{
 		pal:  pal,
-		fuel: fuel,
 		maps: make(map[string]map[uint64]uint64),
 		occ:  make(map[string]map[uint64]uint64),
 		seq:  make(map[string]uint64),
 	}
+	w.Funcs = funcs
+	w.Crate = w.crate
+	w.Unchecked = w.unchecked
+	return w
 }
 
-func (w *world) log(name string, args ...uint64) {
-	w.effects = append(w.effects, effect{name: name, args: args})
+// run executes function fn over one input vector from an empty kernel
+// state. The outcome, effect log included, is valid until the next run.
+func (w *world) run(fn string, args []uint64, seed uint64, fuel int) *outcome {
+	w.seed, w.Fuel = seed, fuel
+	for _, mp := range w.maps {
+		clear(mp)
+	}
+	for _, mp := range w.occ {
+		clear(mp)
+	}
+	clear(w.seq)
+	w.effects = w.effects[:0]
+	ret, st := w.Run(fn, args)
+	w.out = outcome{stop: st, ret: ret, effects: w.effects}
+	return &w.out
+}
+
+// log records an effect with a copy of args.
+func (w *world) log(name string, args []uint64) {
+	w.effects = append(w.effects, effect{name: name, args: append([]uint64(nil), args...)})
 }
 
 func (w *world) mapOf(sym string) map[uint64]uint64 {
@@ -77,71 +131,52 @@ func (w *world) mapOf(sym string) map[uint64]uint64 {
 
 // pick is the volatile-value source: palette-biased for realistic
 // branch/bounds coverage, raw for width, deterministic in (seed, inputs).
-func (w *world) pick(inputs ...uint64) uint64 {
-	raw := mix(append([]uint64{w.seed}, inputs...)...)
+func (w *world) pick(a, b uint64, rest ...uint64) uint64 {
+	w.buf = append(append(w.buf[:0], w.seed, a, b), rest...)
+	raw := mirrun.Mix(w.buf...)
 	if raw&3 == 0 {
 		return raw
 	}
 	return w.pal[raw%uint64(len(w.pal))]
 }
 
-// shapeRet matches each crate call's natural result width/shape so model
-// values stay in the range the real helper produces — otherwise every
-// derived array index would trap and coverage would collapse.
-func shapeRet(name string, v uint64) uint64 {
-	switch name {
-	case "pkt_read_u8":
-		return v & 0xff
-	case "pkt_read_u16":
-		return v & 0xffff
-	case "pkt_read_u32":
-		return v & 0xffffffff
-	case "pkt_len":
-		return v%1486 + 14
-	case "cpu":
-		return v & 7
-	case "uid":
-		return v & 0xffff
-	case "sk_lookup_tcp", "sk_lookup_udp", "mem_alloc":
-		return v | 1 // nonzero handle
-	case "sk_ok", "str_eq":
-		return v & 1
-	}
-	return v
-}
-
-func percpuKind(kind string) bool {
-	return kind == "percpu" || kind == "percpu_hash"
+// unchecked models an out-of-range access at a site with no emitted
+// check: an effect, so the divergence is caught even if the poison value
+// never flows to the verdict, and a poison value for a load.
+func (w *world) unchecked(op string, args ...uint64) uint64 {
+	w.log(op, args)
+	w.buf = append(append(w.buf[:0], w.seed, mirrun.Hash(op)), args...)
+	return mirrun.Mix(w.buf...)
 }
 
 // crate models one kernel-crate call. Resolved integer arguments, string
 // hashes, map-name hashes and buffer-content hashes identify the call in
 // the effect log; writable buffers are deterministically overwritten, the
 // same conservative assumption the optimizer makes.
-func (m *machine) crate(fr *frame, in *mir.Insn) (uint64, *stop) {
-	m.w.fuel -= 3 // calls are pricier than ALU steps
-	vals := make([]uint64, len(in.Args))
-	var bufs []int
+func (w *world) crate(fr *mirrun.Frame, in *mir.Insn) (uint64, *mirrun.Stop) {
+	w.Fuel -= 3 // calls are pricier than ALU steps
+	vals := w.vals[:0]
 	for i := range in.Args {
 		a := &in.Args[i]
+		var v uint64
 		switch {
 		case a.IsImm:
-			vals[i] = uint64(a.Imm)
+			v = uint64(a.Imm)
 		case a.Kind == lang.CrateStr:
-			vals[i] = hashStr(a.Str)
+			v = mirrun.Hash(a.Str)
 		case a.Kind == lang.CrateMap:
-			vals[i] = hashStr(a.Sym)
+			v = mirrun.Hash(a.Sym)
 		case a.Kind == lang.CrateBuf:
-			vals[i] = hashBytes(fr.arrs[a.Arr])
-			bufs = append(bufs, a.Arr)
+			v = mirrun.Hash(fr.Arrs[a.Arr])
 		default: // CrateInt, CrateSock
-			v, ok := fr.read(a.V)
-			if !ok {
-				return 0, &stop{kind: stopErr, msg: fmt.Sprintf("crate arg reads unallocated v%d", a.V)}
+			var ok bool
+			if v, ok = fr.Read(a.V); !ok {
+				return 0, &mirrun.Stop{Kind: mirrun.StopErr, Msg: fmt.Sprintf("crate arg reads unallocated v%d", a.V)}
 			}
-			vals[i] = v
 		}
+		vals = append(vals, v)
 	}
+	w.vals = vals
 
 	// Keyed-map calls: stateful store, writes logged.
 	if len(in.Args) > 0 && in.Args[0].Kind == lang.CrateMap {
@@ -149,89 +184,57 @@ func (m *machine) crate(fr *frame, in *mir.Insn) (uint64, *stop) {
 		switch in.Name {
 		case "map_get":
 			if len(vals) < 2 {
-				return 0, &stop{kind: stopErr, msg: "map_get with missing key"}
+				return 0, &mirrun.Stop{Kind: mirrun.StopErr, Msg: "map_get with missing key"}
 			}
 			key := vals[1]
-			if percpuKind(fr.f.MapKinds[sym]) {
-				ko := m.w.occ[sym]
+			if mirrun.PerCPU(fr.F.MapKinds[sym]) {
+				ko := w.occ[sym]
 				if ko == nil {
 					ko = make(map[uint64]uint64)
-					m.w.occ[sym] = ko
+					w.occ[sym] = ko
 				}
 				ko[key]++
-				return m.w.pick(hashStr("percpu-get"), hashStr(sym), key, ko[key]), nil
+				return w.pick(mirrun.Hash("percpu-get"), mirrun.Hash(sym), key, ko[key]), nil
 			}
-			return m.w.mapOf(sym)[key], nil
+			return w.mapOf(sym)[key], nil
 		case "map_set":
 			if len(vals) < 3 {
-				return 0, &stop{kind: stopErr, msg: "map_set with missing args"}
+				return 0, &mirrun.Stop{Kind: mirrun.StopErr, Msg: "map_set with missing args"}
 			}
-			m.w.mapOf(sym)[vals[1]] = vals[2]
-			m.w.log("map_set", vals...)
+			w.mapOf(sym)[vals[1]] = vals[2]
+			w.log("map_set", vals)
 			return 0, nil
 		case "map_del":
 			if len(vals) < 2 {
-				return 0, &stop{kind: stopErr, msg: "map_del with missing key"}
+				return 0, &mirrun.Stop{Kind: mirrun.StopErr, Msg: "map_del with missing key"}
 			}
-			delete(m.w.mapOf(sym), vals[1])
-			m.w.log("map_del", vals...)
+			delete(w.mapOf(sym), vals[1])
+			w.log("map_del", vals)
 			return 0, nil
 		case "map_inc":
 			if len(vals) < 3 {
-				return 0, &stop{kind: stopErr, msg: "map_inc with missing args"}
+				return 0, &mirrun.Stop{Kind: mirrun.StopErr, Msg: "map_inc with missing args"}
 			}
-			mp := m.w.mapOf(sym)
+			mp := w.mapOf(sym)
 			mp[vals[1]] += vals[2]
-			m.w.log("map_inc", vals...)
+			w.log("map_inc", vals)
 			return mp[vals[1]], nil
 		}
 	}
 
 	// Everything else: logged, uninterpreted-but-deterministic result from
 	// a per-name volatile sequence; writable buffers rewritten.
-	m.w.seq[in.Name]++
-	seqNo := m.w.seq[in.Name]
-	m.w.log(in.Name, vals...)
-	for _, arr := range bufs {
-		buf := fr.arrs[arr]
-		for i := range buf {
-			buf[i] = byte(mix(m.w.seed, hashStr(in.Name), seqNo, uint64(i)))
+	name := mirrun.Hash(in.Name)
+	w.seq[in.Name]++
+	seqNo := w.seq[in.Name]
+	w.log(in.Name, vals)
+	for i := range in.Args {
+		if a := &in.Args[i]; !a.IsImm && a.Kind == lang.CrateBuf {
+			buf := fr.Arrs[a.Arr]
+			for j := range buf {
+				buf[j] = byte(mirrun.Mix(w.seed, name, seqNo, uint64(j)))
+			}
 		}
 	}
-	raw := m.w.pick(append([]uint64{hashStr(in.Name), seqNo}, vals...)...)
-	return shapeRet(in.Name, raw), nil
-}
-
-// ---- deterministic hashing --------------------------------------------------
-
-// mix is splitmix64 over a FNV-style accumulation of the inputs.
-func mix(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h ^= v
-		h *= 0x100000001b3
-		z := h + 0x9e3779b97f4a7c15
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		h = z ^ (z >> 31)
-	}
-	return h
-}
-
-func hashStr(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-func hashBytes(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
+	return mirrun.Shape(in.Name, w.pick(name, seqNo, vals...)), nil
 }

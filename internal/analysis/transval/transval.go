@@ -4,21 +4,26 @@
 // build.
 //
 // Instead of trusting the optimizer's passes, each build re-derives the
-// evidence: both sides of every function are executed over the engine's
-// exact wraparound ALU semantics (64-bit two's-complement arithmetic,
-// masked shifts, defined division by zero where no check is emitted) in a
-// shared deterministic model, across a set of boundary-biased input
+// evidence: both sides of every function are executed on the reference
+// MIR machine (internal/analysis/mirrun, which the shard-interleaving
+// oracle also runs on) over the engine's exact wraparound ALU semantics
+// (64-bit two's-complement arithmetic, masked shifts, defined division by
+// zero where no check is emitted), across a set of boundary-biased input
 // vectors derived from the program's own constants and from an abstract
 // pre-pass over the interval+known-bits domain of internal/safext/analyze
-// (widened at loop headers). The optimized side executes *through* its
-// register allocation — virtual registers resolve to the four callee-saved
-// registers or spill slots — so a register-allocation bug is as observable
-// as a wrong fold. Refinement holds for a vector when both sides produce
-// the same verdict (return value or trap code) and the same ordered
-// observable-effect sequence (map writes, emits, locks, traces, every
-// other crate call); exploration is bounded per vector, and a vector where
-// both sides exhaust the budget with matching effect prefixes counts as a
-// bounded pass.
+// (widened at loop headers). This package supplies the machine's world:
+// the effect log, palette-drawn crate results and percpu volatile
+// streams. The optimized side executes *through* its register allocation
+// — virtual registers resolve to the four callee-saved registers or spill
+// slots — so a register-allocation bug is as observable as a wrong fold.
+// Because both sides run on the same machine, only internal consistency
+// matters here; the machine's fidelity to the engine is pinned by its ALU
+// table test and by the differential fuzzer over the naive build.
+// Refinement holds for a vector when both sides produce the same verdict
+// (return value or trap code) and the same ordered observable-effect
+// sequence (map writes, emits, locks, traces, every other crate call);
+// exploration is bounded per vector, and a vector where both sides exhaust
+// the budget with matching effect prefixes counts as a bounded pass.
 //
 // On top of the dynamic check, a static ledger audit re-derives the
 // check-site accounting: the optimizer may only flip sites Emit→Folded,
@@ -35,6 +40,7 @@ package transval
 import (
 	"fmt"
 
+	"kex/internal/analysis/mirrun"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/compile/mir"
 )
@@ -123,7 +129,8 @@ func Validate(name string, funcs []compile.MIRFuncArtifact, checks compile.Check
 		return res
 	}
 
-	index := make(map[string]*compile.MIRFuncArtifact, len(funcs))
+	naive := make(map[string]mirrun.Code, len(funcs))
+	opt := make(map[string]mirrun.Code, len(funcs))
 	for i := range funcs {
 		fa := &funcs[i]
 		if fa.Naive == nil || fa.Opt == nil || fa.Alloc == nil {
@@ -131,7 +138,8 @@ func Validate(name string, funcs []compile.MIRFuncArtifact, checks compile.Check
 			res.Reason = fmt.Sprintf("%s: incomplete MIR artifact", fa.Name)
 			return res
 		}
-		index[fa.Name] = fa
+		naive[fa.Name] = mirrun.Code{F: fa.Naive}
+		opt[fa.Name] = mirrun.Code{F: fa.Opt, Alloc: fa.Alloc}
 	}
 
 	// Static audit first: the ledger lies are cheap to catch and a broken
@@ -150,6 +158,7 @@ func Validate(name string, funcs []compile.MIRFuncArtifact, checks compile.Check
 	}
 
 	pal := buildPalette(funcs)
+	nw, ow := newWorld(naive, pal), newWorld(opt, pal)
 
 	for i := range funcs {
 		fa := &funcs[i]
@@ -165,11 +174,12 @@ func Validate(name string, funcs []compile.MIRFuncArtifact, checks compile.Check
 			}
 		}
 		cover := make(map[mir.BlockID]bool)
+		nw.Cover = cover
 		for k := 0; k < opts.vectors(); k++ {
-			seed := mix(0x7c3a9d41b6e5f208, uint64(k), hashStr(fa.Name))
+			seed := mirrun.Mix(0x7c3a9d41b6e5f208, uint64(k), mirrun.Hash(fa.Name))
 			args := paramVector(pal, seed, fa.Naive.NParams)
-			nOut := runSide(index, fa, false, args, seed, pal, opts.fuel(), cover)
-			oOut := runSide(index, fa, true, args, seed, pal, opts.fuel(), nil)
+			nOut := nw.run(fa.Name, args, seed, opts.fuel())
+			oOut := ow.run(fa.Name, args, seed, opts.fuel())
 			fr.Vectors++
 			res.Vectors++
 			verdict, bounded := compare(nOut, oOut)
@@ -196,13 +206,14 @@ func Validate(name string, funcs []compile.MIRFuncArtifact, checks compile.Check
 // compatibility of the effect logs (bounded refinement) and the vector is
 // reported as bounded.
 func compare(n, o *outcome) (verdict string, bounded bool) {
-	if n.kind == stopErr {
-		return "naive model error: " + n.msg, false
+	nKind, oKind := n.kind(), o.kind()
+	if nKind == mirrun.StopErr {
+		return "naive model error: " + n.stop.Msg, false
 	}
-	if o.kind == stopErr {
-		return "optimized model error: " + o.msg, false
+	if oKind == mirrun.StopErr {
+		return "optimized model error: " + o.stop.Msg, false
 	}
-	if n.kind == stopFuel || o.kind == stopFuel {
+	if nKind == mirrun.StopFuel || oKind == mirrun.StopFuel {
 		short, long := n.effects, o.effects
 		if len(short) > len(long) {
 			short, long = long, short
@@ -216,23 +227,23 @@ func compare(n, o *outcome) (verdict string, bounded bool) {
 		// A side that completed must not have fewer effects than the
 		// exhausted side's log: completing early while the other side kept
 		// producing effects is a divergence, not a bound.
-		if n.kind != stopFuel && len(n.effects) < len(o.effects) {
+		if nKind != mirrun.StopFuel && len(n.effects) < len(o.effects) {
 			return fmt.Sprintf("naive side completed after %d effects but optimized side produced %d before the fuel bound",
 				len(n.effects), len(o.effects)), false
 		}
-		if o.kind != stopFuel && len(o.effects) < len(n.effects) {
+		if oKind != mirrun.StopFuel && len(o.effects) < len(n.effects) {
 			return fmt.Sprintf("optimized side completed after %d effects but naive side produced %d before the fuel bound",
 				len(o.effects), len(n.effects)), false
 		}
 		return "", true
 	}
-	if n.kind != o.kind {
+	if nKind != oKind {
 		return fmt.Sprintf("verdict kind diverges: naive %s, optimized %s", n.verdict(), o.verdict()), false
 	}
-	if n.kind == stopTrap && n.trap != o.trap {
-		return fmt.Sprintf("trap code diverges: naive %d, optimized %d", n.trap, o.trap), false
+	if nKind == mirrun.StopTrap && n.stop.Trap != o.stop.Trap {
+		return fmt.Sprintf("trap code diverges: naive %d, optimized %d", n.stop.Trap, o.stop.Trap), false
 	}
-	if n.kind == stopRet && n.ret != o.ret {
+	if nKind == 0 && n.ret != o.ret {
 		return fmt.Sprintf("return value diverges: naive %d, optimized %d", int64(n.ret), int64(o.ret)), false
 	}
 	if len(n.effects) != len(o.effects) {

@@ -3,6 +3,7 @@ package transval
 import (
 	"sort"
 
+	"kex/internal/analysis/mirrun"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/compile/mir"
 )
@@ -93,7 +94,7 @@ func buildPalette(funcs []compile.MIRFuncArtifact) []uint64 {
 func paramVector(pal []uint64, seed uint64, nParams int) []uint64 {
 	args := make([]uint64, nParams)
 	for i := range args {
-		args[i] = pal[mix(seed, 0x70617261, uint64(i))%uint64(len(pal))]
+		args[i] = pal[mirrun.Mix(seed, 0x70617261, uint64(i))%uint64(len(pal))]
 	}
 	return args
 }

@@ -66,53 +66,94 @@ type SignedObject struct {
 	Phases exec.PhaseTimings
 }
 
-// analyzeConc runs the shard-safety analyzer over the checked source and
-// attaches the report to the object. Every build pipeline runs it: the
-// verdict is cheap (one MIR walk), travels under the signature, and the
-// per-CPU data plane needs it to decide whether the program may fan out.
-// The analyzer itself is wall-clock-free; the measurement lives here.
-func analyzeConc(checked *lang.Checked, obj *compile.Object, rec *exec.PhaseRecorder) error {
-	start := time.Now()
+// build is the one trusted build pipeline, at optimization level level
+// (compile.OptNaive, OptElide or OptMIR). Each phase is timed under its
+// name: parse, typecheck, then analyze above OptNaive, compile, transval
+// at OptMIR, and concheck. The analyze pass's proofs elide redundant
+// runtime checks, and the elision ledger travels in the object.
+//
+// Every OptMIR build is translation-validated: the naive lowering and the
+// optimized MIR are executed on the reference MIR machine over the
+// engine's exact wraparound semantics and compared for refinement (same
+// verdict, same ordered effect log, consistent check ledger). A passing run
+// attaches a TVAL certificate that travels under the object signature; a
+// failing or inconclusive run fails closed by demoting the build to
+// OptElide — the analyzer-only backend whose lowering is the refinement
+// baseline — with the refutation recorded in the demotion certificate.
+//
+// Every build then runs the shard-safety analyzer: the verdict is cheap
+// (one MIR walk), travels under the signature, and the per-CPU data plane
+// needs it to decide whether the program may fan out. The analyzer itself
+// is wall-clock-free; the measurement lives here.
+func build(name, src string, level int) (*compile.Object, *analyze.Result, exec.PhaseTimings, error) {
+	rec := exec.NewPhaseRecorder()
+	f, err := lang.Parse(src)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rec.Mark("parse")
+	checked, err := lang.Check(f)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rec.Mark("typecheck")
+	opts := compile.Options{Level: level}
+	if level >= compile.OptElide {
+		opts.Facts = analyze.Analyze(checked)
+		rec.Mark("analyze")
+	}
+	var arts []compile.MIRFuncArtifact
+	if level >= compile.OptMIR {
+		opts.KeepMIR = &arts
+	}
+	obj, err := compile.CompileWithOptions(name, checked, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rec.Mark("compile")
+	if level >= compile.OptMIR {
+		tvStart := time.Now()
+		res := transval.Validate(name, arts, obj.Checks, transval.Options{})
+		tvWall := time.Since(tvStart).Nanoseconds()
+		if res.OK {
+			obj.TVal = res.Certificate(tvWall)
+		} else {
+			if obj, err = compile.CompileWithOptions(name, checked, compile.Options{Facts: opts.Facts, Level: compile.OptElide}); err != nil {
+				return nil, nil, nil, err
+			}
+			obj.TVal = &compile.TValCert{
+				Demoted:   true,
+				Reason:    res.Reason,
+				Vectors:   res.Vectors,
+				Bounded:   res.Bounded,
+				WallNanos: tvWall,
+			}
+		}
+		rec.Mark("transval")
+	}
+	ccStart := time.Now()
 	cc, err := concheck.AnalyzeSLX(checked, obj.Maps)
 	if err != nil {
-		return fmt.Errorf("toolchain: shard-safety analysis: %w", err)
+		return nil, nil, nil, fmt.Errorf("toolchain: shard-safety analysis: %w", err)
 	}
-	cc.WallNanos = time.Since(start).Nanoseconds()
+	cc.WallNanos = time.Since(ccStart).Nanoseconds()
 	obj.Conc = cc
 	rec.Mark("concheck")
-	return nil
+	return obj, opts.Facts, rec.Phases(), nil
 }
 
 // Build compiles SLX source through the full trusted pipeline —
 // parse, type-check, compile — without signing (for inspection).
 func Build(name, src string) (*compile.Object, error) {
-	obj, _, err := BuildProfiled(name, src)
+	obj, _, _, err := build(name, src, compile.OptNaive)
 	return obj, err
 }
 
 // BuildProfiled is Build with per-phase wall timings, feeding the unified
 // load-phase instrumentation of the execution core.
 func BuildProfiled(name, src string) (*compile.Object, exec.PhaseTimings, error) {
-	rec := exec.NewPhaseRecorder()
-	f, err := lang.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec.Mark("parse")
-	checked, err := lang.Check(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec.Mark("typecheck")
-	obj, err := compile.Compile(name, checked)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec.Mark("compile")
-	if err := analyzeConc(checked, obj, rec); err != nil {
-		return nil, nil, err
-	}
-	return obj, rec.Phases(), nil
+	obj, _, phases, err := build(name, src, compile.OptNaive)
+	return obj, phases, err
 }
 
 // BuildOptimized compiles SLX source with the abstract-interpretation pass
@@ -120,101 +161,30 @@ func BuildProfiled(name, src string) (*compile.Object, exec.PhaseTimings, error)
 // the elision ledger travels in the object (behind the signature once
 // signed).
 func BuildOptimized(name, src string) (*compile.Object, error) {
-	obj, _, _, err := BuildOptimizedProfiled(name, src)
+	obj, _, _, err := build(name, src, compile.OptElide)
 	return obj, err
 }
 
 // BuildOptimizedProfiled is BuildOptimized with per-phase wall timings and
 // the raw analysis result (for inspection and reporting).
 func BuildOptimizedProfiled(name, src string) (*compile.Object, *analyze.Result, exec.PhaseTimings, error) {
-	rec := exec.NewPhaseRecorder()
-	f, err := lang.Parse(src)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rec.Mark("parse")
-	checked, err := lang.Check(f)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rec.Mark("typecheck")
-	facts := analyze.Analyze(checked)
-	rec.Mark("analyze")
-	obj, err := compile.CompileWithOptions(name, checked, compile.Options{Facts: facts})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rec.Mark("compile")
-	if err := analyzeConc(checked, obj, rec); err != nil {
-		return nil, nil, nil, err
-	}
-	return obj, facts, rec.Phases(), nil
+	return build(name, src, compile.OptElide)
 }
 
 // BuildOptimizedMIR compiles SLX source through the full optimizing
 // pipeline: the analyze pass's proofs plus the mid-level IR backend
 // (constant folding/propagation, loop-invariant code motion,
-// redundant-load elimination, linear-scan register allocation).
+// redundant-load elimination, linear-scan register allocation), checked
+// by translation validation (see build).
 func BuildOptimizedMIR(name, src string) (*compile.Object, error) {
-	obj, _, _, err := BuildOptimizedMIRProfiled(name, src)
+	obj, _, _, err := build(name, src, compile.OptMIR)
 	return obj, err
 }
 
 // BuildOptimizedMIRProfiled is BuildOptimizedMIR with per-phase wall
 // timings and the raw analysis result.
-//
-// Every OptMIR build is translation-validated: the naive lowering and the
-// optimized MIR are symbolically executed over the engine's exact
-// wraparound semantics and compared for refinement (same verdict, same
-// ordered effect log, consistent check ledger). A passing run attaches a
-// TVAL certificate that travels under the object signature; a failing or
-// inconclusive run fails closed by demoting the build to OptElide — the
-// analyzer-only backend whose lowering is the refinement baseline — with
-// the refutation recorded in the demotion certificate.
 func BuildOptimizedMIRProfiled(name, src string) (*compile.Object, *analyze.Result, exec.PhaseTimings, error) {
-	rec := exec.NewPhaseRecorder()
-	f, err := lang.Parse(src)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rec.Mark("parse")
-	checked, err := lang.Check(f)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rec.Mark("typecheck")
-	facts := analyze.Analyze(checked)
-	rec.Mark("analyze")
-	var arts []compile.MIRFuncArtifact
-	obj, err := compile.CompileWithOptions(name, checked, compile.Options{Facts: facts, Level: compile.OptMIR, KeepMIR: &arts})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rec.Mark("compile")
-	tvStart := time.Now()
-	res := transval.Validate(name, arts, obj.Checks, transval.Options{})
-	tvWall := time.Since(tvStart).Nanoseconds()
-	if res.OK {
-		obj.TVal = res.Certificate(tvWall)
-	} else {
-		demoted, derr := compile.CompileWithOptions(name, checked, compile.Options{Facts: facts, Level: compile.OptElide})
-		if derr != nil {
-			return nil, nil, nil, derr
-		}
-		demoted.TVal = &compile.TValCert{
-			Demoted:   true,
-			Reason:    res.Reason,
-			Vectors:   res.Vectors,
-			Bounded:   res.Bounded,
-			WallNanos: tvWall,
-		}
-		obj = demoted
-	}
-	rec.Mark("transval")
-	if err := analyzeConc(checked, obj, rec); err != nil {
-		return nil, nil, nil, err
-	}
-	return obj, facts, rec.Phases(), nil
+	return build(name, src, compile.OptMIR)
 }
 
 // DumpMIR renders every function's mid-level IR before and after
@@ -248,16 +218,7 @@ func DumpMIR(src string) (string, error) {
 
 // BuildAndSign runs the full pipeline and signs the result.
 func (s *Signer) BuildAndSign(name, src string) (*SignedObject, error) {
-	obj, phases, err := BuildProfiled(name, src)
-	if err != nil {
-		return nil, err
-	}
-	so, err := s.Sign(obj)
-	if err != nil {
-		return nil, err
-	}
-	so.Phases = append(phases, so.Phases...)
-	return so, nil
+	return s.buildAndSign(name, src, compile.OptNaive)
 }
 
 // BuildAndSignOptimized runs the analyze-enabled pipeline and signs the
@@ -266,16 +227,7 @@ func (s *Signer) BuildAndSign(name, src string) (*SignedObject, error) {
 // toolchain that proved them is the thing being trusted, exactly as it is
 // trusted for codegen itself.
 func (s *Signer) BuildAndSignOptimized(name, src string) (*SignedObject, error) {
-	obj, _, phases, err := BuildOptimizedProfiled(name, src)
-	if err != nil {
-		return nil, err
-	}
-	so, err := s.Sign(obj)
-	if err != nil {
-		return nil, err
-	}
-	so.Phases = append(phases, so.Phases...)
-	return so, nil
+	return s.buildAndSign(name, src, compile.OptElide)
 }
 
 // BuildAndSignOptimizedMIR runs the MIR pipeline and signs the result.
@@ -283,7 +235,11 @@ func (s *Signer) BuildAndSignOptimized(name, src string) (*SignedObject, error) 
 // optimizer: the kernel loader accepts folded checks and rewritten code
 // because the toolchain that rewrote it is what the signature vouches for.
 func (s *Signer) BuildAndSignOptimizedMIR(name, src string) (*SignedObject, error) {
-	obj, _, phases, err := BuildOptimizedMIRProfiled(name, src)
+	return s.buildAndSign(name, src, compile.OptMIR)
+}
+
+func (s *Signer) buildAndSign(name, src string, level int) (*SignedObject, error) {
+	obj, _, phases, err := build(name, src, level)
 	if err != nil {
 		return nil, err
 	}

@@ -327,3 +327,34 @@ func TestBuildSurfacesLanguageErrors(t *testing.T) {
 		t.Fatal("type error not surfaced")
 	}
 }
+
+// TestBuildAndSignPhases pins each tier's load-phase names, in order: the
+// benchmark harness reports them as load.<phase>_ns.
+func TestBuildAndSignPhases(t *testing.T) {
+	s, err := NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers := []struct {
+		name  string
+		build func(name, src string) (*SignedObject, error)
+		want  []string
+	}{
+		{"naive", s.BuildAndSign, []string{"parse", "typecheck", "compile", "concheck", "sign"}},
+		{"elide", s.BuildAndSignOptimized, []string{"parse", "typecheck", "analyze", "compile", "concheck", "sign"}},
+		{"mir", s.BuildAndSignOptimizedMIR, []string{"parse", "typecheck", "analyze", "compile", "transval", "concheck", "sign"}},
+	}
+	for _, tier := range tiers {
+		so, err := tier.build("phases", sample)
+		if err != nil {
+			t.Fatalf("%s: %v", tier.name, err)
+		}
+		var got []string
+		for _, p := range so.Phases {
+			got = append(got, p.Name)
+		}
+		if !reflect.DeepEqual(got, tier.want) {
+			t.Errorf("%s phases = %v, want %v", tier.name, got, tier.want)
+		}
+	}
+}
