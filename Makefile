@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz soundness tv conc bench bench-gap lint check clean
+.PHONY: all build vet test race fuzz soundness tv conc bench bench-gap contention lint check clean
 
 all: check
 
@@ -109,6 +109,22 @@ bench:
 bench-gap:
 	$(GO) test -bench 'BenchmarkExecCore|BenchmarkSLXOpt' -benchtime 200x .
 	@grep -A 3 '"config": "gap/' BENCH_slxopt.json
+
+# Where the sharded data plane's shards still meet: CPU, mutex and block
+# profiles of the two-shard throughput benchmarks, one pprof -top each. The
+# test binary runs inside .bench_build/, so its profiles and its
+# BENCH_throughput.json land there and the committed artifact is untouched.
+# Not part of check.
+contention:
+	mkdir -p .bench_build
+	$(GO) test -c -o .bench_build/kexbench.test .
+	cd .bench_build && ./kexbench.test -test.run '^$$' \
+		-test.bench 'BenchmarkThroughput_(EBPF|Safext)JIT_Shards2$$' -test.benchtime 2s \
+		-test.cpuprofile cpu.pprof -test.mutexprofile mutex.pprof -test.blockprofile block.pprof
+	@for p in cpu mutex block; do \
+		echo "== $$p"; \
+		$(GO) tool pprof -top -nodecount 25 .bench_build/kexbench.test .bench_build/$$p.pprof; \
+	done
 
 check: lint build test race
 

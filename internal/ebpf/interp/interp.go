@@ -83,6 +83,7 @@ type Machine struct {
 type frameCache struct {
 	mu   sync.Mutex // uncontended in shard use (one worker per CPU)
 	free []*kernel.Region
+	_    kernel.CacheLinePad
 }
 
 // frameCacheCap bounds cached frames per CPU; deeper recursion spills to

@@ -257,7 +257,9 @@ func (c *Core) run(eng Engine, req Request, box *reportBox) (err error) {
 	if r.Setup != nil {
 		r.Setup(env)
 	}
-	virtStart := c.K.Clock.Now()
+	// RuntimeNs is the context's own consumed time, not the clock's: on a
+	// sharded plane the clock also carries every other shard's work.
+	virtStart := ctx.ConsumedNs()
 	wallStart := time.Now()
 
 	rep := &box.Report
@@ -271,7 +273,7 @@ func (c *Core) run(eng Engine, req Request, box *reportBox) (err error) {
 		rep.FuelUsed = env.FuelUsed
 		box.setCalls(env.HelperCalls)
 		rep.MapOps = env.MapOps
-		rep.RuntimeNs = c.K.Clock.Now() - virtStart
+		rep.RuntimeNs = ctx.ConsumedNs() - virtStart
 		rep.Trace = env.Trace
 	}
 	// finish runs the caller's Finish hook still inside the RCU read-side

@@ -41,8 +41,10 @@ type Report struct {
 	// behalf (handle resolutions through Env.MapByHandle).
 	MapOps uint64
 
-	// RuntimeNs is the invocation's latency on the virtual kernel clock —
-	// the figure watchdog/RCU-stall semantics are defined over.
+	// RuntimeNs is the invocation's latency in virtual time: what its own
+	// context consumed from after the Setup hook to the engine's return —
+	// the figure watchdog/RCU-stall semantics are defined over. Other
+	// shards' work, which the kernel clock also carries, never enters it.
 	RuntimeNs int64
 
 	// WallNs is the invocation's monotonic wall-clock latency, the figure
@@ -50,11 +52,11 @@ type Report struct {
 	// design: the simulator charges fixed virtual costs per instruction.
 	WallNs int64
 
-	// CPUTimeNs is the virtual CPU time the invocation's own context
-	// consumed (instructions × per-instruction cost). In serial execution
-	// it equals RuntimeNs; under sharded execution the global clock also
-	// carries other shards' progress, so per-shard busy-time accounting —
-	// and the simulated-throughput math built on it — uses this figure.
+	// CPUTimeNs is all the virtual CPU time the invocation's own context
+	// consumed (instructions × per-instruction cost). It differs from
+	// RuntimeNs only by what the Setup and Finish hooks and the exit audit
+	// charged, serial or sharded. Per-shard busy-time accounting — and the
+	// simulated-throughput math built on it — uses this figure.
 	CPUTimeNs int64
 
 	// Trace accumulates bpf_trace_printk / kernel::trace output.

@@ -48,22 +48,30 @@ func newAllocsFixture(t *testing.T) (*Core, Engine, uint64) {
 
 // TestCoreRunAllocs pins the fixed cost of one invocation: the run frame,
 // JIT state, RCU bracket, exit audit and stats allocate nothing, leaving
-// the caller-owned Report as the only allocation.
+// the caller-owned Report as the only allocation. On a supervised core the
+// healthy program's quiet gate adds nothing either.
 func TestCoreRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race")
 	}
-	c, eng, ctx := newAllocsFixture(t)
-	req := Request{Program: "allocs", CPU: 1, CtxAddr: ctx}
-	run := func() {
-		rep, err := c.Run(eng, req, nil)
-		if err != nil || rep.HelperCalls.Total() != 2 || len(rep.ExitOopses) != 0 {
-			t.Fatalf("run: err=%v report=%+v", err, rep)
+	for _, name := range []string{"core", "supervisor"} {
+		c, eng, ctx := newAllocsFixture(t)
+		want := ""
+		if name == "supervisor" {
+			c.Supervise(SupervisorConfig{})
+			want = string(StateHealthy)
 		}
-	}
-	run()
-	if got := testing.AllocsPerRun(200, run); got > 1 {
-		t.Fatalf("Core.Run allocs = %.1f, want <= 1", got)
+		req := Request{Program: "allocs", CPU: 1, CtxAddr: ctx}
+		run := func() {
+			rep, err := c.Run(eng, req, nil)
+			if err != nil || rep.HelperCalls.Total() != 2 || len(rep.ExitOopses) != 0 || rep.Supervision != want {
+				t.Fatalf("%s run: err=%v report=%+v", name, err, rep)
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(200, run); got > 1 {
+			t.Fatalf("%s Core.Run allocs = %.1f, want <= 1", name, got)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"kex/internal/ebpf/helpers"
+	"kex/internal/kernel"
 )
 
 // Stats accumulates per-program and per-CPU execution counters plus
@@ -104,7 +105,7 @@ const statStripes = 8
 type runStripe struct {
 	n       [numRunCounters]atomic.Uint64
 	helpers helperCells
-	_       [48]byte // pads the stripe to 128 bytes
+	_       kernel.CacheLinePad
 }
 
 // helperCells counts helper calls by count slot (helpers.Calls) in chunks
@@ -170,6 +171,7 @@ func (h *helperCells) addTo(out map[string]uint64) map[string]uint64 {
 // cpuCell is the hot accumulator behind one CPUStats row.
 type cpuCell struct {
 	n [numCPUCounters]atomic.Uint64
+	_ kernel.CacheLinePad
 }
 
 // statField reads and adds to one numeric field of a stats row.

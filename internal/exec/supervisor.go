@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -104,8 +105,10 @@ type Supervisor struct {
 	core *Core
 	cfg  SupervisorConfig
 
-	mu    sync.Mutex
-	progs map[string]*progHealth
+	mu sync.Mutex
+	// progs maps each program to its health. Inserting copies the map,
+	// under mu, so a dispatch finds its program without the lock.
+	progs atomic.Pointer[map[string]*progHealth]
 	// notify queues trip notifications recorded under mu; gate flushes them
 	// to the OnTrip hook after releasing the lock. queued mirrors
 	// len(notify), so a dispatch with nothing queued skips the lock.
@@ -157,6 +160,13 @@ func (s *Supervisor) flushTrips() {
 }
 
 type progHealth struct {
+	// quiet is true while the program is healthy with no fault in its
+	// window and no probe in flight: the state in which a clean run
+	// changes nothing any later decision reads (see gate). It is the one
+	// field read without mu; unlock refreshes it after every locked
+	// section.
+	quiet atomic.Bool
+
 	state   State
 	window  []bool // ring buffer of recent outcomes, true = fault
 	widx    int
@@ -191,7 +201,9 @@ func newSupervisor(core *Core, cfg SupervisorConfig) *Supervisor {
 	if cfg.DeniedCostNs <= 0 {
 		cfg.DeniedCostNs = def.DeniedCostNs
 	}
-	return &Supervisor{core: core, cfg: cfg, progs: make(map[string]*progHealth)}
+	s := &Supervisor{core: core, cfg: cfg}
+	s.progs.Store(&map[string]*progHealth{})
+	return s
 }
 
 // State reports the program's current health state.
@@ -214,16 +226,28 @@ func (s *Supervisor) BackoffNs(program string) int64 {
 }
 
 func (s *Supervisor) health(program string) *progHealth {
-	st := s.progs[program]
-	if st == nil {
-		st = &progHealth{
-			state:  StateHealthy,
-			window: make([]bool, s.cfg.Window),
-			jitter: rng.Star(jitterSeed(s.cfg.JitterSeed, program)),
-		}
-		s.progs[program] = st
+	old := *s.progs.Load()
+	if st := old[program]; st != nil {
+		return st
 	}
+	st := &progHealth{
+		state:  StateHealthy,
+		window: make([]bool, s.cfg.Window),
+		jitter: rng.Star(jitterSeed(s.cfg.JitterSeed, program)),
+	}
+	st.quiet.Store(true)
+	progs := make(map[string]*progHealth, len(old)+1)
+	maps.Copy(progs, old)
+	progs[program] = st
+	s.progs.Store(&progs)
 	return st
+}
+
+// unlock refreshes the program's quiet flag from the state the locked
+// section left, then releases mu.
+func (s *Supervisor) unlock(st *progHealth) {
+	st.quiet.Store(st.state == StateHealthy && st.faults == 0 && !st.probing)
+	s.mu.Unlock()
 }
 
 // jitterSeed mixes the campaign seed with the program name (FNV-1a) so
@@ -247,56 +271,84 @@ func jitterSeed(seed uint64, program string) uint64 {
 // backoff has expired the dispatch becomes a recovery probe — reload first
 // (re-verify / re-validate), then one real run whose outcome decides
 // between recovery and a longer quarantine.
+//
+// A quiet program (see progHealth.quiet) is admitted without the lock,
+// and its clean run is not observed at all. That is equivalent to sliding
+// a clean result into the window: the window holds no fault, so the slide
+// changes only the ring position and fill count, and a later fault is
+// still evicted after exactly Window more observations. A fault goes
+// through observe under mu as ever. A quiet run that overlaps a fault on
+// another shard is thereby ordered before that fault; concurrent runs had
+// no defined order before either.
 func (s *Supervisor) gate(eng Engine, req Request, reload Reload, box *reportBox) error {
 	// Trip notifications queue under mu on every path below; deliver them
 	// once all locks are released, whatever way the dispatch returns.
 	defer s.flushTrips()
-	// probe records whether THIS dispatch claimed the recovery probe. Under
-	// sharded execution a run admitted while healthy on another shard can
-	// complete after a trip; only the claim holder may decide the
-	// quarantine's outcome in observe.
+	st := (*s.progs.Load())[req.Program]
+	quiet := st != nil && st.quiet.Load()
 	probe := false
+	if !quiet {
+		var err error
+		if st, probe, err = s.admit(eng, req, reload, box); st == nil {
+			return err
+		}
+	}
+
+	err := s.core.run(eng, req, box)
+	rep := &box.Report
+	fault := err != nil || len(rep.ExitOopses) > 0
+	if quiet && !fault {
+		rep.Supervision = string(StateHealthy)
+		return nil
+	}
+	s.mu.Lock()
+	s.observe(st, req.Program, fault, probe)
+	rep.Supervision = string(st.state)
+	s.unlock(st)
+	return err
+}
+
+// admit decides under mu whether a dispatch runs. It returns the
+// program's health and whether this dispatch claimed the recovery probe,
+// or a nil health when the dispatch was answered without running, with
+// err its result.
+//
+// The probe claim matters because under sharded execution a run admitted
+// while healthy on another shard can complete after a trip; only the
+// claim holder may decide the quarantine's outcome in observe.
+func (s *Supervisor) admit(eng Engine, req Request, reload Reload, box *reportBox) (*progHealth, bool, error) {
 	s.mu.Lock()
 	st := s.health(req.Program)
 	switch st.state {
 	case StateDetached:
-		s.mu.Unlock()
-		return s.deny(eng, req.Program, box)
+		s.unlock(st)
+		return nil, false, s.deny(eng, req.Program, box)
 	case StateQuarantined:
 		if s.core.K.Clock.Now() < st.until || st.probing {
 			// Still backing off — or another shard's dispatch already
 			// claimed the recovery probe and hasn't been observed yet.
-			s.mu.Unlock()
-			return s.deny(eng, req.Program, box)
+			s.unlock(st)
+			return nil, false, s.deny(eng, req.Program, box)
 		}
 		// Backoff expired: this dispatch is the recovery probe.
 		st.probing = true
-		probe = true
-		s.mu.Unlock()
+		s.unlock(st)
 		if reload != nil {
 			if err := reload(); err != nil {
 				s.core.Stats.recordProbeFailure(req.Program, err)
 				s.mu.Lock()
 				st.probing = false
 				s.trip(st, req.Program)
-				s.mu.Unlock()
+				s.unlock(st)
 				s.deny(eng, req.Program, box)
-				return fmt.Errorf("exec: recovery reload of %q failed: %w", req.Program, err)
+				return nil, false, fmt.Errorf("exec: recovery reload of %q failed: %w", req.Program, err)
 			}
 		}
+		return st, true, nil
 	default:
-		s.mu.Unlock()
+		s.unlock(st)
+		return st, false, nil
 	}
-
-	program := req.Program
-	err := s.core.run(eng, req, box)
-	rep := &box.Report
-	fault := err != nil || len(rep.ExitOopses) > 0
-	s.mu.Lock()
-	s.observe(st, program, fault, probe)
-	rep.Supervision = string(st.state)
-	s.mu.Unlock()
-	return err
 }
 
 // deny answers a dispatch without running the program.

@@ -13,6 +13,9 @@ import "sync/atomic"
 type Context struct {
 	K     *Kernel
 	CPUID int
+	// clock is the clock counter of this context's CPU, which Tick
+	// advances.
+	clock *clockCell
 
 	// InstrCost is the virtual time charged per retired instruction. The
 	// default, 1ns, makes "a billion instructions" cost one virtual second,
@@ -23,14 +26,13 @@ type Context struct {
 	Instructions uint64
 
 	// consumedNs is the virtual CPU time this context itself has burned
-	// (Instructions × InstrCost). Under sharded execution the global clock
-	// advances with every shard's work, so per-context deadlines — watchdog,
-	// soft lockup, RCU stall — are judged against consumed time, which is
-	// what a per-CPU clock would read. Atomic so shard supervisors can peek.
+	// (Instructions × InstrCost). Under sharded execution the clock's Now
+	// carries every shard's work, so per-context deadlines — watchdog,
+	// soft lockup, RCU stall — and a run's RuntimeNs are judged against
+	// consumed time, the context's own share. Atomic so shard supervisors
+	// can peek.
 	consumedNs atomic.Int64
 
-	// startTime is the virtual time the context was entered.
-	startTime int64
 	// lastYieldNs is the consumed time at the last scheduling point,
 	// feeding the soft-lockup watchdog.
 	lastYieldNs int64
@@ -91,9 +93,9 @@ func (c *Context) Reenter(cpu int) {
 	}
 	*c = Context{
 		K: c.K, CPUID: cpu, InstrCost: 1,
-		startTime: c.K.Clock.Now(),
-		acquired:  c.acquired[:0],
-		held:      c.held[:0],
+		clock:    c.K.Clock.cell(cpu),
+		acquired: c.acquired[:0],
+		held:     c.held[:0],
 	}
 }
 
@@ -109,7 +111,7 @@ func (c *Context) Exited() bool {
 func (c *Context) Tick(n uint64) {
 	c.Instructions += n
 	d := int64(n) * c.InstrCost
-	c.K.Clock.Advance(d)
+	c.clock.add(d)
 	consumed := c.consumedNs.Add(d)
 	if consumed-c.lastDetectNs < detectorGranularity {
 		return
@@ -131,17 +133,14 @@ func (c *Context) Yield() {
 }
 
 // Runtime returns the virtual CPU time this context has consumed. Under
-// sharded execution this is the per-CPU view of elapsed time — the global
-// clock also carries every other shard's progress — so watchdog deadlines
+// sharded execution this is the per-CPU view of elapsed time — the clock's
+// Now also carries every other shard's progress — so watchdog deadlines
 // keyed on it stay per-shard correct. In serial execution the two agree.
 func (c *Context) Runtime() int64 { return c.consumedNs.Load() }
 
 // ConsumedNs is Runtime under its accounting name; shard workers use it to
 // attribute busy time to their ring.
 func (c *Context) ConsumedNs() int64 { return c.consumedNs.Load() }
-
-// StartTime returns the virtual time the context was entered.
-func (c *Context) StartTime() int64 { return c.startTime }
 
 // TrackRef records a reference acquired during this run.
 func (c *Context) TrackRef(r *Ref) { c.acquired = append(c.acquired, r) }

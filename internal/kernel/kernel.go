@@ -88,7 +88,7 @@ func New(cfg Config) *Kernel {
 	}
 	k := &Kernel{
 		Cfg:        cfg,
-		Clock:      NewClock(),
+		Clock:      NewClock(cfg.NumCPU),
 		Mem:        NewAddressSpace(),
 		Syms:       NewSymTable(),
 		tasks:      make(map[int]*Task),

@@ -213,7 +213,7 @@ func TestSymbolTable(t *testing.T) {
 }
 
 func TestClockMonotonic(t *testing.T) {
-	c := NewClock()
+	c := NewClock(1)
 	if c.Now() != 0 {
 		t.Fatal("clock not at zero on boot")
 	}

@@ -31,6 +31,7 @@ type rcuShard struct {
 	// section. The reader state itself lives on each Context, so entering
 	// and leaving a section allocates and hashes nothing.
 	active []*Context
+	_      CacheLinePad
 }
 
 func newRCUState(k *Kernel) *RCUState {
@@ -43,12 +44,7 @@ func newRCUState(k *Kernel) *RCUState {
 
 // shard returns the reader shard for a context.
 func (r *RCUState) shard(ctx *Context) *rcuShard {
-	n := len(r.shards)
-	i := ctx.CPUID % n
-	if i < 0 {
-		i += n
-	}
-	return &r.shards[i]
+	return &r.shards[cpuSlot(ctx.CPUID, len(r.shards))]
 }
 
 // ReadLock enters an RCU read-side critical section in the given context.
@@ -57,6 +53,9 @@ func (r *RCUState) ReadLock(ctx *Context) {
 	s := r.shard(ctx)
 	s.mu.Lock()
 	if ctx.rcuDepth == 0 {
+		// The one read of global time on the run path: CheckStalls judges
+		// sections against the clock a harness advances, so the stamp
+		// must be on that clock.
 		ctx.rcuSince = r.k.Clock.Now()
 		ctx.rcuSinceNs = ctx.ConsumedNs()
 		ctx.rcuStalled = false
