@@ -140,9 +140,10 @@ func (e *Env) crash(f *kernel.Fault) error {
 
 // ReadMem reads size bytes of kernel memory, crashing the kernel on fault —
 // helpers run in kernel mode, so their bad accesses are oopses, not
-// recoverable errors.
+// recoverable errors. Like every Env access, it translates through the
+// running context's TLB.
 func (e *Env) ReadMem(addr, size uint64) ([]byte, error) {
-	b, f := e.K.Mem.Read(addr, size)
+	b, f := e.Ctx.Read(addr, size)
 	if f != nil {
 		return nil, e.crash(f)
 	}
@@ -163,7 +164,7 @@ func (e *Env) KeyBuf(n int) []byte {
 // readKey reads a map key like ReadMem, into KeyBuf.
 func (e *Env) readKey(addr, size uint64) ([]byte, error) {
 	key := e.KeyBuf(int(size))
-	if f := e.K.Mem.ReadInto(addr, key); f != nil {
+	if f := e.Ctx.ReadInto(addr, key); f != nil {
 		return nil, e.crash(f)
 	}
 	return key, nil
@@ -171,7 +172,7 @@ func (e *Env) readKey(addr, size uint64) ([]byte, error) {
 
 // WriteMem writes kernel memory, crashing on fault.
 func (e *Env) WriteMem(addr uint64, data []byte) error {
-	if f := e.K.Mem.Write(addr, data); f != nil {
+	if f := e.Ctx.Write(addr, data); f != nil {
 		return e.crash(f)
 	}
 	return nil
@@ -179,7 +180,7 @@ func (e *Env) WriteMem(addr uint64, data []byte) error {
 
 // LoadUint reads an integer, crashing on fault.
 func (e *Env) LoadUint(addr uint64, size int) (uint64, error) {
-	v, f := e.K.Mem.LoadUint(addr, size)
+	v, f := e.Ctx.LoadUint(addr, size)
 	if f != nil {
 		return 0, e.crash(f)
 	}
@@ -188,7 +189,7 @@ func (e *Env) LoadUint(addr uint64, size int) (uint64, error) {
 
 // StoreUint writes an integer, crashing on fault.
 func (e *Env) StoreUint(addr uint64, size int, v uint64) error {
-	if f := e.K.Mem.StoreUint(addr, size, v); f != nil {
+	if f := e.Ctx.StoreUint(addr, size, v); f != nil {
 		return e.crash(f)
 	}
 	return nil

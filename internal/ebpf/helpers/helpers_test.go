@@ -9,6 +9,7 @@ import (
 	"kex/internal/ebpf/maps"
 	"kex/internal/kernel"
 	"kex/internal/kernel/callgraph"
+	"kex/internal/safext/lang"
 )
 
 func newEnv(t *testing.T) (*kernel.Kernel, *Env) {
@@ -111,6 +112,43 @@ func TestRegistryLookupAndIDs(t *testing.T) {
 		if series[i].Count < series[i-1].Count {
 			t.Fatalf("growth series not monotone at %s", series[i].Version)
 		}
+	}
+}
+
+// TestRegistryByIDEdges pins the indexed helper table at its edges, laid
+// out as the safext runtime lays it out: the sequential helpers from ID 1,
+// then the kernel crate from lang.CrateIDBase. Every ID outside both
+// ranges resolves to nothing, and RegisterAt over an occupied ID panics.
+func TestRegistryByIDEdges(t *testing.T) {
+	r := NewRegistry()
+	last := ID(len(r.All()))
+	names := lang.CrateNames()
+	for i, name := range names {
+		r.RegisterAt(ID(lang.CrateIDBase+i), Spec{Name: "slx_" + name})
+	}
+	lastCrate := ID(lang.CrateIDBase + len(names) - 1)
+	for _, id := range []ID{1, last, lang.CrateIDBase, lastCrate} {
+		if s, ok := r.ByID(id); !ok || s.ID != id {
+			t.Errorf("ByID(%d) = %v, %v; want the helper at %d", id, s, ok, id)
+		}
+	}
+	for _, id := range []ID{-1, -1 << 31, 0, last + 1, lang.CrateIDBase - 1, lastCrate + 1, 1 << 30} {
+		if s, ok := r.ByID(id); ok || s != nil {
+			t.Errorf("ByID(%d) = %v, %v; want not found", id, s, ok)
+		}
+	}
+	for _, id := range []ID{1, lang.CrateIDBase} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RegisterAt(%d) over an occupied ID did not panic", id)
+				}
+			}()
+			r.RegisterAt(id, Spec{Name: "intruder"})
+		}()
+	}
+	if _, ok := r.ByName("intruder"); ok {
+		t.Error("a refused RegisterAt left its name behind")
 	}
 }
 

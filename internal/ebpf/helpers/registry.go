@@ -69,7 +69,11 @@ func VersionAtMost(a, b string) bool { return eraIndex(a) >= 0 && eraIndex(a) <=
 // Registry is the helper-function table the verifier checks calls against
 // and the engines dispatch through.
 type Registry struct {
-	byID    map[ID]*Spec
+	// byID is indexed by helper ID, nil where no helper is registered, so
+	// resolving a call immediate is a bounds check and an index. The
+	// kernel crate's IDs start at 1000, past the sequential space, which
+	// leaves a gap of nil entries below them.
+	byID    []*Spec
 	byName  map[string]*Spec
 	ordered []*Spec
 }
@@ -229,14 +233,11 @@ func NewRegistry() *Registry {
 
 	assignCallGraphSizes(specs)
 
-	r := &Registry{byID: make(map[ID]*Spec), byName: make(map[string]*Spec)}
+	r := &Registry{byName: make(map[string]*Spec)}
 	for i := range specs {
 		s := &specs[i]
 		s.ID = ID(i + 1)
-		s.slot = new(callSlot)
-		r.byID[s.ID] = s
-		r.byName[s.Name] = s
-		r.ordered = append(r.ordered, s)
+		r.add(s)
 	}
 	return r
 }
@@ -302,19 +303,18 @@ func (r *Registry) Register(spec Spec) ID {
 	}
 	s := spec
 	s.ID = ID(len(r.ordered) + 1)
-	s.slot = new(callSlot)
-	p := &s
-	r.byID[p.ID] = p
-	r.byName[p.Name] = p
-	r.ordered = append(r.ordered, p)
-	return p.ID
+	r.add(&s)
+	return s.ID
 }
 
 // RegisterAt installs a helper at an explicit ID (outside the sequential
 // space), as the safext kernel crate does with its stable entry points.
-// Registering over an occupied ID or name panics.
+// Registering over an occupied ID or name, or at an ID below 1, panics.
 func (r *Registry) RegisterAt(id ID, spec Spec) ID {
-	if _, exists := r.byID[id]; exists {
+	if id < 1 {
+		panic(fmt.Sprintf("helpers: registration at invalid id %d", id))
+	}
+	if _, exists := r.ByID(id); exists {
 		panic(fmt.Sprintf("helpers: duplicate registration at id %d", id))
 	}
 	if _, exists := r.byName[spec.Name]; exists {
@@ -322,18 +322,28 @@ func (r *Registry) RegisterAt(id ID, spec Spec) ID {
 	}
 	s := spec
 	s.ID = id
-	s.slot = new(callSlot)
-	p := &s
-	r.byID[id] = p
-	r.byName[p.Name] = p
-	r.ordered = append(r.ordered, p)
+	r.add(&s)
 	return id
+}
+
+// add installs s at its ID, growing the table to reach it.
+func (r *Registry) add(s *Spec) {
+	s.slot = new(callSlot)
+	if int(s.ID) >= len(r.byID) {
+		r.byID = append(r.byID, make([]*Spec, int(s.ID)+1-len(r.byID))...)
+	}
+	r.byID[s.ID] = s
+	r.byName[s.Name] = s
+	r.ordered = append(r.ordered, s)
 }
 
 // ByID resolves a helper by call immediate.
 func (r *Registry) ByID(id ID) (*Spec, bool) {
-	s, ok := r.byID[id]
-	return s, ok
+	if uint64(id) >= uint64(len(r.byID)) {
+		return nil, false
+	}
+	s := r.byID[id]
+	return s, s != nil
 }
 
 // ByName resolves a helper by name.

@@ -167,7 +167,7 @@ func (p *program) Tail(target *isa.Program) (Code, error) { return (*program)(ta
 // Exec interprets one function activation starting at pc.
 func (p *program) Exec(s *State, pc int, regs *[11]uint64) (uint64, error) {
 	insns := p.Insns
-	mem := s.Mem()
+	ctx := s.Ctx()
 	for {
 		if pc < 0 || pc >= len(insns) {
 			return 0, fmt.Errorf("interp: pc %d out of range", pc)
@@ -203,7 +203,7 @@ func (p *program) Exec(s *State, pc int, regs *[11]uint64) (uint64, error) {
 
 		case isa.ClassLDX:
 			size := isa.SizeBytes(ins.Size())
-			v, f := mem.LoadUint(regs[ins.Src]+uint64(int64(ins.Off)), size)
+			v, f := ctx.LoadUint(regs[ins.Src]+uint64(int64(ins.Off)), size)
 			if f != nil {
 				return 0, s.Crash(f)
 			}
@@ -212,7 +212,7 @@ func (p *program) Exec(s *State, pc int, regs *[11]uint64) (uint64, error) {
 
 		case isa.ClassST:
 			size := isa.SizeBytes(ins.Size())
-			if f := mem.StoreUint(regs[ins.Dst]+uint64(int64(ins.Off)), size, uint64(int64(ins.Imm))); f != nil {
+			if f := ctx.StoreUint(regs[ins.Dst]+uint64(int64(ins.Off)), size, uint64(int64(ins.Imm))); f != nil {
 				return 0, s.Crash(f)
 			}
 			pc++
@@ -224,7 +224,7 @@ func (p *program) Exec(s *State, pc int, regs *[11]uint64) (uint64, error) {
 				if err := s.Atomic(ins.Imm, addr, size, regs, ins.Src); err != nil {
 					return 0, err
 				}
-			} else if f := mem.StoreUint(addr, size, regs[ins.Src]); f != nil {
+			} else if f := ctx.StoreUint(addr, size, regs[ins.Src]); f != nil {
 				return 0, s.Crash(f)
 			}
 			pc++

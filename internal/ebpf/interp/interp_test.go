@@ -395,6 +395,10 @@ func TestRelocateUnknownMapFails(t *testing.T) {
 	}
 }
 
+// TestCallDepthLimit pins the engines' call-depth rule: a run nests at
+// most 9 frames, the main frame plus 8 calls, one frame more than the
+// verifier's default MaxCallDepth admits (DESIGN §3.1 says why); the call
+// into frame 10 fails with ErrCallDepth.
 func TestCallDepthLimit(t *testing.T) {
 	f := newFixture(t)
 	// Self-recursive function with no base case: must hit the depth cap.
@@ -408,6 +412,20 @@ func TestCallDepthLimit(t *testing.T) {
 	}, Options{})
 	if !errors.Is(err, ErrCallDepth) {
 		t.Fatalf("err = %v", err)
+	}
+	// chain(n): main calls f1..fn, and fn, in frame n+1, returns 42.
+	chain := func(n int) []isa.Instruction {
+		insns := []isa.Instruction{isa.CallBPF(1), isa.Exit()}
+		for i := 1; i < n; i++ {
+			insns = append(insns, isa.CallBPF(1), isa.Exit())
+		}
+		return append(insns, isa.Mov64Imm(isa.R0, 42), isa.Exit())
+	}
+	if got, err := f.run(t, chain(8), Options{}); err != nil || got != 42 {
+		t.Fatalf("9 frames: R0 = %d, %v; want 42", got, err)
+	}
+	if _, err := f.run(t, chain(9), Options{}); !errors.Is(err, ErrCallDepth) {
+		t.Fatalf("10 frames: err = %v, want ErrCallDepth", err)
 	}
 }
 

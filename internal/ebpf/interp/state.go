@@ -11,9 +11,11 @@ import (
 
 // maxDepth is the deepest activation depth (0-based): the main frame plus
 // 8 nested BPF-to-BPF calls, one frame more than the verifier's default
-// MaxCallDepth admits. A callback a helper runs starts again at depth 1,
-// the rule the verifier checks a callback body under (a fresh frame
-// count).
+// MaxCallDepth admits. Verified programs never reach the ninth frame; the
+// limit is the runtime net of programs no verifier checks, whose calls
+// nest as deep as their source (DESIGN §3.1). A callback a helper runs
+// starts again at depth 1, the rule the verifier checks a callback body
+// under (a fresh frame count).
 const maxDepth = 8
 
 // tickBatch is how many retired instructions are charged at once between
@@ -201,8 +203,9 @@ func (s *State) charge() error {
 	return nil
 }
 
-// Mem is the kernel address space programs access.
-func (s *State) Mem() *kernel.AddressSpace { return s.m.K.Mem }
+// Ctx is the running context. Programs load and store through it, so
+// their accesses translate through its TLB.
+func (s *State) Ctx() *kernel.Context { return s.env.Ctx }
 
 // Crash converts a fault into a kernel oops and returns the fatal error.
 func (s *State) Crash(f *kernel.Fault) error {
@@ -268,23 +271,23 @@ func clobber(regs *[11]uint64) { regs[1], regs[2], regs[3], regs[4], regs[5] = 0
 // Atomic performs the atomic read-modify-write op (the instruction's imm)
 // of size bytes at addr, with src the operand register.
 func (s *State) Atomic(op int32, addr uint64, size int, regs *[11]uint64, src isa.Register) error {
-	mem := s.Mem()
-	old, f := mem.LoadUint(addr, size)
+	ctx := s.Ctx()
+	old, f := ctx.LoadUint(addr, size)
 	if f != nil {
 		return s.Crash(f)
 	}
 	switch op {
 	case isa.AtomicAdd:
-		f = mem.StoreUint(addr, size, old+regs[src])
+		f = ctx.StoreUint(addr, size, old+regs[src])
 	case isa.AtomicAdd | isa.AtomicFetch:
-		f = mem.StoreUint(addr, size, old+regs[src])
+		f = ctx.StoreUint(addr, size, old+regs[src])
 		regs[src] = old
 	case isa.AtomicXchg:
-		f = mem.StoreUint(addr, size, regs[src])
+		f = ctx.StoreUint(addr, size, regs[src])
 		regs[src] = old
 	case isa.AtomicCmpXchg:
 		if old == regs[0] {
-			f = mem.StoreUint(addr, size, regs[src])
+			f = ctx.StoreUint(addr, size, regs[src])
 		}
 		regs[0] = old
 	default:

@@ -34,6 +34,8 @@ type engineCase struct {
 	// verified requires the verifier to accept the program, so the
 	// engines' success is the verifier's verdict.
 	verified bool
+	// rejected requires the verifier to refuse the program.
+	rejected bool
 	want     uint64
 	err      error // errors.Is target; nil means the run succeeds
 }
@@ -262,10 +264,16 @@ func TestEngines(t *testing.T) {
 			isa.Mov64Imm(isa.R0, 0),
 			isa.Exit(),
 		}, opts: interp.Options{WatchdogNs: 1_000_000}, err: interp.ErrWatchdogExpired},
-		// The chain reaches the deepest activation the engines run, frame 9.
-		{name: "callback depth restarts in deep chain", insns: deepChain(8), want: 2},
+		// The call-depth rule (DESIGN §3.1): the verifier admits 8 frames,
+		// the kernel's MAX_CALL_FRAMES; the engines run 9, one frame of
+		// slack for the programs no verifier checks, and stop the 10th.
+		// The chain reaches the deepest activation the engines run, frame
+		// 9, which the verifier refuses.
+		{name: "callback depth restarts in deep chain", insns: deepChain(8), rejected: true, want: 2},
 		// The chain reaches the deepest frame the verifier admits, frame 8.
 		{name: "callback depth restarts in verified chain", insns: deepChain(7), verified: true, want: 2},
+		// A call into frame 10 fails on both engines.
+		{name: "call depth limit past frame 9", insns: deepChain(9), rejected: true, err: interp.ErrCallDepth},
 		// The fuel meter is read before a helper runs: the call is the
 		// third instruction, which exhausts Fuel 3.
 		{name: "fuel before helper", insns: []isa.Instruction{
@@ -279,10 +287,14 @@ func TestEngines(t *testing.T) {
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if c.verified {
+			if c.verified || c.rejected {
 				prog := &isa.Program{Name: c.name, Type: isa.Tracing, Insns: c.insns}
-				if _, err := verifier.Verify(prog, helpers.NewRegistry(), nil, verifier.DefaultConfig()); err != nil {
+				_, err := verifier.Verify(prog, helpers.NewRegistry(), nil, verifier.DefaultConfig())
+				if c.verified && err != nil {
 					t.Fatalf("verifier rejects the program: %v", err)
+				}
+				if c.rejected && err == nil {
+					t.Fatal("verifier accepts the program")
 				}
 			}
 			ir, ierr := runEngine(t, c, false)

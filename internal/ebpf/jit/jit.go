@@ -75,7 +75,7 @@ func (c *Compiled) compileInsn(pc int, ins isa.Instruction) (op, error) {
 		size := isa.SizeBytes(ins.Size())
 		dst, src, off := ins.Dst, ins.Src, int64(ins.Off)
 		return func(s *interp.State, r *regs, pc int) int {
-			v, f := s.Mem().LoadUint(r[src]+uint64(off), size)
+			v, f := s.Ctx().LoadUint(r[src]+uint64(off), size)
 			if f != nil {
 				return fail(s, s.Crash(f))
 			}
@@ -86,7 +86,7 @@ func (c *Compiled) compileInsn(pc int, ins isa.Instruction) (op, error) {
 		size := isa.SizeBytes(ins.Size())
 		dst, off, imm := ins.Dst, int64(ins.Off), uint64(int64(ins.Imm))
 		return func(s *interp.State, r *regs, pc int) int {
-			if f := s.Mem().StoreUint(r[dst]+uint64(off), size, imm); f != nil {
+			if f := s.Ctx().StoreUint(r[dst]+uint64(off), size, imm); f != nil {
 				return fail(s, s.Crash(f))
 			}
 			return pc + 1
@@ -104,7 +104,7 @@ func (c *Compiled) compileInsn(pc int, ins isa.Instruction) (op, error) {
 			}, nil
 		}
 		return func(s *interp.State, r *regs, pc int) int {
-			if f := s.Mem().StoreUint(r[dst]+uint64(off), size, r[src]); f != nil {
+			if f := s.Ctx().StoreUint(r[dst]+uint64(off), size, r[src]); f != nil {
 				return fail(s, s.Crash(f))
 			}
 			return pc + 1

@@ -88,6 +88,9 @@ type Loaded struct {
 
 	stack  *Stack
 	engine exec.Engine
+	// cell is the program's stats cell, resolved at load and carried on
+	// every request.
+	cell *exec.ProgramCell
 	// orig is the pre-relocation program as the user submitted it — what
 	// a supervised recovery probe re-verifies (the relocated image has
 	// its map names resolved away and would not re-verify).
@@ -132,7 +135,7 @@ func (s *Stack) Load(prog *isa.Program) (*Loaded, error) {
 	}
 	rec.Mark("relocate")
 	fixed := &isa.Program{Name: prog.Name, Type: prog.Type, License: prog.License, Insns: insns}
-	l := &Loaded{Prog: fixed, Verdict: res, Conc: cc, stack: s, orig: prog}
+	l := &Loaded{Prog: fixed, Verdict: res, Conc: cc, stack: s, orig: prog, cell: s.Core.Stats.Cell(prog.Name)}
 	if cc != nil {
 		s.Core.SetConc(prog.Name, cc.Racy(), cc.Reason)
 	}
@@ -215,6 +218,7 @@ func (l *Loaded) Request(opts RunOptions) exec.Request {
 	}
 	return exec.Request{
 		Program:   l.Prog.Name,
+		Stats:     l.cell,
 		CPU:       opts.CPU,
 		CtxAddr:   ctxAddr,
 		Fuel:      opts.Fuel,

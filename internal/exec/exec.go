@@ -70,7 +70,9 @@ type Core struct {
 	// sharded data plane's submission gate (see conc.go).
 	Conc concTable
 
-	// frames recycles run frames across invocations (see runFrame).
+	// slots holds each CPU's run frame between its runs, and frames
+	// recycles the rest (see runFrame).
+	slots  []frameSlot
 	frames sync.Pool
 
 	// sup, once Supervise installs it, gates every dispatch through this
@@ -80,7 +82,10 @@ type Core struct {
 
 // NewCore assembles an execution core on the given kernel and registries.
 func NewCore(k *kernel.Kernel, reg *helpers.Registry, mreg *maps.Registry) *Core {
-	return &Core{K: k, Helpers: reg, Maps: mreg, Machine: interp.NewMachine(k, reg, mreg)}
+	c := &Core{K: k, Helpers: reg, Maps: mreg, Machine: interp.NewMachine(k, reg, mreg)}
+	c.slots = make([]frameSlot, k.Cfg.NumCPU)
+	c.Stats.sizeCPUs(k.Cfg.NumCPU)
+	return c
 }
 
 // Supervise installs a supervisor on the core: from then on every
@@ -101,6 +106,9 @@ func (c *Core) Supervisor() *Supervisor { return c.sup.Load() }
 type Request struct {
 	// Program names the program for per-program stats and the report.
 	Program string
+	// Stats, when set, is Program's stats cell (Stats.Cell), resolved at
+	// load so the run is accounted without a name lookup.
+	Stats *ProgramCell
 	// CPU selects the simulated CPU the context runs on.
 	CPU int
 	// CtxAddr is what R1 points to at entry. The stacks guarantee it is
@@ -139,26 +147,43 @@ type Request struct {
 }
 
 // runFrame is the state one invocation runs in: its kernel context, its
-// helper environment and a copy of its request. Core.Run takes a frame
-// from the core's pool, re-enters the context and resets the environment
-// in place, and returns the frame when the run is accounted, so the
-// lifecycle allocates neither per run. Every run still starts from state
-// indistinguishable from a fresh NewContext and NewEnv.
+// helper environment and a copy of its request. Core.Run takes a frame,
+// re-enters the context and resets the environment in place, and returns
+// the frame when the run is accounted, so the lifecycle allocates neither
+// per run. Every run still starts from state indistinguishable from a
+// fresh NewContext and NewEnv; what a frame keeps across runs is backing
+// storage, the context's TLB among it.
 //
-// The pool is a sync.Pool, which may drop frames at any time, so a frame
-// must not own anything that needs releasing: engines return their stack
-// frames to the machine's per-CPU cache before a run ends. A frame whose
-// context leaves the exit audit still holding locks, RCU nesting or
-// references (an audit that panicked under oops=panic) is not reused:
-// those locks now belong to a dead context, as they would without reuse.
+// Each CPU keeps the frame of its last run in its slot, which a garbage
+// collection does not empty, so a shard worker runs on one frame, and one
+// warm TLB, for its whole life. A run that finds its CPU's slot empty (a
+// second run on the CPU at once, or a CPU past the kernel's) uses the
+// core's sync.Pool, which may drop frames at any time. So a frame must not
+// own anything that needs releasing: engines return their stack frames to
+// the machine's per-CPU cache before a run ends. A frame whose context
+// leaves the exit audit still holding locks, RCU nesting or references
+// (an audit that panicked under oops=panic) is not reused: those locks now
+// belong to a dead context, as they would without reuse.
 type runFrame struct {
 	ctx kernel.Context
 	env helpers.Env
 	req Request
 }
 
-// frame takes a run frame from the pool.
-func (c *Core) frame() *runFrame {
+// frameSlot holds one CPU's idle run frame, on its own cache line.
+type frameSlot struct {
+	fr atomic.Pointer[runFrame]
+	_  kernel.CacheLinePad
+}
+
+// frame takes a run frame for a run on cpu: the CPU's own if it is idle,
+// else one from the pool.
+func (c *Core) frame(cpu int) *runFrame {
+	if uint(cpu) < uint(len(c.slots)) {
+		if fr := c.slots[cpu].fr.Swap(nil); fr != nil {
+			return fr
+		}
+	}
 	if fr, ok := c.frames.Get().(*runFrame); ok {
 		return fr
 	}
@@ -167,15 +192,19 @@ func (c *Core) frame() *runFrame {
 	return fr
 }
 
-// release returns a frame to the pool unless its context is still dirty.
-// The request and environment are cleared first, so the pool pins no
-// caller data.
+// release returns a frame to its CPU's slot, or to the pool when the slot
+// is taken, unless its context is still dirty. The request and
+// environment are cleared first, so an idle frame pins no caller data.
 func (c *Core) release(fr *runFrame) {
 	if !fr.ctx.Exited() {
 		return
 	}
+	cpu := fr.req.CPU
 	fr.req = Request{}
 	fr.env.Reset(nil, nil, nil)
+	if uint(cpu) < uint(len(c.slots)) && c.slots[cpu].fr.CompareAndSwap(nil, fr) {
+		return
+	}
 	c.frames.Put(fr)
 }
 
@@ -240,7 +269,7 @@ func (c *Core) dispatch(eng Engine, req Request, reload Reload, box *reportBox) 
 
 // run is the lifecycle of one invocation, writing its report into box.
 func (c *Core) run(eng Engine, req Request, box *reportBox) (err error) {
-	fr := c.frame()
+	fr := c.frame(req.CPU)
 	fr.req = req
 	r := &fr.req
 	if c.Inject != nil {
@@ -337,7 +366,7 @@ func (c *Core) run(eng Engine, req Request, box *reportBox) (err error) {
 		}()
 		rep.WallNs = time.Since(wallStart).Nanoseconds()
 		rep.CPUTimeNs = ctx.ConsumedNs()
-		c.Stats.recordRun(r.CPU, rep, err)
+		c.Stats.recordRun(r.Stats, r.CPU, rep, err)
 		c.release(fr)
 	}()
 

@@ -308,17 +308,25 @@ func TestHelperCallRowsStableOrder(t *testing.T) {
 }
 
 // TestStatsConcurrent exercises the accumulator from many goroutines; it is
-// the subject of the -race leg in CI.
+// the subject of the -race leg in CI. Half the runs carry the program's
+// bound cell and half are accounted by name; one CPU id in three lies past
+// the sized per-CPU cells.
 func TestStatsConcurrent(t *testing.T) {
 	var s Stats
+	s.sizeCPUs(2)
+	bound := s.Cell("p")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var cell *ProgramCell
+			if g%2 == 0 {
+				cell = bound
+			}
 			for i := 0; i < 200; i++ {
 				s.RecordLoad("p", PhaseTimings{{Name: "verify", WallNs: 1}})
-				s.recordRun(g%2, &Report{
+				s.recordRun(cell, g%3, &Report{
 					Program:      "p",
 					Instructions: 1,
 					HelperCalls:  helpers.Calls(nil).Add("h", 1),
@@ -334,5 +342,8 @@ func TestStatsConcurrent(t *testing.T) {
 	}
 	if snap.Programs["p"].HelperCalls["h"] != 1600 {
 		t.Fatalf("helper calls = %v", snap.Programs["p"].HelperCalls)
+	}
+	if len(snap.CPUs) != 3 || snap.CPUs[0].Invocations+snap.CPUs[1].Invocations+snap.CPUs[2].Invocations != 1600 {
+		t.Fatalf("CPUs = %+v, want 1600 invocations over CPUs 0-2", snap.CPUs)
 	}
 }

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"kex/internal/ebpf/helpers"
 	"kex/internal/ebpf/interp"
@@ -72,7 +74,26 @@ func TestCoreRunAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, run); got > 1 {
 			t.Fatalf("%s Core.Run allocs = %.1f, want <= 1", name, got)
 		}
+		// The first run allocated the frame's context TLB (16 KiB); a run
+		// on the reused frame allocates its report and no TLB.
+		if got, want := bytesOfRun(run), uint64(unsafe.Sizeof(reportBox{}))+1024; got > want {
+			t.Fatalf("%s Core.Run on a reused frame allocates %d bytes, want <= %d", name, got, want)
+		}
 	}
+}
+
+// bytesOfRun returns the fewest bytes one call of run allocated over a few
+// calls, so a background allocation does not count against it.
+func bytesOfRun(run func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // TestCoreRunAllocsLateSlot pins the documented limit of the inline helper
@@ -136,6 +157,12 @@ func TestRunBatchAllocs(t *testing.T) {
 		run()
 		if got := testing.AllocsPerRun(50, run); got > 2 {
 			t.Fatalf("%s RunBatch allocs = %.1f per batch of %d, want <= 2", name, got, len(reqs))
+		}
+		// Reused frames allocate no TLB: a batch allocates its results
+		// and reports only.
+		owned := uint64(len(reqs)) * uint64(unsafe.Sizeof(reportBox{})+unsafe.Sizeof(BatchResult{}))
+		if got := bytesOfRun(run); got > owned+1024 {
+			t.Fatalf("%s RunBatch allocates %d bytes per batch, want <= %d", name, got, owned+1024)
 		}
 	}
 }

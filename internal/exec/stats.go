@@ -19,10 +19,17 @@ import (
 // running one program do not bounce a shared cache line. Aggregation into
 // the public Snapshot types, summing the stripes, happens only on read,
 // which is the cold path.
+//
+// Nothing on the write path looks a name up: a stack resolves its
+// program's cell once at load (Cell) and carries it on every Request, and
+// the per-CPU cells are a slice indexed by CPU id.
 type Stats struct {
-	programs sync.Map // program name -> *progCell
-	cpus     sync.Map // cpu id -> *cpuCell
-	loads    atomic.Uint64
+	programs sync.Map // program name -> *ProgramCell
+	// cpus holds one cell per CPU of the core's kernel. A CPU id outside
+	// it (a request may name any) has its cell in otherCPUs.
+	cpus      []cpuCell
+	otherCPUs sync.Map // cpu id -> *cpuCell
+	loads     atomic.Uint64
 
 	// Load-phase timings are control-plane only (one update per program
 	// load), so a small mutex is fine and keeps the insertion order simple.
@@ -32,7 +39,7 @@ type Stats struct {
 }
 
 // progCounter names one per-program counter. Run counters index
-// runStripe.n; the others index progCell.n through progCell.at.
+// runStripe.n; the others index ProgramCell.n through ProgramCell.at.
 type progCounter int
 
 const (
@@ -60,7 +67,7 @@ const (
 )
 
 // progReason names one most-recent-reason string; it indexes
-// progCell.reasons.
+// ProgramCell.reasons.
 type progReason int
 
 const (
@@ -85,11 +92,11 @@ const (
 // numRunCounters is how many leading progCounters are run counters.
 const numRunCounters = pFaults
 
-// progCell is the hot accumulator behind one ProgramStats row. The ns
+// ProgramCell is the hot accumulator behind one ProgramStats row. The ns
 // counters are int64 in ProgramStats and stored here as their two's
 // complement, which adds identically. A run counter's total is the sum of
 // its stripe entries; every other counter has one entry in n.
-type progCell struct {
+type ProgramCell struct {
 	n           [numProgCounters - numRunCounters]atomic.Uint64
 	stripes     [statStripes]runStripe
 	reasons     [numProgReasons]atomic.Pointer[string]
@@ -343,40 +350,43 @@ func (s *Stats) RecordConcDemotion(program, reason string) {
 	ps.reasons[rConcDemotion].Store(&reason)
 }
 
-// RecordFuelElision accounts one invocation that ran without fuel metering
-// because the toolchain proved a static instruction bound under budget.
-func (s *Stats) RecordFuelElision(program string) {
-	s.prog(program).at(pFuelElisions).Add(1)
-}
+// Cell returns (creating on first use) one program's accumulator, for a
+// stack to resolve once at load and carry on every Request of the program
+// (Request.Stats), so accounting a run does no name lookup.
+func (s *Stats) Cell(program string) *ProgramCell { return s.prog(program) }
 
-// FuelElisionRecorder returns a recorder bound to one program's cell, for
-// hot paths that would otherwise pay the name lookup on every invocation —
-// the coalesced-fuel dispatch path resolves it once at load time.
-func (s *Stats) FuelElisionRecorder(program string) func() {
-	cell := s.prog(program)
-	return func() { cell.at(pFuelElisions).Add(1) }
-}
+// RecordFuelElision accounts one invocation of the cell's program that ran
+// without fuel metering because the toolchain proved a static instruction
+// bound under budget.
+func (c *ProgramCell) RecordFuelElision() { c.at(pFuelElisions).Add(1) }
 
 // prog returns (creating on first use) the per-program accumulator.
-func (s *Stats) prog(name string) *progCell {
+func (s *Stats) prog(name string) *ProgramCell {
 	if c, ok := s.programs.Load(name); ok {
-		return c.(*progCell)
+		return c.(*ProgramCell)
 	}
-	c, _ := s.programs.LoadOrStore(name, &progCell{})
-	return c.(*progCell)
+	c, _ := s.programs.LoadOrStore(name, &ProgramCell{})
+	return c.(*ProgramCell)
 }
 
 // at returns the cell of a counter that is not a run counter.
-func (c *progCell) at(i progCounter) *atomic.Uint64 {
+func (c *ProgramCell) at(i progCounter) *atomic.Uint64 {
 	return &c.n[i-numRunCounters]
 }
 
+// sizeCPUs gives the stats one cell per CPU of a kernel with n CPUs. The
+// core calls it once, before any run.
+func (s *Stats) sizeCPUs(n int) { s.cpus = make([]cpuCell, n) }
+
 // cpu returns (creating on first use) the per-CPU accumulator.
 func (s *Stats) cpu(id int) *cpuCell {
-	if c, ok := s.cpus.Load(id); ok {
+	if uint(id) < uint(len(s.cpus)) {
+		return &s.cpus[id]
+	}
+	if c, ok := s.otherCPUs.Load(id); ok {
 		return c.(*cpuCell)
 	}
-	c, _ := s.cpus.LoadOrStore(id, &cpuCell{})
+	c, _ := s.otherCPUs.LoadOrStore(id, &cpuCell{})
 	return c.(*cpuCell)
 }
 
@@ -415,10 +425,14 @@ func (s *Stats) recordTransition(program string, from, to State) {
 	counterIn(&s.prog(program).transitions, string(from)+"->"+string(to), 1)
 }
 
-// recordRun accounts one invocation. The core calls it after assembling the
-// report; engineErr marks abnormal termination.
-func (s *Stats) recordRun(cpu int, rep *Report, engineErr error) {
-	st := &s.prog(rep.Program).stripes[uint(cpu)%statStripes]
+// recordRun accounts one invocation to cell, or to the report's program
+// by name when the request carried no cell. The core calls it after
+// assembling the report; engineErr marks abnormal termination.
+func (s *Stats) recordRun(cell *ProgramCell, cpu int, rep *Report, engineErr error) {
+	if cell == nil {
+		cell = s.prog(rep.Program)
+	}
+	st := &cell.stripes[uint(cpu)%statStripes]
 	st.n[pInvocations].Add(1)
 	if engineErr != nil {
 		st.n[pErrors].Add(1)
@@ -478,7 +492,7 @@ func (s *Stats) Snapshot() Snapshot {
 	}
 	s.phaseMu.Unlock()
 	s.programs.Range(func(k, v any) bool {
-		c := v.(*progCell)
+		c := v.(*ProgramCell)
 		ps := ProgramStats{Transitions: counterMap(&c.transitions)}
 		for i := numRunCounters; i < numProgCounters; i++ {
 			progFields[i].add(&ps, c.at(i).Load())
@@ -498,13 +512,21 @@ func (s *Stats) Snapshot() Snapshot {
 		snap.Programs[k.(string)] = ps
 		return true
 	})
-	s.cpus.Range(func(k, v any) bool {
-		c := v.(*cpuCell)
+	addCPU := func(id int, c *cpuCell) {
 		var cs CPUStats
 		for i, f := range cpuFields {
 			f.add(&cs, c.n[i].Load())
 		}
-		snap.CPUs[k.(int)] = cs
+		snap.CPUs[id] = cs
+	}
+	for id := range s.cpus {
+		// A CPU's cell is in the snapshot once a run was accounted to it.
+		if c := &s.cpus[id]; c.n[cInvocations].Load() != 0 {
+			addCPU(id, c)
+		}
+	}
+	s.otherCPUs.Range(func(k, v any) bool {
+		addCPU(k.(int), v.(*cpuCell))
 		return true
 	})
 	return snap

@@ -67,6 +67,13 @@ type Context struct {
 	rcuStalled bool
 	// rcuIdx is the context's position in its shard's active list.
 	rcuIdx int
+
+	// tlb caches the address translations of this context's memory
+	// accesses. It is allocated on the first access, so a context that
+	// never touches memory pays nothing, and kept across Reenter: its
+	// entries are tagged with the snapshot they were resolved in, so no
+	// run can see another's stale translation.
+	tlb *tlb
 }
 
 // detectorGranularity is how often (in consumed virtual ns) Tick runs the
@@ -96,7 +103,46 @@ func (c *Context) Reenter(cpu int) {
 		clock:    c.K.Clock.cell(cpu),
 		acquired: c.acquired[:0],
 		held:     c.held[:0],
+		tlb:      c.tlb,
 	}
+}
+
+// The memory accesses below are the kernel address space's, translated
+// through the context's TLB: the same values and faults as the
+// AddressSpace methods of the same names, without a binary search of the
+// region set on a TLB hit.
+
+// LoadUint reads a little-endian unsigned integer of 1, 2, 4 or 8 bytes.
+func (c *Context) LoadUint(addr uint64, size int) (uint64, *Fault) {
+	return c.K.Mem.loadUint(c.translations(), addr, size)
+}
+
+// StoreUint writes a little-endian unsigned integer of 1, 2, 4 or 8 bytes.
+func (c *Context) StoreUint(addr uint64, size int, v uint64) *Fault {
+	return c.K.Mem.storeUint(c.translations(), addr, size, v)
+}
+
+// Read copies size bytes at addr into a fresh slice, or returns a Fault.
+func (c *Context) Read(addr, size uint64) ([]byte, *Fault) {
+	return c.K.Mem.read(c.translations(), addr, size)
+}
+
+// ReadInto copies len(dst) bytes at addr into dst, or returns a Fault.
+func (c *Context) ReadInto(addr uint64, dst []byte) *Fault {
+	return c.K.Mem.readInto(c.translations(), addr, dst)
+}
+
+// Write stores the given bytes at addr, or returns a Fault.
+func (c *Context) Write(addr uint64, data []byte) *Fault {
+	return c.K.Mem.write(c.translations(), addr, data)
+}
+
+// translations returns the context's TLB, allocating it on first use.
+func (c *Context) translations() *tlb {
+	if c.tlb == nil {
+		c.tlb = new(tlb)
+	}
+	return c.tlb
 }
 
 // Exited reports whether the context holds no locks, RCU nesting or

@@ -1,6 +1,7 @@
 package compile_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,6 +35,17 @@ func compileSrc(t *testing.T, src string) *compile.Object {
 // validate semantics by execution, the strongest oracle available.
 func execSrc(t *testing.T, src string) *runtime.Verdict {
 	t.Helper()
+	v, _, err := runSrc(t, src)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return v
+}
+
+// runSrc builds, signs, loads and runs src once on a fresh kernel, which
+// it returns with the run's verdict, and the run's error.
+func runSrc(t *testing.T, src string) (*runtime.Verdict, *kernel.Kernel, error) {
+	t.Helper()
 	k := kernel.NewDefault()
 	rt := runtime.New(k, runtime.DefaultConfig())
 	signer, err := toolchain.NewSigner()
@@ -50,10 +62,7 @@ func execSrc(t *testing.T, src string) *runtime.Verdict {
 		t.Fatalf("load: %v", err)
 	}
 	v, err := ext.Run(runtime.RunOptions{})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return v
+	return v, k, err
 }
 
 func expectR0(t *testing.T, src string, want int64) {
@@ -207,6 +216,32 @@ fn main() -> i64 {
 }`, 55)
 }
 
+// TestCallChainDepth pins how deep SLX calls nest: one engine frame per
+// call and none of the runtime's own, so main and 8 nested calls, the 9
+// frames the engines run, complete, and a 9th nested call is stopped
+// without damage. SLX programs never meet the verifier's 8-frame rule;
+// this is the chain the engines' frame of slack keeps running (DESIGN
+// §3.1).
+func TestCallChainDepth(t *testing.T) {
+	chain := func(n int) string {
+		var b strings.Builder
+		for i := 1; i < n; i++ {
+			fmt.Fprintf(&b, "fn f%d(x: i64) -> i64 {\n\treturn f%d(x) + 1;\n}\n", i, i+1)
+		}
+		fmt.Fprintf(&b, "fn f%d(x: i64) -> i64 {\n\treturn x;\n}\n", n)
+		b.WriteString("fn main() -> i64 {\n\treturn f1(1);\n}\n")
+		return b.String()
+	}
+	expectR0(t, chain(8), 8)
+	v, k, err := runSrc(t, chain(9))
+	if err == nil && v.Completed {
+		t.Fatalf("a 10-frame chain completed: %+v", v)
+	}
+	if !k.Healthy() {
+		t.Fatalf("kernel damaged by a 10-frame chain: %v", k.LastOops())
+	}
+}
+
 func TestRecursionDepthBounded(t *testing.T) {
 	// Recursion compiles, and deep recursion is stopped by the engine's
 	// call-depth limit rather than corrupting anything: the program is
@@ -231,7 +266,7 @@ fn main() -> i64 {
 		t.Fatal(err)
 	}
 	v, err := ext.Run(runtime.RunOptions{})
-	// 100 frames exceed the 8-frame engine limit: terminated, not crashed.
+	// 100 frames exceed the 9-frame engine limit: terminated, not crashed.
 	if err == nil && v.Completed {
 		t.Fatalf("deep recursion completed: %+v", v)
 	}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"kex/internal/exec"
@@ -43,6 +44,19 @@ fn main() -> i64 {
 		run()
 		if got := testing.AllocsPerRun(200, run); got > 3 {
 			t.Fatalf("supervised=%v: Prepare+dispatch+Finish allocs = %.1f, want <= 3", supervised, got)
+		}
+		// A run on a reused frame allocates no context TLB (16 KiB). The
+		// fewest bytes over a few runs discounts background allocation.
+		got := ^uint64(0)
+		for i := 0; i < 5; i++ {
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			run()
+			goruntime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got > 4096 {
+			t.Fatalf("supervised=%v: a run on a reused frame allocates %d bytes, want <= 4096", supervised, got)
 		}
 	}
 }

@@ -72,8 +72,8 @@ func (rs *runState) record(env *helpers.Env, kind, payload uint64) error {
 // unrecord removes the most recent record matching kind/payload.
 func (rs *runState) unrecord(env *helpers.Env, kind, payload uint64) {
 	for i := len(rs.records) - 1; i >= 0; i-- {
-		k, _ := env.K.Mem.LoadUint(rs.records[i], 8)
-		p, _ := env.K.Mem.LoadUint(rs.records[i]+8, 8)
+		k, _ := env.Ctx.LoadUint(rs.records[i], 8)
+		p, _ := env.Ctx.LoadUint(rs.records[i]+8, 8)
 		if k == kind && p == payload {
 			rs.rt.unwindPool.On(rs.cpu).Free(rs.records[i])
 			rs.records = append(rs.records[:i], rs.records[i+1:]...)
@@ -530,8 +530,8 @@ func cratePktWrite(e *helpers.Env, a [5]uint64) (uint64, error) {
 
 func (rs *runState) memOwned(env *helpers.Env, handle uint64) bool {
 	for _, rec := range rs.records {
-		k, _ := env.K.Mem.LoadUint(rec, 8)
-		p, _ := env.K.Mem.LoadUint(rec+8, 8)
+		k, _ := env.Ctx.LoadUint(rec, 8)
+		p, _ := env.Ctx.LoadUint(rec+8, 8)
 		if k == recMem && p == handle {
 			return true
 		}

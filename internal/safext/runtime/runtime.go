@@ -213,10 +213,10 @@ type Extension struct {
 	// static bound, the configured budget, and the comparison between them
 	// are all invariants of the loaded extension, so deciding per Prepare
 	// call only added hot-path work to the build the decision is supposed
-	// to make faster. recordFuelElision is the stats recorder pre-bound to
-	// this program's cell for the same reason.
-	coalesceFuel      bool
-	recordFuelElision func()
+	// to make faster. cell is the program's stats cell, resolved at load
+	// for the same reason: every request carries it.
+	coalesceFuel bool
+	cell         *exec.ProgramCell
 }
 
 // Load validates and installs a signed object: signature check, structural
@@ -270,9 +270,9 @@ func (rt *Runtime) Load(so *toolchain.SignedObject) (*Extension, error) {
 // install performs the load-time fixup on a deserialized object.
 func (rt *Runtime) install(obj *compile.Object) (*Extension, error) {
 	ext := &Extension{Name: obj.Name, rt: rt, Capabilities: obj.Capabilities, Checks: obj.Checks, TVal: obj.TVal, Conc: obj.Conc, maps: make(map[string]maps.Map)}
+	ext.cell = rt.Core.Stats.Cell(ext.Name)
 	if b := ext.Checks.StaticInsnBound; b > 0 && rt.Cfg.Fuel > 0 && uint64(b) <= rt.Cfg.Fuel {
 		ext.coalesceFuel = true
-		ext.recordFuelElision = rt.Core.Stats.FuelElisionRecorder(ext.Name)
 	}
 
 	for _, spec := range obj.Maps {
@@ -440,7 +440,7 @@ func (ext *Extension) Prepare(opts RunOptions) *Prepared {
 	if ext.coalesceFuel {
 		fuel = 0
 		rt.stats.fuelElisions.Add(1)
-		ext.recordFuelElision()
+		ext.cell.RecordFuelElision()
 	}
 
 	p := &Prepared{ext: ext}
@@ -448,6 +448,7 @@ func (ext *Extension) Prepare(opts RunOptions) *Prepared {
 	p.rs.records = p.rs.recBuf[:0]
 	p.req = exec.Request{
 		Program:    ext.Name,
+		Stats:      ext.cell,
 		CPU:        opts.CPU,
 		CtxAddr:    opts.CtxAddr,
 		Fuel:       fuel,
@@ -587,8 +588,8 @@ func (ext *Extension) revalidate() error {
 func (rt *Runtime) cleanup(env *helpers.Env, rs *runState) (socks, locks, mem int) {
 	for i := len(rs.records) - 1; i >= 0; i-- {
 		addr := rs.records[i]
-		kind, _ := rt.K.Mem.LoadUint(addr, 8)
-		payload, _ := rt.K.Mem.LoadUint(addr+8, 8)
+		kind, _ := env.Ctx.LoadUint(addr, 8)
+		payload, _ := env.Ctx.LoadUint(addr+8, 8)
 		switch kind {
 		case recSock:
 			if s := rt.K.Sockets().ByAddr(payload); s != nil {
