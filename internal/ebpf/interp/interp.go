@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"kex/internal/ebpf/helpers"
 	"kex/internal/ebpf/isa"
@@ -80,14 +81,21 @@ type Machine struct {
 	frames []frameCache
 }
 
+// frameCache is one CPU's idle stack frames, a stack whose top, when set,
+// is the slot. A run takes and gives back the slot's frame with one atomic
+// operation each and no lock, which serves every run of a program without
+// BPF-to-BPF calls while one goroutine at a time runs on the CPU. Further
+// frames — deeper call chains, or a second run on the CPU at once — use
+// the locked list below it.
 type frameCache struct {
-	mu   sync.Mutex // uncontended in shard use (one worker per CPU)
+	slot atomic.Pointer[kernel.Region]
+	mu   sync.Mutex // guards free
 	free []*kernel.Region
 	_    kernel.CacheLinePad
 }
 
-// frameCacheCap bounds cached frames per CPU; deeper recursion spills to
-// plain Map/Unmap.
+// frameCacheCap bounds the frames a CPU caches, slot included; deeper
+// recursion spills to plain Map/Unmap.
 const frameCacheCap = 16
 
 // NewMachine builds an execution engine.
@@ -102,6 +110,10 @@ func NewMachine(k *kernel.Kernel, reg *helpers.Registry, mapsReg *maps.Registry)
 func (m *Machine) stackFrame(cpu int) *kernel.Region {
 	if cpu >= 0 && cpu < len(m.frames) {
 		fc := &m.frames[cpu]
+		if s := fc.slot.Swap(nil); s != nil {
+			clear(s.Data)
+			return s
+		}
 		fc.mu.Lock()
 		if n := len(fc.free); n > 0 {
 			s := fc.free[n-1]
@@ -120,9 +132,16 @@ func (m *Machine) stackFrame(cpu int) *kernel.Region {
 func (m *Machine) releaseFrame(cpu int, s *kernel.Region) {
 	if cpu >= 0 && cpu < len(m.frames) {
 		fc := &m.frames[cpu]
+		if fc.slot.CompareAndSwap(nil, s) {
+			return
+		}
+		// The slot is taken: s becomes the top and the slot's frame moves
+		// down into the list, so frames come back in the order they went.
 		fc.mu.Lock()
-		if len(fc.free) < frameCacheCap {
-			fc.free = append(fc.free, s)
+		if len(fc.free) < frameCacheCap-1 {
+			if below := fc.slot.Swap(s); below != nil {
+				fc.free = append(fc.free, below)
+			}
 			fc.mu.Unlock()
 			return
 		}

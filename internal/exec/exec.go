@@ -396,15 +396,36 @@ type BatchResult struct {
 // bracketing, exit audit — so the safety guarantees are identical to
 // serial Run calls, and a trip mid-batch denies the rest of the batch
 // exactly as it would deny fresh dispatches. What the batch amortizes is
-// everything around the lifecycle (ring hand-off, engine/report plumbing
-// staying hot in cache, one allocation for all of the batch's reports).
-// This is the unit of work a Sharded ring delivers to its worker. The
-// caller owns every returned Report.
+// everything around the lifecycle (engine/report plumbing staying hot in
+// cache, one allocation for all of the batch's reports). The caller owns
+// every returned Report.
 func (c *Core) RunBatch(eng Engine, cpu int, reqs []Request, reload Reload) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	boxes := make([]reportBox, len(reqs))
+	var slab batchSlab
+	return c.runBatch(eng, cpu, reqs, reload, &slab)
+}
+
+// batchSlab is the storage a batch's reports and results are written
+// into. RunBatch uses a fresh one per batch; a Sharded worker keeps one
+// for its life, so a batch's results are valid only until the next batch
+// on that shard (see Batch.Done).
+type batchSlab struct {
+	boxes []reportBox
+	out   []BatchResult
+}
+
+// runBatch is RunBatch writing into slab, grown to the batch's size when
+// it is short. Each box is reset before its dispatch, so a report never
+// carries a field of an earlier batch's.
+func (c *Core) runBatch(eng Engine, cpu int, reqs []Request, reload Reload, slab *batchSlab) []BatchResult {
+	n := len(reqs)
+	if cap(slab.boxes) < n {
+		slab.boxes = make([]reportBox, n)
+		slab.out = make([]BatchResult, n)
+	}
+	boxes, out := slab.boxes[:n], slab.out[:n]
 	for i := range reqs {
 		reqs[i].CPU = cpu
+		boxes[i] = reportBox{}
 		err := c.dispatch(eng, reqs[i], reload, &boxes[i])
 		out[i] = BatchResult{Report: &boxes[i].Report, Err: err}
 	}

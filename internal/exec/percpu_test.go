@@ -65,8 +65,9 @@ func assertLinePadded(t *testing.T, cell any) {
 }
 
 // TestStatsCellsPadded pins the layout of the per-CPU stats cells each
-// run writes.
+// run writes, and of the per-shard counters each batch writes.
 func TestStatsCellsPadded(t *testing.T) {
 	assertLinePadded(t, cpuCell{})
 	assertLinePadded(t, runStripe{})
+	assertLinePadded(t, shardCell{})
 }

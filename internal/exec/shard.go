@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"kex/internal/kernel"
 )
 
 // Errors returned by the sharded submission path.
@@ -51,7 +53,12 @@ type Batch struct {
 	// Done, when set, receives the batch's results on the shard worker
 	// goroutine after the batch completes. It must not block the worker
 	// for long — it is the per-CPU completion context, like a NAPI poll
-	// callback, not a place to do synchronous downstream work.
+	// callback, not a place to do synchronous downstream work. Like the
+	// buffers a NAPI poll hands up, the results and their Reports belong
+	// to the shard: they are valid until Done returns, and their storage
+	// then serves the shard's next batch. Done copies what it keeps; a
+	// copied Report still shares its HelperCalls with the shard, and so
+	// does a safext Verdict made from it.
 	Done func([]BatchResult)
 }
 
@@ -71,15 +78,17 @@ type Sharded struct {
 	conc ConcMode
 
 	rings []chan Batch
-	// busy accumulates each shard's consumed virtual CPU time; aggregate
-	// simulated throughput is total ops over max shard busy time.
-	busy      []atomic.Int64
-	completed atomic.Uint64
+	// cells holds each shard's counters, written only by its worker.
+	cells []shardCell
 
+	// pending counts submitted batches not yet completed, across every
+	// shard: Flush waits for it to reach zero, which one count answers
+	// and per-shard counts could not without a consistent scan.
 	pending atomic.Int64
 	flushMu sync.Mutex
-	// flushCh is closed (and replaced) each time pending drains to zero —
-	// a broadcast Flush waiters can select against a deadline.
+	// flushCh, made by the first Flush that has to wait, is closed and
+	// dropped when pending drains to zero — a broadcast Flush waiters can
+	// select against a deadline. A plane nobody flushes makes none.
 	flushCh chan struct{}
 
 	wg sync.WaitGroup
@@ -89,6 +98,16 @@ type Sharded struct {
 	// panics). Submissions after Close fail with ErrShardedClosed.
 	closeMu sync.RWMutex
 	closed  bool
+}
+
+// shardCell is one shard's counters, on its own cache line.
+type shardCell struct {
+	// busy accumulates the shard's consumed virtual CPU time; aggregate
+	// simulated throughput is total ops over max shard busy time.
+	busy atomic.Int64
+	// completed counts the requests the shard has fully executed.
+	completed atomic.Uint64
+	_         kernel.CacheLinePad
 }
 
 // NewSharded starts the shard workers over the core. Every batch runs
@@ -107,9 +126,8 @@ func (c *Core) NewSharded(cfg ShardedConfig) *Sharded {
 		core:  c,
 		conc:  cfg.Conc,
 		rings: make([]chan Batch, cfg.Shards),
-		busy:  make([]atomic.Int64, cfg.Shards),
+		cells: make([]shardCell, cfg.Shards),
 	}
-	s.flushCh = make(chan struct{})
 	for cpu := range s.rings {
 		s.rings[cpu] = make(chan Batch, cfg.RingSize)
 		s.wg.Add(1)
@@ -120,19 +138,20 @@ func (c *Core) NewSharded(cfg ShardedConfig) *Sharded {
 
 // worker drains one shard's ring. It is the only goroutine that ever runs
 // requests on its CPU, which is what makes per-CPU map cells and frame
-// caches contention-free.
+// caches contention-free, and it writes every batch's reports into its
+// own slab.
 func (s *Sharded) worker(cpu int) {
 	defer s.wg.Done()
+	cell := &s.cells[cpu]
+	var slab batchSlab
 	for b := range s.rings[cpu] {
-		results := s.core.RunBatch(b.Engine, cpu, b.Reqs, b.Reload)
+		results := s.core.runBatch(b.Engine, cpu, b.Reqs, b.Reload, &slab)
 		var consumed int64
 		for _, r := range results {
-			if r.Report != nil {
-				consumed += r.Report.CPUTimeNs
-			}
+			consumed += r.Report.CPUTimeNs
 		}
-		s.busy[cpu].Add(consumed)
-		s.completed.Add(uint64(len(results)))
+		cell.busy.Add(consumed)
+		cell.completed.Add(uint64(len(results)))
 		if b.Done != nil {
 			b.Done(results)
 		}
@@ -145,8 +164,10 @@ func (s *Sharded) worker(cpu int) {
 func (s *Sharded) decPending() {
 	if s.pending.Add(-1) == 0 {
 		s.flushMu.Lock()
-		close(s.flushCh)
-		s.flushCh = make(chan struct{})
+		if s.flushCh != nil {
+			close(s.flushCh)
+			s.flushCh = nil
+		}
 		s.flushMu.Unlock()
 	}
 }
@@ -236,6 +257,9 @@ func (s *Sharded) FlushCtx(ctx context.Context) error {
 			s.flushMu.Unlock()
 			return nil
 		}
+		if s.flushCh == nil {
+			s.flushCh = make(chan struct{})
+		}
 		ch := s.flushCh
 		s.flushMu.Unlock()
 		select {
@@ -267,7 +291,7 @@ func (s *Sharded) Close() {
 }
 
 // BusyNs returns the virtual CPU time shard cpu has consumed so far.
-func (s *Sharded) BusyNs(cpu int) int64 { return s.busy[cpu].Load() }
+func (s *Sharded) BusyNs(cpu int) int64 { return s.cells[cpu].busy.Load() }
 
 // MaxBusyNs returns the busiest shard's consumed virtual CPU time — the
 // simulated makespan of the work so far. Aggregate simulated throughput
@@ -275,8 +299,8 @@ func (s *Sharded) BusyNs(cpu int) int64 { return s.busy[cpu].Load() }
 // spreads evenly and the makespan stops growing with total ops.
 func (s *Sharded) MaxBusyNs() int64 {
 	var max int64
-	for i := range s.busy {
-		if b := s.busy[i].Load(); b > max {
+	for i := range s.cells {
+		if b := s.cells[i].busy.Load(); b > max {
 			max = b
 		}
 	}
@@ -286,11 +310,17 @@ func (s *Sharded) MaxBusyNs() int64 {
 // TotalBusyNs returns the summed consumed virtual CPU time of all shards.
 func (s *Sharded) TotalBusyNs() int64 {
 	var total int64
-	for i := range s.busy {
-		total += s.busy[i].Load()
+	for i := range s.cells {
+		total += s.cells[i].busy.Load()
 	}
 	return total
 }
 
 // Completed returns the number of requests fully executed so far.
-func (s *Sharded) Completed() uint64 { return s.completed.Load() }
+func (s *Sharded) Completed() uint64 {
+	var n uint64
+	for i := range s.cells {
+		n += s.cells[i].completed.Load()
+	}
+	return n
+}

@@ -263,16 +263,17 @@ func TestSupervisorQuietSharded(t *testing.T) {
 	}()
 	waitFor(t, "quiet runs on shard 0", func() bool { return ran.Load() >= 64 })
 
-	tripped := make(chan []BatchResult, 1)
-	if err := sh.SubmitWait(1, Batch{Engine: eng, Reqs: batch()[:3], Done: func(r []BatchResult) { tripped <- r }}); err != nil {
+	// The results are the shard's until Done returns: keep a copy.
+	tripped := make(chan string, 1)
+	if err := sh.SubmitWait(1, Batch{Engine: eng, Reqs: batch()[:3], Done: func(r []BatchResult) { tripped <- r[2].Report.Supervision }}); err != nil {
 		t.Fatal(err)
 	}
-	res := <-tripped
+	third := <-tripped
 	close(stop)
 	total := <-streamed
 	sh.Flush()
-	if got := res[2].Report.Supervision; got != string(StateQuarantined) {
-		t.Fatalf("third fault on shard 1 reported %q, want quarantined", got)
+	if third != string(StateQuarantined) {
+		t.Fatalf("third fault on shard 1 reported %q, want quarantined", third)
 	}
 
 	for cpu := 0; cpu < 2; cpu++ {

@@ -21,11 +21,15 @@ type CacheLinePad struct{ _ [64]byte }
 //
 // Time is kept in one counter per simulated CPU, each on its own cache
 // line, so shard workers retiring instructions on different CPUs never
-// write the same line. Now is the sum of the counters: in a serial run it
-// is exactly the single-counter time, and every reader still sees it
-// monotone, since each counter only grows.
+// write the same line, and one more counter for the idle time Advance
+// injects. Now is the sum of the counters: in a serial run it is exactly
+// the single-counter time, and every reader still sees it monotone, since
+// each counter only grows. The run path never calls Now: a reader's RCU
+// stamp reads its own context and the idle counter, which only harnesses
+// and denied dispatches write.
 type Clock struct {
 	cpus []clockCell
+	idle clockCell
 }
 
 // clockCell is one CPU's share of virtual time.
@@ -45,20 +49,24 @@ func NewClock(numCPU int) *Clock {
 
 // Now returns the current virtual time in nanoseconds since boot.
 func (c *Clock) Now() int64 {
-	var now int64
+	now := c.idle.ns.Load()
 	for i := range c.cpus {
 		now += c.cpus[i].ns.Load()
 	}
 	return now
 }
 
-// Advance moves virtual time forward by d nanoseconds and returns the new
-// time. Advancing by a negative duration panics: simulated time, like real
-// kernel time, is monotonic.
+// Advance moves virtual time forward by d nanoseconds of idle time and
+// returns the new time. Idle time ages every open RCU read-side section
+// (see RCUState). Advancing by a negative duration panics: simulated time,
+// like real kernel time, is monotonic.
 func (c *Clock) Advance(d int64) int64 {
-	c.cpus[0].add(d)
+	c.idle.add(d)
 	return c.Now()
 }
+
+// idleNs returns the idle time Advance has injected since boot.
+func (c *Clock) idleNs() int64 { return c.idle.ns.Load() }
 
 // AdvanceDuration is Advance for a time.Duration.
 func (c *Clock) AdvanceDuration(d time.Duration) int64 { return c.Advance(int64(d)) }

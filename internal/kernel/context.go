@@ -1,15 +1,16 @@
 package kernel
 
-import "sync/atomic"
-
 // Context is one extension execution context: the kernel-side identity of a
 // running extension program. Both execution stacks — the verified-eBPF
 // interpreter/JIT and the safext runtime — run programs inside a Context,
 // so RCU nesting, held locks, acquired references and CPU time are
 // accounted identically for the two worlds the paper compares.
 //
-// A Context belongs to exactly one shard worker; the only fields that may
-// be observed from outside the owning goroutine are the atomic ones.
+// A Context is run by one goroutine at a time, and only that goroutine
+// reads or writes it, bar its place in its RCU shard's locked list, which
+// the shard's mutex guards. Its tick, its RCU section and its detectors
+// touch no other CPU's state. Harness calls that inspect contexts from
+// outside (RCUState.CheckStalls) run while they are quiescent.
 type Context struct {
 	K     *Kernel
 	CPUID int
@@ -29,9 +30,9 @@ type Context struct {
 	// (Instructions × InstrCost). Under sharded execution the clock's Now
 	// carries every shard's work, so per-context deadlines — watchdog,
 	// soft lockup, RCU stall — and a run's RuntimeNs are judged against
-	// consumed time, the context's own share. Atomic so shard supervisors
-	// can peek.
-	consumedNs atomic.Int64
+	// consumed time, the context's own share. A plain field: only the
+	// goroutine running the context reads it on the run path.
+	consumedNs int64
 
 	// lastYieldNs is the consumed time at the last scheduling point,
 	// feeding the soft-lockup watchdog.
@@ -51,21 +52,23 @@ type Context struct {
 	// acquisition order (see LockDep).
 	held []*SpinLock
 
-	// RCU read-side state. The fields are guarded by the mutex of the RCU
-	// shard for this context's CPU, which also lists the context while
-	// rcuDepth > 0.
+	// RCU read-side state, owned by the context like the rest of it. While
+	// rcuDepth > 0 the context sits in its CPU's RCU shard: in the owner
+	// slot, or in the locked list of further readers.
 	rcuDepth int
-	// rcuSince is the virtual clock time the outermost read lock was
-	// taken, used by the harness-driven detector and for reporting.
-	rcuSince int64
-	// rcuSinceNs is this context's consumed CPU time at the outermost
-	// lock; the tick-driven detector judges stalls against it so one
-	// shard's progress cannot stall another shard's reader.
-	rcuSinceNs int64
+	// rcuSinceNs and rcuSinceIdle are this context's consumed CPU time and
+	// the clock's idle time at the outermost lock: the stamps a section's
+	// age is measured from (see RCUState), so one shard's progress cannot
+	// stall another shard's reader.
+	rcuSinceNs   int64
+	rcuSinceIdle int64
 	// rcuStalled records that the stall of this critical section was
 	// already reported.
 	rcuStalled bool
-	// rcuIdx is the context's position in its shard's active list.
+	// rcuOwner records that the section holds its shard's owner slot.
+	rcuOwner bool
+	// rcuIdx is the context's position in its shard's locked list when it
+	// does not hold the owner slot; the shard's mutex guards it.
 	rcuIdx int
 
 	// tlb caches the address translations of this context's memory
@@ -158,12 +161,13 @@ func (c *Context) Tick(n uint64) {
 	c.Instructions += n
 	d := int64(n) * c.InstrCost
 	c.clock.add(d)
-	consumed := c.consumedNs.Add(d)
+	c.consumedNs += d
+	consumed := c.consumedNs
 	if consumed-c.lastDetectNs < detectorGranularity {
 		return
 	}
 	c.lastDetectNs = consumed
-	c.K.rcu.checkStalls(c)
+	c.K.rcu.checkStall(c)
 	if !c.softLockupHit && consumed-c.lastYieldNs >= c.K.Cfg.SoftLockupTimeout {
 		c.softLockupHit = true
 		c.K.Oops(OopsSoftLockup, c.CPUID,
@@ -174,7 +178,7 @@ func (c *Context) Tick(n uint64) {
 
 // Yield marks a scheduling point, resetting the soft-lockup watchdog.
 func (c *Context) Yield() {
-	c.lastYieldNs = c.consumedNs.Load()
+	c.lastYieldNs = c.consumedNs
 	c.softLockupHit = false
 }
 
@@ -182,11 +186,11 @@ func (c *Context) Yield() {
 // sharded execution this is the per-CPU view of elapsed time — the clock's
 // Now also carries every other shard's progress — so watchdog deadlines
 // keyed on it stay per-shard correct. In serial execution the two agree.
-func (c *Context) Runtime() int64 { return c.consumedNs.Load() }
+func (c *Context) Runtime() int64 { return c.consumedNs }
 
 // ConsumedNs is Runtime under its accounting name; shard workers use it to
 // attribute busy time to their ring.
-func (c *Context) ConsumedNs() int64 { return c.consumedNs.Load() }
+func (c *Context) ConsumedNs() int64 { return c.consumedNs }
 
 // TrackRef records a reference acquired during this run.
 func (c *Context) TrackRef(r *Ref) { c.acquired = append(c.acquired, r) }

@@ -1,6 +1,9 @@
 package kernel
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // RCUState implements the read-side bookkeeping of RCU for the simulator.
 //
@@ -12,10 +15,15 @@ import "sync"
 // verified eBPF program running under rcu_read_lock — shows up here as an
 // RCU-stall oops, exactly as it shows up as a console stall splat on Linux.
 //
-// Reader bookkeeping is sharded by the context's CPU so that per-CPU shard
-// workers entering and leaving read-side critical sections do not contend
-// on one global lock — the same reason the real kernel keeps rcu_data
-// per-CPU.
+// Reader bookkeeping is sharded by the context's CPU, and a section's state
+// lives on its Context, so entering and leaving one writes only the
+// running CPU's state — the reason the real kernel keeps rcu_data per-CPU.
+//
+// A section's age is the virtual CPU time its own context consumed since
+// the outermost ReadLock plus the idle time Clock.Advance injected since
+// then. Other CPUs' work never ages it. Both detectors judge that one age:
+// the scheduler tick judges the context that is ticking (the kernel's
+// self-detected stall), and CheckStalls every open section.
 type RCUState struct {
 	k      *Kernel
 	shards []rcuShard
@@ -25,11 +33,16 @@ type RCUState struct {
 	completedGPs int64
 }
 
+// rcuShard is one CPU's reader registry. The cold readers — Synchronize,
+// ActiveReaders, CheckStalls — read both of its halves.
 type rcuShard struct {
-	mu sync.Mutex
-	// active lists the contexts of this shard inside a read-side critical
-	// section. The reader state itself lives on each Context, so entering
-	// and leaving a section allocates and hashes nothing.
+	// owner is the context whose outermost ReadLock claimed the CPU's
+	// slot: the one reader a CPU has while one goroutine at a time runs on
+	// it, entered and left with one atomic operation each and no lock.
+	owner atomic.Pointer[Context]
+	mu    sync.Mutex
+	// active lists the CPU's other readers: a second section open on the
+	// CPU at the same time as the owner's (a run on a pooled frame).
 	active []*Context
 	_      CacheLinePad
 }
@@ -48,53 +61,57 @@ func (r *RCUState) shard(ctx *Context) *rcuShard {
 }
 
 // ReadLock enters an RCU read-side critical section in the given context.
-// Sections nest, as in the kernel.
+// Sections nest, as in the kernel. The outermost lock stamps the
+// context's consumed time and the clock's idle time, the two halves of
+// the section's age.
 func (r *RCUState) ReadLock(ctx *Context) {
-	s := r.shard(ctx)
-	s.mu.Lock()
 	if ctx.rcuDepth == 0 {
-		// The one read of global time on the run path: CheckStalls judges
-		// sections against the clock a harness advances, so the stamp
-		// must be on that clock.
-		ctx.rcuSince = r.k.Clock.Now()
-		ctx.rcuSinceNs = ctx.ConsumedNs()
+		ctx.rcuSinceNs = ctx.consumedNs
+		ctx.rcuSinceIdle = r.k.Clock.idleNs()
 		ctx.rcuStalled = false
-		ctx.rcuIdx = len(s.active)
-		s.active = append(s.active, ctx)
+		s := r.shard(ctx)
+		ctx.rcuOwner = s.owner.CompareAndSwap(nil, ctx)
+		if !ctx.rcuOwner {
+			s.mu.Lock()
+			ctx.rcuIdx = len(s.active)
+			s.active = append(s.active, ctx)
+			s.mu.Unlock()
+		}
 	}
 	ctx.rcuDepth++
-	s.mu.Unlock()
 }
 
 // ReadUnlock leaves a read-side critical section. Unbalanced unlocks oops.
 func (r *RCUState) ReadUnlock(ctx *Context) {
-	s := r.shard(ctx)
-	s.mu.Lock()
 	if ctx.rcuDepth == 0 {
-		s.mu.Unlock()
 		r.k.Oops(OopsBug, ctx.CPUID, "rcu: unbalanced rcu_read_unlock")
 		return
 	}
 	ctx.rcuDepth--
-	if ctx.rcuDepth == 0 {
-		// Swap-remove: the last active context takes this one's slot.
-		last := len(s.active) - 1
-		moved := s.active[last]
-		s.active[ctx.rcuIdx] = moved
-		moved.rcuIdx = ctx.rcuIdx
-		s.active[last] = nil
-		s.active = s.active[:last]
+	if ctx.rcuDepth > 0 {
+		return
 	}
+	s := r.shard(ctx)
+	if ctx.rcuOwner {
+		ctx.rcuOwner = false
+		s.owner.Store(nil)
+		return
+	}
+	s.mu.Lock()
+	// Swap-remove: the last active context takes this one's slot.
+	last := len(s.active) - 1
+	moved := s.active[last]
+	s.active[ctx.rcuIdx] = moved
+	moved.rcuIdx = ctx.rcuIdx
+	s.active[last] = nil
+	s.active = s.active[:last]
 	s.mu.Unlock()
 }
 
-// Depth returns the read-lock nesting depth of the context.
-func (r *RCUState) Depth(ctx *Context) int {
-	s := r.shard(ctx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return ctx.rcuDepth
-}
+// Depth returns the read-lock nesting depth of the context. Like every
+// read of a context's own state, it is made on the goroutine running the
+// context.
+func (r *RCUState) Depth(ctx *Context) int { return ctx.rcuDepth }
 
 // ActiveReaders returns the number of contexts currently inside read-side
 // critical sections.
@@ -102,6 +119,9 @@ func (r *RCUState) ActiveReaders() int {
 	n := 0
 	for i := range r.shards {
 		s := &r.shards[i]
+		if s.owner.Load() != nil {
+			n++
+		}
 		s.mu.Lock()
 		n += len(s.active)
 		s.mu.Unlock()
@@ -109,57 +129,57 @@ func (r *RCUState) ActiveReaders() int {
 	return n
 }
 
-// CheckStalls runs the stall detector against the global clock: any
-// critical section older than the configured threshold produces one
-// rcu-stall oops. This is the harness-facing detector; it treats clock
-// time that passed while the lock was held — including idle time a test
-// injects with Clock.Advance — as time the reader stalled.
+// CheckStalls runs the stall detector over every open critical section:
+// any section whose age (see RCUState) reached the configured threshold
+// produces one rcu-stall oops. It is a harness call, made while the
+// contexts it judges are quiescent — between their runs, or parked inside
+// a section a test opened — since it reads and marks their state from the
+// calling goroutine.
 func (r *RCUState) CheckStalls() []*Oops {
 	now := r.k.Clock.Now()
-	timeout := r.k.Cfg.RCUStallTimeout
 	var stalled []*Context
 	for i := range r.shards {
 		s := &r.shards[i]
+		if ctx := s.owner.Load(); ctx != nil && r.stallDue(ctx) {
+			stalled = append(stalled, ctx)
+		}
 		s.mu.Lock()
 		for _, ctx := range s.active {
-			if !ctx.rcuStalled && now-ctx.rcuSince >= timeout {
-				ctx.rcuStalled = true
+			if r.stallDue(ctx) {
 				stalled = append(stalled, ctx)
 			}
 		}
 		s.mu.Unlock()
 	}
-	return r.reportStalls(stalled, now, timeout)
+	return r.reportStalls(stalled, now)
 }
 
-// checkStalls is the tick-driven detector: it scans only the calling
-// context's shard and judges each reader by its own consumed CPU time, so
-// a busy shard cannot manufacture a stall on a reader that has not run.
-// This is the self-detected-stall path of the real kernel's scheduler tick.
-func (r *RCUState) checkStalls(ctx *Context) []*Oops {
-	timeout := r.k.Cfg.RCUStallTimeout
-	s := r.shard(ctx)
-	var stalled []*Context
-	s.mu.Lock()
-	for _, rctx := range s.active {
-		if !rctx.rcuStalled && rctx.ConsumedNs()-rctx.rcuSinceNs >= timeout {
-			rctx.rcuStalled = true
-			stalled = append(stalled, rctx)
-		}
+// checkStall is the tick-driven detector: the ticking context judges its
+// own open section, as the kernel's scheduler tick self-detects a stall.
+// It reads no other context and no other CPU's state.
+func (r *RCUState) checkStall(ctx *Context) {
+	if ctx.rcuDepth > 0 && r.stallDue(ctx) {
+		r.reportStalls([]*Context{ctx}, r.k.Clock.Now())
 	}
-	s.mu.Unlock()
-	if stalled == nil {
-		return nil
-	}
-	return r.reportStalls(stalled, r.k.Clock.Now(), timeout)
 }
 
-func (r *RCUState) reportStalls(stalled []*Context, now, timeout int64) []*Oops {
+// stallDue reports whether a context's open section has reached the stall
+// threshold and not yet been reported, and marks it reported.
+func (r *RCUState) stallDue(ctx *Context) bool {
+	age := ctx.consumedNs - ctx.rcuSinceNs + r.k.Clock.idleNs() - ctx.rcuSinceIdle
+	if ctx.rcuStalled || age < r.k.Cfg.RCUStallTimeout {
+		return false
+	}
+	ctx.rcuStalled = true
+	return true
+}
+
+func (r *RCUState) reportStalls(stalled []*Context, now int64) []*Oops {
 	var oopses []*Oops
 	for _, ctx := range stalled {
 		oopses = append(oopses, r.k.Oops(OopsRCUStall, ctx.CPUID,
 			"rcu: INFO: rcu_sched self-detected stall on CPU %d (t=%d ns, threshold=%d ns)",
-			ctx.CPUID, now, timeout))
+			ctx.CPUID, now, r.k.Cfg.RCUStallTimeout))
 	}
 	return oopses
 }
@@ -169,28 +189,28 @@ func (r *RCUState) reportStalls(stalled []*Context, now, timeout int64) []*Oops 
 // experiment), it reports whether the grace period could complete now; the
 // caller advances the clock and retries, and a caller that cannot make
 // progress has reproduced an RCU hang.
+//
+// Owner slots are entered without a lock, so against readers entering at
+// the same moment the answer is per-CPU, not one global snapshot: a
+// section that opens while the scan runs may be missed, exactly as a
+// reader that starts after a grace period begins need not delay it.
 func (r *RCUState) Synchronize() bool {
-	// Take every shard lock, in order, so the no-readers observation is a
-	// consistent global snapshot.
 	for i := range r.shards {
-		r.shards[i].mu.Lock()
-	}
-	ok := true
-	for i := range r.shards {
-		if len(r.shards[i].active) != 0 {
-			ok = false
-			break
+		s := &r.shards[i]
+		if s.owner.Load() != nil {
+			return false
+		}
+		s.mu.Lock()
+		busy := len(s.active) != 0
+		s.mu.Unlock()
+		if busy {
+			return false
 		}
 	}
-	if ok {
-		r.gpmu.Lock()
-		r.completedGPs++
-		r.gpmu.Unlock()
-	}
-	for i := len(r.shards) - 1; i >= 0; i-- {
-		r.shards[i].mu.Unlock()
-	}
-	return ok
+	r.gpmu.Lock()
+	r.completedGPs++
+	r.gpmu.Unlock()
+	return true
 }
 
 // CompletedGracePeriods returns the number of grace periods that have
