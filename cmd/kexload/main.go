@@ -44,7 +44,7 @@ func main() {
 	watchdog := flag.Int64("watchdog-ms", 0, "watchdog in virtual ms (0 = config default)")
 	shards := flag.Int("shards", 1, "simulated CPUs to spread invocations across (1 = serial)")
 	batch := flag.Int("batch", 16, "invocations per submitted batch in sharded mode")
-	opt := flag.Int("opt", 0, "optimization level: 0 naive, 1 analyzer elision, 2 MIR backend")
+	opt := flag.Int("opt", 0, "optimization level: 0 naive, 1 analyzer elision, 2 MIR optimizer passes")
 	dumpMIR := flag.Bool("dump-mir", false, "print the mid-level IR before and after optimization (with -opt 2)")
 	tv := flag.String("tv", "on", "translation validation mode with -opt 2: on (demote on failure), strict (exit nonzero on demotion)")
 	concFlag := flag.String("conc", "off", "shard-safety enforcement: off, warn (serialize racy programs onto one shard), strict (refuse them on a multi-shard plane)")

@@ -34,7 +34,10 @@
 //
 // A passing run becomes a compact TVAL certificate in the SLXO container,
 // under the ed25519 signature. A failing or inconclusive run fails closed:
-// the toolchain demotes the build to OptElide and records the reason.
+// the toolchain demotes the build to OptElide, which lowers the same way
+// with the passes off, validates that rebuild here too (it still goes
+// through register allocation), and records the reason; if the rebuild is
+// refuted as well, the build fails.
 package transval
 
 import (

@@ -282,8 +282,9 @@ type ProgramStats struct {
 	FuelElisions  uint64
 
 	// Translation-validation accounting: loads of this program whose OptMIR
-	// build failed refinement and was demoted to the analyzer-only backend,
-	// and the most recent refutation. A fleet running with -tv=strict treats
+	// build failed refinement and was demoted to OptElide (the same
+	// lowering with the optimizer's passes off, itself validated), and the
+	// most recent refutation. A fleet running with -tv=strict treats
 	// any nonzero TVDemotions as a deploy blocker.
 	TVDemotions          uint64
 	LastTVDemotionReason string

@@ -196,7 +196,8 @@ func A3RuntimeTax() *Result {
 	r.Lines = append(r.Lines, fmt.Sprintf("  fuel accounting on: %8.2fms wall (%+.1f%%, within noise of the batched check)",
 		float64(protected)/1e6, overhead))
 
-	// (b) compiler-quality gap: SLX's stack-machine codegen vs hand asm.
+	// (b) compiler-quality gap: SLX's level-0 build (register-allocated,
+	// no analyzer facts, no optimizer passes) vs hand asm.
 	_, v, err := safeRun(runtime.DefaultConfig(), fmt.Sprintf(`
 fn main() -> i64 {
 	let mut x: i64 = 0;
@@ -210,7 +211,7 @@ fn main() -> i64 {
 		return r
 	}
 	ratio := float64(v.Instructions) / float64(insns)
-	r.Lines = append(r.Lines, fmt.Sprintf("same loop via the SLX toolchain: %d insns retired (%.1fx the hand-written bytecode; unoptimised stack-machine codegen, orthogonal to the safety mechanisms)",
+	r.Lines = append(r.Lines, fmt.Sprintf("same loop via the SLX toolchain: %d insns retired (%.1fx the hand-written bytecode; level-0 codegen with every check and no optimizer pass, orthogonal to the safety mechanisms)",
 		v.Instructions, ratio))
 
 	r.Measured = fmt.Sprintf("fuel accounting overhead %+.1f%% on identical code; toolchain code-quality gap %.1fx",

@@ -13,6 +13,13 @@
 //
 // Loops and program size are deliberately unconstrained: termination is
 // enforced at runtime (fuel/watchdog), not by rejecting expressive code.
+//
+// There is one code generator. Every function lowers to the mid-level IR
+// (package mir), is register-allocated onto R6–R9 and emitted by
+// mir_emit.go. An optimization level picks two things only: whether the
+// lowering sees the analyze pass's facts (levels 1 and 2) and whether the
+// optimizer's passes run (level 2). Levels 0 and 1 merely sweep the
+// unreachable placeholder blocks lowering leaves behind.
 package compile
 
 import (
@@ -68,17 +75,19 @@ type Object struct {
 	Conc *ConcReport
 }
 
-// Optimization levels. OptElide is what a Facts-carrying build always did;
-// the zero value keeps existing callers on their previous behavior
-// (Facts == nil → naive, Facts != nil → elide).
+// Optimization levels: analyzer facts × optimizer passes, over the one
+// MIR backend. The zero value keeps existing callers on their previous
+// behavior (Facts == nil → naive, Facts != nil → elide).
 const (
-	// OptNaive emits every check through the stack-machine backend.
+	// OptNaive lowers without facts and without passes: every check is
+	// emitted.
 	OptNaive = 0
-	// OptElide is the stack-machine backend plus analyzer-proven elisions.
+	// OptElide lowers with the analyzer's facts, so proven checks are
+	// elided, and runs no passes.
 	OptElide = 1
-	// OptMIR lowers through the mid-level IR: constant folding/propagation,
-	// loop-invariant code motion, redundant-load elimination, and linear-scan
-	// register allocation over R6–R9.
+	// OptMIR adds the optimizer's passes to OptElide: constant
+	// folding/propagation, loop-invariant code motion, redundant-load
+	// elimination and dead-code removal.
 	OptMIR = 2
 )
 
@@ -87,18 +96,19 @@ type Options struct {
 	// Facts carries proofs from the analyze pass. Nil compiles naively:
 	// every check is emitted (and counted).
 	Facts *analyze.Result
-	// Level selects the backend. 0 and 1 are both the stack-machine
-	// backend (the effective level is decided by Facts being present);
-	// OptMIR routes through package mir.
+	// Level selects whether the optimizer's passes run: OptMIR and above
+	// run them; below it the effective level is OptElide when Facts is
+	// present and OptNaive otherwise.
 	Level int
 	// KeepMIR, when non-nil, receives each function's MIR evidence triple
-	// (naive lowering, optimized IR, register assignment) as the MIR
-	// backend compiles it — the translation validator's input.
+	// (fresh lowering, compiled IR, register assignment) as it compiles —
+	// the translation validator's input, at any level.
 	KeepMIR *[]MIRFuncArtifact
 }
 
-// OptStats summarizes one object's optimization pipeline for the audit
-// trail. Counter semantics match mir.Stats.
+// OptStats summarizes one object's pipeline for the audit trail. Counter
+// semantics match mir.Stats. At levels 0 and 1 only BlocksRemoved (the
+// swept placeholders), Spills and RegAssigned can be non-zero.
 type OptStats struct {
 	Level           int
 	Folded          int
@@ -166,7 +176,8 @@ const (
 	TrapDivByZero = 3 // division or modulo by zero
 )
 
-// frameLimit matches the bytecode stack frame size.
+// frameLimit matches the bytecode stack frame size: a function's arrays
+// plus its spill slots must fit.
 const frameLimit = 512
 
 // Compile lowers a checked program to bytecode with every runtime check
@@ -176,7 +187,8 @@ func Compile(name string, checked *lang.Checked) (*Object, error) {
 }
 
 // CompileWithOptions lowers a checked program to bytecode, consulting the
-// analyze pass's proofs (when present) to elide redundant checks.
+// analyze pass's proofs (when present) to elide redundant checks and
+// running the optimizer's passes at OptMIR.
 func CompileWithOptions(name string, checked *lang.Checked, opts Options) (*Object, error) {
 	c := &compiler{
 		checked: checked,
@@ -188,9 +200,8 @@ func CompileWithOptions(name string, checked *lang.Checked, opts Options) (*Obje
 	if opts.Facts != nil {
 		c.obj.Checks.StaticInsnBound = opts.Facts.FuelBound
 	}
-	useMIR := opts.Level >= OptMIR
 	switch {
-	case useMIR:
+	case opts.Level >= OptMIR:
 		c.obj.Opt.Level = OptMIR
 	case opts.Facts != nil:
 		c.obj.Opt.Level = OptElide
@@ -213,18 +224,14 @@ func CompileWithOptions(name string, checked *lang.Checked, opts Options) (*Obje
 	c.obj.Capabilities = append([]string(nil), checked.CrateCalls...)
 
 	// main is compiled first so the entry point is element 0.
-	emitFunc := c.compileFunc
-	if useMIR {
-		emitFunc = c.compileFuncMIR
-	}
-	if err := emitFunc(checked.File.Func("main")); err != nil {
+	if err := c.compileFunc(checked.File.Func("main")); err != nil {
 		return nil, err
 	}
 	for _, fn := range checked.File.Funcs {
 		if fn.Name == "main" {
 			continue
 		}
-		if err := emitFunc(fn); err != nil {
+		if err := c.compileFunc(fn); err != nil {
 			return nil, err
 		}
 	}
@@ -287,12 +294,6 @@ type compiler struct {
 	keepMIR *[]MIRFuncArtifact
 }
 
-// indexProven reports whether the bounds check at this access site was
-// discharged statically.
-func (c *compiler) indexProven(e *lang.IndexExpr) bool {
-	return c.facts != nil && c.facts.IndexInRange[e]
-}
-
 func (c *compiler) elide(kind string, line int) {
 	c.obj.Checks.Elisions = append(c.obj.Checks.Elisions, Elision{Kind: kind, Line: line})
 }
@@ -303,192 +304,4 @@ func (c *compiler) rodata(s string) (int64, int64) {
 	c.obj.Rodata = append(c.obj.Rodata, []byte(s)...)
 	c.obj.Rodata = append(c.obj.Rodata, 0)
 	return off, int64(len(s))
-}
-
-// ---- per-function compilation ------------------------------------------------
-
-// cleanup is one pending scope-exit action.
-type cleanup struct {
-	kind    string // "sock" or "lock"
-	slot    int64  // sock handle slot, or lock key slot
-	mapName string // for locks
-	depth   int    // scope depth it belongs to
-}
-
-type funcComp struct {
-	c  *compiler
-	fn *lang.FuncDecl
-
-	insns []isa.Instruction
-
-	// locals maps a variable (per scope) to its frame offset (negative).
-	scopes []map[string]varInfo
-	// localsSize is the bytes of frame used by locals so far.
-	localsSize int64
-	// evalMax tracks the deepest eval stack used, for frame budgeting.
-	sp, evalMax int64
-
-	cleanups []cleanup
-	// loopDepths tracks cleanup depth at loop entry for break/continue.
-	loops []loopCtx
-
-	retSlot int64 // hidden slot holding the return value during cleanup
-
-	trapFixes []int // jumps to the trap block, patched at the end
-}
-
-type varInfo struct {
-	off   int64
-	typ   lang.Type
-	isArr bool
-}
-
-type loopCtx struct {
-	contFixes  *[]int
-	breakFixes *[]int
-	cleanupLen int
-}
-
-func (c *compiler) compileFunc(fn *lang.FuncDecl) error {
-	fc := &funcComp{c: c, fn: fn}
-	c.funcPCs[fn.Name] = int32(len(c.obj.Insns))
-	fc.push()
-
-	// Hidden return slot.
-	fc.retSlot = fc.alloc(8)
-
-	// Parameters arrive in R1..R5; store them into local slots.
-	for i, p := range fn.Params {
-		off := fc.alloc(8)
-		fc.declareVar(p.Name, varInfo{off: off, typ: p.Type})
-		fc.emit(isa.StoreMem(isa.SizeDW, isa.R10, int16(off), isa.Register(i+1)))
-	}
-
-	if err := fc.block(fn.Body); err != nil {
-		return err
-	}
-	// Implicit fall-off return: unit functions return 0.
-	fc.emit(isa.Mov64Imm(isa.R0, 0))
-	fc.emitCleanups(0)
-	fc.emit(isa.Exit())
-
-	// Trap block: R6 holds the trap code (set at each trap site).
-	trapPC := len(fc.insns)
-	for _, site := range fc.trapFixes {
-		fc.insns[site].Off = int16(trapPC - site - 1)
-	}
-	fc.emit(isa.Mov64Reg(isa.R1, isa.R6))
-	fc.emitCrateCall("trap")
-	fc.emit(isa.Mov64Imm(isa.R0, -1))
-	fc.emit(isa.Exit())
-
-	if used := fc.localsSize + 8*fc.evalMax; used > frameLimit {
-		return &Error{fn.Line, fmt.Sprintf("function %q needs %d bytes of frame, limit %d", fn.Name, used, frameLimit)}
-	}
-	fc.pop()
-	c.obj.Insns = append(c.obj.Insns, fc.insns...)
-	return nil
-}
-
-func (fc *funcComp) emit(ins isa.Instruction) int {
-	fc.insns = append(fc.insns, ins)
-	return len(fc.insns) - 1
-}
-
-// emitCrateCall emits a call to a kernel-crate entry point by name.
-func (fc *funcComp) emitCrateCall(name string) {
-	id, ok := lang.CrateID(name)
-	if !ok {
-		panic("compile: unknown crate function " + name)
-	}
-	fc.emit(isa.Call(id))
-}
-
-// alloc reserves size bytes of frame and returns the (negative) offset.
-func (fc *funcComp) alloc(size int64) int64 {
-	size = (size + 7) &^ 7
-	fc.localsSize += size
-	return -fc.localsSize
-}
-
-func (fc *funcComp) push() { fc.scopes = append(fc.scopes, make(map[string]varInfo)) }
-
-// pop closes a scope, emitting releases for socks declared in it.
-func (fc *funcComp) popWithCleanups() {
-	depth := len(fc.scopes)
-	for len(fc.cleanups) > 0 && fc.cleanups[len(fc.cleanups)-1].depth >= depth {
-		cl := fc.cleanups[len(fc.cleanups)-1]
-		fc.cleanups = fc.cleanups[:len(fc.cleanups)-1]
-		fc.emitCleanup(cl)
-	}
-	fc.pop()
-}
-
-func (fc *funcComp) pop() { fc.scopes = fc.scopes[:len(fc.scopes)-1] }
-
-func (fc *funcComp) declareVar(name string, vi varInfo) {
-	fc.scopes[len(fc.scopes)-1][name] = vi
-}
-
-func (fc *funcComp) lookupVar(name string) (varInfo, bool) {
-	for i := len(fc.scopes) - 1; i >= 0; i-- {
-		if vi, ok := fc.scopes[i][name]; ok {
-			return vi, true
-		}
-	}
-	return varInfo{}, false
-}
-
-// ---- eval stack ------------------------------------------------------------
-
-// evalOff returns the frame offset of eval-stack slot i.
-func (fc *funcComp) evalOff(i int64) int16 {
-	return int16(-(fc.localsSize + 8*(i+1)))
-}
-
-// pushReg stores a register onto the eval stack.
-func (fc *funcComp) pushReg(r isa.Register) {
-	fc.emit(isa.StoreMem(isa.SizeDW, isa.R10, fc.evalOff(fc.sp), r))
-	fc.sp++
-	if fc.sp > fc.evalMax {
-		fc.evalMax = fc.sp
-	}
-}
-
-// popReg loads the top of the eval stack into a register.
-func (fc *funcComp) popReg(r isa.Register) {
-	fc.sp--
-	fc.emit(isa.LoadMem(isa.SizeDW, r, isa.R10, fc.evalOff(fc.sp)))
-}
-
-// ---- trap sites ---------------------------------------------------------------
-
-// emitTrapIf emits: if <cond on R1 vs imm> then trap with code.
-// The caller emits the actual conditional jump; this helper emits the trap
-// jump site given that the conditional falls through to it.
-func (fc *funcComp) emitTrapJump(code int64) {
-	fc.emit(isa.Mov64Imm(isa.R6, int32(code)))
-	site := fc.emit(isa.Ja(0)) // patched to the trap block
-	fc.trapFixes = append(fc.trapFixes, site)
-}
-
-// emitCleanup releases one resource through the trusted crate.
-func (fc *funcComp) emitCleanup(cl cleanup) {
-	switch cl.kind {
-	case "sock":
-		fc.emit(isa.LoadMem(isa.SizeDW, isa.R1, isa.R10, int16(cl.slot)))
-		fc.emitCrateCall("sock_release")
-	case "lock":
-		fc.emit(isa.LoadMapRef(isa.R1, cl.mapName))
-		fc.emit(isa.LoadMem(isa.SizeDW, isa.R2, isa.R10, int16(cl.slot)))
-		fc.emitCrateCall("lock_release")
-	}
-}
-
-// emitCleanups emits releases for every cleanup deeper than keep, without
-// removing them from the compile-time stack (used before return/break).
-func (fc *funcComp) emitCleanups(keep int) {
-	for i := len(fc.cleanups) - 1; i >= keep; i-- {
-		fc.emitCleanup(fc.cleanups[i])
-	}
 }

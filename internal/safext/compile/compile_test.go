@@ -198,8 +198,8 @@ fn main() -> i64 {
 }
 
 func TestDeepExpressionEvalStack(t *testing.T) {
-	// Deeply right-nested arithmetic exercises the eval stack well past
-	// any register pool.
+	// Deeply right-nested arithmetic keeps more temporaries live than
+	// R6–R9 hold, so the allocator must spill.
 	expectR0(t, `
 fn main() -> i64 {
 	return 1 + (2 + (3 + (4 + (5 + (6 + (7 + (8 + (9 + (10 + (11 + 12))))))))));
@@ -383,6 +383,55 @@ fn main() -> i64 {
 	}
 	if _, err := compile.Compile("big", checked); err == nil || !strings.Contains(err.Error(), "frame") {
 		t.Fatalf("err = %v, want frame budget rejection", err)
+	}
+}
+
+// manyLocalsSrc declares n locals that are all live until the final sum.
+// The packet is empty, so each is its index and main returns 0+1+…+(n-1).
+func manyLocalsSrc(n int) string {
+	var sb strings.Builder
+	sb.WriteString("fn main() -> i64 {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "\tlet v%d = kernel::pkt_len() + %d;\n", i, i)
+	}
+	sb.WriteString("\treturn v0")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&sb, " + v%d", i)
+	}
+	sb.WriteString(";\n}\n")
+	return sb.String()
+}
+
+// TestFrameHoldsManyLiveLocals: at every level the frame is the
+// function's arrays plus the allocator's spill slots, and values held in
+// R6–R9 take none, so 62 and 63 locals live at once fit the 512-byte
+// frame even without the optimizer's passes.
+func TestFrameHoldsManyLiveLocals(t *testing.T) {
+	signer, err := toolchain.NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{62, 63} {
+		src := manyLocalsSrc(n)
+		want := int64(n * (n - 1) / 2)
+		for level, build := range []func(string, string) (*toolchain.SignedObject, error){
+			signer.BuildAndSign, signer.BuildAndSignOptimized, signer.BuildAndSignOptimizedMIR,
+		} {
+			so, err := build("locals", src)
+			if err != nil {
+				t.Fatalf("%d locals, level %d: %v", n, level, err)
+			}
+			rt := runtime.New(kernel.NewDefault(), runtime.DefaultConfig())
+			rt.AddKey(signer.PublicKey())
+			ext, err := rt.Load(so)
+			if err != nil {
+				t.Fatalf("%d locals, level %d: load: %v", n, level, err)
+			}
+			v, err := ext.Run(runtime.RunOptions{})
+			if err != nil || !v.Completed || v.R0 != want {
+				t.Fatalf("%d locals, level %d: verdict %+v (%v), want R0 = %d", n, level, v, err, want)
+			}
+		}
 	}
 }
 

@@ -97,9 +97,8 @@ func dce(f *Func) int {
 }
 
 // sweep drops blocks unreachable from the entry. Emit-state check sites in
-// dropped code flip to Folded: the naive backend emits that dead code (and
-// counts its checks), so the ledger invariant needs the sites accounted as
-// optimizer-discharged rather than vanished.
+// dropped code flip to Folded: the lowering counted them, so the ledger
+// invariant needs the sites accounted as discharged rather than vanished.
 func sweep(f *Func) int {
 	if len(f.Blocks) == 0 {
 		return 0

@@ -19,10 +19,10 @@ func (e *Error) Error() string { return fmt.Sprintf("slxc:%d: %s", e.Line, e.Msg
 // the analyze pass's proofs; check sites it discharges start in state
 // SiteElided, everything else in SiteEmit.
 //
-// Lowering matches the naive backend's evaluation order exactly — operand
+// Lowering fixes the evaluation order once for every level — operand
 // order, crate-call argument order, for-loop bound snapshots, cleanup
-// emission on every exit path — so a MIR build and a naive build differ
-// only in instruction count, never in observable behavior.
+// emission on every exit path — so builds at different levels differ only
+// in instruction count, never in observable behavior.
 func LowerFunc(fn *lang.FuncDecl, checked *lang.Checked, facts *analyze.Result) (*Func, error) {
 	lo := &lowerer{
 		f:       &Func{Name: fn.Name, NParams: len(fn.Params), MapKinds: make(map[string]string)},
@@ -375,8 +375,8 @@ func (lo *lowerer) lowerWhile(s *lang.WhileStmt) error {
 }
 
 func (lo *lowerer) lowerFor(s *lang.ForStmt) error {
-	// for v in from..to — to is evaluated first and snapshotted, matching
-	// the naive backend.
+	// for v in from..to — to is evaluated first and snapshotted, so the
+	// body cannot move the bound.
 	tv, err := lo.lowerExpr(s.To)
 	if err != nil {
 		return err

@@ -1,12 +1,11 @@
 // Package mir is the SLX compiler's mid-level IR: a basic-block,
 // virtual-register form sitting between the typed AST and the eBPF
-// bytecode. The stack-machine codegen in package compile round-trips every
-// intermediate value through frame memory; lowering through this IR
-// instead lets the toolchain fold constants, hoist loop invariants,
-// eliminate redundant map/array loads, and keep hot locals in the
-// callee-saved registers R6–R9 — the paper's §3 bet that a trusted
-// toolchain can spend arbitrary compile-time effort because nothing has to
-// be re-verified in the kernel.
+// bytecode. Every optimization level of package compile lowers through
+// it and register-allocates hot values into the callee-saved registers
+// R6–R9; at level 2 the toolchain also folds constants, hoists loop
+// invariants and eliminates redundant map/array loads — the paper's §3
+// bet that a trusted toolchain can spend arbitrary compile-time effort
+// because nothing has to be re-verified in the kernel.
 //
 // The IR is deliberately not SSA: virtual registers are mutable and
 // loop-carried variables are multi-def. Passes recover most of SSA's
@@ -15,8 +14,8 @@
 // makes common by giving every expression temporary a fresh vreg.
 //
 // Safety instrumentation travels with the IR as an explicit check-site
-// ledger (Func.Sites): every bounds/div/shift-mask site the naive backend
-// would emit exists here exactly once, in one of three states — Emit
+// ledger (Func.Sites): every bounds/div/shift-mask site a naive (level 0)
+// lowering has exists here exactly once, in one of three states — Emit
 // (dynamic check), Elided (discharged by the analyze pass), or Folded
 // (discharged by an optimization, e.g. a divisor that folded to a non-zero
 // constant). The ledger invariant "naive emitted == optimized emitted +

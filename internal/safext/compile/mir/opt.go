@@ -31,6 +31,13 @@ func (s *Stats) Add(o Stats) {
 	s.RegAssigned += o.RegAssigned
 }
 
+// Sweep is the pipeline with every optimization pass off (levels 0 and
+// 1): it only drops the blocks lowering leaves unreachable — the
+// placeholders after return, break, continue and trap — which the emitter
+// cannot lay out. As in Optimize, check sites in dropped code flip to
+// Folded.
+func Sweep(f *Func) Stats { return Stats{BlocksRemoved: sweep(f)} }
+
 // maxOptRounds bounds the fold→dce→licm→rle pipeline; each round only
 // runs because the previous one changed something, and every rewrite
 // strictly reduces instructions or replaces them with cheaper forms, so

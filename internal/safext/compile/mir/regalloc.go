@@ -8,8 +8,8 @@ import "sort"
 // (helpers clobber R0–R5 only) and BPF-to-BPF calls get a fresh register
 // activation, so four registers are allocatable with no save/restore
 // traffic around calls. Everything that doesn't fit spills to an 8-byte
-// frame slot — exactly what the naive stack-machine backend does for
-// *every* value, which is why allocation is the big win: each avoided
+// frame slot — what a stack-machine code generator does for *every*
+// value, which is why allocation is the big win: each avoided
 // spill removes a store+load round-trip through the interpreter's
 // address-space checks on the hot path.
 //

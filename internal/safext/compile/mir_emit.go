@@ -8,16 +8,18 @@ import (
 	"kex/internal/safext/lang"
 )
 
-// MIR-backed code generation (optimization level 2). Where the stack
-// machine round-trips every value through frame memory, this backend keeps
-// hot values in R6–R9 (callee-saved across helper and BPF-to-BPF calls),
-// uses immediate instruction forms for folded constants, and fuses
-// comparisons into conditional jumps. R0–R5 stay scratch/ABI registers.
+// Code generation, the one backend of every level. Each function lowers
+// to MIR, runs the optimizer's passes at OptMIR (or only the sweep of
+// unreachable placeholder blocks below it), is register-allocated, and is
+// emitted here. Values live in R6–R9 (callee-saved across helper and
+// BPF-to-BPF calls) or in spill slots; constants use immediate instruction
+// forms and comparisons fuse into conditional jumps. R0–R5 stay
+// scratch/ABI registers.
 
-// compileFuncMIR lowers one function through the MIR pipeline and emits
-// its bytecode, merging the function's check-site ledger and optimization
-// stats into the object.
-func (c *compiler) compileFuncMIR(fn *lang.FuncDecl) error {
+// compileFunc lowers one function through the MIR pipeline and emits its
+// bytecode, merging the function's check-site ledger and pipeline stats
+// into the object.
+func (c *compiler) compileFunc(fn *lang.FuncDecl) error {
 	f, err := mir.LowerFunc(fn, c.checked, c.facts)
 	if err != nil {
 		if le, ok := err.(*mir.Error); ok {
@@ -29,7 +31,12 @@ func (c *compiler) compileFuncMIR(fn *lang.FuncDecl) error {
 	if c.keepMIR != nil {
 		naive = f.Clone()
 	}
-	st := mir.Optimize(f)
+	var st mir.Stats
+	if c.obj.Opt.Level >= OptMIR {
+		st = mir.Optimize(f)
+	} else {
+		st = mir.Sweep(f)
+	}
 	al := mir.Allocate(f)
 	if c.keepMIR != nil {
 		*c.keepMIR = append(*c.keepMIR, MIRFuncArtifact{Name: fn.Name, Naive: naive, Opt: f, Alloc: al})
@@ -243,6 +250,15 @@ func (e *mirEmitter) siteEmitted(idx int) bool {
 }
 
 // ---- instruction emission ---------------------------------------------------
+
+var comparisonOps = map[string]struct{ unsigned, signed uint8 }{
+	"==": {isa.OpJeq, isa.OpJeq},
+	"!=": {isa.OpJne, isa.OpJne},
+	"<":  {isa.OpJlt, isa.OpJslt},
+	"<=": {isa.OpJle, isa.OpJsle},
+	">":  {isa.OpJgt, isa.OpJsgt},
+	">=": {isa.OpJge, isa.OpJsge},
+}
 
 var binOps = map[string]uint8{
 	"+": isa.OpAdd, "-": isa.OpSub, "*": isa.OpMul, "/": isa.OpDiv, "%": isa.OpMod,

@@ -2,9 +2,9 @@ package compile
 
 import "kex/internal/safext/compile/mir"
 
-// MIRFuncArtifact is one function's evidence triple from the MIR backend:
-// the freshly-lowered (naive) IR, the optimized IR, and the register
-// assignment the emitter used. The translation validator replays both
+// MIRFuncArtifact is one function's evidence triple from the backend: the
+// freshly-lowered (naive) IR, the IR the emitter compiled (optimized at
+// OptMIR, only swept below it), and the register assignment it used. The translation validator replays both
 // sides over the same deterministic model and proves refinement; the
 // optimized side executes *through* the allocation so register-allocation
 // bugs are as observable as wrong folds.
@@ -21,7 +21,9 @@ type MIRFuncArtifact struct {
 // (same verdict, same ordered observable-effect sequence, consistent check
 // ledger) over every explored input vector; a Demoted certificate records
 // that validation failed or was inconclusive and the build fell back to
-// OptElide, with the reason preserved for exec.Stats and kexload.
+// OptElide, with the reason preserved for exec.Stats and kexload. The
+// OptElide rebuild shares the register allocator, so it is validated
+// before it ships; a build whose rebuild is refuted too fails instead.
 type TValCert struct {
 	Validated bool
 	Demoted   bool

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"kex/internal/analysis/mirrun"
 	"kex/internal/kernel"
 	"kex/internal/safext/compile"
+	"kex/internal/safext/compile/mir"
+	"kex/internal/safext/lang"
 	"kex/internal/safext/toolchain"
 )
 
@@ -15,7 +18,10 @@ import (
 // together with a Go reference evaluation of their semantics (64-bit
 // two's-complement arithmetic, masked shifts, signed i64 comparisons,
 // lexical scoping). The compiled program must return exactly the value the
-// reference computed — any divergence is a code-generation bug.
+// reference computed — any divergence is a code-generation bug. The Go
+// model skips programs that trap or return early; for every verdict the
+// compiled program must also match the reference MIR machine running the
+// program's naive lowering (see referenceVerdict).
 
 type slxGen struct {
 	rng  *rand.Rand
@@ -310,6 +316,34 @@ func evalPrefix(s string, scope map[string]int64) (int64, string) {
 	return scope[tok], s[i:]
 }
 
+// referenceVerdict runs src's naive lowering — no analyzer facts, no
+// passes, no register allocation, no emitter — on the reference MIR
+// machine (internal/analysis/mirrun). The three build tiers share one
+// emitter and one allocator, so their agreement alone does not check code
+// generation; this oracle does, for the return value, the trap verdict and
+// the trap code alike. Fuzz programs make no crate calls, so the machine
+// needs no crate hook.
+func referenceVerdict(tb testing.TB, seed int64, src string) (uint64, *mirrun.Stop) {
+	tb.Helper()
+	file, err := lang.Parse(src)
+	if err != nil {
+		tb.Fatalf("seed %d: parse: %v\n%s", seed, err, src)
+	}
+	checked, err := lang.Check(file)
+	if err != nil {
+		tb.Fatalf("seed %d: check: %v\n%s", seed, err, src)
+	}
+	m := &mirrun.Machine{Funcs: make(map[string]mirrun.Code), Fuel: 1 << 22}
+	for _, fn := range checked.File.Funcs {
+		f, err := mir.LowerFunc(fn, checked, nil)
+		if err != nil {
+			tb.Fatalf("seed %d: lower %s: %v\n%s", seed, fn.Name, err, src)
+		}
+		m.Funcs[fn.Name] = mirrun.Code{F: f}
+	}
+	return m.Run("main", nil)
+}
+
 // slxDifferentialTrial generates one random program from the seed, runs it
 // through the full toolchain + runtime, and checks the result against the
 // Go reference model. Shared by the table-driven test and the fuzz target.
@@ -386,6 +420,18 @@ func slxDifferentialTrial(tb testing.TB, signer *toolchain.Signer, seed int64) {
 	v := run(so)
 	vOpt := run(soOpt)
 	vMIR := run(soMIR)
+	switch ret, stop := referenceVerdict(tb, seed, src); {
+	case stop == nil:
+		if !v.Completed || v.R0 != int64(ret) {
+			tb.Fatalf("seed %d: naive build %+v, reference machine returned %d\n%s", seed, v, int64(ret), src)
+		}
+	case stop.Kind == mirrun.StopTrap:
+		if !v.Terminated || v.Reason != "trap" || v.TrapCode != stop.Trap {
+			tb.Fatalf("seed %d: naive build %+v, reference machine trapped with code %d\n%s", seed, v, stop.Trap, src)
+		}
+	default:
+		tb.Fatalf("seed %d: reference machine gave no verdict: %+v\n%s", seed, stop, src)
+	}
 	if v.Completed != vOpt.Completed || v.Terminated != vOpt.Terminated ||
 		v.R0 != vOpt.R0 || v.Reason != vOpt.Reason || v.TrapCode != vOpt.TrapCode {
 		tb.Fatalf("seed %d: naive and optimized builds diverged:\nnaive     %+v\noptimized %+v\n%s",
@@ -422,8 +468,9 @@ func TestSLXDifferentialFuzz(t *testing.T) {
 
 // FuzzSLXDifferential is the go test -fuzz entry point over the same
 // differential oracle: the fuzzer explores generator seeds beyond the fixed
-// corpus the table-driven test covers. Each input exercises both the naive
-// and the analyzer-optimized build (see slxDifferentialTrial).
+// corpus the table-driven test covers. Each input exercises the naive, the
+// analyzer-optimized and the MIR-optimized build against each other, the
+// reference MIR machine and the Go model (see slxDifferentialTrial).
 //
 // The checked-in corpus entry testdata/fuzz/FuzzSLXDifferential/
 // shift-mask-div-trap pins a seed whose program shifts by variable amounts

@@ -27,30 +27,30 @@ var goldenBuilds = []struct {
 // signatures cover these exact bytes, so any change here is a wire-format
 // change: it must be deliberate, not a side effect of a refactor.
 var goldenDigests = map[string]string{
-	"counter/elide":        "5902cd1a7d83df4f9437141123d1e0bbab2cc4303984fc048c06abd2b9a31aee",
+	"counter/elide":        "f5d65a863ca29467f9f36c42f77c1184dc897d1aaefb26581ab5f9a221fa036f",
 	"counter/mir":          "dc1e831b7156ec6bc7f5ff725b4bcfb685f0baf813a25a8e8979be2ad11b2d91",
-	"counter/naive":        "67f48db191ac603cd79fb03d7e060825510c524ea9e12567917f793f37b84f23",
-	"firewall/elide":       "d1304d2fdf128a9c301e898823158efe068e40b8dee861305d1544e895f689db",
+	"counter/naive":        "4edc0e0237fd9340cd6504211195f5252916261baf554d87799338f99d6bb49a",
+	"firewall/elide":       "2c1ac2544526e163611cb1a2ce228c11f50e6495b8a4ad5089c8e355a605f5a9",
 	"firewall/mir":         "4287da6b55a2a31b3bd18904a76a53ba29f922fba798e0ed08a4f8e09bcf07bf",
-	"firewall/naive":       "0837898fc8b073709953cc7722d62679c4f5da378c4c3fbfce8d12fc80b2820c",
-	"histogram/elide":      "f333f72e55ff126040c6e62378105938ad64f371a88bf9712e64c8e436760c89",
+	"firewall/naive":       "10cc46f7796769df68e5c55d7c26eb48bef60ff1cca451d4bc0ef8ca0dfccef3",
+	"histogram/elide":      "2ddb5e0d69c7f7dafc9dee09356e9e70dbec5a8670a15f64e76a8c118880bb69",
 	"histogram/mir":        "3ba860c53ba3154bb5a753b3cc5f4d54c38ca02aef8b28a588ec3c9c3406ca7d",
-	"histogram/naive":      "4d4eaebb3515acaba1a7acac7d5ef127916a956e93a01eda39956c0e62c1cf61",
-	"kvcache/elide":        "ee76d8085eb05f391e1830b1703892321a635ca30b30eaee56c0ba7e70218190",
+	"histogram/naive":      "aed24e990748aa173d254cb74520edf48884759f4489e9e32e235d3065c966ee",
+	"kvcache/elide":        "4c45402d4359e8c558da7424fcc34892d21bc37b7f1fbcac5b2a685f35f5ddb1",
 	"kvcache/mir":          "43a41efed3dcc5a668097bb6a91e81ee02be496423035c4a310ff87fe3db967b",
-	"kvcache/naive":        "a8c4196593b1856567c70b104395641a55723abc0037d3fe069063f13278cb04",
-	"map_accumulate/elide": "2d9cc21519153c80ef239e62c91c241c52c8d5a97f586534e31e40cc2c40c601",
+	"kvcache/naive":        "483c0e4a367be4211b1675e989efa9954abef2e2dc333f5aacc9126ea6ee050d",
+	"map_accumulate/elide": "a1e92b7fbd607c614aa84ee091912255a8d4ad35cf04cfc43979dcc7badfab9f",
 	"map_accumulate/mir":   "3bbc9dd2072d5ae70c0b1df2aaa7753308e590b580c033f6b6217308b1ac262f",
-	"map_accumulate/naive": "caedabcdf95412307950cdbfd08e3d6f56144436c56f0a2b9f9799f58c574f3f",
-	"nested_invar/elide":   "3b513a845f39bf6f4e6dfd09c6a9a0e71a489af718cf6df0f0b4d5e9edaa95a6",
+	"map_accumulate/naive": "0ec0208f3e5e4b3d730be746ebda5ba8c379db81094c3f0d997e55bc4ad103d8",
+	"nested_invar/elide":   "a40d2e4d2bfbc5b3304f6dd12d585d906161d38f5be6b47f3ba6ffdd5edbb243",
 	"nested_invar/mir":     "28e014c0fba584ebff50b43f77203c77ea5bd0d527269668951086beb7427cb9",
-	"nested_invar/naive":   "86ebb1e4ad71f98e6bb13b3f76e20fc4b08f924390d97ba3acf6d9ffbddac043",
-	"profiler/elide":       "c7458942b0f0bbee4200d6e753d363fe4fa6413049344b4c119bb8c73c0faa1f",
+	"nested_invar/naive":   "a4d15fa91a31b595ce3fbbbf46704a3367439b57e8eafafe20d2a4bb8b381900",
+	"profiler/elide":       "529489d5fd71e98d0a5056e07512534ccd5b76105b0218e9afac27d7bd648646",
 	"profiler/mir":         "af1aa081429454dc34e009766d0ad3a06e62dbf32bbb7d5b0eddf2d3ad996289",
-	"profiler/naive":       "ceee17f1d68884bd7b15b4fed4d618d934c0a2322d9cc1b3398a8d111f471af9",
-	"syscall_policy/elide": "e81ecd62f3da6ffc084998fea19789d3a233c7509aac41aa17e36818fd93b6c2",
+	"profiler/naive":       "876ae250edd14c53db2c47964d1b41f29c1391ce1748c18b59465b196e71baa0",
+	"syscall_policy/elide": "05240250d8145cf471bdec266ff46aecd5de1adeca95a095455e2e14ba7d2698",
 	"syscall_policy/mir":   "22f0f22628dbee9b96526008c15b6bad7238c9b9ef548d4dd5d1f4ca37b40b53",
-	"syscall_policy/naive": "eb1cb1965d4d0fe22cf20007fde6c4341fd7ed72f766b93ff2f3da9d1b921f3f",
+	"syscall_policy/naive": "48a81b3dd97ed60628af6cd522732d94f15b4c5513bc04767552d18ebd965ccb",
 }
 
 // goldenCorpus builds and serializes every example program at every tier,

@@ -78,8 +78,12 @@ type SignedObject struct {
 // verdict, same ordered effect log, consistent check ledger). A passing run
 // attaches a TVAL certificate that travels under the object signature; a
 // failing or inconclusive run fails closed by demoting the build to
-// OptElide — the analyzer-only backend whose lowering is the refinement
-// baseline — with the refutation recorded in the demotion certificate.
+// OptElide — the same lowering with the optimizer's passes off — with the
+// refutation recorded in the demotion certificate. The demoted build still
+// goes through register allocation, which may be the very bug validation
+// caught, so it is validated too (fresh lowering against itself through
+// its allocation); if that also fails, the build fails with both
+// refutations and nothing ships.
 //
 // Every build then runs the shard-safety analyzer: the verdict is cheap
 // (one MIR walk), travels under the signature, and the per-CPU data plane
@@ -118,9 +122,14 @@ func build(name, src string, level int) (*compile.Object, *analyze.Result, exec.
 		if res.OK {
 			obj.TVal = res.Certificate(tvWall)
 		} else {
-			if obj, err = compile.CompileWithOptions(name, checked, compile.Options{Facts: opts.Facts, Level: compile.OptElide}); err != nil {
+			arts = nil
+			if obj, err = compile.CompileWithOptions(name, checked, compile.Options{Facts: opts.Facts, Level: compile.OptElide, KeepMIR: &arts}); err != nil {
 				return nil, nil, nil, err
 			}
+			if dres := transval.Validate(name, arts, obj.Checks, transval.Options{}); !dres.OK {
+				return nil, nil, nil, fmt.Errorf("toolchain: translation validation refuted the optimized build (%s) and the demoted build (%s)", res.Reason, dres.Reason)
+			}
+			tvWall = time.Since(tvStart).Nanoseconds()
 			obj.TVal = &compile.TValCert{
 				Demoted:   true,
 				Reason:    res.Reason,
