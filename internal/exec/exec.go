@@ -119,6 +119,9 @@ type Request struct {
 	// disables (the verified stack trusts the verifier for termination).
 	Fuel       uint64
 	WatchdogNs int64
+	// FuelElided marks a run without a fuel meter under a static
+	// instruction bound (ProgramStats.FuelElisions).
+	FuelElided bool
 	// Bugs selects reintroduced helper bugs for this invocation.
 	Bugs helpers.BugConfig
 	// ProgArray is the tail-call target array, if any.
@@ -210,10 +213,14 @@ func (c *Core) release(fr *runFrame) {
 
 // reportBox is a Report allocated together with the backing array of its
 // helper counts, so assembling a report costs one allocation. The caller
-// owns the box through its Report.
+// owns the box through its Report. The rest is what Stats.fold reads
+// besides it, set as the run ends: the request's Stats and FuelElided and
+// whether the engine failed. ran stays false for a dispatch never run.
 type reportBox struct {
 	Report
-	calls [inlineCalls]uint64
+	calls               [inlineCalls]uint64
+	cell                *ProgramCell
+	ran, failed, elided bool
 }
 
 // inlineCalls is how many helper-count slots a report stores inline;
@@ -221,15 +228,11 @@ type reportBox struct {
 // the report one more allocation.
 const inlineCalls = 16
 
-// setCalls copies the run's helper counts into the report.
+// setCalls copies the run's helper counts into the report: into the
+// inline array, capped at their length, when they fit.
 func (b *reportBox) setCalls(calls helpers.Calls) {
-	switch n := len(calls); {
-	case n == 0:
-	case n <= inlineCalls:
-		copy(b.calls[:], calls)
-		b.HelperCalls = b.calls[:n:n]
-	default:
-		b.HelperCalls = append(helpers.Calls(nil), calls...)
+	if n := len(calls); n != 0 {
+		b.HelperCalls = append(b.calls[:0:min(n, inlineCalls)], calls...)
 	}
 }
 
@@ -253,14 +256,15 @@ func (b *reportBox) setCalls(calls helpers.Calls) {
 // run error so a supervisor can classify the invocation. Any other panic
 // is a harness bug and keeps propagating.
 func (c *Core) Run(eng Engine, req Request, reload Reload) (*Report, error) {
-	box := new(reportBox)
-	err := c.dispatch(eng, req, reload, box)
-	return &box.Report, err
+	box := make([]reportBox, 1)
+	err := c.dispatch(eng, &req, reload, &box[0])
+	c.Stats.fold(req.CPU, box)
+	return &box[0].Report, err
 }
 
 // dispatch is Run writing its report into box: the one place the run path
-// asks whether the core is supervised.
-func (c *Core) dispatch(eng Engine, req Request, reload Reload, box *reportBox) error {
+// asks whether the core is supervised. Core.run copies req into its frame.
+func (c *Core) dispatch(eng Engine, req *Request, reload Reload, box *reportBox) error {
 	if s := c.sup.Load(); s != nil {
 		return s.gate(eng, req, reload, box)
 	}
@@ -268,9 +272,10 @@ func (c *Core) dispatch(eng Engine, req Request, reload Reload, box *reportBox) 
 }
 
 // run is the lifecycle of one invocation, writing its report into box.
-func (c *Core) run(eng Engine, req Request, box *reportBox) (err error) {
+// The frame's copy of req is the run's only one; the injector rewrites it.
+func (c *Core) run(eng Engine, req *Request, box *reportBox) (err error) {
 	fr := c.frame(req.CPU)
-	fr.req = req
+	fr.req = *req
 	r := &fr.req
 	if c.Inject != nil {
 		c.Inject.BeforeRun(r)
@@ -366,7 +371,7 @@ func (c *Core) run(eng Engine, req Request, box *reportBox) (err error) {
 		}()
 		rep.WallNs = time.Since(wallStart).Nanoseconds()
 		rep.CPUTimeNs = ctx.ConsumedNs()
-		c.Stats.recordRun(r.Stats, r.CPU, rep, err)
+		box.cell, box.ran, box.failed, box.elided = r.Stats, true, err != nil, r.FuelElided
 		c.release(fr)
 	}()
 
@@ -397,11 +402,11 @@ type BatchResult struct {
 // serial Run calls, and a trip mid-batch denies the rest of the batch
 // exactly as it would deny fresh dispatches. What the batch amortizes is
 // everything around the lifecycle (engine/report plumbing staying hot in
-// cache, one allocation for all of the batch's reports). The caller owns
-// every returned Report.
+// cache, one allocation for all of the batch's reports, one stats fold).
+// The caller owns every returned Report.
 func (c *Core) RunBatch(eng Engine, cpu int, reqs []Request, reload Reload) []BatchResult {
-	var slab batchSlab
-	return c.runBatch(eng, cpu, reqs, reload, &slab)
+	out, _ := c.runBatch(eng, cpu, reqs, reload, new(batchSlab))
+	return out
 }
 
 // batchSlab is the storage a batch's reports and results are written
@@ -415,8 +420,9 @@ type batchSlab struct {
 
 // runBatch is RunBatch writing into slab, grown to the batch's size when
 // it is short. Each box is reset before its dispatch, so a report never
-// carries a field of an earlier batch's.
-func (c *Core) runBatch(eng Engine, cpu int, reqs []Request, reload Reload, slab *batchSlab) []BatchResult {
+// carries a field of an earlier batch's. It returns the batch's consumed
+// CPU time, from the stats fold.
+func (c *Core) runBatch(eng Engine, cpu int, reqs []Request, reload Reload, slab *batchSlab) ([]BatchResult, int64) {
 	n := len(reqs)
 	if cap(slab.boxes) < n {
 		slab.boxes = make([]reportBox, n)
@@ -426,10 +432,10 @@ func (c *Core) runBatch(eng Engine, cpu int, reqs []Request, reload Reload, slab
 	for i := range reqs {
 		reqs[i].CPU = cpu
 		boxes[i] = reportBox{}
-		err := c.dispatch(eng, reqs[i], reload, &boxes[i])
+		err := c.dispatch(eng, &reqs[i], reload, &boxes[i])
 		out[i] = BatchResult{Report: &boxes[i].Report, Err: err}
 	}
-	return out
+	return out, c.Stats.fold(cpu, boxes)
 }
 
 // codeEngine runs one engine's Code on the shared machine: the

@@ -326,11 +326,11 @@ func TestStatsConcurrent(t *testing.T) {
 			}
 			for i := 0; i < 200; i++ {
 				s.RecordLoad("p", PhaseTimings{{Name: "verify", WallNs: 1}})
-				s.recordRun(cell, g%3, &Report{
+				s.fold(g%3, []reportBox{{Report: Report{
 					Program:      "p",
 					Instructions: 1,
 					HelperCalls:  helpers.Calls(nil).Add("h", 1),
-				}, nil)
+				}, cell: cell, ran: true}})
 				_ = s.Snapshot()
 			}
 		}(g)

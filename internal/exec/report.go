@@ -9,11 +9,8 @@ import (
 	"kex/internal/kernel"
 )
 
-// Report describes one program invocation through the execution core. It is
-// the unified replacement for the two report shapes the stacks used to
-// assemble by hand: the verified-eBPF RunReport and the raw half of the
-// safext Verdict. Field names are kept compatible with the old RunReport so
-// existing callers read it unchanged.
+// Report describes one program invocation through the execution core, for
+// both stacks. It is the invocation's one record: Stats folds it in.
 type Report struct {
 	// Program and Engine identify what ran and on which engine
 	// ("interp" or "jit").

@@ -56,9 +56,8 @@ type Batch struct {
 	// callback, not a place to do synchronous downstream work. Like the
 	// buffers a NAPI poll hands up, the results and their Reports belong
 	// to the shard: they are valid until Done returns, and their storage
-	// then serves the shard's next batch. Done copies what it keeps; a
-	// copied Report still shares its HelperCalls with the shard, and so
-	// does a safext Verdict made from it.
+	// then serves the shard's next batch. The core's Stats count the batch
+	// before Done is called.
 	Done func([]BatchResult)
 }
 
@@ -145,11 +144,7 @@ func (s *Sharded) worker(cpu int) {
 	cell := &s.cells[cpu]
 	var slab batchSlab
 	for b := range s.rings[cpu] {
-		results := s.core.runBatch(b.Engine, cpu, b.Reqs, b.Reload, &slab)
-		var consumed int64
-		for _, r := range results {
-			consumed += r.Report.CPUTimeNs
-		}
+		results, consumed := s.core.runBatch(b.Engine, cpu, b.Reqs, b.Reload, &slab)
 		cell.busy.Add(consumed)
 		cell.completed.Add(uint64(len(results)))
 		if b.Done != nil {
@@ -180,6 +175,25 @@ func (s *Sharded) Shards() int { return len(s.rings) }
 // either retry, spill to another shard, or shed load, exactly the choices
 // a NIC driver has at a full descriptor ring.
 func (s *Sharded) Submit(cpu int, b Batch) error {
+	return s.submit(context.Background(), cpu, b, false)
+}
+
+// SubmitWait enqueues a batch, blocking while the shard's ring is full.
+func (s *Sharded) SubmitWait(cpu int, b Batch) error {
+	return s.SubmitWaitCtx(context.Background(), cpu, b)
+}
+
+// SubmitWaitCtx enqueues a batch, blocking while the shard's ring is full
+// but giving up when ctx expires: a wedged shard (a worker parked in a
+// Done hook, say) can then no longer park its producers forever. Expiry
+// returns an error wrapping ErrDeadline and leaves the batch unsubmitted.
+func (s *Sharded) SubmitWaitCtx(ctx context.Context, cpu int, b Batch) error {
+	return s.submit(ctx, cpu, b, true)
+}
+
+// submit enqueues a batch on a shard's ring if it has room, else, when
+// wait is set, blocks until it has or ctx expires.
+func (s *Sharded) submit(ctx context.Context, cpu int, b Batch, wait bool) error {
 	if cpu < 0 || cpu >= len(s.rings) {
 		return fmt.Errorf("exec: submit to invalid shard %d of %d", cpu, len(s.rings))
 	}
@@ -197,49 +211,25 @@ func (s *Sharded) Submit(cpu int, b Batch) error {
 	case s.rings[cpu] <- b:
 		return nil
 	default:
-		// The transient pending increment may have been observed by a
-		// concurrent Flush; retire it through the same wakeup path the
-		// worker uses so that Flush cannot block forever.
-		s.decPending()
-		return ErrRingFull
 	}
-}
-
-// SubmitWait enqueues a batch, blocking while the shard's ring is full.
-func (s *Sharded) SubmitWait(cpu int, b Batch) error {
-	return s.SubmitWaitCtx(context.Background(), cpu, b)
-}
-
-// SubmitWaitCtx enqueues a batch, blocking while the shard's ring is full
-// but giving up when ctx expires: a wedged shard (a worker parked in a
-// Done hook, say) can then no longer park its producers forever. Expiry
-// returns an error wrapping ErrDeadline and leaves the batch unsubmitted.
-func (s *Sharded) SubmitWaitCtx(ctx context.Context, cpu int, b Batch) error {
-	if cpu < 0 || cpu >= len(s.rings) {
-		return fmt.Errorf("exec: submit to invalid shard %d of %d", cpu, len(s.rings))
+	err = ErrRingFull
+	if wait {
+		// Blocking send under the read lock: Close's writer acquisition
+		// waits for this sender, and the workers keep draining until the
+		// rings close, so the send completes unless the deadline strikes
+		// first.
+		select {
+		case s.rings[cpu] <- b:
+			return nil
+		case <-ctx.Done():
+			err = fmt.Errorf("%w: shard %d submit: %v", ErrDeadline, cpu, ctx.Err())
+		}
 	}
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return ErrShardedClosed
-	}
-	cpu, err := s.gateConc(cpu, &b)
-	if err != nil {
-		return err
-	}
-	s.pending.Add(1)
-	// Blocking send under the read lock: Close's writer acquisition waits
-	// for this sender, and the workers keep draining until the rings close,
-	// so the send completes unless the deadline strikes first.
-	select {
-	case s.rings[cpu] <- b:
-		return nil
-	case <-ctx.Done():
-		// The transient pending increment may have been observed by a
-		// concurrent Flush; retire it through the wakeup path.
-		s.decPending()
-		return fmt.Errorf("%w: shard %d submit: %v", ErrDeadline, cpu, ctx.Err())
-	}
+	// The transient pending increment may have been observed by a
+	// concurrent Flush; retire it through the same wakeup path the worker
+	// uses so that Flush cannot block forever.
+	s.decPending()
+	return err
 }
 
 // Flush blocks until every submitted batch has completed.

@@ -12,13 +12,14 @@ import (
 )
 
 // Stats accumulates per-program and per-CPU execution counters plus
-// cumulative load-phase timings for one Core. The write path — one call
-// per invocation, from every shard worker — is lock-free: counters live in
-// atomic cells, so parallel shards never queue behind a stats mutex. A
-// program's run counters and helper counts are striped by CPU, so shards
-// running one program do not bounce a shared cache line. Aggregation into
-// the public Snapshot types, summing the stripes, happens only on read,
-// which is the cold path.
+// cumulative load-phase timings for one Core. The core folds each batch's
+// Reports in once the batch is done (Core.Run folds its one report), with
+// one atomic add per counter and program: a healthy run writes no stats of
+// its own. So a Snapshot taken while a batch runs misses that batch's runs,
+// and only those. What the supervisor acts on (faults, denials, probes,
+// transitions) is counted at once. A program's run counters and helper
+// counts are striped by CPU, so shards neither queue on a lock nor bounce a
+// shared cache line; Snapshot sums the stripes on read.
 //
 // Nothing on the write path looks a name up: a stack resolves its
 // program's cell once at load (Cell) and carries it on every Request, and
@@ -51,8 +52,8 @@ const (
 	pRuntimeNs
 	pWallNs
 	pCPUTimeNs
-	// The counters above are the run counters recordRun adds per
-	// invocation; they live in the CPU stripes.
+	// The counters above are the run counters fold sums from the reports;
+	// they live in the CPU stripes.
 	pFaults
 	pDenied
 	pFallbacks
@@ -356,11 +357,6 @@ func (s *Stats) RecordConcDemotion(program, reason string) {
 // (Request.Stats), so accounting a run does no name lookup.
 func (s *Stats) Cell(program string) *ProgramCell { return s.prog(program) }
 
-// RecordFuelElision accounts one invocation of the cell's program that ran
-// without fuel metering because the toolchain proved a static instruction
-// bound under budget.
-func (c *ProgramCell) RecordFuelElision() { c.at(pFuelElisions).Add(1) }
-
 // prog returns (creating on first use) the per-program accumulator.
 func (s *Stats) prog(name string) *ProgramCell {
 	if c, ok := s.programs.Load(name); ok {
@@ -426,35 +422,82 @@ func (s *Stats) recordTransition(program string, from, to State) {
 	counterIn(&s.prog(program).transitions, string(from)+"->"+string(to), 1)
 }
 
-// recordRun accounts one invocation to cell, or to the report's program
-// by name when the request carried no cell. The core calls it after
-// assembling the report; engineErr marks abnormal termination.
-func (s *Stats) recordRun(cell *ProgramCell, cpu int, rep *Report, engineErr error) {
-	if cell == nil {
-		cell = s.prog(rep.Program)
-	}
-	st := &cell.stripes[uint(cpu)%statStripes]
-	st.n[pInvocations].Add(1)
-	if engineErr != nil {
-		st.n[pErrors].Add(1)
-	}
-	st.n[pInstructions].Add(rep.Instructions)
-	st.n[pFuelUsed].Add(rep.FuelUsed)
-	st.n[pMapOps].Add(rep.MapOps)
-	st.n[pRuntimeNs].Add(uint64(rep.RuntimeNs))
-	st.n[pWallNs].Add(uint64(rep.WallNs))
-	st.n[pCPUTimeNs].Add(uint64(rep.CPUTimeNs))
-	for slot, n := range rep.HelperCalls {
-		if n != 0 {
-			st.helpers.add(slot, n)
+// fold accounts a done batch's runs on cpu: per program it sums the
+// reports on the stack, then adds each nonzero total to the program's CPU
+// stripe once, and the batch's totals to the CPU's cell once. A helper
+// slot past the inline ones, which costs its report an allocation too, is
+// added per report. Dispatches that never ran are the gate's to count. It
+// consumes the boxes' ran flags and returns the runs' consumed CPU time.
+func (s *Stats) fold(cpu int, boxes []reportBox) int64 {
+	var total [numRunCounters]uint64
+	for i := range boxes {
+		if !boxes[i].ran {
+			continue
+		}
+		cell := s.cellOf(&boxes[i])
+		st := &cell.stripes[uint(cpu)%statStripes]
+		var sum [numRunCounters]uint64
+		var calls [inlineCalls]uint64
+		var elided uint64
+		for j := i; j < len(boxes); j++ {
+			b := &boxes[j]
+			if !b.ran || s.cellOf(b) != cell {
+				continue
+			}
+			b.ran = false
+			sum[pInvocations]++
+			if b.failed {
+				sum[pErrors]++
+			}
+			if b.elided {
+				elided++
+			}
+			sum[pInstructions] += b.Instructions
+			sum[pFuelUsed] += b.FuelUsed
+			sum[pMapOps] += b.MapOps
+			sum[pRuntimeNs] += uint64(b.RuntimeNs)
+			sum[pWallNs] += uint64(b.WallNs)
+			sum[pCPUTimeNs] += uint64(b.CPUTimeNs)
+			for slot, n := range b.HelperCalls {
+				if slot < inlineCalls {
+					calls[slot] += n
+				} else if n != 0 {
+					st.helpers.add(slot, n)
+				}
+			}
+		}
+		for k, n := range sum {
+			if n != 0 {
+				st.n[k].Add(n)
+				total[k] += n
+			}
+		}
+		for slot, n := range calls {
+			if n != 0 {
+				st.helpers.add(slot, n)
+			}
+		}
+		if elided != 0 {
+			cell.at(pFuelElisions).Add(elided)
 		}
 	}
-	cs := s.cpu(cpu)
-	cs.n[cInvocations].Add(1)
-	cs.n[cInstructions].Add(rep.Instructions)
-	cs.n[cRuntimeNs].Add(uint64(rep.RuntimeNs))
-	cs.n[cWallNs].Add(uint64(rep.WallNs))
-	cs.n[cCPUTimeNs].Add(uint64(rep.CPUTimeNs))
+	if total[pInvocations] != 0 {
+		cs := s.cpu(cpu)
+		cs.n[cInvocations].Add(total[pInvocations])
+		cs.n[cInstructions].Add(total[pInstructions])
+		cs.n[cRuntimeNs].Add(total[pRuntimeNs])
+		cs.n[cWallNs].Add(total[pWallNs])
+		cs.n[cCPUTimeNs].Add(total[pCPUTimeNs])
+	}
+	return int64(total[pCPUTimeNs])
+}
+
+// cellOf returns a box's cell, resolving a request without one by name.
+func (s *Stats) cellOf(b *reportBox) *ProgramCell {
+	if b.cell == nil {
+		b.cell = s.prog(b.Program)
+	}
+	return b.cell
 }
 
 // Snapshot is a consistent, caller-owned copy of the accumulated stats.

@@ -280,7 +280,7 @@ func jitterSeed(seed uint64, program string) uint64 {
 // through observe under mu as ever. A quiet run that overlaps a fault on
 // another shard is thereby ordered before that fault; concurrent runs had
 // no defined order before either.
-func (s *Supervisor) gate(eng Engine, req Request, reload Reload, box *reportBox) error {
+func (s *Supervisor) gate(eng Engine, req *Request, reload Reload, box *reportBox) error {
 	// Trip notifications queue under mu on every path below; deliver them
 	// once all locks are released, whatever way the dispatch returns.
 	defer s.flushTrips()
@@ -316,7 +316,7 @@ func (s *Supervisor) gate(eng Engine, req Request, reload Reload, box *reportBox
 // The probe claim matters because under sharded execution a run admitted
 // while healthy on another shard can complete after a trip; only the
 // claim holder may decide the quarantine's outcome in observe.
-func (s *Supervisor) admit(eng Engine, req Request, reload Reload, box *reportBox) (*progHealth, bool, error) {
+func (s *Supervisor) admit(eng Engine, req *Request, reload Reload, box *reportBox) (*progHealth, bool, error) {
 	s.mu.Lock()
 	st := s.health(req.Program)
 	switch st.state {
@@ -458,9 +458,7 @@ func (s *Supervisor) backoffFor(st *progHealth) int64 {
 }
 
 func (s *Supervisor) resetWindow(st *progHealth) {
-	for i := range st.window {
-		st.window[i] = false
-	}
+	clear(st.window)
 	st.widx, st.filled, st.faults = 0, 0, 0
 }
 

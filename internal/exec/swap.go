@@ -288,15 +288,8 @@ func (h *HotSwap) Swap(ctx context.Context, next Version, soak SoakConfig) (*Swa
 	rep.SwapWallNs = time.Since(wallStart).Nanoseconds()
 	rep.SwapVirtNs = h.sh.core.K.Clock.Now() - virtStart
 
-	if soak.Runs <= 0 || sup == nil {
-		if !h.endSoak(sk) {
-			return h.rollback(ctx, sk, rep)
-		}
-		rep.SoakRuns = sk.completed.Load()
-		return rep, nil
-	}
 	for {
-		done := sk.completed.Load() >= int64(soak.Runs)
+		done := soak.Runs <= 0 || sup == nil || sk.completed.Load() >= int64(soak.Runs)
 		if !done && soak.WindowNs > 0 {
 			done = h.sh.core.K.Clock.Now()-virtStart >= soak.WindowNs
 		}

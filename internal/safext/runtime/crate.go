@@ -35,8 +35,7 @@ const (
 // the runtime it belongs to. It lives in the invocation's Prepared, which
 // the execution core installs as the run's Env.Scratch.
 type runState struct {
-	rt  *Runtime
-	ext *Extension
+	rt *Runtime
 
 	// records are the live resource-log entries: addresses of 16-byte
 	// pool chunks holding {kind u64, payload u64}. The chunk memory is the

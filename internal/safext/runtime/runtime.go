@@ -85,48 +85,31 @@ type Runtime struct {
 	stats runtimeStats
 }
 
-// Stats counts the runtime's safety interventions. Snapshot it with
-// Runtime.Stats; the shared core's execution counters live at Core.Stats.
+// Stats is a snapshot (Runtime.Stats) of the runtime's safety
+// interventions. Execution counters (invocations, fuel elisions, denials)
+// are the shared core's (Core.Stats); a run's cleanup is in its Verdict.
 type Stats struct {
-	Loads          int
 	SignatureFails int
-	Invocations    int
 	Traps          int
 	WatchdogKills  int
 	FuelKills      int
 	PanicKills     int // runs that died by kernel panic (oops=panic)
-	Quarantines    int // invocations denied at the supervisor gate
-	CleanedSocks   int
-	CleanedLocks   int
-	// FuelElisions counts invocations that ran without per-instruction
-	// fuel metering because the signed object carried a static instruction
-	// bound under the configured budget — the toolchain's termination
-	// proof, accepted on the strength of the signature.
-	FuelElisions int
 }
 
-// runtimeStats is the lock-free backing store for Stats: shard workers
-// increment plain atomics on the run path, so concurrent invocations from
-// several simulated CPUs never queue on a stats lock.
+// runtimeStats is the lock-free backing store for Stats, written only when
+// an intervention happens: a healthy run touches none of it.
 type runtimeStats struct {
-	loads, signatureFails, invocations, traps, watchdogKills, fuelKills,
-	panicKills, quarantines, cleanedSocks, cleanedLocks, fuelElisions atomic.Int64
+	signatureFails, traps, watchdogKills, fuelKills, panicKills atomic.Int64
 }
 
 // Stats snapshots the runtime's intervention counters.
 func (rt *Runtime) Stats() Stats {
 	return Stats{
-		Loads:          int(rt.stats.loads.Load()),
 		SignatureFails: int(rt.stats.signatureFails.Load()),
-		Invocations:    int(rt.stats.invocations.Load()),
 		Traps:          int(rt.stats.traps.Load()),
 		WatchdogKills:  int(rt.stats.watchdogKills.Load()),
 		FuelKills:      int(rt.stats.fuelKills.Load()),
 		PanicKills:     int(rt.stats.panicKills.Load()),
-		Quarantines:    int(rt.stats.quarantines.Load()),
-		CleanedSocks:   int(rt.stats.cleanedSocks.Load()),
-		CleanedLocks:   int(rt.stats.cleanedLocks.Load()),
-		FuelElisions:   int(rt.stats.fuelElisions.Load()),
 	}
 }
 
@@ -223,7 +206,6 @@ type Extension struct {
 // check, map creation, rodata mapping, relocation, optional JIT. Note what
 // is absent: no verifier.
 func (rt *Runtime) Load(so *toolchain.SignedObject) (*Extension, error) {
-	rt.stats.loads.Add(1)
 	rec := exec.NewPhaseRecorder()
 	valid := false
 	for _, key := range rt.keyring {
@@ -381,10 +363,7 @@ type Verdict struct {
 	// monotonic wall-clock latency (the benchmark's view).
 	RuntimeNs int64
 	WallNs    int64
-	// HelperCalls counts crate calls by helper count slot, from the
-	// shared core's instrumentation; HelperCalls.Get(name) reads one.
-	HelperCalls helpers.Calls
-	Trace       []string
+	Trace     []string
 }
 
 // RunOptions tunes one invocation.
@@ -429,7 +408,6 @@ func (ext *Extension) Run(opts RunOptions) (*Verdict, error) {
 // coalescing, the cleanup hook, the verdict plumbing — is fixed here.
 func (ext *Extension) Prepare(opts RunOptions) *Prepared {
 	rt := ext.rt
-	rt.stats.invocations.Add(1)
 
 	// Fuel coalescing: when the signed object proves a static instruction
 	// bound that fits the budget, the per-instruction fuel meter collapses
@@ -439,12 +417,10 @@ func (ext *Extension) Prepare(opts RunOptions) *Prepared {
 	fuel := rt.Cfg.Fuel
 	if ext.coalesceFuel {
 		fuel = 0
-		rt.stats.fuelElisions.Add(1)
-		ext.cell.RecordFuelElision()
 	}
 
 	p := &Prepared{ext: ext}
-	p.rs = runState{rt: rt, ext: ext, cpu: opts.CPU}
+	p.rs = runState{rt: rt, cpu: opts.CPU}
 	p.rs.records = p.rs.recBuf[:0]
 	p.req = exec.Request{
 		Program:    ext.Name,
@@ -453,6 +429,7 @@ func (ext *Extension) Prepare(opts RunOptions) *Prepared {
 		CtxAddr:    opts.CtxAddr,
 		Fuel:       fuel,
 		WatchdogNs: rt.Cfg.WatchdogNs,
+		FuelElided: ext.coalesceFuel,
 		Scratch:    p,
 		Setup:      setupRun,
 		Finish:     finishRun,
@@ -477,7 +454,6 @@ func finishRun(env *helpers.Env, rep *exec.Report, engineErr error) {
 		R0:           int64(rep.R0),
 		Instructions: rep.Instructions,
 		RuntimeNs:    rep.RuntimeNs,
-		HelperCalls:  rep.HelperCalls,
 		Trace:        rep.Trace,
 	}
 	switch {
@@ -525,8 +501,6 @@ func finishRun(env *helpers.Env, rep *exec.Report, engineErr error) {
 	// cannot mask the run's verdict.
 	socks, locks, mem := rt.cleanup(env, &p.rs)
 	v.CleanedSocks, v.CleanedLocks, v.CleanedMem = socks, locks, mem
-	rt.stats.cleanedSocks.Add(int64(socks))
-	rt.stats.cleanedLocks.Add(int64(locks))
 	p.ran = true
 }
 
@@ -534,14 +508,12 @@ func finishRun(env *helpers.Env, rep *exec.Report, engineErr error) {
 // the tail of Run, shared with the batched path. The verdict is part of
 // the Prepared.
 func (p *Prepared) Finish(rep *exec.Report, runErr error) (*Verdict, error) {
-	rt := p.ext.rt
 	if p.runtimeErr != nil {
 		return nil, p.runtimeErr
 	}
 	if !p.ran {
 		// The dispatch never reached the engine: the supervisor denied it
 		// (quarantined or detached) or a recovery reload failed.
-		rt.stats.quarantines.Add(1)
 		if runErr != nil {
 			return nil, runErr
 		}

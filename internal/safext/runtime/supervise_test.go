@@ -101,8 +101,8 @@ fn main() -> i64 {
 	if f.rt.Stats().FuelKills != kills {
 		t.Fatal("quarantined extension still reached the engine")
 	}
-	if f.rt.Stats().Quarantines != 4 {
-		t.Fatalf("quarantine count = %d, want 4", f.rt.Stats().Quarantines)
+	if n := f.rt.Core.Stats.Snapshot().Programs["hog"].Denied; n != 4 {
+		t.Fatalf("denied count = %d, want 4", n)
 	}
 }
 
