@@ -124,12 +124,13 @@ func NewEnv(k *kernel.Kernel, ctx *kernel.Context, reg *maps.Registry) *Env {
 // takes it over.
 func (e *Env) Reset(k *kernel.Kernel, ctx *kernel.Context, reg *maps.Registry) {
 	clear(e.HelperCalls)
-	*e = Env{
-		K: k, Ctx: ctx, Maps: reg,
-		HelperCalls: e.HelperCalls[:0],
-		randState:   randSeed,
-		keyBuf:      e.keyBuf,
-	}
+	calls, keyBuf := e.HelperCalls[:0], e.keyBuf
+	// Zero first, then set: a literal that reads the old fields would be
+	// built in a temporary and copied in.
+	*e = Env{}
+	e.K, e.Ctx, e.Maps = k, ctx, reg
+	e.HelperCalls, e.keyBuf = calls, keyBuf
+	e.randState = randSeed
 }
 
 // crash records the fault as a kernel oops and returns ErrKernelCrash.

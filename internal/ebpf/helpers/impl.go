@@ -66,11 +66,12 @@ func implMapUpdateElem(e *Env, a [5]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key, err := e.ReadMem(a[1], uint64(m.Spec().KeySize))
+	spec := m.Spec()
+	key, err := e.ReadMem(a[1], uint64(spec.KeySize))
 	if err != nil {
 		return 0, err
 	}
-	val, err := e.ReadMem(a[2], uint64(m.Spec().ValueSize))
+	val, err := e.ReadMem(a[2], uint64(spec.ValueSize))
 	if err != nil {
 		return 0, err
 	}

@@ -9,34 +9,67 @@ import (
 // hashMap is the BPF_MAP_TYPE_HASH / BPF_MAP_TYPE_LRU_HASH analogue. Each
 // entry's value lives in its own kernel region, allocated on insert and
 // unmapped on delete — so a program holding a pointer to a deleted value
-// faults on its next access, the simulator's use-after-free.
+// faults on its next access, the simulator's use-after-free. Lookups of a
+// plain hash map walk the index without a lock; an LRU lookup reorders the
+// recency list, so it takes the mutex like every writer.
 type hashMap struct {
-	k    *kernel.Kernel
-	spec Spec
-	lru  bool
+	k     *kernel.Kernel
+	spec  Spec
+	lru   bool
+	index hashIndex
 
-	mu      sync.RWMutex
-	entries map[string]*kernel.Region
-	order   []string // LRU order, least recent first; maintained when lru
+	mu sync.Mutex
+	// oldest and newest end the recency list of an LRU map, under mu.
+	oldest, newest *hashNode
 }
 
 func newHash(k *kernel.Kernel, spec Spec, lru bool) *hashMap {
-	return &hashMap{k: k, spec: spec, lru: lru, entries: make(map[string]*kernel.Region)}
+	return &hashMap{k: k, spec: spec, lru: lru, index: newHashIndex(spec.KeySize, spec.MaxEntries)}
 }
 
 func (m *hashMap) Spec() Spec { return m.spec }
 
-func (m *hashMap) touch(key string) {
-	if !m.lru {
+// unlinkLRU takes n out of the recency list.
+func (m *hashMap) unlinkLRU(n *hashNode) {
+	if n.older != nil {
+		n.older.newer = n.newer
+	} else {
+		m.oldest = n.newer
+	}
+	if n.newer != nil {
+		n.newer.older = n.older
+	} else {
+		m.newest = n.older
+	}
+	n.older, n.newer = nil, nil
+}
+
+// pushLRU makes n the most recently used entry.
+func (m *hashMap) pushLRU(n *hashNode) {
+	n.older = m.newest
+	if m.newest != nil {
+		m.newest.newer = n
+	} else {
+		m.oldest = n
+	}
+	m.newest = n
+}
+
+func (m *hashMap) touch(n *hashNode) {
+	if !m.lru || n == m.newest {
 		return
 	}
-	for i, k := range m.order {
-		if k == key {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
+	m.unlinkLRU(n)
+	m.pushLRU(n)
+}
+
+// remove unmaps n's value and drops n from the map. Caller holds mu.
+func (m *hashMap) remove(n *hashNode) {
+	m.k.Mem.Unmap(n.region)
+	m.index.remove(n)
+	if m.lru {
+		m.unlinkLRU(n)
 	}
-	m.order = append(m.order, key)
 }
 
 func (m *hashMap) Lookup(_ int, key []byte) (uint64, bool) {
@@ -44,24 +77,20 @@ func (m *hashMap) Lookup(_ int, key []byte) (uint64, bool) {
 		return 0, false
 	}
 	if !m.lru {
-		// Non-LRU lookups don't mutate map state, so concurrent readers
-		// (e.g. shard workers probing a shared allowlist) share the lock.
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		r, ok := m.entries[string(key)]
-		if !ok {
+		n := m.index.find(key)
+		if n == nil {
 			return 0, false
 		}
-		return r.Base, true
+		return n.region.Base, true
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.entries[string(key)]
-	if !ok {
+	n := m.index.find(key)
+	if n == nil {
 		return 0, false
 	}
-	m.touch(string(key))
-	return r.Base, true
+	m.touch(n)
+	return n.region.Base, true
 }
 
 func (m *hashMap) Update(_ int, key, value []byte, flags uint64) error {
@@ -73,33 +102,29 @@ func (m *hashMap) Update(_ int, key, value []byte, flags uint64) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ks := string(key)
-	if r, ok := m.entries[ks]; ok {
+	if n := m.index.find(key); n != nil {
 		if flags == UpdateNoExist {
 			return ErrExists
 		}
-		copy(r.Data, value)
-		m.touch(ks)
+		copy(n.region.Data, value)
+		m.touch(n)
 		return nil
 	}
 	if flags == UpdateExist {
 		return ErrNotFound
 	}
-	if len(m.entries) >= m.spec.MaxEntries {
+	if m.index.n >= m.spec.MaxEntries {
 		if !m.lru {
 			return ErrNoSpace
 		}
 		// LRU eviction: drop the least recently used entry.
-		victim := m.order[0]
-		m.order = m.order[1:]
-		m.k.Mem.Unmap(m.entries[victim])
-		delete(m.entries, victim)
+		m.remove(m.oldest)
 	}
 	r := m.k.Mem.Map(m.spec.ValueSize, kernel.ProtRW, "map_hash_val:"+m.spec.Name)
 	copy(r.Data, value)
-	m.entries[ks] = r
+	n := m.index.insert(key, r)
 	if m.lru {
-		m.order = append(m.order, ks)
+		m.pushLRU(n)
 	}
 	return nil
 }
@@ -110,44 +135,30 @@ func (m *hashMap) Delete(key []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ks := string(key)
-	r, ok := m.entries[ks]
-	if !ok {
+	n := m.index.find(key)
+	if n == nil {
 		return ErrNotFound
 	}
-	m.k.Mem.Unmap(r)
-	delete(m.entries, ks)
-	if m.lru {
-		for i, k := range m.order {
-			if k == ks {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
-	}
+	m.remove(n)
 	return nil
 }
 
 func (m *hashMap) Entries() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.entries)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.index.n
 }
 
 // Keys returns a snapshot of the current keys, for iteration helpers and
 // userspace-style inspection in examples.
 func (m *hashMap) Keys() [][]byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([][]byte, 0, len(m.entries))
-	for k := range m.entries {
-		out = append(out, []byte(k))
-	}
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.index.keys()
 }
 
-// LookupBatch resolves many keys element-wise. For non-LRU maps the reads
-// share the lock; batching amortizes the interface dispatch.
+// LookupBatch resolves many keys element-wise; batching amortizes the
+// interface dispatch.
 func (m *hashMap) LookupBatch(cpu int, keys [][]byte) ([]uint64, []bool) {
 	return lookupBatchSlow(m, cpu, keys)
 }

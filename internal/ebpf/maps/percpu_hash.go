@@ -10,21 +10,21 @@ import (
 // but every entry carries a value cell per CPU, laid out contiguously in
 // one region (cell i at offset i*ValueSize). Lookup returns the calling
 // CPU's cell, so hot-path increments from different shards touch disjoint
-// memory; userspace aggregates with PerCPUValues. The keyset itself is
-// guarded by an RWMutex — inserts and deletes are rare control-plane
-// events, while the data-plane Lookup/overwrite path only ever takes the
-// read side. Value cells are additionally guarded by one mutex per CPU (as
-// perCPUArray does): shard cpu's writes and PerCPUValues' aggregation-on-
-// read of that cell serialize on mus[cpu], so a concurrent snapshot never
-// tears a multi-byte cell mid-write.
+// memory; userspace aggregates with PerCPUValues. The keyset is a hash
+// index that Lookup, the overwrite path and PerCPUValues walk without a
+// lock; inserts and deletes, rare control-plane events, serialize on mu.
+// Value cells are guarded by one mutex per CPU (as perCPUArray does):
+// shard cpu's writes and PerCPUValues' aggregation-on-read of that cell
+// serialize on mus[cpu], so a concurrent snapshot never tears a multi-byte
+// cell mid-write.
 type perCPUHash struct {
-	k    *kernel.Kernel
-	ncpu int
-	spec Spec
+	k     *kernel.Kernel
+	ncpu  int
+	spec  Spec
+	mus   []sync.Mutex // one per CPU cell; shard workers never share one
+	index hashIndex    // one region of ncpu*ValueSize per key
 
-	mu      sync.RWMutex
-	entries map[string]*kernel.Region // one region of ncpu*ValueSize per key
-	mus     []sync.Mutex              // one per CPU cell; shard workers never share one
+	mu sync.Mutex
 }
 
 func newPerCPUHash(k *kernel.Kernel, spec Spec) *perCPUHash {
@@ -34,8 +34,8 @@ func newPerCPUHash(k *kernel.Kernel, spec Spec) *perCPUHash {
 	}
 	return &perCPUHash{
 		k: k, ncpu: ncpu, spec: spec,
-		entries: make(map[string]*kernel.Region),
-		mus:     make([]sync.Mutex, ncpu),
+		index: newHashIndex(spec.KeySize, spec.MaxEntries),
+		mus:   make([]sync.Mutex, ncpu),
 	}
 }
 
@@ -45,13 +45,19 @@ func (m *perCPUHash) Lookup(cpu int, key []byte) (uint64, bool) {
 	if len(key) != m.spec.KeySize || cpu < 0 || cpu >= m.ncpu {
 		return 0, false
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	r, ok := m.entries[string(key)]
-	if !ok {
+	n := m.index.find(key)
+	if n == nil {
 		return 0, false
 	}
-	return r.Base + uint64(cpu)*uint64(m.spec.ValueSize), true
+	return n.region.Base + uint64(cpu)*uint64(m.spec.ValueSize), true
+}
+
+// setCell writes the CPU's cell of r under the cell's lock, so a
+// concurrent PerCPUValues cannot observe a torn write.
+func (m *perCPUHash) setCell(r *kernel.Region, cpu int, value []byte) {
+	m.mus[cpu].Lock()
+	copy(r.Data[cpu*m.spec.ValueSize:(cpu+1)*m.spec.ValueSize], value)
+	m.mus[cpu].Unlock()
 }
 
 func (m *perCPUHash) Update(cpu int, key, value []byte, flags uint64) error {
@@ -64,46 +70,38 @@ func (m *perCPUHash) Update(cpu int, key, value []byte, flags uint64) error {
 	if cpu < 0 || cpu >= m.ncpu {
 		return ErrNotFound
 	}
-	ks := string(key)
 
-	// Overwrite path: per-CPU cells are disjoint, so a read lock on the
-	// keyset suffices — concurrent shards writing their own cells of the
-	// same key do not conflict. The cell itself is written under the CPU's
-	// cell lock so a concurrent PerCPUValues cannot observe a torn write.
-	m.mu.RLock()
-	if r, ok := m.entries[ks]; ok {
+	// Overwrite path: per-CPU cells are disjoint, so concurrent shards
+	// writing their own cells of the same key do not conflict, and the
+	// keyset is read without a lock.
+	if n := m.index.find(key); n != nil {
 		if flags == UpdateNoExist {
-			m.mu.RUnlock()
 			return ErrExists
 		}
-		m.mus[cpu].Lock()
-		copy(r.Data[cpu*m.spec.ValueSize:(cpu+1)*m.spec.ValueSize], value)
-		m.mus[cpu].Unlock()
-		m.mu.RUnlock()
+		m.setCell(n.region, cpu, value)
 		return nil
 	}
-	m.mu.RUnlock()
 	if flags == UpdateExist {
 		return ErrNotFound
 	}
 
-	// Insert path: take the write lock and re-check, since another shard
-	// may have inserted the key between the two critical sections.
+	// Insert path: take the mutex and re-check, since another shard may
+	// have inserted the key since the lookup.
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if r, ok := m.entries[ks]; ok {
+	if n := m.index.find(key); n != nil {
 		if flags == UpdateNoExist {
 			return ErrExists
 		}
-		copy(r.Data[cpu*m.spec.ValueSize:(cpu+1)*m.spec.ValueSize], value)
+		m.setCell(n.region, cpu, value)
 		return nil
 	}
-	if len(m.entries) >= m.spec.MaxEntries {
+	if m.index.n >= m.spec.MaxEntries {
 		return ErrNoSpace
 	}
 	r := m.k.Mem.Map(m.ncpu*m.spec.ValueSize, kernel.ProtRW, "map_percpu_hash_val:"+m.spec.Name)
 	copy(r.Data[cpu*m.spec.ValueSize:(cpu+1)*m.spec.ValueSize], value)
-	m.entries[ks] = r
+	m.index.insert(key, r)
 	return nil
 }
 
@@ -113,31 +111,26 @@ func (m *perCPUHash) Delete(key []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ks := string(key)
-	r, ok := m.entries[ks]
-	if !ok {
+	n := m.index.find(key)
+	if n == nil {
 		return ErrNotFound
 	}
-	m.k.Mem.Unmap(r)
-	delete(m.entries, ks)
+	m.k.Mem.Unmap(n.region)
+	m.index.remove(n)
 	return nil
 }
 
 func (m *perCPUHash) Entries() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.entries)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.index.n
 }
 
 // Keys returns a snapshot of the current keys.
 func (m *perCPUHash) Keys() [][]byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([][]byte, 0, len(m.entries))
-	for k := range m.entries {
-		out = append(out, []byte(k))
-	}
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.index.keys()
 }
 
 // LookupBatch resolves many keys on one CPU.
@@ -156,12 +149,11 @@ func (m *perCPUHash) PerCPUValues(key []byte) ([]uint64, bool) {
 	if len(key) != m.spec.KeySize {
 		return nil, false
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	r, ok := m.entries[string(key)]
-	if !ok {
+	n := m.index.find(key)
+	if n == nil {
 		return nil, false
 	}
+	r := n.region
 	out := make([]uint64, m.ncpu)
 	for cpu := 0; cpu < m.ncpu; cpu++ {
 		m.mus[cpu].Lock()

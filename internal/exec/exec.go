@@ -48,6 +48,11 @@ type Injector interface {
 	BeforeRun(req *Request)
 }
 
+// epoch is the origin of run timing. A run reads time.Since(epoch) at its
+// start and end: the monotonic clock only, which is cheaper than time.Now,
+// which also reads the wall clock.
+var epoch = time.Now()
+
 // Core owns the execution substrate one stack runs on: the simulated
 // kernel, the helper and map registries, the interpreter machine engines
 // share, and the always-on Stats.
@@ -294,7 +299,7 @@ func (c *Core) run(eng Engine, req *Request, box *reportBox) (err error) {
 	// RuntimeNs is the context's own consumed time, not the clock's: on a
 	// sharded plane the clock also carries every other shard's work.
 	virtStart := ctx.ConsumedNs()
-	wallStart := time.Now()
+	wallStart := time.Since(epoch)
 
 	rep := &box.Report
 	reported := false
@@ -369,7 +374,7 @@ func (c *Core) run(eng Engine, req *Request, box *reportBox) (err error) {
 			c.K.RCU().ReadUnlock(ctx)
 			rep.ExitOopses = append(rep.ExitOopses, ctx.ExitAudit()...)
 		}()
-		rep.WallNs = time.Since(wallStart).Nanoseconds()
+		rep.WallNs = (time.Since(epoch) - wallStart).Nanoseconds()
 		rep.CPUTimeNs = ctx.ConsumedNs()
 		box.cell, box.ran, box.failed, box.elided = r.Stats, true, err != nil, r.FuelElided
 		c.release(fr)

@@ -101,13 +101,13 @@ func (c *Context) Reenter(cpu int) {
 	if !c.Exited() {
 		panic("kernel: Reenter of a context that has not passed its exit audit")
 	}
-	*c = Context{
-		K: c.K, CPUID: cpu, InstrCost: 1,
-		clock:    c.K.Clock.cell(cpu),
-		acquired: c.acquired[:0],
-		held:     c.held[:0],
-		tlb:      c.tlb,
-	}
+	k, acquired, held, tlb := c.K, c.acquired[:0], c.held[:0], c.tlb
+	// Zero first, then set: a literal that reads the old fields would be
+	// built in a temporary and copied in.
+	*c = Context{}
+	c.K, c.CPUID, c.InstrCost = k, cpu, 1
+	c.clock = k.Clock.cell(cpu)
+	c.acquired, c.held, c.tlb = acquired, held, tlb
 }
 
 // The memory accesses below are the kernel address space's, translated

@@ -244,13 +244,14 @@ func valueAddr(e *helpers.Env, handle, key uint64, create bool) (uint64, maps.Ma
 	if err != nil {
 		return 0, nil, err
 	}
-	kb := e.KeyBuf(m.Spec().KeySize)
+	spec := m.Spec()
+	kb := e.KeyBuf(spec.KeySize)
 	for i := range kb {
 		kb[i] = byte(key >> (8 * i))
 	}
 	addr, ok := m.Lookup(e.Ctx.CPUID, kb)
 	if !ok && create {
-		zero := make([]byte, m.Spec().ValueSize)
+		zero := make([]byte, spec.ValueSize)
 		if uerr := m.Update(e.Ctx.CPUID, kb, zero, maps.UpdateNoExist); uerr == nil || uerr == maps.ErrExists {
 			addr, ok = m.Lookup(e.Ctx.CPUID, kb)
 		}
@@ -258,7 +259,7 @@ func valueAddr(e *helpers.Env, handle, key uint64, create bool) (uint64, maps.Ma
 	if !ok {
 		return 0, m, nil
 	}
-	if m.Spec().HasLock {
+	if spec.HasLock {
 		addr += 8 // skip the lock header
 	}
 	return addr, m, nil
