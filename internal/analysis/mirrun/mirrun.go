@@ -35,6 +35,10 @@ const (
 	StopTrap = iota + 1
 	// StopFuel: the machine's fuel ran out.
 	StopFuel
+	// StopDepth: user calls nested past MaxDepth. Like StopFuel it bounds
+	// the run, not the program: a recursive function reaches it on a deep
+	// enough input.
+	StopDepth
 	// StopErr: the IR is malformed (or a hook reported an error); Msg says
 	// how.
 	StopErr
@@ -47,10 +51,12 @@ type Stop struct {
 	Msg  string
 }
 
-var stopFuel = &Stop{Kind: StopFuel}
+var (
+	stopFuel  = &Stop{Kind: StopFuel}
+	stopDepth = &Stop{Kind: StopDepth, Msg: "user-call depth limit exceeded"}
+)
 
-// MaxDepth bounds user-call nesting. The language forbids recursion, so
-// reaching it means broken IR.
+// MaxDepth bounds user-call nesting; a call past it stops with StopDepth.
 const MaxDepth = 64
 
 // Code is one function as the machine runs it. A nil Alloc is a naive
@@ -181,7 +187,7 @@ func (m *Machine) Run(name string, args []uint64) (uint64, *Stop) {
 
 func (m *Machine) call(c Code, fr *Frame) (uint64, *Stop) {
 	if m.depth >= MaxDepth {
-		return 0, &Stop{Kind: StopErr, Msg: "user-call depth limit exceeded"}
+		return 0, stopDepth
 	}
 	m.depth++
 	ret, st := m.exec(c, fr)

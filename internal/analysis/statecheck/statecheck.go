@@ -202,6 +202,7 @@ func Check(p Program, cfg Config) (*Verdict, error) {
 		return nil, err
 	}
 	ctx := k.Mem.Map(ctxSize, kernel.ProtRW, "statecheck_ctx")
+	rec := core.Program(p.Name)
 
 	for ri, rs := range runs {
 		for j := range ctx.Data {
@@ -216,7 +217,7 @@ func Check(p Program, cfg Config) (*Verdict, error) {
 			max:     cfg.MaxWitnesses,
 		}
 		req := exec.Request{
-			Program: p.Name,
+			Program: rec,
 			CPU:     rs.CPU,
 			CtxAddr: ctx.Base,
 			Observe: obs.observe,

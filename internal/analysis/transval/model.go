@@ -56,6 +56,11 @@ func (o *outcome) kind() int {
 	return o.stop.Kind
 }
 
+// bounded reports a run cut short by fuel or call depth.
+func (o *outcome) bounded() bool {
+	return o.kind() == mirrun.StopFuel || o.kind() == mirrun.StopDepth
+}
+
 func (o *outcome) verdict() string {
 	switch o.kind() {
 	case 0:
@@ -64,6 +69,8 @@ func (o *outcome) verdict() string {
 		return fmt.Sprintf("trap %d", o.stop.Trap)
 	case mirrun.StopFuel:
 		return "fuel exhausted"
+	case mirrun.StopDepth:
+		return "call depth exhausted"
 	}
 	return "model error: " + o.stop.Msg
 }

@@ -22,8 +22,9 @@
 // Refinement holds for a vector when both sides produce the same verdict
 // (return value or trap code) and the same ordered observable-effect
 // sequence (map writes, emits, locks, traces, every other crate call);
-// exploration is bounded per vector, and a vector where both sides exhaust
-// the budget with matching effect prefixes counts as a bounded pass.
+// exploration is bounded per vector, by fuel and by user-call depth, and a
+// vector where a side hits a bound with matching effect prefixes counts as
+// a bounded pass.
 //
 // On top of the dynamic check, a static ledger audit re-derives the
 // check-site accounting: the optimizer may only flip sites Emit→Folded,
@@ -205,9 +206,9 @@ func Validate(name string, funcs []compile.MIRFuncArtifact, checks compile.Check
 }
 
 // compare decides one vector: an empty verdict string means refinement
-// holds. When either side ran out of fuel the check weakens to prefix
-// compatibility of the effect logs (bounded refinement) and the vector is
-// reported as bounded.
+// holds. When either side ran out of fuel or call depth the check weakens
+// to prefix compatibility of the effect logs (bounded refinement) and the
+// vector is reported as bounded.
 func compare(n, o *outcome) (verdict string, bounded bool) {
 	nKind, oKind := n.kind(), o.kind()
 	if nKind == mirrun.StopErr {
@@ -216,26 +217,26 @@ func compare(n, o *outcome) (verdict string, bounded bool) {
 	if oKind == mirrun.StopErr {
 		return "optimized model error: " + o.stop.Msg, false
 	}
-	if nKind == mirrun.StopFuel || oKind == mirrun.StopFuel {
+	if n.bounded() || o.bounded() {
 		short, long := n.effects, o.effects
 		if len(short) > len(long) {
 			short, long = long, short
 		}
 		for i := range short {
 			if !short[i].equal(&long[i]) {
-				return fmt.Sprintf("effect %d diverges under fuel bound: naive-side prefix %s, optimized-side prefix %s",
+				return fmt.Sprintf("effect %d diverges under the run bound: naive-side prefix %s, optimized-side prefix %s",
 					i, effectAt(n.effects, i), effectAt(o.effects, i)), false
 			}
 		}
 		// A side that completed must not have fewer effects than the
 		// exhausted side's log: completing early while the other side kept
 		// producing effects is a divergence, not a bound.
-		if nKind != mirrun.StopFuel && len(n.effects) < len(o.effects) {
-			return fmt.Sprintf("naive side completed after %d effects but optimized side produced %d before the fuel bound",
+		if !n.bounded() && len(n.effects) < len(o.effects) {
+			return fmt.Sprintf("naive side completed after %d effects but optimized side produced %d before the run bound",
 				len(n.effects), len(o.effects)), false
 		}
-		if oKind != mirrun.StopFuel && len(o.effects) < len(n.effects) {
-			return fmt.Sprintf("optimized side completed after %d effects but naive side produced %d before the fuel bound",
+		if !o.bounded() && len(o.effects) < len(n.effects) {
+			return fmt.Sprintf("optimized side completed after %d effects but naive side produced %d before the run bound",
 				len(o.effects), len(n.effects)), false
 		}
 		return "", true

@@ -36,7 +36,7 @@ type Stack struct {
 	JITConfig jit.Config
 	// Conc, when not ConcOff, runs the shard-safety analyzer over every
 	// Load (reusing the verifier's abstract-state snapshots for key
-	// provenance) and registers the verdict with the execution core, so a
+	// provenance) and sets the verdict on the program's record, so a
 	// Sharded plane built with the same mode can enforce it. The eBPF
 	// stack has no signed object to carry the report, so here the analysis
 	// happens at load time — the verdict is still load-time static, never
@@ -88,9 +88,9 @@ type Loaded struct {
 
 	stack  *Stack
 	engine exec.Engine
-	// cell is the program's stats cell, resolved at load and carried on
+	// rec is the program's record on the core, resolved at load and set on
 	// every request.
-	cell *exec.ProgramCell
+	rec *exec.Program
 	// orig is the pre-relocation program as the user submitted it — what
 	// a supervised recovery probe re-verifies (the relocated image has
 	// its map names resolved away and would not re-verify).
@@ -135,9 +135,9 @@ func (s *Stack) Load(prog *isa.Program) (*Loaded, error) {
 	}
 	rec.Mark("relocate")
 	fixed := &isa.Program{Name: prog.Name, Type: prog.Type, License: prog.License, Insns: insns}
-	l := &Loaded{Prog: fixed, Verdict: res, Conc: cc, stack: s, orig: prog, cell: s.Core.Stats.Cell(prog.Name)}
+	l := &Loaded{Prog: fixed, Verdict: res, Conc: cc, stack: s, orig: prog, rec: s.Core.Program(prog.Name)}
 	if cc != nil {
-		s.Core.SetConc(prog.Name, cc.Racy(), cc.Reason)
+		s.Core.SetConc(l.rec, cc.Racy(), cc.Reason)
 	}
 	l.defaultCtx = s.K.Mem.Map(64, kernel.ProtRW, "bpf_ctx:"+prog.Name)
 	l.engine, err = exec.NewEngine(s.Machine, fixed, s.UseJIT, s.JITConfig)
@@ -217,8 +217,7 @@ func (l *Loaded) Request(opts RunOptions) exec.Request {
 		ctxAddr = l.defaultCtx.Base
 	}
 	return exec.Request{
-		Program:   l.Prog.Name,
-		Stats:     l.cell,
+		Program:   l.rec,
 		CPU:       opts.CPU,
 		CtxAddr:   ctxAddr,
 		Fuel:      opts.Fuel,

@@ -3,8 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 // Shard-safety enforcement: the kernel-side half of the CONC property. The
@@ -13,7 +11,7 @@ import (
 // object; this file is where the plane *acts* on it. Like every safext
 // property, the expensive reasoning already happened in userspace — the
 // data plane pays one atomic load per submission when every resident
-// program is certified, and only consults the verdict table when a
+// program is certified, and only reads a request's verdict when a
 // convicted program is actually loaded.
 
 // ConcMode selects what a multi-shard plane does with a program whose CONC
@@ -59,45 +57,35 @@ func ParseConcMode(s string) (ConcMode, error) {
 // verdict is Racy on a plane with more than one shard.
 var ErrShardUnsafe = errors.New("exec: program convicted shard-unsafe (CONC verdict Racy) on multi-shard plane")
 
-// concVerdict is one program's registered shard-safety verdict.
+// concVerdict is one program's shard-safety verdict (Program.conc).
 type concVerdict struct {
 	racy   bool
 	reason string
 }
 
-// concTable is the Core's verdict registry. Reads are lock-free; the racy
-// counter gives submission paths a one-atomic-load fast path when no
-// convicted program is resident (the common fleet state).
-type concTable struct {
-	mu       sync.Mutex // writers only (program loads)
-	verdicts sync.Map   // program name -> *concVerdict
-	racy     atomic.Int64
-}
-
-// SetConc registers a program's shard-safety verdict, replacing any prior
-// one (hot-swap re-registers on every activation, so the verdict tracks the
-// running build, not the first one loaded).
-func (c *Core) SetConc(program string, racy bool, reason string) {
-	t := &c.Conc
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if old, ok := t.verdicts.Load(program); ok && old.(*concVerdict).racy {
-		t.racy.Add(-1)
-	}
-	t.verdicts.Store(program, &concVerdict{racy: racy, reason: reason})
+// SetConc sets a program's shard-safety verdict, replacing any prior one
+// (hot-swap sets it on every activation, so the verdict tracks the running
+// build, not the first one loaded). The racy count rises before the swap
+// and falls after it, so it never reads below the number of racy verdicts
+// and gateConc's fast path skips none.
+func (c *Core) SetConc(p *Program, racy bool, reason string) {
 	if racy {
-		t.racy.Add(1)
+		c.racy.Add(1)
+	}
+	if old := p.conc.Swap(&concVerdict{racy: racy, reason: reason}); old != nil && old.racy {
+		c.racy.Add(-1)
 	}
 }
 
-// ConcVerdict reports a program's registered verdict. Unregistered programs
-// (verifier-stack loads predating CONC, hand-built tests) are not racy:
-// enforcement is opt-in per object, the verdict being part of what the
-// object's signature vouches for.
+// ConcVerdict reports the named program's verdict, making no record.
+// Programs without one (verifier-stack loads predating CONC, hand-built
+// tests) are not racy: enforcement is opt-in per object, the verdict being
+// part of what the object's signature vouches for.
 func (c *Core) ConcVerdict(program string) (racy bool, reason string) {
-	if v, ok := c.Conc.verdicts.Load(program); ok {
-		cv := v.(*concVerdict)
-		return cv.racy, cv.reason
+	if p := c.Stats.lookup(program); p != nil {
+		if v := p.conc.Load(); v != nil {
+			return v.racy, v.reason
+		}
 	}
 	return false, ""
 }
@@ -106,19 +94,20 @@ func (c *Core) ConcVerdict(program string) (racy bool, reason string) {
 // it should land on. Fast path: mode off, single shard (no cross-shard
 // window exists to exploit), or zero convicted programs resident.
 func (s *Sharded) gateConc(cpu int, b *Batch) (int, error) {
-	if s.conc == ConcOff || len(s.rings) <= 1 || s.core.Conc.racy.Load() == 0 {
+	if s.conc == ConcOff || len(s.rings) <= 1 || s.core.racy.Load() == 0 {
 		return cpu, nil
 	}
 	demoted := false
 	for i := range b.Reqs {
-		racy, reason := s.core.ConcVerdict(b.Reqs[i].Program)
-		if !racy {
+		p := b.Reqs[i].Program
+		v := p.conc.Load()
+		if v == nil || !v.racy {
 			continue
 		}
 		if s.conc == ConcStrict {
-			return cpu, fmt.Errorf("%w: %s: %s", ErrShardUnsafe, b.Reqs[i].Program, reason)
+			return cpu, fmt.Errorf("%w: %s: %s", ErrShardUnsafe, p.name, v.reason)
 		}
-		s.core.Stats.RecordConcDemotion(b.Reqs[i].Program, reason)
+		p.RecordConcDemotion(v.reason)
 		demoted = true
 	}
 	if demoted {

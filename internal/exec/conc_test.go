@@ -41,24 +41,24 @@ func TestConcVerdictRegistry(t *testing.T) {
 	if racy, _ := c.ConcVerdict("unregistered"); racy {
 		t.Fatal("unregistered program reported racy")
 	}
-	c.SetConc("p", true, "window at pc 3")
+	c.SetConc(c.Program("p"), true, "window at pc 3")
 	if racy, reason := c.ConcVerdict("p"); !racy || reason != "window at pc 3" {
 		t.Fatalf("verdict = %v %q", racy, reason)
 	}
-	if n := c.Conc.racy.Load(); n != 1 {
+	if n := c.racy.Load(); n != 1 {
 		t.Fatalf("racy count = %d, want 1", n)
 	}
 	// Re-registration (hot-swap of a fixed build) replaces the verdict and
 	// keeps the counter balanced.
-	c.SetConc("p", true, "still racy")
-	if n := c.Conc.racy.Load(); n != 1 {
+	c.SetConc(c.Program("p"), true, "still racy")
+	if n := c.racy.Load(); n != 1 {
 		t.Fatalf("racy count after re-register = %d, want 1", n)
 	}
-	c.SetConc("p", false, "")
+	c.SetConc(c.Program("p"), false, "")
 	if racy, _ := c.ConcVerdict("p"); racy {
 		t.Fatal("cleared verdict still racy")
 	}
-	if n := c.Conc.racy.Load(); n != 0 {
+	if n := c.racy.Load(); n != 0 {
 		t.Fatalf("racy count after clear = %d, want 0", n)
 	}
 }
@@ -83,13 +83,13 @@ func loads(ran *[8]atomic.Uint64) [8]uint64 {
 
 func submitOne(t *testing.T, sh *Sharded, eng Engine, cpu int, prog string) error {
 	t.Helper()
-	return sh.SubmitWait(cpu, Batch{Engine: eng, Reqs: []Request{{Program: prog}}})
+	return sh.SubmitWait(cpu, Batch{Engine: eng, Reqs: []Request{{Program: sh.core.Program(prog)}}})
 }
 
 func TestConcStrictRefusesRacyOnMultiShard(t *testing.T) {
 	c := newTestCore()
-	c.SetConc("racy", true, "unguarded window")
-	c.SetConc("safe", false, "")
+	c.SetConc(c.Program("racy"), true, "unguarded window")
+	c.SetConc(c.Program("safe"), false, "")
 	var ran [8]atomic.Uint64
 	eng := countingEngine(&ran)
 	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 8, Conc: ConcStrict})
@@ -114,7 +114,7 @@ func TestConcStrictRefusesRacyOnMultiShard(t *testing.T) {
 
 func TestConcStrictAllowsRacyOnSingleShard(t *testing.T) {
 	c := newTestCore()
-	c.SetConc("racy", true, "unguarded window")
+	c.SetConc(c.Program("racy"), true, "unguarded window")
 	var ran [8]atomic.Uint64
 	eng := countingEngine(&ran)
 	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 8, Conc: ConcStrict})
@@ -130,7 +130,7 @@ func TestConcStrictAllowsRacyOnSingleShard(t *testing.T) {
 
 func TestConcWarnDemotesToShardZero(t *testing.T) {
 	c := newTestCore()
-	c.SetConc("racy", true, "unguarded window at pc 7")
+	c.SetConc(c.Program("racy"), true, "unguarded window at pc 7")
 	var ran [8]atomic.Uint64
 	eng := countingEngine(&ran)
 	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 16, Conc: ConcWarn})
@@ -139,7 +139,7 @@ func TestConcWarnDemotesToShardZero(t *testing.T) {
 	for cpu := 0; cpu < 4; cpu++ {
 		reqs := make([]Request, per)
 		for i := range reqs {
-			reqs[i] = Request{Program: "racy"}
+			reqs[i] = Request{Program: c.Program("racy")}
 		}
 		if err := sh.SubmitWait(cpu, Batch{Engine: eng, Reqs: reqs}); err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestConcWarnDemotesToShardZero(t *testing.T) {
 
 func TestConcOffIgnoresVerdicts(t *testing.T) {
 	c := newTestCore()
-	c.SetConc("racy", true, "unguarded window")
+	c.SetConc(c.Program("racy"), true, "unguarded window")
 	var ran [8]atomic.Uint64
 	eng := countingEngine(&ran)
 	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 8})
@@ -192,8 +192,8 @@ func TestConcOffIgnoresVerdicts(t *testing.T) {
 // last-reason pointer are updated on every submission path concurrently.
 func TestConcDemotionsConcurrent(t *testing.T) {
 	c := newTestCore()
-	c.SetConc("racy", true, "window")
-	c.SetConc("safe", false, "")
+	c.SetConc(c.Program("racy"), true, "window")
+	c.SetConc(c.Program("safe"), false, "")
 	var ran [8]atomic.Uint64
 	eng := countingEngine(&ran)
 	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 64, Conc: ConcWarn})

@@ -62,7 +62,7 @@ func TestSameCPUReadersBesideSharded(t *testing.T) {
 				for b := 0; b < batches; b++ {
 					reqs := make([]Request, per)
 					for i := range reqs {
-						reqs[i] = Request{Program: name}
+						reqs[i] = Request{Program: c.Program(name)}
 					}
 					done := func(rs []BatchResult) {
 						for _, r := range rs {
@@ -81,7 +81,7 @@ func TestSameCPUReadersBesideSharded(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < runs; i++ {
-					check(c.Run(eng, Request{Program: name, CPU: 1}, nil))
+					check(c.Run(eng, Request{Program: c.Program(name), CPU: 1}, nil))
 				}
 			}()
 		}
@@ -113,7 +113,7 @@ func TestShardedBatchSlabAllocs(t *testing.T) {
 	defer sh.Close()
 	reqs := make([]Request, 16)
 	for i := range reqs {
-		reqs[i] = Request{Program: "allocs", CtxAddr: ctx}
+		reqs[i] = Request{Program: c.Program("allocs"), CtxAddr: ctx}
 	}
 	bad := 0
 	answered := make(chan struct{}, 1)
@@ -174,7 +174,7 @@ func TestShardedBatchSlabReset(t *testing.T) {
 		}
 	}
 	reqs := func(ctx uint64) []Request {
-		return []Request{{Program: "p", CtxAddr: ctx}, {Program: "p", CtxAddr: ctx}}
+		return []Request{{Program: c.Program("p"), CtxAddr: ctx}, {Program: c.Program("p"), CtxAddr: ctx}}
 	}
 	for _, b := range []Batch{{Engine: eng, Reqs: reqs(1), Done: keep(&dirty)}, {Engine: eng, Reqs: reqs(0), Done: keep(&clean)}} {
 		if err := sh.SubmitWait(0, b); err != nil {

@@ -70,10 +70,9 @@ type Core struct {
 	// and load dispatched through this core.
 	Stats Stats
 
-	// Conc is the shard-safety verdict registry: which resident programs
-	// the toolchain convicted of cross-shard races, consulted by the
-	// sharded data plane's submission gate (see conc.go).
-	Conc concTable
+	// racy counts the programs whose CONC verdict is Racy: while it is
+	// zero the sharded plane's conc gate reads nothing else (see conc.go).
+	racy atomic.Int64
 
 	// slots holds each CPU's run frame between its runs, and frames
 	// recycles the rest (see runFrame).
@@ -109,11 +108,9 @@ func (c *Core) Supervisor() *Supervisor { return c.sup.Load() }
 
 // Request describes one invocation through the core.
 type Request struct {
-	// Program names the program for per-program stats and the report.
-	Program string
-	// Stats, when set, is Program's stats cell (Stats.Cell), resolved at
-	// load so the run is accounted without a name lookup.
-	Stats *ProgramCell
+	// Program is the program's record (Core.Program), resolved at load:
+	// its stats, supervisor health and CONC verdict. Every request sets it.
+	Program *Program
 	// CPU selects the simulated CPU the context runs on.
 	CPU int
 	// CtxAddr is what R1 points to at entry. The stacks guarantee it is
@@ -219,12 +216,12 @@ func (c *Core) release(fr *runFrame) {
 // reportBox is a Report allocated together with the backing array of its
 // helper counts, so assembling a report costs one allocation. The caller
 // owns the box through its Report. The rest is what Stats.fold reads
-// besides it, set as the run ends: the request's Stats and FuelElided and
-// whether the engine failed. ran stays false for a dispatch never run.
+// besides it, set as the run ends: the request's Program and FuelElided
+// and whether the engine failed. ran stays false for a dispatch never run.
 type reportBox struct {
 	Report
 	calls               [inlineCalls]uint64
-	cell                *ProgramCell
+	prog                *Program
 	ran, failed, elided bool
 }
 
@@ -305,7 +302,7 @@ func (c *Core) run(eng Engine, req *Request, box *reportBox) (err error) {
 	reported := false
 	report := func(r0 uint64) {
 		reported = true
-		rep.Program = r.Program
+		rep.Program = r.Program.name
 		rep.Engine = eng.Name()
 		rep.R0 = r0
 		rep.Instructions = ctx.Instructions
@@ -376,7 +373,7 @@ func (c *Core) run(eng Engine, req *Request, box *reportBox) (err error) {
 		}()
 		rep.WallNs = (time.Since(epoch) - wallStart).Nanoseconds()
 		rep.CPUTimeNs = ctx.ConsumedNs()
-		box.cell, box.ran, box.failed, box.elided = r.Stats, true, err != nil, r.FuelElided
+		box.prog, box.ran, box.failed, box.elided = r.Program, true, err != nil, r.FuelElided
 		c.release(fr)
 	}()
 

@@ -48,7 +48,7 @@ func TestCoreRunLifecycle(t *testing.T) {
 		return 42, nil
 	}}
 	rep, err := c.Run(eng, Request{
-		Program: "p", CPU: 1, CtxAddr: 0xbeef, Fuel: 123,
+		Program: c.Program("p"), CPU: 1, CtxAddr: 0xbeef, Fuel: 123,
 		Setup: func(env *helpers.Env) { setupRan = true },
 		Finish: func(env *helpers.Env, rep *Report, engineErr error) {
 			finishRan = true
@@ -98,14 +98,14 @@ func TestCoreRunStatsAccumulate(t *testing.T) {
 	}}
 	boom := errors.New("boom")
 	for i := 0; i < 3; i++ {
-		if _, err := c.Run(eng, Request{Program: "a", CPU: 0}, nil); err != nil {
+		if _, err := c.Run(eng, Request{Program: c.Program("a"), CPU: 0}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	bad := fakeEngine{name: "fake", run: func(env *helpers.Env, opts interp.Options) (uint64, error) {
 		return 0, boom
 	}}
-	if _, err := c.Run(bad, Request{Program: "a", CPU: 1}, nil); !errors.Is(err, boom) {
+	if _, err := c.Run(bad, Request{Program: c.Program("a"), CPU: 1}, nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	snap := c.Stats.Snapshot()
@@ -152,7 +152,7 @@ func TestCoreRunRealEngines(t *testing.T) {
 	}}
 	c := newTestCore()
 	for _, eng := range bothEngines(t, c, prog) {
-		rep, err := c.Run(eng, Request{Program: prog.Name}, nil)
+		rep, err := c.Run(eng, Request{Program: c.Program(prog.Name)}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -178,7 +178,7 @@ func TestCoreHelperCounting(t *testing.T) {
 		isa.Exit(),
 	}}
 	for _, eng := range bothEngines(t, c, prog) {
-		rep, err := c.Run(eng, Request{Program: prog.Name}, nil)
+		rep, err := c.Run(eng, Request{Program: c.Program(prog.Name)}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -210,7 +210,7 @@ func TestCoreTailCall(t *testing.T) {
 		isa.Exit(),
 	}}
 	for _, eng := range bothEngines(t, c, caller) {
-		rep, err := c.Run(eng, Request{Program: caller.Name, ProgArray: []*isa.Program{target}}, nil)
+		rep, err := c.Run(eng, Request{Program: c.Program(caller.Name), ProgArray: []*isa.Program{target}}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -230,7 +230,7 @@ func TestCoreExitAuditRefLeak(t *testing.T) {
 		env.Ctx.TrackRef(sock.Ref())
 		return 0, nil
 	}}
-	rep, err := c.Run(eng, Request{Program: "leaker"}, nil)
+	rep, err := c.Run(eng, Request{Program: c.Program("leaker")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCoreExitAuditRCUImbalance(t *testing.T) {
 		c.K.RCU().ReadLock(env.Ctx) // nested lock never released
 		return 0, nil
 	}}
-	rep, err := c.Run(eng, Request{Program: "nester"}, nil)
+	rep, err := c.Run(eng, Request{Program: c.Program("nester")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,29 +308,25 @@ func TestHelperCallRowsStableOrder(t *testing.T) {
 }
 
 // TestStatsConcurrent exercises the accumulator from many goroutines; it is
-// the subject of the -race leg in CI. Half the runs carry the program's
-// bound cell and half are accounted by name; one CPU id in three lies past
-// the sized per-CPU cells.
+// the subject of the -race leg in CI. Every goroutine resolves the
+// program's record itself, racing its creation; one CPU id in three lies
+// past the sized per-CPU cells.
 func TestStatsConcurrent(t *testing.T) {
 	var s Stats
 	s.sizeCPUs(2)
-	bound := s.Cell("p")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var cell *ProgramCell
-			if g%2 == 0 {
-				cell = bound
-			}
+			p := s.prog("p")
 			for i := 0; i < 200; i++ {
 				s.RecordLoad("p", PhaseTimings{{Name: "verify", WallNs: 1}})
 				s.fold(g%3, []reportBox{{Report: Report{
 					Program:      "p",
 					Instructions: 1,
 					HelperCalls:  helpers.Calls(nil).Add("h", 1),
-				}, cell: cell, ran: true}})
+				}, prog: p, ran: true}})
 				_ = s.Snapshot()
 			}
 		}(g)

@@ -11,14 +11,10 @@ import (
 )
 
 // recordRunPerRun is the per-invocation accounting the batch fold
-// replaced: one set of atomic adds per run, to the request's cell or by
-// the report's program name. TestFoldMatchesPerRunRecord holds the fold to
-// it.
-func recordRunPerRun(s *Stats, cell *ProgramCell, cpu int, rep *Report, engineErr error) {
-	if cell == nil {
-		cell = s.prog(rep.Program)
-	}
-	st := &cell.stripes[uint(cpu)%statStripes]
+// replaced: one set of atomic adds per run, to the record of the report's
+// program. TestFoldMatchesPerRunRecord holds the fold to it.
+func recordRunPerRun(s *Stats, cpu int, rep *Report, engineErr error) {
+	st := &s.prog(rep.Program).stripes[uint(cpu)%statStripes]
 	st.n[pInvocations].Add(1)
 	if engineErr != nil {
 		st.n[pErrors].Add(1)
@@ -52,8 +48,7 @@ type foldStep struct {
 // TestFoldMatchesPerRunRecord runs one supervised batch that mixes a clean
 // run, an engine error, a dispatch denied because that error detached its
 // program, and a run whose helper slot lies past the report's inline
-// counts; some requests carry their program's cell and some are accounted
-// by name, and two programs interleave. The snapshot must equal the one
+// counts, and two programs interleave. The snapshot must equal the one
 // per-run accounting gives for the same reports and supervisor events.
 func TestFoldMatchesPerRunRecord(t *testing.T) {
 	// Push a helper past the inline slots: in this process more than
@@ -79,14 +74,13 @@ func TestFoldMatchesPerRunRecord(t *testing.T) {
 		env.MapOps += step.ticks
 		return step.ticks, step.err
 	}}
-	cellA := c.Stats.Cell("a")
 	reqs := []Request{
-		{Program: "a", Stats: cellA, Scratch: &foldStep{ticks: 3, helpers: []string{"fold_filler_0"}}},
-		{Program: "e", Scratch: &foldStep{ticks: 5, err: boom}},
-		{Program: "a", Scratch: &foldStep{ticks: 7, helpers: []string{late, late, "fold_filler_1"}}},
-		{Program: "e", Scratch: &foldStep{ticks: 11}}, // denied: "e" is detached
-		{Program: "b", Scratch: &foldStep{ticks: 13, helpers: []string{"fold_filler_0"}}},
-		{Program: "a", Stats: cellA, Scratch: &foldStep{ticks: 17}},
+		{Program: c.Program("a"), Scratch: &foldStep{ticks: 3, helpers: []string{"fold_filler_0"}}},
+		{Program: c.Program("e"), Scratch: &foldStep{ticks: 5, err: boom}},
+		{Program: c.Program("a"), Scratch: &foldStep{ticks: 7, helpers: []string{late, late, "fold_filler_1"}}},
+		{Program: c.Program("e"), Scratch: &foldStep{ticks: 11}}, // denied: "e" is detached
+		{Program: c.Program("b"), Scratch: &foldStep{ticks: 13, helpers: []string{"fold_filler_0"}}},
+		{Program: c.Program("a"), Scratch: &foldStep{ticks: 17}},
 	}
 	const cpu = 1
 	results := c.RunBatch(eng, cpu, reqs, nil)
@@ -107,15 +101,12 @@ func TestFoldMatchesPerRunRecord(t *testing.T) {
 		case r.Err != nil:
 			t.Fatalf("request %d err = %v", i, r.Err)
 		}
-		var cell *ProgramCell
-		if reqs[i].Stats != nil {
-			cell = want.Cell(reqs[i].Program)
-		}
-		recordRunPerRun(&want, cell, cpu, r.Report, r.Err)
+		recordRunPerRun(&want, cpu, r.Report, r.Err)
 	}
-	want.recordFault("e")
-	want.recordTransition("e", StateHealthy, StateDetached)
-	want.recordDenied("e", true)
+	e := want.prog("e")
+	e.at(pFaults).Add(1)
+	e.recordTransition(StateHealthy, StateDetached)
+	e.recordDenied(true)
 
 	got, exp := c.Stats.Snapshot(), want.Snapshot()
 	if !reflect.DeepEqual(got, exp) {
@@ -148,7 +139,7 @@ func TestFoldSnapshotLag(t *testing.T) {
 	for b := 0; b < batches; b++ {
 		reqs := make([]Request, per)
 		for i := range reqs {
-			reqs[i] = Request{Program: "lag"}
+			reqs[i] = Request{Program: c.Program("lag")}
 		}
 		reqs[per/2].Finish = func(*helpers.Env, *Report, error) { snaps[b].mid = c.Stats.Snapshot() }
 		done := func([]BatchResult) { snaps[b].done = c.Stats.Snapshot() }

@@ -54,10 +54,10 @@ func flakyCore(run func(c *exec.Core, eng exec.Engine) string) (*exec.Core, disp
 	}
 }
 
-// submit runs one request through a sharded plane and waits for it.
-func submit(t *testing.T, sh *exec.Sharded, eng exec.Engine) string {
+// submit runs one request of p through a sharded plane and waits for it.
+func submit(t *testing.T, sh *exec.Sharded, p *exec.Program, eng exec.Engine) string {
 	var got string
-	b := exec.Batch{Engine: eng, Reqs: []exec.Request{{Program: "p"}}, Done: func(rs []exec.BatchResult) {
+	b := exec.Batch{Engine: eng, Reqs: []exec.Request{{Program: p}}, Done: func(rs []exec.BatchResult) {
 		got = rs[0].Report.Supervision
 	}}
 	if err := sh.SubmitWait(0, b); err != nil {
@@ -80,7 +80,7 @@ func TestGateEntryPoints(t *testing.T) {
 	}{
 		{"Core.Run", func(t *testing.T, supervise func(*exec.Core)) (*exec.Core, dispatch) {
 			c, d := flakyCore(func(c *exec.Core, eng exec.Engine) string {
-				rep, _ := c.Run(eng, exec.Request{Program: "p"}, nil)
+				rep, _ := c.Run(eng, exec.Request{Program: c.Program("p")}, nil)
 				return rep.Supervision
 			})
 			supervise(c)
@@ -88,14 +88,14 @@ func TestGateEntryPoints(t *testing.T) {
 		}},
 		{"Core.RunBatch", func(t *testing.T, supervise func(*exec.Core)) (*exec.Core, dispatch) {
 			c, d := flakyCore(func(c *exec.Core, eng exec.Engine) string {
-				return c.RunBatch(eng, 0, []exec.Request{{Program: "p"}}, nil)[0].Report.Supervision
+				return c.RunBatch(eng, 0, []exec.Request{{Program: c.Program("p")}}, nil)[0].Report.Supervision
 			})
 			supervise(c)
 			return c, d
 		}},
 		{"Sharded.SubmitWait", func(t *testing.T, supervise func(*exec.Core)) (*exec.Core, dispatch) {
 			var sh *exec.Sharded
-			c, d := flakyCore(func(c *exec.Core, eng exec.Engine) string { return submit(t, sh, eng) })
+			c, d := flakyCore(func(c *exec.Core, eng exec.Engine) string { return submit(t, sh, c.Program("p"), eng) })
 			supervise(c)
 			sh = c.NewSharded(exec.ShardedConfig{Shards: 2})
 			t.Cleanup(sh.Close)
@@ -108,11 +108,11 @@ func TestGateEntryPoints(t *testing.T) {
 			t.Cleanup(sh.Close)
 			eng := flakyEngine{fail: new(atomic.Bool)}
 			var got string
-			hs := exec.NewHotSwap(sh, exec.Version{Digest: "d", Program: "p", Engine: eng,
+			hs := exec.NewHotSwap(sh, exec.Version{Digest: "d", Program: c.Program("p"), Engine: eng,
 				Make: func(n int) ([]exec.Request, func([]exec.BatchResult)) {
 					reqs := make([]exec.Request, n)
 					for i := range reqs {
-						reqs[i].Program = "p"
+						reqs[i].Program = c.Program("p")
 					}
 					return reqs, func(rs []exec.BatchResult) { got = rs[0].Report.Supervision }
 				},
@@ -174,7 +174,7 @@ func TestGateEntryPoints(t *testing.T) {
 		}},
 		{"Sharded plane built before Supervise", func(t *testing.T, supervise func(*exec.Core)) (*exec.Core, dispatch) {
 			var sh *exec.Sharded
-			c, d := flakyCore(func(c *exec.Core, eng exec.Engine) string { return submit(t, sh, eng) })
+			c, d := flakyCore(func(c *exec.Core, eng exec.Engine) string { return submit(t, sh, c.Program("p"), eng) })
 			sh = c.NewSharded(exec.ShardedConfig{Shards: 2})
 			t.Cleanup(sh.Close)
 			supervise(c)

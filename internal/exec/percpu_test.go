@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"kex/internal/ebpf/helpers"
 	"kex/internal/ebpf/interp"
@@ -29,7 +30,7 @@ func TestRuntimeNsConcurrentPerCPU(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
-				rep, err := c.Run(eng, Request{Program: "p", CPU: cpu}, nil)
+				rep, err := c.Run(eng, Request{Program: c.Program("p"), CPU: cpu}, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -65,9 +66,15 @@ func assertLinePadded(t *testing.T, cell any) {
 }
 
 // TestStatsCellsPadded pins the layout of the per-CPU stats cells each
-// run writes, and of the per-shard counters each batch writes.
+// run writes, of the per-shard counters each batch writes, and of the
+// program record, whose read-mostly fields every dispatch reads and whose
+// counters a batch fold writes.
 func TestStatsCellsPadded(t *testing.T) {
 	assertLinePadded(t, cpuCell{})
 	assertLinePadded(t, runStripe{})
 	assertLinePadded(t, shardCell{})
+	var p Program
+	if gap := unsafe.Offsetof(p.n) - (unsafe.Offsetof(p.conc) + unsafe.Sizeof(p.conc)); gap < 64 {
+		t.Fatalf("Program: the read-mostly fields end %d bytes before the counters, want >= 64", gap)
+	}
 }

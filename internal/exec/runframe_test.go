@@ -63,7 +63,7 @@ func TestCoreRunAllocs(t *testing.T) {
 			c.Supervise(SupervisorConfig{})
 			want = string(StateHealthy)
 		}
-		req := Request{Program: "allocs", CPU: 1, CtxAddr: ctx}
+		req := Request{Program: c.Program("allocs"), CPU: 1, CtxAddr: ctx}
 		run := func() {
 			rep, err := c.Run(eng, req, nil)
 			if err != nil || rep.HelperCalls.Total() != 2 || len(rep.ExitOopses) != 0 || rep.Supervision != want {
@@ -106,7 +106,7 @@ func TestCoreRunAllocsLateSlot(t *testing.T) {
 	}
 	c, eng, ctx := newAllocsFixture(t)
 	// Give the fixture's helpers their slots before the filler names.
-	if _, err := c.Run(eng, Request{Program: "allocs", CPU: 1, CtxAddr: ctx}, nil); err != nil {
+	if _, err := c.Run(eng, Request{Program: c.Program("allocs"), CPU: 1, CtxAddr: ctx}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var filler helpers.Calls
@@ -119,7 +119,7 @@ func TestCoreRunAllocsLateSlot(t *testing.T) {
 	})
 	insns := []isa.Instruction{isa.Call(int32(late)), isa.Exit()}
 	lateEng := bindEngine(t, c, &isa.Program{Name: "late", Type: isa.Tracing, Insns: insns}, true)
-	req := Request{Program: "late", CPU: 1, CtxAddr: ctx}
+	req := Request{Program: c.Program("late"), CPU: 1, CtxAddr: ctx}
 	run := func() {
 		rep, err := c.Run(lateEng, req, nil)
 		if err != nil || rep.HelperCalls.Get("late_slot_probe") != 1 || len(rep.HelperCalls) <= 16 {
@@ -145,7 +145,7 @@ func TestRunBatchAllocs(t *testing.T) {
 		}
 		reqs := make([]Request, 16)
 		for i := range reqs {
-			reqs[i] = Request{Program: "allocs", CtxAddr: ctx}
+			reqs[i] = Request{Program: c.Program("allocs"), CtxAddr: ctx}
 		}
 		run := func() {
 			for _, res := range c.RunBatch(eng, 1, reqs, nil) {
@@ -203,7 +203,7 @@ func TestRunFrameHygiene(t *testing.T) {
 	var fresh frameView
 	{
 		c := newTestCore()
-		if _, err := c.Run(clean, Request{Program: "p", CPU: 1, Setup: func(env *helpers.Env) { fresh = viewFrame(env) }}, nil); err != nil {
+		if _, err := c.Run(clean, Request{Program: c.Program("p"), CPU: 1, Setup: func(env *helpers.Env) { fresh = viewFrame(env) }}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestRunFrameHygiene(t *testing.T) {
 			}
 			return 0, nil
 		}}
-		rep, err := c.Run(dirty, Request{Program: "p", CPU: 1, Scratch: "req"}, nil)
+		rep, err := c.Run(dirty, Request{Program: c.Program("p"), CPU: 1, Scratch: "req"}, nil)
 		if _, died := err.(kernel.KernelPanic); died != panicOnOops {
 			t.Fatalf("panicOnOops=%v: run 1 err = %v", panicOnOops, err)
 		}
@@ -241,7 +241,7 @@ func TestRunFrameHygiene(t *testing.T) {
 		}
 
 		var got frameView
-		if _, err := c.Run(clean, Request{Program: "p", CPU: 1, Setup: func(env *helpers.Env) { got = viewFrame(env) }}, nil); err != nil {
+		if _, err := c.Run(clean, Request{Program: c.Program("p"), CPU: 1, Setup: func(env *helpers.Env) { got = viewFrame(env) }}, nil); err != nil {
 			t.Fatalf("panicOnOops=%v: run 2: %v", panicOnOops, err)
 		}
 		if got != fresh {
@@ -261,7 +261,7 @@ func TestExitOopsesAfterLongLog(t *testing.T) {
 		env.Ctx.TrackRef(env.K.Refs().New("leaked", nil))
 		return 0, nil
 	}}
-	rep, err := c.Run(leak, Request{Program: "p"}, nil)
+	rep, err := c.Run(leak, Request{Program: c.Program("p")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestExitOopsesAfterLongLog(t *testing.T) {
 		t.Fatalf("ExitOopses = %v, want the one reference leak", rep.ExitOopses)
 	}
 	clean := fakeEngine{name: "fake", run: func(*helpers.Env, interp.Options) (uint64, error) { return 0, nil }}
-	if rep, err := c.Run(clean, Request{Program: "p"}, nil); err != nil || rep.ExitOopses != nil {
+	if rep, err := c.Run(clean, Request{Program: c.Program("p")}, nil); err != nil || rep.ExitOopses != nil {
 		t.Fatalf("clean run: err=%v ExitOopses=%v", err, rep.ExitOopses)
 	}
 }
@@ -289,7 +289,7 @@ func TestCoreRunConcurrentSameCPU(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
-				rep, err := c.Run(eng, Request{Program: "allocs", CPU: 0, CtxAddr: ctx}, nil)
+				rep, err := c.Run(eng, Request{Program: c.Program("allocs"), CPU: 0, CtxAddr: ctx}, nil)
 				if err != nil || rep.HelperCalls.Get("bpf_map_lookup_elem") != 1 || len(rep.ExitOopses) != 0 {
 					t.Errorf("run: err=%v report=%+v", err, rep)
 					return

@@ -27,18 +27,18 @@ func TestShardedSubmitWaitDeadline(t *testing.T) {
 	defer sh.Close()
 
 	// The worker picks up the first batch and wedges inside the engine.
-	if err := sh.SubmitWait(0, Batch{Engine: eng, Reqs: []Request{{Program: "w"}}}); err != nil {
+	if err := sh.SubmitWait(0, Batch{Engine: eng, Reqs: []Request{{Program: c.Program("w")}}}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	// The second batch fills the ring.
-	if err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: "w"}}}); err != nil {
+	if err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: c.Program("w")}}}); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	err := sh.SubmitWaitCtx(ctx, 0, Batch{Engine: eng, Reqs: []Request{{Program: "w"}}})
+	err := sh.SubmitWaitCtx(ctx, 0, Batch{Engine: eng, Reqs: []Request{{Program: c.Program("w")}}})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("SubmitWaitCtx on wedged shard = %v, want ErrDeadline", err)
 	}
@@ -75,7 +75,7 @@ func TestShardedFlushDeadline(t *testing.T) {
 	}}
 	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 4})
 	defer sh.Close()
-	if err := sh.SubmitWait(0, Batch{Engine: eng, Reqs: []Request{{Program: "w"}}}); err != nil {
+	if err := sh.SubmitWait(0, Batch{Engine: eng, Reqs: []Request{{Program: c.Program("w")}}}); err != nil {
 		t.Fatal(err)
 	}
 	<-started

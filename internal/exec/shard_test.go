@@ -20,7 +20,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}}
 	reqs := make([]Request, 4)
 	for i := range reqs {
-		reqs[i] = Request{Program: "p", CPU: 99} // CPU must be overridden
+		reqs[i] = Request{Program: c.Program("p"), CPU: 99} // CPU must be overridden
 	}
 	results := c.RunBatch(eng, 2, reqs, nil)
 	if len(results) != 4 {
@@ -65,7 +65,7 @@ func TestShardedExecutesAcrossShards(t *testing.T) {
 		for b := 0; b < batches; b++ {
 			reqs := make([]Request, per)
 			for i := range reqs {
-				reqs[i] = Request{Program: "p"}
+				reqs[i] = Request{Program: c.Program("p")}
 			}
 			if err := sh.SubmitWait(cpu, Batch{Engine: eng, Reqs: reqs}); err != nil {
 				t.Fatal(err)
@@ -112,12 +112,12 @@ func TestShardedBackpressureAndClose(t *testing.T) {
 	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 1})
 	// First batch occupies the worker, second fills the ring; the third
 	// non-blocking submit must bounce.
-	if err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: "p"}}}); err != nil {
+	if err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: c.Program("p")}}}); err != nil {
 		t.Fatal(err)
 	}
 	full := false
 	for i := 0; i < 100; i++ {
-		if err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: "p"}}}); err != nil {
+		if err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: c.Program("p")}}}); err != nil {
 			if !errors.Is(err, ErrRingFull) {
 				t.Fatalf("err = %v", err)
 			}
@@ -154,16 +154,16 @@ func TestShardedCloseWithBlockedSubmitWait(t *testing.T) {
 	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 1})
 	// First batch occupies the worker; the second (SubmitWait blocks until
 	// the worker dequeues the first) fills the ring's single slot.
-	if err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: "p"}}}); err != nil {
+	if err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: c.Program("p")}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.SubmitWait(0, Batch{Engine: eng, Reqs: []Request{{Program: "p"}}}); err != nil {
+	if err := sh.SubmitWait(0, Batch{Engine: eng, Reqs: []Request{{Program: c.Program("p")}}}); err != nil {
 		t.Fatal(err)
 	}
 	// Third submission parks on the full ring.
 	submitDone := make(chan error, 1)
 	go func() {
-		submitDone <- sh.SubmitWait(0, Batch{Engine: eng, Reqs: []Request{{Program: "p"}}})
+		submitDone <- sh.SubmitWait(0, Batch{Engine: eng, Reqs: []Request{{Program: c.Program("p")}}})
 	}()
 	time.Sleep(10 * time.Millisecond) // let the sender park on the ring
 	closeDone := make(chan struct{})
@@ -201,7 +201,7 @@ func TestShardedFullRingFlushWake(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: "p"}}})
+				err := sh.Submit(0, Batch{Engine: eng, Reqs: []Request{{Program: c.Program("p")}}})
 				if err != nil && !errors.Is(err, ErrRingFull) {
 					t.Error(err)
 					return
@@ -273,7 +273,7 @@ func TestShardedWatchdogPerShard(t *testing.T) {
 			// Budget of 500 > the 100 each run consumes: no run should
 			// trip the watchdog regardless of what other shards consume.
 			if err := sh.SubmitWait(cpu, Batch{Engine: eng, Done: done,
-				Reqs: []Request{{Program: "p", WatchdogNs: 500}}}); err != nil {
+				Reqs: []Request{{Program: c.Program("p"), WatchdogNs: 500}}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -287,7 +287,7 @@ func TestShardedWatchdogPerShard(t *testing.T) {
 	}
 	mu.Unlock()
 	// A genuinely over-budget run still trips.
-	if _, err := c.Run(eng, Request{Program: "p", CPU: 0, WatchdogNs: 50}, nil); !errors.Is(err, wd) {
+	if _, err := c.Run(eng, Request{Program: c.Program("p"), CPU: 0, WatchdogNs: 50}, nil); !errors.Is(err, wd) {
 		t.Fatalf("over-budget run = %v, want watchdog", err)
 	}
 }
@@ -312,7 +312,7 @@ func TestShardedStatsConcurrent(t *testing.T) {
 			for b := 0; b < batches; b++ {
 				reqs := make([]Request, per)
 				for i := range reqs {
-					reqs[i] = Request{Program: "hot"}
+					reqs[i] = Request{Program: c.Program("hot")}
 				}
 				if err := sh.SubmitWait(cpu, Batch{Engine: eng, Reqs: reqs}); err != nil {
 					t.Error(err)

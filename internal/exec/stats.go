@@ -22,10 +22,10 @@ import (
 // shared cache line; Snapshot sums the stripes on read.
 //
 // Nothing on the write path looks a name up: a stack resolves its
-// program's cell once at load (Cell) and carries it on every Request, and
-// the per-CPU cells are a slice indexed by CPU id.
+// program's record once at load (Core.Program) and every Request carries
+// it, and the per-CPU cells are a slice indexed by CPU id.
 type Stats struct {
-	programs sync.Map // program name -> *ProgramCell
+	programs sync.Map // program name -> *Program
 	// cpus holds one cell per CPU of the core's kernel. A CPU id outside
 	// it (a request may name any) has its cell in otherCPUs.
 	cpus      []cpuCell
@@ -40,7 +40,7 @@ type Stats struct {
 }
 
 // progCounter names one per-program counter. Run counters index
-// runStripe.n; the others index ProgramCell.n through ProgramCell.at.
+// runStripe.n; the others index Program.n through Program.at.
 type progCounter int
 
 const (
@@ -68,7 +68,7 @@ const (
 )
 
 // progReason names one most-recent-reason string; it indexes
-// ProgramCell.reasons.
+// Program.reasons.
 type progReason int
 
 const (
@@ -93,11 +93,24 @@ const (
 // numRunCounters is how many leading progCounters are run counters.
 const numRunCounters = pFaults
 
-// ProgramCell is the hot accumulator behind one ProgramStats row. The ns
-// counters are int64 in ProgramStats and stored here as their two's
-// complement, which adds identically. A run counter's total is the sum of
-// its stripe entries; every other counter has one entry in n.
-type ProgramCell struct {
+// Program is one program's record on a core: its name, the accumulator
+// behind its ProgramStats row, its supervisor health and its CONC verdict.
+// A stack resolves it once at load (Core.Program) and every Request of the
+// program carries it, so the stats fold, the supervisor's gate and the conc
+// gate reach it without a name lookup. The ns counters are int64 in ProgramStats
+// and stored here as their two's complement, which adds identically. A run
+// counter's total is the sum of its stripe entries; every other counter
+// has one entry in n.
+type Program struct {
+	// The read-mostly fields sit on a line of their own: a batch fold
+	// writes the counters after the pad.
+	name string
+	// health is the installed supervisor's state of the program, made
+	// under that supervisor's mu on the program's first gated dispatch.
+	health atomic.Pointer[progHealth]
+	conc   atomic.Pointer[concVerdict] // nil until Core.SetConc
+	_      kernel.CacheLinePad
+
 	n           [numProgCounters - numRunCounters]atomic.Uint64
 	stripes     [statStripes]runStripe
 	reasons     [numProgReasons]atomic.Pointer[string]
@@ -234,16 +247,6 @@ var cpuFields = [numCPUCounters]statField[CPUStats]{
 	cCPUTimeNs:    field(func(c *CPUStats) *int64 { return &c.CPUTimeNs }),
 }
 
-// counterIn bumps a named counter inside a sync.Map of atomic cells.
-func counterIn(m *sync.Map, key string, n uint64) {
-	if c, ok := m.Load(key); ok {
-		c.(*atomic.Uint64).Add(n)
-		return
-	}
-	c, _ := m.LoadOrStore(key, new(atomic.Uint64))
-	c.(*atomic.Uint64).Add(n)
-}
-
 // ProgramStats aggregates every invocation of one named program.
 type ProgramStats struct {
 	Invocations  uint64
@@ -325,50 +328,57 @@ func (s *Stats) RecordLoad(program string, phases PhaseTimings) {
 	}
 }
 
-// RecordChecks accounts the static-vs-dynamic check split of one loaded
+// RecordChecks accounts the static-vs-dynamic check split of the loaded
 // program, as read from its signed object metadata.
-func (s *Stats) RecordChecks(program string, dynamic, elided uint64) {
-	ps := s.prog(program)
-	ps.at(pDynamicChecks).Store(dynamic)
-	ps.at(pElidedChecks).Store(elided)
+func (p *Program) RecordChecks(dynamic, elided uint64) {
+	p.at(pDynamicChecks).Store(dynamic)
+	p.at(pElidedChecks).Store(elided)
 }
 
 // RecordTVDemotion accounts one load whose OptMIR build failed translation
 // validation and fell back to OptElide, retaining the refutation text so an
 // operator can see *what* the optimizer got wrong, not just that it did.
-func (s *Stats) RecordTVDemotion(program, reason string) {
-	ps := s.prog(program)
-	ps.at(pTVDemotions).Add(1)
-	ps.reasons[rTVDemotion].Store(&reason)
+func (p *Program) RecordTVDemotion(reason string) {
+	p.at(pTVDemotions).Add(1)
+	p.reasons[rTVDemotion].Store(&reason)
 }
 
 // RecordConcDemotion accounts one invocation serialized onto a single shard
 // because the program's CONC verdict is Racy and the plane runs in warn
 // mode, retaining the conviction so an operator sees *which* access site
 // forfeited the parallelism.
-func (s *Stats) RecordConcDemotion(program, reason string) {
-	ps := s.prog(program)
-	ps.at(pConcDemotions).Add(1)
-	ps.reasons[rConcDemotion].Store(&reason)
+func (p *Program) RecordConcDemotion(reason string) {
+	p.at(pConcDemotions).Add(1)
+	p.reasons[rConcDemotion].Store(&reason)
 }
 
-// Cell returns (creating on first use) one program's accumulator, for a
-// stack to resolve once at load and carry on every Request of the program
-// (Request.Stats), so accounting a run does no name lookup.
-func (s *Stats) Cell(program string) *ProgramCell { return s.prog(program) }
+// Name returns the program's name, its key in Snapshot.Programs.
+func (p *Program) Name() string { return p.name }
 
-// prog returns (creating on first use) the per-program accumulator.
-func (s *Stats) prog(name string) *ProgramCell {
-	if c, ok := s.programs.Load(name); ok {
-		return c.(*ProgramCell)
+// Program returns (creating on first use) the named program's record, for
+// a stack to resolve once at load and set on every Request of the program.
+func (c *Core) Program(name string) *Program { return c.Stats.prog(name) }
+
+// prog returns (creating on first use) the named program's record.
+func (s *Stats) prog(name string) *Program {
+	if p := s.lookup(name); p != nil {
+		return p
 	}
-	c, _ := s.programs.LoadOrStore(name, &ProgramCell{})
-	return c.(*ProgramCell)
+	p, _ := s.programs.LoadOrStore(name, &Program{name: name})
+	return p.(*Program)
+}
+
+// lookup returns the named program's record, nil when none was made.
+func (s *Stats) lookup(name string) *Program {
+	if p, ok := s.programs.Load(name); ok {
+		return p.(*Program)
+	}
+	return nil
 }
 
 // at returns the cell of a counter that is not a run counter.
-func (c *ProgramCell) at(i progCounter) *atomic.Uint64 {
-	return &c.n[i-numRunCounters]
+func (p *Program) at(i progCounter) *atomic.Uint64 {
+	return &p.n[i-numRunCounters]
 }
 
 // sizeCPUs gives the stats one cell per CPU of a kernel with n CPUs. The
@@ -387,19 +397,12 @@ func (s *Stats) cpu(id int) *cpuCell {
 	return c.(*cpuCell)
 }
 
-// recordFault accounts one supervised run the supervisor classified as a
-// fault (engine error or exit-audit damage).
-func (s *Stats) recordFault(program string) {
-	s.prog(program).at(pFaults).Add(1)
-}
-
 // recordDenied accounts one dispatch refused at the supervisor gate;
 // fallback marks it as served the configured fallback R0.
-func (s *Stats) recordDenied(program string, fallback bool) {
-	ps := s.prog(program)
-	ps.at(pDenied).Add(1)
+func (p *Program) recordDenied(fallback bool) {
+	p.at(pDenied).Add(1)
 	if fallback {
-		ps.at(pFallbacks).Add(1)
+		p.at(pFallbacks).Add(1)
 	}
 }
 
@@ -407,19 +410,20 @@ func (s *Stats) recordDenied(program string, fallback bool) {
 // reloadErr marks the probe as refused at reload (re-verify/re-validate)
 // rather than failed at run time, and its text is retained so a fleet
 // operator can see *why* the program never recovers.
-func (s *Stats) recordProbeFailure(program string, reloadErr error) {
-	ps := s.prog(program)
-	ps.at(pProbeFailures).Add(1)
+func (p *Program) recordProbeFailure(reloadErr error) {
+	p.at(pProbeFailures).Add(1)
 	if reloadErr != nil {
-		ps.at(pReloadFailures).Add(1)
+		p.at(pReloadFailures).Add(1)
 		msg := reloadErr.Error()
-		ps.reasons[rReloadError].Store(&msg)
+		p.reasons[rReloadError].Store(&msg)
 	}
 }
 
-// recordTransition accounts one supervisor state transition.
-func (s *Stats) recordTransition(program string, from, to State) {
-	counterIn(&s.prog(program).transitions, string(from)+"->"+string(to), 1)
+// recordTransition accounts one supervisor state transition. Transitions
+// are rare, so allocating a cell LoadOrStore may discard is fine.
+func (p *Program) recordTransition(from, to State) {
+	c, _ := p.transitions.LoadOrStore(string(from)+"->"+string(to), new(atomic.Uint64))
+	c.(*atomic.Uint64).Add(1)
 }
 
 // fold accounts a done batch's runs on cpu: per program it sums the
@@ -434,14 +438,14 @@ func (s *Stats) fold(cpu int, boxes []reportBox) int64 {
 		if !boxes[i].ran {
 			continue
 		}
-		cell := s.cellOf(&boxes[i])
-		st := &cell.stripes[uint(cpu)%statStripes]
+		p := boxes[i].prog
+		st := &p.stripes[uint(cpu)%statStripes]
 		var sum [numRunCounters]uint64
 		var calls [inlineCalls]uint64
 		var elided uint64
 		for j := i; j < len(boxes); j++ {
 			b := &boxes[j]
-			if !b.ran || s.cellOf(b) != cell {
+			if !b.ran || b.prog != p {
 				continue
 			}
 			b.ran = false
@@ -478,7 +482,7 @@ func (s *Stats) fold(cpu int, boxes []reportBox) int64 {
 			}
 		}
 		if elided != 0 {
-			cell.at(pFuelElisions).Add(elided)
+			p.at(pFuelElisions).Add(elided)
 		}
 	}
 	if total[pInvocations] != 0 {
@@ -490,14 +494,6 @@ func (s *Stats) fold(cpu int, boxes []reportBox) int64 {
 		cs.n[cCPUTimeNs].Add(total[pCPUTimeNs])
 	}
 	return int64(total[pCPUTimeNs])
-}
-
-// cellOf returns a box's cell, resolving a request without one by name.
-func (s *Stats) cellOf(b *reportBox) *ProgramCell {
-	if b.cell == nil {
-		b.cell = s.prog(b.Program)
-	}
-	return b.cell
 }
 
 // Snapshot is a consistent, caller-owned copy of the accumulated stats.
@@ -536,7 +532,7 @@ func (s *Stats) Snapshot() Snapshot {
 	}
 	s.phaseMu.Unlock()
 	s.programs.Range(func(k, v any) bool {
-		c := v.(*ProgramCell)
+		c := v.(*Program)
 		ps := ProgramStats{Transitions: counterMap(&c.transitions)}
 		for i := numRunCounters; i < numProgCounters; i++ {
 			progFields[i].add(&ps, c.at(i).Load())

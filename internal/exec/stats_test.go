@@ -15,7 +15,7 @@ func TestStatsTableCoverage(t *testing.T) {
 	a, b := s.prog("a"), s.prog("b")
 	// cell returns counter i's cell: a run counter's in CPU stripe 0, any
 	// other's in n.
-	cell := func(c *ProgramCell, i progCounter) *atomic.Uint64 {
+	cell := func(c *Program, i progCounter) *atomic.Uint64 {
 		if i < numRunCounters {
 			return &c.stripes[0].n[i]
 		}

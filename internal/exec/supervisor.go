@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -100,15 +99,14 @@ type Reload func() error
 // graceful degradation for dispatches that arrive while a program is
 // quarantined or detached. A fault is a run that returns an error or leaves
 // exit-audit damage. All transitions and denials are accounted in the
-// core's Stats and stamped on each Report.
+// core's Stats and stamped on each Report. A program's health hangs off its
+// record (Program.health), so a dispatch finds it without a lookup.
 type Supervisor struct {
 	core *Core
 	cfg  SupervisorConfig
 
+	// mu guards every program's health this supervisor made.
 	mu sync.Mutex
-	// progs maps each program to its health. Inserting copies the map,
-	// under mu, so a dispatch finds its program without the lock.
-	progs atomic.Pointer[map[string]*progHealth]
 	// notify queues trip notifications recorded under mu; gate flushes them
 	// to the OnTrip hook after releasing the lock. queued mirrors
 	// len(notify), so a dispatch with nothing queued skips the lock.
@@ -120,17 +118,17 @@ type Supervisor struct {
 	// StateDetached — the seam a hot-swap layer uses to trigger rollback
 	// the moment a freshly attached version trips. The hook must not block
 	// for long and must not dispatch through the supervised core.
-	onTrip atomic.Pointer[func(program string, to State)]
+	onTrip atomic.Pointer[func(p *Program, to State)]
 }
 
 // tripNote is one pending OnTrip notification.
 type tripNote struct {
-	program string
+	program *Program
 	to      State
 }
 
 // OnTrip arms (or, with nil, disarms) the supervisor's trip hook.
-func (s *Supervisor) OnTrip(fn func(program string, to State)) {
+func (s *Supervisor) OnTrip(fn func(p *Program, to State)) {
 	if fn == nil {
 		s.onTrip.Store(nil)
 		return
@@ -159,7 +157,12 @@ func (s *Supervisor) flushTrips() {
 	}
 }
 
+// progHealth is one program's breaker state under one supervisor. Its
+// fields but quiet are guarded by that supervisor's mu.
 type progHealth struct {
+	// sup is the supervisor that made it: a later supervisor starts the
+	// program healthy rather than use it.
+	sup *Supervisor
 	// quiet is true while the program is healthy with no fault in its
 	// window and no probe in flight: the state in which a clean run
 	// changes nothing any later decision reads (see gate). It is the one
@@ -201,45 +204,57 @@ func newSupervisor(core *Core, cfg SupervisorConfig) *Supervisor {
 	if cfg.DeniedCostNs <= 0 {
 		cfg.DeniedCostNs = def.DeniedCostNs
 	}
-	s := &Supervisor{core: core, cfg: cfg}
-	s.progs.Store(&map[string]*progHealth{})
-	return s
+	return &Supervisor{core: core, cfg: cfg}
 }
 
-// State reports the program's current health state.
+// State reports the named program's current health state.
 func (s *Supervisor) State(program string) State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.health(program).state
+	state, _ := s.inspect(program)
+	return state
 }
 
-// BackoffNs reports the program's current quarantine duration, zero when
-// not quarantined — exposed so tests can pin the schedule's determinism.
+// BackoffNs reports the named program's current quarantine duration, zero
+// when not quarantined — exposed so tests can pin the schedule's
+// determinism.
 func (s *Supervisor) BackoffNs(program string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.health(program)
-	if st.state != StateQuarantined {
-		return 0
+	if state, backoff := s.inspect(program); state == StateQuarantined {
+		return backoff
 	}
-	return st.backoff
+	return 0
 }
 
-func (s *Supervisor) health(program string) *progHealth {
-	old := *s.progs.Load()
-	if st := old[program]; st != nil {
+// inspect reads the named program's state and backoff: healthy and zero
+// when this supervisor has not gated it. It makes neither a record nor a
+// health.
+func (s *Supervisor) inspect(program string) (State, int64) {
+	if p := s.core.Stats.lookup(program); p != nil {
+		if st := p.health.Load(); st != nil && st.sup == s {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return st.state, st.backoff
+		}
+	}
+	return StateHealthy, 0
+}
+
+// health returns (making on first use) this supervisor's health of the
+// program. Caller holds mu. A supervisor the core no longer runs under
+// keeps what it makes off the record, so a dispatch still in flight on it
+// cannot replace its successor's.
+func (s *Supervisor) health(p *Program) *progHealth {
+	if st := p.health.Load(); st != nil && st.sup == s {
 		return st
 	}
 	st := &progHealth{
+		sup:    s,
 		state:  StateHealthy,
 		window: make([]bool, s.cfg.Window),
-		jitter: rng.Star(jitterSeed(s.cfg.JitterSeed, program)),
+		jitter: rng.Star(jitterSeed(s.cfg.JitterSeed, p.name)),
 	}
 	st.quiet.Store(true)
-	progs := make(map[string]*progHealth, len(old)+1)
-	maps.Copy(progs, old)
-	progs[program] = st
-	s.progs.Store(&progs)
+	if s.core.sup.Load() == s {
+		p.health.Store(st)
+	}
 	return st
 }
 
@@ -284,8 +299,8 @@ func (s *Supervisor) gate(eng Engine, req *Request, reload Reload, box *reportBo
 	// Trip notifications queue under mu on every path below; deliver them
 	// once all locks are released, whatever way the dispatch returns.
 	defer s.flushTrips()
-	st := (*s.progs.Load())[req.Program]
-	quiet := st != nil && st.quiet.Load()
+	st := req.Program.health.Load()
+	quiet := st != nil && st.sup == s && st.quiet.Load()
 	probe := false
 	if !quiet {
 		var err error
@@ -317,31 +332,32 @@ func (s *Supervisor) gate(eng Engine, req *Request, reload Reload, box *reportBo
 // while healthy on another shard can complete after a trip; only the
 // claim holder may decide the quarantine's outcome in observe.
 func (s *Supervisor) admit(eng Engine, req *Request, reload Reload, box *reportBox) (*progHealth, bool, error) {
+	p := req.Program
 	s.mu.Lock()
-	st := s.health(req.Program)
+	st := s.health(p)
 	switch st.state {
 	case StateDetached:
 		s.unlock(st)
-		return nil, false, s.deny(eng, req.Program, box)
+		return nil, false, s.deny(eng, p, box)
 	case StateQuarantined:
 		if s.core.K.Clock.Now() < st.until || st.probing {
 			// Still backing off — or another shard's dispatch already
 			// claimed the recovery probe and hasn't been observed yet.
 			s.unlock(st)
-			return nil, false, s.deny(eng, req.Program, box)
+			return nil, false, s.deny(eng, p, box)
 		}
 		// Backoff expired: this dispatch is the recovery probe.
 		st.probing = true
 		s.unlock(st)
 		if reload != nil {
 			if err := reload(); err != nil {
-				s.core.Stats.recordProbeFailure(req.Program, err)
+				p.recordProbeFailure(err)
 				s.mu.Lock()
 				st.probing = false
-				s.trip(st, req.Program)
+				s.trip(st, p)
 				s.unlock(st)
-				s.deny(eng, req.Program, box)
-				return nil, false, fmt.Errorf("exec: recovery reload of %q failed: %w", req.Program, err)
+				s.deny(eng, p, box)
+				return nil, false, fmt.Errorf("exec: recovery reload of %q failed: %w", p.name, err)
 			}
 		}
 		return st, true, nil
@@ -352,12 +368,12 @@ func (s *Supervisor) admit(eng Engine, req *Request, reload Reload, box *reportB
 }
 
 // deny answers a dispatch without running the program.
-func (s *Supervisor) deny(eng Engine, program string, box *reportBox) error {
+func (s *Supervisor) deny(eng Engine, p *Program, box *reportBox) error {
 	s.core.K.Clock.Advance(s.cfg.DeniedCostNs)
 	fallback := s.cfg.Policy == DegradeFallback
-	s.core.Stats.recordDenied(program, fallback)
+	p.recordDenied(fallback)
 	rep := &box.Report
-	rep.Program = program
+	rep.Program = p.name
 	rep.Engine = eng.Name()
 	rep.Supervision = "denied"
 	if fallback {
@@ -372,20 +388,20 @@ func (s *Supervisor) deny(eng Engine, program string, box *reportBox) error {
 // probe is true only for the dispatch that claimed the recovery probe in
 // gate — a late completion of a run admitted before the trip must not be
 // mistaken for the probe's verdict.
-func (s *Supervisor) observe(st *progHealth, program string, fault, probe bool) {
+func (s *Supervisor) observe(st *progHealth, p *Program, fault, probe bool) {
 	if fault {
-		s.core.Stats.recordFault(program)
+		p.at(pFaults).Add(1)
 	}
 	if probe {
 		// This run was the recovery probe; its outcome releases the
 		// single-flight claim.
 		st.probing = false
 		if fault {
-			s.core.Stats.recordProbeFailure(program, nil)
-			s.trip(st, program)
+			p.recordProbeFailure(nil)
+			s.trip(st, p)
 			return
 		}
-		s.transition(st, program, StateRecovered)
+		s.transition(st, p, StateRecovered)
 		s.resetWindow(st)
 		return
 	}
@@ -413,14 +429,14 @@ func (s *Supervisor) observe(st *progHealth, program string, fault, probe bool) 
 
 	switch {
 	case fault && st.faults >= s.cfg.TripThreshold:
-		s.trip(st, program)
+		s.trip(st, p)
 	case fault:
 		if st.state == StateHealthy || st.state == StateRecovered {
-			s.transition(st, program, StateDegraded)
+			s.transition(st, p, StateDegraded)
 		}
 	default:
 		if st.state == StateRecovered || (st.state == StateDegraded && st.faults == 0) {
-			s.transition(st, program, StateHealthy)
+			s.transition(st, p, StateHealthy)
 		}
 	}
 }
@@ -430,15 +446,15 @@ func (s *Supervisor) observe(st *progHealth, program string, fault, probe bool) 
 // failed recovery probe (or reload) trips again from quarantine, so its
 // "quarantined->quarantined" transition row makes failed probes visible
 // in stats.
-func (s *Supervisor) trip(st *progHealth, program string) {
+func (s *Supervisor) trip(st *progHealth, p *Program) {
 	st.trips++
 	if s.cfg.MaxTrips > 0 && st.trips >= s.cfg.MaxTrips {
-		s.transition(st, program, StateDetached)
+		s.transition(st, p, StateDetached)
 		return
 	}
 	st.backoff = s.backoffFor(st)
 	st.until = s.core.K.Clock.Now() + st.backoff
-	s.transition(st, program, StateQuarantined)
+	s.transition(st, p, StateQuarantined)
 }
 
 // backoffFor computes min(base << (trips-1), max) with deterministic ±25%
@@ -465,12 +481,12 @@ func (s *Supervisor) resetWindow(st *progHealth) {
 // transition moves the program to a new state and accounts it. Caller
 // holds mu; entries into quarantine or detachment queue a trip
 // notification for delivery once the lock is released.
-func (s *Supervisor) transition(st *progHealth, program string, to State) {
+func (s *Supervisor) transition(st *progHealth, p *Program, to State) {
 	from := st.state
 	st.state = to
-	s.core.Stats.recordTransition(program, from, to)
+	p.recordTransition(from, to)
 	if to == StateQuarantined || to == StateDetached {
-		s.notify = append(s.notify, tripNote{program: program, to: to})
+		s.notify = append(s.notify, tripNote{program: p, to: to})
 		s.queued.Store(int32(len(s.notify)))
 	}
 }

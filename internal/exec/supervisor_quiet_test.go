@@ -161,7 +161,7 @@ func TestSupervisorQuietMatchesReference(t *testing.T) {
 		for i, f := range faultSchedule(seed, runs) {
 			fault, leak = f, i%3 == 0
 			run, probe := ref.admit(c.K.Clock.Now())
-			rep, _ := c.Run(eng, Request{Program: "p"}, nil)
+			rep, _ := c.Run(eng, Request{Program: c.Program("p")}, nil)
 			want := "denied"
 			if run {
 				ref.observe(f, probe, c.K.Clock.Now())
@@ -242,7 +242,9 @@ func TestSupervisorQuietSharded(t *testing.T) {
 			}
 		}
 	}
-	batch := func() []Request { return []Request{{Program: "p"}, {Program: "p"}, {Program: "p"}, {Program: "p"}} }
+	batch := func() []Request {
+		return []Request{{Program: c.Program("p")}, {Program: c.Program("p")}, {Program: c.Program("p")}, {Program: c.Program("p")}}
+	}
 	stop := make(chan struct{})
 	streamed := make(chan uint64)
 	go func() {

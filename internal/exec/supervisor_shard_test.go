@@ -40,7 +40,7 @@ func TestSupervisorConcurrentTrip(t *testing.T) {
 			for b := 0; b < 10; b++ {
 				reqs := make([]Request, 4)
 				for i := range reqs {
-					reqs[i] = Request{Program: "bad"}
+					reqs[i] = Request{Program: c.Program("bad")}
 				}
 				if err := sh.SubmitWait(cpu, Batch{Engine: eng, Reqs: reqs}); err != nil {
 					t.Error(err)
@@ -121,7 +121,7 @@ func TestSupervisorLateCompletionDuringQuarantine(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, lateErrs[i] = c.Run(late, Request{Program: "p", CPU: i + 1}, nil)
+			_, lateErrs[i] = c.Run(late, Request{Program: c.Program("p"), CPU: i + 1}, nil)
 		}(i)
 	}
 	<-started
@@ -129,7 +129,7 @@ func TestSupervisorLateCompletionDuringQuarantine(t *testing.T) {
 
 	// Trip the breaker on another shard while both late runs are in flight.
 	for i := 0; i < 2; i++ {
-		if _, err := c.Run(failing, Request{Program: "p", CPU: 0}, nil); err == nil {
+		if _, err := c.Run(failing, Request{Program: c.Program("p"), CPU: 0}, nil); err == nil {
 			t.Fatal("faulty run did not error")
 		}
 	}
@@ -166,7 +166,7 @@ func TestSupervisorLateCompletionDuringQuarantine(t *testing.T) {
 	// The breaker itself still works: once the backoff really expires the
 	// next dispatch is the probe and its success recovers the program.
 	c.K.Clock.Advance(1 << 33)
-	if _, err := c.Run(ok, Request{Program: "p", CPU: 0}, nil); err != nil {
+	if _, err := c.Run(ok, Request{Program: c.Program("p"), CPU: 0}, nil); err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
 	if st := sup.State("p"); st != StateRecovered {
@@ -205,7 +205,7 @@ func TestSupervisorProbeSingleFlight(t *testing.T) {
 		Policy:        DegradeFallback,
 	})
 	// Trip the breaker serially.
-	if _, err := c.Run(eng, Request{Program: "p"}, nil); err == nil {
+	if _, err := c.Run(eng, Request{Program: c.Program("p")}, nil); err == nil {
 		t.Fatal("faulty run did not error")
 	}
 	if st := sup.State("p"); st != StateQuarantined {
@@ -227,7 +227,7 @@ func TestSupervisorProbeSingleFlight(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				err := sh.SubmitWait(cpu, Batch{Engine: eng, Reload: reload,
-					Reqs: []Request{{Program: "p"}}})
+					Reqs: []Request{{Program: c.Program("p")}}})
 				if err != nil {
 					t.Error(err)
 					return

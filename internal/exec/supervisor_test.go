@@ -34,7 +34,7 @@ func TestKernelPanicPropagation(t *testing.T) {
 			}}
 			eng := bindEngine(t, c, prog, kind == "jit")
 
-			rep, err := c.Run(eng, Request{Program: "crash", CPU: 0}, nil)
+			rep, err := c.Run(eng, Request{Program: c.Program("crash"), CPU: 0}, nil)
 			var kp kernel.KernelPanic
 			if !errors.As(err, &kp) {
 				t.Fatalf("run error = %v, want kernel.KernelPanic", err)
@@ -60,7 +60,7 @@ func TestKernelPanicPropagation(t *testing.T) {
 				isa.Mov64Imm(isa.R0, 7),
 				isa.Exit(),
 			}}
-			rep2, err2 := c.Run(bindEngine(t, c, ok, false), Request{Program: "ok"}, nil)
+			rep2, err2 := c.Run(bindEngine(t, c, ok, false), Request{Program: c.Program("ok")}, nil)
 			if err2 != nil || rep2.R0 != 7 {
 				t.Fatalf("post-panic run: r0=%d err=%v", rep2.R0, err2)
 			}
@@ -81,7 +81,7 @@ func TestFinishRunsOnPanicPath(t *testing.T) {
 		return 0, nil // unreachable: Oops panics
 	}}
 	_, err := c.Run(eng, Request{
-		Program: "p",
+		Program: c.Program("p"),
 		Finish: func(env *helpers.Env, rep *Report, engineErr error) {
 			finishRan = true
 			finishErr = engineErr
@@ -112,7 +112,7 @@ func TestFinishOopsDoesNotMaskRunError(t *testing.T) {
 		return 0, boom
 	}}
 	rep, err := c.Run(eng, Request{
-		Program: "p",
+		Program: c.Program("p"),
 		Finish: func(env *helpers.Env, rep *Report, engineErr error) {
 			env.K.Oops(kernel.OopsBadAccess, env.Ctx.CPUID, "test: destructor oops")
 		},
@@ -169,7 +169,7 @@ func TestSupervisorTripAndDeny(t *testing.T) {
 	s := c.Supervise(supCfg())
 	var calls int
 	eng := faultyEngine(&calls)
-	req := Request{Program: "p"}
+	req := Request{Program: c.Program("p")}
 
 	for i := 0; i < 3; i++ {
 		if _, err := c.Run(eng, req, nil); err == nil {
@@ -212,7 +212,7 @@ func TestSupervisorDetachPolicy(t *testing.T) {
 	c.Supervise(cfg)
 	var calls int
 	eng := faultyEngine(&calls)
-	req := Request{Program: "p"}
+	req := Request{Program: c.Program("p")}
 	for i := 0; i < 3; i++ {
 		c.Run(eng, req, nil)
 	}
@@ -240,7 +240,7 @@ func TestSupervisorBackoffDeterministic(t *testing.T) {
 		var calls int
 		eng := faultyEngine(&calls)
 		for i := 0; i < 3; i++ {
-			c.Run(eng, Request{Program: "p"}, nil)
+			c.Run(eng, Request{Program: c.Program("p")}, nil)
 		}
 		return s, c, s.BackoffNs("p")
 	}
@@ -264,7 +264,7 @@ func TestSupervisorBackoffDeterministic(t *testing.T) {
 	s, c, first := tripOnce(0xfeed)
 	c.K.Clock.Advance(first + 1)
 	var calls int
-	if _, err := c.Run(faultyEngine(&calls), Request{Program: "p"}, nil); err == nil {
+	if _, err := c.Run(faultyEngine(&calls), Request{Program: c.Program("p")}, nil); err == nil {
 		t.Fatal("failed probe returned no error")
 	}
 	if calls != 1 {
@@ -284,7 +284,7 @@ func TestSupervisorRecoveryProbe(t *testing.T) {
 	c := newTestCore()
 	s := c.Supervise(supCfg())
 	var faultCalls, okCalls, reloads int
-	req := Request{Program: "p"}
+	req := Request{Program: c.Program("p")}
 	for i := 0; i < 3; i++ {
 		c.Run(faultyEngine(&faultCalls), req, nil)
 	}
@@ -327,7 +327,7 @@ func TestSupervisorReloadFailureRequarantines(t *testing.T) {
 	c := newTestCore()
 	s := c.Supervise(supCfg())
 	var faultCalls, okCalls int
-	req := Request{Program: "p"}
+	req := Request{Program: c.Program("p")}
 	for i := 0; i < 3; i++ {
 		c.Run(faultyEngine(&faultCalls), req, nil)
 	}
@@ -355,7 +355,7 @@ func TestSupervisorMaxTripsDetaches(t *testing.T) {
 	s := c.Supervise(cfg)
 	var calls int
 	eng := faultyEngine(&calls)
-	req := Request{Program: "p"}
+	req := Request{Program: c.Program("p")}
 	for i := 0; i < 3; i++ {
 		c.Run(eng, req, nil)
 	}
@@ -392,7 +392,7 @@ func TestSupervisorDeniedCostExpiresBackoff(t *testing.T) {
 	cfg.MaxBackoffNs = 20_000
 	s := c.Supervise(cfg)
 	var faultCalls, okCalls int
-	req := Request{Program: "p"}
+	req := Request{Program: c.Program("p")}
 	for i := 0; i < 3; i++ {
 		c.Run(faultyEngine(&faultCalls), req, nil)
 	}
@@ -404,5 +404,42 @@ func TestSupervisorDeniedCostExpiresBackoff(t *testing.T) {
 	}
 	if okCalls != 1 {
 		t.Fatalf("engine calls while healing = %d, want exactly the probe", okCalls)
+	}
+}
+
+// TestProgramRecordInspectionIsFree: asking after a program no one loaded
+// makes no record and no health, and reads healthy, no backoff and not
+// racy. A second supervisor starts every program healthy, whatever the
+// first left on its record.
+func TestProgramRecordInspectionIsFree(t *testing.T) {
+	c := newTestCore()
+	s := c.Supervise(supCfg())
+	if st, b := s.State("ghost"), s.BackoffNs("ghost"); st != StateHealthy || b != 0 {
+		t.Fatalf("unknown program reads state %s backoff %d, want healthy 0", st, b)
+	}
+	if racy, reason := c.ConcVerdict("ghost"); racy || reason != "" {
+		t.Fatalf("unknown program reads racy=%v %q", racy, reason)
+	}
+	if _, ok := c.Stats.Snapshot().Programs["ghost"]; ok || c.Stats.lookup("ghost") != nil {
+		t.Fatal("inspecting an unknown program made its record")
+	}
+	p := c.Program("p")
+	if s.State("p") != StateHealthy || p.health.Load() != nil {
+		t.Fatal("inspecting a program the supervisor never gated made its health")
+	}
+
+	var faults, runs int
+	for i := 0; i < 3; i++ {
+		c.Run(faultyEngine(&faults), Request{Program: p}, nil)
+	}
+	if s.State("p") != StateQuarantined {
+		t.Fatalf("state = %s, want quarantined", s.State("p"))
+	}
+	s2 := c.Supervise(supCfg())
+	if st, b := s2.State("p"), s2.BackoffNs("p"); st != StateHealthy || b != 0 {
+		t.Fatalf("second supervisor reads state %s backoff %d, want healthy 0", st, b)
+	}
+	if rep, _ := c.Run(healthyEngine(&runs), Request{Program: p}, nil); runs != 1 || rep.Supervision != string(StateHealthy) {
+		t.Fatalf("second supervisor: runs = %d, supervision %q; want one healthy run", runs, rep.Supervision)
 	}
 }

@@ -16,16 +16,17 @@ var ErrSwapInProgress = errors.New("exec: hot-swap already in progress")
 // Version is one attachable implementation of a program slot on the
 // sharded data plane: an engine plus everything the plane needs to build
 // and complete invocations against it. Two versions of the same logical
-// program carry distinct Program names (conventionally name@digest), so
-// the supervisor's breaker and the stats rows track each version's health
-// independently — that separation is what lets a rollback leave the bad
-// version quarantined while the old one keeps serving.
+// program carry distinct Program records (conventionally named
+// name@digest), and Make sets its version's record on every request, so
+// the supervisor's breaker and the stats rows track each version's runs
+// and health independently — that separation is what lets a rollback
+// leave the bad version quarantined while the old one keeps serving.
 type Version struct {
 	// Digest is the content address of the artifact this version was
 	// loaded from, carried through to swap reports.
 	Digest string
-	// Program is the per-version name used for supervision and stats.
-	Program string
+	// Program is the per-version record, for supervision and stats.
+	Program *Program
 	// Engine executes this version's requests.
 	Engine Engine
 	// Reload is the supervised recovery-probe reload hook (may be nil).
@@ -70,7 +71,7 @@ func (a *attached) drain(ctx context.Context, abort <-chan struct{}) error {
 			return errAborted
 		case <-ctx.Done():
 			return fmt.Errorf("%w: drain of %q with %d batches in flight: %v",
-				ErrDeadline, a.v.Program, a.inflight.Load(), ctx.Err())
+				ErrDeadline, a.v.Program.name, a.inflight.Load(), ctx.Err())
 		}
 	}
 	return nil
@@ -213,10 +214,10 @@ func (h *HotSwap) observe(a *attached, n int) {
 // submissions cut back to the previous version. The drain of the bad
 // version happens on the Swap caller's goroutine — this hook runs on a
 // shard worker and must not block.
-func (h *HotSwap) onTrip(program string, to State) {
+func (h *HotSwap) onTrip(p *Program, to State) {
 	h.mu.Lock()
 	sk := h.soak
-	if sk == nil || sk.finished || sk.target.v.Program != program {
+	if sk == nil || sk.finished || sk.target.v.Program != p {
 		h.mu.Unlock()
 		return
 	}
@@ -310,7 +311,7 @@ func (h *HotSwap) Swap(ctx context.Context, next Version, soak SoakConfig) (*Swa
 			}
 			rep.SoakRuns = sk.completed.Load()
 			return rep, fmt.Errorf("%w: soak of %q after %d of %d runs: %v",
-				ErrDeadline, next.Program, rep.SoakRuns, soak.Runs, ctx.Err())
+				ErrDeadline, next.Program.name, rep.SoakRuns, soak.Runs, ctx.Err())
 		}
 	}
 }

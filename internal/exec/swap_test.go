@@ -13,9 +13,9 @@ import (
 )
 
 // mkVersion builds a test Version whose requests carry the version's
-// program name and whose completion hook counts answered invocations —
+// program record and whose completion hook counts answered invocations —
 // the zero-dropped-invocations ledger every swap test closes over.
-func mkVersion(program, digest string, eng Engine, answered *atomic.Int64) Version {
+func mkVersion(program *Program, digest string, eng Engine, answered *atomic.Int64) Version {
 	return Version{
 		Digest:  digest,
 		Program: program,
@@ -66,8 +66,8 @@ func TestHotSwapCleanCutoverUnderTraffic(t *testing.T) {
 	c.Supervise(SupervisorConfig{Window: 8, TripThreshold: 4})
 	sh := c.NewSharded(ShardedConfig{Shards: 2, RingSize: 32})
 	var answered, submitted atomic.Int64
-	v1 := mkVersion("fw@d1", "d1", tickOK("v1"), &answered)
-	v2 := mkVersion("fw@d2", "d2", tickOK("v2"), &answered)
+	v1 := mkVersion(c.Program("fw@d1"), "d1", tickOK("v1"), &answered)
+	v2 := mkVersion(c.Program("fw@d2"), "d2", tickOK("v2"), &answered)
 	hs := NewHotSwap(sh, v1)
 
 	done := make(chan struct{})
@@ -131,8 +131,8 @@ func TestHotSwapRollbackOnTripDuringSoak(t *testing.T) {
 	})
 	sh := c.NewSharded(ShardedConfig{Shards: 2, RingSize: 32})
 	var answered, submitted atomic.Int64
-	v1 := mkVersion("fw@d1", "d1", tickOK("v1"), &answered)
-	v2 := mkVersion("fw@d2", "d2", tickBad("v2"), &answered)
+	v1 := mkVersion(c.Program("fw@d1"), "d1", tickOK("v1"), &answered)
+	v2 := mkVersion(c.Program("fw@d2"), "d2", tickBad("v2"), &answered)
 	hs := NewHotSwap(sh, v1)
 
 	done := make(chan struct{})
@@ -202,8 +202,8 @@ func TestHotSwapWhileOldQuarantined(t *testing.T) {
 	})
 	sh := c.NewSharded(ShardedConfig{Shards: 2, RingSize: 32})
 	var answered atomic.Int64
-	v1 := mkVersion("fw@d1", "d1", tickBad("v1"), &answered)
-	v2 := mkVersion("fw@d2", "d2", tickOK("v2"), &answered)
+	v1 := mkVersion(c.Program("fw@d1"), "d1", tickBad("v1"), &answered)
+	v2 := mkVersion(c.Program("fw@d2"), "d2", tickOK("v2"), &answered)
 	hs := NewHotSwap(sh, v1)
 
 	// Trip the current version first. The trip fires the hot-swap hook with
@@ -272,8 +272,8 @@ func TestHotSwapCutoverMidRunBatch(t *testing.T) {
 		return 1, nil
 	}}
 	var answered1, answered2 atomic.Int64
-	v1 := mkVersion("fw@d1", "d1", v1eng, &answered1)
-	v2 := mkVersion("fw@d2", "d2", tickOK("v2"), &answered2)
+	v1 := mkVersion(c.Program("fw@d1"), "d1", v1eng, &answered1)
+	v2 := mkVersion(c.Program("fw@d2"), "d2", tickOK("v2"), &answered2)
 	hs := NewHotSwap(sh, v1)
 
 	// Park shard 0 inside the first request of a 4-request v1 batch.
@@ -344,8 +344,8 @@ func TestHotSwapRollbackRacingRecoveryProbe(t *testing.T) {
 	sh := c.NewSharded(ShardedConfig{Shards: 1, RingSize: 32})
 	var answered1, answered2 atomic.Int64
 	errReload := errors.New("revalidation failed")
-	v1 := mkVersion("fw@d1", "d1", tickOK("v1"), &answered1)
-	v2 := mkVersion("fw@d2", "d2", tickBad("v2"), &answered2)
+	v1 := mkVersion(c.Program("fw@d1"), "d1", tickOK("v1"), &answered1)
+	v2 := mkVersion(c.Program("fw@d2"), "d2", tickBad("v2"), &answered2)
 	v2.Reload = func() error { return errReload }
 	hs := NewHotSwap(sh, v1)
 
@@ -357,7 +357,7 @@ func TestHotSwapRollbackRacingRecoveryProbe(t *testing.T) {
 		env.Ctx.Tick(1)
 		return 0, nil
 	}}
-	if err := sh.Submit(0, Batch{Engine: gateEng, Reqs: []Request{{Program: "gate"}}}); err != nil {
+	if err := sh.Submit(0, Batch{Engine: gateEng, Reqs: []Request{{Program: c.Program("gate")}}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -85,7 +85,7 @@ func TestShardedTLBSnapshotChurn(t *testing.T) {
 		for cpu := 0; cpu < sh.Shards(); cpu++ {
 			reqs := make([]Request, per)
 			for i := range reqs {
-				reqs[i] = Request{Program: "churn", CtxAddr: ctxs[(b*per+i+cpu)%keys]}
+				reqs[i] = Request{Program: c.Program("churn"), CtxAddr: ctxs[(b*per+i+cpu)%keys]}
 			}
 			done := func(results []BatchResult) {
 				mu.Lock()

@@ -213,12 +213,12 @@ func (inj *Injector) MapAlloc(name string) error {
 // 1 unit, so the net still exists and fires).
 func (inj *Injector) BeforeRun(req *exec.Request) {
 	if req.Fuel > 0 {
-		if r, ok := inj.decide(SiteFuel, req.Program); ok {
+		if r, ok := inj.decide(SiteFuel, req.Program.Name()); ok {
 			req.Fuel = scaleU64(req.Fuel, r.Scale)
 		}
 	}
 	if req.WatchdogNs > 0 {
-		if r, ok := inj.decide(SiteWatchdog, req.Program); ok {
+		if r, ok := inj.decide(SiteWatchdog, req.Program.Name()); ok {
 			req.WatchdogNs = scaleI64(req.WatchdogNs, r.Scale)
 		}
 	}

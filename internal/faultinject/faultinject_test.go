@@ -18,10 +18,11 @@ import (
 func drive(inj *Injector) []Event {
 	k := kernel.NewDefault()
 	env := helpers.NewEnv(k, k.NewContext(0), nil)
+	p := ebpf.NewStack(k).Core.Program("p")
 	for i := 0; i < 200; i++ {
 		inj.HelperCall(env, "bpf_ktime_get_ns")
 		inj.MapUpdate("m")
-		req := exec.Request{Program: "p", Fuel: 1000, WatchdogNs: 1000}
+		req := exec.Request{Program: p, Fuel: 1000, WatchdogNs: 1000}
 		inj.BeforeRun(&req)
 	}
 	return inj.Events()
@@ -105,7 +106,8 @@ func TestBudgetJitterScalesRequest(t *testing.T) {
 		{Site: SiteFuel, Prob: 1, Scale: 0.001},
 		{Site: SiteWatchdog, Prob: 1, Scale: 0.001},
 	}})
-	req := exec.Request{Program: "p", Fuel: 1_000_000, WatchdogNs: 2_000_000}
+	p := ebpf.NewStack(kernel.NewDefault()).Core.Program("p")
+	req := exec.Request{Program: p, Fuel: 1_000_000, WatchdogNs: 2_000_000}
 	inj.BeforeRun(&req)
 	if req.Fuel != 1_000 {
 		t.Fatalf("fuel after jitter = %d, want 1000", req.Fuel)
@@ -114,7 +116,7 @@ func TestBudgetJitterScalesRequest(t *testing.T) {
 		t.Fatalf("watchdog after jitter = %d, want 2000", req.WatchdogNs)
 	}
 	// Zero budgets are nets that do not exist; jitter must not create them.
-	req = exec.Request{Program: "p"}
+	req = exec.Request{Program: p}
 	inj.BeforeRun(&req)
 	if req.Fuel != 0 || req.WatchdogNs != 0 {
 		t.Fatalf("jitter invented a budget: %+v", req)

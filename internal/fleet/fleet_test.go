@@ -186,6 +186,62 @@ func TestFleetAutoRollbackOnBadVersion(t *testing.T) {
 	expectZeroDropped(t, f)
 }
 
+// TestFleetPerVersionStatsRows drives a clean upgrade and then a rollback
+// and requires every version's traffic in its own name@digest stats row:
+// on each node those rows together answer for every invocation the node
+// answered, the bad version's row holds its own runs and faults, and the
+// row of the bare program name, which the load made, holds no runs.
+func TestFleetPerVersionStatsRows(t *testing.T) {
+	h := newHarness(t)
+	ctx := context.Background()
+	h.publish(t, "policy", slxV1)
+	f := New(Direct{R: h.reg}, Config{Nodes: 2, Bundle: "policy", Seed: 42, Node: h.node})
+	defer f.Close()
+	if ok, errs := f.SyncAll(ctx); ok != 2 {
+		t.Fatalf("initial sync: %d ok, errs %v", ok, errs)
+	}
+	f.DriveAll(ctx, 4, 8)
+	h.publish(t, "policy", slxV2)
+	if ok, errs := f.SyncAll(ctx); ok != 2 {
+		t.Fatalf("upgrade sync: %d ok, errs %v", ok, errs)
+	}
+	f.DriveAll(ctx, 4, 8)
+	bad := h.publish(t, "policy", slxBad)
+	if ok, errs := f.SyncAll(ctx); ok != 2 {
+		t.Fatalf("bad-version sync: %d ok, errs %v", ok, errs)
+	}
+	f.DriveAll(ctx, 4, 8)
+	f.FlushAll()
+	if tot := f.Totals(); tot.Swaps != 4 || tot.Rollbacks != 2 {
+		t.Fatalf("swaps = %d, rollbacks = %d; want 4, 2", tot.Swaps, tot.Rollbacks)
+	}
+
+	for _, n := range f.Nodes() {
+		rows := n.Runtime().Core.Stats.Snapshot().Programs
+		var answered uint64
+		versions := 0
+		for name, ps := range rows {
+			if strings.HasPrefix(name, "fw@") {
+				answered += ps.Invocations + ps.Denied
+				versions++
+			}
+		}
+		if versions != 3 {
+			t.Fatalf("node %d has %d version rows, want 3: %v", n.ID, versions, rows)
+		}
+		if want := uint64(n.Stats().Answered); answered != want {
+			t.Fatalf("node %d: version rows account for %d invocations, node answered %d", n.ID, answered, want)
+		}
+		if b := rows["fw@"+bad[:8]]; b.Invocations == 0 || b.Faults == 0 || b.Errors != b.Faults {
+			t.Fatalf("node %d bad version row = %+v, want its own runs with Errors == Faults > 0", n.ID, b)
+		}
+		if fw := rows["fw"]; fw.Invocations != 0 || fw.Errors != 0 || fw.Instructions != 0 ||
+			fw.WallNs != 0 || fw.Faults != 0 || fw.Denied != 0 {
+			t.Fatalf("node %d program row fw holds run counters: %+v", n.ID, fw)
+		}
+	}
+}
+
 func TestFleetFlakyTransportDegradesToStale(t *testing.T) {
 	h := newHarness(t)
 	ctx := context.Background()

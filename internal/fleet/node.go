@@ -354,19 +354,19 @@ func (n *Node) materialize(ctx context.Context, e registry.Entry) (*runtime.Exte
 	}
 }
 
-// versionFor wraps a loaded extension as a hot-swappable version. The
-// per-version program name (name@digest-prefix) is what keeps breaker and
-// stats state separate across versions of the same logical program.
+// versionFor wraps a loaded extension as a hot-swappable version. It
+// resolves the version's own record (name@digest-prefix) once, and every
+// request the version makes carries it, so each version's runs, faults,
+// denials and breaker state land in its own stats row and health, apart
+// from every other version of the same logical program. The record also
+// carries the signed CONC verdict, so the plane's conc gate follows the
+// running build through swaps and rollbacks.
 func (n *Node) versionFor(name, digest string, ext *runtime.Extension) exec.Version {
 	short := digest
 	if len(short) > 8 {
 		short = short[:8]
 	}
-	prog := name + "@" + short
-	// The plane's conc gate looks verdicts up by request program name, and
-	// versions run under their per-version name — re-register the signed
-	// verdict under that name so enforcement follows the running build
-	// through swaps and rollbacks.
+	prog := n.rt.Core.Program(name + "@" + short)
 	if cc := ext.Conc; cc != nil {
 		n.rt.Core.SetConc(prog, cc.Racy(), cc.Reason)
 	}
@@ -380,9 +380,8 @@ func (n *Node) versionFor(name, digest string, ext *runtime.Extension) exec.Vers
 			reqs := make([]exec.Request, nr)
 			for i := range reqs {
 				preps[i] = ext.Prepare(runtime.RunOptions{})
-				r := preps[i].Request()
-				r.Program = prog
-				reqs[i] = r
+				reqs[i] = preps[i].Request()
+				reqs[i].Program = prog
 			}
 			fin := func(results []exec.BatchResult) {
 				for i := range results {

@@ -196,10 +196,10 @@ type Extension struct {
 	// static bound, the configured budget, and the comparison between them
 	// are all invariants of the loaded extension, so deciding per Prepare
 	// call only added hot-path work to the build the decision is supposed
-	// to make faster. cell is the program's stats cell, resolved at load
-	// for the same reason: every request carries it.
+	// to make faster. rec is the program's record on the core, resolved at
+	// load for the same reason: every request carries it.
 	coalesceFuel bool
-	cell         *exec.ProgramCell
+	rec          *exec.Program
 }
 
 // Load validates and installs a signed object: signature check, structural
@@ -236,15 +236,15 @@ func (rt *Runtime) Load(so *toolchain.SignedObject) (*Extension, error) {
 	rec.Mark("fixup")
 	ext.LoadPhases = append(append(exec.PhaseTimings(nil), so.Phases...), rec.Phases()...)
 	rt.Core.Stats.RecordLoad(ext.Name, ext.LoadPhases)
-	rt.Core.Stats.RecordChecks(ext.Name, uint64(ext.Checks.Emitted()), uint64(ext.Checks.Elided()))
+	ext.rec.RecordChecks(uint64(ext.Checks.Emitted()), uint64(ext.Checks.Elided()))
 	if tv := ext.TVal; tv != nil && tv.Demoted {
-		rt.Core.Stats.RecordTVDemotion(ext.Name, tv.Reason)
+		ext.rec.RecordTVDemotion(tv.Reason)
 	}
 	if cc := ext.Conc; cc != nil {
-		// Register the signed verdict with the execution core so the
-		// sharded plane's submission gate can act on it. Hot-swap reloads
-		// come back through here, so the registry tracks the live build.
-		rt.Core.SetConc(ext.Name, cc.Racy(), cc.Reason)
+		// Set the signed verdict on the program's record so the sharded
+		// plane's submission gate can act on it. Hot-swap reloads come
+		// back through here, so the record tracks the live build.
+		rt.Core.SetConc(ext.rec, cc.Racy(), cc.Reason)
 	}
 	return ext, nil
 }
@@ -252,7 +252,7 @@ func (rt *Runtime) Load(so *toolchain.SignedObject) (*Extension, error) {
 // install performs the load-time fixup on a deserialized object.
 func (rt *Runtime) install(obj *compile.Object) (*Extension, error) {
 	ext := &Extension{Name: obj.Name, rt: rt, Capabilities: obj.Capabilities, Checks: obj.Checks, TVal: obj.TVal, Conc: obj.Conc, maps: make(map[string]maps.Map)}
-	ext.cell = rt.Core.Stats.Cell(ext.Name)
+	ext.rec = rt.Core.Program(ext.Name)
 	if b := ext.Checks.StaticInsnBound; b > 0 && rt.Cfg.Fuel > 0 && uint64(b) <= rt.Cfg.Fuel {
 		ext.coalesceFuel = true
 	}
@@ -423,8 +423,7 @@ func (ext *Extension) Prepare(opts RunOptions) *Prepared {
 	p.rs = runState{rt: rt, cpu: opts.CPU}
 	p.rs.records = p.rs.recBuf[:0]
 	p.req = exec.Request{
-		Program:    ext.Name,
-		Stats:      ext.cell,
+		Program:    ext.rec,
 		CPU:        opts.CPU,
 		CtxAddr:    opts.CtxAddr,
 		Fuel:       fuel,

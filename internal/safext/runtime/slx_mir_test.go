@@ -209,12 +209,29 @@ func TestSLXStressMIREquivalence(t *testing.T) {
 	}
 }
 
+// deadCheckSrc has a bounds check after a return. Every build lowers it
+// as dead and counts its sites elided, none emitted.
+const deadCheckSrc = `
+fn main() -> i64 {
+	let mut buf: [u8; 8];
+	let i = kernel::rand() & 15;
+	return 1;
+	buf[i] = 3;
+	return buf[i];
+}`
+
 // TestSLXCorpusMIRLedger checks the check-site ledger invariant at level 2:
-// every check the naive build emits is accounted for — emitted, elided by
-// the analyzer, or folded by the optimizer — and the MIR build never emits
-// more dynamic checks than the elided build.
+// every check site of the naive build is accounted for — emitted, elided
+// by the analyzer or as dead code, or folded by the optimizer — and the
+// MIR build never emits more dynamic checks than the elided build. The
+// corpus has no dead code, so its naive builds elide nothing; deadCheckSrc
+// pins the sites a naive build does elide.
 func TestSLXCorpusMIRLedger(t *testing.T) {
+	srcs := map[string]string{"dead_check": deadCheckSrc}
 	for name, src := range progs.All {
+		srcs[name] = src
+	}
+	for name, src := range srcs {
 		naive, err := toolchain.Build(name, src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -227,10 +244,13 @@ func TestSLXCorpusMIRLedger(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		nTotal := naive.Checks.Emitted()
+		nTotal := naive.Checks.Emitted() + naive.Checks.Elided()
 		mTotal := mir.Checks.Emitted() + mir.Checks.Elided()
 		if nTotal != mTotal {
 			t.Errorf("%s: ledgers disagree: naive %d sites, mir %d", name, nTotal, mTotal)
+		}
+		if _, corpus := progs.All[name]; corpus && naive.Checks.Elided() != 0 {
+			t.Errorf("%s: naive build of a program without dead code elides %d sites", name, naive.Checks.Elided())
 		}
 		if mir.Checks.Emitted() > elided.Checks.Emitted() {
 			t.Errorf("%s: mir emits %d dynamic checks, elided build only %d",

@@ -181,6 +181,40 @@ fn main() -> i64 {
 	}
 }
 
+// TestRecursiveMIRBuildValidates: a recursive program builds at level 2.
+// The validator's machine stops a recursion past its call-depth limit as
+// it stops a run out of fuel, and counts that vector bounded, instead of
+// refuting the build.
+func TestRecursiveMIRBuildValidates(t *testing.T) {
+	for name, src := range map[string]string{
+		"fib": `
+fn fib(n: i64) -> i64 {
+	if n < 2 { return n; }
+	return fib(n - 1) + fib(n - 2);
+}
+fn main() -> i64 {
+	return fib(7);
+}`,
+		"down": `
+fn down(n: i64) -> i64 {
+	if n <= 0 { return 0; }
+	return down(n - 1);
+}
+fn main() -> i64 {
+	return down(100);
+}`,
+	} {
+		obj, err := BuildOptimizedMIR(name, src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tv := obj.TVal
+		if obj.Opt.Level != compile.OptMIR || tv == nil || !tv.Validated || tv.Demoted || tv.Bounded == 0 {
+			t.Fatalf("%s: level %d, certificate %+v; want a validated level-2 build with bounded vectors", name, obj.Opt.Level, tv)
+		}
+	}
+}
+
 // TestDeserializeRejectsCorruptOptm: the OPTM section is fixed-size; both
 // a short and a padded body must be rejected, not zero-filled or ignored.
 func TestDeserializeRejectsCorruptOptm(t *testing.T) {
