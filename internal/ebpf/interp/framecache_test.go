@@ -10,11 +10,13 @@ import (
 )
 
 // TestFrameCacheReuse makes 10k runs on one CPU: runs of a one-frame and
-// of a two-frame program, from one goroutine and from several at once, so
-// frames pass through the CPU's slot and its locked list. Each program
-// reads its frames before dirtying them, so any nonzero R0 is a reused
-// frame that was not cleared. At the end every stack frame mapped is one
-// the cache holds: none was lost or cached twice.
+// of a two-frame program, from one goroutine and from several at once,
+// each goroutine on a state of its own, as the execution core's run frames
+// are, and half of the runs on a state of the machine's. Each program reads
+// its frames before dirtying them, so any nonzero R0 is a reused frame
+// that was not cleared. At the end the only stack frames mapped are the
+// two each goroutine's state keeps, none shared by two states, and
+// Release unmaps them.
 func TestFrameCacheReuse(t *testing.T) {
 	k := kernel.NewDefault()
 	reg := helpers.NewRegistry()
@@ -43,47 +45,54 @@ func TestFrameCacheReuse(t *testing.T) {
 	}, readDirty...)...)
 	base := len(k.Mem.Regions())
 
-	run := func(runs int, ctx *kernel.Context) {
-		env := helpers.NewEnv(k, ctx, nil)
+	run := func(runs int, st *State) {
+		env := helpers.NewEnv(k, k.NewContext(1), nil)
 		for i := 0; i < runs; i++ {
-			prog := one
+			prog, opts := one, Options{State: st}
 			if i%3 == 0 {
 				prog = two
 			}
-			if r0, err := m.Run(prog, env, Options{}); err != nil || r0 != 0 {
+			if i%2 == 0 {
+				opts.State = nil
+			}
+			if r0, err := m.Run(prog, env, opts); err != nil || r0 != 0 {
 				t.Errorf("run %d: R0 = %d, err = %v; want 0 from zeroed frames", i, r0, err)
 				return
 			}
 		}
 	}
-	run(2000, k.NewContext(1))
+	states := make([]State, 5)
+	run(2000, &states[0])
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		ctx := k.NewContext(1)
+	for w := 1; w < len(states); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run(2000, ctx)
+			run(2000, &states[w])
 		}()
 	}
 	wg.Wait()
 
-	fc := &m.frames[1]
-	cached := map[*kernel.Region]bool{}
-	if s := fc.slot.Load(); s != nil {
-		cached[s] = true
+	kept := map[*kernel.Region]bool{}
+	for i := range states {
+		if n := len(states[i].stacks); n != 2 {
+			t.Fatalf("state %d keeps %d stack frames; the deepest run used 2", i, n)
+		}
+		for _, f := range states[i].stacks {
+			if kept[f] {
+				t.Fatalf("stack frame %#x is kept by two states", f.Base)
+			}
+			kept[f] = true
+		}
 	}
-	for _, s := range fc.free {
-		cached[s] = true
+	if got := len(k.Mem.Regions()); got != base+len(kept) {
+		t.Fatalf("%d regions mapped, want %d: %d before the runs plus the %d frames kept",
+			got, base+len(kept), base, len(kept))
 	}
-	if n := len(fc.free); n >= frameCacheCap {
-		t.Fatalf("the list holds %d frames beside the slot, cap %d in all", n, frameCacheCap)
+	for i := range states {
+		states[i].Release()
 	}
-	if len(cached) != len(fc.free)+1 {
-		t.Fatalf("cache holds %d distinct frames in %d entries", len(cached), len(fc.free)+1)
-	}
-	if got := len(k.Mem.Regions()); got != base+len(cached) {
-		t.Fatalf("%d regions mapped, want %d: %d before the runs plus the %d frames cached",
-			got, base+len(cached), base, len(cached))
+	if got := len(k.Mem.Regions()); got != base {
+		t.Fatalf("%d regions mapped after Release, want the %d before the runs", got, base)
 	}
 }

@@ -13,8 +13,6 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"kex/internal/ebpf/helpers"
 	"kex/internal/ebpf/isa"
@@ -60,6 +58,10 @@ type Options struct {
 	// disarms it: the observed pcs would index a different program. The
 	// JIT engine does not support observation and ignores it.
 	Observe Observer
+	// State, when non-nil, is the run state to execute on, which keeps its
+	// register files and stack frames across runs: the execution core's
+	// run frame owns one. Nil runs on a new state, released as it ends.
+	State *State
 }
 
 // ErrWatchdogExpired reports that the watchdog timer fired and the program
@@ -71,83 +73,11 @@ type Machine struct {
 	K       *kernel.Kernel
 	Helpers *helpers.Registry
 	Maps    *maps.Registry
-
-	// frames caches stack-frame regions per simulated CPU for runs on
-	// either engine. Every run needs 512-byte frames; mapping them anew
-	// under sharded execution made the address-space write lock
-	// the hottest serialization point. Each shard worker recycles frames
-	// from its own CPU's cache instead, so steady-state runs do zero
-	// Map/Unmap traffic.
-	frames []frameCache
 }
-
-// frameCache is one CPU's idle stack frames, a stack whose top, when set,
-// is the slot. A run takes and gives back the slot's frame with one atomic
-// operation each and no lock, which serves every run of a program without
-// BPF-to-BPF calls while one goroutine at a time runs on the CPU. Further
-// frames — deeper call chains, or a second run on the CPU at once — use
-// the locked list below it.
-type frameCache struct {
-	slot atomic.Pointer[kernel.Region]
-	mu   sync.Mutex // guards free
-	free []*kernel.Region
-	_    kernel.CacheLinePad
-}
-
-// frameCacheCap bounds the frames a CPU caches, slot included; deeper
-// recursion spills to plain Map/Unmap.
-const frameCacheCap = 16
 
 // NewMachine builds an execution engine.
 func NewMachine(k *kernel.Kernel, reg *helpers.Registry, mapsReg *maps.Registry) *Machine {
-	return &Machine{K: k, Helpers: reg, Maps: mapsReg, frames: make([]frameCache, len(k.CPUs()))}
-}
-
-// stackFrame returns a zeroed 512-byte stack frame for the given CPU,
-// reusing the CPU's cache when possible. Frames are cleared on reuse so a
-// cached frame is indistinguishable from a freshly mapped one — stale data
-// never leaks across program invocations.
-func (m *Machine) stackFrame(cpu int) *kernel.Region {
-	if cpu >= 0 && cpu < len(m.frames) {
-		fc := &m.frames[cpu]
-		if s := fc.slot.Swap(nil); s != nil {
-			clear(s.Data)
-			return s
-		}
-		fc.mu.Lock()
-		if n := len(fc.free); n > 0 {
-			s := fc.free[n-1]
-			fc.free = fc.free[:n-1]
-			fc.mu.Unlock()
-			clear(s.Data)
-			return s
-		}
-		fc.mu.Unlock()
-	}
-	return m.K.Mem.Map(512, kernel.ProtRW, "bpf_stack")
-}
-
-// releaseFrame returns a frame to the CPU's cache, unmapping it when the
-// cache is full or the CPU is out of range.
-func (m *Machine) releaseFrame(cpu int, s *kernel.Region) {
-	if cpu >= 0 && cpu < len(m.frames) {
-		fc := &m.frames[cpu]
-		if fc.slot.CompareAndSwap(nil, s) {
-			return
-		}
-		// The slot is taken: s becomes the top and the slot's frame moves
-		// down into the list, so frames come back in the order they went.
-		fc.mu.Lock()
-		if len(fc.free) < frameCacheCap-1 {
-			if below := fc.slot.Swap(s); below != nil {
-				fc.free = append(fc.free, below)
-			}
-			fc.mu.Unlock()
-			return
-		}
-		fc.mu.Unlock()
-	}
-	m.K.Mem.Unmap(s)
+	return &Machine{K: k, Helpers: reg, Maps: mapsReg}
 }
 
 // Relocate resolves symbolic map references to registered map handles,

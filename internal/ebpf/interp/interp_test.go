@@ -3,7 +3,6 @@ package interp
 import (
 	"encoding/binary"
 	"errors"
-	"reflect"
 	"testing"
 
 	"kex/internal/ebpf/helpers"
@@ -472,19 +471,5 @@ func TestCallbackDepthRestartsInDeepChain(t *testing.T) {
 		if err != nil || got != 42 {
 			t.Fatalf("run %d: R0 = %d, %v", run, got, err)
 		}
-	}
-}
-
-// TestFrameCachePadded pins the per-CPU frame cache's layout: it ends in a
-// full cache line of padding, so neighbouring CPUs' caches are at least
-// 64 bytes apart whatever the alignment of the array holding them.
-func TestFrameCachePadded(t *testing.T) {
-	typ := reflect.TypeOf(frameCache{})
-	last := typ.Field(typ.NumField() - 1)
-	if last.Type != reflect.TypeOf(kernel.CacheLinePad{}) {
-		t.Fatalf("frameCache ends in %v, want kernel.CacheLinePad", last.Type)
-	}
-	if gap := typ.Size() - last.Offset; gap < 64 {
-		t.Fatalf("neighbouring frame caches are %d bytes apart, want >= 64", gap)
 	}
 }

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"sync"
 
 	"kex/internal/ebpf/helpers"
 	"kex/internal/ebpf/isa"
@@ -36,9 +35,12 @@ type Code interface {
 	Tail(prog *isa.Program) (Code, error)
 }
 
-// State is the mutable state of one execution, shared by both engines.
-// Runs take one from statePool and return it when they finish, so a run
-// allocates neither the state, nor its register files, nor the Env hooks.
+// State is the mutable state of one execution, shared by both engines. A
+// state serves one run at a time. The execution core's run frame keeps one
+// across its runs (Options.State), so a run allocates neither the state,
+// nor its register files, nor its stack frames, nor the Env hooks. A run
+// that brings no state runs on a new one, whose stack frames it unmaps as
+// it finishes.
 type State struct {
 	perRun
 
@@ -49,10 +51,20 @@ type State struct {
 	// they are.
 	files [maxDepth + 1][11]uint64
 
+	// stacks are the state's 512-byte stack frames, mapped in k's address
+	// space: the activation at level n runs on stacks[n-1]. They stay
+	// mapped across runs, at most keptStacks of them, until Release.
+	stacks []*kernel.Region
+	k      *kernel.Kernel
+
 	// callFunc and tailCall are this state's Env hooks, bound once.
 	callFunc func(pc int32, r1, r2, r3 uint64) (uint64, error)
 	tailCall func(index uint64) error
 }
+
+// keptStacks bounds the stack frames a state keeps between runs; a run
+// nesting deeper maps more and unmaps them when it finishes.
+const keptStacks = maxDepth + 1
 
 // perRun is the part of State that finish resets for the next run.
 type perRun struct {
@@ -70,33 +82,30 @@ type perRun struct {
 	used  uint64 // instructions charged, the fuel meter's reading
 
 	// depth is the current activation's call depth, which maxDepth bounds.
-	// level counts the live activations and picks their register files: a
-	// callback runs one level below the helper's caller, at depth 1.
+	// level counts the live activations and picks their register files and
+	// stack frames: a callback runs one level below the helper's caller,
+	// at depth 1.
 	depth int
 	level int
 
-	stacks    []*kernel.Region // all mapped frames, for release at end
-	freeStack []*kernel.Region // frames of completed activations
 	tailCalls int
 	tailTo    *isa.Program // set when a tail call replaces the program
 }
-
-// statePool recycles run state. It holds no mapped memory: a run returns
-// its stack frames to the machine before its state goes back to the pool,
-// which may drop entries at any time.
-var statePool = sync.Pool{New: func() any {
-	s := &State{}
-	s.callFunc = s.callback
-	s.tailCall = s.tail
-	return s
-}}
 
 // RunCode runs code in the given helper environment and returns R0. The
 // environment's Ctx accounts time; kernel damage (oops) is observable on
 // the kernel afterwards. The returned error reports abnormal termination
 // (crash, fuel exhaustion, watchdog), not the program's exit code.
 func (m *Machine) RunCode(code Code, env *helpers.Env, opts Options) (uint64, error) {
-	s := statePool.Get().(*State)
+	s := opts.State
+	if s == nil {
+		s = new(State)
+		defer s.Release()
+	}
+	if s.k != m.K { // a new state, or one whose frames another kernel mapped
+		s.Release()
+		s.k, s.callFunc, s.tailCall = m.K, s.callback, s.tail
+	}
 	s.m, s.env, s.opts, s.code, s.obs = m, env, opts, code, opts.Observe
 	env.Bugs = opts.Bugs
 	env.CallFunc, env.TailCall = s.callFunc, s.tailCall
@@ -128,10 +137,8 @@ func (s *State) activate(pc int, regs *[11]uint64, depth int) (uint64, error) {
 	outer := s.depth
 	s.depth = depth
 	s.level++
-	frame := s.frame()
-	regs[10] = frame.End()
+	regs[10] = s.frame().End()
 	ret, err := s.code.Exec(s, pc, regs)
-	s.freeStack = append(s.freeStack, frame)
 	s.level--
 	s.depth = outer
 	switch {
@@ -158,18 +165,17 @@ func (s *State) file() *[11]uint64 {
 	return regs
 }
 
-// frame returns a 512-byte stack frame for the next activation. A frame a
-// completed activation of this run freed is cleared on reuse, as
-// Machine.stackFrame clears a cached one, so every activation starts on a
-// zeroed frame and no data passes between activations.
+// frame returns the stack frame of the activation at level s.level. A
+// kept frame is cleared on reuse, so every activation starts on a zeroed
+// frame, as on a freshly mapped one, and no data passes between
+// activations or runs.
 func (s *State) frame() *kernel.Region {
-	if n := len(s.freeStack); n > 0 {
-		f := s.freeStack[n-1]
-		s.freeStack = s.freeStack[:n-1]
+	if i := s.level - 1; i < len(s.stacks) {
+		f := s.stacks[i]
 		clear(f.Data)
 		return f
 	}
-	f := s.m.stackFrame(s.env.Ctx.CPUID)
+	f := s.k.Mem.Map(512, kernel.ProtRW, "bpf_stack")
 	s.stacks = append(s.stacks, f)
 	return f
 }
@@ -321,18 +327,29 @@ func (s *State) tail(index uint64) error {
 }
 
 // finish publishes the fuel meter's final reading for the execution
-// core's report, on normal and abnormal exits alike, returns the run's
-// stack frames to the machine and its state to the pool, and unhooks the
-// Env.
+// core's report, on normal and abnormal exits alike, unhooks the Env,
+// unmaps the stack frames past keptStacks and resets the state for its
+// next run.
 func (s *State) finish() {
 	env := s.env
 	env.FuelUsed = s.used
-	for _, f := range s.stacks {
-		s.m.releaseFrame(env.Ctx.CPUID, f)
-	}
 	env.CallFunc, env.TailCall = nil, nil
+	if len(s.stacks) > keptStacks {
+		for _, f := range s.stacks[keptStacks:] {
+			s.k.Mem.Unmap(f)
+		}
+		clear(s.stacks[keptStacks:])
+		s.stacks = s.stacks[:keptStacks]
+	}
+	s.perRun = perRun{}
+}
+
+// Release unmaps the state's stack frames. The execution core calls it on
+// the state of a run frame it drops; a later run maps frames anew.
+func (s *State) Release() {
+	for _, f := range s.stacks {
+		s.k.Mem.Unmap(f)
+	}
 	clear(s.stacks)
-	clear(s.freeStack)
-	s.perRun = perRun{stacks: s.stacks[:0], freeStack: s.freeStack[:0]}
-	statePool.Put(s)
+	s.stacks = s.stacks[:0]
 }

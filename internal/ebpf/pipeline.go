@@ -149,7 +149,7 @@ func (s *Stack) Load(prog *isa.Program) (*Loaded, error) {
 		rec.Mark("jit-compile")
 	}
 	l.LoadPhases = rec.Phases()
-	s.Core.Stats.RecordLoad(prog.Name, l.LoadPhases)
+	s.Core.Stats.RecordLoad(l.LoadPhases)
 	return l, nil
 }
 

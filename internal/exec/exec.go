@@ -48,9 +48,9 @@ type Injector interface {
 	BeforeRun(req *Request)
 }
 
-// epoch is the origin of run timing. A run reads time.Since(epoch) at its
-// start and end: the monotonic clock only, which is cheaper than time.Now,
-// which also reads the wall clock.
+// epoch is the origin of run timing. A batch reads time.Since(epoch) at
+// its start and end: the monotonic clock only, which is cheaper than
+// time.Now, which also reads the wall clock.
 var epoch = time.Now()
 
 // Core owns the execution substrate one stack runs on: the simulated
@@ -74,10 +74,8 @@ type Core struct {
 	// zero the sharded plane's conc gate reads nothing else (see conc.go).
 	racy atomic.Int64
 
-	// slots holds each CPU's run frame between its runs, and frames
-	// recycles the rest (see runFrame).
-	slots  []frameSlot
-	frames sync.Pool
+	// frames holds each CPU's idle run frames (see runFrame).
+	frames []frameCache
 
 	// sup, once Supervise installs it, gates every dispatch through this
 	// core. Shard workers read it while the control plane may write it.
@@ -87,7 +85,7 @@ type Core struct {
 // NewCore assembles an execution core on the given kernel and registries.
 func NewCore(k *kernel.Kernel, reg *helpers.Registry, mreg *maps.Registry) *Core {
 	c := &Core{K: k, Helpers: reg, Maps: mreg, Machine: interp.NewMachine(k, reg, mreg)}
-	c.slots = make([]frameSlot, k.Cfg.NumCPU)
+	c.frames = make([]frameCache, k.Cfg.NumCPU)
 	c.Stats.sizeCPUs(k.Cfg.NumCPU)
 	return c
 }
@@ -151,78 +149,85 @@ type Request struct {
 	Finish func(env *helpers.Env, rep *Report, engineErr error)
 }
 
-// runFrame is the state one invocation runs in: its kernel context, its
-// helper environment and a copy of its request. Core.Run takes a frame,
-// re-enters the context and resets the environment in place, and returns
-// the frame when the run is accounted, so the lifecycle allocates neither
-// per run. Every run still starts from state indistinguishable from a
-// fresh NewContext and NewEnv; what a frame keeps across runs is backing
-// storage, the context's TLB among it.
-//
-// Each CPU keeps the frame of its last run in its slot, which a garbage
-// collection does not empty, so a shard worker runs on one frame, and one
-// warm TLB, for its whole life. A run that finds its CPU's slot empty (a
-// second run on the CPU at once, or a CPU past the kernel's) uses the
-// core's sync.Pool, which may drop frames at any time. So a frame must not
-// own anything that needs releasing: engines return their stack frames to
-// the machine's per-CPU cache before a run ends. A frame whose context
-// leaves the exit audit still holding locks, RCU nesting or references
-// (an audit that panicked under oops=panic) is not reused: those locks now
-// belong to a dead context, as they would without reuse.
+// runFrame is the state a batch's invocations run in: their kernel
+// context, helper environment, engine run state (register files and stack
+// frames) and a copy of the running request. A batch claims one frame for
+// all its runs. Each run re-enters the context and resets the environment
+// in place, so it starts from state indistinguishable from a fresh
+// NewContext and NewEnv, on zeroed stack frames; what a frame keeps across
+// runs is backing storage, the context's TLB and the mapped stack frames.
+// A frame whose context leaves the exit audit still holding locks, RCU
+// nesting or references (an audit that panicked under oops=panic) is
+// retired, its stack frames unmapped: those locks now belong to a dead
+// context, as they would without reuse. The batch's next run claims
+// another frame.
 type runFrame struct {
 	ctx kernel.Context
 	env helpers.Env
+	st  interp.State
 	req Request
 }
 
-// frameSlot holds one CPU's idle run frame, on its own cache line.
-type frameSlot struct {
-	fr atomic.Pointer[runFrame]
-	_  kernel.CacheLinePad
+// frameCache is one CPU's idle run frames, a short stack: a shard
+// worker's batch takes the top and puts it back, so it runs on one frame,
+// and one warm TLB, for its whole life, and a second caller on the CPU at
+// once (a Finish hook or Done callback calling Core.Run, or another
+// goroutine) takes the next.
+type frameCache struct {
+	mu   sync.Mutex
+	free []*runFrame
+	_    kernel.CacheLinePad
 }
 
-// frame takes a run frame for a run on cpu: the CPU's own if it is idle,
-// else one from the pool.
-func (c *Core) frame(cpu int) *runFrame {
-	if uint(cpu) < uint(len(c.slots)) {
-		if fr := c.slots[cpu].fr.Swap(nil); fr != nil {
+// frameCacheCap bounds the frames a CPU keeps; a frame released past it is
+// retired.
+const frameCacheCap = 4
+
+// claim takes a run frame for a batch on cpu: the CPU's last idle one, or
+// a new one.
+func (c *Core) claim(cpu int) *runFrame {
+	if uint(cpu) < uint(len(c.frames)) {
+		fc := &c.frames[cpu]
+		fc.mu.Lock()
+		defer fc.mu.Unlock()
+		if n := len(fc.free); n > 0 {
+			fr := fc.free[n-1]
+			fc.free = fc.free[:n-1]
 			return fr
 		}
 	}
-	if fr, ok := c.frames.Get().(*runFrame); ok {
-		return fr
-	}
-	fr := &runFrame{}
-	fr.ctx.K = c.K
-	return fr
+	return &runFrame{ctx: kernel.Context{K: c.K}}
 }
 
-// release returns a frame to its CPU's slot, or to the pool when the slot
-// is taken, unless its context is still dirty. The request and
-// environment are cleared first, so an idle frame pins no caller data.
-func (c *Core) release(fr *runFrame) {
-	if !fr.ctx.Exited() {
-		return
-	}
-	cpu := fr.req.CPU
+// release returns a batch's frame to its CPU's cache, or retires it when
+// the cache is full. The request and environment are cleared first, so an
+// idle frame pins no caller data.
+func (c *Core) release(cpu int, fr *runFrame) {
 	fr.req = Request{}
 	fr.env.Reset(nil, nil, nil)
-	if uint(cpu) < uint(len(c.slots)) && c.slots[cpu].fr.CompareAndSwap(nil, fr) {
-		return
+	if uint(cpu) < uint(len(c.frames)) {
+		fc := &c.frames[cpu]
+		fc.mu.Lock()
+		defer fc.mu.Unlock()
+		if len(fc.free) < frameCacheCap {
+			fc.free = append(fc.free, fr)
+			return
+		}
 	}
-	c.frames.Put(fr)
+	fr.st.Release()
 }
 
 // reportBox is a Report allocated together with the backing array of its
 // helper counts, so assembling a report costs one allocation. The caller
 // owns the box through its Report. The rest is what Stats.fold reads
 // besides it, set as the run ends: the request's Program and FuelElided
-// and whether the engine failed. ran stays false for a dispatch never run.
+// and the dispatch's error. ran stays false for a dispatch never run.
 type reportBox struct {
 	Report
-	calls               [inlineCalls]uint64
-	prog                *Program
-	ran, failed, elided bool
+	calls       [inlineCalls]uint64
+	prog        *Program
+	err         error
+	ran, elided bool
 }
 
 // inlineCalls is how many helper-count slots a report stores inline;
@@ -244,7 +249,8 @@ func (b *reportBox) setCalls(calls helpers.Calls) {
 // report assembly, exit audit, and stats accumulation. The returned error
 // is the engine's abnormal-termination error, if any; kernel damage is
 // visible in the report's ExitOopses and on the kernel itself. The caller
-// owns the returned Report.
+// owns the returned Report. Run is RunBatch of one, so the report's WallNs
+// is the whole dispatch's.
 //
 // On a supervised core the invocation first passes the supervisor's gate
 // (see Supervisor): a quarantined or detached program is answered without
@@ -259,24 +265,31 @@ func (b *reportBox) setCalls(calls helpers.Calls) {
 // is a harness bug and keeps propagating.
 func (c *Core) Run(eng Engine, req Request, reload Reload) (*Report, error) {
 	box := make([]reportBox, 1)
-	err := c.dispatch(eng, &req, reload, &box[0])
-	c.Stats.fold(req.CPU, box)
-	return &box[0].Report, err
+	c.runBatch(eng, req.CPU, []Request{req}, reload, box)
+	return &box[0].Report, box[0].err
 }
 
-// dispatch is Run writing its report into box: the one place the run path
-// asks whether the core is supervised. Core.run copies req into its frame.
-func (c *Core) dispatch(eng Engine, req *Request, reload Reload, box *reportBox) error {
+// dispatch is one request of a batch writing its report into box: the one
+// place the run path asks whether the core is supervised. fr is the
+// batch's run frame (see run). Core.run copies req into the frame.
+func (c *Core) dispatch(eng Engine, fr **runFrame, req *Request, reload Reload, box *reportBox) error {
 	if s := c.sup.Load(); s != nil {
-		return s.gate(eng, req, reload, box)
+		return s.gate(eng, fr, req, reload, box)
 	}
-	return c.run(eng, req, box)
+	return c.run(eng, fr, req, box)
 }
 
-// run is the lifecycle of one invocation, writing its report into box.
-// The frame's copy of req is the run's only one; the injector rewrites it.
-func (c *Core) run(eng Engine, req *Request, box *reportBox) (err error) {
-	fr := c.frame(req.CPU)
+// run is the lifecycle of one invocation, writing its report into box. It
+// runs on the batch's frame *fp, claiming one when the batch holds none,
+// and retires the frame, leaving *fp nil, when the run leaves its context
+// dirty. The frame's copy of req is the run's only one; the injector
+// rewrites it.
+func (c *Core) run(eng Engine, fp **runFrame, req *Request, box *reportBox) (err error) {
+	fr := *fp
+	if fr == nil {
+		fr = c.claim(req.CPU)
+		*fp = fr
+	}
 	fr.req = *req
 	r := &fr.req
 	if c.Inject != nil {
@@ -296,7 +309,6 @@ func (c *Core) run(eng Engine, req *Request, box *reportBox) (err error) {
 	// RuntimeNs is the context's own consumed time, not the clock's: on a
 	// sharded plane the clock also carries every other shard's work.
 	virtStart := ctx.ConsumedNs()
-	wallStart := time.Since(epoch)
 
 	rep := &box.Report
 	reported := false
@@ -371,10 +383,12 @@ func (c *Core) run(eng Engine, req *Request, box *reportBox) (err error) {
 			c.K.RCU().ReadUnlock(ctx)
 			rep.ExitOopses = append(rep.ExitOopses, ctx.ExitAudit()...)
 		}()
-		rep.WallNs = (time.Since(epoch) - wallStart).Nanoseconds()
 		rep.CPUTimeNs = ctx.ConsumedNs()
-		box.prog, box.ran, box.failed, box.elided = r.Program, true, err != nil, r.FuelElided
-		c.release(fr)
+		box.prog, box.ran, box.elided = r.Program, true, r.FuelElided
+		if !ctx.Exited() {
+			fr.st.Release()
+			*fp = nil
+		}
 	}()
 
 	iopts := interp.Options{
@@ -383,6 +397,7 @@ func (c *Core) run(eng Engine, req *Request, box *reportBox) (err error) {
 		Bugs:       r.Bugs,
 		ProgArray:  r.ProgArray,
 		Observe:    r.Observe,
+		State:      &fr.st,
 	}
 	var r0 uint64
 	r0, err = eng.Run(env, iopts)
@@ -400,14 +415,15 @@ type BatchResult struct {
 // RunBatch dispatches a batch of requests on one simulated CPU, forcing
 // every request's CPU to the batch's. Each request still gets the full
 // per-invocation lifecycle — supervisor gate, fresh context, RCU
-// bracketing, exit audit — so the safety guarantees are identical to
-// serial Run calls, and a trip mid-batch denies the rest of the batch
-// exactly as it would deny fresh dispatches. What the batch amortizes is
-// everything around the lifecycle (engine/report plumbing staying hot in
-// cache, one allocation for all of the batch's reports, one stats fold).
-// The caller owns every returned Report.
+// bracketing, fuel, watchdog, exit audit — so the safety guarantees are
+// identical to serial Run calls, and a trip mid-batch denies the rest of
+// the batch exactly as it would deny fresh dispatches. The batch pays the
+// bookkeeping once: one run-frame claim, one pair of clock reads, one
+// allocation for its reports and one stats fold. Each report that ran gets
+// an equal share of the batch's wall time as its WallNs, the remainder on
+// the first. The caller owns every returned Report.
 func (c *Core) RunBatch(eng Engine, cpu int, reqs []Request, reload Reload) []BatchResult {
-	out, _ := c.runBatch(eng, cpu, reqs, reload, new(batchSlab))
+	out, _ := new(batchSlab).run(c, eng, cpu, reqs, reload)
 	return out
 }
 
@@ -420,24 +436,57 @@ type batchSlab struct {
 	out   []BatchResult
 }
 
-// runBatch is RunBatch writing into slab, grown to the batch's size when
-// it is short. Each box is reset before its dispatch, so a report never
-// carries a field of an earlier batch's. It returns the batch's consumed
-// CPU time, from the stats fold.
-func (c *Core) runBatch(eng Engine, cpu int, reqs []Request, reload Reload, slab *batchSlab) ([]BatchResult, int64) {
+// run is RunBatch writing into the slab, grown to the batch's size when it
+// is short. It returns the batch's consumed CPU time, from the stats fold.
+func (slab *batchSlab) run(c *Core, eng Engine, cpu int, reqs []Request, reload Reload) ([]BatchResult, int64) {
 	n := len(reqs)
 	if cap(slab.boxes) < n {
 		slab.boxes = make([]reportBox, n)
 		slab.out = make([]BatchResult, n)
 	}
 	boxes, out := slab.boxes[:n], slab.out[:n]
+	consumed := c.runBatch(eng, cpu, reqs, reload, boxes)
+	for i := range boxes {
+		out[i] = BatchResult{Report: &boxes[i].Report, Err: boxes[i].err}
+	}
+	return out, consumed
+}
+
+// runBatch dispatches reqs on cpu on one run frame, writing each
+// dispatch's report and error into its box. Each box is reset before its
+// dispatch, so a report never carries a field of an earlier batch's. It
+// returns the batch's consumed CPU time, from the stats fold.
+func (c *Core) runBatch(eng Engine, cpu int, reqs []Request, reload Reload, boxes []reportBox) int64 {
+	var fr *runFrame
+	start := time.Since(epoch)
 	for i := range reqs {
 		reqs[i].CPU = cpu
 		boxes[i] = reportBox{}
-		err := c.dispatch(eng, &reqs[i], reload, &boxes[i])
-		out[i] = BatchResult{Report: &boxes[i].Report, Err: err}
+		boxes[i].err = c.dispatch(eng, &fr, &reqs[i], reload, &boxes[i])
 	}
-	return out, c.Stats.fold(cpu, boxes)
+	span := int64(time.Since(epoch) - start)
+	if fr != nil {
+		c.release(cpu, fr)
+	}
+	shareWall(boxes, span)
+	return c.Stats.fold(cpu, boxes)
+}
+
+// shareWall gives each box that ran an equal share of span as its WallNs,
+// with the remainder on the first.
+func shareWall(boxes []reportBox, span int64) {
+	var ran int64
+	for i := range boxes {
+		if boxes[i].ran {
+			ran++
+		}
+	}
+	rest := span % max(ran, 1)
+	for i := range boxes {
+		if boxes[i].ran {
+			boxes[i].WallNs, rest = span/ran+rest, 0
+		}
+	}
 }
 
 // codeEngine runs one engine's Code on the shared machine: the

@@ -284,8 +284,8 @@ func TestPhaseRecorder(t *testing.T) {
 
 func TestRecordLoadKeepsPhaseOrder(t *testing.T) {
 	var s Stats
-	s.RecordLoad("a", PhaseTimings{{Name: "verify", WallNs: 10}, {Name: "jit-compile", WallNs: 5}})
-	s.RecordLoad("b", PhaseTimings{{Name: "verify", WallNs: 30}, {Name: "jit-compile", WallNs: 7}})
+	s.RecordLoad(PhaseTimings{{Name: "verify", WallNs: 10}, {Name: "jit-compile", WallNs: 5}})
+	s.RecordLoad(PhaseTimings{{Name: "verify", WallNs: 30}, {Name: "jit-compile", WallNs: 7}})
 	snap := s.Snapshot()
 	if snap.Loads != 2 {
 		t.Fatalf("loads = %d", snap.Loads)
@@ -321,7 +321,7 @@ func TestStatsConcurrent(t *testing.T) {
 			defer wg.Done()
 			p := s.prog("p")
 			for i := 0; i < 200; i++ {
-				s.RecordLoad("p", PhaseTimings{{Name: "verify", WallNs: 1}})
+				s.RecordLoad(PhaseTimings{{Name: "verify", WallNs: 1}})
 				s.fold(g%3, []reportBox{{Report: Report{
 					Program:      "p",
 					Instructions: 1,

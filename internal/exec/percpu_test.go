@@ -78,3 +78,10 @@ func TestStatsCellsPadded(t *testing.T) {
 		t.Fatalf("Program: the read-mostly fields end %d bytes before the counters, want >= 64", gap)
 	}
 }
+
+// TestFrameCachePadded pins the layout of the per-CPU run-frame caches:
+// each ends in a full cache line of padding, so neighbouring CPUs' slots
+// are at least 64 bytes apart whatever the alignment of the array.
+func TestFrameCachePadded(t *testing.T) {
+	assertLinePadded(t, frameCache{})
+}

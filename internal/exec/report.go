@@ -45,8 +45,10 @@ type Report struct {
 	RuntimeNs int64
 
 	// WallNs is the invocation's monotonic wall-clock latency, the figure
-	// performance work should quote. Virtual and wall time diverge by
-	// design: the simulator charges fixed virtual costs per instruction.
+	// performance work should quote: its equal share of its batch's span
+	// (Core.RunBatch), the whole dispatch's for Core.Run. Virtual and wall
+	// time diverge by design: the simulator charges fixed virtual costs per
+	// instruction.
 	WallNs int64
 
 	// CPUTimeNs is all the virtual CPU time the invocation's own context

@@ -144,7 +144,7 @@ func (s *Sharded) worker(cpu int) {
 	cell := &s.cells[cpu]
 	var slab batchSlab
 	for b := range s.rings[cpu] {
-		results, consumed := s.core.runBatch(b.Engine, cpu, b.Reqs, b.Reload, &slab)
+		results, consumed := slab.run(s.core, b.Engine, cpu, b.Reqs, b.Reload)
 		cell.busy.Add(consumed)
 		cell.completed.Add(uint64(len(results)))
 		if b.Done != nil {

@@ -312,8 +312,9 @@ type CPUStats struct {
 	CPUTimeNs    int64
 }
 
-// RecordLoad accounts one program load and its per-phase wall timings.
-func (s *Stats) RecordLoad(program string, phases PhaseTimings) {
+// RecordLoad accounts one program load and its per-phase wall timings,
+// which are summed per core, not per program.
+func (s *Stats) RecordLoad(phases PhaseTimings) {
 	s.loads.Add(1)
 	s.phaseMu.Lock()
 	defer s.phaseMu.Unlock()
@@ -450,7 +451,7 @@ func (s *Stats) fold(cpu int, boxes []reportBox) int64 {
 			}
 			b.ran = false
 			sum[pInvocations]++
-			if b.failed {
+			if b.err != nil {
 				sum[pErrors]++
 			}
 			if b.elided {

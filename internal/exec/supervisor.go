@@ -285,7 +285,8 @@ func jitterSeed(seed uint64, program string) uint64 {
 // accounted, and answered per the degradation policy. When a quarantine's
 // backoff has expired the dispatch becomes a recovery probe — reload first
 // (re-verify / re-validate), then one real run whose outcome decides
-// between recovery and a longer quarantine.
+// between recovery and a longer quarantine. An admitted dispatch runs on
+// the batch's run frame fr (see Core.run).
 //
 // A quiet program (see progHealth.quiet) is admitted without the lock,
 // and its clean run is not observed at all. That is equivalent to sliding
@@ -295,7 +296,7 @@ func jitterSeed(seed uint64, program string) uint64 {
 // through observe under mu as ever. A quiet run that overlaps a fault on
 // another shard is thereby ordered before that fault; concurrent runs had
 // no defined order before either.
-func (s *Supervisor) gate(eng Engine, req *Request, reload Reload, box *reportBox) error {
+func (s *Supervisor) gate(eng Engine, fr **runFrame, req *Request, reload Reload, box *reportBox) error {
 	// Trip notifications queue under mu on every path below; deliver them
 	// once all locks are released, whatever way the dispatch returns.
 	defer s.flushTrips()
@@ -309,7 +310,7 @@ func (s *Supervisor) gate(eng Engine, req *Request, reload Reload, box *reportBo
 		}
 	}
 
-	err := s.core.run(eng, req, box)
+	err := s.core.run(eng, fr, req, box)
 	rep := &box.Report
 	fault := err != nil || len(rep.ExitOopses) > 0
 	if quiet && !fault {

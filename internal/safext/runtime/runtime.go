@@ -235,7 +235,7 @@ func (rt *Runtime) Load(so *toolchain.SignedObject) (*Extension, error) {
 	ext.so = so
 	rec.Mark("fixup")
 	ext.LoadPhases = append(append(exec.PhaseTimings(nil), so.Phases...), rec.Phases()...)
-	rt.Core.Stats.RecordLoad(ext.Name, ext.LoadPhases)
+	rt.Core.Stats.RecordLoad(ext.LoadPhases)
 	ext.rec.RecordChecks(uint64(ext.Checks.Emitted()), uint64(ext.Checks.Elided()))
 	if tv := ext.TVal; tv != nil && tv.Demoted {
 		ext.rec.RecordTVDemotion(tv.Reason)

@@ -17,11 +17,17 @@ import (
 // timed loop inverts the comparison, and the elided tier also paid a
 // per-invocation stats lookup for its own fuel-elision accounting.
 //
-// The guard measures the way the fix prescribes: tiers interleaved
-// round-robin (so ambient noise hits all of them equally), several small
-// batches per tier, minimum batch time as the estimator (minimum, not
-// mean: noise only ever adds time). Elided must never fall behind naive
-// beyond a small tolerance, and the MIR build must beat naive outright.
+// The guard measures in interleaved ABBA rounds. A round is a run of
+// groups, and each group runs every tier twice, forwards and then
+// backwards (naive, elided, opt, opt, elided, naive), timing each run, so
+// a disturbance longer than a few runs, such as another tenant of a shared
+// box or a GC cycle, weighs on all tiers alike. A round yields each tier's
+// ratio to naive, of the tiers' median run times in the round, so a run
+// the scheduler preempted does not count; the estimator is the median of
+// the per-round ratios, so a round disturbed throughout does not either,
+// where a minimum or mean over batches follows the outliers. Elided must
+// never fall behind naive beyond a small tolerance, and the MIR build must
+// beat naive outright.
 func TestSLXOptWallOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive guard; skipped in -short runs")
@@ -34,43 +40,46 @@ func TestSLXOptWallOrdering(t *testing.T) {
 	}
 
 	const (
-		rounds     = 6
-		batchIters = 20
+		rounds = 15
+		groups = 20
 	)
-	best := make([]time.Duration, len(exts))
-	for i := range best {
-		best[i] = time.Duration(1<<63 - 1)
-	}
-	// Warm up every tier once, then time interleaved batches.
+	// Warm up every tier once, then time interleaved rounds.
 	for _, ext := range exts {
 		if v, err := ext.Run(runtime.RunOptions{}); err != nil || !v.Completed {
 			t.Fatalf("warmup: %+v, %v", v, err)
 		}
 	}
+	elidedRatio := make([]float64, rounds)
+	optRatio := make([]float64, rounds)
+	var took [3][]float64
 	for r := 0; r < rounds; r++ {
-		for i, ext := range exts {
-			stdruntime.GC()
-			start := time.Now()
-			for k := 0; k < batchIters; k++ {
-				v, err := ext.Run(runtime.RunOptions{})
+		stdruntime.GC()
+		for i := range took {
+			took[i] = took[i][:0]
+		}
+		for g := 0; g < groups; g++ {
+			for _, i := range [...]int{0, 1, 2, 2, 1, 0} {
+				start := time.Now()
+				v, err := exts[i].Run(runtime.RunOptions{})
+				took[i] = append(took[i], float64(time.Since(start)))
 				if err != nil || !v.Completed {
 					t.Fatalf("%s: %+v, %v", tiers[i], v, err)
 				}
 			}
-			if d := time.Since(start); d < best[i] {
-				best[i] = d
-			}
 		}
+		naive := median(took[0])
+		elidedRatio[r] = median(took[1]) / naive
+		optRatio[r] = median(took[2]) / naive
 	}
-	naive, elided, opt := best[0], best[1], best[2]
-	t.Logf("min batch wall: naive=%v elided=%v opt=%v", naive, elided, opt)
+	elided, opt := median(elidedRatio), median(optRatio)
+	t.Logf("median per-round ratio to naive over %d rounds: elided=%.3f opt=%.3f", rounds, elided, opt)
 	// Elided must not regress past naive (10% tolerance for timer jitter).
-	if float64(elided) > float64(naive)*1.10 {
-		t.Errorf("elided build slower than naive: %v vs %v", elided, naive)
+	if elided > 1.10 {
+		t.Errorf("elided build slower than naive: %.3f× naive (per-round ratios %.3f)", elided, elidedRatio)
 	}
 	// The MIR build's margin is large (about 2× in committed numbers); it
 	// must beat naive outright.
-	if opt >= naive {
-		t.Errorf("opt build not faster than naive: %v vs %v", opt, naive)
+	if opt >= 1 {
+		t.Errorf("opt build not faster than naive: %.3f× naive (per-round ratios %.3f)", opt, optRatio)
 	}
 }
