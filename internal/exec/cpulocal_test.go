@@ -105,9 +105,6 @@ func TestSameCPUReadersBesideSharded(t *testing.T) {
 // allocates nothing, since the shard writes its reports into the slab it
 // keeps across batches.
 func TestShardedBatchSlabAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries under -race")
-	}
 	c, eng, ctx := newAllocsFixture(t)
 	sh := c.NewSharded(ShardedConfig{Shards: 2})
 	defer sh.Close()

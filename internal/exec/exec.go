@@ -151,7 +151,8 @@ type Request struct {
 
 // runFrame is the state a batch's invocations run in: their kernel
 // context, helper environment, engine run state (register files and stack
-// frames) and a copy of the running request. A batch claims one frame for
+// frames) and, under an injector, a copy of the running request for the
+// injector to rewrite. A batch claims one frame for
 // all its runs. Each run re-enters the context and resets the environment
 // in place, so it starts from state indistinguishable from a fresh
 // NewContext and NewEnv, on zeroed stack frames; what a frame keeps across
@@ -271,7 +272,7 @@ func (c *Core) Run(eng Engine, req Request, reload Reload) (*Report, error) {
 
 // dispatch is one request of a batch writing its report into box: the one
 // place the run path asks whether the core is supervised. fr is the
-// batch's run frame (see run). Core.run copies req into the frame.
+// batch's run frame (see run).
 func (c *Core) dispatch(eng Engine, fr **runFrame, req *Request, reload Reload, box *reportBox) error {
 	if s := c.sup.Load(); s != nil {
 		return s.gate(eng, fr, req, reload, box)
@@ -282,18 +283,19 @@ func (c *Core) dispatch(eng Engine, fr **runFrame, req *Request, reload Reload, 
 // run is the lifecycle of one invocation, writing its report into box. It
 // runs on the batch's frame *fp, claiming one when the batch holds none,
 // and retires the frame, leaving *fp nil, when the run leaves its context
-// dirty. The frame's copy of req is the run's only one; the injector
-// rewrites it.
+// dirty. It runs on the caller's req, which it does not modify; only an
+// injector, which may rewrite the request, gets the frame's copy of it.
 func (c *Core) run(eng Engine, fp **runFrame, req *Request, box *reportBox) (err error) {
 	fr := *fp
 	if fr == nil {
 		fr = c.claim(req.CPU)
 		*fp = fr
 	}
-	fr.req = *req
-	r := &fr.req
+	r := req
 	if c.Inject != nil {
-		c.Inject.BeforeRun(r)
+		fr.req = *req
+		c.Inject.BeforeRun(&fr.req)
+		r = &fr.req
 	}
 	ctx, env := &fr.ctx, &fr.env
 	ctx.Reenter(r.CPU)

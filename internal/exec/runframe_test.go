@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -53,9 +54,6 @@ func newAllocsFixture(t *testing.T) (*Core, Engine, uint64) {
 // the caller-owned Report as the only allocation. On a supervised core the
 // healthy program's quiet gate adds nothing either.
 func TestCoreRunAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries under -race")
-	}
 	for _, name := range []string{"core", "supervisor"} {
 		c, eng, ctx := newAllocsFixture(t)
 		want := ""
@@ -101,9 +99,6 @@ func bytesOfRun(run func()) uint64 {
 // helpers, a run calling a helper first called after them costs exactly
 // one more allocation, for its report's count array.
 func TestCoreRunAllocsLateSlot(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries under -race")
-	}
 	c, eng, ctx := newAllocsFixture(t)
 	// Give the fixture's helpers their slots before the filler names.
 	if _, err := c.Run(eng, Request{Program: c.Program("allocs"), CPU: 1, CtxAddr: ctx}, nil); err != nil {
@@ -135,9 +130,6 @@ func TestCoreRunAllocsLateSlot(t *testing.T) {
 // TestRunBatchAllocs pins a batch at two allocations, its results and its
 // report slab, whether or not it passes the supervisor gate.
 func TestRunBatchAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries under -race")
-	}
 	for _, name := range []string{"core", "supervisor"} {
 		c, eng, ctx := newAllocsFixture(t)
 		if name == "supervisor" {
@@ -304,5 +296,47 @@ func TestCoreRunConcurrentSameCPU(t *testing.T) {
 	}
 	if n := c.K.RCU().ActiveReaders(); n != 0 || !c.K.Healthy() {
 		t.Fatalf("active RCU readers = %d, kernel healthy = %v", n, c.K.Healthy())
+	}
+}
+
+// rewriter is an Injector that rewrites every request's context address,
+// as budget jitter rewrites its fuel, and injects no helper faults.
+type rewriter struct{ ctx uint64 }
+
+func (w rewriter) BeforeRun(req *Request) { req.CtxAddr = w.ctx }
+func (rewriter) HelperCall(*helpers.Env, string) (uint64, error, bool) {
+	return 0, nil, false
+}
+
+// TestInjectorRewritesFrameCopy runs a batch without an injector and one
+// with an injector that rewrites the context address: without one the
+// runs read the caller's requests in place, with one they see the
+// rewrite, and in both the caller's requests keep what the caller set, and
+// the released frame keeps no request.
+func TestInjectorRewritesFrameCopy(t *testing.T) {
+	c := newTestCore()
+	eng := fakeEngine{name: "fake", run: func(env *helpers.Env, _ interp.Options) (uint64, error) {
+		return env.CtxAddr, nil
+	}}
+	for _, inj := range []Injector{nil, rewriter{ctx: 99}} {
+		c.Inject = inj
+		reqs := []Request{{Program: c.Program("p"), CtxAddr: 7}, {Program: c.Program("p"), CtxAddr: 8}}
+		want := []uint64{7, 8}
+		if inj != nil {
+			want = []uint64{99, 99}
+		}
+		for i, r := range c.RunBatch(eng, 0, reqs, nil) {
+			if r.Err != nil || r.Report.R0 != want[i] {
+				t.Fatalf("injector %v: run %d saw ctx %d err %v, want %d", inj, i, r.Report.R0, r.Err, want[i])
+			}
+		}
+		if reqs[0].CtxAddr != 7 || reqs[1].CtxAddr != 8 {
+			t.Fatalf("injector %v: the caller's requests were rewritten: %+v", inj, reqs)
+		}
+		for _, fr := range c.frames[0].free {
+			if !reflect.ValueOf(fr.req).IsZero() {
+				t.Fatalf("injector %v: an idle frame keeps a request: %+v", inj, fr.req)
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"kex/internal/exec"
 	"kex/internal/faultinject"
 	"kex/internal/registry"
+	"kex/internal/safext/compile"
 	"kex/internal/safext/toolchain"
 )
 
@@ -190,23 +191,50 @@ func TestFleetAutoRollbackOnBadVersion(t *testing.T) {
 // and requires every version's traffic in its own name@digest stats row:
 // on each node those rows together answer for every invocation the node
 // answered, the bad version's row holds its own runs and faults, and the
-// row of the bare program name, which the load made, holds no runs.
+// row of the bare program name, which the load made, holds no runs. Each
+// version row also carries its own build's check counts, which differ
+// between the versions.
 func TestFleetPerVersionStatsRows(t *testing.T) {
+	const (
+		v1 = `fn main() -> i64 { let t: i64 = kernel::ktime(); return 1 + (t - t) / (t + 1) + (t - t) / (t + 2); }`
+		v2 = `fn main() -> i64 { let t: i64 = kernel::ktime(); return 2 + (t - t) / (t + 1); }`
+	)
 	h := newHarness(t)
 	ctx := context.Background()
-	h.publish(t, "policy", slxV1)
+	checks := map[string]compile.CheckStats{}
+	publish := func(src string) string {
+		digest := h.publish(t, "policy", src)
+		so, err := h.signer.BuildAndSign("fw", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := toolchain.Deserialize(so.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checks["fw@"+digest[:8]] = obj.Checks
+		return digest
+	}
+	publish(v1)
 	f := New(Direct{R: h.reg}, Config{Nodes: 2, Bundle: "policy", Seed: 42, Node: h.node})
 	defer f.Close()
 	if ok, errs := f.SyncAll(ctx); ok != 2 {
 		t.Fatalf("initial sync: %d ok, errs %v", ok, errs)
 	}
 	f.DriveAll(ctx, 4, 8)
-	h.publish(t, "policy", slxV2)
+	publish(v2)
 	if ok, errs := f.SyncAll(ctx); ok != 2 {
 		t.Fatalf("upgrade sync: %d ok, errs %v", ok, errs)
 	}
 	f.DriveAll(ctx, 4, 8)
-	bad := h.publish(t, "policy", slxBad)
+	bad := publish(slxBad)
+	seen := map[[2]int]bool{}
+	for _, cs := range checks {
+		seen[[2]int{cs.Emitted(), cs.Elided()}] = true
+	}
+	if len(seen) != len(checks) {
+		t.Fatalf("the versions' builds share check counts %v; the rows could not tell them apart", checks)
+	}
 	if ok, errs := f.SyncAll(ctx); ok != 2 {
 		t.Fatalf("bad-version sync: %d ok, errs %v", ok, errs)
 	}
@@ -234,6 +262,12 @@ func TestFleetPerVersionStatsRows(t *testing.T) {
 		}
 		if b := rows["fw@"+bad[:8]]; b.Invocations == 0 || b.Faults == 0 || b.Errors != b.Faults {
 			t.Fatalf("node %d bad version row = %+v, want its own runs with Errors == Faults > 0", n.ID, b)
+		}
+		for name, cs := range checks {
+			if r := rows[name]; r.DynamicChecks != uint64(cs.Emitted()) || r.ElidedChecks != uint64(cs.Elided()) {
+				t.Fatalf("node %d row %s checks = %d dynamic, %d elided; its build has %d, %d",
+					n.ID, name, r.DynamicChecks, r.ElidedChecks, cs.Emitted(), cs.Elided())
+			}
 		}
 		if fw := rows["fw"]; fw.Invocations != 0 || fw.Errors != 0 || fw.Instructions != 0 ||
 			fw.WallNs != 0 || fw.Faults != 0 || fw.Denied != 0 {

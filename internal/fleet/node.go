@@ -359,17 +359,16 @@ func (n *Node) materialize(ctx context.Context, e registry.Entry) (*runtime.Exte
 // request the version makes carries it, so each version's runs, faults,
 // denials and breaker state land in its own stats row and health, apart
 // from every other version of the same logical program. The record also
-// carries the signed CONC verdict, so the plane's conc gate follows the
-// running build through swaps and rollbacks.
+// carries the version's load-time accounting (check counts, a TVAL
+// demotion) and its signed CONC verdict, so the plane's conc gate follows
+// the running build through swaps and rollbacks.
 func (n *Node) versionFor(name, digest string, ext *runtime.Extension) exec.Version {
 	short := digest
 	if len(short) > 8 {
 		short = short[:8]
 	}
 	prog := n.rt.Core.Program(name + "@" + short)
-	if cc := ext.Conc; cc != nil {
-		n.rt.Core.SetConc(prog, cc.Racy(), cc.Reason)
-	}
+	ext.RecordLoad(prog)
 	return exec.Version{
 		Digest:  digest,
 		Program: prog,

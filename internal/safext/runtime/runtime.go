@@ -202,6 +202,17 @@ type Extension struct {
 	rec          *exec.Program
 }
 
+// preparedPool recycles Prepared invocations: Finish puts one back and
+// Prepare, for any extension, takes it up. A Prepared owns no mapped
+// memory (the trusted cleanup frees its unwind records before Finish), so
+// one the pool drops costs only the garbage collector. The pool is the
+// package's, not an extension's: a pool registers itself with the Go
+// runtime, which would keep an unloaded extension, and through it its
+// whole kernel, alive for two more collections. For the same reason
+// Finish clears the two pointers through which a pooled Prepared reaches
+// its runtime.
+var preparedPool sync.Pool
+
 // Load validates and installs a signed object: signature check, structural
 // check, map creation, rodata mapping, relocation, optional JIT. Note what
 // is absent: no verifier.
@@ -236,17 +247,25 @@ func (rt *Runtime) Load(so *toolchain.SignedObject) (*Extension, error) {
 	rec.Mark("fixup")
 	ext.LoadPhases = append(append(exec.PhaseTimings(nil), so.Phases...), rec.Phases()...)
 	rt.Core.Stats.RecordLoad(ext.LoadPhases)
-	ext.rec.RecordChecks(uint64(ext.Checks.Emitted()), uint64(ext.Checks.Elided()))
+	ext.RecordLoad(ext.rec)
+	return ext, nil
+}
+
+// RecordLoad puts the extension's load-time accounting on a program
+// record: its dynamic and elided check counts, a translation-validation
+// demotion with its reason, and its signed CONC verdict, which the sharded
+// plane's submission gate acts on. Load records it on the record of the
+// extension's name, and hot-swap reloads come back through Load, so that
+// record tracks the live build; a deployer that runs the extension under a
+// record of its own (a fleet version's name@digest) records it there too.
+func (ext *Extension) RecordLoad(rec *exec.Program) {
+	rec.RecordChecks(uint64(ext.Checks.Emitted()), uint64(ext.Checks.Elided()))
 	if tv := ext.TVal; tv != nil && tv.Demoted {
-		ext.rec.RecordTVDemotion(tv.Reason)
+		rec.RecordTVDemotion(tv.Reason)
 	}
 	if cc := ext.Conc; cc != nil {
-		// Set the signed verdict on the program's record so the sharded
-		// plane's submission gate can act on it. Hot-swap reloads come
-		// back through here, so the record tracks the live build.
-		rt.Core.SetConc(ext.rec, cc.Racy(), cc.Reason)
+		ext.rt.Core.SetConc(rec, cc.Racy(), cc.Reason)
 	}
-	return ext, nil
 }
 
 // install performs the load-time fixup on a deserialized object.
@@ -372,16 +391,20 @@ type RunOptions struct {
 	CtxAddr uint64
 }
 
-// Prepared is one assembled invocation: the execution-core request plus
-// the verdict its completion hook fills. Batch submitters Prepare each
-// invocation, run the Requests through Core.RunBatch or a Sharded plane, then
-// call Finish with each result to obtain the Verdict. A Prepared serves
-// exactly one dispatch; it is one allocation, holding the run's resource
-// log and its verdict, and the request reaches it through Request.Scratch
-// with hooks that are plain functions, not per-invocation closures.
+// Prepared is one assembled invocation: what its execution-core request
+// carries, the run's resource log and the verdict its completion hook
+// fills. Batch submitters Prepare each invocation, run the Requests
+// through Core.RunBatch or a Sharded plane, then call Finish with each
+// result to obtain the Verdict. A Prepared serves exactly one dispatch
+// and belongs to the runtime again once Finish returns: it is recycled
+// for a later Prepare, so neither the Prepared nor its Request may be
+// used after Finish. Finish returns the verdict as a value, which shares
+// no storage with the recycled object. The request reaches the Prepared
+// through Request.Scratch with hooks that are plain functions, not
+// per-invocation closures, so a warm invocation allocates nothing.
 type Prepared struct {
-	ext        *Extension
-	req        exec.Request
+	ext        *Extension // nil once Finish has given the Prepared back
+	ctxAddr    uint64
 	rs         runState
 	verdict    Verdict
 	ran        bool // the Finish hook filled verdict
@@ -389,8 +412,32 @@ type Prepared struct {
 }
 
 // Request returns the execution-core request for submission in an
-// exec.Batch. Its hooks write back into this Prepared.
-func (p *Prepared) Request() exec.Request { return p.req }
+// exec.Batch. Its hooks write back into this Prepared. Its CPU is the one
+// resource the caller may still override (the batched path pins it to the
+// shard's CPU); everything else is fixed by the extension.
+func (p *Prepared) Request() exec.Request {
+	ext := p.ext
+	// Fuel coalescing: when the signed object proves a static instruction
+	// bound that fits the budget, the per-instruction fuel meter collapses
+	// into one comparison made at load time (ext.coalesceFuel). The
+	// watchdog stays armed — the proof bounds instructions, defence in
+	// depth covers everything else.
+	fuel := ext.rt.Cfg.Fuel
+	if ext.coalesceFuel {
+		fuel = 0
+	}
+	return exec.Request{
+		Program:    ext.rec,
+		CPU:        p.rs.cpu,
+		CtxAddr:    p.ctxAddr,
+		Fuel:       fuel,
+		WatchdogNs: ext.rt.Cfg.WatchdogNs,
+		FuelElided: ext.coalesceFuel,
+		Scratch:    p,
+		Setup:      setupRun,
+		Finish:     finishRun,
+	}
+}
 
 // Run invokes the extension under full runtime protection, dispatching
 // through the shared execution core (and its supervisor's gate when the
@@ -399,40 +446,26 @@ func (p *Prepared) Request() exec.Request { return p.req }
 // an error means the runtime itself failed.
 func (ext *Extension) Run(opts RunOptions) (*Verdict, error) {
 	p := ext.Prepare(opts)
-	return p.Finish(ext.rt.Core.Run(ext.engine, p.req, ext.revalidate))
+	v, err := p.Finish(ext.rt.Core.Run(ext.engine, p.Request(), ext.revalidate))
+	if err != nil {
+		return nil, err
+	}
+	return &v, nil
 }
 
-// Prepare assembles one invocation without dispatching it. The returned
-// request's CPU is the one resource the caller may still override (the
-// batched path pins it to the shard's CPU); everything else — fuel
-// coalescing, the cleanup hook, the verdict plumbing — is fixed here.
+// Prepare assembles one invocation without dispatching it, on a Prepared
+// recycled from an earlier Finish when the pool holds one. Prepare resets
+// every field the run and Finish read before they write it (the finish
+// hook writes the verdict whole), on the submitting goroutine, so Finish
+// on the shard worker only hands the object back.
 func (ext *Extension) Prepare(opts RunOptions) *Prepared {
-	rt := ext.rt
-
-	// Fuel coalescing: when the signed object proves a static instruction
-	// bound that fits the budget, the per-instruction fuel meter collapses
-	// into one comparison made at load time (ext.coalesceFuel). The
-	// watchdog stays armed — the proof bounds instructions, defence in
-	// depth covers everything else.
-	fuel := rt.Cfg.Fuel
-	if ext.coalesceFuel {
-		fuel = 0
+	p, _ := preparedPool.Get().(*Prepared)
+	if p == nil {
+		p = new(Prepared)
 	}
-
-	p := &Prepared{ext: ext}
-	p.rs = runState{rt: rt, cpu: opts.CPU}
+	p.ext, p.ctxAddr, p.ran, p.runtimeErr = ext, opts.CtxAddr, false, nil
+	p.rs.rt, p.rs.cpu = ext.rt, opts.CPU
 	p.rs.records = p.rs.recBuf[:0]
-	p.req = exec.Request{
-		Program:    ext.rec,
-		CPU:        opts.CPU,
-		CtxAddr:    opts.CtxAddr,
-		Fuel:       fuel,
-		WatchdogNs: rt.Cfg.WatchdogNs,
-		FuelElided: ext.coalesceFuel,
-		Scratch:    p,
-		Setup:      setupRun,
-		Finish:     finishRun,
-	}
 	return p
 }
 
@@ -504,31 +537,31 @@ func finishRun(env *helpers.Env, rep *exec.Report, engineErr error) {
 }
 
 // Finish converts one dispatch's result into the extension's verdict —
-// the tail of Run, shared with the batched path. The verdict is part of
-// the Prepared.
-func (p *Prepared) Finish(rep *exec.Report, runErr error) (*Verdict, error) {
-	if p.runtimeErr != nil {
-		return nil, p.runtimeErr
+// the tail of Run, shared with the batched path — and gives the Prepared
+// back for a later Prepare. Finishing a Prepared twice is a caller bug and
+// panics.
+func (p *Prepared) Finish(rep *exec.Report, runErr error) (v Verdict, err error) {
+	if p.ext == nil {
+		panic("safext: Finish on a finished Prepared")
 	}
-	if !p.ran {
-		// The dispatch never reached the engine: the supervisor denied it
-		// (quarantined or detached) or a recovery reload failed.
-		if runErr != nil {
-			return nil, runErr
-		}
-		return &Verdict{
-			R0:         int64(rep.R0),
-			Terminated: true,
-			Reason:     "quarantined",
-			WallNs:     rep.WallNs,
-		}, nil
+	switch {
+	case p.runtimeErr != nil:
+		err = p.runtimeErr
+	case !p.ran && runErr != nil:
+		// The dispatch never reached the engine: a recovery reload failed.
+		err = runErr
+	case !p.ran:
+		// The supervisor denied the dispatch (quarantined or detached).
+		v = Verdict{R0: int64(rep.R0), Terminated: true, Reason: "quarantined", WallNs: rep.WallNs}
+	case len(rep.ExitOopses) > 0:
+		err = fmt.Errorf("safext: exit audit failed after cleanup: %v", rep.ExitOopses[0])
+	default:
+		v = p.verdict
+		v.WallNs = rep.WallNs
 	}
-	v := &p.verdict
-	v.WallNs = rep.WallNs
-	if len(rep.ExitOopses) > 0 {
-		return nil, fmt.Errorf("safext: exit audit failed after cleanup: %v", rep.ExitOopses[0])
-	}
-	return v, nil
+	p.ext, p.rs.rt = nil, nil
+	preparedPool.Put(p)
+	return v, err
 }
 
 // Engine exposes the extension's execution engine for direct submission
