@@ -63,15 +63,16 @@ soundness:
 
 # Translation validation (DESIGN.md §3.8): the validator over the corpus
 # and examples at -opt 2 (zero demotions required), the mutant kill suite
-# (eleven seeded miscompilations behind -tags tvmutants, every one must be
-# rejected), the end-to-end fail-closed demotion path, and one pass of
+# (twelve seeded miscompilations behind -tags tvmutants, eleven in the
+# optimizer and one unsound refinement in the elision pass; every one must
+# be rejected, the elision one also at build time), the end-to-end fail-closed demotion path, and one pass of
 # BenchmarkTVal to regenerate BENCH_tval.json (per-program validation wall
 # time, certificate bytes, demotion rate; acceptance: corpus median
 # <250ms). Refinement counterexamples land in
 # internal/analysis/transval/tval_counterexamples/ for CI to upload.
 tv:
 	$(GO) test ./internal/analysis/transval/
-	$(GO) test -tags tvmutants ./internal/analysis/transval/ ./internal/safext/runtime/ ./internal/safext/compile/mir/
+	$(GO) test -tags tvmutants ./internal/analysis/transval/ ./internal/safext/runtime/ ./internal/safext/compile/mir/ ./internal/safext/analyze/
 	$(GO) test -run '^$$' -bench 'BenchmarkTVal' -benchtime 1x .
 
 # Shard-safety analysis (DESIGN.md §3.9): the concheck analyzer's unit and

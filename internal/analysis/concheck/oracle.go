@@ -70,7 +70,7 @@ func (r *OracleReport) Diverged() bool {
 func RunOracle(checked *lang.Checked, shards, invocations, schedules int, seed uint64) (*OracleReport, error) {
 	funcs := make(map[string]mirrun.Code)
 	for _, fn := range checked.File.Funcs {
-		mf, err := mir.LowerFunc(fn, checked, nil)
+		mf, err := mir.LowerFunc(fn, checked)
 		if err != nil {
 			return nil, fmt.Errorf("oracle: lower %s: %w", fn.Name, err)
 		}

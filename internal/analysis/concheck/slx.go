@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"kex/internal/safext/analyze"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/compile/mir"
 	"kex/internal/safext/lang"
@@ -19,31 +20,26 @@ import (
 func AnalyzeSLX(checked *lang.Checked, specs []compile.MapSpec) (*compile.ConcReport, error) {
 	a := &slxAnalyzer{
 		funcs:     make(map[string]*mir.Func),
-		specs:     make(map[string]compile.MapSpec),
 		mapBit:    make(map[string]uint),
 		sites:     make(map[siteKey]*siteInfo),
 		summaries: make(map[summaryKey]absVal),
 		inFlight:  make(map[summaryKey]bool),
 		recorded:  make(map[recordKey]bool),
 	}
-	for i, s := range specs {
-		a.specs[s.Name] = s
-		if i < 64 {
-			a.mapBit[s.Name] = uint(i)
-		}
-	}
 	if len(specs) > 64 {
 		return nil, fmt.Errorf("concheck: program declares %d maps; analyzer supports 64", len(specs))
 	}
+	for i, s := range specs {
+		a.mapBit[s.Name] = uint(i)
+	}
 	for _, fn := range checked.File.Funcs {
-		mf, err := mir.LowerFunc(fn, checked, nil)
+		mf, err := mir.LowerFunc(fn, checked)
 		if err != nil {
 			return nil, err
 		}
 		a.funcs[fn.Name] = mf
 	}
-	entry := a.funcs["main"]
-	if entry == nil {
+	if a.funcs["main"] == nil {
 		return nil, fmt.Errorf("concheck: program has no main")
 	}
 	if _, err := a.analyzeFunc("main", nil, callCtx{}, 0, true); err != nil {
@@ -64,23 +60,11 @@ func (v absVal) join(o absVal) absVal {
 }
 
 // callCtx is the caller-side context a site inherits: locks held across the
-// call and the control taint of the call site's block.
+// call (a lock set no state changes in place) and the control taint of the
+// call site's block.
 type callCtx struct {
-	locks    map[string]uint64 // map name -> const lock key held
-	ctrl     uint64            // control-taint mask
-	hasLocks bool
-}
-
-func (c callCtx) withLocks(locks map[string]uint64, ctrl uint64) callCtx {
-	out := callCtx{ctrl: ctrl}
-	if len(locks) > 0 {
-		out.locks = make(map[string]uint64, len(locks))
-		for k, v := range locks {
-			out.locks[k] = v
-		}
-		out.hasLocks = true
-	}
-	return out
+	locks map[string]uint64 // map name -> const lock key held
+	ctrl  uint64            // control-taint mask
 }
 
 const maxCallDepth = 64
@@ -101,12 +85,12 @@ type summaryKey struct {
 
 type slxAnalyzer struct {
 	funcs  map[string]*mir.Func
-	specs  map[string]compile.MapSpec
 	mapBit map[string]uint
 	sites  map[siteKey]*siteInfo
 	order  []*siteInfo
 	// summaries memoizes summary-mode return abstractions. Without it the
-	// value fixpoint re-descends into every callee once per pass, which is
+	// dataflow fixpoint re-descends into a callee every time it transfers
+	// the calling block, which is
 	// exponential in call depth — a self-recursive function never finishes
 	// (each of 64 depth levels multiplies by its ≥2 passes). inFlight marks
 	// summaries being computed: a cycle (recursion) degrades to the fully
@@ -138,18 +122,19 @@ func (a *slxAnalyzer) bit(m string) uint64 {
 	return 0
 }
 
-// analyzeFunc analyzes one function under one calling context: fixpoint the
-// vreg abstract values, fixpoint the block-level lock/control state, then —
-// in record mode only — register every map access site. Summary-mode
-// descents (from the value fixpoint, where lock context is not yet known)
-// must not record, or every callee site would appear once with an empty
-// context and erase its guard evidence. Returns the function's return-value
-// abstraction. Recursion compiles (the engine bounds frame depth at run
-// time), so past the analyzer's own depth cap the call degrades to a fully
-// tainted unknown instead of failing the build: the recursive body's sites
-// were already recorded at shallower depths (sites dedupe by function and
-// pc), and the all-ones taint keeps any value that escapes the cap
-// conservatively windowed on every map.
+// analyzeFunc analyzes one function under one calling context: one forward
+// dataflow fixpoint (analyze.Forward) of the per-vreg values, per-array
+// content taint, held locks and control taint, then one walk over the
+// converged states that — in record mode only — registers every map access
+// site. Summary-mode descents (from a caller's fixpoint, where its lock
+// context is not yet known) must not record, or every callee site would
+// appear once with an empty context and erase its guard evidence. Returns
+// the function's return-value abstraction. Recursion compiles (the engine
+// bounds frame depth at run time), so past the analyzer's own depth cap the
+// call degrades to a fully tainted unknown instead of failing the build:
+// the recursive body's sites were already recorded at shallower depths
+// (sites dedupe by function and pc), and the all-ones taint keeps any value
+// that escapes the cap conservatively windowed on every map.
 func (a *slxAnalyzer) analyzeFunc(name string, args []absVal, ctx callCtx, depth int, record bool) (absVal, error) {
 	if depth > maxCallDepth {
 		return absVal{prov: unknownProv(), taint: ^uint64(0)}, nil
@@ -158,63 +143,80 @@ func (a *slxAnalyzer) analyzeFunc(name string, args []absVal, ctx callCtx, depth
 	if f == nil {
 		return absVal{}, fmt.Errorf("concheck: call to unknown function %s", name)
 	}
-
-	st := &funcState{
-		a:     a,
-		f:     f,
-		vregs: make([]absVal, f.NumVRegs+1),
+	fs := &funcState{a: a, f: f, args: args, depth: depth}
+	entry := &slxState{
+		vals:  make([]absVal, f.NumVRegs+1),
 		arrs:  make([]uint64, len(f.Arrays)),
-		args:  args,
-		ctx:   ctx,
-		depth: depth,
+		locks: ctx.locks,
+		ctrl:  ctx.ctrl,
 	}
-	for i := range st.vregs {
-		st.vregs[i] = absVal{prov: botProv()}
+	for i := range entry.vals {
+		entry.vals[i] = absVal{prov: botProv()}
 	}
-	if err := st.fixpointValues(); err != nil {
-		return absVal{}, err
+	budget := analysisBudget
+	flow, ok := analyze.Forward[*slxState](f, fs, entry, &budget)
+	if fs.err != nil {
+		return absVal{}, fs.err
 	}
-	if record {
-		st.fixpointBlocks()
-		if err := st.record(); err != nil {
-			return absVal{}, err
-		}
+	if !ok {
+		return absVal{}, fmt.Errorf("concheck: %s: analysis did not converge within its budget", name)
 	}
-	return st.returnVal(), nil
+	return fs.walk(flow, record)
 }
 
-// funcState is one function × context analysis in flight.
+// analysisBudget caps one function × context fixpoint (instructions
+// transferred). The lattice is finite, so only a pathological program
+// reaches it, and the build then fails rather than ship an unproven
+// verdict.
+const analysisBudget = 10_000_000
+
+// funcState is one function × context analysis in flight: the Domain the
+// dataflow engine runs.
 type funcState struct {
 	a     *slxAnalyzer
 	f     *mir.Func
-	vregs []absVal
-	arrs  []uint64 // per-array content taint
 	args  []absVal
-	ctx   callCtx
 	depth int
-
-	// Block-entry states from fixpointBlocks.
-	locksIn map[mir.BlockID]map[string]uint64
-	ctrlIn  map[mir.BlockID]uint64
+	err   error // first failure of a callee analysis
 }
 
-func (st *funcState) val(v mir.VReg) absVal {
-	if v <= 0 || int(v) >= len(st.vregs) {
+// slxState is the abstract state at one program point: each vreg's value,
+// each array's content taint, the locks held (map name -> constant lock
+// key) and the control taint — the reads of every map a branch taken on
+// the way here depended on.
+type slxState struct {
+	vals  []absVal
+	arrs  []uint64
+	locks map[string]uint64
+	ctrl  uint64
+}
+
+func (st *slxState) val(v mir.VReg) absVal {
+	if v <= 0 || int(v) >= len(st.vals) {
 		return absVal{prov: botProv()}
 	}
-	return st.vregs[v]
+	return st.vals[v]
 }
 
 // operandB resolves the B-side of an instruction (vreg or folded imm).
-func (st *funcState) operandB(in *mir.Insn) absVal {
+func (st *slxState) operandB(in *mir.Insn) absVal {
 	if in.BIsImm {
 		return absVal{prov: constProv(uint64(in.BImm))}
 	}
 	return st.val(in.B)
 }
 
+// callArgs resolves a user call's arguments.
+func (st *slxState) callArgs(in *mir.Insn) []absVal {
+	args := make([]absVal, len(in.Args))
+	for i := range in.Args {
+		args[i] = st.argVal(&in.Args[i])
+	}
+	return args
+}
+
 // argVal resolves one crate/user call argument.
-func (st *funcState) argVal(ar *mir.Arg) absVal {
+func (st *slxState) argVal(ar *mir.Arg) absVal {
 	switch {
 	case ar.IsImm:
 		return absVal{prov: constProv(uint64(ar.Imm))}
@@ -228,90 +230,211 @@ func (st *funcState) argVal(ar *mir.Arg) absVal {
 	return absVal{prov: unknownProv()}
 }
 
-// fixpointValues computes the per-vreg abstract values, flow-insensitively:
-// a vreg's state is the join over all of its definitions. The lowering
-// gives every expression temporary a fresh vreg, so only loop-carried
-// variables actually join — and those converge to unknown, which is sound.
-func (st *funcState) fixpointValues() error {
-	for pass := 0; pass < 64; pass++ {
-		changed := false
-		set := func(dst mir.VReg, v absVal) {
-			if dst <= 0 || int(dst) >= len(st.vregs) {
-				return
-			}
-			nv := st.vregs[dst].join(v)
-			if nv != st.vregs[dst] {
-				st.vregs[dst] = nv
-				changed = true
-			}
-		}
-		for _, b := range st.f.Blocks {
-			for i := range b.Insns {
-				in := &b.Insns[i]
-				switch in.Op {
-				case mir.OpParam:
-					v := absVal{prov: unknownProv()}
-					if i := int(in.Imm); i >= 0 && i < len(st.args) {
-						v = st.args[i]
-					}
-					set(in.Dst, v)
-				case mir.OpConst:
-					set(in.Dst, absVal{prov: constProv(uint64(in.Imm))})
-				case mir.OpCopy:
-					set(in.Dst, st.val(in.A))
-				case mir.OpNeg:
-					av := st.val(in.A)
-					set(in.Dst, absVal{prov: transferBin("-", constProv(0), av.prov), taint: av.taint})
-				case mir.OpBin:
-					av, bv := st.val(in.A), st.operandB(in)
-					if av.prov.kind == provBot || bv.prov.kind == provBot {
-						continue // operand not yet defined (back edge)
-					}
-					set(in.Dst, absVal{prov: transferBin(in.Bin, av.prov, bv.prov), taint: av.taint | bv.taint})
-				case mir.OpCmp:
-					av, bv := st.val(in.A), st.operandB(in)
-					set(in.Dst, absVal{prov: degrade(av.prov.Join(bv.prov)), taint: av.taint | bv.taint})
-				case mir.OpArrLoad:
-					var t uint64
-					if in.Arr >= 0 && in.Arr < len(st.arrs) {
-						t = st.arrs[in.Arr]
-					}
-					set(in.Dst, absVal{prov: unknownProv(), taint: t})
-				case mir.OpArrStore:
-					bv := st.operandB(in)
-					if in.Arr >= 0 && in.Arr < len(st.arrs) {
-						if st.arrs[in.Arr]|bv.taint != st.arrs[in.Arr] {
-							st.arrs[in.Arr] |= bv.taint
-							changed = true
-						}
-					}
-				case mir.OpCallCrate:
-					set(in.Dst, st.crateResult(in))
-				case mir.OpCallUser:
-					ret, err := st.userCall(in)
-					if err != nil {
-						return err
-					}
-					set(in.Dst, ret)
-				}
-			}
-		}
-		if !changed {
-			return nil
+// Copy shares src's lock set: lock sets are replaced, never changed in
+// place.
+func (fs *funcState) Copy(dst, src *slxState) *slxState {
+	if dst == nil {
+		dst = new(slxState)
+	}
+	dst.vals = append(dst.vals[:0], src.vals...)
+	dst.arrs = append(dst.arrs[:0], src.arrs...)
+	dst.locks, dst.ctrl = src.locks, src.ctrl
+	return dst
+}
+
+// Transfer runs a block's instructions, then adds the taint of a
+// conditional terminator's operands to the control taint: every block
+// downstream of a branch on map-derived data is control-dependent on that
+// read (the check-then-act pattern).
+func (fs *funcState) Transfer(b *mir.Block, st *slxState) *slxState {
+	for i := range b.Insns {
+		fs.step(st, &b.Insns[i])
+	}
+	if t := &b.Term; t.Kind == mir.TermCond {
+		st.ctrl |= st.val(t.A).taint
+		if !t.BIsImm {
+			st.ctrl |= st.val(t.B).taint
 		}
 	}
-	return nil // lattice is finite; extra passes only lose precision, never soundness
+	return st
+}
+
+func (fs *funcState) Edge(_ *mir.Block, _ mir.BlockID, st *slxState) *slxState { return st }
+
+// Join merges values and taints by union and locks by intersection: a lock
+// counts only when held, on the same cell, on every path.
+func (fs *funcState) Join(old, in *slxState) (*slxState, bool) {
+	locks, changed := intersectLocks(old.locks, in.locks)
+	old.locks = locks
+	for i := range old.vals {
+		if j := old.vals[i].join(in.vals[i]); j != old.vals[i] {
+			old.vals[i], changed = j, true
+		}
+	}
+	for i := range old.arrs {
+		if old.arrs[i]|in.arrs[i] != old.arrs[i] {
+			old.arrs[i] |= in.arrs[i]
+			changed = true
+		}
+	}
+	if old.ctrl|in.ctrl != old.ctrl {
+		old.ctrl |= in.ctrl
+		changed = true
+	}
+	return old, changed
+}
+
+// Widen is Join: the lattice has finite height.
+func (fs *funcState) Widen(old, in *slxState, _ *mir.Loop) (*slxState, bool) { return fs.Join(old, in) }
+
+// step applies one instruction: its value transfer, and the lock set's
+// change at the sync section's acquire and release.
+func (fs *funcState) step(st *slxState, in *mir.Insn) {
+	var v absVal
+	switch in.Op {
+	case mir.OpParam:
+		v = absVal{prov: unknownProv()}
+		if i := int(in.Imm); i >= 0 && i < len(fs.args) {
+			v = fs.args[i]
+		}
+	case mir.OpConst:
+		v = absVal{prov: constProv(uint64(in.Imm))}
+	case mir.OpCopy:
+		v = st.val(in.A)
+	case mir.OpNeg:
+		av := st.val(in.A)
+		v = absVal{prov: transferBin("-", constProv(0), av.prov), taint: av.taint}
+	case mir.OpBin:
+		av, bv := st.val(in.A), st.operandB(in)
+		v = absVal{prov: transferBin(in.Bin, av.prov, bv.prov), taint: av.taint | bv.taint}
+	case mir.OpCmp:
+		av, bv := st.val(in.A), st.operandB(in)
+		v = absVal{prov: degrade(av.prov.Join(bv.prov)), taint: av.taint | bv.taint}
+	case mir.OpArrLoad:
+		v = absVal{prov: unknownProv()}
+		if in.Arr >= 0 && in.Arr < len(st.arrs) {
+			v.taint = st.arrs[in.Arr]
+		}
+	case mir.OpArrStore:
+		if in.Arr >= 0 && in.Arr < len(st.arrs) {
+			st.arrs[in.Arr] |= st.operandB(in).taint
+		}
+		return
+	case mir.OpCallCrate:
+		v = fs.crateResult(st, in)
+		fs.lockStep(st, in)
+	case mir.OpCallUser:
+		ret, err := fs.userCall(st, in)
+		if err != nil && fs.err == nil {
+			fs.err = err
+		}
+		v = ret
+	default:
+		return
+	}
+	if in.Dst > 0 && int(in.Dst) < len(st.vals) {
+		st.vals[in.Dst] = v
+	}
+}
+
+// lockStep updates the held locks at a sync section's acquire or release.
+// A lock taken on a non-constant key proves no mutual exclusion (shards
+// may take different cells), so it holds nothing.
+func (fs *funcState) lockStep(st *slxState, in *mir.Insn) {
+	if len(in.Args) == 0 || in.Args[0].Kind != lang.CrateMap {
+		return
+	}
+	sym := in.Args[0].Sym
+	switch in.Name {
+	case "lock_acquire":
+		if len(in.Args) > 1 {
+			if c, ok := st.argVal(&in.Args[1]).prov.IsConst(); ok {
+				st.locks = setLock(st.locks, sym, c, true)
+				return
+			}
+		}
+		st.locks = setLock(st.locks, sym, 0, false)
+	case "lock_release":
+		st.locks = setLock(st.locks, sym, 0, false)
+	}
+}
+
+// setLock returns locks with sym held on key, or released. States share
+// lock sets, so a change builds a new one.
+func setLock(locks map[string]uint64, sym string, key uint64, held bool) map[string]uint64 {
+	if k, ok := locks[sym]; ok == held && k == key {
+		return locks
+	}
+	out := make(map[string]uint64, len(locks)+1)
+	for k, v := range locks {
+		if k != sym {
+			out[k] = v
+		}
+	}
+	if held {
+		out[sym] = key
+	}
+	return out
+}
+
+// walk replays every reached block from its converged entry state, in
+// place, and returns the join of the function's return values. In record
+// mode it registers each map access site with the locks and control taint in
+// force there, and descends into callees with that context. pc numbers
+// instructions and terminators in layout order, reached or not.
+func (fs *funcState) walk(flow *analyze.Flow[*slxState], record bool) (absVal, error) {
+	ret := absVal{prov: botProv()}
+	pc := 0
+	for _, b := range fs.f.Blocks {
+		st, reached := flow.At(b.ID)
+		if !reached {
+			pc += len(b.Insns) + 1
+			continue
+		}
+		for i := range b.Insns {
+			x := &b.Insns[i]
+			pc++
+			if record {
+				switch {
+				case x.Op == mir.OpCallUser:
+					if _, err := fs.userCallInCtx(st, x, callCtx{locks: st.locks, ctrl: st.ctrl}); err != nil {
+						return absVal{}, err
+					}
+				case x.Op == mir.OpCallCrate && len(x.Args) > 0 && x.Args[0].Kind == lang.CrateMap:
+					if _, ok := slxSiteOps[x.Name]; ok {
+						fs.recordSite(st, x, pc, x.Args[0].Sym)
+					}
+				}
+			}
+			fs.step(st, x)
+		}
+		pc++ // terminator
+		if t := &b.Term; t.Kind == mir.TermRet {
+			if t.RetIsImm {
+				ret = ret.join(absVal{prov: constProv(uint64(t.RetImm))})
+			} else {
+				ret = ret.join(st.val(t.Ret))
+			}
+		}
+	}
+	if fs.err != nil {
+		return absVal{}, fs.err
+	}
+	if ret.prov.kind == provBot {
+		ret.prov = unknownProv()
+	}
+	return ret, nil
 }
 
 // crateResult abstracts one crate call's result.
-func (st *funcState) crateResult(in *mir.Insn) absVal {
+func (fs *funcState) crateResult(st *slxState, in *mir.Insn) absVal {
 	if len(in.Args) > 0 && in.Args[0].Kind == lang.CrateMap {
 		sym := in.Args[0].Sym
 		switch in.Name {
 		case "map_get", "map_inc":
 			// The value read from (or the post-increment value of) map sym:
 			// writing it back opens the window.
-			return absVal{prov: unknownProv(), taint: st.a.bit(sym)}
+			return absVal{prov: unknownProv(), taint: fs.a.bit(sym)}
 		}
 		return absVal{prov: unknownProv()}
 	}
@@ -335,206 +458,59 @@ func (st *funcState) crateResult(in *mir.Insn) absVal {
 // userCall descends into a callee for its return abstraction only (summary
 // mode): the calling context does not affect return values, and sites are
 // not recorded here.
-func (st *funcState) userCall(in *mir.Insn) (absVal, error) {
-	args := make([]absVal, len(in.Args))
-	for i := range in.Args {
-		args[i] = st.argVal(&in.Args[i])
-	}
+func (fs *funcState) userCall(st *slxState, in *mir.Insn) (absVal, error) {
+	args := st.callArgs(in)
 	key := summaryKey{name: in.Name, args: fmt.Sprint(args)}
-	if v, ok := st.a.summaries[key]; ok {
+	if v, ok := fs.a.summaries[key]; ok {
 		return v, nil
 	}
-	if st.a.inFlight[key] {
+	if fs.a.inFlight[key] {
 		// Recursive cycle: the callee's summary depends on itself. Degrade
 		// to the fully tainted unknown — same sound over-approximation as
 		// the depth cap, reached without the exponential descent.
 		return absVal{prov: unknownProv(), taint: ^uint64(0)}, nil
 	}
-	st.a.inFlight[key] = true
-	v, err := st.a.analyzeFunc(in.Name, args, callCtx{}, st.depth+1, false)
-	delete(st.a.inFlight, key)
+	fs.a.inFlight[key] = true
+	v, err := fs.a.analyzeFunc(in.Name, args, callCtx{}, fs.depth+1, false)
+	delete(fs.a.inFlight, key)
 	if err != nil {
 		return absVal{}, err
 	}
-	st.a.summaries[key] = v
+	fs.a.summaries[key] = v
 	return v, nil
 }
 
-// fixpointBlocks computes per-block-entry lock sets (forward, intersection
-// at merges — a lock counts only when held on every path) and control
-// taint (forward, union — a block downstream of a branch on map-derived
-// data is control-dependent on that read, the check-then-act pattern).
-func (st *funcState) fixpointBlocks() {
-	st.locksIn = make(map[mir.BlockID]map[string]uint64)
-	st.ctrlIn = make(map[mir.BlockID]uint64)
-	if len(st.f.Blocks) == 0 {
-		return
-	}
-	entry := st.f.Blocks[0].ID
-	st.locksIn[entry] = copyLocks(st.ctx.locks)
-	st.ctrlIn[entry] = st.ctx.ctrl
-	seen := map[mir.BlockID]bool{entry: true}
-
-	for pass := 0; pass < 64; pass++ {
-		changed := false
-		for _, b := range st.f.Blocks {
-			if !seen[b.ID] {
-				continue
-			}
-			locks := copyLocks(st.locksIn[b.ID])
-			ctrl := st.ctrlIn[b.ID]
-			for i := range b.Insns {
-				in := &b.Insns[i]
-				if in.Op != mir.OpCallCrate || len(in.Args) == 0 || in.Args[0].Kind != lang.CrateMap {
-					continue
-				}
-				sym := in.Args[0].Sym
-				switch in.Name {
-				case "lock_acquire":
-					if len(in.Args) > 1 {
-						if c, ok := st.argVal(&in.Args[1]).prov.IsConst(); ok {
-							if locks == nil {
-								locks = make(map[string]uint64)
-							}
-							locks[sym] = c
-							continue
-						}
-					}
-					// Non-constant lock key: shards may take different
-					// cells, so the section proves no mutual exclusion.
-					delete(locks, sym)
-				case "lock_release":
-					delete(locks, sym)
+// intersectLocks returns the locks of a also held, on the same cell, in b,
+// and whether that drops any; a itself is left as it is.
+func intersectLocks(a, b map[string]uint64) (map[string]uint64, bool) {
+	for k, v := range a {
+		if bv, ok := b[k]; !ok || bv != v {
+			out := make(map[string]uint64, len(a))
+			for k, v := range a {
+				if bv, ok := b[k]; ok && bv == v {
+					out[k] = v
 				}
 			}
-			t := &b.Term
-			if t.Kind == mir.TermCond {
-				ctrl |= st.val(t.A).taint
-				if !t.BIsImm {
-					ctrl |= st.val(t.B).taint
-				}
-			}
-			for _, succ := range t.Succs() {
-				if !seen[succ] {
-					seen[succ] = true
-					st.locksIn[succ] = copyLocks(locks)
-					st.ctrlIn[succ] = ctrl
-					changed = true
-					continue
-				}
-				if intersectLocks(st.locksIn[succ], locks) {
-					changed = true
-				}
-				if st.ctrlIn[succ]|ctrl != st.ctrlIn[succ] {
-					st.ctrlIn[succ] |= ctrl
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return
+			return out, true
 		}
 	}
+	return a, false
 }
 
-func copyLocks(m map[string]uint64) map[string]uint64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// intersectLocks narrows dst to locks also in src (same cell); reports change.
-func intersectLocks(dst, src map[string]uint64) bool {
-	changed := false
-	for k, v := range dst {
-		if sv, ok := src[k]; !ok || sv != v {
-			delete(dst, k)
-			changed = true
-		}
-	}
-	return changed
-}
-
-// record walks the function once with converged states and registers every
-// map access site (descending into callees with block-accurate context).
-func (st *funcState) record() error {
-	pc := 0
-	for _, b := range st.f.Blocks {
-		locks := copyLocks(st.locksIn[b.ID])
-		ctrl := st.ctrlIn[b.ID]
-		reachable := st.locksIn[b.ID] != nil || b.ID == st.f.Blocks[0].ID || st.ctrlInSeen(b.ID)
-		for i := range b.Insns {
-			in := &b.Insns[i]
-			pc++
-			if in.Op == mir.OpCallUser {
-				if !reachable {
-					continue
-				}
-				ctx := st.ctx.withLocks(locks, ctrl)
-				if _, err := st.userCallInCtx(in, ctx); err != nil {
-					return err
-				}
-				continue
-			}
-			if in.Op != mir.OpCallCrate || len(in.Args) == 0 || in.Args[0].Kind != lang.CrateMap {
-				continue
-			}
-			sym := in.Args[0].Sym
-			switch in.Name {
-			case "lock_acquire":
-				if len(in.Args) > 1 {
-					if c, ok := st.argVal(&in.Args[1]).prov.IsConst(); ok {
-						if locks == nil {
-							locks = make(map[string]uint64)
-						}
-						locks[sym] = c
-						continue
-					}
-				}
-				delete(locks, sym)
-				continue
-			case "lock_release":
-				delete(locks, sym)
-				continue
-			case "map_get", "map_set", "map_del", "map_inc", "emit":
-				if !reachable {
-					continue
-				}
-				st.recordSite(in, pc, sym, locks, ctrl)
-			}
-		}
-		pc++ // terminator
-	}
-	return nil
-}
-
-func (st *funcState) ctrlInSeen(id mir.BlockID) bool {
-	_, ok := st.ctrlIn[id]
-	return ok
-}
-
-func (st *funcState) userCallInCtx(in *mir.Insn, ctx callCtx) (absVal, error) {
-	args := make([]absVal, len(in.Args))
-	for i := range in.Args {
-		args[i] = st.argVal(&in.Args[i])
-	}
+func (fs *funcState) userCallInCtx(st *slxState, in *mir.Insn, ctx callCtx) (absVal, error) {
+	args := st.callArgs(in)
 	rk := recordKey{name: in.Name, args: fmt.Sprint(args), ctx: renderCtx(ctx)}
-	if st.a.recorded[rk] {
+	if fs.a.recorded[rk] {
 		return absVal{}, nil // identical visit already merged its evidence
 	}
-	st.a.recorded[rk] = true
-	return st.a.analyzeFunc(in.Name, args, ctx, st.depth+1, true)
+	fs.a.recorded[rk] = true
+	return fs.a.analyzeFunc(in.Name, args, ctx, fs.depth+1, true)
 }
 
 // renderCtx canonicalizes a calling context for recordKey: lock entries in
 // sorted key order plus the control-taint mask.
 func renderCtx(ctx callCtx) string {
-	if !ctx.hasLocks && ctx.ctrl == 0 {
+	if len(ctx.locks) == 0 && ctx.ctrl == 0 {
 		return ""
 	}
 	keys := make([]string, 0, len(ctx.locks))
@@ -551,14 +527,15 @@ func renderCtx(ctx callCtx) string {
 }
 
 // recordSite merges one visit's evidence into the site's accumulator.
-func (st *funcState) recordSite(in *mir.Insn, pc int, sym string, locks map[string]uint64, ctrl uint64) {
-	key := siteKey{fn: st.f.Name, pc: pc}
-	s := st.a.sites[key]
+func (fs *funcState) recordSite(st *slxState, in *mir.Insn, pc int, sym string) {
+	locks, ctrl := st.locks, st.ctrl
+	key := siteKey{fn: fs.f.Name, pc: pc}
+	s := fs.a.sites[key]
 	if s == nil {
 		s = &siteInfo{key: key, mapName: sym, sop: slxSiteOps[in.Name], op: in.Name, line: in.Line,
-			keyProv: botProv(), lockedAll: true, lockConsistent: true, ord: len(st.a.order)}
-		st.a.sites[key] = s
-		st.a.order = append(st.a.order, s)
+			keyProv: botProv(), lockedAll: true, lockConsistent: true, ord: len(fs.a.order)}
+		fs.a.sites[key] = s
+		fs.a.order = append(fs.a.order, s)
 	}
 
 	var keyProv Prov
@@ -596,26 +573,6 @@ func (st *funcState) recordSite(in *mir.Insn, pc int, sym string, locks map[stri
 		s.lockKey = lockKey
 	}
 	s.visited = true
-}
-
-// returnVal joins the abstractions of every return site.
-func (st *funcState) returnVal() absVal {
-	out := absVal{prov: botProv()}
-	for _, b := range st.f.Blocks {
-		t := &b.Term
-		if t.Kind != mir.TermRet {
-			continue
-		}
-		if t.RetIsImm {
-			out = out.join(absVal{prov: constProv(uint64(t.RetImm))})
-		} else {
-			out = out.join(st.val(t.Ret))
-		}
-	}
-	if out.prov.kind == provBot {
-		out.prov = unknownProv()
-	}
-	return out
 }
 
 // ---- classification ---------------------------------------------------------

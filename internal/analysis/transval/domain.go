@@ -7,124 +7,39 @@ import (
 	"kex/internal/safext/compile/mir"
 )
 
-// Abstract pre-pass over the naive MIR, reusing the interval+known-bits
-// domain from internal/safext/analyze. The pass accumulates a per-vreg
-// abstraction across repeated forward sweeps, joining at first and
-// switching to the domain's widening operator once loop-carried vregs
-// start growing — the loop-header treatment that makes the result
-// converge. The proven interval endpoints become palette entries: they are
+// The palette's abstract harvest: the interval + known-bits analysis of
+// internal/safext/analyze (the elision pass's own, widened at loop headers
+// and refined on every branch edge) run over the naive MIR. The interval
+// endpoints it proves at block entries become palette entries: they are
 // exactly the loop bounds and derived limits the optimized code's folded
 // compares sit on, so probing at endpoint±1 exercises the first/last
 // iteration and the exit edge of every loop the domain can bound.
 
-// harvestPasses bounds the sweep count; widening kicks in at widenAfter.
-const (
-	harvestPasses = 6
-	widenAfter    = 3
-)
+// harvestBudget caps one function's harvest; past it the palette keeps
+// only the program's constants.
+const harvestBudget = 200_000
 
 func harvest(f *mir.Func) []int64 {
-	vals := make([]analyze.Val, f.NumVRegs+1)
-	for i := range vals {
-		vals[i] = analyze.Bottom()
+	budget := harvestBudget
+	fl := analyze.Intervals(f, analyze.Types{}, &budget)
+	if fl == nil {
+		return nil
 	}
-	lift := func(v mir.VReg) analyze.Val {
-		if v == 0 || vals[v].IsBottom() {
-			return analyze.Top()
-		}
-		return vals[v]
-	}
-
-	for pass := 0; pass < harvestPasses; pass++ {
-		changed := false
-		for _, b := range f.Blocks {
-			for i := range b.Insns {
-				in := &b.Insns[i]
-				if in.Dst == 0 {
-					continue
-				}
-				nv := transfer(in, lift)
-				old := vals[in.Dst]
-				var merged analyze.Val
-				if old.IsBottom() {
-					merged = nv
-				} else if pass >= widenAfter {
-					merged = analyze.Widen(old, analyze.Join(old, nv))
-				} else {
-					merged = analyze.Join(old, nv)
-				}
-				if merged != old {
-					vals[in.Dst] = merged
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
 	var out []int64
 	seen := map[int64]bool{}
-	for v := 1; v <= f.NumVRegs; v++ {
-		val := vals[v]
-		if val.IsBottom() {
-			continue
-		}
-		if val.Min != math.MinInt64 && !seen[val.Min] {
-			seen[val.Min] = true
-			out = append(out, val.Min)
-		}
-		if val.Max != math.MaxInt64 && !seen[val.Max] {
-			seen[val.Max] = true
-			out = append(out, val.Max)
+	add := func(v int64) {
+		if v != math.MinInt64 && v != math.MaxInt64 && !seen[v] {
+			seen[v] = true
+			out = append(out, v)
 		}
 	}
+	fl.Entries(func(st analyze.Vals) {
+		for _, v := range st[1:] {
+			if !v.IsBottom() {
+				add(v.Min)
+				add(v.Max)
+			}
+		}
+	})
 	return out
-}
-
-func transfer(in *mir.Insn, lift func(mir.VReg) analyze.Val) analyze.Val {
-	switch in.Op {
-	case mir.OpConst:
-		return analyze.Const(in.Imm)
-	case mir.OpCopy:
-		return lift(in.A)
-	case mir.OpNeg:
-		return lift(in.A).Neg()
-	case mir.OpCmp:
-		return analyze.Range(0, 1)
-	case mir.OpArrLoad:
-		return analyze.Range(0, 255)
-	case mir.OpBin:
-		a := lift(in.A)
-		var b analyze.Val
-		if in.BIsImm {
-			b = analyze.Const(in.BImm)
-		} else {
-			b = lift(in.B)
-		}
-		switch in.Bin {
-		case "+":
-			return a.Add(b)
-		case "-":
-			return a.Sub(b)
-		case "*":
-			return a.Mul(b)
-		case "/":
-			return a.Div(b)
-		case "%":
-			return a.Mod(b)
-		case "&":
-			return a.And(b)
-		case "|":
-			return a.Or(b)
-		case "^":
-			return a.Xor(b)
-		case "<<":
-			return a.Shl(b)
-		case ">>":
-			return a.Shr(b)
-		}
-	}
-	return analyze.Top()
 }

@@ -124,6 +124,20 @@ fn main() -> i64 {
 	// Folding makes the guarded block unreachable; sweep drops it but the
 	// mutant leaves its bounds site in Emit state — a check the ledger
 	// claims and the code no longer has.
+	// The elision pass refines the false edge of i < 8 as if it held, so
+	// the unguarded a[i] after the branch looks in range and loses its
+	// check: the naive side traps on i >= 8, the optimized side stores.
+	"refine-false-edge": `
+fn main() -> i64 {
+	let mut a: [u8; 8];
+	let i = kernel::pid_tgid();
+	if i < 8 {
+		a[i] = 1;
+	}
+	a[i] = 2;
+	return 0;
+}
+`,
 	"sweep-ledger-leak": `
 fn main() -> i64 {
 	let mut buf: [u8; 8];

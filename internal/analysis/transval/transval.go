@@ -1,7 +1,8 @@
 // Package transval is the MIR optimizer's translation validator: an
-// Alive2-style, per-build refinement check between the naive lowering and
-// the optimized (register-allocated) MIR of every function in an OptMIR
-// build.
+// Alive2-style, per-build refinement check between the naive lowering —
+// from before the elision pass, so every elided check is checked too —
+// and the optimized (register-allocated) MIR of every function in an
+// OptMIR build.
 //
 // Instead of trusting the optimizer's passes, each build re-derives the
 // evidence: both sides of every function are executed on the reference
@@ -9,10 +10,10 @@
 // oracle also runs on) over the engine's exact wraparound ALU semantics
 // (64-bit two's-complement arithmetic, masked shifts, defined division by
 // zero where no check is emitted), across a set of boundary-biased input
-// vectors derived from the program's own constants and from an abstract
-// pre-pass over the interval+known-bits domain of internal/safext/analyze
-// (widened at loop headers). This package supplies the machine's world:
-// the effect log, palette-drawn crate results and percpu volatile
+// vectors derived from the program's own constants and from the
+// interval+known-bits analysis of internal/safext/analyze (widened at loop
+// headers, refined on branch edges). This package supplies the machine's
+// world: the effect log, palette-drawn crate results and percpu volatile
 // streams. The optimized side executes *through* its register allocation
 // — virtual registers resolve to the four callee-saved registers or spill
 // slots — so a register-allocation bug is as observable as a wrong fold.
@@ -27,8 +28,8 @@
 // a bounded pass.
 //
 // On top of the dynamic check, a static ledger audit re-derives the
-// check-site accounting: the optimizer may only flip sites Emit→Folded,
-// must keep analyzer-elided sites elided, every surviving Emit site must
+// check-site accounting: the elision pass and the optimizer may only move
+// sites out of Emit (to Elided or Folded), every surviving Emit site must
 // still be attached to an instruction, and the per-kind counts must
 // reproduce the object's CheckStats — the "naive == emitted + elided"
 // invariant the kernel-side loader displays.

@@ -7,7 +7,6 @@ import (
 
 	"kex/examples/progs"
 	"kex/internal/analysis/transval"
-	"kex/internal/safext/analyze"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/compile/mir"
 	"kex/internal/safext/lang"
@@ -24,10 +23,8 @@ func buildArtifacts(t testing.TB, name, src string) (*compile.Object, []compile.
 	if err != nil {
 		t.Fatalf("%s: check: %v", name, err)
 	}
-	facts := analyze.Analyze(checked)
 	var arts []compile.MIRFuncArtifact
 	obj, err := compile.CompileWithOptions(name, checked, compile.Options{
-		Facts:   facts,
 		Level:   compile.OptMIR,
 		KeepMIR: &arts,
 	})

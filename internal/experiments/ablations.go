@@ -197,7 +197,7 @@ func A3RuntimeTax() *Result {
 		float64(protected)/1e6, overhead))
 
 	// (b) compiler-quality gap: SLX's level-0 build (register-allocated,
-	// no analyzer facts, no optimizer passes) vs hand asm.
+	// no elision pass, no optimizer passes) vs hand asm.
 	_, v, err := safeRun(runtime.DefaultConfig(), fmt.Sprintf(`
 fn main() -> i64 {
 	let mut x: i64 = 0;

@@ -1,12 +1,15 @@
-package analyze
+package analyze_test
 
 import (
 	"testing"
 
+	"kex/internal/safext/compile"
 	"kex/internal/safext/lang"
 )
 
-func mustAnalyze(t *testing.T, src string) (*lang.Checked, *Result) {
+// elide builds src at OptElide: a fresh lowering, the elision pass, and
+// the static bound over the emitted code.
+func elide(t *testing.T, src string) compile.CheckStats {
 	t.Helper()
 	f, err := lang.Parse(src)
 	if err != nil {
@@ -16,71 +19,21 @@ func mustAnalyze(t *testing.T, src string) (*lang.Checked, *Result) {
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	return checked, Analyze(checked)
+	obj, err := compile.CompileWithOptions("t", checked, compile.Options{Level: compile.OptElide})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return obj.Checks
 }
 
-// indexFacts returns the recorded per-site bounds facts in source order.
-func indexFacts(res *Result) (proven, unproven int) {
-	for _, ok := range res.IndexInRange {
-		if ok {
-			proven++
-		} else {
-			unproven++
-		}
-	}
-	return
-}
-
-func TestDomainBasics(t *testing.T) {
-	if v := Const(5).Add(Const(7)); v.Min != 12 || v.Max != 12 {
-		t.Fatalf("5+7 = %v", v)
-	}
-	if v := Range(0, 10).Add(Range(0, 5)); v.Min != 0 || v.Max != 15 {
-		t.Fatalf("[0,10]+[0,5] = %v", v)
-	}
-	if v := Top().And(Const(7)); !v.InRange(0, 7) {
-		t.Fatalf("⊤ & 7 = %v, want ⊆ [0,7]", v)
-	}
-	if v := Top().Mod(Const(256)); !v.InRange(0, 255) {
-		t.Fatalf("⊤ %% 256 = %v, want ⊆ [0,255]", v)
-	}
-	if v := Top().Or(Const(1)); !v.NonZero() {
-		t.Fatalf("⊤ | 1 = %v, want non-zero", v)
-	}
-	if v := Range(-8, 8).Shr(Const(1)); v.Min < 0 {
-		t.Fatalf("logical shift must clear the sign: %v", v)
-	}
-	if v := Range(1, 100).Div(Const(10)); v.Min != 0 || v.Max != 10 {
-		t.Fatalf("[1,100]/10 = %v", v)
-	}
-	// Overflowing interval arithmetic must widen, not wrap.
-	if v := Const(1 << 62).Add(Const(1 << 62)); v.InRange(0, 1<<62) {
-		t.Fatalf("overflow add must go to ⊤-ish: %v", v)
-	}
-	j := Join(Const(3), Const(5))
-	if j.Min != 3 || j.Max != 5 {
-		t.Fatalf("join(3,5) = %v", j)
-	}
-	if j.Bits.Value&1 != 1 {
-		t.Fatalf("join(3,5) should know the low bit is 1: %v", j)
-	}
-}
-
-func TestRefineUnsignedAgainstConstant(t *testing.T) {
-	// v <u 16 forces v into [0, 15] even from ⊤ — the verifier's classic.
-	v := refineVal(Top(), "<", Const(16), false)
-	if !v.InRange(0, 15) {
-		t.Fatalf("⊤ <u 16 refined to %v", v)
-	}
-	// Signed refinement keeps the negative half.
-	v = refineVal(Top(), "<", Const(16), true)
-	if v.Min != minI64 || v.Max != 15 {
-		t.Fatalf("⊤ <s 16 refined to %v", v)
-	}
+// bounds returns how many bounds sites the pass proved and how many stay
+// dynamic.
+func bounds(cs compile.CheckStats) (proven, unproven int) {
+	return cs.BoundsElided, cs.BoundsEmitted
 }
 
 func TestConstantIndexProofs(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut a: [u8; 8];
     a[0] = 1;
@@ -88,27 +41,25 @@ fn main() -> i64 {
     let x = a[3];
     return x;
 }`)
-	proven, unproven := indexFacts(res)
-	if proven != 3 || unproven != 0 {
+	if proven, unproven := bounds(cs); proven != 3 || unproven != 0 {
 		t.Fatalf("constant indices: proven=%d unproven=%d, want 3/0", proven, unproven)
 	}
 }
 
 func TestOutOfRangeConstantStaysDynamic(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut a: [u8; 8];
     a[8] = 1;
     return 0;
 }`)
-	proven, unproven := indexFacts(res)
-	if proven != 0 || unproven != 1 {
+	if proven, unproven := bounds(cs); proven != 0 || unproven != 1 {
 		t.Fatalf("index == len must stay dynamic: proven=%d unproven=%d", proven, unproven)
 	}
 }
 
 func TestMaskedIndexProof(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut a: [u8; 16];
     let x = kernel::pid_tgid();
@@ -116,14 +67,13 @@ fn main() -> i64 {
     let y = a[x % 16];
     return y;
 }`)
-	proven, unproven := indexFacts(res)
-	if proven != 2 || unproven != 0 {
+	if proven, unproven := bounds(cs); proven != 2 || unproven != 0 {
 		t.Fatalf("masked indices: proven=%d unproven=%d, want 2/0", proven, unproven)
 	}
 }
 
 func TestBranchRefinementProof(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut a: [u8; 8];
     let i = kernel::pid_tgid();
@@ -135,14 +85,13 @@ fn main() -> i64 {
 }`)
 	// The guarded access proves (unsigned i < 8 ⇒ i ∈ [0,7]); the bare one
 	// cannot.
-	proven, unproven := indexFacts(res)
-	if proven != 1 || unproven != 1 {
+	if proven, unproven := bounds(cs); proven != 1 || unproven != 1 {
 		t.Fatalf("branch refinement: proven=%d unproven=%d, want 1/1", proven, unproven)
 	}
 }
 
 func TestForLoopProof(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut a: [u8; 8];
     for j in 0..8 {
@@ -150,20 +99,19 @@ fn main() -> i64 {
     }
     return 0;
 }`)
-	proven, unproven := indexFacts(res)
-	if proven != 1 || unproven != 0 {
+	if proven, unproven := bounds(cs); proven != 1 || unproven != 0 {
 		t.Fatalf("for-loop index: proven=%d unproven=%d, want 1/0", proven, unproven)
 	}
-	if res.FuelBound <= 0 {
-		t.Fatalf("literal-trip for loop should have a static fuel bound, got %d", res.FuelBound)
+	if cs.StaticInsnBound <= 0 {
+		t.Fatalf("literal-trip for loop should have a static fuel bound, got %d", cs.StaticInsnBound)
 	}
 }
 
 func TestForLoopTripCountOverflow(t *testing.T) {
-	// to-from overflows int64 here (~1.2e19 trips); the walker must not
-	// wrap to a falsely small bound that would let the loader disable
+	// to-from overflows int64 here (~1.2e19 trips); the bound must not
+	// wrap to a falsely small one that would let the loader disable
 	// per-instruction fuel metering. No static bound may be signed.
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut x = 0;
     for i in -6000000000000000000..6000000000000000000 {
@@ -171,15 +119,15 @@ fn main() -> i64 {
     }
     return x;
 }`)
-	if res.FuelBound != 0 {
-		t.Fatalf("overflowing trip count must have no static fuel bound, got %d", res.FuelBound)
+	if cs.StaticInsnBound != 0 {
+		t.Fatalf("overflowing trip count must have no static fuel bound, got %d", cs.StaticInsnBound)
 	}
 }
 
 func TestForLoopHugeTripCountRejected(t *testing.T) {
-	// No overflow, but the product blows past fuelCap: the bound is
+	// No overflow, but the product blows past the cap: the bound is
 	// useless and must be dropped rather than reported.
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut x = 0;
     for i in 0..8000000000000000000 {
@@ -187,13 +135,13 @@ fn main() -> i64 {
     }
     return x;
 }`)
-	if res.FuelBound != 0 {
-		t.Fatalf("beyond-cap trip count must have no static fuel bound, got %d", res.FuelBound)
+	if cs.StaticInsnBound != 0 {
+		t.Fatalf("beyond-cap trip count must have no static fuel bound, got %d", cs.StaticInsnBound)
 	}
 }
 
 func TestWhileLoopWidening(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut a: [u8; 8];
     let mut i = 0;
@@ -203,17 +151,16 @@ fn main() -> i64 {
     }
     return 0;
 }`)
-	proven, unproven := indexFacts(res)
-	if proven != 1 || unproven != 0 {
+	if proven, unproven := bounds(cs); proven != 1 || unproven != 0 {
 		t.Fatalf("while-loop widening: proven=%d unproven=%d, want 1/0", proven, unproven)
 	}
-	if res.FuelBound != 0 {
-		t.Fatalf("while loops have no static fuel bound, got %d", res.FuelBound)
+	if cs.StaticInsnBound != 0 {
+		t.Fatalf("while loops have no static fuel bound, got %d", cs.StaticInsnBound)
 	}
 }
 
 func TestWhileLoopGrowingIndexStaysDynamic(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut a: [u8; 8];
     let mut i = 0;
@@ -223,14 +170,13 @@ fn main() -> i64 {
     }
     return 0;
 }`)
-	proven, unproven := indexFacts(res)
-	if proven != 0 || unproven != 1 {
+	if proven, unproven := bounds(cs); proven != 0 || unproven != 1 {
 		t.Fatalf("i reaches 99: proven=%d unproven=%d, want 0/1", proven, unproven)
 	}
 }
 
 func TestDivAndShiftFacts(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let x = kernel::pid_tgid();
     let y = kernel::uid();
@@ -242,25 +188,17 @@ fn main() -> i64 {
     let f = x >> (y & 63);
     return a + b + c + d + e + f;
 }`)
-	wantDiv := map[bool]int{true: 2, false: 1} // %256 and /(y|1) prove; /y does not
-	gotDiv := map[bool]int{}
-	for _, ok := range res.DivNonZero {
-		gotDiv[ok]++
+	// %256 and /(y|1) prove; /y does not.
+	if cs.DivElided != 2 || cs.DivEmitted != 1 {
+		t.Fatalf("div facts: %d proven / %d dynamic, want 2/1", cs.DivElided, cs.DivEmitted)
 	}
-	if gotDiv[true] != wantDiv[true] || gotDiv[false] != wantDiv[false] {
-		t.Fatalf("div facts: %v, want %v", gotDiv, wantDiv)
-	}
-	gotShift := map[bool]int{}
-	for _, ok := range res.ShiftBounded {
-		gotShift[ok]++
-	}
-	if gotShift[true] != 2 || gotShift[false] != 1 {
-		t.Fatalf("shift facts: %v, want 2 proven / 1 dynamic", gotShift)
+	if cs.MaskElided != 2 || cs.MaskEmitted != 1 {
+		t.Fatalf("shift facts: %d proven / %d dynamic, want 2/1", cs.MaskElided, cs.MaskEmitted)
 	}
 }
 
 func TestCompoundAssignDivFact(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut x = kernel::pid_tgid();
     x %= 1024;
@@ -268,18 +206,14 @@ fn main() -> i64 {
     y /= x;
     return x + y;
 }`)
-	got := map[bool]int{}
-	for _, ok := range res.AssignDivNonZero {
-		got[ok]++
-	}
 	// %= 1024 proves; /= x does not (x ∈ [0, 1023] includes 0).
-	if got[true] != 1 || got[false] != 1 {
-		t.Fatalf("compound div facts: %v, want 1 proven / 1 dynamic", got)
+	if cs.DivElided != 1 || cs.DivEmitted != 1 {
+		t.Fatalf("compound div facts: %d proven / %d dynamic, want 1/1", cs.DivElided, cs.DivEmitted)
 	}
 }
 
 func TestPktReadRangeModel(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut a: [u8; 256];
     let b = kernel::pkt_read_u8(0);
@@ -288,29 +222,27 @@ fn main() -> i64 {
     }
     return 0;
 }`)
-	proven, unproven := indexFacts(res)
-	if proven != 1 || unproven != 0 {
+	if proven, unproven := bounds(cs); proven != 1 || unproven != 0 {
 		t.Fatalf("pkt_read_u8 range: proven=%d unproven=%d, want 1/0", proven, unproven)
 	}
 }
 
 func TestHelperReturnStaysDynamic(t *testing.T) {
 	// A u64 crate return used directly as an index cannot be proven.
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut a: [u8; 8];
     let x = kernel::ktime();
     a[x] = 1;
     return 0;
 }`)
-	proven, unproven := indexFacts(res)
-	if proven != 0 || unproven != 1 {
+	if proven, unproven := bounds(cs); proven != 0 || unproven != 1 {
 		t.Fatalf("raw helper return: proven=%d unproven=%d, want 0/1", proven, unproven)
 	}
 }
 
 func TestRecursionHasNoFuelBound(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn ping(n: i64) -> i64 {
     if n <= 0 { return 0; }
     return ping(n - 1);
@@ -318,27 +250,27 @@ fn ping(n: i64) -> i64 {
 fn main() -> i64 {
     return ping(5);
 }`)
-	if res.FuelBound != 0 {
-		t.Fatalf("recursive programs have no static bound, got %d", res.FuelBound)
+	if cs.StaticInsnBound != 0 {
+		t.Fatalf("recursive programs have no static bound, got %d", cs.StaticInsnBound)
 	}
 }
 
 func TestStraightLineFuelBound(t *testing.T) {
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let a = kernel::ktime();
     let b = a % 7;
     return b;
 }`)
-	if res.FuelBound <= 0 || res.FuelBound > 1000 {
-		t.Fatalf("straight-line bound out of expected range: %d", res.FuelBound)
+	if cs.StaticInsnBound <= 0 || cs.StaticInsnBound > 1000 {
+		t.Fatalf("straight-line bound out of expected range: %d", cs.StaticInsnBound)
 	}
 }
 
 func TestShortCircuitRefinesRHS(t *testing.T) {
 	// The right side of && only executes when the left held, so its checks
 	// run under the refinement.
-	_, res := mustAnalyze(t, `
+	cs := elide(t, `
 fn main() -> i64 {
     let mut a: [u8; 8];
     let i = kernel::pid_tgid();
@@ -347,8 +279,7 @@ fn main() -> i64 {
     }
     return 0;
 }`)
-	proven, unproven := indexFacts(res)
-	if proven != 1 || unproven != 0 {
+	if proven, unproven := bounds(cs); proven != 1 || unproven != 0 {
 		t.Fatalf("&&-refined access: proven=%d unproven=%d, want 1/0", proven, unproven)
 	}
 }

@@ -1,16 +1,3 @@
-// Package analyze is the trusted toolchain's static analyzer: an abstract
-// interpreter over the typed SLX AST that proves runtime checks redundant
-// before the compiler emits them. It deliberately reuses the lattice ideas
-// of internal/ebpf/verifier — a signed interval domain refined by a
-// known-bits (tnum) domain, loop-aware widening, per-path refinement at
-// branches — but runs with userspace-sized budgets: where the kernel
-// verifier must reject programs it cannot afford to explore, the toolchain
-// analyzer simply stops proving and lets the compiler keep the runtime
-// check. Imprecision costs a few retained checks, never safety.
-//
-// This is the paper's §3 bet made concrete: analysis complexity moves out
-// of the kernel into the toolchain, and what the toolchain proves rides to
-// the kernel behind the object signature instead of being re-derived.
 package analyze
 
 import (

@@ -17,9 +17,9 @@
 // There is one code generator. Every function lowers to the mid-level IR
 // (package mir), is register-allocated onto R6–R9 and emitted by
 // mir_emit.go. An optimization level picks two things only: whether the
-// lowering sees the analyze pass's facts (levels 1 and 2) and whether the
-// optimizer's passes run (level 2). Levels 0 and 1 merely sweep the
-// unreachable placeholder blocks lowering leaves behind.
+// analyze package's elision pass runs over the fresh lowering (levels 1
+// and 2) and whether the optimizer's passes run (level 2). Levels 0 and 1
+// merely sweep the unreachable placeholder blocks lowering leaves behind.
 package compile
 
 import (
@@ -55,9 +55,9 @@ type Object struct {
 	// EntryPC is the element index of main (always 0 today).
 	EntryPC int32
 	// Checks tallies the safety instrumentation: how many check sites were
-	// emitted and how many the analyze pass proved away. It is serialized
-	// into the object container and covered by the toolchain signature, so
-	// the kernel side learns *what was proven*, not just the final code.
+	// emitted and how many the elision pass or the optimizer discharged.
+	// It is serialized into the object container and covered by the
+	// toolchain signature, so the kernel side learns *what was proven*.
 	Checks CheckStats
 	// Opt records the optimization level the object was built at and what
 	// the MIR pipeline did (all zero for level <2 builds). Serialized into
@@ -75,15 +75,15 @@ type Object struct {
 	Conc *ConcReport
 }
 
-// Optimization levels: analyzer facts × optimizer passes, over the one
-// MIR backend. The zero value keeps existing callers on their previous
-// behavior (Facts == nil → naive, Facts != nil → elide).
+// Optimization levels: the elision pass × the optimizer's passes, over
+// the one MIR backend.
 const (
-	// OptNaive lowers without facts and without passes: every check is
+	// OptNaive compiles the fresh lowering with no pass: every check is
 	// emitted.
 	OptNaive = 0
-	// OptElide lowers with the analyzer's facts, so proven checks are
-	// elided, and runs no passes.
+	// OptElide runs the elision pass, so proven checks are elided and the
+	// object carries a static instruction bound when one exists, and
+	// runs no optimizer pass.
 	OptElide = 1
 	// OptMIR adds the optimizer's passes to OptElide: constant
 	// folding/propagation, loop-invariant code motion, redundant-load
@@ -93,13 +93,13 @@ const (
 
 // Options configures code generation.
 type Options struct {
-	// Facts carries proofs from the analyze pass. Nil compiles naively:
-	// every check is emitted (and counted).
-	Facts *analyze.Result
-	// Level selects whether the optimizer's passes run: OptMIR and above
-	// run them; below it the effective level is OptElide when Facts is
-	// present and OptNaive otherwise.
+	// Level is the optimization level, OptNaive to OptMIR; a level above
+	// OptMIR compiles at OptMIR.
 	Level int
+	// Mark, when non-nil, is called with "analyze" once every function
+	// is lowered and the elision pass is done (levels OptElide and up), so
+	// a caller can time the pass apart from code generation.
+	Mark func(phase string)
 	// KeepMIR, when non-nil, receives each function's MIR evidence triple
 	// (fresh lowering, compiled IR, register assignment) as it compiles —
 	// the translation validator's input, at any level.
@@ -141,9 +141,10 @@ type CheckStats struct {
 	DivElided     int
 	MaskEmitted   int
 	MaskElided    int
-	// StaticInsnBound is the analyzer's per-invocation instruction bound
-	// (0 = unbounded). A loader whose fuel budget covers it can coalesce
-	// per-instruction fuel metering into one load-time comparison.
+	// StaticInsnBound bounds the instructions one invocation retires (0 =
+	// none; naive builds carry none), from the elision pass's loop trip
+	// bounds and the emitted code. A loader whose fuel budget covers it
+	// can coalesce per-instruction fuel metering into one comparison.
 	StaticInsnBound int64
 	// Elisions records every dropped check for audit.
 	Elisions []Elision
@@ -186,27 +187,17 @@ func Compile(name string, checked *lang.Checked) (*Object, error) {
 	return CompileWithOptions(name, checked, Options{})
 }
 
-// CompileWithOptions lowers a checked program to bytecode, consulting the
-// analyze pass's proofs (when present) to elide redundant checks and
-// running the optimizer's passes at OptMIR.
+// CompileWithOptions lowers a checked program to bytecode at opts.Level:
+// every function is lowered to MIR, the elision pass discharges the
+// checks it proves (OptElide and up), the optimizer's passes run at
+// OptMIR, and each function is register-allocated and emitted.
 func CompileWithOptions(name string, checked *lang.Checked, opts Options) (*Object, error) {
+	level := min(max(opts.Level, OptNaive), OptMIR)
 	c := &compiler{
 		checked: checked,
-		obj:     &Object{Name: name},
+		obj:     &Object{Name: name, Opt: OptStats{Level: level}},
 		funcPCs: make(map[string]int32),
-		facts:   opts.Facts,
 		keepMIR: opts.KeepMIR,
-	}
-	if opts.Facts != nil {
-		c.obj.Checks.StaticInsnBound = opts.Facts.FuelBound
-	}
-	switch {
-	case opts.Level >= OptMIR:
-		c.obj.Opt.Level = OptMIR
-	case opts.Facts != nil:
-		c.obj.Opt.Level = OptElide
-	default:
-		c.obj.Opt.Level = OptNaive
 	}
 	lockedMaps := map[string]bool{}
 	collectSyncMaps(checked.File, lockedMaps)
@@ -224,16 +215,51 @@ func CompileWithOptions(name string, checked *lang.Checked, opts Options) (*Obje
 	c.obj.Capabilities = append([]string(nil), checked.CrateCalls...)
 
 	// main is compiled first so the entry point is element 0.
-	if err := c.compileFunc(checked.File.Func("main")); err != nil {
-		return nil, err
-	}
+	decls := []*lang.FuncDecl{checked.File.Func("main")}
 	for _, fn := range checked.File.Funcs {
-		if fn.Name == "main" {
-			continue
+		if fn.Name != "main" {
+			decls = append(decls, fn)
 		}
-		if err := c.compileFunc(fn); err != nil {
+	}
+	funcs := make([]*mir.Func, len(decls))
+	naive := make([]*mir.Func, len(decls))
+	for i, fn := range decls {
+		f, err := mir.LowerFunc(fn, checked)
+		if err != nil {
+			if le, ok := err.(*mir.Error); ok {
+				return nil, &Error{le.Line, le.Msg}
+			}
 			return nil, err
 		}
+		funcs[i] = f
+		if c.keepMIR != nil {
+			naive[i] = f.Clone()
+		}
+	}
+	var trips [][]int64
+	if level >= OptElide {
+		types := make([]analyze.Types, len(decls))
+		for i, fn := range decls {
+			types[i] = analyze.TypesOf(checked, fn)
+		}
+		trips, _ = analyze.Elide(funcs, types)
+		if opts.Mark != nil {
+			opts.Mark("analyze")
+		}
+	}
+	costs := make(map[string]*analyze.Cost, len(decls))
+	for i, fn := range decls {
+		cost, err := c.compileFunc(fn, funcs[i], naive[i])
+		if err != nil {
+			return nil, err
+		}
+		if trips != nil {
+			cost.Trips = trips[i]
+			costs[fn.Name] = cost
+		}
+	}
+	if trips != nil {
+		c.obj.Checks.StaticInsnBound = analyze.StaticBound(costs, "main")
 	}
 	// Patch cross-function calls.
 	for _, fix := range c.callFixes {
@@ -287,8 +313,6 @@ type compiler struct {
 	obj       *Object
 	funcPCs   map[string]int32
 	callFixes []callFix
-	// facts are the analyze pass's proofs; nil in naive builds.
-	facts *analyze.Result
 	// keepMIR receives per-function MIR artifacts for the translation
 	// validator; nil when the caller doesn't validate.
 	keepMIR *[]MIRFuncArtifact

@@ -3,7 +3,6 @@ package mir
 import (
 	"fmt"
 
-	"kex/internal/safext/analyze"
 	"kex/internal/safext/lang"
 )
 
@@ -15,19 +14,18 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("slxc:%d: %s", e.Line, e.Msg) }
 
-// LowerFunc lowers one checked function to MIR. Facts (may be nil) carries
-// the analyze pass's proofs; check sites it discharges start in state
-// SiteElided, everything else in SiteEmit.
+// LowerFunc lowers one checked function to MIR with every check site in
+// state SiteEmit; the analyze package's elision pass discharges the ones
+// it proves.
 //
 // Lowering fixes the evaluation order once for every level — operand
 // order, crate-call argument order, for-loop bound snapshots, cleanup
 // emission on every exit path — so builds at different levels differ only
 // in instruction count, never in observable behavior.
-func LowerFunc(fn *lang.FuncDecl, checked *lang.Checked, facts *analyze.Result) (*Func, error) {
+func LowerFunc(fn *lang.FuncDecl, checked *lang.Checked) (*Func, error) {
 	lo := &lowerer{
 		f:       &Func{Name: fn.Name, NParams: len(fn.Params), MapKinds: make(map[string]string)},
 		checked: checked,
-		facts:   facts,
 	}
 	for _, m := range checked.File.Maps {
 		lo.f.MapKinds[m.Name] = m.Kind
@@ -74,7 +72,6 @@ type mirLoop struct {
 type lowerer struct {
 	f       *Func
 	checked *lang.Checked
-	facts   *analyze.Result
 
 	cur      *Block
 	scopes   []map[string]binding
@@ -429,7 +426,7 @@ func (lo *lowerer) lowerAssign(s *lang.AssignStmt) error {
 		op := s.Op[:1]
 		site := SiteNone
 		if op == "/" || op == "%" {
-			site = lo.f.newSite("div", lo.facts != nil && lo.facts.AssignDivNonZero[s], s.Line)
+			site = lo.f.newSite("div", s.Line)
 		}
 		lo.emit(Insn{Op: OpBin, Bin: op, Dst: b.v, A: b.v, B: v, Arr: -1, Site: site, Line: s.Line})
 		return nil
@@ -448,7 +445,7 @@ func (lo *lowerer) lowerAssign(s *lang.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		site := lo.f.newSite("bounds", lo.facts != nil && lo.facts.IndexInRange[target], target.Line)
+		site := lo.f.newSite("bounds", target.Line)
 		if s.Op == "=" {
 			lo.emit(Insn{Op: OpArrStore, Arr: b.arr, A: idx, B: val, Site: site, Line: s.Line})
 			return nil
@@ -460,7 +457,7 @@ func (lo *lowerer) lowerAssign(s *lang.AssignStmt) error {
 		op := s.Op[:1]
 		divSite := SiteNone
 		if op == "/" || op == "%" {
-			divSite = lo.f.newSite("div", lo.facts != nil && lo.facts.AssignDivNonZero[s], s.Line)
+			divSite = lo.f.newSite("div", s.Line)
 		}
 		res := lo.f.NewVReg()
 		lo.emit(Insn{Op: OpBin, Bin: op, Dst: res, A: tmp, B: val, Arr: -1, Site: divSite, Line: s.Line})
@@ -575,7 +572,7 @@ func (lo *lowerer) lowerExpr(e lang.Expr) (VReg, error) {
 		if err != nil {
 			return 0, err
 		}
-		site := lo.f.newSite("bounds", lo.facts != nil && lo.facts.IndexInRange[e], e.Line)
+		site := lo.f.newSite("bounds", e.Line)
 		d := lo.f.NewVReg()
 		lo.emit(Insn{Op: OpArrLoad, Dst: d, Arr: b.arr, A: idx, Site: site, Line: e.Line})
 		return d, nil
@@ -655,9 +652,9 @@ func (lo *lowerer) lowerBinary(e *lang.BinaryExpr) (VReg, error) {
 	site := SiteNone
 	switch e.Op {
 	case "/", "%":
-		site = lo.f.newSite("div", lo.facts != nil && lo.facts.DivNonZero[e], e.Line)
+		site = lo.f.newSite("div", e.Line)
 	case "<<", ">>":
-		site = lo.f.newSite("shift-mask", lo.facts != nil && lo.facts.ShiftBounded[e], e.Line)
+		site = lo.f.newSite("shift-mask", e.Line)
 	case "+", "-", "*", "&", "|", "^":
 	default:
 		return 0, &Error{e.Line, "unknown arithmetic operator " + e.Op}

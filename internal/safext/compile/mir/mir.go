@@ -14,12 +14,14 @@
 // makes common by giving every expression temporary a fresh vreg.
 //
 // Safety instrumentation travels with the IR as an explicit check-site
-// ledger (Func.Sites): every bounds/div/shift-mask site a naive (level 0)
-// lowering has exists here exactly once, in one of three states — Emit
-// (dynamic check), Elided (discharged by the analyze pass), or Folded
-// (discharged by an optimization, e.g. a divisor that folded to a non-zero
-// constant). The ledger invariant "naive emitted == optimized emitted +
-// elided" is therefore preserved at every optimization level.
+// ledger (Func.Sites): every bounds/div/shift-mask site of the source
+// program exists here exactly once. Lowering creates each site in state
+// Emit (dynamic check); the analyze package's elision pass, a dataflow
+// analysis over this IR, moves the sites it proves to Elided, and the
+// optimizer's passes move the ones they discharge to Folded (e.g. a
+// divisor that folded to a non-zero constant). The ledger invariant
+// "naive emitted == optimized emitted + elided" is therefore preserved at
+// every optimization level, and a fresh lowering is the naive build.
 package mir
 
 import (
@@ -76,7 +78,7 @@ type SiteState uint8
 const (
 	// SiteEmit: the dynamic check is compiled in.
 	SiteEmit SiteState = iota
-	// SiteElided: the analyze pass proved the check redundant.
+	// SiteElided: the elision pass proved the check redundant.
 	SiteElided
 	// SiteFolded: an optimization pass discharged the check (constant
 	// index in range, constant non-zero divisor, constant shift amount).
@@ -226,13 +228,9 @@ func (t *Terminator) Succs() []BlockID {
 	return nil
 }
 
-// newSite appends a check site and returns its index.
-func (f *Func) newSite(kind string, proven bool, line int) int {
-	st := SiteEmit
-	if proven {
-		st = SiteElided
-	}
-	f.Sites = append(f.Sites, Site{Kind: kind, State: st, Line: line})
+// newSite appends a check site, in state SiteEmit, and returns its index.
+func (f *Func) newSite(kind string, line int) int {
+	f.Sites = append(f.Sites, Site{Kind: kind, Line: line})
 	return len(f.Sites) - 1
 }
 

@@ -20,7 +20,6 @@ func lowerMain(t *testing.T, src string) *mir.Func {
 	if err != nil {
 		t.Fatal(err)
 	}
-	facts := analyze.Analyze(checked)
 	var main *lang.FuncDecl
 	for _, fn := range file.Funcs {
 		if fn.Name == "main" {
@@ -30,10 +29,11 @@ func lowerMain(t *testing.T, src string) *mir.Func {
 	if main == nil {
 		t.Fatal("no main")
 	}
-	f, err := mir.LowerFunc(main, checked, facts)
+	f, err := mir.LowerFunc(main, checked)
 	if err != nil {
 		t.Fatal(err)
 	}
+	analyze.Elide([]*mir.Func{f}, []analyze.Types{analyze.TypesOf(checked, main)})
 	return f
 }
 

@@ -19,4 +19,8 @@ func MutantNames() []string { return nil }
 
 func mutantActive(string) bool { return false }
 
+// MutantActive reports whether the named seam is selected (never, without
+// the build tag).
+func MutantActive(string) bool { return false }
+
 func applyMutantReorder(*Func) {}

@@ -2,10 +2,10 @@
 
 package mir
 
-// Intentionally-miscompiling optimizer seams for the translation
-// validator's kill suite. Each name below flips exactly one guard the
-// shipped optimizer relies on; the validator must reject every one of
-// them, and a validator that passes a mutant fails CI (`make tv`).
+// Intentionally-miscompiling seams for the translation validator's kill
+// suite. Each name below flips exactly one guard the shipped optimizer (or
+// the analyze package's elision pass) relies on; the validator must reject
+// every one of them, and a validator that passes one fails CI (`make tv`).
 //
 // The seams are selected one at a time through SetMutant, so the kill
 // suite can attribute every rejection to a single wrong transform.
@@ -39,6 +39,10 @@ var mutantNames = []string{
 	// sweep drops unreachable blocks without flipping their Emit sites to
 	// Folded: the check ledger claims a check the code no longer has.
 	"sweep-ledger-leak",
+	// the elision pass refines a conditional's false edge with the true
+	// edge's relation, so an access the branch does not guard looks in
+	// range and loses its check.
+	"refine-false-edge",
 }
 
 var activeMutant string
@@ -66,6 +70,10 @@ func ActiveMutant() string { return activeMutant }
 func MutantNames() []string { return append([]string(nil), mutantNames...) }
 
 func mutantActive(name string) bool { return activeMutant == name }
+
+// MutantActive reports whether the named seam is selected, for seams that
+// live outside this package (the elision pass's).
+func MutantActive(name string) bool { return mutantActive(name) }
 
 // applyMutantReorder is the reorder-map-update seam: it swaps the first
 // adjacent pair of map_set calls it finds, once per function.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kex/internal/ebpf/isa"
+	"kex/internal/safext/analyze"
 	"kex/internal/safext/compile/mir"
 	"kex/internal/safext/lang"
 )
@@ -16,21 +17,12 @@ import (
 // forms and comparisons fuse into conditional jumps. R0–R5 stay
 // scratch/ABI registers.
 
-// compileFunc lowers one function through the MIR pipeline and emits its
-// bytecode, merging the function's check-site ledger and pipeline stats
-// into the object.
-func (c *compiler) compileFunc(fn *lang.FuncDecl) error {
-	f, err := mir.LowerFunc(fn, c.checked, c.facts)
-	if err != nil {
-		if le, ok := err.(*mir.Error); ok {
-			return &Error{le.Line, le.Msg}
-		}
-		return err
-	}
-	var naive *mir.Func
-	if c.keepMIR != nil {
-		naive = f.Clone()
-	}
+// compileFunc runs one lowered function through the rest of the MIR
+// pipeline and emits its bytecode, merging the function's check-site
+// ledger and pipeline stats into the object. naive, when the caller keeps
+// MIR artifacts, is the function's fresh lowering. The returned Cost
+// gives the instructions emitted per block, for the static bound.
+func (c *compiler) compileFunc(fn *lang.FuncDecl, f, naive *mir.Func) (*analyze.Cost, error) {
 	var st mir.Stats
 	if c.obj.Opt.Level >= OptMIR {
 		st = mir.Optimize(f)
@@ -52,12 +44,12 @@ func (c *compiler) compileFunc(fn *lang.FuncDecl) error {
 	c.funcPCs[fn.Name] = int32(len(c.obj.Insns))
 	e := &mirEmitter{c: c, f: f, al: al, fn: fn}
 	if err := e.emitFunc(); err != nil {
-		return err
+		return nil, err
 	}
 	c.obj.Insns = append(c.obj.Insns, e.insns...)
 
 	// Merge the check-site ledger: Emit sites became dynamic checks;
-	// Elided (analyzer-proven) and Folded (optimizer-discharged) sites are
+	// Elided (elision-pass-proven) and Folded (optimizer-discharged) sites are
 	// recorded as elisions, preserving naive == emitted + elided.
 	cs := &c.obj.Checks
 	for _, s := range f.Sites {
@@ -86,7 +78,14 @@ func (c *compiler) compileFunc(fn *lang.FuncDecl) error {
 			c.elide(s.Kind, s.Line)
 		}
 	}
-	return nil
+	cost := &analyze.Cost{F: f, Size: make(map[mir.BlockID]int64, len(f.Blocks)), Tail: int64(len(e.insns) - e.tailStart)}
+	end := e.tailStart
+	for i := len(f.Blocks) - 1; i >= 0; i-- {
+		start := e.blockStart[f.Blocks[i].ID]
+		cost.Size[f.Blocks[i].ID] = int64(end - start)
+		end = start
+	}
+	return cost, nil
 }
 
 type jumpFix struct {
@@ -105,8 +104,10 @@ type mirEmitter struct {
 	arraysSize int64
 	blockStart map[mir.BlockID]int
 	jumpFixes  []jumpFix
-	// trapSites collects per-code jump sites to the shared trap tails.
+	// trapSites collects per-code jump sites to the shared trap tails,
+	// which start at tailStart.
 	trapSites map[int64][]int
+	tailStart int
 }
 
 // allocRegs maps allocation indexes onto the callee-saved file.
@@ -150,6 +151,7 @@ func (e *mirEmitter) emitFunc() error {
 	}
 
 	// Shared trap tails, one per code (deterministic order).
+	e.tailStart = len(e.insns)
 	for _, code := range []int64{TrapExplicit, TrapOOB, TrapDivByZero} {
 		sites := e.trapSites[code]
 		if len(sites) == 0 {

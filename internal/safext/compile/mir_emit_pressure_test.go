@@ -5,7 +5,6 @@ import (
 
 	"kex/internal/analysis/transval"
 	"kex/internal/ebpf/isa"
-	"kex/internal/safext/analyze"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/lang"
 )
@@ -30,7 +29,6 @@ func buildMIR(t *testing.T, name, src string) (*compile.Object, []compile.MIRFun
 	}
 	var arts []compile.MIRFuncArtifact
 	obj, err := compile.CompileWithOptions(name, checked, compile.Options{
-		Facts:   analyze.Analyze(checked),
 		Level:   compile.OptMIR,
 		KeepMIR: &arts,
 	})

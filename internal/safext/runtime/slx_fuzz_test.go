@@ -316,7 +316,21 @@ func evalPrefix(s string, scope map[string]int64) (int64, string) {
 	return scope[tok], s[i:]
 }
 
-// referenceVerdict runs src's naive lowering — no analyzer facts, no
+// meteredRun is Extension.Run with the fuel meter forced on, and it also
+// returns the instructions the program retired. Run turns the meter off
+// when the object's static bound fits the budget; the bound oracle must
+// see a real count instead of trusting the bound it checks.
+func meteredRun(ext *Extension, opts RunOptions) (Verdict, uint64, error) {
+	p := ext.Prepare(opts)
+	req := p.Request()
+	req.Fuel, req.FuelElided = ext.rt.Cfg.Fuel, false
+	rep, runErr := ext.rt.Core.Run(ext.Engine(), req, ext.Revalidate())
+	used := rep.FuelUsed
+	v, err := p.Finish(rep, runErr)
+	return v, used, err
+}
+
+// referenceVerdict runs src's naive lowering — no elision pass, no
 // passes, no register allocation, no emitter — on the reference MIR
 // machine (internal/analysis/mirrun). The three build tiers share one
 // emitter and one allocator, so their agreement alone does not check code
@@ -335,7 +349,7 @@ func referenceVerdict(tb testing.TB, seed int64, src string) (uint64, *mirrun.St
 	}
 	m := &mirrun.Machine{Funcs: make(map[string]mirrun.Code), Fuel: 1 << 22}
 	for _, fn := range checked.File.Funcs {
-		f, err := mir.LowerFunc(fn, checked, nil)
+		f, err := mir.LowerFunc(fn, checked)
 		if err != nil {
 			tb.Fatalf("seed %d: lower %s: %v\n%s", seed, fn.Name, err, src)
 		}
@@ -411,11 +425,14 @@ func slxDifferentialTrial(tb testing.TB, signer *toolchain.Signer, seed int64) {
 		if err != nil {
 			tb.Fatalf("seed %d: load: %v", seed, err)
 		}
-		v, err := ext.Run(RunOptions{})
+		v, used, err := meteredRun(ext, RunOptions{})
 		if err != nil {
 			tb.Fatalf("seed %d: run: %v\n%s", seed, err, src)
 		}
-		return v
+		if b := ext.Checks.StaticInsnBound; b > 0 && used > uint64(b) {
+			tb.Fatalf("seed %d: %s retired %d instructions past its static bound %d\n%s", seed, ext.Name, used, b, src)
+		}
+		return &v
 	}
 	v := run(so)
 	vOpt := run(soOpt)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"kex/internal/safext/analyze"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/lang"
 	"kex/internal/safext/toolchain"
@@ -34,7 +33,6 @@ func compileMIRUnvalidated(t *testing.T, name, src string) *compile.Object {
 		t.Fatal(err)
 	}
 	obj, err := compile.CompileWithOptions(name, checked, compile.Options{
-		Facts: analyze.Analyze(checked),
 		Level: compile.OptMIR,
 	})
 	if err != nil {
@@ -114,7 +112,6 @@ func TestLoadSurfacesTVDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj, err := compile.CompileWithOptions("tval-demoted", checked, compile.Options{
-		Facts: analyze.Analyze(checked),
 		Level: compile.OptElide,
 	})
 	if err != nil {

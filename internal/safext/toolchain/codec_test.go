@@ -27,29 +27,29 @@ var goldenBuilds = []struct {
 // signatures cover these exact bytes, so any change here is a wire-format
 // change: it must be deliberate, not a side effect of a refactor.
 var goldenDigests = map[string]string{
-	"counter/elide":        "f5d65a863ca29467f9f36c42f77c1184dc897d1aaefb26581ab5f9a221fa036f",
-	"counter/mir":          "dc1e831b7156ec6bc7f5ff725b4bcfb685f0baf813a25a8e8979be2ad11b2d91",
+	"counter/elide":        "2b9d2a16e630420ad299e49a2b9265b0361dbd92882f7ebfc017f27b968f02ae",
+	"counter/mir":          "20f6457a4937153bdaf75e452037c88997d599ced1683123b374fa021382e23d",
 	"counter/naive":        "4edc0e0237fd9340cd6504211195f5252916261baf554d87799338f99d6bb49a",
-	"firewall/elide":       "2c1ac2544526e163611cb1a2ce228c11f50e6495b8a4ad5089c8e355a605f5a9",
-	"firewall/mir":         "4287da6b55a2a31b3bd18904a76a53ba29f922fba798e0ed08a4f8e09bcf07bf",
+	"firewall/elide":       "8f915322c44cd6dd7ae0c3bbc225a6d16a27375089560e54d9201993985ac918",
+	"firewall/mir":         "884357b65dc3c8b1796fa0cc7315cf4f707b1ea53b5ee90210af001579ec7f05",
 	"firewall/naive":       "10cc46f7796769df68e5c55d7c26eb48bef60ff1cca451d4bc0ef8ca0dfccef3",
-	"histogram/elide":      "2ddb5e0d69c7f7dafc9dee09356e9e70dbec5a8670a15f64e76a8c118880bb69",
-	"histogram/mir":        "3ba860c53ba3154bb5a753b3cc5f4d54c38ca02aef8b28a588ec3c9c3406ca7d",
+	"histogram/elide":      "d58834bea91f3b6a6921a4aae19cdbc3956bb0a662e0fb18aea279258224303a",
+	"histogram/mir":        "cab9f62613266db1973d3c25dfd99b5e49f48b130adc781fb0ae724b77d7505f",
 	"histogram/naive":      "aed24e990748aa173d254cb74520edf48884759f4489e9e32e235d3065c966ee",
-	"kvcache/elide":        "4c45402d4359e8c558da7424fcc34892d21bc37b7f1fbcac5b2a685f35f5ddb1",
-	"kvcache/mir":          "43a41efed3dcc5a668097bb6a91e81ee02be496423035c4a310ff87fe3db967b",
+	"kvcache/elide":        "9fda3f561966f5943fbd3307781f421277158dc34f65d3bc8a7d7b7045c7590a",
+	"kvcache/mir":          "42e574ba8eda036dbe01dcbb5631a75482e78ab7bffc1a625b35881ac5f71f1c",
 	"kvcache/naive":        "483c0e4a367be4211b1675e989efa9954abef2e2dc333f5aacc9126ea6ee050d",
-	"map_accumulate/elide": "a1e92b7fbd607c614aa84ee091912255a8d4ad35cf04cfc43979dcc7badfab9f",
-	"map_accumulate/mir":   "3bbc9dd2072d5ae70c0b1df2aaa7753308e590b580c033f6b6217308b1ac262f",
+	"map_accumulate/elide": "360a5c89aa9a8dca842ac0ab87793882493e0c05dd763a23438fcbf70763afcd",
+	"map_accumulate/mir":   "99b286c192d849cfcae5d86bfe1d17ff949b8b29f80b6d6683bbfa98db02e8e0",
 	"map_accumulate/naive": "0ec0208f3e5e4b3d730be746ebda5ba8c379db81094c3f0d997e55bc4ad103d8",
-	"nested_invar/elide":   "a40d2e4d2bfbc5b3304f6dd12d585d906161d38f5be6b47f3ba6ffdd5edbb243",
-	"nested_invar/mir":     "28e014c0fba584ebff50b43f77203c77ea5bd0d527269668951086beb7427cb9",
+	"nested_invar/elide":   "b826534dedf7ec250498dbab12110d5a2cd1225ba9e46aee6eebdfe7c6608217",
+	"nested_invar/mir":     "f75907f6d3c4f4db2aa76800127c3df8da212e698e22069ce018452b20862370",
 	"nested_invar/naive":   "a4d15fa91a31b595ce3fbbbf46704a3367439b57e8eafafe20d2a4bb8b381900",
-	"profiler/elide":       "529489d5fd71e98d0a5056e07512534ccd5b76105b0218e9afac27d7bd648646",
-	"profiler/mir":         "af1aa081429454dc34e009766d0ad3a06e62dbf32bbb7d5b0eddf2d3ad996289",
+	"profiler/elide":       "e3eaee366c06776eb8ecd1f5c4a91930548823933e61dd467bec012f9a3536fd",
+	"profiler/mir":         "cfdad997cc84a57b654bb30fff97bf34f82f320de0cc7497803f8e072c7b40ba",
 	"profiler/naive":       "876ae250edd14c53db2c47964d1b41f29c1391ce1748c18b59465b196e71baa0",
-	"syscall_policy/elide": "05240250d8145cf471bdec266ff46aecd5de1adeca95a095455e2e14ba7d2698",
-	"syscall_policy/mir":   "22f0f22628dbee9b96526008c15b6bad7238c9b9ef548d4dd5d1f4ca37b40b53",
+	"syscall_policy/elide": "ce9275ec0b468e73ca4fbeb9d8f4e13d2d94020aaa428e67d9047d397365eb71",
+	"syscall_policy/mir":   "4bcaaac204465dbf36dc10c2960594e5b33c28fa727280a17f5d7e2b785361a7",
 	"syscall_policy/naive": "48a81b3dd97ed60628af6cd522732d94f15b4c5513bc04767552d18ebd965ccb",
 }
 

@@ -16,9 +16,7 @@ import (
 	"kex/internal/analysis/concheck"
 	"kex/internal/analysis/transval"
 	"kex/internal/exec"
-	"kex/internal/safext/analyze"
 	"kex/internal/safext/compile"
-	"kex/internal/safext/compile/mir"
 	"kex/internal/safext/lang"
 )
 
@@ -68,12 +66,14 @@ type SignedObject struct {
 
 // build is the one trusted build pipeline, at optimization level level
 // (compile.OptNaive, OptElide or OptMIR). Each phase is timed under its
-// name: parse, typecheck, then analyze above OptNaive, compile, transval
-// at OptMIR, and concheck. The analyze pass's proofs elide redundant
-// runtime checks, and the elision ledger travels in the object.
+// name: parse, typecheck, then analyze above OptNaive (lowering and the
+// elision pass), compile, transval at OptMIR, and concheck. The elision
+// pass's proofs elide redundant runtime checks, and the elision ledger
+// travels in the object.
 //
-// Every OptMIR build is translation-validated: the naive lowering and the
-// optimized MIR are executed on the reference MIR machine over the
+// Every OptMIR build is translation-validated: the naive lowering (from
+// before the elision pass, so the validator checks every elision too) and
+// the optimized MIR are executed on the reference MIR machine over the
 // engine's exact wraparound semantics and compared for refinement (same
 // verdict, same ordered effect log, consistent check ledger). A passing run
 // attaches a TVAL certificate that travels under the object signature; a
@@ -89,30 +89,26 @@ type SignedObject struct {
 // (one MIR walk), travels under the signature, and the per-CPU data plane
 // needs it to decide whether the program may fan out. The analyzer itself
 // is wall-clock-free; the measurement lives here.
-func build(name, src string, level int) (*compile.Object, *analyze.Result, exec.PhaseTimings, error) {
+func build(name, src string, level int) (*compile.Object, exec.PhaseTimings, error) {
 	rec := exec.NewPhaseRecorder()
 	f, err := lang.Parse(src)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rec.Mark("parse")
 	checked, err := lang.Check(f)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rec.Mark("typecheck")
-	opts := compile.Options{Level: level}
-	if level >= compile.OptElide {
-		opts.Facts = analyze.Analyze(checked)
-		rec.Mark("analyze")
-	}
+	opts := compile.Options{Level: level, Mark: rec.Mark}
 	var arts []compile.MIRFuncArtifact
 	if level >= compile.OptMIR {
 		opts.KeepMIR = &arts
 	}
 	obj, err := compile.CompileWithOptions(name, checked, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rec.Mark("compile")
 	if level >= compile.OptMIR {
@@ -123,11 +119,11 @@ func build(name, src string, level int) (*compile.Object, *analyze.Result, exec.
 			obj.TVal = res.Certificate(tvWall)
 		} else {
 			arts = nil
-			if obj, err = compile.CompileWithOptions(name, checked, compile.Options{Facts: opts.Facts, Level: compile.OptElide, KeepMIR: &arts}); err != nil {
-				return nil, nil, nil, err
+			if obj, err = compile.CompileWithOptions(name, checked, compile.Options{Level: compile.OptElide, KeepMIR: &arts}); err != nil {
+				return nil, nil, err
 			}
 			if dres := transval.Validate(name, arts, obj.Checks, transval.Options{}); !dres.OK {
-				return nil, nil, nil, fmt.Errorf("toolchain: translation validation refuted the optimized build (%s) and the demoted build (%s)", res.Reason, dres.Reason)
+				return nil, nil, fmt.Errorf("toolchain: translation validation refuted the optimized build (%s) and the demoted build (%s)", res.Reason, dres.Reason)
 			}
 			tvWall = time.Since(tvStart).Nanoseconds()
 			obj.TVal = &compile.TValCert{
@@ -143,62 +139,50 @@ func build(name, src string, level int) (*compile.Object, *analyze.Result, exec.
 	ccStart := time.Now()
 	cc, err := concheck.AnalyzeSLX(checked, obj.Maps)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("toolchain: shard-safety analysis: %w", err)
+		return nil, nil, fmt.Errorf("toolchain: shard-safety analysis: %w", err)
 	}
 	cc.WallNanos = time.Since(ccStart).Nanoseconds()
 	obj.Conc = cc
 	rec.Mark("concheck")
-	return obj, opts.Facts, rec.Phases(), nil
+	return obj, rec.Phases(), nil
 }
 
 // Build compiles SLX source through the full trusted pipeline —
 // parse, type-check, compile — without signing (for inspection).
 func Build(name, src string) (*compile.Object, error) {
-	obj, _, _, err := build(name, src, compile.OptNaive)
+	obj, _, err := build(name, src, compile.OptNaive)
 	return obj, err
 }
 
 // BuildProfiled is Build with per-phase wall timings, feeding the unified
 // load-phase instrumentation of the execution core.
 func BuildProfiled(name, src string) (*compile.Object, exec.PhaseTimings, error) {
-	obj, _, phases, err := build(name, src, compile.OptNaive)
-	return obj, phases, err
+	return build(name, src, compile.OptNaive)
 }
 
-// BuildOptimized compiles SLX source with the abstract-interpretation pass
-// in the loop: the analyzer's proofs elide redundant runtime checks, and
-// the elision ledger travels in the object (behind the signature once
-// signed).
+// BuildOptimized compiles SLX source with the elision pass in the loop:
+// its proofs elide redundant runtime checks, and the elision ledger
+// travels in the object (behind the signature once signed).
 func BuildOptimized(name, src string) (*compile.Object, error) {
-	obj, _, _, err := build(name, src, compile.OptElide)
+	obj, _, err := build(name, src, compile.OptElide)
 	return obj, err
 }
 
-// BuildOptimizedProfiled is BuildOptimized with per-phase wall timings and
-// the raw analysis result (for inspection and reporting).
-func BuildOptimizedProfiled(name, src string) (*compile.Object, *analyze.Result, exec.PhaseTimings, error) {
-	return build(name, src, compile.OptElide)
-}
-
 // BuildOptimizedMIR compiles SLX source through the full optimizing
-// pipeline: the analyze pass's proofs plus the mid-level IR backend
+// pipeline: the elision pass's proofs plus the mid-level IR backend
 // (constant folding/propagation, loop-invariant code motion,
 // redundant-load elimination, linear-scan register allocation), checked
 // by translation validation (see build).
 func BuildOptimizedMIR(name, src string) (*compile.Object, error) {
-	obj, _, _, err := build(name, src, compile.OptMIR)
+	obj, _, err := build(name, src, compile.OptMIR)
 	return obj, err
 }
 
-// BuildOptimizedMIRProfiled is BuildOptimizedMIR with per-phase wall
-// timings and the raw analysis result.
-func BuildOptimizedMIRProfiled(name, src string) (*compile.Object, *analyze.Result, exec.PhaseTimings, error) {
-	return build(name, src, compile.OptMIR)
-}
-
-// DumpMIR renders every function's mid-level IR before and after
-// optimization, for inspection (`kexload -opt 2 -dump-mir`). The dump is
-// deterministic: two builds of the same source render identically.
+// DumpMIR renders every function's mid-level IR as lowered and as
+// compiled at OptMIR (after the elision pass and the optimizer's passes),
+// for inspection (`kexload -opt 2 -dump-mir`). It compiles through the
+// same path as build. The dump is deterministic: two builds of the same
+// source render identically.
 func DumpMIR(src string) (string, error) {
 	f, err := lang.Parse(src)
 	if err != nil {
@@ -208,20 +192,20 @@ func DumpMIR(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	facts := analyze.Analyze(checked)
-	var sb strings.Builder
-	for _, fn := range checked.File.Funcs {
-		mf, err := mir.LowerFunc(fn, checked, facts)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&sb, "---- %s (lowered) ----\n%s", fn.Name, mf.String())
-		st := mir.Optimize(mf)
-		fmt.Fprintf(&sb, "---- %s (optimized) ----\n%s", fn.Name, mf.String())
-		al := mir.Allocate(mf)
-		fmt.Fprintf(&sb, "---- %s: folded %d, hoisted %d, loads eliminated %d, dead removed %d, spills %d\n",
-			fn.Name, st.Folded, st.Hoisted, st.LoadsEliminated, st.DeadRemoved, al.NumSpills)
+	var arts []compile.MIRFuncArtifact
+	obj, err := compile.CompileWithOptions("dump", checked, compile.Options{Level: compile.OptMIR, KeepMIR: &arts})
+	if err != nil {
+		return "", err
 	}
+	var sb strings.Builder
+	for _, fa := range arts {
+		fmt.Fprintf(&sb, "---- %s (lowered) ----\n%s", fa.Name, fa.Naive.String())
+		fmt.Fprintf(&sb, "---- %s (optimized) ----\n%s", fa.Name, fa.Opt.String())
+		fmt.Fprintf(&sb, "---- %s: spills %d\n", fa.Name, fa.Alloc.NumSpills)
+	}
+	o := obj.Opt
+	fmt.Fprintf(&sb, "---- object: folded %d, hoisted %d, loads eliminated %d, dead removed %d, static insn bound %d\n",
+		o.Folded, o.Hoisted, o.LoadsEliminated, o.DeadRemoved, obj.Checks.StaticInsnBound)
 	return sb.String(), nil
 }
 
@@ -230,7 +214,7 @@ func (s *Signer) BuildAndSign(name, src string) (*SignedObject, error) {
 	return s.buildAndSign(name, src, compile.OptNaive)
 }
 
-// BuildAndSignOptimized runs the analyze-enabled pipeline and signs the
+// BuildAndSignOptimized runs the elision-enabled pipeline and signs the
 // result: the signature then vouches for the elisions, which is the trust
 // argument — the kernel loader accepts proven-away checks because the
 // toolchain that proved them is the thing being trusted, exactly as it is
@@ -248,7 +232,7 @@ func (s *Signer) BuildAndSignOptimizedMIR(name, src string) (*SignedObject, erro
 }
 
 func (s *Signer) buildAndSign(name, src string, level int) (*SignedObject, error) {
-	obj, _, phases, err := build(name, src, level)
+	obj, phases, err := build(name, src, level)
 	if err != nil {
 		return nil, err
 	}

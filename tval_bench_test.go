@@ -6,7 +6,6 @@ import (
 
 	"kex/examples/progs"
 	"kex/internal/analysis/transval"
-	"kex/internal/safext/analyze"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/lang"
 	"kex/internal/safext/toolchain"
@@ -44,10 +43,8 @@ func benchTVal(b *testing.B, name, src string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	facts := analyze.Analyze(checked)
 	var arts []compile.MIRFuncArtifact
 	obj, err := compile.CompileWithOptions(name, checked, compile.Options{
-		Facts:   facts,
 		Level:   compile.OptMIR,
 		KeepMIR: &arts,
 	})
