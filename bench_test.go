@@ -193,6 +193,7 @@ func BenchmarkA1VerifierScaling(b *testing.B) {
 	for _, diamonds := range []int{8, 12, 16} {
 		diamonds := diamonds
 		b.Run(fmt.Sprintf("diamonds=%d", diamonds), func(b *testing.B) {
+			b.ReportAllocs()
 			prog := branchy(diamonds)
 			cfg := verifier.DefaultConfig()
 			var processed int
@@ -235,6 +236,7 @@ func BenchmarkA2LoadPath(b *testing.B) {
 	prog := &isa.Program{Name: "line", Type: isa.Tracing, Insns: insns}
 
 	b.Run("verify+jit", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := ebpf.NewStack(kernel.NewDefault())
 			l, err := s.Load(prog)
@@ -254,6 +256,7 @@ func BenchmarkA2LoadPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("signature+fixup", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rt := runtime.New(kernel.NewDefault(), runtime.DefaultConfig())
 			rt.AddKey(signer.PublicKey())

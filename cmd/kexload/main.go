@@ -188,8 +188,14 @@ func main() {
 			if v.Terminated {
 				status = "terminated (" + v.Reason + ")"
 			}
-			fmt.Printf("run %d: %s, R0=%d, %d insns, %.3fms virtual, %.1fµs wall\n",
-				i+1, status, v.R0, v.Instructions, float64(v.RuntimeNs)/1e6, float64(v.WallNs)/1e3)
+			// insns include helper-charged work; the static bound covers
+			// only what the program itself retires.
+			retired := fmt.Sprintf("%d retired", v.FuelUsed)
+			if b := obj.Checks.StaticInsnBound; b > 0 {
+				retired += fmt.Sprintf(" of static insn bound %d", b)
+			}
+			fmt.Printf("run %d: %s, R0=%d, %d insns (%s), %.3fms virtual, %.1fµs wall\n",
+				i+1, status, v.R0, v.Instructions, retired, float64(v.RuntimeNs)/1e6, float64(v.WallNs)/1e3)
 			for _, t := range v.Trace {
 				fmt.Printf("  trace: %s\n", t)
 			}

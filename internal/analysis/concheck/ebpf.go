@@ -43,7 +43,7 @@ func AnalyzeBPF(prog *isa.Program, reg *helpers.Registry, mapMeta map[string]*ve
 			}
 		}
 	}
-	entry := bpfState{ctrl: 0}
+	entry := &bpfState{ctrl: 0}
 	for i := range entry.regs {
 		entry.regs[i] = bval{kind: bScalar, prov: unknownProv()}
 	}
@@ -119,13 +119,13 @@ type bpfState struct {
 	lockKey  uint64
 }
 
-func (s *bpfState) clone() bpfState {
+func (s *bpfState) clone() *bpfState {
 	out := *s
 	out.slots = make(map[int64]bval, len(s.slots))
 	for k, v := range s.slots {
 		out.slots[k] = v
 	}
-	return out
+	return &out
 }
 
 // join merges o into s, reporting whether s changed. Slots present in only
@@ -193,16 +193,15 @@ var bpfCtxSources = map[string]bool{
 
 // analyzeFunc runs the joined-state worklist over one bytecode function
 // (entry..its exits), recursing into BPF-to-BPF callees. Returns the
-// function's abstract r0.
-func (a *bpfAnalyzer) analyzeFunc(entry int, init bpfState, depth int) (bval, error) {
+// function's abstract r0. init becomes the entry's state: the caller must
+// not use it afterwards.
+func (a *bpfAnalyzer) analyzeFunc(entry int, init *bpfState, depth int) (bval, error) {
 	if depth > 8 {
 		// Deeper than the engine's own frame limit: degrade instead of
 		// failing — the callee's sites were recorded at shallower depths.
 		return scalar(unknownProv(), ^uint64(0)), nil
 	}
-	states := map[int]*bpfState{}
-	st0 := init.clone()
-	states[entry] = &st0
+	states := map[int]*bpfState{entry: init}
 	work := []int{entry}
 	ret := bval{kind: bScalar, prov: botProv()}
 	steps := 0
@@ -220,15 +219,20 @@ func (a *bpfAnalyzer) analyzeFunc(entry int, init bpfState, depth int) (bval, er
 		st := in.clone()
 		ins := a.prog.Insns[pc]
 
-		push := func(target int, s *bpfState) {
+		// push joins st into target's state. A target with no state yet
+		// gets st itself when the step is done with it (move), else a copy.
+		push := func(target int, move bool) {
 			if old, ok := states[target]; ok {
-				if old.join(s) {
+				if old.join(st) {
 					work = append(work, target)
 				}
 				return
 			}
-			ns := s.clone()
-			states[target] = &ns
+			if move {
+				states[target] = st
+			} else {
+				states[target] = st.clone()
+			}
 			work = append(work, target)
 		}
 
@@ -238,23 +242,23 @@ func (a *bpfAnalyzer) analyzeFunc(entry int, init bpfState, depth int) (bval, er
 			continue
 		case ins.IsBPFCall():
 			callee := pc + 1 + int(ins.Imm)
-			r0, err := a.callBPF(callee, &st, depth)
+			r0, err := a.callBPF(callee, st, depth)
 			if err != nil {
 				return ret, err
 			}
 			st.regs[isa.R0] = r0
-			a.clobberCaller(&st)
-			push(pc+1, &st)
+			a.clobberCaller(st)
+			push(pc+1, true)
 			continue
 		case ins.IsCall():
-			if err := a.helperCall(pc, ins, &st); err != nil {
+			if err := a.helperCall(pc, ins, st); err != nil {
 				return ret, err
 			}
-			push(pc+1, &st)
+			push(pc+1, true)
 			continue
 		case ins.IsJump():
 			if ins.IsUnconditionalJump() {
-				push(pc+1+int(ins.Off), &st)
+				push(pc+1+int(ins.Off), true)
 				continue
 			}
 			// A conditional branch on map-derived data control-taints both
@@ -264,12 +268,12 @@ func (a *bpfAnalyzer) analyzeFunc(entry int, init bpfState, depth int) (bval, er
 			if ins.UsesX() {
 				st.ctrl |= st.regs[ins.Src].taint
 			}
-			push(pc+1+int(ins.Off), &st)
-			push(pc+1, &st)
+			push(pc+1+int(ins.Off), false)
+			push(pc+1, true)
 			continue
 		default:
-			a.stepALU(pc, ins, &st)
-			push(pc+1, &st)
+			a.stepALU(pc, ins, st)
+			push(pc+1, true)
 		}
 	}
 	if ret.kind == bScalar && ret.prov.kind == provBot {
@@ -280,7 +284,7 @@ func (a *bpfAnalyzer) analyzeFunc(entry int, init bpfState, depth int) (bval, er
 
 // callBPF recurses into a BPF-to-BPF callee with the caller's r1-r5.
 func (a *bpfAnalyzer) callBPF(callee int, st *bpfState, depth int) (bval, error) {
-	var init bpfState
+	init := &bpfState{}
 	for i := range init.regs {
 		init.regs[i] = scalar(unknownProv(), 0)
 	}

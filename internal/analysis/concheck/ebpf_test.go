@@ -171,6 +171,39 @@ func TestBPFCPUKeyed(t *testing.T) {
 	}
 }
 
+// TestBPFBranchArmsOwnTheirState: both arms of a conditional branch reach
+// new instructions, and a loop on the fall-through arm later widens that
+// arm's key. The taken arm must keep its own state: its window is still
+// keyed by the CPU id alone, so it is proven cpu-keyed.
+func TestBPFBranchArmsOwnTheirState(t *testing.T) {
+	e := newBPFEnv(t)
+	insns := []isa.Instruction{
+		isa.LoadMem(isa.SizeW, isa.R9, isa.R1, 0),
+		isa.Mov64Imm(isa.R8, 0),
+		isa.Call(e.cpu),
+		isa.Mov64Reg(isa.R6, isa.R0),
+		isa.JmpImm(isa.OpJeq, isa.R9, 0, 6), // taken: the window below
+		isa.Mov64Reg(isa.R7, isa.R6),        // loop head
+		isa.Mov64Imm(isa.R6, 9),
+		isa.ALU64Imm(isa.OpAdd, isa.R8, 1),
+		isa.JmpImm(isa.OpJlt, isa.R8, 4, -4),
+		isa.Mov64Imm(isa.R0, 0),
+		isa.Exit(),
+	}
+	insns = append(insns, lookupSeq(e, "lanes", nil, 4)...)
+	insns = append(insns,
+		isa.LoadMem(isa.SizeDW, isa.R7, isa.R0, 0),
+		isa.ALU64Imm(isa.OpAdd, isa.R7, 1),
+		isa.StoreMem(isa.SizeDW, isa.R0, 0, isa.R7),
+		isa.Mov64Imm(isa.R0, 0),
+		isa.Exit(),
+	)
+	rep := e.analyze(t, "branch_arms", insns, map[string]string{"lanes": "hash"}, nil)
+	if rep.Verdict != compile.VerdictShardSafe {
+		t.Fatalf("verdict %s, want ShardSafe (%s)", rep.Verdict, rep.Reason)
+	}
+}
+
 // TestBPFRacyUpdateHelper: the window through the update helper — value
 // buffer on the stack carries the looked-up value's taint, key is
 // ctx-derived (pid).

@@ -2,12 +2,15 @@ package ebpf
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"kex/internal/ebpf/helpers"
 	"kex/internal/ebpf/isa"
 	"kex/internal/ebpf/maps"
+	"kex/internal/exec"
 	"kex/internal/kernel"
 )
 
@@ -285,5 +288,49 @@ func TestLoadPhaseTimings(t *testing.T) {
 	snap := s.Stats.Snapshot()
 	if snap.Loads != 1 || len(snap.LoadPhases) != 3 {
 		t.Fatalf("stats loads = %d phases = %v", snap.Loads, snap.LoadPhases)
+	}
+}
+
+// TestLoadBytesPerProgram pins what one Load of a kexperf-shaped kvcache
+// program allocates with the shard-safety analysis on (which forces state
+// capture) and the JIT on: the mean MemStats.TotalAlloc delta over 50
+// loads. The bound holds only while a copied verifier state carries the
+// stack slots the program wrote, not all 64 of them (8.9 KB a frame).
+func TestLoadBytesPerProgram(t *testing.T) {
+	const loads = 50
+	const bound = 300 << 10
+	s := NewStack(kernel.NewDefault())
+	s.Conc = exec.ConcStrict
+	for _, spec := range []maps.Spec{
+		{Name: "cache", Type: maps.Hash, KeySize: 4, ValueSize: 8, MaxEntries: 4096},
+		{Name: "stats", Type: maps.PerCPUArray, KeySize: 4, ValueSize: 8, MaxEntries: 4},
+	} {
+		if _, err := s.CreateMap(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insns := kvcacheShaped(s)
+	progs := make([]*isa.Program, loads+1)
+	for i := range progs {
+		progs[i] = &isa.Program{Name: fmt.Sprintf("kv_%d", i), Type: isa.Tracing, Insns: insns}
+	}
+	load := func(p *isa.Program) {
+		l, err := s.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+	}
+	load(progs[loads]) // warm the stack's one-time state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range progs[:loads] {
+		load(p)
+	}
+	runtime.ReadMemStats(&after)
+	perLoad := (after.TotalAlloc - before.TotalAlloc) / loads
+	t.Logf("%d bytes per load", perLoad)
+	if perLoad > bound {
+		t.Errorf("a load allocates %d bytes, bound %d", perLoad, bound)
 	}
 }

@@ -607,7 +607,7 @@ func (v *Verifier) stackWrite(st *state, r *Reg, off, size int64, spill *Reg, ze
 	}
 	f := st.cur()
 	if size == 8 && at%8 == 0 && spill != nil {
-		f.stack[at/8] = stackSlot{kind: slotSpill, spill: *spill}
+		f.set(at/8, stackSlot{kind: slotSpill, spill: *spill})
 		return nil
 	}
 	if spill != nil && spill.Type.IsPointer() {
@@ -618,7 +618,7 @@ func (v *Verifier) stackWrite(st *state, r *Reg, off, size int64, spill *Reg, ze
 		kind = slotZero
 	}
 	for slot := at / 8; slot <= (at+size-1)/8; slot++ {
-		f.stack[slot] = stackSlot{kind: kind}
+		f.set(slot, stackSlot{kind: kind})
 	}
 	return nil
 }
@@ -630,7 +630,7 @@ func (v *Verifier) stackRead(st *state, r *Reg, off, size int64) (Reg, error) {
 	}
 	f := st.cur()
 	if size == 8 && at%8 == 0 {
-		slot := f.stack[at/8]
+		slot := f.slot(at / 8)
 		switch slot.kind {
 		case slotSpill:
 			return slot.spill, nil
@@ -642,16 +642,17 @@ func (v *Verifier) stackRead(st *state, r *Reg, off, size int64) (Reg, error) {
 		return Reg{}, v.errf(st.pc, "invalid read from stack off %d: uninitialized", at-StackSize)
 	}
 	for slot := at / 8; slot <= (at+size-1)/8; slot++ {
-		if f.stack[slot].kind == slotInvalid {
+		s := f.slot(slot)
+		if s.kind == slotInvalid {
 			return Reg{}, v.errf(st.pc, "invalid read from stack off %d: uninitialized", at-StackSize)
 		}
-		if f.stack[slot].kind == slotSpill && f.stack[slot].spill.Type.IsPointer() {
+		if s.kind == slotSpill && s.spill.Type.IsPointer() {
 			return Reg{}, v.errf(st.pc, "partial read of spilled pointer prohibited")
 		}
 	}
 	if allZero := func() bool {
 		for slot := at / 8; slot <= (at+size-1)/8; slot++ {
-			if f.stack[slot].kind != slotZero {
+			if f.slot(slot).kind != slotZero {
 				return false
 			}
 		}
@@ -671,7 +672,7 @@ func (v *Verifier) stackReadable(st *state, r *Reg, size int64) error {
 	}
 	f := st.cur()
 	for slot := at / 8; slot <= (at+size-1)/8; slot++ {
-		if f.stack[slot].kind == slotInvalid {
+		if f.slot(slot).kind == slotInvalid {
 			return v.errf(st.pc, "invalid indirect read from stack off %d+%d", at-StackSize, size)
 		}
 	}
@@ -687,7 +688,7 @@ func (v *Verifier) stackWritable(st *state, r *Reg, size int64) error {
 	}
 	f := st.cur()
 	for slot := at / 8; slot <= (at+size-1)/8; slot++ {
-		f.stack[slot] = stackSlot{kind: slotMisc}
+		f.set(slot, stackSlot{kind: slotMisc})
 	}
 	return nil
 }

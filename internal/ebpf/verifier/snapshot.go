@@ -205,8 +205,10 @@ func snapOf(st *state) StateSnap {
 	f := st.cur()
 	s := StateSnap{PC: st.pc, Frames: len(st.frames)}
 	copy(s.Regs[:], f.regs[:])
-	for slot := range f.stack {
-		switch f.stack[slot].kind {
+	// Slots are exported bottom up: the deepest (highest spi) first.
+	for spi := len(f.stack) - 1; spi >= 0; spi-- {
+		slot := stackSlots - 1 - spi
+		switch f.stack[spi].kind {
 		case slotInvalid:
 			continue
 		case slotMisc:
@@ -214,7 +216,7 @@ func snapOf(st *state) StateSnap {
 		case slotZero:
 			s.Stack = append(s.Stack, SlotSnap{Slot: slot, Kind: "zero"})
 		case slotSpill:
-			sp := f.stack[slot].spill
+			sp := f.stack[spi].spill
 			s.Stack = append(s.Stack, SlotSnap{Slot: slot, Kind: "spill", Spill: &sp})
 		}
 	}

@@ -26,10 +26,18 @@ type stackSlot struct {
 	spill Reg // valid when kind == slotSpill
 }
 
+// stackSlots is the number of 8-byte slots in one stack frame.
+const stackSlots = StackSize / 8
+
 // frame is the verifier state of one call frame.
 type frame struct {
-	regs    [isa.NumRegisters]Reg
-	stack   [StackSize / 8]stackSlot
+	regs [isa.NumRegisters]Reg
+	// stack holds the frame's slots down to the deepest one written, in
+	// the kernel's order: stack[spi] covers bytes [-8(spi+1), -8spi) below
+	// r10. A slot past the end was never written and reads as slotInvalid.
+	// Like the kernel's allocated_stack (grown by grow_stack_state), it
+	// keeps a state, and every copy of it, as small as what it holds.
+	stack   []stackSlot
 	callPC  int // return address (element index) in the caller, -1 for main
 	retFrom int // pc of the call instruction, for logs
 }
@@ -46,7 +54,27 @@ func newFrame() *frame {
 
 func (f *frame) clone() *frame {
 	c := *f
+	c.stack = append([]stackSlot(nil), f.stack...)
 	return &c
+}
+
+// slot returns the content of the slot at byte offset i*8 from the frame
+// bottom.
+func (f *frame) slot(i int64) stackSlot {
+	if spi := stackSlots - 1 - int(i); spi < len(f.stack) {
+		return f.stack[spi]
+	}
+	return stackSlot{}
+}
+
+// set stores s into the slot at byte offset i*8 from the frame bottom,
+// growing the stack down to it.
+func (f *frame) set(i int64, s stackSlot) {
+	spi := stackSlots - 1 - int(i)
+	if spi >= len(f.stack) {
+		f.stack = append(f.stack, make([]stackSlot, spi+1-len(f.stack))...)
+	}
+	f.stack[spi] = s
 }
 
 // state is one point in the symbolic exploration: a program counter, the
@@ -141,8 +169,15 @@ func (s *state) generalizes(o *state) bool {
 				return false
 			}
 		}
-		for slot := range sf.stack {
-			ss, os := &sf.stack[slot], &of.stack[slot]
+		// Slots past the end of either stack were never written: past the
+		// end of sf they cover anything, past the end of of they read as
+		// unwritten.
+		var unwritten stackSlot
+		for spi := range sf.stack {
+			ss, os := &sf.stack[spi], &unwritten
+			if spi < len(of.stack) {
+				os = &of.stack[spi]
+			}
 			switch {
 			case ss.kind == slotInvalid:
 				// If verification succeeded with the slot unreadable, no

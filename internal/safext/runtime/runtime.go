@@ -377,7 +377,12 @@ type Verdict struct {
 	CleanedLocks int
 	CleanedMem   int
 
+	// Instructions is the run's virtual work: the program's retired
+	// instructions plus what its helpers charged.
 	Instructions uint64
+	// FuelUsed counts only the program's own retired instructions, the
+	// quantity the object's static instruction bound covers.
+	FuelUsed uint64
 	// RuntimeNs is virtual-clock latency (the watchdog's view); WallNs is
 	// monotonic wall-clock latency (the benchmark's view).
 	RuntimeNs int64
@@ -485,6 +490,7 @@ func finishRun(env *helpers.Env, rep *exec.Report, engineErr error) {
 	*v = Verdict{
 		R0:           int64(rep.R0),
 		Instructions: rep.Instructions,
+		FuelUsed:     rep.FuelUsed,
 		RuntimeNs:    rep.RuntimeNs,
 		Trace:        rep.Trace,
 	}

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"kex/internal/exec"
@@ -121,4 +123,43 @@ fn main() -> i64 {
 		}
 	}()
 	p.Finish(rep, err)
+}
+
+// TestVerdictFuelUsedWithinStaticBound runs the repository's quickstart
+// counter at -opt 2 through Extension.Run: the verdict carries what the
+// program itself retired, which the signed static instruction bound must
+// cover, while Instructions also counts helper-charged work.
+func TestVerdictFuelUsedWithinStaticBound(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "counter.slx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFixture(t, DefaultConfig())
+	so, err := f.signer.BuildAndSignOptimizedMIR("counter", string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := f.rt.Load(so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := ext.Checks.StaticInsnBound
+	if bound <= 0 {
+		t.Fatalf("static insn bound %d, want a bound at -opt 2", bound)
+	}
+	for i := 0; i < 3; i++ {
+		v, err := ext.Run(RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Completed {
+			t.Fatalf("run %d: %s", i, v.Reason)
+		}
+		if v.FuelUsed == 0 || v.FuelUsed > uint64(bound) {
+			t.Errorf("run %d: retired %d instructions, static bound %d", i, v.FuelUsed, bound)
+		}
+		if v.Instructions < v.FuelUsed {
+			t.Errorf("run %d: %d insns counted, fewer than the %d retired", i, v.Instructions, v.FuelUsed)
+		}
+	}
 }
