@@ -53,12 +53,13 @@ fuzz:
 
 # Soundness smoke: the statecheck oracle (state-embedding cross-check of
 # verifier abstract states vs concrete interpreter traces) over its unit
-# suite, the deterministic seed corpus, the bug-catch regressions, and a
-# short continuous FuzzVerifierSoundness run. Witness repros land in
-# internal/ebpf/statecheck_witnesses/ for CI to upload.
+# suite, a check that each fuzz seed names one program (so seeds and
+# witnesses replay), the deterministic seed corpus, the bug-catch
+# regressions, and a short continuous FuzzVerifierSoundness run. Witness
+# repros land in internal/ebpf/statecheck_witnesses/ for CI to upload.
 soundness:
 	$(GO) test ./internal/analysis/statecheck/ ./internal/bugcorpus/
-	$(GO) test -run 'TestSoundnessFuzz' ./internal/ebpf/
+	$(GO) test -run 'TestSoundnessProgramDeterministic|TestSoundnessFuzz' ./internal/ebpf/
 	$(GO) test -fuzz FuzzVerifierSoundness -fuzztime 15s -run '^$$' ./internal/ebpf/
 
 # Translation validation (DESIGN.md §3.8): the validator over the corpus

@@ -28,6 +28,7 @@ func AnalyzeBPF(prog *isa.Program, reg *helpers.Registry, mapMeta map[string]*ve
 		kinds:  mapKinds,
 		states: states,
 		mapBit: make(map[string]uint),
+		names:  []string{""},
 		sites:  make(map[siteKey]*siteInfo),
 	}
 	// Taint-mask bits in first-reference order: deterministic, and only
@@ -40,6 +41,7 @@ func AnalyzeBPF(prog *isa.Program, reg *helpers.Registry, mapMeta map[string]*ve
 				}
 				a.mapBit[ins.MapName] = uint(len(a.mapOrder))
 				a.mapOrder = append(a.mapOrder, ins.MapName)
+				a.names = append(a.names, ins.MapName)
 			}
 		}
 	}
@@ -49,7 +51,6 @@ func AnalyzeBPF(prog *isa.Program, reg *helpers.Registry, mapMeta map[string]*ve
 	}
 	entry.regs[isa.R1] = bval{kind: bCtxPtr}
 	entry.regs[isa.R10] = bval{kind: bStackPtr, off: verifier.StackSize}
-	entry.slots = map[int64]bval{}
 	if _, err := a.analyzeFunc(0, entry, 0); err != nil {
 		return nil, err
 	}
@@ -67,14 +68,14 @@ const (
 	bStackPtr       // a pointer into the current frame's stack
 )
 
-// bval is one abstract register or stack-slot value.
+// bval is one abstract register or stack-slot value. It holds no pointer,
+// so copying a state is a plain memory copy the collector never scans.
 type bval struct {
-	kind    bkind
-	prov    Prov   // scalar provenance
-	taint   uint64 // which maps' reads this value derives from
-	mapName string // bMapPtr / bMapVal
-	keyProv Prov   // bMapVal: provenance of the lookup key
-	off     int64  // bStackPtr: byte offset (frame bottom = 0, r10 = StackSize)
+	kind  bkind
+	mapID uint16 // bMapPtr / bMapVal: the map's index in bpfAnalyzer.names
+	prov  Prov   // bScalar: provenance; bMapVal: provenance of the lookup key
+	taint uint64 // which maps' reads this value derives from
+	off   int64  // bStackPtr: byte offset (frame bottom = 0, r10 = StackSize)
 }
 
 func scalar(p Prov, taint uint64) bval { return bval{kind: bScalar, prov: p, taint: taint} }
@@ -87,11 +88,11 @@ func (v bval) join(o bval) bval {
 	}
 	switch v.kind {
 	case bMapPtr, bMapVal:
-		if v.mapName != o.mapName {
+		if v.mapID != o.mapID {
 			return scalar(unknownProv(), v.taint|o.taint)
 		}
 		out := v
-		out.keyProv = v.keyProv.Join(o.keyProv)
+		out.prov = v.prov.Join(o.prov)
 		out.taint = v.taint | o.taint
 		return out
 	case bStackPtr:
@@ -107,29 +108,65 @@ func (v bval) join(o bval) bval {
 	return bval{kind: bScalar, prov: v.prov.Join(o.prov), taint: v.taint | o.taint}
 }
 
-// bpfState is the abstract machine state entering one instruction.
+// bslot is one written stack location of the active frame: its byte
+// offset (frame bottom = 0) and the value stored there.
+type bslot struct {
+	off int64
+	v   bval
+}
+
+// bpfState is the abstract machine state entering one instruction. Its
+// two pointer fields come first, so the collector scans only its head.
 type bpfState struct {
-	regs  [isa.NumRegisters]bval
-	slots map[int64]bval // written stack bytes of the active frame, by offset
-	ctrl  uint64         // control-taint mask
+	slots []bslot // written stack bytes of the active frame, sorted by offset
 
 	// The single held spin lock (the kernel allows at most one).
-	lockHeld bool
 	lockMap  string
+	lockHeld bool
 	lockKey  uint64
+
+	regs [isa.NumRegisters]bval
+	ctrl uint64 // control-taint mask
 }
 
 func (s *bpfState) clone() *bpfState {
 	out := *s
-	out.slots = make(map[int64]bval, len(s.slots))
-	for k, v := range s.slots {
-		out.slots[k] = v
+	if len(s.slots) > 0 {
+		out.slots = append([]bslot(nil), s.slots...)
 	}
 	return &out
 }
 
+// find returns the index of the slot at off, or where it would go.
+func (s *bpfState) find(off int64) (int, bool) {
+	i := 0
+	for i < len(s.slots) && s.slots[i].off < off {
+		i++
+	}
+	return i, i < len(s.slots) && s.slots[i].off == off
+}
+
+// slot returns the value written at stack offset off, if any.
+func (s *bpfState) slot(off int64) (bval, bool) {
+	if i, ok := s.find(off); ok {
+		return s.slots[i].v, true
+	}
+	return bval{}, false
+}
+
+// setSlot records v as written at stack offset off.
+func (s *bpfState) setSlot(off int64, v bval) {
+	i, ok := s.find(off)
+	if !ok {
+		s.slots = append(s.slots, bslot{})
+		copy(s.slots[i+1:], s.slots[i:])
+	}
+	s.slots[i] = bslot{off: off, v: v}
+}
+
 // join merges o into s, reporting whether s changed. Slots present in only
-// one state are dropped (reads of them degrade to unknown, which is sound).
+// one state are dropped (reads of them degrade to unknown, which is sound):
+// one pass over both sorted lists keeps the offsets they share.
 func (s *bpfState) join(o *bpfState) bool {
 	changed := false
 	for i := range s.regs {
@@ -138,18 +175,23 @@ func (s *bpfState) join(o *bpfState) bool {
 			changed = true
 		}
 	}
-	for k, v := range s.slots {
-		ov, ok := o.slots[k]
-		if !ok {
-			delete(s.slots, k)
+	kept, j := s.slots[:0], 0
+	for _, e := range s.slots {
+		for j < len(o.slots) && o.slots[j].off < e.off {
+			j++
+		}
+		if j == len(o.slots) || o.slots[j].off != e.off {
 			changed = true
 			continue
 		}
-		if nv := v.join(ov); nv != v {
-			s.slots[k] = nv
+		if nv := e.v.join(o.slots[j].v); nv != e.v {
+			e.v = nv
 			changed = true
 		}
+		kept = append(kept, e)
 	}
+	clear(s.slots[len(kept):])
+	s.slots = kept
 	if s.ctrl|o.ctrl != s.ctrl {
 		s.ctrl |= o.ctrl
 		changed = true
@@ -169,8 +211,11 @@ type bpfAnalyzer struct {
 	states   *verifier.StateTable
 	mapBit   map[string]uint
 	mapOrder []string
-	sites    map[siteKey]*siteInfo
-	order    []*siteInfo
+	// names interns the map names values refer to: "" (no map) at 0, then
+	// mapOrder, then any name only the verifier's snapshots supplied.
+	names []string
+	sites map[siteKey]*siteInfo
+	order []*siteInfo
 }
 
 func (a *bpfAnalyzer) bit(m string) uint64 {
@@ -179,6 +224,23 @@ func (a *bpfAnalyzer) bit(m string) uint64 {
 	}
 	return 0
 }
+
+// intern returns m's index in names, adding it if it is new.
+func (a *bpfAnalyzer) intern(m string) uint16 {
+	if i, ok := a.mapBit[m]; ok {
+		return uint16(i + 1)
+	}
+	for i := len(a.mapOrder) + 1; i < len(a.names); i++ {
+		if a.names[i] == m {
+			return uint16(i)
+		}
+	}
+	a.names = append(a.names, m)
+	return uint16(len(a.names) - 1)
+}
+
+// mapOfVal is the name of the map a bMapPtr or bMapVal refers to.
+func (a *bpfAnalyzer) mapOfVal(v bval) string { return a.names[v.mapID] }
 
 // bpfCtxSources are the helpers whose return value derives from the
 // invocation context — observable identically on any shard.
@@ -201,7 +263,11 @@ func (a *bpfAnalyzer) analyzeFunc(entry int, init *bpfState, depth int) (bval, e
 		// failing — the callee's sites were recorded at shallower depths.
 		return scalar(unknownProv(), ^uint64(0)), nil
 	}
-	states := map[int]*bpfState{entry: init}
+	if entry < 0 || entry >= len(a.prog.Insns) {
+		return scalar(unknownProv(), 0), nil
+	}
+	states := make([]*bpfState, len(a.prog.Insns))
+	states[entry] = init
 	work := []int{entry}
 	ret := bval{kind: bScalar, prov: botProv()}
 	steps := 0
@@ -209,10 +275,7 @@ func (a *bpfAnalyzer) analyzeFunc(entry int, init *bpfState, depth int) (bval, e
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		in, ok := states[pc]
-		if !ok || pc < 0 || pc >= len(a.prog.Insns) {
-			continue
-		}
+		in := states[pc]
 		if steps++; steps > 1<<16 {
 			return scalar(unknownProv(), 0), fmt.Errorf("concheck: dataflow did not converge at pc %d", pc)
 		}
@@ -221,8 +284,12 @@ func (a *bpfAnalyzer) analyzeFunc(entry int, init *bpfState, depth int) (bval, e
 
 		// push joins st into target's state. A target with no state yet
 		// gets st itself when the step is done with it (move), else a copy.
+		// A target outside the program has no instruction to analyse.
 		push := func(target int, move bool) {
-			if old, ok := states[target]; ok {
+			if target < 0 || target >= len(states) {
+				return
+			}
+			if old := states[target]; old != nil {
 				if old.join(st) {
 					work = append(work, target)
 				}
@@ -298,7 +365,6 @@ func (a *bpfAnalyzer) callBPF(callee int, st *bpfState, depth int) (bval, error)
 		init.regs[r] = v
 	}
 	init.regs[isa.R10] = bval{kind: bStackPtr, off: verifier.StackSize}
-	init.slots = map[int64]bval{}
 	init.ctrl = st.ctrl
 	init.lockHeld, init.lockMap, init.lockKey = st.lockHeld, st.lockMap, st.lockKey
 	return a.analyzeFunc(callee, init, depth+1)
@@ -315,7 +381,7 @@ func (a *bpfAnalyzer) clobberCaller(st *bpfState) {
 		st.regs[r] = scalar(unknownProv(), 0)
 	}
 	if passedStack {
-		st.slots = map[int64]bval{}
+		st.slots = nil
 	}
 }
 
@@ -324,7 +390,7 @@ func (a *bpfAnalyzer) stepALU(pc int, ins isa.Instruction, st *bpfState) {
 	switch ins.Class() {
 	case isa.ClassLD: // LDDW
 		if ins.IsMapRef() {
-			st.regs[ins.Dst] = bval{kind: bMapPtr, mapName: ins.MapName}
+			st.regs[ins.Dst] = bval{kind: bMapPtr, mapID: a.intern(ins.MapName)}
 		} else {
 			st.regs[ins.Dst] = scalar(constProv(uint64(ins.Const)), 0)
 		}
@@ -334,7 +400,7 @@ func (a *bpfAnalyzer) stepALU(pc int, ins isa.Instruction, st *bpfState) {
 		src := st.regs[ins.Src]
 		switch src.kind {
 		case bStackPtr:
-			if v, ok := st.slots[src.off+int64(ins.Off)]; ok {
+			if v, ok := st.slot(src.off + int64(ins.Off)); ok {
 				st.regs[ins.Dst] = v
 			} else {
 				st.regs[ins.Dst] = scalar(unknownProv(), 0)
@@ -342,7 +408,7 @@ func (a *bpfAnalyzer) stepALU(pc int, ins isa.Instruction, st *bpfState) {
 		case bMapVal:
 			// Reading the looked-up value: the loaded scalar derives from
 			// that map — the first half of a lost-update window.
-			st.regs[ins.Dst] = scalar(unknownProv(), src.taint|a.bit(src.mapName))
+			st.regs[ins.Dst] = scalar(unknownProv(), src.taint|a.bit(a.mapOfVal(src)))
 		case bCtxPtr:
 			st.regs[ins.Dst] = scalar(ctxProv(), 0)
 		default:
@@ -359,16 +425,16 @@ func (a *bpfAnalyzer) stepALU(pc int, ins isa.Instruction, st *bpfState) {
 		switch {
 		case ins.Mode() == isa.ModeATOMIC && dst.kind == bMapVal:
 			// One indivisible fetch-add through the value pointer.
-			a.record(pc, dst.mapName, opAtomic, "atomic-add", dst.keyProv, 0, st)
+			a.record(pc, a.mapOfVal(dst), opAtomic, "atomic-add", dst.prov, 0, st)
 			if ins.Imm&isa.AtomicFetch != 0 {
-				st.regs[ins.Src] = scalar(unknownProv(), a.bit(dst.mapName))
+				st.regs[ins.Src] = scalar(unknownProv(), a.bit(a.mapOfVal(dst)))
 			}
 		case dst.kind == bStackPtr:
-			st.slots[dst.off+int64(ins.Off)] = val
+			st.setSlot(dst.off+int64(ins.Off), val)
 		case dst.kind == bMapVal:
 			// An in-place store through the looked-up value pointer: a
 			// write site keyed by the lookup's key.
-			a.record(pc, dst.mapName, opWrite, "store", dst.keyProv, val.taint|st.ctrl, st)
+			a.record(pc, a.mapOfVal(dst), opWrite, "store", dst.prov, val.taint|st.ctrl, st)
 		}
 	}
 }
@@ -467,7 +533,7 @@ func (a *bpfAnalyzer) helperCall(pc int, ins isa.Instruction, st *bpfState) erro
 			// The returned pointer carries the map's taint so that a null
 			// check on it control-taints the miss/hit arms (the racy
 			// lookup-then-insert pattern is a control window).
-			result = bval{kind: bMapVal, mapName: m, keyProv: key, taint: a.bit(m)}
+			result = bval{kind: bMapVal, mapID: a.intern(m), prov: key, taint: a.bit(m)}
 		}
 	case "bpf_map_update_elem":
 		m := a.mapOf(pc, isa.R1, r1)
@@ -486,8 +552,8 @@ func (a *bpfAnalyzer) helperCall(pc int, ins isa.Instruction, st *bpfState) erro
 		result = scalar(cpuProv(), 0)
 	case "bpf_spin_lock":
 		if r1.kind == bMapVal {
-			if c, ok := r1.keyProv.IsConst(); ok {
-				st.lockHeld, st.lockMap, st.lockKey = true, r1.mapName, c
+			if c, ok := r1.prov.IsConst(); ok {
+				st.lockHeld, st.lockMap, st.lockKey = true, a.mapOfVal(r1), c
 			} else {
 				st.lockHeld = false
 			}
@@ -525,7 +591,7 @@ func (a *bpfAnalyzer) helperCall(pc int, ins isa.Instruction, st *bpfState) erro
 // reloaded map pointers).
 func (a *bpfAnalyzer) mapOf(pc int, r isa.Register, v bval) string {
 	if v.kind == bMapPtr || v.kind == bMapVal {
-		return v.mapName
+		return a.mapOfVal(v)
 	}
 	return a.snapMap(pc, r)
 }
@@ -535,7 +601,7 @@ func (a *bpfAnalyzer) mapOf(pc int, r isa.Register, v bval) string {
 // spilled constant, else unknown.
 func (a *bpfAnalyzer) keyOf(pc int, r isa.Register, ptr bval, st *bpfState) Prov {
 	if ptr.kind == bStackPtr {
-		if v, ok := st.slots[ptr.off]; ok && v.kind == bScalar &&
+		if v, ok := st.slot(ptr.off); ok && v.kind == bScalar &&
 			v.prov.kind != provBot && v.prov.kind != provUnknown {
 			return v.prov
 		}
@@ -550,7 +616,7 @@ func (a *bpfAnalyzer) keyOf(pc int, r isa.Register, ptr bval, st *bpfState) Prov
 // r3): the pointed-to slot's taint when tracked.
 func (a *bpfAnalyzer) valTaint(ptr bval, st *bpfState) uint64 {
 	if ptr.kind == bStackPtr {
-		if v, ok := st.slots[ptr.off]; ok {
+		if v, ok := st.slot(ptr.off); ok {
 			return v.taint
 		}
 		return 0

@@ -340,3 +340,61 @@ func TestBPFControlWindowDelete(t *testing.T) {
 		t.Fatalf("verdict %s, want Racy (check-then-act delete)", rep.Verdict)
 	}
 }
+
+// TestBPFSlotJoinDropsOneSidedSlots: the two arms of a branch write
+// different stack slots and meet again. Each arm reads its own slot as the
+// constant it wrote. At the merge the slot both arms wrote keeps its
+// constant, and each slot only one arm wrote reads as unknown: a join keeps
+// only the slots present on both sides.
+func TestBPFSlotJoinDropsOneSidedSlots(t *testing.T) {
+	e := newBPFEnv(t)
+	lookupAt := func(off int32) []isa.Instruction {
+		return []isa.Instruction{
+			isa.Mov64Reg(isa.R2, isa.R10),
+			isa.ALU64Imm(isa.OpAdd, isa.R2, off),
+			isa.LoadMapRef(isa.R1, "allow"),
+			isa.Call(e.lookup),
+		}
+	}
+	insns := []isa.Instruction{
+		isa.LoadMem(isa.SizeW, isa.R9, isa.R1, 0),
+		isa.Mov64Imm(isa.R6, 3),
+		isa.StoreMem(isa.SizeDW, isa.R10, -8, isa.R6), // both arms
+		isa.JmpImm(isa.OpJeq, isa.R9, 0, 6),
+		isa.StoreImm(isa.SizeDW, isa.R10, -16, 5), // fall-through arm only
+	}
+	insns = append(insns, lookupAt(-16)...)
+	insns = append(insns,
+		isa.Ja(5),
+		isa.StoreImm(isa.SizeDW, isa.R10, -24, 7), // taken arm only
+	)
+	insns = append(insns, lookupAt(-24)...)
+	merge := len(insns)
+	for _, off := range []int32{-8, -16, -24} {
+		insns = append(insns, lookupAt(off)...)
+	}
+	insns = append(insns, isa.Mov64Imm(isa.R0, 0), isa.Exit())
+	if 3+1+int(insns[3].Off) != 10 || 9+1+int(insns[9].Off) != merge {
+		t.Fatal("fixture jumps miss their targets")
+	}
+
+	rep := e.analyze(t, "slot_join", insns, map[string]string{"allow": "hash"}, nil)
+	keys := map[int]string{}
+	for _, s := range rep.Maps[0].Sites {
+		keys[s.PC] = s.Key
+	}
+	for _, want := range []struct {
+		pc  int
+		key string
+	}{
+		{8, "const 5"},          // fall-through arm reads its own slot
+		{14, "const 7"},         // taken arm reads its own slot
+		{merge + 3, "const 3"},  // written on both arms
+		{merge + 7, "unknown"},  // fall-through arm only
+		{merge + 11, "unknown"}, // taken arm only
+	} {
+		if got, ok := keys[want.pc]; !ok || got != want.key {
+			t.Errorf("lookup at pc %d: key %q (site recorded: %v), want %q", want.pc, got, ok, want.key)
+		}
+	}
+}

@@ -21,13 +21,14 @@ import (
 // leak, and (c) the interpreter and the JIT give the same deterministic
 // report.
 
-// progGen builds random-but-structured programs.
+// progGen builds random-but-structured programs. It draws registers in
+// register order, so a seed names one program.
 type progGen struct {
 	rng      *rand.Rand
 	insns    []isa.Instruction
-	inited   map[isa.Register]bool
-	ptrish   map[isa.Register]bool // likely holds a pointer at runtime
-	written  []int16               // stack offsets stored to so far
+	inited   [isa.NumRegisters]bool
+	ptrish   [isa.NumRegisters]bool // likely holds a pointer at runtime
+	written  []int16                // stack offsets stored to so far
 	lookupID int32
 	// cpuID is bpf_get_smp_processor_id, whose result does not depend on
 	// the kernel clock.
@@ -37,21 +38,23 @@ type progGen struct {
 func newProgGen(seed int64, s *Stack) *progGen {
 	lookup, _ := s.Helpers.ByName("bpf_map_lookup_elem")
 	cpu, _ := s.Helpers.ByName("bpf_get_smp_processor_id")
-	return &progGen{
+	g := &progGen{
 		rng:      rand.New(rand.NewSource(seed)),
-		inited:   map[isa.Register]bool{isa.R1: true, isa.R10: true},
-		ptrish:   map[isa.Register]bool{isa.R1: true, isa.R10: true},
 		lookupID: int32(lookup.ID),
 		cpuID:    int32(cpu.ID),
 	}
+	for _, r := range []isa.Register{isa.R1, isa.R10} {
+		g.inited[r], g.ptrish[r] = true, true
+	}
+	return g
 }
 
 func (g *progGen) reg(initedOnly bool) isa.Register {
 	if initedOnly {
 		var cands []isa.Register
 		for r, ok := range g.inited {
-			if ok && r != isa.R10 {
-				cands = append(cands, r)
+			if ok && isa.Register(r) != isa.R10 {
+				cands = append(cands, isa.Register(r))
 			}
 		}
 		if len(cands) == 0 {
@@ -71,8 +74,8 @@ func (g *progGen) scalarReg() isa.Register {
 	}
 	var cands []isa.Register
 	for r, ok := range g.inited {
-		if ok && r != isa.R10 && !g.ptrish[r] {
-			cands = append(cands, r)
+		if ok && isa.Register(r) != isa.R10 && !g.ptrish[r] {
+			cands = append(cands, isa.Register(r))
 		}
 	}
 	if len(cands) == 0 {

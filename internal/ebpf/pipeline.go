@@ -128,6 +128,12 @@ func (s *Stack) Load(prog *isa.Program) (*Loaded, error) {
 			return nil, fmt.Errorf("ebpf: shard-safety analysis of %q: %w", prog.Name, err)
 		}
 		rec.Mark("concheck")
+		if !s.VerifierConfig.CaptureState {
+			// The table was captured for the analysis alone; it points
+			// into every state captured, so keeping it on the program's
+			// Verdict would keep them all alive as long as the program.
+			res.States = nil
+		}
 	}
 	insns := append([]isa.Instruction(nil), prog.Insns...)
 	if err := interp.Relocate(insns, s.Maps); err != nil {

@@ -291,46 +291,92 @@ func TestLoadPhaseTimings(t *testing.T) {
 	}
 }
 
-// TestLoadBytesPerProgram pins what one Load of a kexperf-shaped kvcache
-// program allocates with the shard-safety analysis on (which forces state
-// capture) and the JIT on: the mean MemStats.TotalAlloc delta over 50
-// loads. The bound holds only while a copied verifier state carries the
-// stack slots the program wrote, not all 64 of them (8.9 KB a frame).
+// TestLoadBytesPerProgram pins what one Load of each kexperf-shaped program
+// (kvcache and flows) allocates with the shard-safety analysis on (which
+// forces state capture) and the JIT on: the mean MemStats.TotalAlloc delta
+// over 50 loads. The bound holds only while the verifier pays one copy per
+// state it keeps (the prune point's copy doubles as the snapshot, and the
+// exported table points into it), each copy carries only the stack slots
+// the program wrote, and concheck's per-instruction state copy is a short
+// slice of slots, not a Go map.
 func TestLoadBytesPerProgram(t *testing.T) {
 	const loads = 50
-	const bound = 300 << 10
+	const bound = 180 << 10
 	s := NewStack(kernel.NewDefault())
 	s.Conc = exec.ConcStrict
 	for _, spec := range []maps.Spec{
 		{Name: "cache", Type: maps.Hash, KeySize: 4, ValueSize: 8, MaxEntries: 4096},
 		{Name: "stats", Type: maps.PerCPUArray, KeySize: 4, ValueSize: 8, MaxEntries: 4},
+		{Name: "flows", Type: maps.Hash, KeySize: 4, ValueSize: 8, MaxEntries: 1000},
+		{Name: "pkts", Type: maps.PerCPUArray, KeySize: 4, ValueSize: 8, MaxEntries: 1},
 	} {
 		if _, err := s.CreateMap(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	insns := kvcacheShaped(s)
-	progs := make([]*isa.Program, loads+1)
-	for i := range progs {
-		progs[i] = &isa.Program{Name: fmt.Sprintf("kv_%d", i), Type: isa.Tracing, Insns: insns}
+	for _, shape := range []struct {
+		name  string
+		insns []isa.Instruction
+	}{
+		{"kvcache", kvcacheShaped(s)},
+		{"flows", flowsShaped(s)},
+	} {
+		progs := make([]*isa.Program, loads+1)
+		for i := range progs {
+			progs[i] = &isa.Program{Name: fmt.Sprintf("%s_%d", shape.name, i), Type: isa.Tracing, Insns: shape.insns}
+		}
+		load := func(p *isa.Program) {
+			l, err := s.Load(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+		}
+		load(progs[loads]) // warm the stack's one-time state
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, p := range progs[:loads] {
+			load(p)
+		}
+		runtime.ReadMemStats(&after)
+		perLoad := (after.TotalAlloc - before.TotalAlloc) / loads
+		t.Logf("%s: %d bytes per load", shape.name, perLoad)
+		if perLoad > bound {
+			t.Errorf("%s: a load allocates %d bytes, bound %d", shape.name, perLoad, bound)
+		}
 	}
-	load := func(p *isa.Program) {
-		l, err := s.Load(p)
+}
+
+// TestLoadDropsConcStateTable: shard-safety enforcement turns state capture
+// on for the analysis alone, so the loaded program must not keep the table
+// (it points into every captured verifier state). A stack whose own
+// VerifierConfig asks for capture keeps it.
+func TestLoadDropsConcStateTable(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		s := NewStack(kernel.NewDefault())
+		s.Conc = exec.ConcStrict
+		s.VerifierConfig.CaptureState = keep
+		for _, spec := range []maps.Spec{
+			{Name: "cache", Type: maps.Hash, KeySize: 4, ValueSize: 8, MaxEntries: 4096},
+			{Name: "stats", Type: maps.PerCPUArray, KeySize: 4, ValueSize: 8, MaxEntries: 4},
+		} {
+			if _, err := s.CreateMap(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, err := s.Load(&isa.Program{Name: "kv", Type: isa.Tracing, Insns: kvcacheShaped(s)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		l.Close()
-	}
-	load(progs[loads]) // warm the stack's one-time state
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, p := range progs[:loads] {
-		load(p)
-	}
-	runtime.ReadMemStats(&after)
-	perLoad := (after.TotalAlloc - before.TotalAlloc) / loads
-	t.Logf("%d bytes per load", perLoad)
-	if perLoad > bound {
-		t.Errorf("a load allocates %d bytes, bound %d", perLoad, bound)
+		if l.Conc == nil || len(l.Conc.Maps) == 0 {
+			t.Fatalf("CaptureState=%v: no shard-safety report", keep)
+		}
+		switch got := l.Verdict.States; {
+		case keep && (got == nil || got.Snapshots() == 0):
+			t.Errorf("CaptureState=true: the loaded program lost its state table")
+		case !keep && got != nil:
+			t.Errorf("CaptureState=false: the loaded program keeps the %d-snapshot table concheck read", got.Snapshots())
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"math/bits"
+
+	"kex/internal/ebpf/isa"
 )
 
 // This file is the machine-readable export of the verifier's abstract
@@ -15,13 +17,13 @@ import (
 // state-embedding checker holds concrete executions against exactly that
 // claim.
 //
-// Capture happens in step(), before the instruction's transfer function
-// runs, so the snapshot describes the state *entering* the instruction —
-// the same point a runtime trace hook observes. States pruned at a prune
-// point never reach step(), but the covering general state was itself
-// stepped (states enter visited[pc] only on the non-pruned path), so a
-// concrete execution following a pruned path is still contained in some
-// captured snapshot at every pc.
+// Capture happens in explore(), just before step() runs the instruction's
+// transfer function, so the snapshot describes the state *entering* the
+// instruction — the same point a runtime trace hook observes. States
+// pruned at a prune point never reach step(), but the covering general
+// state was itself stepped (states enter visited[pc] only on the
+// non-pruned path), so a concrete execution following a pruned path is
+// still contained in some captured snapshot at every pc.
 
 // maxSnapsPerInsn bounds the per-instruction snapshot list. A pc that
 // overflows is marked saturated; consumers must treat a saturated pc as
@@ -43,15 +45,17 @@ type SlotSnap struct {
 // frame's registers and written stack slots, plus the call-frame depth.
 // For multi-frame states only the innermost frame is recorded — that is
 // the frame a runtime register observation at this pc corresponds to.
+// Regs and every Spill point into the verifier's captured state, which
+// nothing modifies after capture; consumers must not write through them.
 type StateSnap struct {
-	PC     int              `json:"pc"`
-	Frames int              `json:"frames"`
-	Regs   [NumSnapRegs]Reg `json:"regs"`
-	Stack  []SlotSnap       `json:"stack,omitempty"`
+	PC     int               `json:"pc"`
+	Frames int               `json:"frames"`
+	Regs   *[NumSnapRegs]Reg `json:"regs"`
+	Stack  []SlotSnap        `json:"stack,omitempty"`
 }
 
 // NumSnapRegs is the register-file width recorded per snapshot (R0-R10).
-const NumSnapRegs = 11
+const NumSnapRegs = isa.NumRegisters
 
 // StateTable is the per-instruction snapshot table of one verification.
 type StateTable struct {
@@ -160,7 +164,10 @@ func newSnapshotter(insns int) *snapshotter {
 // capture records st's abstract state at st.pc unless an already-captured
 // snapshot generalizes it (that snapshot contains every machine state this
 // one does, so the table loses nothing by skipping the special case).
-func (c *snapshotter) capture(st *state) {
+// frozen, when not nil, is a clone of st that nothing will modify (the
+// one a prune point kept in visited): the table keeps it instead of
+// cloning st a second time.
+func (c *snapshotter) capture(st, frozen *state) {
 	pc := st.pc
 	if pc < 0 || pc >= len(c.perPC) || c.saturated[pc] {
 		return
@@ -174,25 +181,45 @@ func (c *snapshotter) capture(st *state) {
 		c.saturated[pc] = true
 		return
 	}
-	c.perPC[pc] = append(c.perPC[pc], st.clone())
+	if frozen == nil {
+		frozen = st.clone()
+	}
+	c.perPC[pc] = append(c.perPC[pc], frozen)
 }
 
-// table converts the raw captures into the exported form.
+// table converts the raw captures into the exported form. A snapshot
+// points into its captured state (registers and spilled slots) instead of
+// copying it: the captured states are never modified once taken, so the
+// table costs one StateSnap and one SlotSnap per written slot, each from
+// a single backing array.
 func (c *snapshotter) table() *StateTable {
 	t := &StateTable{Insns: len(c.perPC), PerPC: make([][]StateSnap, len(c.perPC))}
+	nsnaps, nslots := 0, 0
 	anySat := false
 	for pc, states := range c.perPC {
 		if c.saturated[pc] {
 			anySat = true
 		}
+		nsnaps += len(states)
+		for _, st := range states {
+			for _, s := range st.cur().stack {
+				if s.kind != slotInvalid {
+					nslots++
+				}
+			}
+		}
+	}
+	snaps := make([]StateSnap, nsnaps)
+	slots := make([]SlotSnap, nslots)
+	for pc, states := range c.perPC {
 		if len(states) == 0 {
 			continue
 		}
-		snaps := make([]StateSnap, 0, len(states))
-		for _, st := range states {
-			snaps = append(snaps, snapOf(st))
+		t.PerPC[pc] = snaps[:len(states):len(states)]
+		for i, st := range states {
+			snaps[i], slots = snapOf(st, slots)
 		}
-		t.PerPC[pc] = snaps
+		snaps = snaps[len(states):]
 	}
 	if anySat {
 		t.Saturated = c.saturated
@@ -200,11 +227,12 @@ func (c *snapshotter) table() *StateTable {
 	return t
 }
 
-// snapOf flattens one verifier state into its exported snapshot.
-func snapOf(st *state) StateSnap {
+// snapOf exports one captured state, taking its slot snapshots from the
+// front of slots and returning what is left of it.
+func snapOf(st *state, slots []SlotSnap) (StateSnap, []SlotSnap) {
 	f := st.cur()
-	s := StateSnap{PC: st.pc, Frames: len(st.frames)}
-	copy(s.Regs[:], f.regs[:])
+	s := StateSnap{PC: st.pc, Frames: len(st.frames), Regs: &f.regs}
+	n := 0
 	// Slots are exported bottom up: the deepest (highest spi) first.
 	for spi := len(f.stack) - 1; spi >= 0; spi-- {
 		slot := stackSlots - 1 - spi
@@ -212,13 +240,16 @@ func snapOf(st *state) StateSnap {
 		case slotInvalid:
 			continue
 		case slotMisc:
-			s.Stack = append(s.Stack, SlotSnap{Slot: slot, Kind: "misc"})
+			slots[n] = SlotSnap{Slot: slot, Kind: "misc"}
 		case slotZero:
-			s.Stack = append(s.Stack, SlotSnap{Slot: slot, Kind: "zero"})
+			slots[n] = SlotSnap{Slot: slot, Kind: "zero"}
 		case slotSpill:
-			sp := f.stack[spi].spill
-			s.Stack = append(s.Stack, SlotSnap{Slot: slot, Kind: "spill", Spill: &sp})
+			slots[n] = SlotSnap{Slot: slot, Kind: "spill", Spill: &f.stack[spi].spill}
 		}
+		n++
 	}
-	return s
+	if n > 0 {
+		s.Stack = slots[:n:n]
+	}
+	return s, slots[n:]
 }

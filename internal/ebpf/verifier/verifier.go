@@ -178,8 +178,8 @@ type Verifier struct {
 	res     *Result
 	nextRef int
 
-	visited    map[int][]*state
-	prunePoint map[int]bool
+	visited    [][]*state // by pc
+	prunePoint []bool     // by pc; one past the end for a final jump
 	verifiedCB map[int32]bool
 	logOn      bool
 	snaps      *snapshotter
@@ -200,8 +200,8 @@ func Verify(prog *isa.Program, reg *helpers.Registry, mapMeta map[string]*MapMet
 		maps:       mapMeta,
 		res:        &Result{},
 		logOn:      cfg.LogState,
-		visited:    make(map[int][]*state),
-		prunePoint: make(map[int]bool),
+		visited:    make([][]*state, len(prog.Insns)),
+		prunePoint: make([]bool, len(prog.Insns)+1),
 		verifiedCB: make(map[int32]bool),
 	}
 	if cfg.CaptureState {
@@ -340,6 +340,7 @@ func (v *Verifier) explore(entry *state) error {
 
 			// Prune: if an already-verified state generalizes this one,
 			// every continuation is known safe.
+			var frozen *state
 			if v.prunePoint[st.pc] {
 				pruned := false
 				for _, old := range v.visited[st.pc] {
@@ -353,8 +354,14 @@ func (v *Verifier) explore(entry *state) error {
 					break
 				}
 				if len(v.visited[st.pc]) < v.cfg.MaxStatesPerInsn {
-					v.visited[st.pc] = append(v.visited[st.pc], st.clone())
+					frozen = st.clone()
+					v.visited[st.pc] = append(v.visited[st.pc], frozen)
 				}
+			}
+			if v.snaps != nil {
+				// The state kept in visited is never modified, so the
+				// snapshot table may keep the same copy.
+				v.snaps.capture(st, frozen)
 			}
 
 			next, branch, err := v.step(st)
@@ -377,9 +384,6 @@ func (v *Verifier) explore(entry *state) error {
 func (v *Verifier) step(st *state) (cont bool, branch *state, err error) {
 	ins := v.prog.Insns[st.pc]
 	v.logf("%d: %v ; %v", st.pc, ins, st)
-	if v.snaps != nil {
-		v.snaps.capture(st)
-	}
 	switch ins.Class() {
 	case isa.ClassALU, isa.ClassALU64:
 		if err := v.checkALU(st, ins); err != nil {

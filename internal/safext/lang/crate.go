@@ -1,5 +1,7 @@
 package lang
 
+import "sort"
+
 // CrateArgKind classifies kernel-crate parameter kinds. The crate is the
 // trusted interface layer of §3.1: SLX programs can only reach the kernel
 // through these typed entry points, never raw helpers.
@@ -45,28 +47,37 @@ const CrateIDBase = 1000
 // sorted-name order, then the internal ones). The compiler emits these IDs
 // and the runtime registers the implementations at them.
 func CrateID(name string) (int32, bool) {
-	names := CrateNames()
-	for i, n := range names {
-		if n == name {
-			return CrateIDBase + int32(i), true
-		}
-	}
-	return 0, false
+	id, ok := crateIDs[name]
+	return id, ok
 }
 
 // CrateNames returns every crate entry point in ID order.
 func CrateNames() []string {
-	var names []string
+	return append([]string(nil), crateNames...)
+}
+
+// crateNames and crateIDs are the ID table, built once from Crate and
+// InternalCrate, which nothing modifies.
+var (
+	crateNames = buildCrateNames()
+	crateIDs   = buildCrateIDs(crateNames)
+)
+
+func buildCrateNames() []string {
+	names := make([]string, 0, len(Crate)+len(InternalCrate))
 	for n := range Crate {
 		names = append(names, n)
 	}
-	// Insertion sort keeps this dependency-free and the list is tiny.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names)
 	return append(names, InternalCrate...)
+}
+
+func buildCrateIDs(names []string) map[string]int32 {
+	ids := make(map[string]int32, len(names))
+	for i, n := range names {
+		ids[n] = CrateIDBase + int32(i)
+	}
+	return ids
 }
 
 // Crate is the kernel-crate interface: the complete list of typed entry

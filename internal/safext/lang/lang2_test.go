@@ -45,6 +45,37 @@ func TestCrateIDStability(t *testing.T) {
 	}
 }
 
+// TestCrateIDsPinned pins every crate function's helper ID. Signed SLXO
+// objects carry these IDs, so adding a crate function may append IDs but
+// must never move an existing one.
+func TestCrateIDsPinned(t *testing.T) {
+	want := map[string]int32{
+		"comm": 1000, "cpu": 1001, "emit": 1002, "ktime": 1003,
+		"map_del": 1004, "map_get": 1005, "map_inc": 1006, "map_set": 1007,
+		"mem_alloc": 1008, "mem_free": 1009, "mem_get": 1010, "mem_set": 1011,
+		"pid_tgid": 1012, "pkt_len": 1013, "pkt_read_u16": 1014, "pkt_read_u32": 1015,
+		"pkt_read_u8": 1016, "pkt_write_u8": 1017, "rand": 1018, "signal": 1019,
+		"sk_lookup_tcp": 1020, "sk_lookup_udp": 1021, "sk_mark": 1022, "sk_ok": 1023,
+		"str_eq": 1024, "str_parse": 1025, "trace": 1026, "uid": 1027,
+		"trap": 1028, "lock_acquire": 1029, "lock_release": 1030, "sock_release": 1031,
+	}
+	names := CrateNames()
+	if len(names) != len(want) {
+		t.Fatalf("%d crate functions, %d pinned", len(names), len(want))
+	}
+	for i, n := range names {
+		id, ok := CrateID(n)
+		if !ok || id != want[n] || id != CrateIDBase+int32(i) {
+			t.Errorf("CrateID(%q) = %d, %v at position %d; pinned %d", n, id, ok, i, want[n])
+		}
+	}
+	// The returned list is the caller's: changing it moves no ID.
+	names[0] = "changed"
+	if got := CrateNames()[0]; got != "comm" {
+		t.Errorf("CrateNames()[0] = %q after a caller wrote to its copy", got)
+	}
+}
+
 func TestTypeStringsAndSizes(t *testing.T) {
 	cases := map[string]Type{
 		"()": {Kind: TypeUnit}, "i64": {Kind: TypeI64}, "u64": {Kind: TypeU64},
