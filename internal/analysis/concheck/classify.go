@@ -7,7 +7,7 @@ import (
 )
 
 // The classification pass is shared by both stacks: the SLX analyzer (MIR)
-// and the eBPF analyzer (bytecode + verifier snapshots) each reduce their
+// and the eBPF analyzer (bytecode + verifier facts) each reduce their
 // programs to the same site evidence — op kind, key provenance, value
 // taint, lock context — and this file turns that evidence into verdicts.
 

@@ -10,7 +10,7 @@
 //
 // The analysis runs over the SLX compiler's MIR (the same check-site
 // machinery the optimizer and translation validator use) and, for the eBPF
-// stack, over raw bytecode with the verifier's state snapshots resolving
+// stack, over raw bytecode with the verifier's per-call facts resolving
 // key constants. Like the CHEK and TVAL properties before it, the verdict
 // is computed in userspace, serialized into the signed container (CONC
 // section), and merely *enforced* in the kernel — the paper's thesis that

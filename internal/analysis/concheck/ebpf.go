@@ -14,19 +14,20 @@ import (
 // lookup/update/delete helper calls, loads and stores through map-value
 // pointers, and atomic adds. The analysis is its own forward dataflow pass
 // over the bytecode (key provenance + map taint, the same lattice the SLX
-// side uses), leaning on the verifier's state snapshots where the local
+// side uses), leaning on the verifier's per-call facts where the local
 // tracking runs out — a spilled-and-reloaded key constant, a map handle the
 // pass lost track of. mapKinds maps each map name to its registry kind
-// string ("hash", "percpu_array", ...); states may be nil when the verifier
-// ran without CaptureState.
+// string ("hash", "percpu_array", ...); facts is the accepted program's
+// verifier.Result.Facts, nil when the verifier did not run.
 func AnalyzeBPF(prog *isa.Program, reg *helpers.Registry, mapMeta map[string]*verifier.MapMeta,
-	mapKinds map[string]string, states *verifier.StateTable) (*compile.ConcReport, error) {
+	mapKinds map[string]string, facts []verifier.CallFact) (*compile.ConcReport, error) {
 	a := &bpfAnalyzer{
 		prog:   prog,
 		reg:    reg,
 		meta:   mapMeta,
 		kinds:  mapKinds,
-		states: states,
+		facts:  facts,
+		leader: leaders(prog.Insns),
 		mapBit: make(map[string]uint),
 		names:  []string{""},
 		sites:  make(map[siteKey]*siteInfo),
@@ -137,6 +138,13 @@ func (s *bpfState) clone() *bpfState {
 	return &out
 }
 
+// load makes s a copy of o, reusing s's slot array.
+func (s *bpfState) load(o *bpfState) {
+	slots := append(s.slots[:0], o.slots...)
+	*s = *o
+	s.slots = slots
+}
+
 // find returns the index of the slot at off, or where it would go.
 func (s *bpfState) find(off int64) (int, bool) {
 	i := 0
@@ -208,11 +216,12 @@ type bpfAnalyzer struct {
 	reg      *helpers.Registry
 	meta     map[string]*verifier.MapMeta
 	kinds    map[string]string
-	states   *verifier.StateTable
+	facts    []verifier.CallFact
+	leader   []bool // by pc: the first instruction of a basic block
 	mapBit   map[string]uint
 	mapOrder []string
 	// names interns the map names values refer to: "" (no map) at 0, then
-	// mapOrder, then any name only the verifier's snapshots supplied.
+	// mapOrder, then any name only the verifier's facts supplied.
 	names []string
 	sites map[siteKey]*siteInfo
 	order []*siteInfo
@@ -253,10 +262,36 @@ var bpfCtxSources = map[string]bool{
 	"bpf_get_func_ip": true,
 }
 
+// leaders marks the first instruction of every basic block: the program
+// entry, each jump target and BPF-to-BPF callee, and each instruction
+// after a jump or an exit.
+func leaders(insns []isa.Instruction) []bool {
+	l := make([]bool, len(insns))
+	mark := func(pc int) {
+		if pc >= 0 && pc < len(l) {
+			l[pc] = true
+		}
+	}
+	mark(0)
+	for pc, ins := range insns {
+		switch {
+		case ins.IsBPFCall():
+			mark(pc + 1 + int(ins.Imm))
+		case ins.IsJump():
+			mark(pc + 1 + int(ins.Off))
+			mark(pc + 1)
+		case ins.IsExit():
+			mark(pc + 1)
+		}
+	}
+	return l
+}
+
 // analyzeFunc runs the joined-state worklist over one bytecode function
-// (entry..its exits), recursing into BPF-to-BPF callees. Returns the
-// function's abstract r0. init becomes the entry's state: the caller must
-// not use it afterwards.
+// (entry..its exits), recursing into BPF-to-BPF callees. A state is kept
+// only at block leaders: one working state steps through each block.
+// Returns the function's abstract r0. init becomes the entry's state: the
+// caller must not use it afterwards.
 func (a *bpfAnalyzer) analyzeFunc(entry int, init *bpfState, depth int) (bval, error) {
 	if depth > 8 {
 		// Deeper than the engine's own frame limit: degrade instead of
@@ -272,75 +307,71 @@ func (a *bpfAnalyzer) analyzeFunc(entry int, init *bpfState, depth int) (bval, e
 	ret := bval{kind: bScalar, prov: botProv()}
 	steps := 0
 
+	// push joins st into the state of the leader target; a target with no
+	// state yet gets a copy. A target outside the program has no
+	// instruction to analyse.
+	push := func(target int, st *bpfState) {
+		if target < 0 || target >= len(states) {
+			return
+		}
+		if old := states[target]; old != nil {
+			if old.join(st) {
+				work = append(work, target)
+			}
+			return
+		}
+		states[target] = st.clone()
+		work = append(work, target)
+	}
+
+	// st is the working state, loaded from each block's in-state in turn.
+	st := &bpfState{}
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		in := states[pc]
-		if steps++; steps > 1<<16 {
-			return scalar(unknownProv(), 0), fmt.Errorf("concheck: dataflow did not converge at pc %d", pc)
-		}
-		st := in.clone()
-		ins := a.prog.Insns[pc]
-
-		// push joins st into target's state. A target with no state yet
-		// gets st itself when the step is done with it (move), else a copy.
-		// A target outside the program has no instruction to analyse.
-		push := func(target int, move bool) {
-			if target < 0 || target >= len(states) {
-				return
+		st.load(states[pc])
+	block:
+		for {
+			if steps++; steps > 1<<16 {
+				return scalar(unknownProv(), 0), fmt.Errorf("concheck: dataflow did not converge at pc %d", pc)
 			}
-			if old := states[target]; old != nil {
-				if old.join(st) {
-					work = append(work, target)
+			ins := a.prog.Insns[pc]
+			switch {
+			case ins.IsExit():
+				ret = ret.join(st.regs[isa.R0])
+				break block
+			case ins.IsBPFCall():
+				r0, err := a.callBPF(pc+1+int(ins.Imm), st, depth)
+				if err != nil {
+					return ret, err
 				}
-				return
+				st.regs[isa.R0] = r0
+				a.clobberCaller(st)
+			case ins.IsCall():
+				if err := a.helperCall(pc, ins, st); err != nil {
+					return ret, err
+				}
+			case ins.IsUnconditionalJump():
+				push(pc+1+int(ins.Off), st)
+				break block
+			case ins.IsJump():
+				// A conditional branch on map-derived data control-taints both
+				// arms (conservatively to the end of the function — a superset
+				// of the true control-dependence region, never a subset).
+				st.ctrl |= st.regs[ins.Dst].taint
+				if ins.UsesX() {
+					st.ctrl |= st.regs[ins.Src].taint
+				}
+				push(pc+1+int(ins.Off), st)
+				push(pc+1, st)
+				break block
+			default:
+				a.stepALU(pc, ins, st)
 			}
-			if move {
-				states[target] = st
-			} else {
-				states[target] = st.clone()
+			if pc++; pc >= len(a.prog.Insns) || a.leader[pc] {
+				push(pc, st)
+				break
 			}
-			work = append(work, target)
-		}
-
-		switch {
-		case ins.IsExit():
-			ret = ret.join(st.regs[isa.R0])
-			continue
-		case ins.IsBPFCall():
-			callee := pc + 1 + int(ins.Imm)
-			r0, err := a.callBPF(callee, st, depth)
-			if err != nil {
-				return ret, err
-			}
-			st.regs[isa.R0] = r0
-			a.clobberCaller(st)
-			push(pc+1, true)
-			continue
-		case ins.IsCall():
-			if err := a.helperCall(pc, ins, st); err != nil {
-				return ret, err
-			}
-			push(pc+1, true)
-			continue
-		case ins.IsJump():
-			if ins.IsUnconditionalJump() {
-				push(pc+1+int(ins.Off), true)
-				continue
-			}
-			// A conditional branch on map-derived data control-taints both
-			// arms (conservatively to the end of the function — a superset
-			// of the true control-dependence region, never a subset).
-			st.ctrl |= st.regs[ins.Dst].taint
-			if ins.UsesX() {
-				st.ctrl |= st.regs[ins.Src].taint
-			}
-			push(pc+1+int(ins.Off), false)
-			push(pc+1, true)
-			continue
-		default:
-			a.stepALU(pc, ins, st)
-			push(pc+1, true)
 		}
 	}
 	if ret.kind == bScalar && ret.prov.kind == provBot {
@@ -526,8 +557,8 @@ func (a *bpfAnalyzer) helperCall(pc int, ins isa.Instruction, st *bpfState) erro
 	result := scalar(unknownProv(), 0)
 	switch name {
 	case "bpf_map_lookup_elem":
-		m := a.mapOf(pc, isa.R1, r1)
-		key := a.keyOf(pc, isa.R2, r2, st)
+		m := a.mapOf(pc, r1)
+		key := a.keyOf(pc, r2, st)
 		if m != "" {
 			a.record(pc, m, opRead, "lookup", key, 0, st)
 			// The returned pointer carries the map's taint so that a null
@@ -536,15 +567,15 @@ func (a *bpfAnalyzer) helperCall(pc int, ins isa.Instruction, st *bpfState) erro
 			result = bval{kind: bMapVal, mapID: a.intern(m), prov: key, taint: a.bit(m)}
 		}
 	case "bpf_map_update_elem":
-		m := a.mapOf(pc, isa.R1, r1)
-		key := a.keyOf(pc, isa.R2, r2, st)
+		m := a.mapOf(pc, r1)
+		key := a.keyOf(pc, r2, st)
 		val := a.valTaint(r3, st)
 		if m != "" {
 			a.record(pc, m, opWrite, "update", key, val|st.ctrl, st)
 		}
 	case "bpf_map_delete_elem":
-		m := a.mapOf(pc, isa.R1, r1)
-		key := a.keyOf(pc, isa.R2, r2, st)
+		m := a.mapOf(pc, r1)
+		key := a.keyOf(pc, r2, st)
 		if m != "" {
 			a.record(pc, m, opDelete, "delete", key, st.ctrl, st)
 		}
@@ -561,11 +592,11 @@ func (a *bpfAnalyzer) helperCall(pc int, ins isa.Instruction, st *bpfState) erro
 	case "bpf_spin_unlock":
 		st.lockHeld = false
 	case "bpf_ringbuf_output", "bpf_ringbuf_reserve":
-		if m := a.mapOf(pc, isa.R1, r1); m != "" {
+		if m := a.mapOf(pc, r1); m != "" {
 			a.record(pc, m, opEmit, "emit", unknownProv(), 0, st)
 		}
 	case "bpf_perf_event_output":
-		if m := a.mapOf(pc, isa.R2, r2); m != "" {
+		if m := a.mapOf(pc, r2); m != "" {
 			a.record(pc, m, opEmit, "emit", unknownProv(), 0, st)
 		}
 	default:
@@ -586,30 +617,42 @@ func (a *bpfAnalyzer) helperCall(pc int, ins isa.Instruction, st *bpfState) erro
 	return nil
 }
 
-// mapOf resolves which map a register holds a handle to, falling back to
-// the verifier's snapshots when local tracking lost the handle (spilled and
+// mapOf resolves which map a helper's map argument v names, falling back to
+// the verifier's facts when local tracking lost the handle (spilled and
 // reloaded map pointers).
-func (a *bpfAnalyzer) mapOf(pc int, r isa.Register, v bval) string {
+func (a *bpfAnalyzer) mapOf(pc int, v bval) string {
 	if v.kind == bMapPtr || v.kind == bMapVal {
 		return a.mapOfVal(v)
 	}
-	return a.snapMap(pc, r)
+	if m, ok := a.fact(pc).Map.Get(); ok {
+		return m.Name
+	}
+	return ""
 }
 
 // keyOf resolves the provenance of the key a helper reads through a stack
-// pointer: the local slot value when tracked, else the verifier snapshot's
-// spilled constant, else unknown.
-func (a *bpfAnalyzer) keyOf(pc int, r isa.Register, ptr bval, st *bpfState) Prov {
+// pointer: the local slot value when tracked, else the constant every
+// verifier state agreed the slot holds, else unknown.
+func (a *bpfAnalyzer) keyOf(pc int, ptr bval, st *bpfState) Prov {
 	if ptr.kind == bStackPtr {
 		if v, ok := st.slot(ptr.off); ok && v.kind == bScalar &&
 			v.prov.kind != provBot && v.prov.kind != provUnknown {
 			return v.prov
 		}
 	}
-	if c, ok := a.snapStackConst(pc, r); ok {
+	if c, ok := a.fact(pc).Key.Get(); ok {
 		return constProv(c)
 	}
 	return unknownProv()
+}
+
+// fact is what the verifier joined at the helper call at pc; without the
+// verifier's facts it knows nothing.
+func (a *bpfAnalyzer) fact(pc int) verifier.CallFact {
+	if pc < len(a.facts) {
+		return a.facts[pc]
+	}
+	return verifier.CallFact{}
 }
 
 // valTaint resolves the taint of the value buffer a helper reads (update's
@@ -622,76 +665,6 @@ func (a *bpfAnalyzer) valTaint(ptr bval, st *bpfState) uint64 {
 		return 0
 	}
 	return ptr.taint
-}
-
-// snapMap consults the verifier state table: if every snapshot at pc agrees
-// the register holds (a pointer into) one map, that identity is trusted.
-func (a *bpfAnalyzer) snapMap(pc int, r isa.Register) string {
-	snaps, sat := a.tableAt(pc)
-	if sat || len(snaps) == 0 {
-		return ""
-	}
-	name := ""
-	for i := range snaps {
-		m := snaps[i].Regs[r].Map
-		if m == nil {
-			return ""
-		}
-		if name == "" {
-			name = m.Name
-		} else if name != m.Name {
-			return ""
-		}
-	}
-	return name
-}
-
-// snapStackConst reads a constant key through the snapshots: the register
-// must be PtrToStack at a fixed offset in every snapshot, and the spilled
-// slot there a known constant agreeing across snapshots.
-func (a *bpfAnalyzer) snapStackConst(pc int, r isa.Register) (uint64, bool) {
-	snaps, sat := a.tableAt(pc)
-	if sat || len(snaps) == 0 {
-		return 0, false
-	}
-	var val uint64
-	have := false
-	for i := range snaps {
-		reg := snaps[i].Regs[r]
-		if reg.Type != verifier.PtrToStack || reg.Tnum.Mask != 0 {
-			return 0, false
-		}
-		slot := int(reg.Off+int64(reg.Tnum.Value)) / 8
-		var c uint64
-		found := false
-		for _, s := range snaps[i].Stack {
-			if s.Slot != slot {
-				continue
-			}
-			if s.Kind == "zero" {
-				c, found = 0, true
-			} else if s.Kind == "spill" && s.Spill != nil &&
-				s.Spill.Type == verifier.Scalar && s.Spill.Tnum.Mask == 0 {
-				c, found = s.Spill.Tnum.Value, true
-			}
-			break
-		}
-		if !found {
-			return 0, false
-		}
-		if have && c != val {
-			return 0, false
-		}
-		val, have = c, true
-	}
-	return val, have
-}
-
-func (a *bpfAnalyzer) tableAt(pc int) ([]verifier.StateSnap, bool) {
-	if a.states == nil {
-		return nil, false
-	}
-	return a.states.At(pc)
 }
 
 // record merges one visit's evidence into the site accumulator, mirroring

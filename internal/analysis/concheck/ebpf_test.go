@@ -40,7 +40,7 @@ func newBPFEnv(t *testing.T) *bpfTestEnv {
 }
 
 func (e *bpfTestEnv) analyze(t *testing.T, name string, insns []isa.Instruction,
-	kinds map[string]string, states *verifier.StateTable) *compile.ConcReport {
+	kinds map[string]string, facts []verifier.CallFact) *compile.ConcReport {
 	t.Helper()
 	prog := &isa.Program{Name: name, Type: isa.Tracing, License: "GPL", Insns: insns}
 	meta := map[string]*verifier.MapMeta{}
@@ -51,7 +51,7 @@ func (e *bpfTestEnv) analyze(t *testing.T, name string, insns []isa.Instruction,
 		}
 		meta[m] = &verifier.MapMeta{Name: m, KeySize: ks, ValueSize: 8}
 	}
-	rep, err := AnalyzeBPF(prog, e.reg, meta, kinds, states)
+	rep, err := AnalyzeBPF(prog, e.reg, meta, kinds, facts)
 	if err != nil {
 		t.Fatalf("%s: AnalyzeBPF: %v", name, err)
 	}
@@ -252,8 +252,8 @@ func TestBPFReadOnly(t *testing.T) {
 }
 
 // TestBPFSnapshotFallback: the local pass degrades arithmetic it does not
-// model (arsh), but the verifier's snapshot table still knows the spilled
-// key is a constant — the analyzer must recover it from there.
+// model (arsh), but the verifier's facts still know the spilled key is a
+// constant — the analyzer must recover it from there.
 func TestBPFSnapshotFallback(t *testing.T) {
 	e := newBPFEnv(t)
 	key := []isa.Instruction{
@@ -268,27 +268,25 @@ func TestBPFSnapshotFallback(t *testing.T) {
 	prog := &isa.Program{Name: "snap_fallback", Type: isa.Tracing, License: "GPL", Insns: insns}
 	meta := map[string]*verifier.MapMeta{"allow": {Name: "allow", KeySize: 8, ValueSize: 8}}
 
-	// Without snapshots the key degrades to unknown.
+	// Without the verifier's facts the key degrades to unknown.
 	rep, err := AnalyzeBPF(prog, e.reg, meta, map[string]string{"allow": "hash"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.Maps[0].Sites[0].Key; got != "unknown" {
-		t.Fatalf("without snapshots: key %q, want unknown", got)
+		t.Fatalf("without facts: key %q, want unknown", got)
 	}
 
-	cfg := verifier.DefaultConfig()
-	cfg.CaptureState = true
-	res, err := verifier.Verify(prog, e.reg, meta, cfg)
+	res, err := verifier.Verify(prog, e.reg, meta, verifier.DefaultConfig())
 	if err != nil {
 		t.Fatalf("verifier rejected fixture: %v", err)
 	}
-	rep, err = AnalyzeBPF(prog, e.reg, meta, map[string]string{"allow": "hash"}, res.States)
+	rep, err = AnalyzeBPF(prog, e.reg, meta, map[string]string{"allow": "hash"}, res.Facts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.Maps[0].Sites[0].Key; got != "const 5" {
-		t.Errorf("with snapshots: key %q, want const 5 (recovered from state table)", got)
+		t.Errorf("with facts: key %q, want const 5 (recovered from the verifier's facts)", got)
 	}
 }
 
@@ -396,5 +394,31 @@ func TestBPFSlotJoinDropsOneSidedSlots(t *testing.T) {
 		if got, ok := keys[want.pc]; !ok || got != want.key {
 			t.Errorf("lookup at pc %d: key %q (site recorded: %v), want %q", want.pc, got, ok, want.key)
 		}
+	}
+}
+
+// TestBPFOneStatePerBlock: the analysis keeps a state only at block
+// leaders and steps one working state through each block, so what it
+// allocates does not grow with a block's length.
+func TestBPFOneStatePerBlock(t *testing.T) {
+	e := newBPFEnv(t)
+	allocs := func(n int) float64 {
+		insns := lookupSeq(e, "allow", []isa.Instruction{isa.Mov64Imm(isa.R6, 7)}, 1)
+		insns = append(insns, isa.LoadMem(isa.SizeDW, isa.R0, isa.R0, 0))
+		for i := 0; i < n; i++ {
+			insns = append(insns, isa.ALU64Imm(isa.OpAdd, isa.R0, 1))
+		}
+		insns = append(insns, isa.Exit())
+		prog := &isa.Program{Name: "straight", Type: isa.Tracing, License: "GPL", Insns: insns}
+		meta := map[string]*verifier.MapMeta{"allow": {Name: "allow", KeySize: 8, ValueSize: 8}}
+		kinds := map[string]string{"allow": "hash"}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := AnalyzeBPF(prog, e.reg, meta, kinds, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(4), allocs(400); long != short {
+		t.Errorf("AnalyzeBPF allocates %.0f times with 4 straight-line insns, %.0f with 400", short, long)
 	}
 }

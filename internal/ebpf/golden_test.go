@@ -23,7 +23,8 @@ import (
 // The verifier golden: for each program of a corpus drawn from the eBPF
 // programs the repo verifies, one SHA-256 over what verification and the shard-safety analysis conclude
 // about it — the Result counters and error, the captured state table
-// (json.Marshal(res.States)) and the AnalyzeBPF report JSON. A change to
+// (json.Marshal(res.States)) and the AnalyzeBPF report JSON, the report
+// taken from a run configured as Stack.Load runs it. A change to
 // how the verifier represents or copies its states must leave every
 // digest as it is: pruning, snapshot dedup, the exported table and the
 // CONC verdicts are the verifier's behaviour, not its plumbing.
@@ -37,9 +38,11 @@ type goldenProgram struct {
 	bugs  verifier.BugConfig
 }
 
-// goldenDigest verifies p with state capture on, runs AnalyzeBPF over an
-// accepted program, and hashes the three outputs. It also returns the
-// counters, for the failure message.
+// goldenDigest verifies p with state capture on, then again as Stack.Load
+// does (capture off), requires both runs to agree on counters and error,
+// runs AnalyzeBPF over an accepted program with the second run's facts,
+// and hashes the three outputs. It also returns the counters, for the
+// failure message.
 func goldenDigest(t testing.TB, p goldenProgram) (digest, counters string) {
 	s := NewStack(kernel.NewDefault())
 	for _, spec := range p.maps {
@@ -48,12 +51,19 @@ func goldenDigest(t testing.TB, p goldenProgram) (digest, counters string) {
 		}
 	}
 	prog := &isa.Program{Name: p.name, Type: p.typ, Insns: p.insns}
+	count := func(res *verifier.Result, err error) string {
+		return fmt.Sprintf("insns=%d explored=%d pruned=%d peak=%d err=%v",
+			res.InsnsProcessed, res.StatesExplored, res.StatesPruned, res.PeakStates, err)
+	}
 	cfg := s.VerifierConfig
-	cfg.CaptureState = true
 	cfg.Bugs = p.bugs
+	load, lerr := verifier.Verify(prog, s.Helpers, s.mapMeta, cfg)
+	cfg.CaptureState = true
 	res, verr := verifier.Verify(prog, s.Helpers, s.mapMeta, cfg)
-	counters = fmt.Sprintf("insns=%d explored=%d pruned=%d peak=%d err=%v",
-		res.InsnsProcessed, res.StatesExplored, res.StatesPruned, res.PeakStates, verr)
+	counters = count(res, verr)
+	if got := count(load, lerr); got != counters {
+		t.Errorf("%s: capture off: %s, capture on: %s", p.name, got, counters)
+	}
 	h := sha256.New()
 	fmt.Fprintln(h, counters)
 	table, err := json.Marshal(res.States)
@@ -62,7 +72,7 @@ func goldenDigest(t testing.TB, p goldenProgram) (digest, counters string) {
 	}
 	h.Write(table)
 	if verr == nil {
-		rep, err := concheck.AnalyzeBPF(prog, s.Helpers, s.mapMeta, s.mapKinds, res.States)
+		rep, err := concheck.AnalyzeBPF(prog, s.Helpers, s.mapMeta, s.mapKinds, load.Facts)
 		if err != nil {
 			t.Fatalf("%s: AnalyzeBPF: %v", p.name, err)
 		}

@@ -35,7 +35,7 @@ type Stack struct {
 	// JITConfig carries the backend bug toggles.
 	JITConfig jit.Config
 	// Conc, when not ConcOff, runs the shard-safety analyzer over every
-	// Load (reusing the verifier's abstract-state snapshots for key
+	// Load (reusing the verifier's per-call facts for map and key
 	// provenance) and sets the verdict on the program's record, so a
 	// Sharded plane built with the same mode can enforce it. The eBPF
 	// stack has no signed object to carry the report, so here the analysis
@@ -109,31 +109,18 @@ type Loaded struct {
 // Programs that fail verification never reach the kernel proper.
 func (s *Stack) Load(prog *isa.Program) (*Loaded, error) {
 	rec := exec.NewPhaseRecorder()
-	vcfg := s.VerifierConfig
-	if s.Conc != exec.ConcOff {
-		// The shard-safety analyzer refines key provenance from the
-		// verifier's abstract-state snapshots; capture them for this load
-		// even if the stack normally elides the table.
-		vcfg.CaptureState = true
-	}
-	res, err := verifier.Verify(prog, s.Helpers, s.mapMeta, vcfg)
+	res, err := verifier.Verify(prog, s.Helpers, s.mapMeta, s.VerifierConfig)
 	if err != nil {
 		return nil, fmt.Errorf("ebpf: load of %q rejected: %w", prog.Name, err)
 	}
 	rec.Mark("verify")
 	var cc *compile.ConcReport
 	if s.Conc != exec.ConcOff {
-		cc, err = concheck.AnalyzeBPF(prog, s.Helpers, s.mapMeta, s.mapKinds, res.States)
+		cc, err = concheck.AnalyzeBPF(prog, s.Helpers, s.mapMeta, s.mapKinds, res.Facts)
 		if err != nil {
 			return nil, fmt.Errorf("ebpf: shard-safety analysis of %q: %w", prog.Name, err)
 		}
 		rec.Mark("concheck")
-		if !s.VerifierConfig.CaptureState {
-			// The table was captured for the analysis alone; it points
-			// into every state captured, so keeping it on the program's
-			// Verdict would keep them all alive as long as the program.
-			res.States = nil
-		}
 	}
 	insns := append([]isa.Instruction(nil), prog.Insns...)
 	if err := interp.Relocate(insns, s.Maps); err != nil {
@@ -242,8 +229,11 @@ func (l *Loaded) Engine() exec.Engine { return l.engine }
 func (l *Loaded) Reverify() exec.Reload { return l.reverify }
 
 // reverify is the supervised recovery reload for the verified stack: the
-// original program must pass the verifier again before a probe runs.
+// original program must pass the verifier again before a probe runs. Only
+// the verdict is wanted, so the probe neither captures states nor logs.
 func (l *Loaded) reverify() error {
-	_, err := verifier.Verify(l.orig, l.stack.Helpers, l.stack.mapMeta, l.stack.VerifierConfig)
+	cfg := l.stack.VerifierConfig
+	cfg.CaptureState, cfg.LogState = false, false
+	_, err := verifier.Verify(l.orig, l.stack.Helpers, l.stack.mapMeta, cfg)
 	return err
 }

@@ -292,16 +292,15 @@ func TestLoadPhaseTimings(t *testing.T) {
 }
 
 // TestLoadBytesPerProgram pins what one Load of each kexperf-shaped program
-// (kvcache and flows) allocates with the shard-safety analysis on (which
-// forces state capture) and the JIT on: the mean MemStats.TotalAlloc delta
-// over 50 loads. The bound holds only while the verifier pays one copy per
-// state it keeps (the prune point's copy doubles as the snapshot, and the
-// exported table points into it), each copy carries only the stack slots
-// the program wrote, and concheck's per-instruction state copy is a short
-// slice of slots, not a Go map.
+// (kvcache and flows) allocates with the shard-safety analysis and the JIT
+// on: the mean MemStats.TotalAlloc delta over 50 loads. The bound holds
+// only while a load captures no state table (concheck reads the verifier's
+// per-call facts instead), each verifier state copy carries only the stack
+// slots the program wrote, and concheck keeps one state per basic block,
+// each a short slice of slots.
 func TestLoadBytesPerProgram(t *testing.T) {
 	const loads = 50
-	const bound = 180 << 10
+	const bound = 80 << 10
 	s := NewStack(kernel.NewDefault())
 	s.Conc = exec.ConcStrict
 	for _, spec := range []maps.Spec{
@@ -347,10 +346,9 @@ func TestLoadBytesPerProgram(t *testing.T) {
 	}
 }
 
-// TestLoadDropsConcStateTable: shard-safety enforcement turns state capture
-// on for the analysis alone, so the loaded program must not keep the table
-// (it points into every captured verifier state). A stack whose own
-// VerifierConfig asks for capture keeps it.
+// TestLoadDropsConcStateTable: shard-safety enforcement reads the
+// verifier's per-call facts, so a load captures no state table for it. A
+// stack whose own VerifierConfig asks for capture keeps the table.
 func TestLoadDropsConcStateTable(t *testing.T) {
 	for _, keep := range []bool{false, true} {
 		s := NewStack(kernel.NewDefault())
@@ -376,7 +374,7 @@ func TestLoadDropsConcStateTable(t *testing.T) {
 		case keep && (got == nil || got.Snapshots() == 0):
 			t.Errorf("CaptureState=true: the loaded program lost its state table")
 		case !keep && got != nil:
-			t.Errorf("CaptureState=false: the loaded program keeps the %d-snapshot table concheck read", got.Snapshots())
+			t.Errorf("CaptureState=false: the load captured a %d-snapshot table", got.Snapshots())
 		}
 	}
 }

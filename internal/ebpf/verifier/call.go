@@ -32,6 +32,7 @@ func (v *Verifier) checkHelperCall(st *state, ins isa.Instruction) error {
 	var argMap *MapMeta
 	var releaseID int
 	v.lastConstSize = 0
+	fact := v.fact(st.pc)
 	for i, at := range spec.Args {
 		if i >= 5 {
 			return v.errf(st.pc, "helper %s declares too many args", spec.Name)
@@ -52,6 +53,7 @@ func (v *Verifier) checkHelperCall(st *state, ins isa.Instruction) error {
 				return v.errf(st.pc, "R%d type=%v expected=map_ptr for %s", i+1, r.Type, spec.Name)
 			}
 			argMap = r.Map
+			fact.Map.join(r.Map, true)
 		case helpers.ArgPtrToMapKey:
 			if argMap == nil {
 				return v.errf(st.pc, "helper %s: map key arg without map arg", spec.Name)
@@ -59,6 +61,7 @@ func (v *Verifier) checkHelperCall(st *state, ins isa.Instruction) error {
 			if err := v.checkBufferArg(st, i+1, r, int64(argMap.KeySize), false); err != nil {
 				return err
 			}
+			fact.Key.join(stackConst(st, r))
 		case helpers.ArgPtrToMapValue:
 			if argMap == nil {
 				return v.errf(st.pc, "helper %s: map value arg without map arg", spec.Name)
@@ -197,6 +200,78 @@ func (v *Verifier) checkHelperCall(st *state, ins isa.Instruction) error {
 		st.acquireRef(v.nextRef)
 	}
 	return nil
+}
+
+// CallFact is what every state the verifier stepped through one helper
+// call agreed on, joined visit by visit: the kernel's map_ptr_state and
+// map_key_state (bpf_insn_aux_data, set by record_func_map and
+// record_func_key). Facts take no part in pruning. A path pruned before
+// the call would have reached it in a state that a stepped one
+// generalizes, and Reg.generalizes keeps both a map handle's map and a
+// stack pointer's offset, so the stepped states' facts cover it.
+type CallFact struct {
+	// Map is the map the ArgConstMapHandle argument names.
+	Map Fact[*MapMeta]
+	// Key is the ArgPtrToMapKey argument's 8-byte stack slot, when it holds
+	// a constant: known zero, or a spilled constant scalar.
+	Key Fact[uint64]
+}
+
+// Fact is one joined fact: unset before the first visit, then the value
+// every visit agreed on, poisoned once two visits disagree or one had no
+// value.
+type Fact[T comparable] struct {
+	v     T
+	state uint8 // factUnset, factKnown or factPoisoned
+}
+
+const (
+	factUnset uint8 = iota
+	factKnown
+	factPoisoned
+)
+
+// Get returns the value every visit agreed on, if there is one.
+func (f Fact[T]) Get() (T, bool) { return f.v, f.state == factKnown }
+
+// join merges one visit's value (ok false: the visit had none) into f.
+func (f *Fact[T]) join(v T, ok bool) {
+	switch {
+	case f.state == factPoisoned:
+	case ok && (f.state == factUnset || f.v == v):
+		f.v, f.state = v, factKnown
+	default:
+		var zero T
+		f.v, f.state = zero, factPoisoned
+	}
+}
+
+// fact returns the joined facts of the helper call at pc, allocating the
+// program's fact array at the first call visited.
+func (v *Verifier) fact(pc int) *CallFact {
+	if v.res.Facts == nil {
+		v.res.Facts = make([]CallFact, len(v.prog.Insns))
+	}
+	return &v.res.Facts[pc]
+}
+
+// stackConst reads the 8-byte stack slot r points at as a constant: known
+// zero, or a spilled scalar whose every bit is known.
+func stackConst(st *state, r *Reg) (uint64, bool) {
+	if r.Type != PtrToStack || r.Tnum.Mask != 0 {
+		return 0, false
+	}
+	i := (r.Off + int64(r.Tnum.Value)) / 8
+	if i < 0 || i >= stackSlots {
+		return 0, false
+	}
+	switch s := st.cur().slot(i); {
+	case s.kind == slotZero:
+		return 0, true
+	case s.kind == slotSpill && s.spill.Type == Scalar && s.spill.Tnum.Mask == 0:
+		return s.spill.Tnum.Value, true
+	}
+	return 0, false
 }
 
 // ArgDontCare is a placeholder for uninit-allowed positions (none today).

@@ -167,6 +167,10 @@ type Result struct {
 	// only when Config.CaptureState was set. On a rejection it holds the
 	// states captured up to the failing instruction.
 	States *StateTable
+	// Facts holds, by pc, what every visit of each helper call agreed on
+	// (set at helper calls only; nil for a program without one). It is
+	// always filled, and is complete only for an accepted program.
+	Facts []CallFact
 }
 
 // Verifier holds one verification run.

@@ -874,3 +874,56 @@ func TestLogStateDumpsPerInsnState(t *testing.T) {
 		t.Errorf("state after mov not visible in %q", res.Log[1])
 	}
 }
+
+// TestCallFactsJoinVisits: the facts at a helper call are joined over every
+// state that reaches it. Two arms of a diamond pass a map and a spilled key
+// to one lookup; a fact is known when both arms agree and poisoned when
+// they differ, and a key slot holding no constant poisons it on any path.
+func TestCallFactsJoinVisits(t *testing.T) {
+	lookup := helperID(t, "bpf_map_lookup_elem")
+	for _, tc := range []struct {
+		name            string
+		mapA, mapB      string
+		keyA, keyB      isa.Instruction // sets r7, the key spilled at r10-8
+		wantMap         string          // "" when poisoned
+		wantKey         uint64
+		wantKeyConstant bool
+	}{
+		{"agree", "counts", "counts", isa.Mov64Imm(isa.R7, 3), isa.Mov64Imm(isa.R7, 3), "counts", 3, true},
+		{"maps differ", "counts", "big", isa.Mov64Imm(isa.R7, 3), isa.Mov64Imm(isa.R7, 3), "", 3, true},
+		{"keys differ", "counts", "counts", isa.Mov64Imm(isa.R7, 3), isa.Mov64Imm(isa.R7, 4), "counts", 0, false},
+		{"key unknown", "counts", "counts", isa.Mov64Imm(isa.R7, 3), isa.Mov64Reg(isa.R7, isa.R6), "counts", 0, false},
+	} {
+		res := mustVerify(t, isa.Tracing, []isa.Instruction{
+			isa.LoadMem(isa.SizeDW, isa.R6, isa.R1, 0), // unknown
+			isa.JmpImm(isa.OpJgt, isa.R6, 5, 3),
+			tc.keyA,
+			isa.LoadMapRef(isa.R1, tc.mapA),
+			isa.Ja(2),
+			tc.keyB,
+			isa.LoadMapRef(isa.R1, tc.mapB),
+			isa.StoreMem(isa.SizeDW, isa.R10, -8, isa.R7),
+			isa.Mov64Reg(isa.R2, isa.R10),
+			isa.ALU64Imm(isa.OpAdd, isa.R2, -8),
+			isa.Call(lookup), // pc 10
+			isa.Mov64Imm(isa.R0, 0),
+			isa.Exit(),
+		})
+		fact := res.Facts[10]
+		got := ""
+		if m, ok := fact.Map.Get(); ok {
+			got = m.Name
+		}
+		if got != tc.wantMap {
+			t.Errorf("%s: map fact %q, want %q", tc.name, got, tc.wantMap)
+		}
+		if k, ok := fact.Key.Get(); ok != tc.wantKeyConstant || k != tc.wantKey {
+			t.Errorf("%s: key fact %d (known %v), want %d (known %v)", tc.name, k, ok, tc.wantKey, tc.wantKeyConstant)
+		}
+		for pc, f := range res.Facts {
+			if pc != 10 && f != (CallFact{}) {
+				t.Errorf("%s: pc %d is no helper call but has a fact", tc.name, pc)
+			}
+		}
+	}
+}
