@@ -50,7 +50,7 @@ func benchConc(b *testing.B, name, src string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	obj, err := compile.Compile(name, checked)
+	obj, arts, err := compile.CompileWithOptions(name, checked, compile.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func benchConc(b *testing.B, name, src string) {
 	var rep *compile.ConcReport
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err = concheck.AnalyzeSLX(checked, obj.Maps)
+		rep, err = concheck.AnalyzeSLX(arts, obj.Maps)
 		if err != nil {
 			b.Fatal(err)
 		}

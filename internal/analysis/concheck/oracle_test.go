@@ -37,11 +37,11 @@ func runBoth(t *testing.T, name, src string) (*compile.ConcReport, *OracleReport
 	if err != nil {
 		t.Fatalf("%s: check: %v", name, err)
 	}
-	obj, err := compile.Compile(name, checked)
+	obj, arts, err := compile.CompileWithOptions(name, checked, compile.Options{})
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
-	rep, err := AnalyzeSLX(checked, obj.Maps)
+	rep, err := AnalyzeSLX(arts, obj.Maps)
 	if err != nil {
 		t.Fatalf("%s: analyze: %v", name, err)
 	}

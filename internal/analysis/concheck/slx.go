@@ -11,15 +11,16 @@ import (
 	"kex/internal/safext/lang"
 )
 
-// AnalyzeSLX classifies every map access site of a checked SLX program and
-// returns the program's shard-safety report. The analysis runs over the
-// naive MIR lowering — the same IR the optimizer and translation validator
-// consume — so every source-level map operation exists exactly once, before
+// AnalyzeSLX classifies every map access site of an SLX program and
+// returns the program's shard-safety report. It reads only each
+// function's naive lowering as the compiler returned it (funcs[i].Naive,
+// from before any pass) — the same IR the translation validator consumes
+// — so every source-level map operation exists exactly once, before
 // redundant-load elimination can hide a get that the bytecode still
 // semantically performs on other paths.
-func AnalyzeSLX(checked *lang.Checked, specs []compile.MapSpec) (*compile.ConcReport, error) {
+func AnalyzeSLX(funcs []compile.MIRFuncArtifact, specs []compile.MapSpec) (*compile.ConcReport, error) {
 	a := &slxAnalyzer{
-		funcs:     make(map[string]*mir.Func),
+		funcs:     make(map[string]*mir.Func, len(funcs)),
 		mapBit:    make(map[string]uint),
 		sites:     make(map[siteKey]*siteInfo),
 		summaries: make(map[summaryKey]absVal),
@@ -32,12 +33,8 @@ func AnalyzeSLX(checked *lang.Checked, specs []compile.MapSpec) (*compile.ConcRe
 	for i, s := range specs {
 		a.mapBit[s.Name] = uint(i)
 	}
-	for _, fn := range checked.File.Funcs {
-		mf, err := mir.LowerFunc(fn, checked)
-		if err != nil {
-			return nil, err
-		}
-		a.funcs[fn.Name] = mf
+	for _, fa := range funcs {
+		a.funcs[fa.Name] = fa.Naive
 	}
 	if a.funcs["main"] == nil {
 		return nil, fmt.Errorf("concheck: program has no main")

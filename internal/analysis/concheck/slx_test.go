@@ -9,8 +9,8 @@ import (
 	"kex/internal/safext/lang"
 )
 
-// analyzeSource parses, checks, and compiles one SLX source (for its map
-// specs), then runs the analyzer over it.
+// analyzeSource parses, checks, and compiles one SLX source, then runs the
+// analyzer over the compiler's lowering.
 func analyzeSource(t *testing.T, name, src string) *compile.ConcReport {
 	t.Helper()
 	f, err := lang.Parse(src)
@@ -21,11 +21,11 @@ func analyzeSource(t *testing.T, name, src string) *compile.ConcReport {
 	if err != nil {
 		t.Fatalf("%s: check: %v", name, err)
 	}
-	obj, err := compile.Compile(name, checked)
+	obj, arts, err := compile.CompileWithOptions(name, checked, compile.Options{})
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
-	rep, err := AnalyzeSLX(checked, obj.Maps)
+	rep, err := AnalyzeSLX(arts, obj.Maps)
 	if err != nil {
 		t.Fatalf("%s: concheck: %v", name, err)
 	}

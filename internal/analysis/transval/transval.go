@@ -10,9 +10,9 @@
 // oracle also runs on) over the engine's exact wraparound ALU semantics
 // (64-bit two's-complement arithmetic, masked shifts, defined division by
 // zero where no check is emitted), across a set of boundary-biased input
-// vectors derived from the program's own constants and from the
-// interval+known-bits analysis of internal/safext/analyze (widened at loop
-// headers, refined on branch edges). This package supplies the machine's
+// vectors derived from the program's own constants and from the interval
+// endpoints the compiler's elision pass proved (widened at loop headers,
+// refined on branch edges). This package supplies the machine's
 // world: the effect log, palette-drawn crate results and percpu volatile
 // streams. The optimized side executes *through* its register allocation
 // — virtual registers resolve to the four callee-saved registers or spill

@@ -23,11 +23,7 @@ func buildArtifacts(t testing.TB, name, src string) (*compile.Object, []compile.
 	if err != nil {
 		t.Fatalf("%s: check: %v", name, err)
 	}
-	var arts []compile.MIRFuncArtifact
-	obj, err := compile.CompileWithOptions(name, checked, compile.Options{
-		Level:   compile.OptMIR,
-		KeepMIR: &arts,
-	})
+	obj, arts, err := compile.CompileWithOptions(name, checked, compile.Options{Level: compile.OptMIR})
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}

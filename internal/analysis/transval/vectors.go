@@ -11,10 +11,14 @@ import (
 // Input-vector synthesis. The interesting inputs of an SLX program are the
 // constants its own checks and branches compare against: array lengths,
 // branch immediates, fold products, and the interval endpoints the
-// abstract pre-pass proves at loop headers. The palette is those values
-// and their off-by-one neighbours plus the classic 64-bit boundary cases;
-// every volatile model value (crate results, percpu streams) and every
-// function parameter is drawn from it, seeded per vector.
+// elision pass proved at block entries (MIRFuncArtifact.Endpoints). Those
+// are the loop bounds and derived limits the optimized code's folded
+// compares sit on, so probing at endpoint±1 exercises the first and last
+// iteration and the exit edge of every loop the domain can bound. The
+// palette is those values and their off-by-one neighbours plus the
+// classic 64-bit boundary cases; every volatile model value (crate
+// results, percpu streams) and every function parameter is drawn from it,
+// seeded per vector.
 
 // paletteCap bounds the palette so vector cost stays flat across programs.
 const paletteCap = 64
@@ -76,13 +80,13 @@ func buildPalette(funcs []compile.MIRFuncArtifact) []uint64 {
 				add(uint64(b.Term.RetImm))
 			}
 		}
-		for _, v := range harvest(f) {
+		for _, v := range funcs[i].Endpoints {
 			addNear(v)
 		}
 	}
 
 	// Deterministic order, capped. Sorting keeps the small/boundary values
-	// (which sort low unsigned) ahead of large harvested constants.
+	// (which sort low unsigned) ahead of large constants and endpoints.
 	sort.Slice(pal, func(a, b int) bool { return pal[a] < pal[b] })
 	if len(pal) > paletteCap {
 		pal = pal[:paletteCap]

@@ -64,6 +64,22 @@ var (
 	ErrExists    = errors.New("maps: key already exists")
 	ErrBadFlags  = errors.New("maps: invalid update flags")
 	ErrBadOp     = errors.New("maps: operation not supported by map type")
+	// ErrTooBig is Linux's E2BIG at map creation: a key, a value or the
+	// storage the map preallocates is larger than the kernel admits.
+	ErrTooBig = errors.New("maps: map too big")
+)
+
+// Size caps at map creation, after Linux's E2BIG checks. A key is at most
+// MAX_BPF_STACK bytes and a value at most KMALLOC_MAX_SIZE
+// (htab_map_alloc_check, array_map_alloc_check). A map that preallocates
+// its storage (array, per-CPU array with one copy per CPU, ring buffer)
+// asks for at most maxMapBytes in all; the largest the repo creates, the
+// 4 GiB array of the array-index overflow reproduction, fits. Hash maps
+// allocate per entry, so their entry count is not capped.
+const (
+	maxKeySize   = 512
+	maxValueSize = 1 << 22
+	maxMapBytes  = 1 << 33
 )
 
 // Spec declares a map to be created.
@@ -313,6 +329,9 @@ func (r *Registry) Create(k *kernel.Kernel, spec Spec) (Map, uint64, error) {
 	if spec.MaxEntries <= 0 {
 		return nil, 0, fmt.Errorf("maps: %q: max entries %d invalid", spec.Name, spec.MaxEntries)
 	}
+	if err := checkSize(k, spec); err != nil {
+		return nil, 0, err
+	}
 	var m Map
 	switch spec.Type {
 	case Array:
@@ -334,6 +353,32 @@ func (r *Registry) Create(k *kernel.Kernel, spec Spec) (Map, uint64, error) {
 	}
 	handle := r.register(spec.Name, m)
 	return m, handle, nil
+}
+
+// checkSize refuses a spec past the size caps before anything is
+// allocated. The preallocation bound divides instead of multiplying, so a
+// product that would overflow int is refused too.
+func checkSize(k *kernel.Kernel, spec Spec) error {
+	if spec.KeySize > maxKeySize {
+		return fmt.Errorf("maps: %q: key size %d exceeds %d: %w", spec.Name, spec.KeySize, maxKeySize, ErrTooBig)
+	}
+	if spec.ValueSize > maxValueSize {
+		return fmt.Errorf("maps: %q: value size %d exceeds %d: %w", spec.Name, spec.ValueSize, maxValueSize, ErrTooBig)
+	}
+	elem := spec.ValueSize
+	switch spec.Type {
+	case Array:
+	case PerCPUArray:
+		elem *= max(len(k.CPUs()), 1)
+	case RingBuf:
+		elem = 1
+	default:
+		return nil
+	}
+	if spec.MaxEntries > maxMapBytes/elem {
+		return fmt.Errorf("maps: %q: %d entries of %d bytes exceed %d bytes: %w", spec.Name, spec.MaxEntries, elem, maxMapBytes, ErrTooBig)
+	}
+	return nil
 }
 
 func (r *Registry) register(name string, m Map) uint64 {

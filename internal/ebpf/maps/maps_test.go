@@ -3,6 +3,8 @@ package maps
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -18,6 +20,46 @@ func key32(v uint32) []byte {
 func newTestRegistry(t *testing.T) (*kernel.Kernel, *Registry) {
 	t.Helper()
 	return kernel.NewDefault(), NewRegistry()
+}
+
+// TestCreateRefusesOversizedSpecs: a spec past a size cap fails with
+// ErrTooBig before anything is allocated, including one whose byte size
+// overflows int (it used to panic the simulated kernel) and one that fits
+// in int but would preallocate terabytes.
+func TestCreateRefusesOversizedSpecs(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+	}{
+		{"value size overflows int", Spec{Type: Array, KeySize: 4, ValueSize: 1 << 33, MaxEntries: 1 << 30}},
+		{"value past KMALLOC_MAX_SIZE", Spec{Type: Hash, KeySize: 4, ValueSize: maxValueSize + 1, MaxEntries: 1}},
+		{"key past MAX_BPF_STACK", Spec{Type: Hash, KeySize: maxKeySize + 1, ValueSize: 8, MaxEntries: 1}},
+		{"array product overflows int", Spec{Type: Array, KeySize: 4, ValueSize: maxValueSize, MaxEntries: 1 << 62}},
+		{"array of a terabyte", Spec{Type: Array, KeySize: 4, ValueSize: 8, MaxEntries: 1 << 37}},
+		{"per-CPU copies past the cap", Spec{Type: PerCPUArray, KeySize: 4, ValueSize: 8, MaxEntries: maxMapBytes/16 + 1}},
+		{"ring buffer of a terabyte", Spec{Type: RingBuf, MaxEntries: 1 << 40}},
+		{"queue value past the cap", Spec{Type: Queue, ValueSize: maxValueSize + 1, MaxEntries: 1}},
+	}
+	k, reg := newTestRegistry(t)
+	if len(k.CPUs()) < 2 {
+		t.Fatalf("the per-CPU case needs two CPUs, kernel has %d", len(k.CPUs()))
+	}
+	for _, c := range cases {
+		c.spec.Name = c.name
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, _, err := reg.Create(k, c.spec)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTooBig) || m != nil {
+			t.Errorf("%s: Create = %v, %v; want ErrTooBig", c.name, m, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<10 {
+			t.Errorf("%s: refused creation allocated %d bytes", c.name, got)
+		}
+		if _, ok := reg.ByName(c.name); ok {
+			t.Errorf("%s: refused map was registered", c.name)
+		}
+	}
 }
 
 func TestRegistryCreateAndResolve(t *testing.T) {

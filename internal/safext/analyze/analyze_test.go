@@ -19,7 +19,7 @@ func elide(t *testing.T, src string) compile.CheckStats {
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	obj, err := compile.CompileWithOptions("t", checked, compile.Options{Level: compile.OptElide})
+	obj, _, err := compile.CompileWithOptions("t", checked, compile.Options{Level: compile.OptElide})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -14,34 +14,39 @@ const workBudget = 2_000_000
 // the analysis proves dead (an operand it narrowed to ⊥) is elided too;
 // sites in code the CFG cannot reach stay Emit for the sweep to fold.
 //
-// It returns, per function and per entry of its Loops, a bound on how
-// many times the loop body runs each time the loop is entered (-1 where
-// the domain cannot bound it), which StaticBound turns into the build's
-// instruction bound. If the work budget runs out, no site is elided and
-// ok is false.
-func Elide(funcs []*mir.Func, types []Types) (trips [][]int64, ok bool) {
+// It returns two things per function. trips holds, per entry of its
+// Loops, a bound on how many times the loop body runs each time the loop
+// is entered (-1 where the domain cannot bound it), which StaticBound
+// turns into the build's instruction bound. ends holds, once each, the
+// finite interval endpoints the analysis proved at the entry of a reached
+// block: the loop bounds and derived limits the translation validator's
+// palette probes. If the work budget runs out, no site is elided and ok
+// is false.
+func Elide(funcs []*mir.Func, types []Types) (trips, ends [][]int64, ok bool) {
 	return elide(funcs, types, workBudget)
 }
 
-func elide(funcs []*mir.Func, types []Types, budget int) (trips [][]int64, ok bool) {
+func elide(funcs []*mir.Func, types []Types, budget int) (trips, ends [][]int64, ok bool) {
 	flows := make([]*IntervalFlow, len(funcs))
 	for i, f := range funcs {
 		if flows[i] = Intervals(f, types[i], &budget); flows[i] == nil {
-			return nil, false
+			return nil, nil, false
 		}
 	}
 	trips = make([][]int64, len(funcs))
+	ends = make([][]int64, len(funcs))
 	for i, f := range funcs {
 		for _, l := range f.Loops {
 			trips[i] = append(trips[i], flows[i].trips(l))
 		}
+		ends[i] = flows[i].endpoints()
 		flows[i].walk(func(in *mir.Insn, st Vals) {
 			if in.Site != mir.SiteNone && proven(f, in, st) {
 				f.Sites[in.Site].State = mir.SiteElided
 			}
 		})
 	}
-	return trips, true
+	return trips, ends, true
 }
 
 // proven reports whether the check at in's site holds in state st.

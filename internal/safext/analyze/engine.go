@@ -3,11 +3,12 @@
 // Forward, with the abstract domain passed in. Its interval + known-bits
 // domain (the lattice of internal/ebpf/verifier, with userspace budgets:
 // running out stops proving, it never rejects) drives the elision pass,
-// Elide, and the static instruction bound, StaticBound; the translation
-// validator's palette harvest and the shard-safety analyzer run their own
-// domains on the same engine. This is the paper's §3 bet: analysis moves
-// out of the kernel into the toolchain, and what it proves rides to the
-// kernel behind the object signature instead of being re-derived.
+// Elide, and the static instruction bound, StaticBound; the interval
+// endpoints Elide proves seed the translation validator's palette, and
+// the shard-safety analyzer runs its own domain on the same engine. This
+// is the paper's §3 bet: analysis moves out of the kernel into the
+// toolchain, and what it proves rides to the kernel behind the object
+// signature instead of being re-derived.
 package analyze
 
 import "kex/internal/safext/compile/mir"

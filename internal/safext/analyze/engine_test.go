@@ -40,7 +40,7 @@ fn main() -> i64 {
     return 0;
 }`
 	funcs, types := lowerAll(t, src)
-	if trips, ok := elide(funcs, types, 3); ok || trips != nil {
+	if trips, _, ok := elide(funcs, types, 3); ok || trips != nil {
 		t.Fatalf("exhausted budget reported ok=%v trips=%v", ok, trips)
 	}
 	for _, s := range funcs[0].Sites {
@@ -48,7 +48,7 @@ fn main() -> i64 {
 			t.Fatalf("exhausted budget elided a %s site", s.Kind)
 		}
 	}
-	trips, ok := elide(funcs, types, workBudget)
+	trips, _, ok := elide(funcs, types, workBudget)
 	if !ok || funcs[0].Sites[0].State != mir.SiteElided {
 		t.Fatalf("full budget: ok=%v, site %v", ok, funcs[0].Sites[0].State)
 	}
@@ -75,7 +75,7 @@ fn main() -> i64 {
     }
     return n + k;
 }`)
-	trips, ok := Elide(funcs, types)
+	trips, _, ok := Elide(funcs, types)
 	if !ok {
 		t.Fatal("budget exhausted")
 	}

@@ -253,14 +253,30 @@ func (r *IntervalFlow) walk(visit func(in *mir.Insn, st Vals)) {
 	}
 }
 
-// Entries calls visit with the entry state of every reached block. visit
-// must not keep st.
-func (r *IntervalFlow) Entries(visit func(st Vals)) {
-	for i, ok := range r.flow.Reached {
-		if ok {
-			visit(r.flow.In[i])
+// endpoints lists, once each, the finite bounds of every vreg's value at
+// the entry of every reached block. Call it before walk, which replays
+// the entry states in place.
+func (r *IntervalFlow) endpoints() []int64 {
+	var out []int64
+	seen := map[int64]bool{}
+	add := func(v int64) {
+		if v != minI64 && v != maxI64 && !seen[v] {
+			seen[v] = true
+			out = append(out, v)
 		}
 	}
+	for i, ok := range r.flow.Reached {
+		if !ok {
+			continue
+		}
+		for _, v := range r.flow.In[i][1:] {
+			if !v.IsBottom() {
+				add(v.Min)
+				add(v.Max)
+			}
+		}
+	}
+	return out
 }
 
 // ---- path refinement ---------------------------------------------------------

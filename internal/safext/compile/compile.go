@@ -100,10 +100,6 @@ type Options struct {
 	// is lowered and the elision pass is done (levels OptElide and up), so
 	// a caller can time the pass apart from code generation.
 	Mark func(phase string)
-	// KeepMIR, when non-nil, receives each function's MIR evidence triple
-	// (fresh lowering, compiled IR, register assignment) as it compiles —
-	// the translation validator's input, at any level.
-	KeepMIR *[]MIRFuncArtifact
 }
 
 // OptStats summarizes one object's pipeline for the audit trail. Counter
@@ -184,20 +180,23 @@ const frameLimit = 512
 // Compile lowers a checked program to bytecode with every runtime check
 // emitted (the naive build).
 func Compile(name string, checked *lang.Checked) (*Object, error) {
-	return CompileWithOptions(name, checked, Options{})
+	obj, _, err := CompileWithOptions(name, checked, Options{})
+	return obj, err
 }
 
 // CompileWithOptions lowers a checked program to bytecode at opts.Level:
-// every function is lowered to MIR, the elision pass discharges the
+// every function is lowered to MIR once, the elision pass discharges the
 // checks it proves (OptElide and up), the optimizer's passes run at
-// OptMIR, and each function is register-allocated and emitted.
-func CompileWithOptions(name string, checked *lang.Checked, opts Options) (*Object, error) {
+// OptMIR, and each function is register-allocated and emitted. Besides
+// the object it returns what each function's compilation produced, main
+// first: the translation validator and the shard-safety analyzer read the
+// fresh lowering there instead of lowering the program again.
+func CompileWithOptions(name string, checked *lang.Checked, opts Options) (*Object, []MIRFuncArtifact, error) {
 	level := min(max(opts.Level, OptNaive), OptMIR)
 	c := &compiler{
 		checked: checked,
 		obj:     &Object{Name: name, Opt: OptStats{Level: level}},
 		funcPCs: make(map[string]int32),
-		keepMIR: opts.KeepMIR,
 	}
 	lockedMaps := map[string]bool{}
 	collectSyncMaps(checked.File, lockedMaps)
@@ -222,40 +221,39 @@ func CompileWithOptions(name string, checked *lang.Checked, opts Options) (*Obje
 		}
 	}
 	funcs := make([]*mir.Func, len(decls))
-	naive := make([]*mir.Func, len(decls))
+	arts := make([]MIRFuncArtifact, len(decls))
 	for i, fn := range decls {
 		f, err := mir.LowerFunc(fn, checked)
 		if err != nil {
 			if le, ok := err.(*mir.Error); ok {
-				return nil, &Error{le.Line, le.Msg}
+				return nil, nil, &Error{le.Line, le.Msg}
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		funcs[i] = f
-		if c.keepMIR != nil {
-			naive[i] = f.Clone()
-		}
+		arts[i] = MIRFuncArtifact{Name: fn.Name, Naive: f.Clone(), Opt: f}
 	}
-	var trips [][]int64
+	var trips, ends [][]int64
 	if level >= OptElide {
 		types := make([]analyze.Types, len(decls))
 		for i, fn := range decls {
 			types[i] = analyze.TypesOf(checked, fn)
 		}
-		trips, _ = analyze.Elide(funcs, types)
+		trips, ends, _ = analyze.Elide(funcs, types)
 		if opts.Mark != nil {
 			opts.Mark("analyze")
 		}
 	}
 	costs := make(map[string]*analyze.Cost, len(decls))
 	for i, fn := range decls {
-		cost, err := c.compileFunc(fn, funcs[i], naive[i])
+		cost, err := c.compileFunc(fn, &arts[i])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if trips != nil {
 			cost.Trips = trips[i]
 			costs[fn.Name] = cost
+			arts[i].Endpoints = ends[i]
 		}
 	}
 	if trips != nil {
@@ -265,11 +263,11 @@ func CompileWithOptions(name string, checked *lang.Checked, opts Options) (*Obje
 	for _, fix := range c.callFixes {
 		target, ok := c.funcPCs[fix.name]
 		if !ok {
-			return nil, &Error{0, "call to uncompiled function " + fix.name}
+			return nil, nil, &Error{0, "call to uncompiled function " + fix.name}
 		}
 		c.obj.Insns[fix.pc].Imm = target - int32(fix.pc) - 1
 	}
-	return c.obj, nil
+	return c.obj, arts, nil
 }
 
 // collectSyncMaps marks maps guarded by sync sections.
@@ -313,9 +311,6 @@ type compiler struct {
 	obj       *Object
 	funcPCs   map[string]int32
 	callFixes []callFix
-	// keepMIR receives per-function MIR artifacts for the translation
-	// validator; nil when the caller doesn't validate.
-	keepMIR *[]MIRFuncArtifact
 }
 
 func (c *compiler) elide(kind string, line int) {

@@ -17,12 +17,13 @@ import (
 // forms and comparisons fuse into conditional jumps. R0–R5 stay
 // scratch/ABI registers.
 
-// compileFunc runs one lowered function through the rest of the MIR
-// pipeline and emits its bytecode, merging the function's check-site
-// ledger and pipeline stats into the object. naive, when the caller keeps
-// MIR artifacts, is the function's fresh lowering. The returned Cost
-// gives the instructions emitted per block, for the static bound.
-func (c *compiler) compileFunc(fn *lang.FuncDecl, f, naive *mir.Func) (*analyze.Cost, error) {
+// compileFunc runs one lowered function, fa.Opt, through the rest of the
+// MIR pipeline and emits its bytecode, merging the function's check-site
+// ledger and pipeline stats into the object and recording its register
+// assignment in fa. The returned Cost gives the instructions emitted per
+// block, for the static bound.
+func (c *compiler) compileFunc(fn *lang.FuncDecl, fa *MIRFuncArtifact) (*analyze.Cost, error) {
+	f := fa.Opt
 	var st mir.Stats
 	if c.obj.Opt.Level >= OptMIR {
 		st = mir.Optimize(f)
@@ -30,9 +31,7 @@ func (c *compiler) compileFunc(fn *lang.FuncDecl, f, naive *mir.Func) (*analyze.
 		st = mir.Sweep(f)
 	}
 	al := mir.Allocate(f)
-	if c.keepMIR != nil {
-		*c.keepMIR = append(*c.keepMIR, MIRFuncArtifact{Name: fn.Name, Naive: naive, Opt: f, Alloc: al})
-	}
+	fa.Alloc = al
 	st.Spills = al.NumSpills
 	for _, r := range al.Reg {
 		if r >= 0 {

@@ -27,11 +27,7 @@ func buildMIR(t *testing.T, name, src string) (*compile.Object, []compile.MIRFun
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	var arts []compile.MIRFuncArtifact
-	obj, err := compile.CompileWithOptions(name, checked, compile.Options{
-		Level:   compile.OptMIR,
-		KeepMIR: &arts,
-	})
+	obj, arts, err := compile.CompileWithOptions(name, checked, compile.Options{Level: compile.OptMIR})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -2,17 +2,21 @@ package compile
 
 import "kex/internal/safext/compile/mir"
 
-// MIRFuncArtifact is one function's evidence triple from the backend: the
-// freshly-lowered (naive) IR, the IR the emitter compiled (optimized at
-// OptMIR, only swept below it), and the register assignment it used. The translation validator replays both
-// sides over the same deterministic model and proves refinement; the
+// MIRFuncArtifact is what compiling one function produced: the freshly
+// lowered (naive) IR from before the elision pass, the IR the emitter
+// compiled (optimized at OptMIR, only swept below it), the register
+// assignment it used, and the interval endpoints the elision pass proved
+// at block entries (none at OptNaive). The translation validator replays
+// both sides over the same deterministic model and proves refinement; the
 // optimized side executes *through* the allocation so register-allocation
-// bugs are as observable as wrong folds.
+// bugs are as observable as wrong folds. The shard-safety analyzer reads
+// the naive IR.
 type MIRFuncArtifact struct {
-	Name  string
-	Naive *mir.Func
-	Opt   *mir.Func
-	Alloc *mir.Alloc
+	Name      string
+	Naive     *mir.Func
+	Opt       *mir.Func
+	Alloc     *mir.Alloc
+	Endpoints []int64
 }
 
 // TValCert is the translation-validation certificate carried in the SLXO

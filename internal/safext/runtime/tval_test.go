@@ -32,7 +32,7 @@ func compileMIRUnvalidated(t *testing.T, name, src string) *compile.Object {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := compile.CompileWithOptions(name, checked, compile.Options{
+	obj, _, err := compile.CompileWithOptions(name, checked, compile.Options{
 		Level: compile.OptMIR,
 	})
 	if err != nil {
@@ -111,7 +111,7 @@ func TestLoadSurfacesTVDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := compile.CompileWithOptions("tval-demoted", checked, compile.Options{
+	obj, _, err := compile.CompileWithOptions("tval-demoted", checked, compile.Options{
 		Level: compile.OptElide,
 	})
 	if err != nil {

@@ -85,10 +85,11 @@ type SignedObject struct {
 // its allocation); if that also fails, the build fails with both
 // refutations and nothing ships.
 //
-// Every build then runs the shard-safety analyzer: the verdict is cheap
-// (one MIR walk), travels under the signature, and the per-CPU data plane
-// needs it to decide whether the program may fan out. The analyzer itself
-// is wall-clock-free; the measurement lives here.
+// Every build then runs the shard-safety analyzer over the fresh lowering
+// the compiler returned: the verdict is cheap (one MIR walk), travels
+// under the signature, and the per-CPU data plane needs it to decide
+// whether the program may fan out. The analyzer itself is wall-clock-free;
+// the measurement lives here.
 func build(name, src string, level int) (*compile.Object, exec.PhaseTimings, error) {
 	rec := exec.NewPhaseRecorder()
 	f, err := lang.Parse(src)
@@ -101,12 +102,7 @@ func build(name, src string, level int) (*compile.Object, exec.PhaseTimings, err
 		return nil, nil, err
 	}
 	rec.Mark("typecheck")
-	opts := compile.Options{Level: level, Mark: rec.Mark}
-	var arts []compile.MIRFuncArtifact
-	if level >= compile.OptMIR {
-		opts.KeepMIR = &arts
-	}
-	obj, err := compile.CompileWithOptions(name, checked, opts)
+	obj, arts, err := compile.CompileWithOptions(name, checked, compile.Options{Level: level, Mark: rec.Mark})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -118,8 +114,7 @@ func build(name, src string, level int) (*compile.Object, exec.PhaseTimings, err
 		if res.OK {
 			obj.TVal = res.Certificate(tvWall)
 		} else {
-			arts = nil
-			if obj, err = compile.CompileWithOptions(name, checked, compile.Options{Level: compile.OptElide, KeepMIR: &arts}); err != nil {
+			if obj, arts, err = compile.CompileWithOptions(name, checked, compile.Options{Level: compile.OptElide}); err != nil {
 				return nil, nil, err
 			}
 			if dres := transval.Validate(name, arts, obj.Checks, transval.Options{}); !dres.OK {
@@ -137,7 +132,7 @@ func build(name, src string, level int) (*compile.Object, exec.PhaseTimings, err
 		rec.Mark("transval")
 	}
 	ccStart := time.Now()
-	cc, err := concheck.AnalyzeSLX(checked, obj.Maps)
+	cc, err := concheck.AnalyzeSLX(arts, obj.Maps)
 	if err != nil {
 		return nil, nil, fmt.Errorf("toolchain: shard-safety analysis: %w", err)
 	}
@@ -152,12 +147,6 @@ func build(name, src string, level int) (*compile.Object, exec.PhaseTimings, err
 func Build(name, src string) (*compile.Object, error) {
 	obj, _, err := build(name, src, compile.OptNaive)
 	return obj, err
-}
-
-// BuildProfiled is Build with per-phase wall timings, feeding the unified
-// load-phase instrumentation of the execution core.
-func BuildProfiled(name, src string) (*compile.Object, exec.PhaseTimings, error) {
-	return build(name, src, compile.OptNaive)
 }
 
 // BuildOptimized compiles SLX source with the elision pass in the loop:
@@ -192,8 +181,7 @@ func DumpMIR(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var arts []compile.MIRFuncArtifact
-	obj, err := compile.CompileWithOptions("dump", checked, compile.Options{Level: compile.OptMIR, KeepMIR: &arts})
+	obj, arts, err := compile.CompileWithOptions("dump", checked, compile.Options{Level: compile.OptMIR})
 	if err != nil {
 		return "", err
 	}

@@ -43,11 +43,7 @@ func benchTVal(b *testing.B, name, src string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var arts []compile.MIRFuncArtifact
-	obj, err := compile.CompileWithOptions(name, checked, compile.Options{
-		Level:   compile.OptMIR,
-		KeepMIR: &arts,
-	})
+	obj, arts, err := compile.CompileWithOptions(name, checked, compile.Options{Level: compile.OptMIR})
 	if err != nil {
 		b.Fatal(err)
 	}
