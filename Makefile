@@ -94,8 +94,10 @@ conc:
 # layer), BENCH_slxopt.json (naive-vs-elided safext builds),
 # BENCH_statecheck.json (soundness-oracle cost + verifier precision) and
 # BENCH_throughput.json (sharded data plane: simulated ops/sec vs shard
-# count and batch size) under testing.B. The Throughput family needs a
-# real iteration count for its scaling figures, hence the higher budget.
+# count and batch size) under testing.B. The Throughput family runs X4's
+# workload through the same plane driver as `kexrepro -exp X4`, with b.N
+# ops; it needs a real iteration count for its scaling figures, hence the
+# higher budget.
 # BENCH_fleet.json (the X5 rollout campaign: fleet-wide swap/rollback
 # latency and the zero-dropped ledger) runs one full campaign per size.
 bench:

@@ -194,7 +194,7 @@ func BenchmarkA1VerifierScaling(b *testing.B) {
 		diamonds := diamonds
 		b.Run(fmt.Sprintf("diamonds=%d", diamonds), func(b *testing.B) {
 			b.ReportAllocs()
-			prog := branchy(diamonds)
+			prog := experiments.BranchyProgram(diamonds)
 			cfg := verifier.DefaultConfig()
 			var processed int
 			for i := 0; i < b.N; i++ {
@@ -209,31 +209,10 @@ func BenchmarkA1VerifierScaling(b *testing.B) {
 	}
 }
 
-func branchy(n int) *isa.Program {
-	insns := []isa.Instruction{
-		isa.LoadMem(isa.SizeDW, isa.R2, isa.R1, 0),
-		isa.Mov64Imm(isa.R3, 0),
-	}
-	for i := 0; i < n; i++ {
-		insns = append(insns,
-			isa.JmpImm(isa.OpJset, isa.R2, 1<<uint(i%32), 1),
-			isa.ALU64Imm(isa.OpAdd, isa.R3, int32(1<<uint(i%16))),
-		)
-	}
-	insns = append(insns, isa.Mov64Reg(isa.R0, isa.R3), isa.Exit())
-	return &isa.Program{Name: "branchy", Type: isa.Tracing, Insns: insns}
-}
-
 // BenchmarkA2LoadPath compares the two load pipelines on a 512-insn
 // program: verify+JIT versus signature-check+fixup.
 func BenchmarkA2LoadPath(b *testing.B) {
-	insns := make([]isa.Instruction, 0, 514)
-	insns = append(insns, isa.Mov64Imm(isa.R0, 0))
-	for i := 0; i < 512; i++ {
-		insns = append(insns, isa.ALU64Imm(isa.OpAdd, isa.R0, int32(i)))
-	}
-	insns = append(insns, isa.Exit())
-	prog := &isa.Program{Name: "line", Type: isa.Tracing, Insns: insns}
+	prog := experiments.LineProgram(512)
 
 	b.Run("verify+jit", func(b *testing.B) {
 		b.ReportAllocs()
@@ -251,7 +230,7 @@ func BenchmarkA2LoadPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	so, err := signer.BuildAndSign("line", slxLine(64))
+	so, err := signer.BuildAndSign("line", experiments.LineSLX(512))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -269,26 +248,11 @@ func BenchmarkA2LoadPath(b *testing.B) {
 	})
 }
 
-func slxLine(n int) string {
-	src := "fn main() -> i64 {\n\tlet mut x: i64 = 0;\n"
-	for i := 0; i < n; i++ {
-		src += fmt.Sprintf("\tx += %d;\n", i)
-	}
-	return src + "\treturn x;\n}\n"
-}
-
 // BenchmarkA3RuntimeTax runs the same hot loop on every engine
 // configuration the ablation compares.
 func BenchmarkA3RuntimeTax(b *testing.B) {
 	const iters = 10_000
-	loop := &isa.Program{Name: "hot", Type: isa.Tracing, Insns: []isa.Instruction{
-		isa.Mov64Imm(isa.R6, 0),
-		isa.Mov64Imm(isa.R0, 0),
-		isa.ALU64Imm(isa.OpAdd, isa.R6, 1),
-		isa.ALU64Imm(isa.OpAdd, isa.R0, 3),
-		isa.JmpImm(isa.OpJlt, isa.R6, iters, -3),
-		isa.Exit(),
-	}}
+	loop := experiments.LoopProgram(iters)
 	engines := []struct {
 		name   string
 		useJIT bool
@@ -323,14 +287,7 @@ func BenchmarkA3RuntimeTax(b *testing.B) {
 
 	b.Run("safext-slx", func(b *testing.B) {
 		rt := runtime.New(kernel.NewDefault(), runtime.DefaultConfig())
-		ext := loadSLX(b, rt, "hot", fmt.Sprintf(`
-fn main() -> i64 {
-	let mut x: i64 = 0;
-	for i in 0..%d {
-		x += 3;
-	}
-	return 0;
-}`, iters), 0)
+		ext := loadSLX(b, rt, "loop", experiments.LoopSLX(iters), 0)
 		b.ResetTimer()
 		var insns uint64
 		for i := 0; i < b.N; i++ {
@@ -348,13 +305,7 @@ fn main() -> i64 {
 // the oversized-program case.
 func BenchmarkA4Expressiveness(b *testing.B) {
 	reg := helpers.NewRegistry()
-	big := make([]isa.Instruction, 0, 5002)
-	big = append(big, isa.Mov64Imm(isa.R0, 0))
-	for i := 0; i < 5000; i++ {
-		big = append(big, isa.ALU64Imm(isa.OpAdd, isa.R0, 1))
-	}
-	big = append(big, isa.Exit())
-	prog := &isa.Program{Name: "big", Type: isa.Tracing, Insns: big}
+	prog := experiments.HugeProgram()
 
 	b.Run("verifier-reject", func(b *testing.B) {
 		cfg := verifier.DefaultConfig()
@@ -366,7 +317,7 @@ func BenchmarkA4Expressiveness(b *testing.B) {
 	})
 	b.Run("safext-complete", func(b *testing.B) {
 		rt := runtime.New(kernel.NewDefault(), runtime.DefaultConfig())
-		ext := loadSLX(b, rt, "big", slxLine(2000), 0)
+		ext := loadSLX(b, rt, "huge", experiments.HugeSLX(), 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			v, err := ext.Run(runtime.RunOptions{})

@@ -9,8 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"kex/internal/experiments"
 	"kex/internal/safext/runtime"
-	"kex/internal/safext/toolchain"
 )
 
 // Every benchmark family persists its figures through one artifact table:
@@ -110,24 +110,12 @@ func overheadPct(x, base float64) float64 {
 	return (x/base - 1) * 100
 }
 
-// loadSLX builds src at the given optimization tier (0 naive, 1 elided,
-// 2 MIR), signs it with a fresh key, enrols the key in rt and loads the
-// extension, which is closed when the benchmark or test ends.
+// loadSLX loads src through experiments.LoadSLX at the given optimization
+// tier (0 naive, 1 elided, 2 MIR); the extension is closed when the
+// benchmark or test ends.
 func loadSLX(tb testing.TB, rt *runtime.Runtime, name, src string, opt int) *runtime.Extension {
 	tb.Helper()
-	signer, err := toolchain.NewSigner()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	build := [...]func(name, src string) (*toolchain.SignedObject, error){
-		signer.BuildAndSign, signer.BuildAndSignOptimized, signer.BuildAndSignOptimizedMIR,
-	}[opt]
-	so, err := build(name, src)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rt.AddKey(signer.PublicKey())
-	ext, err := rt.Load(so)
+	ext, err := experiments.LoadSLX(rt, name, src, opt)
 	if err != nil {
 		tb.Fatal(err)
 	}

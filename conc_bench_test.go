@@ -7,9 +7,9 @@ import (
 	"kex/examples/progs"
 	"kex/internal/analysis/concheck"
 	"kex/internal/exec"
+	"kex/internal/experiments"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/lang"
-	"kex/internal/safext/runtime"
 )
 
 // The BenchmarkConc_* family measures what shard-safety analysis costs at
@@ -97,18 +97,12 @@ func BenchmarkConc(b *testing.B) {
 
 // benchConcGate measures dispatch cost through a multi-shard plane running
 // a CONC-certified program with the given enforcement mode — the strict
-// row against the off row is the hot-path overhead of enforcement.
+// row against the off row is the hot-path overhead of enforcement. The
+// plane is X4's safext flow, which NewSafextPlane requires be certified.
 func benchConcGate(b *testing.B, mode exec.ConcMode, config string) {
 	const shards, batch = 4, 16
-	rt := runtime.New(tputKernel(), runtime.DefaultConfig())
-	ext := loadSLX(b, rt, "conc_gate", tputSLX, 0)
-	if ext.Conc == nil || ext.Conc.Racy() {
-		b.Fatalf("gate benchmark program must be certified, got %+v", ext.Conc)
-	}
-	sh := rt.NewSharded(exec.ShardedConfig{Shards: shards, RingSize: 256, Conc: mode})
-	defer sh.Close()
-	wall := driveSafextPlane(b, ext, sh, shards, batch)
-	wallPer := float64(wall.Nanoseconds()) / float64(b.N)
+	run := drivePlane(b, experiments.NewSafextPlane, exec.ShardedConfig{Shards: shards, Conc: mode}, batch)
+	wallPer := float64(run.Wall.Nanoseconds()) / float64(b.N)
 	concBench.record(config, concRow{Program: config, WallNsPerOp: wallPer, BenchmarkIter: b.N})
 	b.ReportMetric(wallPer, "wall-ns/op")
 }

@@ -172,7 +172,7 @@ func TestMutantKillSuite(t *testing.T) {
 			defer mir.SetMutant("")
 			obj, arts := buildArtifacts(t, "mutant-"+name, src)
 			mir.SetMutant("") // validation itself must run unmutated
-			res := transval.Validate("mutant-"+name, arts, obj.Checks, transval.Options{})
+			res := transval.Validate("mutant-"+name, arts, obj.Checks)
 			if res.OK {
 				t.Fatalf("validator PASSED mutant %q — soundness hole", name)
 			}
@@ -196,7 +196,7 @@ func TestMutantsValidateClean(t *testing.T) {
 	for name, src := range mutantTriggers {
 		t.Run(name, func(t *testing.T) {
 			obj, arts := buildArtifacts(t, "clean-"+name, src)
-			res := transval.Validate("clean-"+name, arts, obj.Checks, transval.Options{})
+			res := transval.Validate("clean-"+name, arts, obj.Checks)
 			if !res.OK {
 				t.Fatalf("trigger program for %q fails validation unmutated: %s", name, res.Reason)
 			}

@@ -50,27 +50,12 @@ import (
 	"kex/internal/safext/compile/mir"
 )
 
-// Options bound the exploration.
-type Options struct {
-	// Vectors is the number of input vectors per function (default 12).
-	Vectors int
-	// Fuel is the model step budget per vector per side (default 200000).
-	Fuel int
-}
-
-func (o Options) vectors() int {
-	if o.Vectors > 0 {
-		return o.Vectors
-	}
-	return 12
-}
-
-func (o Options) fuel() int {
-	if o.Fuel > 0 {
-		return o.Fuel
-	}
-	return 200000
-}
+// The exploration's bounds: input vectors per function, and the model's
+// step budget per vector per side.
+const (
+	vectorsPerFunc = 12
+	fuelPerVector  = 200000
+)
 
 // FuncReport is one function's validation summary.
 type FuncReport struct {
@@ -126,7 +111,7 @@ func (r *Result) Certificate(wallNanos int64) *compile.TValCert {
 // lowering. funcs are the per-function artifact triples the MIR backend
 // captured; checks is the object's merged check ledger, cross-checked
 // against the re-derived site states.
-func Validate(name string, funcs []compile.MIRFuncArtifact, checks compile.CheckStats, opts Options) *Result {
+func Validate(name string, funcs []compile.MIRFuncArtifact, checks compile.CheckStats) *Result {
 	res := &Result{OK: true}
 	if len(funcs) == 0 {
 		res.OK = false
@@ -180,11 +165,11 @@ func Validate(name string, funcs []compile.MIRFuncArtifact, checks compile.Check
 		}
 		cover := make(map[mir.BlockID]bool)
 		nw.Cover = cover
-		for k := 0; k < opts.vectors(); k++ {
+		for k := 0; k < vectorsPerFunc; k++ {
 			seed := mirrun.Mix(0x7c3a9d41b6e5f208, uint64(k), mirrun.Hash(fa.Name))
 			args := paramVector(pal, seed, fa.Naive.NParams)
-			nOut := nw.run(fa.Name, args, seed, opts.fuel())
-			oOut := ow.run(fa.Name, args, seed, opts.fuel())
+			nOut := nw.run(fa.Name, args, seed, fuelPerVector)
+			oOut := ow.run(fa.Name, args, seed, fuelPerVector)
 			fr.Vectors++
 			res.Vectors++
 			verdict, bounded := compare(nOut, oOut)

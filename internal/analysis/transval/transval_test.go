@@ -57,7 +57,7 @@ func TestTValCorpusValidates(t *testing.T) {
 	for name, src := range progs.All {
 		t.Run(name, func(t *testing.T) {
 			obj, arts := buildArtifacts(t, name, src)
-			res := transval.Validate(name, arts, obj.Checks, transval.Options{})
+			res := transval.Validate(name, arts, obj.Checks)
 			if !res.OK {
 				writeCounterexample(t, name, res)
 				t.Fatalf("corpus program %s demoted: %s", name, res.Reason)
@@ -80,7 +80,7 @@ func TestTValCorpusValidates(t *testing.T) {
 // validator, owns nontermination.
 func TestTValBoundedRefinement(t *testing.T) {
 	obj, arts := buildArtifacts(t, "buggy", progs.ProfilerBuggy)
-	res := transval.Validate("buggy", arts, obj.Checks, transval.Options{})
+	res := transval.Validate("buggy", arts, obj.Checks)
 	if !res.OK {
 		writeCounterexample(t, "buggy", res)
 		t.Fatalf("nonterminating program must validate bounded, got: %s", res.Reason)
@@ -93,7 +93,7 @@ func TestTValBoundedRefinement(t *testing.T) {
 // TestTValCertificateShape checks the Result→TValCert conversion.
 func TestTValCertificateShape(t *testing.T) {
 	obj, arts := buildArtifacts(t, "counter", progs.All["counter"])
-	res := transval.Validate("counter", arts, obj.Checks, transval.Options{})
+	res := transval.Validate("counter", arts, obj.Checks)
 	if !res.OK {
 		t.Fatalf("counter demoted: %s", res.Reason)
 	}
@@ -127,7 +127,7 @@ func TestTValRejectsLedgerLie(t *testing.T) {
 	if !lied {
 		t.Fatalf("histogram build has no emitted check sites to lie about")
 	}
-	res := transval.Validate("histogram", arts, obj.Checks, transval.Options{})
+	res := transval.Validate("histogram", arts, obj.Checks)
 	if res.OK {
 		t.Fatalf("validator accepted a ledger inconsistent with the object's CheckStats")
 	}

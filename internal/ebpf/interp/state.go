@@ -203,7 +203,7 @@ func (s *State) charge() error {
 	if s.opts.Fuel > 0 && s.used >= s.opts.Fuel {
 		return ErrFuelExhausted
 	}
-	if s.opts.WatchdogNs > 0 && s.env.Ctx.Runtime() >= s.opts.WatchdogNs {
+	if s.opts.WatchdogNs > 0 && s.env.Ctx.ConsumedNs() >= s.opts.WatchdogNs {
 		return ErrWatchdogExpired
 	}
 	return nil

@@ -251,7 +251,7 @@ func TestShardedWatchdogPerShard(t *testing.T) {
 		// interpreter and JIT do.
 		for i := 0; i < 10; i++ {
 			env.Ctx.Tick(10)
-			if env.Ctx.Runtime() >= opts.WatchdogNs {
+			if env.Ctx.ConsumedNs() >= opts.WatchdogNs {
 				return 0, wd
 			}
 		}

@@ -85,9 +85,6 @@ type SoakConfig struct {
 	// Runs is how many completed invocations of the new version end the
 	// soak cleanly. Zero skips soaking: the swap commits at drain.
 	Runs int
-	// WindowNs, when positive, also ends the soak cleanly once that much
-	// virtual time has passed since cutover, even short of Runs.
-	WindowNs int64
 }
 
 // SwapReport describes one hot-swap: the cutover, the drain of the old
@@ -290,11 +287,7 @@ func (h *HotSwap) Swap(ctx context.Context, next Version, soak SoakConfig) (*Swa
 	rep.SwapVirtNs = h.sh.core.K.Clock.Now() - virtStart
 
 	for {
-		done := soak.Runs <= 0 || sup == nil || sk.completed.Load() >= int64(soak.Runs)
-		if !done && soak.WindowNs > 0 {
-			done = h.sh.core.K.Clock.Now()-virtStart >= soak.WindowNs
-		}
-		if done {
+		if soak.Runs <= 0 || sup == nil || sk.completed.Load() >= int64(soak.Runs) {
 			if !h.endSoak(sk) {
 				return h.rollback(ctx, sk, rep)
 			}

@@ -14,8 +14,13 @@ import (
 	"kex/internal/safext/toolchain"
 )
 
-// loopProgram builds a counted loop of n iterations in bytecode.
-func loopProgram(n int32) *isa.Program {
+// The ablation workloads below are shared with the root benchmarks: A1's
+// BenchmarkA1VerifierScaling, A2's BenchmarkA2LoadPath, A3's
+// BenchmarkA3RuntimeTax and A4's BenchmarkA4Expressiveness build their
+// programs here.
+
+// LoopProgram builds a counted loop of n iterations in bytecode.
+func LoopProgram(n int32) *isa.Program {
 	return &isa.Program{Name: "loop", Type: isa.Tracing, Insns: []isa.Instruction{
 		isa.Mov64Imm(isa.R6, 0),
 		isa.Mov64Imm(isa.R0, 0),
@@ -26,9 +31,44 @@ func loopProgram(n int32) *isa.Program {
 	}}
 }
 
-// branchyProgram builds a chain of n data-dependent diamonds whose join
+// LoopSLX is LoopProgram's loop through the SLX toolchain.
+func LoopSLX(n int) string {
+	return fmt.Sprintf(`
+fn main() -> i64 {
+	let mut x: i64 = 0;
+	for i in 0..%d {
+		x += 3;
+	}
+	return 0;
+}`, n)
+}
+
+// LineProgram builds a straight-line program of n ALU instructions.
+func LineProgram(n int) *isa.Program {
+	insns := make([]isa.Instruction, 0, n+2)
+	insns = append(insns, isa.Mov64Imm(isa.R0, 0))
+	for i := 0; i < n; i++ {
+		insns = append(insns, isa.ALU64Imm(isa.OpAdd, isa.R0, int32(i)))
+	}
+	insns = append(insns, isa.Exit())
+	return &isa.Program{Name: "line", Type: isa.Tracing, Insns: insns}
+}
+
+// LineSLX is an SLX program that compiles to about LineProgram(n)'s size:
+// n/8 straight-line statements.
+func LineSLX(n int) string {
+	var sb strings.Builder
+	sb.WriteString("fn main() -> i64 {\n\tlet mut x: i64 = 0;\n")
+	for i := 0; i < n/8; i++ {
+		fmt.Fprintf(&sb, "\tx += %d;\n", i)
+	}
+	sb.WriteString("\treturn x;\n}\n")
+	return sb.String()
+}
+
+// BranchyProgram builds a chain of n data-dependent diamonds whose join
 // states differ, defeating pruning — the verifier's worst case.
-func branchyProgram(n int) *isa.Program {
+func BranchyProgram(n int) *isa.Program {
 	insns := []isa.Instruction{
 		isa.LoadMem(isa.SizeDW, isa.R2, isa.R1, 0),
 		isa.Mov64Imm(isa.R3, 0),
@@ -57,7 +97,7 @@ func A1VerifierScaling() *Result {
 
 	r.Lines = append(r.Lines, "counted loops: verification work grows with the trip count")
 	for _, n := range []int32{10, 100, 1000, 10000} {
-		res, err := verifier.Verify(loopProgram(n), reg, nil, cfg)
+		res, err := verifier.Verify(LoopProgram(n), reg, nil, cfg)
 		status := "ok"
 		if err != nil {
 			status = "REJECTED"
@@ -69,7 +109,7 @@ func A1VerifierScaling() *Result {
 	var lastErr error
 	var rejectedAt int
 	for _, b := range []int{8, 12, 16, 18, 20, 22} {
-		res, err := verifier.Verify(branchyProgram(b), reg, nil, cfg)
+		res, err := verifier.Verify(BranchyProgram(b), reg, nil, cfg)
 		status := "ok"
 		if err != nil {
 			status = "REJECTED: " + firstLine(err.Error())
@@ -101,16 +141,10 @@ func A2LoadPath() *Result {
 	}
 	for _, n := range []int{64, 512, 4000} {
 		// eBPF: a straight-line program of n ALU instructions.
-		insns := make([]isa.Instruction, 0, n+2)
-		insns = append(insns, isa.Mov64Imm(isa.R0, 0))
-		for i := 0; i < n; i++ {
-			insns = append(insns, isa.ALU64Imm(isa.OpAdd, isa.R0, int32(i)))
-		}
-		insns = append(insns, isa.Exit())
 		k := kernel.NewDefault()
 		s := ebpf.NewStack(k)
 		t0 := time.Now()
-		l, err := s.Load(&isa.Program{Name: "line", Type: isa.Tracing, Insns: insns})
+		l, err := s.Load(LineProgram(n))
 		verifyDur := time.Since(t0)
 		if err != nil {
 			r.Measured = "load failed: " + err.Error()
@@ -119,13 +153,7 @@ func A2LoadPath() *Result {
 
 		// safext: an SLX program compiling to a comparable size, loaded by
 		// signature check + fixup.
-		var sb strings.Builder
-		sb.WriteString("fn main() -> i64 {\n\tlet mut x: i64 = 0;\n")
-		for i := 0; i < n/8; i++ {
-			fmt.Fprintf(&sb, "\tx += %d;\n", i)
-		}
-		sb.WriteString("\treturn x;\n}\n")
-		so, err := signer.BuildAndSign("line", sb.String())
+		so, err := signer.BuildAndSign("line", LineSLX(n))
 		if err != nil {
 			r.Measured = "sign failed: " + err.Error()
 			return r
@@ -168,7 +196,7 @@ func A3RuntimeTax() *Result {
 	run := func(fuel uint64) (int64, uint64) {
 		k := kernel.NewDefault()
 		s := ebpf.NewStack(k)
-		l, err := s.Load(loopProgram(iters))
+		l, err := s.Load(LoopProgram(iters))
 		if err != nil {
 			panic(err)
 		}
@@ -198,14 +226,7 @@ func A3RuntimeTax() *Result {
 
 	// (b) compiler-quality gap: SLX's level-0 build (register-allocated,
 	// no elision pass, no optimizer passes) vs hand asm.
-	_, v, err := safeRun(runtime.DefaultConfig(), fmt.Sprintf(`
-fn main() -> i64 {
-	let mut x: i64 = 0;
-	for i in 0..%d {
-		x += 3;
-	}
-	return 0;
-}`, iters))
+	_, v, err := safeRun(runtime.DefaultConfig(), LoopSLX(iters))
 	if err != nil {
 		r.Measured = "safext run failed: " + err.Error()
 		return r
@@ -255,12 +276,12 @@ fn main() -> i64 {
 		},
 		{
 			name: "oversized program (beyond BPF_MAXINSNS)",
-			prog: hugeProgram(6000),
-			slx:  hugeSLX(6000),
+			prog: HugeProgram(),
+			slx:  HugeSLX(),
 		},
 		{
 			name: "state explosion (24 unmergeable diamonds)",
-			prog: branchyProgram(24),
+			prog: BranchyProgram(24),
 			slx: `
 fn main() -> i64 {
 	let bits = kernel::rand();
@@ -320,23 +341,28 @@ func collatzProgram() *isa.Program {
 	}}
 }
 
-func hugeProgram(n int) *isa.Program {
-	insns := make([]isa.Instruction, 0, n+2)
+// hugeInsns is A4's oversized program length, beyond BPF_MAXINSNS.
+const hugeInsns = 6000
+
+// HugeProgram is A4's oversized program: hugeInsns straight-line adds.
+func HugeProgram() *isa.Program {
+	insns := make([]isa.Instruction, 0, hugeInsns+2)
 	insns = append(insns, isa.Mov64Imm(isa.R0, 0))
-	for i := 0; i < n; i++ {
+	for i := 0; i < hugeInsns; i++ {
 		insns = append(insns, isa.ALU64Imm(isa.OpAdd, isa.R0, 1))
 	}
 	insns = append(insns, isa.Exit())
 	return &isa.Program{Name: "huge", Type: isa.Tracing, Insns: insns}
 }
 
-func hugeSLX(n int) string {
+// HugeSLX is HugeProgram through the SLX toolchain; it returns 0.
+func HugeSLX() string {
 	var sb strings.Builder
 	sb.WriteString("fn main() -> i64 {\n\tlet mut x: i64 = 0;\n")
-	for i := 0; i < n; i++ {
+	for i := 0; i < hugeInsns; i++ {
 		sb.WriteString("\tx += 1;\n")
 	}
-	fmt.Fprintf(&sb, "\treturn x - %d;\n}\n", n)
+	fmt.Fprintf(&sb, "\treturn x - %d;\n}\n", hugeInsns)
 	return sb.String()
 }
 

@@ -9,24 +9,30 @@ import (
 	"kex/internal/exec"
 	"kex/internal/kernel"
 	"kex/internal/safext/runtime"
-	"kex/internal/safext/toolchain"
 )
 
-// execIters is the loop trip count of the X2 workload; execRuns how many
-// invocations each configuration gets.
+// execIters is the loop trip count of the exec-core workload; execRuns how
+// many invocations each X2 configuration gets.
 const (
 	execIters = 1000
 	execRuns  = 5
 )
 
-// execCoreEBPFProgram is the bytecode half of the X2 workload: a bounded
-// loop that calls bpf_ktime_get_ns once per iteration and accumulates.
-func execCoreEBPFProgram(s *ebpf.Stack) (*isa.Program, error) {
+// ExecCoreName names the exec-core workload's program on both stacks: the
+// key of its row in the core's Stats. A supervisor seeds the program's
+// backoff jitter from it, so renaming it moves BenchmarkSupervisor_Recovery's
+// time-to-recover.
+const ExecCoreName = "core_bench"
+
+// ExecCoreProgram is the bytecode half of the exec-core workload: a bounded
+// loop that calls bpf_ktime_get_ns once per iteration and accumulates. X2
+// and the root ExecCore, Supervisor and serial Throughput benchmarks run it.
+func ExecCoreProgram(s *ebpf.Stack) (*isa.Program, error) {
 	ktime, ok := s.Helpers.ByName("bpf_ktime_get_ns")
 	if !ok {
 		return nil, fmt.Errorf("bpf_ktime_get_ns not registered")
 	}
-	return &isa.Program{Name: "x2", Type: isa.Tracing, Insns: []isa.Instruction{
+	return &isa.Program{Name: ExecCoreName, Type: isa.Tracing, Insns: []isa.Instruction{
 		isa.Mov64Imm(isa.R6, 0),
 		isa.Mov64Imm(isa.R7, 0),
 		isa.Call(int32(ktime.ID)),
@@ -50,6 +56,105 @@ fn main() -> i64 {
 }
 `
 
+// ExecLeg is one stack×engine configuration of the exec-core workload.
+type ExecLeg struct {
+	Safext     bool
+	JIT        bool
+	Opt        int // safext build tier: 0 naive, 1 elided, 2 MIR
+	Supervised bool
+}
+
+// ExecCore is the exec-core workload loaded on one leg's stack. Set-up
+// (NewExecCore) is separate from Run so a benchmark times only the runs.
+type ExecCore struct {
+	core *exec.Core
+	// run invokes the workload once and returns its R0.
+	run    func() (uint64, error)
+	loaded *ebpf.Loaded // the eBPF leg's program; nil on safext
+	close  func()
+}
+
+// NewExecCore boots a kernel, builds the leg's stack and loads the
+// workload on it.
+func NewExecCore(leg ExecLeg) (*ExecCore, error) {
+	if leg.Safext {
+		cfg := runtime.DefaultConfig()
+		cfg.UseJIT = leg.JIT
+		rt := runtime.New(kernel.NewDefault(), cfg)
+		if leg.Supervised {
+			rt.Supervise(exec.DefaultSupervisorConfig())
+		}
+		ext, err := LoadSLX(rt, ExecCoreName, execCoreSLX, leg.Opt)
+		if err != nil {
+			return nil, fmt.Errorf("load exec-core workload: %w", err)
+		}
+		return &ExecCore{core: rt.Core, close: ext.Close, run: func() (uint64, error) {
+			v, err := ext.Run(runtime.RunOptions{})
+			switch {
+			case err != nil:
+				return 0, err
+			case !v.Completed:
+				return 0, fmt.Errorf("did not complete: %+v", v)
+			}
+			return uint64(v.R0), nil
+		}}, nil
+	}
+	s := ebpf.NewStack(kernel.NewDefault())
+	s.UseJIT = leg.JIT
+	if leg.Supervised {
+		s.Supervise(exec.DefaultSupervisorConfig())
+	}
+	prog, err := ExecCoreProgram(s)
+	if err != nil {
+		return nil, err
+	}
+	l, err := s.Load(prog)
+	if err != nil {
+		return nil, fmt.Errorf("load exec-core workload: %w", err)
+	}
+	return &ExecCore{core: s.Core, loaded: l, close: l.Close, run: func() (uint64, error) {
+		rep, err := l.Run(ebpf.RunOptions{})
+		return rep.R0, err
+	}}, nil
+}
+
+// Run invokes the workload n times, one Core.Run each, and checks every
+// result.
+func (c *ExecCore) Run(n int) error {
+	for i := 0; i < n; i++ {
+		if r0, err := c.run(); err != nil || r0 != 3*execIters {
+			return fmt.Errorf("R0 = %d, %v", r0, err)
+		}
+	}
+	return nil
+}
+
+// RunBatch invokes the eBPF leg's workload n times through Core.RunBatch,
+// chunk invocations at a time on CPU 0, and checks every result.
+func (c *ExecCore) RunBatch(n, chunk int) error {
+	if c.loaded == nil {
+		return fmt.Errorf("RunBatch drives the eBPF leg only")
+	}
+	opts := make([]ebpf.RunOptions, chunk)
+	for done := 0; done < n; {
+		k := min(chunk, n-done)
+		for _, res := range c.loaded.RunBatch(0, opts[:k]) {
+			if res.Err != nil || res.Report.R0 != 3*execIters {
+				return fmt.Errorf("report = %+v, %v", res.Report, res.Err)
+			}
+		}
+		done += k
+	}
+	return nil
+}
+
+// Snapshot returns the leg's core counters; the workload's row is
+// Programs[ExecCoreName].
+func (c *ExecCore) Snapshot() exec.Snapshot { return c.core.Stats.Snapshot() }
+
+// Close unloads the workload.
+func (c *ExecCore) Close() { c.close() }
+
 // X2ExecCore exercises the shared execution core's instrumentation as a
 // Table 2-style overhead comparison: the same loop-plus-helper workload on
 // all four stack×engine configurations, with every row derived from one
@@ -64,73 +169,30 @@ func X2ExecCore() *Result {
 	type row struct {
 		label string
 		snap  exec.Snapshot
-		name  string
 	}
 	var rows []row
 	holds := true
-
-	for _, useJIT := range []bool{false, true} {
-		k := kernel.NewDefault()
-		s := ebpf.NewStack(k)
-		s.UseJIT = useJIT
-		prog, err := execCoreEBPFProgram(s)
+	for _, leg := range []struct {
+		label string
+		leg   ExecLeg
+	}{
+		{"ebpf/interp", ExecLeg{}},
+		{"ebpf/jit", ExecLeg{JIT: true}},
+		{"safext/interp", ExecLeg{Safext: true}},
+		{"safext/jit", ExecLeg{Safext: true, JIT: true}},
+	} {
+		c, err := NewExecCore(leg.leg)
 		if err != nil {
-			r.Measured = err.Error()
+			r.Measured = leg.label + ": " + err.Error()
 			return r
 		}
-		l, err := s.Load(prog)
+		err = c.Run(execRuns)
+		c.Close()
 		if err != nil {
-			r.Measured = "ebpf load failed: " + err.Error()
+			r.Measured = leg.label + " run failed: " + err.Error()
 			return r
 		}
-		for i := 0; i < execRuns; i++ {
-			rep, err := l.Run(ebpf.RunOptions{})
-			if err != nil || rep.R0 != 3*execIters {
-				r.Measured = fmt.Sprintf("ebpf run failed: R0=%d err=%v", rep.R0, err)
-				return r
-			}
-		}
-		l.Close()
-		eng := "interp"
-		if useJIT {
-			eng = "jit"
-		}
-		rows = append(rows, row{label: "ebpf/" + eng, snap: s.Stats.Snapshot(), name: "x2"})
-	}
-
-	signer, err := toolchain.NewSigner()
-	if err != nil {
-		r.Measured = err.Error()
-		return r
-	}
-	so, err := signer.BuildAndSign("x2", execCoreSLX)
-	if err != nil {
-		r.Measured = "slx build failed: " + err.Error()
-		return r
-	}
-	for _, useJIT := range []bool{false, true} {
-		cfg := runtime.DefaultConfig()
-		cfg.UseJIT = useJIT
-		rt := runtime.New(kernel.NewDefault(), cfg)
-		rt.AddKey(signer.PublicKey())
-		ext, err := rt.Load(so)
-		if err != nil {
-			r.Measured = "safext load failed: " + err.Error()
-			return r
-		}
-		for i := 0; i < execRuns; i++ {
-			v, err := ext.Run(runtime.RunOptions{})
-			if err != nil || !v.Completed || v.R0 != 3*execIters {
-				r.Measured = fmt.Sprintf("safext run failed: %+v err=%v", v, err)
-				return r
-			}
-		}
-		ext.Close()
-		eng := "interp"
-		if useJIT {
-			eng = "jit"
-		}
-		rows = append(rows, row{label: "safext/" + eng, snap: rt.Core.Stats.Snapshot(), name: "x2"})
+		rows = append(rows, row{label: leg.label, snap: c.Snapshot()})
 	}
 
 	r.Lines = append(r.Lines, fmt.Sprintf(
@@ -138,7 +200,7 @@ func X2ExecCore() *Result {
 		"config", "runs", "insns/run", "helpers", "mapops", "virt-ns/run", "wall-µs/run", "load phases"))
 	var interpWall [2]int64 // ebpf, safext — for the overhead summary
 	for _, row := range rows {
-		ps, ok := row.snap.Programs[row.name]
+		ps, ok := row.snap.Programs[ExecCoreName]
 		if !ok || ps.Invocations != execRuns {
 			holds = false
 			r.Lines = append(r.Lines, fmt.Sprintf("%-14s MISSING STATS", row.label))

@@ -8,6 +8,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"kex/internal/safext/runtime"
+	"kex/internal/safext/toolchain"
 )
 
 // Result is one regenerated artifact.
@@ -83,4 +86,23 @@ func ByID(id string) (*Result, bool) {
 		return nil, false
 	}
 	return f(), true
+}
+
+// LoadSLX builds src at the given optimization tier (0 naive, 1 elided,
+// 2 MIR), signs it with a fresh key, enrols the key in rt and loads the
+// extension.
+func LoadSLX(rt *runtime.Runtime, name, src string, opt int) (*runtime.Extension, error) {
+	signer, err := toolchain.NewSigner()
+	if err != nil {
+		return nil, err
+	}
+	build := [...]func(name, src string) (*toolchain.SignedObject, error){
+		signer.BuildAndSign, signer.BuildAndSignOptimized, signer.BuildAndSignOptimizedMIR,
+	}[opt]
+	so, err := build(name, src)
+	if err != nil {
+		return nil, err
+	}
+	rt.AddKey(signer.PublicKey())
+	return rt.Load(so)
 }

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"kex/internal/exec"
+)
 
 // Each experiment must regenerate its artifact and uphold the paper's
 // claim. These tests are the reproduction's acceptance suite.
@@ -29,6 +33,13 @@ func TestA2(t *testing.T)      { checkHolds(t, A2LoadPath()) }
 func TestA3(t *testing.T)      { checkHolds(t, A3RuntimeTax()) }
 func TestA4(t *testing.T)      { checkHolds(t, A4Expressiveness()) }
 func TestX1(t *testing.T)      { checkHolds(t, X1Protection()) }
+func TestX2(t *testing.T)      { checkHolds(t, X2ExecCore()) }
+func TestX3(t *testing.T)      { checkHolds(t, X3FaultCampaign()) }
+func TestX4(t *testing.T)      { checkHolds(t, X4Throughput()) }
+func TestSC1(t *testing.T)     { checkHolds(t, SC1Soundness()) }
+
+// X5 runs a 1000-node campaign (tens of seconds); CI's 64-node
+// BenchmarkFleet_Rollout64 smoke covers it.
 
 func TestByID(t *testing.T) {
 	if _, ok := ByID("F2"); !ok {
@@ -39,5 +50,32 @@ func TestByID(t *testing.T) {
 	}
 	if _, ok := ByID("Z9"); ok {
 		t.Fatal("bogus id accepted")
+	}
+}
+
+// The X4 driver the throughput benchmarks share must take a volume that is
+// not a whole number of batches (a benchmark's b.N) and still account for
+// every op: every packet carries TCP and passes, no syscall is denied.
+func TestPlaneDrivePartialBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		open      func(exec.ShardedConfig) (*Plane, error)
+		decisions uint64
+	}{
+		{"ebpf", NewEBPFPlane, 37},
+		{"safext", NewSafextPlane, 0},
+	} {
+		p, err := tc.open(exec.ShardedConfig{Shards: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		run, err := p.Drive(37, 16)
+		p.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if run.Decisions != tc.decisions || run.SimOpsPerSec <= 0 {
+			t.Errorf("%s: %+v, want %d decisions", tc.name, run, tc.decisions)
+		}
 	}
 }

@@ -85,17 +85,7 @@ func Table2() *Result {
 // safeRun builds a one-shot safext environment and runs src on it.
 func safeRun(cfg runtime.Config, src string) (*kernel.Kernel, *runtime.Verdict, error) {
 	k := kernel.NewDefault()
-	rt := runtime.New(k, cfg)
-	signer, err := toolchain.NewSigner()
-	if err != nil {
-		return nil, nil, err
-	}
-	rt.AddKey(signer.PublicKey())
-	so, err := signer.BuildAndSign("t2", src)
-	if err != nil {
-		return k, nil, err
-	}
-	ext, err := rt.Load(so)
+	ext, err := LoadSLX(runtime.New(k, cfg), "t2", src, 0)
 	if err != nil {
 		return k, nil, err
 	}

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"kex/internal/ebpf"
 	"kex/internal/ebpf/isa"
@@ -11,7 +11,6 @@ import (
 	"kex/internal/exec"
 	"kex/internal/kernel"
 	"kex/internal/safext/runtime"
-	"kex/internal/safext/toolchain"
 )
 
 // X4 is a steady-state traffic generator over the sharded data plane: a
@@ -20,24 +19,27 @@ import (
 // metric is simulated throughput — completed ops divided by the busiest
 // shard's consumed virtual CPU time — which is what per-CPU sharding is
 // supposed to scale. Wall-clock throughput is reported alongside but is
-// hostage to the harness's real core count.
+// hostage to the harness's real core count. The root BenchmarkThroughput_*
+// and BenchmarkConc_Gate* families drive the same planes through Plane.
 const (
 	x4TotalOps  = 3200
 	x4BatchSize = 16
 	x4CPUs      = 8
+	// planeRing is each shard's submission ring, in batches.
+	planeRing = 256
 )
 
-// x4Kernel boots a kernel wide enough for the full shard sweep.
-func x4Kernel() *kernel.Kernel {
+// planeKernel boots a kernel wide enough for the full shard sweep.
+func planeKernel() *kernel.Kernel {
 	cfg := kernel.DefaultConfig()
 	cfg.NumCPU = x4CPUs
 	return kernel.New(cfg)
 }
 
-// x4PktFilter is the verified-stack flow: classify the packet's protocol
+// pktFilter is the verified-stack flow: classify the packet's protocol
 // byte from the context and count every invocation in a per-CPU array —
 // the canonical XDP counter shape, no locks anywhere on the data path.
-func x4PktFilter(s *ebpf.Stack) (*isa.Program, error) {
+func pktFilter(s *ebpf.Stack) (*isa.Program, error) {
 	if _, err := s.CreateMap(maps.Spec{
 		Name: "x4_pkt", Type: maps.PerCPUArray, KeySize: 4, ValueSize: 8, MaxEntries: 4,
 	}); err != nil {
@@ -66,9 +68,10 @@ func x4PktFilter(s *ebpf.Stack) (*isa.Program, error) {
 	}}, nil
 }
 
-// x4SLX is the safext flow: per-CPU accounting in a percpu_hash plus a
-// policy decision against a read-only shared hash the host pre-fills.
-const x4SLX = `
+// policySLX is the safext flow: per-CPU accounting in a percpu_hash plus a
+// policy decision against a read-only shared hash, which starts empty, so
+// every invocation is allowed.
+const policySLX = `
 map denied: hash<u64, u64>(64);
 map counts: percpu_hash<u64, u64>(64);
 
@@ -82,166 +85,191 @@ fn main() -> i64 {
 }
 `
 
-// x4EBPFRun drives totalOps packet-filter invocations over a sharded
-// plane and returns (simulated ops/sec, passes) after checking the
-// per-CPU counters balance.
-func x4EBPFRun(shards int) (float64, uint64, error) {
-	k := x4Kernel()
+// A Plane is one X4 flow loaded onto its stack's sharded data plane. Set-up
+// (NewEBPFPlane, NewSafextPlane) is separate from Drive so a benchmark
+// times only the traffic.
+type Plane struct {
+	sh     *exec.Sharded
+	shards int
+	// batch assembles n invocations on cpu into one submission whose Done
+	// counts failures and decisions.
+	batch func(cpu, n int) exec.Batch
+	// counted sums the flow's per-CPU counters over every CPU.
+	counted         func() uint64
+	failed, decided atomic.Uint64
+	close           func()
+}
+
+// PlaneRun is what one Drive measured.
+type PlaneRun struct {
+	Wall time.Duration
+	// SimOpsPerSec is completed ops over the busiest shard's virtual time.
+	SimOpsPerSec float64
+	// Decisions counts the flow's verdicts of interest: passed packets on
+	// the eBPF plane, denied syscalls on the safext plane.
+	Decisions uint64
+}
+
+// NewEBPFPlane loads the packet filter on a verified stack and opens a
+// sharded plane over it with one TCP context region per shard, so every
+// packet passes.
+func NewEBPFPlane(cfg exec.ShardedConfig) (*Plane, error) {
+	k := planeKernel()
 	s := ebpf.NewStack(k)
-	prog, err := x4PktFilter(s)
+	prog, err := pktFilter(s)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	l, err := s.Load(prog)
 	if err != nil {
-		return 0, 0, err
+		return nil, fmt.Errorf("load packet filter: %w", err)
 	}
-	defer l.Close()
-
-	// One context region per shard: even shards carry TCP (proto 6), odd
-	// shards UDP (proto 17), so the pass count is predictable.
-	ctxs := make([]*kernel.Region, shards)
+	m, _ := s.Maps.ByName("x4_pkt")
+	pc, ok := maps.Unwrap(m).(maps.PerCPUMap)
+	if !ok {
+		l.Close()
+		return nil, fmt.Errorf("x4_pkt is not a per-CPU map")
+	}
+	p := newPlane(s.NewSharded, cfg)
+	ctxs := make([]uint64, p.shards)
 	for cpu := range ctxs {
-		ctxs[cpu] = k.Mem.Map(64, kernel.ProtRW, "x4_ctx")
-		proto := byte(6)
-		if cpu%2 == 1 {
-			proto = 17
-		}
-		ctxs[cpu].Data[0] = proto
+		r := k.Mem.Map(64, kernel.ProtRW, "x4_ctx")
+		r.Data[0] = 6 // TCP
+		ctxs[cpu] = r.Base
 	}
-
-	var passes, fails atomic.Uint64
 	done := func(results []exec.BatchResult) {
 		for _, res := range results {
 			switch {
 			case res.Err != nil:
-				fails.Add(1)
+				p.failed.Add(1)
 			case res.Report.R0 == 1:
-				passes.Add(1)
+				p.decided.Add(1)
 			}
 		}
 	}
-
-	sh := s.NewSharded(exec.ShardedConfig{Shards: shards, RingSize: 64})
-	defer sh.Close()
-	for i := 0; i < x4TotalOps/x4BatchSize; i++ {
-		cpu := i % shards
-		reqs := make([]exec.Request, x4BatchSize)
-		for j := range reqs {
-			reqs[j] = l.Request(ebpf.RunOptions{CtxAddr: ctxs[cpu].Base})
+	p.batch = func(cpu, n int) exec.Batch {
+		reqs := make([]exec.Request, n)
+		for i := range reqs {
+			reqs[i] = l.Request(ebpf.RunOptions{CtxAddr: ctxs[cpu]})
 		}
-		if err := sh.SubmitWait(cpu, exec.Batch{Engine: l.Engine(), Reqs: reqs, Done: done}); err != nil {
-			return 0, 0, err
-		}
+		return exec.Batch{Engine: l.Engine(), Reqs: reqs, Done: done}
 	}
-	sh.Flush()
-	if n := fails.Load(); n > 0 {
-		return 0, 0, fmt.Errorf("%d invocations failed", n)
+	p.counted = func() uint64 {
+		vals, _ := pc.PerCPUValues([]byte{0, 0, 0, 0})
+		return sum(vals)
 	}
-	if got := sh.Completed(); got != x4TotalOps {
-		return 0, 0, fmt.Errorf("completed %d of %d", got, x4TotalOps)
-	}
-
-	// The per-CPU counters must balance exactly: every shard counted its
-	// own invocations in its own cell, nothing was lost to contention.
-	m, _ := s.Maps.ByName("x4_pkt")
-	pc, ok := maps.Unwrap(m).(maps.PerCPUMap)
-	if !ok {
-		return 0, 0, fmt.Errorf("x4_pkt is not a per-CPU map")
-	}
-	var counted uint64
-	if vals, ok := pc.PerCPUValues([]byte{0, 0, 0, 0}); ok {
-		for _, v := range vals {
-			counted += v
-		}
-	}
-	if counted != x4TotalOps {
-		return 0, 0, fmt.Errorf("per-CPU counters sum to %d, want %d", counted, x4TotalOps)
-	}
-	busy := sh.MaxBusyNs()
-	if busy <= 0 {
-		return 0, 0, fmt.Errorf("no virtual CPU time consumed")
-	}
-	return float64(x4TotalOps) / (float64(busy) / 1e9), passes.Load(), nil
+	p.close = l.Close
+	return p, nil
 }
 
-// x4SafextRun drives the syscall-policy extension the same way, pairing
-// Prepare/Finish around the sharded plane so every invocation still gets
-// the full verdict treatment (cleanup, termination accounting).
-func x4SafextRun(shards int, so *toolchain.SignedObject, pub ed25519.PublicKey) (float64, uint64, error) {
-	cfg := runtime.DefaultConfig()
-	rt := runtime.New(x4Kernel(), cfg)
-	rt.AddKey(pub)
-	ext, err := rt.Load(so)
+// NewSafextPlane builds, signs and loads the syscall policy and opens a
+// sharded plane over it. Every invocation is paired Prepare/Finish, so it
+// still gets the full verdict treatment (cleanup, termination accounting).
+// The policy must carry a CONC certificate: every shard runs it at once.
+func NewSafextPlane(cfg exec.ShardedConfig) (*Plane, error) {
+	rt := runtime.New(planeKernel(), runtime.DefaultConfig())
+	ext, err := LoadSLX(rt, "x4_policy", policySLX, 0)
 	if err != nil {
-		return 0, 0, err
+		return nil, fmt.Errorf("load syscall policy: %w", err)
 	}
-	defer ext.Close()
-
-	// Policy: syscall nr 3 is denied. The host writes the shared hash once
-	// before traffic starts; shard workers only read it.
-	key := make([]byte, 8)
-	val := make([]byte, 8)
-	key[0], val[0] = 3, 1
-	if err := ext.Map("denied").Update(0, key, val, maps.UpdateAny); err != nil {
-		return 0, 0, err
+	if ext.Conc == nil || ext.Conc.Racy() {
+		ext.Close()
+		return nil, fmt.Errorf("x4_policy is not shard-safe: %+v", ext.Conc)
 	}
-
-	var denied, failed atomic.Uint64
-	sh := rt.NewSharded(exec.ShardedConfig{Shards: shards, RingSize: 64})
-	defer sh.Close()
-	for i := 0; i < x4TotalOps/x4BatchSize; i++ {
-		cpu := i % shards
-		preps := make([]*runtime.Prepared, x4BatchSize)
-		reqs := make([]exec.Request, x4BatchSize)
-		for j := range reqs {
-			preps[j] = ext.Prepare(runtime.RunOptions{CPU: cpu})
-			reqs[j] = preps[j].Request()
+	pc, ok := maps.Unwrap(ext.Map("counts")).(maps.PerCPUMap)
+	if !ok {
+		ext.Close()
+		return nil, fmt.Errorf("counts is not a per-CPU map")
+	}
+	p := newPlane(rt.NewSharded, cfg)
+	p.batch = func(cpu, n int) exec.Batch {
+		preps := make([]*runtime.Prepared, n)
+		reqs := make([]exec.Request, n)
+		for i := range reqs {
+			preps[i] = ext.Prepare(runtime.RunOptions{CPU: cpu})
+			reqs[i] = preps[i].Request()
 		}
-		b := exec.Batch{Engine: ext.Engine(), Reqs: reqs, Done: func(results []exec.BatchResult) {
-			for j, res := range results {
-				v, ferr := preps[j].Finish(res.Report, res.Err)
+		return exec.Batch{Engine: ext.Engine(), Reqs: reqs, Done: func(results []exec.BatchResult) {
+			for i, res := range results {
+				v, ferr := preps[i].Finish(res.Report, res.Err)
 				switch {
 				case ferr != nil || !v.Completed:
-					failed.Add(1)
+					p.failed.Add(1)
 				case v.R0 == -1:
-					denied.Add(1)
+					p.decided.Add(1)
 				}
 			}
 		}}
-		if err := sh.SubmitWait(cpu, b); err != nil {
-			return 0, 0, err
+	}
+	// Shard i increments only key i, in its own percpu_hash cells.
+	p.counted = func() uint64 {
+		var n uint64
+		for cpu := 0; cpu < p.shards; cpu++ {
+			key := make([]byte, 8)
+			key[0] = byte(cpu)
+			vals, _ := pc.PerCPUValues(key)
+			n += sum(vals)
 		}
+		return n
 	}
-	sh.Flush()
-	if n := failed.Load(); n > 0 {
-		return 0, 0, fmt.Errorf("%d invocations failed", n)
-	}
+	p.close = ext.Close
+	return p, nil
+}
 
-	// Per-CPU accounting must balance: shard i incremented only key i in
-	// its own percpu_hash cells.
-	pc, ok := maps.Unwrap(ext.Map("counts")).(maps.PerCPUMap)
-	if !ok {
-		return 0, 0, fmt.Errorf("counts is not a per-CPU map")
+// newPlane opens the sharded plane with cfg's shard count and CONC mode;
+// the ring size is the workload's own.
+func newPlane(open func(exec.ShardedConfig) *exec.Sharded, cfg exec.ShardedConfig) *Plane {
+	cfg.RingSize = planeRing
+	sh := open(cfg)
+	return &Plane{sh: sh, shards: sh.Shards()}
+}
+
+func sum(vals []uint64) uint64 {
+	var n uint64
+	for _, v := range vals {
+		n += v
 	}
-	var counted uint64
-	for cpu := 0; cpu < shards; cpu++ {
-		k := make([]byte, 8)
-		k[0] = byte(cpu)
-		if vals, ok := pc.PerCPUValues(k); ok {
-			for _, v := range vals {
-				counted += v
-			}
+	return n
+}
+
+// Drive submits ops invocations in batches of batch, round-robin over the
+// plane's shards, and times them until the plane drained. It then checks
+// that no invocation failed, that all ops completed and that the per-CPU
+// counters sum to ops exactly: nothing was lost to contention. A plane is
+// driven once.
+func (p *Plane) Drive(ops, batch int) (PlaneRun, error) {
+	start := time.Now()
+	for cpu, left := 0, ops; left > 0; cpu = (cpu + 1) % p.shards {
+		n := min(batch, left)
+		if err := p.sh.SubmitWait(cpu, p.batch(cpu, n)); err != nil {
+			return PlaneRun{}, err
 		}
+		left -= n
 	}
-	if counted != x4TotalOps {
-		return 0, 0, fmt.Errorf("percpu_hash counters sum to %d, want %d", counted, x4TotalOps)
+	p.sh.Flush()
+	run := PlaneRun{Wall: time.Since(start), Decisions: p.decided.Load()}
+
+	if n := p.failed.Load(); n > 0 {
+		return run, fmt.Errorf("%d invocations failed", n)
 	}
-	busy := sh.MaxBusyNs()
+	if got := p.sh.Completed(); got != uint64(ops) {
+		return run, fmt.Errorf("completed %d of %d", got, ops)
+	}
+	if got := p.counted(); got != uint64(ops) {
+		return run, fmt.Errorf("per-CPU counters sum to %d, want %d", got, ops)
+	}
+	busy := p.sh.MaxBusyNs()
 	if busy <= 0 {
-		return 0, 0, fmt.Errorf("no virtual CPU time consumed")
+		return run, fmt.Errorf("no virtual CPU time consumed")
 	}
-	return float64(x4TotalOps) / (float64(busy) / 1e9), denied.Load(), nil
+	run.SimOpsPerSec = float64(ops) / (float64(busy) / 1e9)
+	return run, nil
+}
+
+// Close stops the plane's shards and unloads its program.
+func (p *Plane) Close() {
+	p.sh.Close()
+	p.close()
 }
 
 // X4Throughput sweeps both flows across shard counts and upholds the
@@ -253,47 +281,44 @@ func X4Throughput() *Result {
 		Title:      "sharded data plane: steady-state throughput vs shard count",
 		PaperClaim: "runtime-checked extensions must not serialize the hot path; per-CPU data structures keep the cost per invocation flat as parallelism grows (§4)",
 	}
-	signer, err := toolchain.NewSigner()
-	if err != nil {
-		r.Measured = err.Error()
-		return r
+	flows := []struct {
+		config, decision string
+		open             func(exec.ShardedConfig) (*Plane, error)
+	}{
+		{"ebpf/jit", "pass", NewEBPFPlane},
+		{"safext/jit", "denied", NewSafextPlane},
 	}
-	so, err := signer.BuildAndSign("x4_policy", x4SLX)
-	if err != nil {
-		r.Measured = "slx build failed: " + err.Error()
-		return r
-	}
-
-	shardCounts := []int{1, 2, 4, 8}
-	ebpfRate := map[int]float64{}
-	safextRate := map[int]float64{}
+	rate := map[string]map[int]float64{}
 	r.Lines = append(r.Lines, fmt.Sprintf("%-14s %6s %16s %12s", "config", "shards", "sim-ops/sec", "decisions"))
-	for _, n := range shardCounts {
-		rate, passes, err := x4EBPFRun(n)
-		if err != nil {
-			r.Measured = fmt.Sprintf("ebpf %d shards: %v", n, err)
-			return r
+	for _, f := range flows {
+		rate[f.config] = map[int]float64{}
+		for _, n := range []int{1, 2, 4, 8} {
+			run, err := driveOnce(f.open, n)
+			if err != nil {
+				r.Measured = fmt.Sprintf("%s %d shards: %v", f.config, n, err)
+				return r
+			}
+			rate[f.config][n] = run.SimOpsPerSec
+			r.Lines = append(r.Lines, fmt.Sprintf("%-14s %6d %16.0f %12s", f.config, n, run.SimOpsPerSec,
+				fmt.Sprintf("%d %s", run.Decisions, f.decision)))
 		}
-		ebpfRate[n] = rate
-		r.Lines = append(r.Lines, fmt.Sprintf("%-14s %6d %16.0f %12s", "ebpf/jit", n, rate,
-			fmt.Sprintf("%d pass", passes)))
-	}
-	for _, n := range shardCounts {
-		rate, denied, err := x4SafextRun(n, so, signer.PublicKey())
-		if err != nil {
-			r.Measured = fmt.Sprintf("safext %d shards: %v", n, err)
-			return r
-		}
-		safextRate[n] = rate
-		r.Lines = append(r.Lines, fmt.Sprintf("%-14s %6d %16.0f %12s", "safext/jit", n, rate,
-			fmt.Sprintf("%d denied", denied)))
 	}
 
-	eScale := ebpfRate[4] / ebpfRate[1]
-	sScale := safextRate[4] / safextRate[1]
+	eScale := rate["ebpf/jit"][4] / rate["ebpf/jit"][1]
+	sScale := rate["safext/jit"][4] / rate["safext/jit"][1]
 	r.Measured = fmt.Sprintf(
 		"simulated throughput scales %.2fx (ebpf/jit) and %.2fx (safext/jit) from 1 to 4 shards; per-CPU counters balanced exactly at every width",
 		eScale, sScale)
 	r.Holds = eScale >= 2.5 && sScale >= 2.5
 	return r
+}
+
+// driveOnce runs X4's traffic volume over a fresh plane of the given width.
+func driveOnce(open func(exec.ShardedConfig) (*Plane, error), shards int) (PlaneRun, error) {
+	p, err := open(exec.ShardedConfig{Shards: shards})
+	if err != nil {
+		return PlaneRun{}, err
+	}
+	defer p.Close()
+	return p.Drive(x4TotalOps, x4BatchSize)
 }

@@ -182,14 +182,11 @@ func (c *Context) Yield() {
 	c.softLockupHit = false
 }
 
-// Runtime returns the virtual CPU time this context has consumed. Under
+// ConsumedNs returns the virtual CPU time this context has consumed. Under
 // sharded execution this is the per-CPU view of elapsed time — the clock's
 // Now also carries every other shard's progress — so watchdog deadlines
-// keyed on it stay per-shard correct. In serial execution the two agree.
-func (c *Context) Runtime() int64 { return c.consumedNs }
-
-// ConsumedNs is Runtime under its accounting name; shard workers use it to
-// attribute busy time to their ring.
+// keyed on it stay per-shard correct, and shard workers attribute busy time
+// to their ring by it. In serial execution the two agree.
 func (c *Context) ConsumedNs() int64 { return c.consumedNs }
 
 // TrackRef records a reference acquired during this run.

@@ -155,7 +155,7 @@ func TestPressureValidates(t *testing.T) {
 		{"pressure", pressureProg},
 	} {
 		obj, arts := buildMIR(t, c.name, c.src)
-		res := transval.Validate(c.name, arts, obj.Checks, transval.Options{})
+		res := transval.Validate(c.name, arts, obj.Checks)
 		if !res.OK {
 			t.Fatalf("%s fails validation: %s\n%s", c.name, res.Reason, res.Counterexample)
 		}

@@ -109,7 +109,7 @@ func build(name, src string, level int) (*compile.Object, exec.PhaseTimings, err
 	rec.Mark("compile")
 	if level >= compile.OptMIR {
 		tvStart := time.Now()
-		res := transval.Validate(name, arts, obj.Checks, transval.Options{})
+		res := transval.Validate(name, arts, obj.Checks)
 		tvWall := time.Since(tvStart).Nanoseconds()
 		if res.OK {
 			obj.TVal = res.Certificate(tvWall)
@@ -117,7 +117,7 @@ func build(name, src string, level int) (*compile.Object, exec.PhaseTimings, err
 			if obj, arts, err = compile.CompileWithOptions(name, checked, compile.Options{Level: compile.OptElide}); err != nil {
 				return nil, nil, err
 			}
-			if dres := transval.Validate(name, arts, obj.Checks, transval.Options{}); !dres.OK {
+			if dres := transval.Validate(name, arts, obj.Checks); !dres.OK {
 				return nil, nil, fmt.Errorf("toolchain: translation validation refuted the optimized build (%s) and the demoted build (%s)", res.Reason, dres.Reason)
 			}
 			tvWall = time.Since(tvStart).Nanoseconds()

@@ -6,6 +6,7 @@ import (
 
 	"kex/internal/ebpf"
 	"kex/internal/exec"
+	"kex/internal/experiments"
 	"kex/internal/faultinject"
 	"kex/internal/kernel"
 )
@@ -78,7 +79,11 @@ func BenchmarkSupervisor_Recovery(b *testing.B) {
 			Policy:        exec.DegradeFallback,
 			DeniedCostNs:  1_000,
 		})
-		l, err := s.Load(execBenchProgram(b, s))
+		prog, err := experiments.ExecCoreProgram(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l, err := s.Load(prog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,23 +96,23 @@ func BenchmarkSupervisor_Recovery(b *testing.B) {
 		for f := 0; f < 3; f++ {
 			l.Run(ebpf.RunOptions{})
 		}
-		if sup.State("core_bench") != exec.StateQuarantined {
+		if sup.State(experiments.ExecCoreName) != exec.StateQuarantined {
 			b.Fatal("fault burst did not trip the breaker")
 		}
 		faultinject.Detach(s.Core)
 		tripped := s.K.Clock.Now()
-		for sup.State("core_bench") == exec.StateQuarantined {
+		for sup.State(experiments.ExecCoreName) == exec.StateQuarantined {
 			if _, err := l.Run(ebpf.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if sup.State("core_bench") != exec.StateRecovered {
-			b.Fatalf("cycle ended in %s", sup.State("core_bench"))
+		if sup.State(experiments.ExecCoreName) != exec.StateRecovered {
+			b.Fatalf("cycle ended in %s", sup.State(experiments.ExecCoreName))
 		}
 		totalVirt += s.K.Clock.Now() - tripped
 
 		b.StopTimer()
-		totalDenied += s.Stats.Snapshot().Programs["core_bench"].Denied
+		totalDenied += s.Stats.Snapshot().Programs[experiments.ExecCoreName].Denied
 		l.Close()
 		b.StartTimer()
 	}
@@ -125,14 +130,14 @@ func BenchmarkSupervisor_Recovery(b *testing.B) {
 // The healthy-path legs run the exec-core workload on the JIT, with and
 // without the supervisor gate in front of Core.Run.
 func BenchmarkSupervisor_BareEBPF(b *testing.B) {
-	benchSupervisor(b, "ebpf/bare", runCoreEBPF(b, coreLeg{jit: true}))
+	benchSupervisor(b, "ebpf/bare", runCore(b, experiments.ExecLeg{JIT: true}))
 }
 func BenchmarkSupervisor_SupervisedEBPF(b *testing.B) {
-	benchSupervisor(b, "ebpf/supervised", runCoreEBPF(b, coreLeg{jit: true, supervised: true}))
+	benchSupervisor(b, "ebpf/supervised", runCore(b, experiments.ExecLeg{JIT: true, Supervised: true}))
 }
 func BenchmarkSupervisor_BareSafext(b *testing.B) {
-	benchSupervisor(b, "safext/bare", runCoreSafext(b, coreLeg{jit: true}))
+	benchSupervisor(b, "safext/bare", runCore(b, experiments.ExecLeg{Safext: true, JIT: true}))
 }
 func BenchmarkSupervisor_SupervisedSafext(b *testing.B) {
-	benchSupervisor(b, "safext/supervised", runCoreSafext(b, coreLeg{jit: true, supervised: true}))
+	benchSupervisor(b, "safext/supervised", runCore(b, experiments.ExecLeg{Safext: true, JIT: true, Supervised: true}))
 }

@@ -51,7 +51,7 @@ func benchTVal(b *testing.B, name, src string) {
 	var res *transval.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = transval.Validate(name, arts, obj.Checks, transval.Options{})
+		res = transval.Validate(name, arts, obj.Checks)
 	}
 	b.StopTimer()
 	if !res.OK {
