@@ -107,12 +107,12 @@ bench:
 
 # The instrumentation-vs-verification gap, in one number: runs the
 # exec-core family (which includes the MIR-optimized safext JIT legs)
-# plus the SLXOpt family so the BENCH_slxopt.json summary can emit the
-# gap/* rows, then prints them. Acceptance: gap/safext/jit-opt
+# plus the SLXOpt family so BENCH_slxopt.json derives the gap/* rows,
+# then prints each of them through the end of its metrics. Acceptance: gap/safext/jit-opt
 # ratio_vs_ebpf <= 3.
 bench-gap:
 	$(GO) test -bench 'BenchmarkExecCore|BenchmarkSLXOpt' -benchtime 200x .
-	@grep -A 3 '"config": "gap/' BENCH_slxopt.json
+	@sed -n '/"config": "gap\//,/}/p' BENCH_slxopt.json
 
 # Where the sharded data plane's shards still meet: CPU, mutex and block
 # profiles of the two-shard throughput benchmarks, one pprof -top each. The

@@ -1,15 +1,12 @@
 package kexbench
 
 import (
-	"sort"
 	"testing"
 
-	"kex/examples/progs"
 	"kex/internal/analysis/concheck"
 	"kex/internal/exec"
 	"kex/internal/experiments"
 	"kex/internal/safext/compile"
-	"kex/internal/safext/lang"
 )
 
 // The BenchmarkConc_* family measures what shard-safety analysis costs at
@@ -22,40 +19,12 @@ import (
 // the acceptance bar is that strict mode stays off the hot path (one atomic
 // load) for certified fleets. The rows persist to BENCH_conc.json.
 
-type concRow struct {
-	Program           string  `json:"program"`
-	WallNsPerAnalysis float64 `json:"wall_ns_per_analysis,omitempty"`
-	Sites             int     `json:"sites,omitempty"`
-	Proven            int     `json:"proven_sites,omitempty"`
-	ProvenRate        float64 `json:"proven_rate,omitempty"`
-	Verdict           string  `json:"verdict,omitempty"`
-	BenchmarkIter     int     `json:"benchmark_iters,omitempty"`
-	// Gate-row fields (zero elsewhere).
-	WallNsPerOp float64 `json:"wall_ns_per_op,omitempty"`
-	// Summary-row fields (zero elsewhere).
-	MedianWallNs     float64 `json:"corpus_median_wall_ns,omitempty"`
-	CorpusProvenRate float64 `json:"corpus_proven_rate,omitempty"`
-	DemotionRate     float64 `json:"corpus_demotion_rate,omitempty"`
-	GateOverheadPct  float64 `json:"certified_gate_overhead_pct,omitempty"`
-}
-
-var concBench = newArtifact[concRow]("BENCH_conc.json", summarizeConc)
+var concBench = newTable("BENCH_conc.json", deriveConc)
 
 func benchConc(b *testing.B, name, src string) {
-	f, err := lang.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	checked, err := lang.Check(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	obj, arts, err := compile.CompileWithOptions(name, checked, compile.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-
+	obj, arts := compileSLX(b, name, src, compile.Options{})
 	var rep *compile.ConcReport
+	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err = concheck.AnalyzeSLX(arts, obj.Maps)
@@ -65,34 +34,20 @@ func benchConc(b *testing.B, name, src string) {
 	}
 	b.StopTimer()
 
-	wallPer := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	rate := 1.0
 	if rep.Sites > 0 {
 		rate = float64(rep.Proven) / float64(rep.Sites)
 	}
-	concBench.record(name, concRow{
-		Program:           name,
-		WallNsPerAnalysis: wallPer,
-		Sites:             rep.Sites,
-		Proven:            rep.Proven,
-		ProvenRate:        rate,
-		Verdict:           rep.Verdict,
-		BenchmarkIter:     b.N,
-	})
-	b.ReportMetric(wallPer, "ns/analysis")
-	b.ReportMetric(rate*100, "proven-%")
+	concBench.record(b, row{Config: name, Verdict: rep.Verdict, Metrics: metrics{
+		"wall_ns_per_analysis": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+		"sites":                float64(rep.Sites),
+		"proven_sites":         float64(rep.Proven),
+		"proven_rate":          rate,
+	}})
 }
 
 func BenchmarkConc(b *testing.B) {
-	names := make([]string, 0, len(progs.All))
-	for name := range progs.All {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		src := progs.All[name]
-		b.Run(name, func(b *testing.B) { benchConc(b, name, src) })
-	}
+	benchCorpus(b, benchConc)
 }
 
 // benchConcGate measures dispatch cost through a multi-shard plane running
@@ -102,46 +57,49 @@ func BenchmarkConc(b *testing.B) {
 func benchConcGate(b *testing.B, mode exec.ConcMode, config string) {
 	const shards, batch = 4, 16
 	run := drivePlane(b, experiments.NewSafextPlane, exec.ShardedConfig{Shards: shards, Conc: mode}, batch)
-	wallPer := float64(run.Wall.Nanoseconds()) / float64(b.N)
-	concBench.record(config, concRow{Program: config, WallNsPerOp: wallPer, BenchmarkIter: b.N})
-	b.ReportMetric(wallPer, "wall-ns/op")
+	concBench.record(b, row{Config: config, Metrics: metrics{
+		"wall_ns_per_op": float64(run.Wall.Nanoseconds()) / float64(b.N),
+	}})
 }
 
 func BenchmarkConc_GateOff(b *testing.B)    { benchConcGate(b, exec.ConcOff, "gate/off") }
 func BenchmarkConc_GateStrict(b *testing.B) { benchConcGate(b, exec.ConcStrict, "gate/strict") }
 
-// summarizeConc appends a corpus summary row: median analysis wall time,
+// deriveConc adds a corpus summary row: median analysis wall time,
 // corpus-wide proven-site rate, the demotion (racy) rate, and the
 // certified strict-gate overhead when both gate rows ran.
-func summarizeConc(rows []concRow) any {
+func deriveConc(rows []row) []row {
 	var walls []float64
 	var gateOff, gateStrict float64
-	sites, proven, racy := 0, 0, 0
+	sites, proven, racy := 0.0, 0.0, 0
 	for _, r := range rows {
 		switch {
-		case r.Program == "gate/off":
-			gateOff = r.WallNsPerOp
-		case r.Program == "gate/strict":
-			gateStrict = r.WallNsPerOp
+		case r.Config == "gate/off":
+			gateOff = r.Metrics["wall_ns_per_op"]
+		case r.Config == "gate/strict":
+			gateStrict = r.Metrics["wall_ns_per_op"]
 		case r.Verdict != "":
-			walls = append(walls, r.WallNsPerAnalysis)
-			sites += r.Sites
-			proven += r.Proven
+			walls = append(walls, r.Metrics["wall_ns_per_analysis"])
+			sites += r.Metrics["sites"]
+			proven += r.Metrics["proven_sites"]
 			if r.Verdict == compile.VerdictRacy {
 				racy++
 			}
 		}
 	}
-	summary := concRow{Program: "corpus-summary"}
+	summary := metrics{}
 	if len(walls) > 0 {
-		summary.MedianWallNs = median(walls)
+		summary["corpus_median_wall_ns"] = median(walls)
 		if sites > 0 {
-			summary.CorpusProvenRate = float64(proven) / float64(sites)
+			summary["corpus_proven_rate"] = proven / sites
 		}
-		summary.DemotionRate = float64(racy) / float64(len(walls))
+		summary["corpus_demotion_rate"] = float64(racy) / float64(len(walls))
 	}
 	if gateOff > 0 && gateStrict > 0 {
-		summary.GateOverheadPct = overheadPct(gateStrict, gateOff)
+		summary["certified_gate_overhead_pct"] = overheadPct(gateStrict, gateOff)
 	}
-	return append(rows, summary)
+	if len(summary) == 0 {
+		return rows
+	}
+	return append(rows, row{Config: "corpus-summary", Metrics: summary})
 }

@@ -14,18 +14,7 @@ import (
 // machine-readable across commits. The BenchmarkSupervisor_* healthy-path
 // legs run the same workload through runCore too.
 
-type execBenchRow struct {
-	Config        string  `json:"config"`
-	WallNsPerOp   float64 `json:"wall_ns_per_op"`
-	VirtNsPerOp   float64 `json:"virtual_ns_per_op"`
-	InsnsPerOp    float64 `json:"insns_per_op"`
-	HelpersPerOp  float64 `json:"helper_calls_per_op"`
-	MapOpsPerOp   float64 `json:"map_ops_per_op"`
-	FuelPerOp     float64 `json:"fuel_per_op"`
-	BenchmarkIter int     `json:"benchmark_iters"`
-}
-
-var execBench = newArtifact[execBenchRow]("BENCH_exec.json", nil)
+var execBench = newTable("BENCH_exec.json", nil)
 
 // runCore runs the exec-core workload (experiments.ExecCoreProgram and its
 // SLX twin, X2's workload) b.N times on one leg and returns the program's
@@ -52,19 +41,14 @@ func benchExec(b *testing.B, config string, ps exec.ProgramStats) {
 	for _, c := range ps.HelperCalls {
 		helperTotal += c
 	}
-	row := execBenchRow{
-		Config:        config,
-		WallNsPerOp:   float64(ps.WallNs) / n,
-		VirtNsPerOp:   float64(ps.RuntimeNs) / n,
-		InsnsPerOp:    float64(ps.Instructions) / n,
-		HelpersPerOp:  float64(helperTotal) / n,
-		MapOpsPerOp:   float64(ps.MapOps) / n,
-		FuelPerOp:     float64(ps.FuelUsed) / n,
-		BenchmarkIter: b.N,
-	}
-	b.ReportMetric(row.VirtNsPerOp, "virtual-ns/op")
-	b.ReportMetric(row.HelpersPerOp, "helper-calls/op")
-	execBench.record(config, row)
+	execBench.record(b, row{Config: config, Metrics: metrics{
+		"wall_ns_per_op":      float64(ps.WallNs) / n,
+		"virtual_ns_per_op":   float64(ps.RuntimeNs) / n,
+		"insns_per_op":        float64(ps.Instructions) / n,
+		"helper_calls_per_op": float64(helperTotal) / n,
+		"map_ops_per_op":      float64(ps.MapOps) / n,
+		"fuel_per_op":         float64(ps.FuelUsed) / n,
+	}})
 }
 
 func BenchmarkExecCore_EBPFInterp(b *testing.B) {

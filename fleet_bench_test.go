@@ -14,29 +14,10 @@ import (
 // -benchtime=1x; the figures of record come from the campaign itself, not
 // from amortising b.N.
 
-type fleetBenchRow struct {
-	Config             string  `json:"config"`
-	Nodes              int     `json:"nodes"`
-	CampaignWallMs     float64 `json:"campaign_wall_ms"`
-	SwapWallNsMean     float64 `json:"swap_wall_ns_mean"`
-	SwapWallNsMax      int64   `json:"swap_wall_ns_max"`
-	RollbackWallNsMean float64 `json:"rollback_wall_ns_mean"`
-	RollbackWallNsMax  int64   `json:"rollback_wall_ns_max"`
-	Rollbacks          int     `json:"rollbacks"`
-	RefusedLoads       int     `json:"refused_loads"`
-	TransportRetries   int     `json:"transport_retries"`
-	TransportTimeouts  int     `json:"transport_timeouts"`
-	Submitted          int64   `json:"submitted"`
-	Answered           int64   `json:"answered"`
-	Dropped            int64   `json:"dropped"`
-	Holds              bool    `json:"holds"`
-	BenchmarkIter      int     `json:"benchmark_iters"`
-}
-
-var fleetBench = newArtifact[fleetBenchRow]("BENCH_fleet.json", nil)
+var fleetBench = newTable("BENCH_fleet.json", nil)
 
 func benchFleetRollout(b *testing.B, nodes int, config string) {
-	var row fleetBenchRow
+	var m metrics
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		r, st := experiments.X5Rollout(nodes)
@@ -44,28 +25,23 @@ func benchFleetRollout(b *testing.B, nodes int, config string) {
 		if !r.Holds {
 			b.Fatalf("campaign does not hold:\n%s", r)
 		}
-		row = fleetBenchRow{
-			Config:             config,
-			Nodes:              st.Nodes,
-			CampaignWallMs:     float64(wall.Nanoseconds()) / 1e6,
-			SwapWallNsMean:     st.SwapWallNsMean,
-			SwapWallNsMax:      st.SwapWallNsMax,
-			RollbackWallNsMean: st.RollbackWallNsMean,
-			RollbackWallNsMax:  st.RollbackWallNsMax,
-			Rollbacks:          st.Rollbacks,
-			RefusedLoads:       st.RefusedLoads,
-			TransportRetries:   st.Retries,
-			TransportTimeouts:  st.Timeouts,
-			Submitted:          st.Submitted,
-			Answered:           st.Answered,
-			Dropped:            st.Submitted - st.Answered,
-			Holds:              r.Holds,
-			BenchmarkIter:      b.N,
+		m = metrics{
+			"nodes":                 float64(st.Nodes),
+			"campaign_wall_ms":      float64(wall.Nanoseconds()) / 1e6,
+			"swap_wall_ns_mean":     st.SwapWallNsMean,
+			"swap_wall_ns_max":      float64(st.SwapWallNsMax),
+			"rollback_wall_ns_mean": st.RollbackWallNsMean,
+			"rollback_wall_ns_max":  float64(st.RollbackWallNsMax),
+			"rollbacks":             float64(st.Rollbacks),
+			"refused_loads":         float64(st.RefusedLoads),
+			"transport_retries":     float64(st.Retries),
+			"transport_timeouts":    float64(st.Timeouts),
+			"submitted":             float64(st.Submitted),
+			"answered":              float64(st.Answered),
+			"dropped":               float64(st.Submitted - st.Answered),
 		}
-		b.ReportMetric(st.SwapWallNsMean, "swap-wall-ns/node")
-		b.ReportMetric(st.RollbackWallNsMean, "rollback-wall-ns/node")
 	}
-	fleetBench.record(config, row)
+	fleetBench.record(b, row{Config: config, Metrics: m})
 }
 
 func BenchmarkFleet_Rollout64(b *testing.B)   { benchFleetRollout(b, 64, "fleet/nodes=64") }

@@ -16,8 +16,8 @@
 // against the JIT by the acceptance fuzz (internal/ebpf fuzz_test.go), so
 // a witness indicts the verifier's abstract operators or branch reasoning
 // rather than the executor. Witnesses are minimized by a delta-debugging
-// shrinker (shrink.go) and persist as deterministic repros in
-// internal/bugcorpus.
+// shrinker (shrink.go) and persist as deterministic repro files
+// (witness.go); internal/bugcorpus keeps the committed ones.
 package statecheck
 
 import (

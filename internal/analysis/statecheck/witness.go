@@ -1,4 +1,4 @@
-package bugcorpus
+package statecheck
 
 import (
 	"crypto/sha256"
@@ -8,19 +8,20 @@ import (
 	"os"
 	"path/filepath"
 
-	"kex/internal/analysis/statecheck"
 	"kex/internal/ebpf/isa"
 	"kex/internal/ebpf/maps"
 	"kex/internal/ebpf/verifier"
 )
 
-// Witness persistence: confirmed unsoundness findings from the statecheck
-// oracle become deterministic repro files. Where the static Table 1
-// entries document the *kernel's* historical bugs, witness repros document
-// bugs found in THIS repo's verifier — the corpus the soundness campaign
-// grows. Each file carries everything a replay needs: the program, its
-// maps, the verifier bug flags active when it was found (empty for a
-// genuine new bug), and the concrete runs that exposed the violation.
+// Witness persistence: confirmed unsoundness findings from the oracle
+// become deterministic repro files, in the one format both the soundness
+// fuzz campaign (internal/ebpf) and the committed corpus
+// (internal/bugcorpus) read and write. Where the static Table 1 entries
+// document the *kernel's* historical bugs, witness repros document bugs
+// found in THIS repo's verifier — the corpus the soundness campaign grows.
+// Each file carries everything a replay needs: the program, its maps, the
+// verifier bug flags active when it was found (empty for a genuine new
+// bug), and the concrete runs that exposed the violation.
 
 // WitnessRepro is one persisted finding.
 type WitnessRepro struct {
@@ -36,9 +37,9 @@ type WitnessRepro struct {
 	// Maps are the map specs the program references.
 	Maps []maps.Spec `json:"maps,omitempty"`
 	// Runs are the concrete executions that exposed the violation; empty
-	// means the statecheck default run set with Seed.
-	Runs []statecheck.RunSpec `json:"runs,omitempty"`
-	Seed int64                `json:"seed,omitempty"`
+	// means the default run set with Seed.
+	Runs []RunSpec `json:"runs,omitempty"`
+	Seed int64     `json:"seed,omitempty"`
 	// Reason is the human-readable violation from the original witness.
 	Reason string `json:"reason"`
 }
@@ -49,7 +50,7 @@ func witnessID(w *WitnessRepro) string {
 	enc, _ := json.Marshal(struct {
 		Bugs  verifier.BugConfig
 		Insns []isa.Instruction
-		Runs  []statecheck.RunSpec
+		Runs  []RunSpec
 		Seed  int64
 	}{w.Bugs, w.Insns, w.Runs, w.Seed})
 	h.Write(enc)
@@ -85,7 +86,7 @@ func LoadWitness(path string) (*WitnessRepro, error) {
 	}
 	w := &WitnessRepro{}
 	if err := json.Unmarshal(data, w); err != nil {
-		return nil, fmt.Errorf("bugcorpus: witness %s: %w", path, err)
+		return nil, fmt.Errorf("statecheck: witness %s: %w", path, err)
 	}
 	return w, nil
 }
@@ -94,10 +95,10 @@ func LoadWitness(path string) (*WitnessRepro, error) {
 // returns the verdict. A healthy repro still yields at least one witness
 // under its recorded bug flags; a repro with all-zero flags that still
 // reproduces means the live verifier is unsound.
-func (w *WitnessRepro) Replay() (*statecheck.Verdict, error) {
-	cfg := statecheck.Config{Verifier: verifier.DefaultConfig(), Runs: w.Runs, Seed: w.Seed}
+func (w *WitnessRepro) Replay() (*Verdict, error) {
+	cfg := Config{Verifier: verifier.DefaultConfig(), Runs: w.Runs, Seed: w.Seed}
 	cfg.Verifier.Bugs = w.Bugs
-	return statecheck.Check(statecheck.Program{
+	return Check(Program{
 		Name:  w.ID,
 		Type:  isa.Tracing,
 		Insns: w.Insns,

@@ -13,7 +13,7 @@ import (
 // recorded bug flags must still produce a witness, and clearing them must
 // not.
 func TestWitnessRoundtrip(t *testing.T) {
-	w := &WitnessRepro{
+	w := &statecheck.WitnessRepro{
 		FoundBy: "unit test",
 		Bugs:    verifier.BugConfig{OffByOneJle: true},
 		Insns: []isa.Instruction{
@@ -28,19 +28,28 @@ func TestWitnessRoundtrip(t *testing.T) {
 		Runs: []statecheck.RunSpec{{Ctx: []byte{5, 0, 0, 0}}},
 	}
 	dir := t.TempDir()
-	path, err := SaveWitness(dir, w)
+	path, err := statecheck.SaveWitness(dir, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.ID == "" {
 		t.Fatal("SaveWitness did not assign an ID")
 	}
-	loaded, err := LoadWitness(path)
+	loaded, err := statecheck.LoadWitness(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.ID != w.ID || len(loaded.Insns) != len(w.Insns) {
 		t.Fatalf("roundtrip mismatch: %+v", loaded)
+	}
+	// A caller-chosen ID, as the soundness fuzz campaign gives its seeds,
+	// names the file and survives the round trip.
+	named := *w
+	named.ID = "Wfuzz-seed-7"
+	if path, err := statecheck.SaveWitness(dir, &named); err != nil || filepath.Base(path) != "Wfuzz-seed-7.json" {
+		t.Fatalf("SaveWitness(Wfuzz-seed-7) = %s, %v", path, err)
+	} else if got, err := statecheck.LoadWitness(path); err != nil || got.ID != named.ID {
+		t.Fatalf("LoadWitness(%s) = %+v, %v", path, got, err)
 	}
 	v, err := loaded.Replay()
 	if err != nil {
@@ -72,7 +81,7 @@ func TestCommittedWitnessesReplay(t *testing.T) {
 		t.Fatal("no committed witness repros")
 	}
 	for _, f := range files {
-		w, err := LoadWitness(f)
+		w, err := statecheck.LoadWitness(f)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}

@@ -88,35 +88,6 @@ func (m *arrayMap) Delete([]byte) error { return ErrBadOp }
 
 func (m *arrayMap) Entries() int { return m.spec.MaxEntries }
 
-// LookupBatch resolves many indices without per-element interface calls;
-// array lookups are lock-free, so this is pure loop amortization.
-func (m *arrayMap) LookupBatch(cpu int, keys [][]byte) ([]uint64, []bool) {
-	return lookupBatchSlow(m, cpu, keys)
-}
-
-// UpdateBatch writes many elements under a single lock acquisition.
-func (m *arrayMap) UpdateBatch(_ int, keys, values [][]byte, flags uint64) (int, error) {
-	if flags == UpdateNoExist {
-		return 0, ErrExists
-	}
-	if flags != UpdateAny && flags != UpdateExist {
-		return 0, ErrBadFlags
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range keys {
-		if err := checkSizes(m.spec, keys[i], values[i], true); err != nil {
-			return i, err
-		}
-		idx, ok := m.index(keys[i])
-		if !ok {
-			return i, ErrNotFound
-		}
-		copy(m.region.Data[int(idx)*m.spec.ValueSize:], values[i])
-	}
-	return len(keys), nil
-}
-
 // perCPUArray gives each simulated CPU its own copy of every element, so
 // concurrent extensions never contend: each CPU's slots live in their own
 // region and updates take only that CPU's lock.
@@ -171,35 +142,6 @@ func (m *perCPUArray) Update(cpu int, key, value []byte, flags uint64) error {
 func (m *perCPUArray) Delete([]byte) error { return ErrBadOp }
 
 func (m *perCPUArray) Entries() int { return m.spec.MaxEntries }
-
-// LookupBatch resolves many indices on one CPU.
-func (m *perCPUArray) LookupBatch(cpu int, keys [][]byte) ([]uint64, []bool) {
-	return lookupBatchSlow(m, cpu, keys)
-}
-
-// UpdateBatch writes many elements under one acquisition of the CPU's lock.
-func (m *perCPUArray) UpdateBatch(cpu int, keys, values [][]byte, flags uint64) (int, error) {
-	if flags == UpdateNoExist {
-		return 0, ErrExists
-	}
-	if cpu < 0 || cpu >= len(m.regions) {
-		return 0, ErrNotFound
-	}
-	m.mus[cpu].Lock()
-	defer m.mus[cpu].Unlock()
-	r := m.regions[cpu]
-	for i := range keys {
-		if err := checkSizes(m.spec, keys[i], values[i], true); err != nil {
-			return i, err
-		}
-		idx := binary.LittleEndian.Uint32(keys[i])
-		if int(idx) >= m.spec.MaxEntries {
-			return i, ErrNotFound
-		}
-		copy(r.Data[int(idx)*m.spec.ValueSize:], values[i])
-	}
-	return len(keys), nil
-}
 
 // PerCPUValues decodes the key's slot on every CPU as a little-endian
 // integer, for aggregation-on-read.

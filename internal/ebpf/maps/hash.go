@@ -157,18 +157,6 @@ func (m *hashMap) Keys() [][]byte {
 	return m.index.keys()
 }
 
-// LookupBatch resolves many keys element-wise; batching amortizes the
-// interface dispatch.
-func (m *hashMap) LookupBatch(cpu int, keys [][]byte) ([]uint64, []bool) {
-	return lookupBatchSlow(m, cpu, keys)
-}
-
-// UpdateBatch applies many updates; each element takes the write path, so
-// fault semantics (ErrNoSpace mid-batch, LRU eviction) match single ops.
-func (m *hashMap) UpdateBatch(cpu int, keys, values [][]byte, flags uint64) (int, error) {
-	return updateBatchSlow(m, cpu, keys, values, flags)
-}
-
 // KeyedMap is implemented by map types whose keys can be enumerated.
 type KeyedMap interface {
 	Map

@@ -112,23 +112,6 @@ type Map interface {
 	Entries() int
 }
 
-// BatchMap is implemented by map types that support batched lookup and
-// update, the simulator's analogue of BPF_MAP_LOOKUP_BATCH /
-// BPF_MAP_UPDATE_BATCH. Batching amortizes per-op overhead (lock
-// round-trips, fault-hook consultation) across a whole submission ring's
-// worth of keys. Unlike the enumeration interfaces (KeyedMap, RingMap,
-// QueueMap), BatchMap IS forwarded by the fault-injection wrapper, so
-// campaigns see every batched element.
-type BatchMap interface {
-	Map
-	// LookupBatch resolves many keys at once. addrs[i] is the value
-	// address for keys[i]; hits[i] is false on miss (addrs[i] is then 0).
-	LookupBatch(cpu int, keys [][]byte) (addrs []uint64, hits []bool)
-	// UpdateBatch applies Update for each key/value pair, stopping at the
-	// first error. It returns how many updates were applied.
-	UpdateBatch(cpu int, keys, values [][]byte, flags uint64) (int, error)
-}
-
 // PerCPUMap is implemented by the per-CPU map variants. PerCPUValues
 // returns the value cell of every CPU for a key, decoded as little-endian
 // integers of the map's value size, for aggregation-on-read — the
@@ -200,11 +183,11 @@ func wrap(m Map, hook FaultHook) Map {
 	return &faultMap{inner: m, hook: hook}
 }
 
-// faultMap intercepts Update (and the batched ops) with the registry's
-// fault hook and forwards everything else. It forwards the BatchMap and
-// PerCPUMap interfaces so the per-CPU variants keep their extended surface
-// under a fault campaign; the enumeration interfaces (RingMap, KeyedMap,
-// QueueMap) must still go through Unwrap.
+// faultMap intercepts Update with the registry's fault hook and forwards
+// everything else. It forwards the PerCPUMap interface so the per-CPU
+// variants keep their extended surface under a fault campaign; the
+// enumeration interfaces (RingMap, KeyedMap, QueueMap) must still go
+// through Unwrap.
 type faultMap struct {
 	inner Map
 	hook  FaultHook
@@ -223,42 +206,6 @@ func (f *faultMap) Update(cpu int, key, value []byte, flags uint64) error {
 func (f *faultMap) Delete(key []byte) error { return f.inner.Delete(key) }
 func (f *faultMap) Entries() int            { return f.inner.Entries() }
 
-// LookupBatch forwards to the inner map's batched lookup, or falls back to
-// element-wise lookups when the inner type has no batch support.
-func (f *faultMap) LookupBatch(cpu int, keys [][]byte) ([]uint64, []bool) {
-	if bm, ok := f.inner.(BatchMap); ok {
-		return bm.LookupBatch(cpu, keys)
-	}
-	return lookupBatchSlow(f.inner, cpu, keys)
-}
-
-// UpdateBatch consults the fault hook once per element — a campaign sees
-// batched updates exactly as it would see the equivalent single ops — then
-// delegates the admitted prefix to the inner map's batched path, so the
-// single-lock-acquisition semantics of a native BatchMap (e.g.
-// perCPUArray's whole-batch lock) survive the wrapper.
-func (f *faultMap) UpdateBatch(cpu int, keys, values [][]byte, flags uint64) (int, error) {
-	name := f.inner.Spec().Name
-	n, hookErr := len(keys), error(nil)
-	for i := range keys {
-		if err := f.hook.MapUpdate(name); err != nil {
-			n, hookErr = i, err
-			break
-		}
-	}
-	var applied int
-	var err error
-	if bm, ok := f.inner.(BatchMap); ok {
-		applied, err = bm.UpdateBatch(cpu, keys[:n], values[:n], flags)
-	} else {
-		applied, err = updateBatchSlow(f.inner, cpu, keys[:n], values[:n], flags)
-	}
-	if err != nil {
-		return applied, err
-	}
-	return applied, hookErr
-}
-
 // PerCPUValues forwards to the inner per-CPU map; ok is false when the
 // wrapped map is not per-CPU.
 func (f *faultMap) PerCPUValues(key []byte) ([]uint64, bool) {
@@ -268,31 +215,10 @@ func (f *faultMap) PerCPUValues(key []byte) ([]uint64, bool) {
 	return nil, false
 }
 
-// lookupBatchSlow is the element-wise fallback shared by map types without
-// a native batched path.
-func lookupBatchSlow(m Map, cpu int, keys [][]byte) ([]uint64, []bool) {
-	addrs := make([]uint64, len(keys))
-	hits := make([]bool, len(keys))
-	for i, k := range keys {
-		addrs[i], hits[i] = m.Lookup(cpu, k)
-	}
-	return addrs, hits
-}
-
-// updateBatchSlow is the element-wise fallback for UpdateBatch.
-func updateBatchSlow(m Map, cpu int, keys, values [][]byte, flags uint64) (int, error) {
-	for i := range keys {
-		if err := m.Update(cpu, keys[i], values[i], flags); err != nil {
-			return i, err
-		}
-	}
-	return len(keys), nil
-}
-
 // Unwrap strips fault-injection wrappers, however nested. Callers that
 // assert a map to one of the enumeration interfaces (RingMap, KeyedMap,
-// QueueMap) must unwrap first — the wrapper only carries the base Map,
-// BatchMap and PerCPUMap surfaces.
+// QueueMap) must unwrap first — the wrapper only carries the base Map and
+// PerCPUMap surfaces.
 func Unwrap(m Map) Map {
 	for {
 		f, ok := m.(*faultMap)

@@ -133,16 +133,6 @@ func (m *perCPUHash) Keys() [][]byte {
 	return m.index.keys()
 }
 
-// LookupBatch resolves many keys on one CPU.
-func (m *perCPUHash) LookupBatch(cpu int, keys [][]byte) ([]uint64, []bool) {
-	return lookupBatchSlow(m, cpu, keys)
-}
-
-// UpdateBatch applies many updates on one CPU.
-func (m *perCPUHash) UpdateBatch(cpu int, keys, values [][]byte, flags uint64) (int, error) {
-	return updateBatchSlow(m, cpu, keys, values, flags)
-}
-
 // PerCPUValues decodes the key's cell on every CPU as a little-endian
 // integer, for aggregation-on-read.
 func (m *perCPUHash) PerCPUValues(key []byte) ([]uint64, bool) {

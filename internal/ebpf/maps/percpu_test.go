@@ -173,8 +173,8 @@ func TestPerCPUHashConcurrentAggregation(t *testing.T) {
 	readers.Wait()
 }
 
-// countingHook injects nothing but counts consultations, to prove batched
-// ops pass through the fault seam element-wise.
+// countingHook counts consultations and injects fail, to prove updates
+// through the wrapper pass the fault seam.
 type countingHook struct {
 	mu      sync.Mutex
 	allocs  int
@@ -198,7 +198,7 @@ func (h *countingHook) MapUpdate(string) error {
 
 // TestFaultWrapPreservesPerCPUInterfaces is the regression test for the
 // X3-on-sharded-cores scenario: arming a fault campaign must not strip the
-// per-CPU and batch surfaces from registered maps.
+// per-CPU surface from registered maps.
 func TestFaultWrapPreservesPerCPUInterfaces(t *testing.T) {
 	k, reg := newTestRegistry(t)
 	for _, spec := range []Spec{
@@ -223,38 +223,24 @@ func TestFaultWrapPreservesPerCPUInterfaces(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: wrapper dropped PerCPUMap", name)
 		}
-		bm, ok := m.(BatchMap)
-		if !ok {
-			t.Fatalf("%s: wrapper dropped BatchMap", name)
-		}
 		val := make([]byte, 8)
 		binary.LittleEndian.PutUint64(val, 42)
-		if n, err := bm.UpdateBatch(0, [][]byte{key32(1), key32(2)}, [][]byte{val, val}, UpdateAny); err != nil || n != 2 {
-			t.Fatalf("%s: UpdateBatch = %d, %v", name, n, err)
-		}
-		addrs, hits := bm.LookupBatch(0, [][]byte{key32(1), key32(3)})
-		if !hits[0] || addrs[0] == 0 {
-			t.Fatalf("%s: batched lookup missed present key", name)
-		}
-		if name == "ph" && hits[1] {
-			t.Fatalf("%s: batched lookup hit absent key", name)
+		if err := m.Update(0, key32(1), val, UpdateAny); err != nil {
+			t.Fatalf("%s: Update = %v", name, err)
 		}
 		if vals, ok := pm.PerCPUValues(key32(1)); !ok || vals[0] != 42 {
 			t.Fatalf("%s: PerCPUValues through wrapper = %v, %v", name, vals, ok)
 		}
 	}
-	// The hook saw every batched element.
-	if hook.updates != 4 {
-		t.Fatalf("hook consulted %d times, want 4", hook.updates)
+	if hook.updates != 2 {
+		t.Fatalf("hook consulted %d times, want 2", hook.updates)
 	}
 
-	// Injected errors surface mid-batch with an accurate applied count.
+	// An injected error surfaces through the wrapper.
 	hook.fail = ErrNoSpace
 	m, _ := reg.ByName("ph")
-	bm := m.(BatchMap)
-	val := make([]byte, 8)
-	if n, err := bm.UpdateBatch(0, [][]byte{key32(9)}, [][]byte{val}, UpdateAny); !errors.Is(err, ErrNoSpace) || n != 0 {
-		t.Fatalf("injected batch failure = %d, %v", n, err)
+	if err := m.Update(0, key32(9), make([]byte, 8), UpdateAny); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("injected update failure = %v", err)
 	}
 
 	// Detaching restores the bare maps; Unwrap strips even nested wrappers.
@@ -266,85 +252,6 @@ func TestFaultWrapPreservesPerCPUInterfaces(t *testing.T) {
 	double := &faultMap{inner: &faultMap{inner: m, hook: hook}, hook: hook}
 	if got := Unwrap(double); got != m {
 		t.Fatal("Unwrap did not strip nested wrappers")
-	}
-}
-
-// recordingBatchMap counts whether updates arrive through the native batch
-// path or were demoted to element-wise ops.
-type recordingBatchMap struct {
-	spec       Spec
-	batchCalls int
-	elemCalls  int
-	lastBatch  int
-}
-
-func (r *recordingBatchMap) Spec() Spec                        { return r.spec }
-func (r *recordingBatchMap) Lookup(int, []byte) (uint64, bool) { return 0, false }
-func (r *recordingBatchMap) Update(int, []byte, []byte, uint64) error {
-	r.elemCalls++
-	return nil
-}
-func (r *recordingBatchMap) Delete([]byte) error { return nil }
-func (r *recordingBatchMap) Entries() int        { return 0 }
-func (r *recordingBatchMap) LookupBatch(cpu int, keys [][]byte) ([]uint64, []bool) {
-	return lookupBatchSlow(r, cpu, keys)
-}
-func (r *recordingBatchMap) UpdateBatch(cpu int, keys, values [][]byte, flags uint64) (int, error) {
-	r.batchCalls++
-	r.lastBatch = len(keys)
-	return len(keys), nil
-}
-
-// failAfterHook admits n updates and injects ErrNoSpace on every one after.
-type failAfterHook struct {
-	ok    int
-	calls int
-}
-
-func (h *failAfterHook) MapAlloc(string) error { return nil }
-func (h *failAfterHook) MapUpdate(string) error {
-	h.calls++
-	if h.calls > h.ok {
-		return ErrNoSpace
-	}
-	return nil
-}
-
-// TestFaultWrapBatchUpdateDelegates pins that the fault wrapper consults
-// the hook per element but still delegates the admitted prefix to the
-// inner map's native UpdateBatch — a fault campaign must not demote
-// batched updates to element-wise semantics (losing, e.g., perCPUArray's
-// whole-batch lock atomicity).
-func TestFaultWrapBatchUpdateDelegates(t *testing.T) {
-	inner := &recordingBatchMap{spec: Spec{Name: "rec", KeySize: 4, ValueSize: 8, MaxEntries: 8}}
-	hook := &countingHook{}
-	bm := wrap(inner, hook).(BatchMap)
-	keys := [][]byte{key32(0), key32(1), key32(2)}
-	vals := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 8)}
-	if n, err := bm.UpdateBatch(0, keys, vals, UpdateAny); err != nil || n != 3 {
-		t.Fatalf("UpdateBatch = %d, %v", n, err)
-	}
-	if hook.updates != 3 {
-		t.Fatalf("hook consulted %d times, want 3", hook.updates)
-	}
-	if inner.batchCalls != 1 || inner.elemCalls != 0 || inner.lastBatch != 3 {
-		t.Fatalf("batched update demoted: batch=%d(len %d) elem=%d",
-			inner.batchCalls, inner.lastBatch, inner.elemCalls)
-	}
-
-	// A hook failure mid-batch delegates only the admitted prefix and
-	// reports the injected error with an accurate applied count.
-	inner2 := &recordingBatchMap{spec: inner.spec}
-	bm2 := wrap(inner2, &failAfterHook{ok: 2}).(BatchMap)
-	keys = append(keys, key32(3))
-	vals = append(vals, make([]byte, 8))
-	n, err := bm2.UpdateBatch(0, keys, vals, UpdateAny)
-	if !errors.Is(err, ErrNoSpace) || n != 2 {
-		t.Fatalf("partial batch = %d, %v; want 2, ErrNoSpace", n, err)
-	}
-	if inner2.batchCalls != 1 || inner2.lastBatch != 2 || inner2.elemCalls != 0 {
-		t.Fatalf("prefix delegation: batch=%d(len %d) elem=%d",
-			inner2.batchCalls, inner2.lastBatch, inner2.elemCalls)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"kex/internal/analysis/statecheck"
@@ -102,10 +101,7 @@ func FuzzVerifierSoundness(f *testing.F) {
 }
 
 // persistWitnesses shrinks and saves the seed's findings so the CI
-// artifact upload can collect them. The JSON shape matches
-// bugcorpus.WitnessRepro so a saved file can be replayed with
-// bugcorpus.LoadWitness (that package cannot be imported here: it
-// depends on this one).
+// artifact upload can collect them; statecheck.LoadWitness replays them.
 func persistWitnesses(t *testing.T, seed int64, p statecheck.Program) {
 	cfg := statecheck.Config{Verifier: verifier.DefaultConfig(), Seed: seed, Shrink: true}
 	v, err := statecheck.Check(p, cfg)
@@ -113,30 +109,15 @@ func persistWitnesses(t *testing.T, seed int64, p statecheck.Program) {
 		return
 	}
 	w := v.Witnesses[0]
-	repro := struct {
-		ID      string               `json:"id"`
-		FoundBy string               `json:"found_by"`
-		Bugs    verifier.BugConfig   `json:"bugs"`
-		Insns   []isa.Instruction    `json:"insns"`
-		Maps    []maps.Spec          `json:"maps,omitempty"`
-		Runs    []statecheck.RunSpec `json:"runs,omitempty"`
-		Seed    int64                `json:"seed,omitempty"`
-		Reason  string               `json:"reason"`
-	}{
+	path, err := statecheck.SaveWitness("statecheck_witnesses", &statecheck.WitnessRepro{
 		ID:      fmt.Sprintf("Wfuzz-seed-%d", seed),
 		FoundBy: fmt.Sprintf("FuzzVerifierSoundness seed=%d", seed),
 		Insns:   w.Insns,
 		Maps:    p.Maps,
 		Seed:    seed,
 		Reason:  w.Reason,
-	}
-	if err := os.MkdirAll("statecheck_witnesses", 0o755); err != nil {
-		t.Logf("failed to persist witness: %v", err)
-		return
-	}
-	data, _ := json.MarshalIndent(repro, "", "  ")
-	path := filepath.Join("statecheck_witnesses", repro.ID+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	})
+	if err != nil {
 		t.Logf("failed to persist witness: %v", err)
 		return
 	}

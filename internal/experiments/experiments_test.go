@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"kex/internal/exec"
@@ -40,6 +42,31 @@ func TestSC1(t *testing.T)     { checkHolds(t, SC1Soundness()) }
 
 // X5 runs a 1000-node campaign (tens of seconds); CI's 64-node
 // BenchmarkFleet_Rollout64 smoke covers it.
+
+// TestX5DigestsRepeat pins that X5 is reproducible from its seed: two
+// campaigns print the same four manifest digests.
+func TestX5DigestsRepeat(t *testing.T) {
+	digests := func() []string {
+		r, _ := X5Rollout(8)
+		if !r.Holds {
+			t.Fatalf("8-node campaign does not hold:\n%s", r)
+		}
+		var ds []string
+		for _, line := range r.Lines {
+			if v, rest, ok := strings.Cut(line, " "); ok && len(v) == 2 && v[0] == 'v' {
+				ds = append(ds, v+" "+strings.TrimSuffix(strings.Fields(rest)[0], ":"))
+			}
+		}
+		if len(ds) != 4 {
+			t.Fatalf("found %d manifest digests in %q, want 4", len(ds), r.Lines)
+		}
+		return ds
+	}
+	first, second := digests(), digests()
+	if !slices.Equal(first, second) {
+		t.Fatalf("digests differ across runs: %v then %v", first, second)
+	}
+}
 
 func TestByID(t *testing.T) {
 	if _, ok := ByID("F2"); !ok {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/ed25519"
+	"encoding/binary"
 	"fmt"
 
 	"kex/internal/exec"
@@ -134,11 +136,11 @@ func X5Rollout(nodes int) (*Result, X5Stats) {
 	var st X5Stats
 	st.Nodes = nodes
 
-	signer, err := toolchain.NewSigner()
-	if err != nil {
-		r.Measured = err.Error()
-		return r, st
-	}
+	// The toolchain key comes from the campaign seed, so the manifest
+	// digests repeat from run to run.
+	var keySeed [ed25519.SeedSize]byte
+	binary.LittleEndian.PutUint64(keySeed[:], x5Seed)
+	signer := toolchain.NewSignerFromSeed(keySeed)
 	reg := registry.New(x5Seed)
 	d1, err := x5Publish(signer, reg, x5SLXv1)
 	if err != nil {

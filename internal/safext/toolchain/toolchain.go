@@ -47,6 +47,13 @@ func NewSigner() (*Signer, error) {
 	return &Signer{priv: priv, pub: pub}, nil
 }
 
+// NewSignerFromSeed derives the toolchain identity from seed, so a seeded
+// run signs, and content-addresses, the same bytes every time.
+func NewSignerFromSeed(seed [ed25519.SeedSize]byte) *Signer {
+	priv := ed25519.NewKeyFromSeed(seed[:])
+	return &Signer{priv: priv, pub: priv.Public().(ed25519.PublicKey)}
+}
+
 // PublicKey returns the verification key to enrol in kernel keyrings.
 func (s *Signer) PublicKey() ed25519.PublicKey { return s.pub }
 

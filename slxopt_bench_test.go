@@ -2,7 +2,6 @@ package kexbench
 
 import (
 	stdruntime "runtime"
-	"sort"
 	"testing"
 
 	"kex/examples/progs"
@@ -17,24 +16,7 @@ import (
 // interpreter. The rows persist to BENCH_slxopt.json so the
 // naive-vs-elided delta is machine-readable across commits.
 
-type slxOptRow struct {
-	Config          string  `json:"config"`
-	WallNsPerOp     float64 `json:"wall_ns_per_op"`
-	VirtNsPerOp     float64 `json:"virtual_ns_per_op"`
-	InsnsPerOp      float64 `json:"insns_per_op"`
-	FuelPerOp       float64 `json:"fuel_per_op"`
-	DynamicChecks   uint64  `json:"dynamic_checks"`
-	ElidedChecks    uint64  `json:"elided_checks"`
-	StaticInsnBound int64   `json:"static_insn_bound"`
-	FuelElisions    uint64  `json:"fuel_elisions"`
-	BenchmarkIter   int     `json:"benchmark_iters"`
-	// RatioVsEBPFJIT is filled on the gap/* rows: safext wall time over
-	// ebpf/jit wall time for the shared exec-core workload. The acceptance
-	// bar is ratio <= 3 for the MIR-optimized JIT leg.
-	RatioVsEBPFJIT float64 `json:"ratio_vs_ebpf,omitempty"`
-}
-
-var slxOptBench = newArtifact[slxOptRow]("BENCH_slxopt.json", summarizeSLXOpt)
+var slxOptBench = newTable("BENCH_slxopt.json", deriveSLXOpt)
 
 func benchSLXOpt(b *testing.B, config, name, src string, opt int) {
 	rt := runtime.New(kernel.NewDefault(), runtime.DefaultConfig())
@@ -54,21 +36,16 @@ func benchSLXOpt(b *testing.B, config, name, src string, opt int) {
 	b.StopTimer()
 	ps := rt.Core.Stats.Snapshot().Programs[name]
 	n := float64(ps.Invocations)
-	row := slxOptRow{
-		Config:          config,
-		WallNsPerOp:     float64(ps.WallNs) / n,
-		VirtNsPerOp:     float64(ps.RuntimeNs) / n,
-		InsnsPerOp:      float64(ps.Instructions) / n,
-		FuelPerOp:       float64(ps.FuelUsed) / n,
-		DynamicChecks:   ps.DynamicChecks,
-		ElidedChecks:    ps.ElidedChecks,
-		StaticInsnBound: ext.Checks.StaticInsnBound,
-		FuelElisions:    ps.FuelElisions,
-		BenchmarkIter:   b.N,
-	}
-	b.ReportMetric(row.VirtNsPerOp, "virtual-ns/op")
-	b.ReportMetric(float64(row.ElidedChecks), "elided-checks")
-	slxOptBench.record(config, row)
+	slxOptBench.record(b, row{Config: config, Metrics: metrics{
+		"wall_ns_per_op":       float64(ps.WallNs) / n,
+		"virtual_ns_per_op":    float64(ps.RuntimeNs) / n,
+		"insns_per_op":         float64(ps.Instructions) / n,
+		"fuel_per_op":          float64(ps.FuelUsed) / n,
+		"dynamic_checks":       float64(ps.DynamicChecks),
+		"elided_checks":        float64(ps.ElidedChecks),
+		"static_insn_bound":    float64(ext.Checks.StaticInsnBound),
+		"fuel_elisions_per_op": float64(ps.FuelElisions) / n,
+	}})
 }
 
 func BenchmarkSLXOpt_HistogramNaive(b *testing.B) {
@@ -99,23 +76,23 @@ func BenchmarkSLXOpt_CounterOpt(b *testing.B) {
 	benchSLXOpt(b, "counter/opt", "counter", progs.Counter, 2)
 }
 
-// summarizeSLXOpt adds gap rows that relate the safext JIT legs of the
+// deriveSLXOpt adds gap rows that relate the safext JIT legs of the
 // exec-core benchmark to ebpf/jit — the instrumentation-vs-verification
-// overhead number the paper's §3 argument turns on.
-func summarizeSLXOpt(rows []slxOptRow) any {
+// overhead number the paper's §3 argument turns on. ratio_vs_ebpf is the
+// safext leg's wall time over ebpf/jit's; the acceptance bar is ratio <= 3
+// for the MIR-optimized JIT leg.
+func deriveSLXOpt(rows []row) []row {
 	ebpfJIT, okE := execBench.get("ebpf/jit")
 	for _, leg := range []string{"safext/jit", "safext/jit-opt"} {
-		if r, ok := execBench.get(leg); ok && okE && ebpfJIT.WallNsPerOp > 0 {
-			rows = append(rows, slxOptRow{
-				Config:         "gap/" + leg,
-				WallNsPerOp:    r.WallNsPerOp,
-				VirtNsPerOp:    r.VirtNsPerOp,
-				InsnsPerOp:     r.InsnsPerOp,
-				BenchmarkIter:  r.BenchmarkIter,
-				RatioVsEBPFJIT: r.WallNsPerOp / ebpfJIT.WallNsPerOp,
-			})
+		r, ok := execBench.get(leg)
+		if !ok || !okE || ebpfJIT.Metrics["wall_ns_per_op"] <= 0 {
+			continue
 		}
+		gap := metrics{"ratio_vs_ebpf": r.Metrics["wall_ns_per_op"] / ebpfJIT.Metrics["wall_ns_per_op"]}
+		for _, name := range []string{"wall_ns_per_op", "virtual_ns_per_op", "insns_per_op"} {
+			gap[name] = r.Metrics[name]
+		}
+		rows = append(rows, row{Config: "gap/" + leg, Iters: r.Iters, Metrics: gap})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Config < rows[j].Config })
 	return rows
 }

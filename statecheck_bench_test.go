@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"kex/internal/analysis/statecheck"
-	"kex/internal/ebpf/verifier"
 )
 
 // The BenchmarkStatecheck_* family prices the soundness oracle — verify
@@ -13,20 +12,7 @@ import (
 // to BENCH_statecheck.json. The hook's cost when DISABLED is covered by
 // BenchmarkExecCore_* staying flat; here we measure the cost when armed.
 
-type statecheckBenchRow struct {
-	Config        string  `json:"config"`
-	WallNsPerOp   float64 `json:"wall_ns_per_op"`
-	StatesPerOp   float64 `json:"states_checked_per_op"`
-	BenchmarkIter int     `json:"benchmark_iters"`
-	// Precision is populated on the campaign row only: how tight the
-	// verifier's abstraction was across the accepted cohort.
-	Precision *verifier.Precision `json:"precision,omitempty"`
-	Programs  int                 `json:"programs,omitempty"`
-	Accepted  int                 `json:"accepted,omitempty"`
-	Witnesses int                 `json:"witnesses,omitempty"`
-}
-
-var statecheckBench = newArtifact[statecheckBenchRow]("BENCH_statecheck.json", nil)
+var statecheckBench = newTable("BENCH_statecheck.json", nil)
 
 // benchStatecheckProgram prices one full Check of a fixed program.
 func benchStatecheckProgram(b *testing.B, config string, p statecheck.Program) {
@@ -44,14 +30,10 @@ func benchStatecheckProgram(b *testing.B, config string, p statecheck.Program) {
 		checked += v.Checked
 	}
 	b.StopTimer()
-	row := statecheckBenchRow{
-		Config:        config,
-		WallNsPerOp:   float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		StatesPerOp:   float64(checked) / float64(b.N),
-		BenchmarkIter: b.N,
-	}
-	b.ReportMetric(row.StatesPerOp, "states/op")
-	statecheckBench.record(row.Config, row)
+	statecheckBench.record(b, row{Config: config, Metrics: metrics{
+		"wall_ns_per_op":        float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+		"states_checked_per_op": float64(checked) / float64(b.N),
+	}})
 }
 
 func BenchmarkStatecheck_Corpus(b *testing.B) {
@@ -82,17 +64,20 @@ func BenchmarkStatecheck_Campaign(b *testing.B) {
 		last = camp
 	}
 	b.StopTimer()
-	row := statecheckBenchRow{
-		Config:        "statecheck/campaign20",
-		WallNsPerOp:   float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		StatesPerOp:   float64(checked) / float64(b.N),
-		BenchmarkIter: b.N,
-		Precision:     &last.Precision,
-		Programs:      last.Programs,
-		Accepted:      last.Accepted,
-		Witnesses:     len(last.Witnesses),
-	}
-	b.ReportMetric(row.StatesPerOp, "states/op")
-	b.ReportMetric(last.Precision.MeanSnapsPerInsn, "snaps/insn")
-	statecheckBench.record(row.Config, row)
+	p := last.Precision
+	statecheckBench.record(b, row{Config: "statecheck/campaign20", Metrics: metrics{
+		"wall_ns_per_op":        float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+		"states_checked_per_op": float64(checked) / float64(b.N),
+		"programs":              float64(last.Programs),
+		"accepted":              float64(last.Accepted),
+		"witnesses":             float64(len(last.Witnesses)),
+		// verifier.Precision's fields, under their JSON names.
+		"precision.insns":                  float64(p.Insns),
+		"precision.snapshots":              float64(p.Snapshots),
+		"precision.mean_states_per_insn":   p.MeanSnapsPerInsn,
+		"precision.max_states_per_insn":    float64(p.MaxSnapsPerInsn),
+		"precision.scalar_regs":            float64(p.ScalarRegs),
+		"precision.mean_unknown_tnum_bits": p.MeanUnknownTnumBits,
+		"precision.mean_bounds_width_log2": p.MeanBoundsWidthLog2,
+	}})
 }

@@ -16,32 +16,20 @@ import (
 // acceptance bar is <5%), and time-to-recover under a canned fault burst.
 // The rows persist to BENCH_supervisor.json.
 
-type supBenchRow struct {
-	Config        string  `json:"config"`
-	WallNsPerOp   float64 `json:"wall_ns_per_op"`
-	BenchmarkIter int     `json:"benchmark_iters"`
-	// OverheadPct is filled on the supervised healthy-path rows at
-	// artifact-write time, relative to the matching bare row.
-	OverheadPct float64 `json:"overhead_pct_vs_bare,omitempty"`
-	// Recovery-cycle figures (fault burst → quarantine → probe → recovered).
-	RecoverVirtNs  float64 `json:"virtual_ns_to_recover,omitempty"`
-	DeniedPerCycle float64 `json:"denied_per_cycle,omitempty"`
-}
+var supBench = newTable("BENCH_supervisor.json", deriveSupervisor)
 
-var supBench = newArtifact[supBenchRow]("BENCH_supervisor.json", summarizeSupervisor)
-
-// summarizeSupervisor fills in each supervised row's overhead against the
+// deriveSupervisor adds to each supervised row its overhead against the
 // matching bare row, the figure the acceptance bar checks.
-func summarizeSupervisor(rows []supBenchRow) any {
+func deriveSupervisor(rows []row) []row {
 	bare := map[string]float64{}
 	for _, r := range rows {
 		if stack, ok := strings.CutSuffix(r.Config, "/bare"); ok {
-			bare[stack] = r.WallNsPerOp
+			bare[stack] = r.Metrics["wall_ns_per_op"]
 		}
 	}
-	for i, r := range rows {
+	for _, r := range rows {
 		if stack, ok := strings.CutSuffix(r.Config, "/supervised"); ok && bare[stack] > 0 {
-			rows[i].OverheadPct = overheadPct(r.WallNsPerOp, bare[stack])
+			r.Metrics["overhead_pct_vs_bare"] = overheadPct(r.Metrics["wall_ns_per_op"], bare[stack])
 		}
 	}
 	return rows
@@ -50,13 +38,9 @@ func summarizeSupervisor(rows []supBenchRow) any {
 // benchSupervisor records one healthy-path leg's core wall time per
 // dispatch.
 func benchSupervisor(b *testing.B, config string, ps exec.ProgramStats) {
-	row := supBenchRow{
-		Config:        config,
-		WallNsPerOp:   float64(ps.WallNs) / float64(ps.Invocations),
-		BenchmarkIter: b.N,
-	}
-	b.ReportMetric(row.WallNsPerOp, "core-wall-ns/op")
-	supBench.record(config, row)
+	supBench.record(b, row{Config: config, Metrics: metrics{
+		"wall_ns_per_op": float64(ps.WallNs) / float64(ps.Invocations),
+	}})
 }
 
 // BenchmarkSupervisor_Recovery measures one full containment cycle: a
@@ -116,15 +100,10 @@ func BenchmarkSupervisor_Recovery(b *testing.B) {
 		l.Close()
 		b.StartTimer()
 	}
-	row := supBenchRow{
-		Config:         "recovery/ebpf",
-		BenchmarkIter:  b.N,
-		RecoverVirtNs:  float64(totalVirt) / float64(b.N),
-		DeniedPerCycle: float64(totalDenied) / float64(b.N),
-	}
-	b.ReportMetric(row.RecoverVirtNs, "virtual-ns-to-recover")
-	b.ReportMetric(row.DeniedPerCycle, "denied/cycle")
-	supBench.record(row.Config, row)
+	supBench.record(b, row{Config: "recovery/ebpf", Metrics: metrics{
+		"virtual_ns_to_recover": float64(totalVirt) / float64(b.N),
+		"denied_per_cycle":      float64(totalDenied) / float64(b.N),
+	}})
 }
 
 // The healthy-path legs run the exec-core workload on the JIT, with and

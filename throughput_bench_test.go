@@ -22,45 +22,29 @@ import (
 // simulated figure; the serial rows bound the batched submission path's
 // wall overhead against plain Core.Run.
 
-type tputRow struct {
-	Config        string  `json:"config"`
-	Shards        int     `json:"shards"`
-	Batch         int     `json:"batch"`
-	Ops           int     `json:"ops"`
-	WallNsPerOp   float64 `json:"wall_ns_per_op"`
-	SimOpsPerSec  float64 `json:"ops_per_sec"`
-	WallOpsPerSec float64 `json:"wall_ops_per_sec"`
-	BenchmarkIter int     `json:"benchmark_iters"`
-}
+var tputBench = newTable("BENCH_throughput.json", deriveThroughput)
 
-var tputBench = newArtifact[tputRow]("BENCH_throughput.json", summarizeThroughput)
-
-// summarizeThroughput adds the two derived acceptance figures: simulated
-// 1-to-4-shard scaling per stack, and the single-shard RunBatch-vs-Run
-// wall ratio.
-func summarizeThroughput(rows []tputRow) any {
-	byConfig := make(map[string]tputRow, len(rows))
+// deriveThroughput adds the two derived acceptance figures: simulated
+// 1-to-4-shard scaling, on each stack's shards=4 row, and the
+// single-shard RunBatch-vs-Run wall ratio, on the serial/runbatch row.
+func deriveThroughput(rows []row) []row {
+	byConfig := make(map[string]row, len(rows))
 	for _, r := range rows {
 		byConfig[r.Config] = r
 	}
-	out := struct {
-		Rows                   []tputRow          `json:"rows"`
-		ScalingSim1To4         map[string]float64 `json:"scaling_sim_ops_1_to_4_shards"`
-		RunBatchVsRunWallRatio float64            `json:"runbatch_vs_run_wall_ratio,omitempty"`
-	}{Rows: rows, ScalingSim1To4: map[string]float64{}}
 	for _, stack := range []string{"ebpf/jit", "safext/jit"} {
 		one, ok1 := byConfig[stack+"/shards=1"]
 		four, ok4 := byConfig[stack+"/shards=4"]
-		if ok1 && ok4 && one.SimOpsPerSec > 0 {
-			out.ScalingSim1To4[stack] = four.SimOpsPerSec / one.SimOpsPerSec
+		if ok1 && ok4 && one.Metrics["ops_per_sec"] > 0 {
+			four.Metrics["scaling_sim_ops_1_to_4_shards"] = four.Metrics["ops_per_sec"] / one.Metrics["ops_per_sec"]
 		}
 	}
 	run, ok1 := byConfig["serial/run"]
 	rb, ok2 := byConfig["serial/runbatch"]
-	if ok1 && ok2 && run.WallNsPerOp > 0 {
-		out.RunBatchVsRunWallRatio = rb.WallNsPerOp / run.WallNsPerOp
+	if ok1 && ok2 && run.Metrics["wall_ns_per_op"] > 0 {
+		rb.Metrics["runbatch_vs_run_wall_ratio"] = rb.Metrics["wall_ns_per_op"] / run.Metrics["wall_ns_per_op"]
 	}
-	return out
+	return rows
 }
 
 // drivePlane opens one X4 flow's plane and drives b.N invocations through
@@ -83,19 +67,14 @@ func drivePlane(b *testing.B, open func(exec.ShardedConfig) (*experiments.Plane,
 
 func benchThroughput(b *testing.B, open func(exec.ShardedConfig) (*experiments.Plane, error), shards, batch int, config string) {
 	run := drivePlane(b, open, exec.ShardedConfig{Shards: shards}, batch)
-	row := tputRow{
-		Config:        config,
-		Shards:        shards,
-		Batch:         batch,
-		Ops:           b.N,
-		WallNsPerOp:   float64(run.Wall.Nanoseconds()) / float64(b.N),
-		SimOpsPerSec:  run.SimOpsPerSec,
-		WallOpsPerSec: float64(b.N) / run.Wall.Seconds(),
-		BenchmarkIter: b.N,
-	}
-	b.ReportMetric(run.SimOpsPerSec, "sim-ops/sec")
-	b.ReportMetric(row.WallNsPerOp, "wall-ns/op")
-	tputBench.record(config, row)
+	tputBench.record(b, row{Config: config, Metrics: metrics{
+		"shards":           float64(shards),
+		"batch":            float64(batch),
+		"ops":              float64(b.N),
+		"wall_ns_per_op":   float64(run.Wall.Nanoseconds()) / float64(b.N),
+		"ops_per_sec":      run.SimOpsPerSec,
+		"wall_ops_per_sec": float64(b.N) / run.Wall.Seconds(),
+	}})
 }
 
 // Shard sweep at a fixed batch size, both stacks on the JIT engine.
@@ -163,10 +142,11 @@ func benchSerial(b *testing.B, config string, batch int, drive func(*experiments
 	if err != nil {
 		b.Fatal(err)
 	}
-	tputBench.record(config, tputRow{
-		Config: config, Shards: 1, Batch: batch, Ops: b.N,
-		WallNsPerOp:   float64(wall.Nanoseconds()) / float64(b.N),
-		WallOpsPerSec: float64(b.N) / wall.Seconds(),
-		BenchmarkIter: b.N,
-	})
+	tputBench.record(b, row{Config: config, Metrics: metrics{
+		"shards":           1,
+		"batch":            float64(batch),
+		"ops":              float64(b.N),
+		"wall_ns_per_op":   float64(wall.Nanoseconds()) / float64(b.N),
+		"wall_ops_per_sec": float64(b.N) / wall.Seconds(),
+	}})
 }

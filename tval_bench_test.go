@@ -1,53 +1,25 @@
 package kexbench
 
 import (
-	"sort"
 	"testing"
 
 	"kex/examples/progs"
 	"kex/internal/analysis/transval"
 	"kex/internal/safext/compile"
-	"kex/internal/safext/lang"
 	"kex/internal/safext/toolchain"
 )
 
 // The BenchmarkTVal family measures what translation validation costs at
-// build time: per-corpus-program validation wall time, the serialized
-// certificate's size in the SLXO container, and the demotion rate (pinned
-// at zero — a validator that demotes correct optimizer output is too
-// imprecise to leave in the build loop). The rows persist to
+// build time: per-corpus-program validation wall time and the serialized
+// certificate's size in the SLXO container. A demoted corpus program fails
+// its benchmark: a validator that demotes correct optimizer output is too
+// imprecise to leave in the build loop. The rows persist to
 // BENCH_tval.json; the acceptance bar is a corpus median under 250ms.
 
-type tvalRow struct {
-	Program       string  `json:"program"`
-	WallNsPerVal  float64 `json:"wall_ns_per_validation"`
-	CertBytes     int     `json:"certificate_bytes"`
-	Vectors       int     `json:"vectors"`
-	Bounded       int     `json:"bounded_vectors"`
-	Funcs         int     `json:"functions"`
-	Demoted       bool    `json:"demoted"`
-	BenchmarkIter int     `json:"benchmark_iters"`
-	// Summary-row fields (zero elsewhere).
-	MedianWallNs float64 `json:"corpus_median_wall_ns,omitempty"`
-	DemotionRate float64 `json:"corpus_demotion_rate,omitempty"`
-}
-
-var tvalBench = newArtifact[tvalRow]("BENCH_tval.json", summarizeTVal)
+var tvalBench = newTable("BENCH_tval.json", deriveTVal)
 
 func benchTVal(b *testing.B, name, src string) {
-	f, err := lang.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	checked, err := lang.Check(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	obj, arts, err := compile.CompileWithOptions(name, checked, compile.Options{Level: compile.OptMIR})
-	if err != nil {
-		b.Fatal(err)
-	}
-
+	obj, arts := compileSLX(b, name, src, compile.Options{Level: compile.OptMIR})
 	var res *transval.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,48 +42,27 @@ func benchTVal(b *testing.B, name, src string) {
 		b.Fatal(err)
 	}
 
-	wallPer := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	tvalBench.record(name, tvalRow{
-		Program:       name,
-		WallNsPerVal:  wallPer,
-		CertBytes:     len(withCert) - len(withoutCert),
-		Vectors:       res.Vectors,
-		Bounded:       res.Bounded,
-		Funcs:         len(res.Funcs),
-		Demoted:       false,
-		BenchmarkIter: b.N,
-	})
-	b.ReportMetric(wallPer, "ns/validation")
-	b.ReportMetric(float64(len(withCert)-len(withoutCert)), "cert-bytes")
+	tvalBench.record(b, row{Config: name, Metrics: metrics{
+		"wall_ns_per_validation": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+		"certificate_bytes":      float64(len(withCert) - len(withoutCert)),
+		"vectors":                float64(res.Vectors),
+		"bounded_vectors":        float64(res.Bounded),
+		"functions":              float64(len(res.Funcs)),
+	}})
 }
 
 func BenchmarkTVal(b *testing.B) {
-	names := make([]string, 0, len(progs.All))
-	for name := range progs.All {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		src := progs.All[name]
-		b.Run(name, func(b *testing.B) { benchTVal(b, name, src) })
-	}
+	benchCorpus(b, benchTVal)
 	b.Run("buggy", func(b *testing.B) { benchTVal(b, "buggy", progs.ProfilerBuggy) })
 }
 
-// summarizeTVal appends a corpus summary row carrying the median
-// validation wall time and the demotion rate.
-func summarizeTVal(rows []tvalRow) any {
+// deriveTVal adds a corpus summary row carrying the median validation
+// wall time. There is no demotion figure: a demoted corpus program fails
+// its benchmark.
+func deriveTVal(rows []row) []row {
 	walls := make([]float64, len(rows))
-	demoted := 0
 	for i, r := range rows {
-		walls[i] = r.WallNsPerVal
-		if r.Demoted {
-			demoted++
-		}
+		walls[i] = r.Metrics["wall_ns_per_validation"]
 	}
-	return append(rows, tvalRow{
-		Program:      "corpus-summary",
-		MedianWallNs: median(walls),
-		DemotionRate: float64(demoted) / float64(len(rows)),
-	})
+	return append(rows, row{Config: "corpus-summary", Metrics: metrics{"corpus_median_wall_ns": median(walls)}})
 }
