@@ -39,8 +39,6 @@ func TestSupervisedPipeline(t *testing.T) {
 		BaseBackoffNs: 1_000_000,
 		MaxBackoffNs:  10_000_000,
 		JitterSeed:    7,
-		Policy:        exec.DegradeFallback,
-		FallbackR0:    0xdead,
 		DeniedCostNs:  1_000,
 	})
 	l, err := s.Load(ktimeProg(t, s))
@@ -64,7 +62,7 @@ func TestSupervisedPipeline(t *testing.T) {
 
 	oopses := len(k.Oopses())
 	rep, err := l.Run(RunOptions{})
-	if err != nil || !rep.Fallback || rep.R0 != 0xdead || rep.Supervision != "denied" {
+	if err != nil || !rep.Fallback || rep.R0 != 0 || rep.Supervision != "denied" {
 		t.Fatalf("denied dispatch: rep=%+v err=%v", rep, err)
 	}
 	if len(k.Oopses()) != oopses {
@@ -99,7 +97,6 @@ func TestSupervisedReverifyFailure(t *testing.T) {
 		BaseBackoffNs: 1_000_000,
 		MaxBackoffNs:  10_000_000,
 		JitterSeed:    7,
-		Policy:        exec.DegradeFallback,
 		DeniedCostNs:  1_000,
 	})
 	l, err := s.Load(ktimeProg(t, s))
@@ -145,7 +142,6 @@ func TestSupervisedReverifyIgnoresCapture(t *testing.T) {
 			BaseBackoffNs: 1_000_000,
 			MaxBackoffNs:  10_000_000,
 			JitterSeed:    7,
-			Policy:        exec.DegradeFallback,
 			DeniedCostNs:  1_000,
 		})
 		l, err := s.Load(ktimeProg(t, s))

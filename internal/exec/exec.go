@@ -254,7 +254,7 @@ func (b *reportBox) setCalls(calls helpers.Calls) {
 // is the whole dispatch's.
 //
 // On a supervised core the invocation first passes the supervisor's gate
-// (see Supervisor): a quarantined or detached program is answered without
+// (see Supervisor): a quarantined program is answered without
 // running, and reload, which may be nil, re-prepares the program before a
 // recovery probe.
 //

@@ -46,8 +46,8 @@ type foldStep struct {
 }
 
 // TestFoldMatchesPerRunRecord runs one supervised batch that mixes a clean
-// run, an engine error, a dispatch denied because that error detached its
-// program, and a run whose helper slot lies past the report's inline
+// run, an engine error, a dispatch denied because that error quarantined
+// its program, and a run whose helper slot lies past the report's inline
 // counts, and two programs interleave. The snapshot must equal the one
 // per-run accounting gives for the same reports and supervisor events.
 func TestFoldMatchesPerRunRecord(t *testing.T) {
@@ -63,7 +63,7 @@ func TestFoldMatchesPerRunRecord(t *testing.T) {
 	}
 
 	c := newTestCore()
-	c.Supervise(SupervisorConfig{TripThreshold: 1, MaxTrips: 1, Policy: DegradeFallback, FallbackR0: 9})
+	c.Supervise(SupervisorConfig{TripThreshold: 1})
 	boom := errors.New("boom")
 	eng := fakeEngine{name: "fake", run: func(env *helpers.Env, opts interp.Options) (uint64, error) {
 		step := env.Scratch.(*foldStep)
@@ -78,7 +78,7 @@ func TestFoldMatchesPerRunRecord(t *testing.T) {
 		{Program: c.Program("a"), Scratch: &foldStep{ticks: 3, helpers: []string{"fold_filler_0"}}},
 		{Program: c.Program("e"), Scratch: &foldStep{ticks: 5, err: boom}},
 		{Program: c.Program("a"), Scratch: &foldStep{ticks: 7, helpers: []string{late, late, "fold_filler_1"}}},
-		{Program: c.Program("e"), Scratch: &foldStep{ticks: 11}}, // denied: "e" is detached
+		{Program: c.Program("e"), Scratch: &foldStep{ticks: 11}}, // denied: "e" is quarantined
 		{Program: c.Program("b"), Scratch: &foldStep{ticks: 13, helpers: []string{"fold_filler_0"}}},
 		{Program: c.Program("a"), Scratch: &foldStep{ticks: 17}},
 	}
@@ -94,7 +94,7 @@ func TestFoldMatchesPerRunRecord(t *testing.T) {
 				t.Fatalf("request 1 err = %v, want boom", r.Err)
 			}
 		case i == 3:
-			if r.Report.Supervision != "denied" || r.Report.R0 != 9 {
+			if r.Report.Supervision != "denied" || r.Report.R0 != 0 {
 				t.Fatalf("request 3 report = %+v, want a denied fallback", r.Report)
 			}
 			continue
@@ -105,8 +105,8 @@ func TestFoldMatchesPerRunRecord(t *testing.T) {
 	}
 	e := want.prog("e")
 	e.at(pFaults).Add(1)
-	e.recordTransition(StateHealthy, StateDetached)
-	e.recordDenied(true)
+	e.recordTransition(StateHealthy, StateQuarantined)
+	e.recordDenied()
 
 	got, exp := c.Stats.Snapshot(), want.Snapshot()
 	if !reflect.DeepEqual(got, exp) {

@@ -24,7 +24,6 @@ var gateConfig = exec.SupervisorConfig{
 	TripThreshold: 3,
 	BaseBackoffNs: 1 << 40,
 	MaxBackoffNs:  1 << 41,
-	Policy:        exec.DegradeFallback,
 }
 
 // flakyEngine faults while fail is set.

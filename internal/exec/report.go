@@ -69,11 +69,11 @@ type Report struct {
 	// holds the program's health state after this invocation was
 	// accounted ("healthy", "degraded", ...), or "denied" when the
 	// dispatch never reached the engine because the program was
-	// quarantined or detached.
+	// quarantined.
 	Supervision string
 
 	// Fallback marks a denied dispatch that was served the supervisor's
-	// configured fallback R0 instead of running the program.
+	// fallback R0 = 0 instead of running the program.
 	Fallback bool
 }
 

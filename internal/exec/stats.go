@@ -262,8 +262,8 @@ type ProgramStats struct {
 	// Supervisor accounting. Zero unless the program runs under an
 	// exec.Supervisor.
 	Faults      uint64            // supervised runs classified as faults
-	Denied      uint64            // dispatches refused while quarantined/detached
-	Fallbacks   uint64            // denied dispatches served the fallback R0
+	Denied      uint64            // dispatches refused while quarantined
+	Fallbacks   uint64            // denied dispatches served the fallback R0 = 0
 	Transitions map[string]uint64 // state transitions, "healthy->degraded" form
 
 	// Recovery-probe visibility: why a quarantined program keeps failing to
@@ -398,13 +398,11 @@ func (s *Stats) cpu(id int) *cpuCell {
 	return c.(*cpuCell)
 }
 
-// recordDenied accounts one dispatch refused at the supervisor gate;
-// fallback marks it as served the configured fallback R0.
-func (p *Program) recordDenied(fallback bool) {
+// recordDenied accounts one dispatch refused at the supervisor gate and
+// served the fallback R0 = 0.
+func (p *Program) recordDenied() {
 	p.at(pDenied).Add(1)
-	if fallback {
-		p.at(pFallbacks).Add(1)
-	}
+	p.at(pFallbacks).Add(1)
 }
 
 // recordProbeFailure accounts one failed recovery probe. A non-nil

@@ -1,18 +1,13 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"kex/internal/rng"
 )
-
-// ErrQuarantined is returned for dispatches refused at the supervisor gate
-// when the degradation policy is DegradeDetach; with DegradeFallback the
-// caller instead receives the configured fallback R0 and no error.
-var ErrQuarantined = errors.New("exec: program quarantined")
 
 // State is one supervisor health state of a program.
 type State string
@@ -28,25 +23,12 @@ const (
 	// StateRecovered: the probe after a quarantine succeeded; one more
 	// clean run promotes back to healthy.
 	StateRecovered State = "recovered"
-	// StateDetached: the trip budget is exhausted; the program is
-	// permanently denied (graceful degradation's terminal state).
-	StateDetached State = "detached"
-)
-
-// DegradePolicy selects what a denied dispatch returns.
-type DegradePolicy int
-
-const (
-	// DegradeFallback serves the configured FallbackR0 with no error —
-	// the caller keeps getting answers while the program heals.
-	DegradeFallback DegradePolicy = iota
-	// DegradeDetach fails the dispatch with ErrQuarantined.
-	DegradeDetach
 )
 
 // SupervisorConfig tunes the circuit breaker and recovery schedule.
 type SupervisorConfig struct {
-	// Window is the number of most-recent runs the breaker looks at.
+	// Window is the number of most-recent runs the breaker looks at, at
+	// most 64 (a larger value is clamped).
 	Window int
 	// TripThreshold is the fault count within Window that trips the
 	// breaker into quarantine.
@@ -59,13 +41,6 @@ type SupervisorConfig struct {
 	// per-program jitter stream is seeded from JitterSeed and the
 	// program name, so a fixed seed reproduces the exact schedule.
 	JitterSeed uint64
-	// MaxTrips, when positive, permanently detaches a program after that
-	// many trips. Zero means quarantine forever retries.
-	MaxTrips int
-	// Policy selects fallback-R0 or detach semantics for denied
-	// dispatches; FallbackR0 is the value served under DegradeFallback.
-	Policy     DegradePolicy
-	FallbackR0 uint64
 	// DeniedCostNs is charged to the virtual clock per denied dispatch —
 	// a denied invocation still consumes time at the attach point, and
 	// it is what lets a single-program workload's backoff expire.
@@ -73,8 +48,7 @@ type SupervisorConfig struct {
 }
 
 // DefaultSupervisorConfig mirrors sensible production settings: trip on 3
-// faults in the last 16 runs, back off from 1ms to 1s, never permanently
-// detach, serve R0=0 while quarantined.
+// faults in the last 16 runs, back off from 1ms to 1s.
 func DefaultSupervisorConfig() SupervisorConfig {
 	return SupervisorConfig{
 		Window:        16,
@@ -82,7 +56,6 @@ func DefaultSupervisorConfig() SupervisorConfig {
 		BaseBackoffNs: 1_000_000,
 		MaxBackoffNs:  1_000_000_000,
 		JitterSeed:    0x5eed,
-		Policy:        DegradeFallback,
 		DeniedCostNs:  1_000,
 	}
 }
@@ -92,14 +65,148 @@ func DefaultSupervisorConfig() SupervisorConfig {
 // error re-quarantines immediately.
 type Reload func() error
 
+// breaker is one program's circuit breaker as a value. Its step method is
+// the breaker's only decision: it takes no lock, reads no clock and writes
+// no stats, but returns the effects the Supervisor applies under its lock.
+type breaker struct {
+	state  State
+	window uint64 // the last Window outcomes, newest in bit 0; 1 = fault
+	// trips counts quarantines entered. It is the epoch each admission is
+	// stamped with: a run admitted before a later trip completes late.
+	trips uint32
+	// probing single-flights the recovery probe: when several shards hit
+	// an expired backoff together, exactly one dispatch becomes the probe
+	// and the rest stay denied until its outcome is observed.
+	probing bool
+	until   int64 // virtual deadline of the current quarantine
+	backoff int64 // current (jittered) backoff duration
+	jitter  rng.Star
+}
+
+// brKind names a breaker event.
+type brKind uint8
+
+const (
+	brAdmit   brKind = iota // a dispatch arrives
+	brRefused               // the probe's reload was refused
+	brDone                  // an admitted run completed
+)
+
+// brEvent is one input to breaker.step, at virtual time now.
+type brEvent struct {
+	kind  brKind
+	now   int64
+	fault bool   // brDone: the run faulted or left exit-audit damage
+	probe bool   // brDone: the run held the recovery probe's claim
+	epoch uint32 // brDone: the epoch its admission was stamped with
+}
+
+// brEffects is what one step asks of the Supervisor.
+type brEffects struct {
+	run   bool   // brAdmit: the dispatch runs,
+	probe bool   // holding the probe claim,
+	epoch uint32 // stamped with this epoch
+	deny  bool   // answer with the fallback, count a denial, charge DeniedCostNs
+	fault bool   // count a fault
+	// probeFailed counts a failed probe.
+	probeFailed bool
+	// to, when set, is a transition from from to record; one into
+	// quarantine is also delivered to the OnTrip hook.
+	from, to State
+	// quiet is the token the gate publishes for lock-free admission.
+	quiet uint32
+}
+
+// step folds one event into the breaker. A quarantined program admits only
+// its probe, once the backoff has expired. The probe's outcome decides the
+// quarantine; any other run completing after a trip that followed its
+// admission (a late run, from another shard) counts its fault and decides
+// nothing.
+func (b breaker) step(cfg *SupervisorConfig, ev brEvent) (breaker, brEffects) {
+	var fx brEffects
+	switch ev.kind {
+	case brAdmit:
+		fx.epoch = b.trips
+		switch {
+		case b.state != StateQuarantined:
+			fx.run = true
+		case ev.now >= b.until && !b.probing:
+			b.probing, fx.run, fx.probe = true, true, true
+		default:
+			fx.deny = true
+		}
+	case brRefused:
+		b.probing, fx.deny, fx.probeFailed = false, true, true
+		b.trip(cfg, ev.now, &fx)
+	case brDone:
+		fx.fault = ev.fault
+		switch {
+		case ev.probe:
+			b.probing = false
+			if ev.fault {
+				fx.probeFailed = true
+				b.trip(cfg, ev.now, &fx)
+			} else {
+				b.window = 0
+				b.to(StateRecovered, &fx)
+			}
+		case ev.epoch != b.trips:
+			// A late run: its fault is counted, and it decides nothing.
+		default:
+			b.window <<= 1
+			if ev.fault {
+				b.window |= 1
+			}
+			b.window &= 1<<cfg.Window - 1
+			switch {
+			case ev.fault && bits.OnesCount64(b.window) >= cfg.TripThreshold:
+				b.trip(cfg, ev.now, &fx)
+			case ev.fault && (b.state == StateHealthy || b.state == StateRecovered):
+				b.to(StateDegraded, &fx)
+			case !ev.fault && (b.state == StateRecovered || (b.state == StateDegraded && b.window == 0)):
+				b.to(StateHealthy, &fx)
+			}
+		}
+	}
+	if b.state == StateHealthy && b.window == 0 && !b.probing {
+		fx.quiet = b.trips + 1
+	}
+	return b, fx
+}
+
+// trip opens the breaker at virtual time now: quarantine for
+// min(base << (trips-1), max) with deterministic ±25% jitter from the
+// program's stream. A failed probe (or reload) trips again from
+// quarantine, so its "quarantined->quarantined" row makes failed probes
+// visible in stats.
+func (b *breaker) trip(cfg *SupervisorConfig, now int64, fx *brEffects) {
+	b.trips++
+	d := cfg.BaseBackoffNs
+	for i := uint32(1); i < b.trips && d < cfg.MaxBackoffNs; i++ {
+		d <<= 1
+	}
+	d = min(d, cfg.MaxBackoffNs)
+	if half := d / 2; half > 0 {
+		d = d - d/4 + int64(b.jitter.Next()%uint64(half+1))
+	}
+	b.backoff, b.until = d, now+d
+	b.to(StateQuarantined, fx)
+}
+
+func (b *breaker) to(s State, fx *brEffects) {
+	fx.from, fx.to, b.state = b.state, s, s
+}
+
 // Supervisor is the core's gate, installed by Core.Supervise: per-program
 // fault containment on every dispatch through the core, with a circuit
 // breaker (TripThreshold faults in the last Window runs → quarantine),
 // deterministic exponential backoff with jittered recovery probes, and
-// graceful degradation for dispatches that arrive while a program is
-// quarantined or detached. A fault is a run that returns an error or leaves
-// exit-audit damage. All transitions and denials are accounted in the
-// core's Stats and stamped on each Report. A program's health hangs off its
+// graceful degradation: a dispatch that arrives while its program is
+// quarantined is denied and served R0 = 0 without running. A fault is a
+// run that returns an error or leaves exit-audit damage. The breaker's
+// decisions are breaker.step; the Supervisor applies their effects under
+// its lock, so all transitions and denials are accounted in the core's
+// Stats and stamped on each Report. A program's health hangs off its
 // record (Program.health), so a dispatch finds it without a lookup.
 type Supervisor struct {
 	core *Core
@@ -107,82 +214,28 @@ type Supervisor struct {
 
 	// mu guards every program's health this supervisor made.
 	mu sync.Mutex
-	// notify queues trip notifications recorded under mu; gate flushes them
-	// to the OnTrip hook after releasing the lock. queued mirrors
-	// len(notify), so a dispatch with nothing queued skips the lock.
-	notify []tripNote
-	queued atomic.Int32
-
 	// onTrip, when armed, is invoked (outside mu, on the dispatching
-	// goroutine) whenever a program transitions into StateQuarantined or
-	// StateDetached — the seam a hot-swap layer uses to trigger rollback
-	// the moment a freshly attached version trips. The hook must not block
-	// for long and must not dispatch through the supervised core.
-	onTrip atomic.Pointer[func(p *Program, to State)]
-}
-
-// tripNote is one pending OnTrip notification.
-type tripNote struct {
-	program *Program
-	to      State
+	// goroutine) whenever a program enters quarantine — the seam a
+	// hot-swap layer uses to trigger rollback the moment a freshly
+	// attached version trips. The hook must not block for long and must
+	// not dispatch through the supervised core.
+	onTrip atomic.Pointer[func(p *Program)]
 }
 
 // OnTrip arms (or, with nil, disarms) the supervisor's trip hook.
-func (s *Supervisor) OnTrip(fn func(p *Program, to State)) {
-	if fn == nil {
-		s.onTrip.Store(nil)
-		return
-	}
-	s.onTrip.Store(&fn)
-}
+func (s *Supervisor) OnTrip(fn func(p *Program)) { s.onTrip.Store(&fn) }
 
-// flushTrips delivers queued trip notifications outside the lock. Every
-// dispatch that queues a note flushes after it, so a dispatch that sees
-// nothing queued has nothing of its own to deliver.
-func (s *Supervisor) flushTrips() {
-	if s.queued.Load() == 0 {
-		return
-	}
-	s.mu.Lock()
-	notes := s.notify
-	s.notify = nil
-	s.queued.Store(0)
-	s.mu.Unlock()
-	fn := s.onTrip.Load()
-	if fn == nil {
-		return
-	}
-	for _, n := range notes {
-		(*fn)(n.program, n.to)
-	}
-}
-
-// progHealth is one program's breaker state under one supervisor. Its
-// fields but quiet are guarded by that supervisor's mu.
+// progHealth is one program's breaker under one supervisor.
 type progHealth struct {
 	// sup is the supervisor that made it: a later supervisor starts the
 	// program healthy rather than use it.
 	sup *Supervisor
-	// quiet is true while the program is healthy with no fault in its
-	// window and no probe in flight: the state in which a clean run
-	// changes nothing any later decision reads (see gate). It is the one
-	// field read without mu; unlock refreshes it after every locked
-	// section.
-	quiet atomic.Bool
-
-	state   State
-	window  []bool // ring buffer of recent outcomes, true = fault
-	widx    int
-	filled  int
-	faults  int // faults among the filled window slots
-	trips   int
-	until   int64 // virtual deadline of the current quarantine
-	backoff int64 // current (jittered) backoff duration
-	jitter  rng.Star
-	// probing single-flights the recovery probe: when several shards hit
-	// an expired backoff together, exactly one dispatch becomes the probe
-	// and the rest stay denied until its outcome is observed.
-	probing bool
+	// quiet holds the breaker's last published token (brEffects.quiet):
+	// nonzero while a clean run changes nothing any later decision reads,
+	// and then the admission epoch plus one (see gate). It is the one
+	// field read without mu.
+	quiet atomic.Uint32
+	b     breaker // guarded by sup.mu
 }
 
 // newSupervisor builds a supervisor over the core. Zero-value config fields
@@ -192,6 +245,7 @@ func newSupervisor(core *Core, cfg SupervisorConfig) *Supervisor {
 	if cfg.Window <= 0 {
 		cfg.Window = def.Window
 	}
+	cfg.Window = min(cfg.Window, 64)
 	if cfg.TripThreshold <= 0 {
 		cfg.TripThreshold = def.TripThreshold
 	}
@@ -231,7 +285,7 @@ func (s *Supervisor) inspect(program string) (State, int64) {
 		if st := p.health.Load(); st != nil && st.sup == s {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return st.state, st.backoff
+			return st.b.state, st.b.backoff
 		}
 	}
 	return StateHealthy, 0
@@ -245,24 +299,46 @@ func (s *Supervisor) health(p *Program) *progHealth {
 	if st := p.health.Load(); st != nil && st.sup == s {
 		return st
 	}
-	st := &progHealth{
-		sup:    s,
+	st := &progHealth{sup: s, b: breaker{
 		state:  StateHealthy,
-		window: make([]bool, s.cfg.Window),
 		jitter: rng.Star(jitterSeed(s.cfg.JitterSeed, p.name)),
-	}
-	st.quiet.Store(true)
+	}}
+	st.quiet.Store(1)
 	if s.core.sup.Load() == s {
 		p.health.Store(st)
 	}
 	return st
 }
 
-// unlock refreshes the program's quiet flag from the state the locked
-// section left, then releases mu.
-func (s *Supervisor) unlock(st *progHealth) {
-	st.quiet.Store(st.state == StateHealthy && st.faults == 0 && !st.probing)
+// step advances the program's breaker by one event at the current virtual
+// time and applies the effects under mu, then delivers a trip to the
+// OnTrip hook. It returns the effects and the state stepped to.
+func (s *Supervisor) step(p *Program, ev brEvent, reloadErr error) (brEffects, State) {
+	var fx brEffects
+	s.mu.Lock()
+	st := s.health(p)
+	ev.now = s.core.K.Clock.Now()
+	st.b, fx = st.b.step(&s.cfg, ev)
+	state := st.b.state
+	st.quiet.Store(fx.quiet)
+	if fx.fault {
+		p.at(pFaults).Add(1)
+	}
+	if fx.deny {
+		s.core.K.Clock.Advance(s.cfg.DeniedCostNs)
+		p.recordDenied()
+	}
+	if fx.probeFailed {
+		p.recordProbeFailure(reloadErr)
+	}
+	if fx.to != "" {
+		p.recordTransition(fx.from, fx.to)
+	}
 	s.mu.Unlock()
+	if fn := s.onTrip.Load(); fn != nil && *fn != nil && fx.to == StateQuarantined {
+		(*fn)(p)
+	}
+	return fx, state
 }
 
 // jitterSeed mixes the campaign seed with the program name (FNV-1a) so
@@ -280,32 +356,31 @@ func jitterSeed(seed uint64, program string) uint64 {
 	return h
 }
 
-// gate dispatches one invocation through the supervisor. Quarantined and
-// detached programs never reach the lifecycle: the dispatch is denied,
-// accounted, and answered per the degradation policy. When a quarantine's
-// backoff has expired the dispatch becomes a recovery probe — reload first
-// (re-verify / re-validate), then one real run whose outcome decides
-// between recovery and a longer quarantine. An admitted dispatch runs on
-// the batch's run frame fr (see Core.run).
+// gate dispatches one invocation through the supervisor. A quarantined
+// program never reaches the lifecycle: the dispatch is denied, accounted,
+// and served the fallback. When a quarantine's backoff has expired the
+// dispatch becomes a recovery probe — reload first (re-verify /
+// re-validate), then one real run whose outcome decides between recovery
+// and a longer quarantine. An admitted dispatch runs on the batch's run
+// frame fr (see Core.run).
 //
-// A quiet program (see progHealth.quiet) is admitted without the lock,
-// and its clean run is not observed at all. That is equivalent to sliding
-// a clean result into the window: the window holds no fault, so the slide
-// changes only the ring position and fill count, and a later fault is
-// still evicted after exactly Window more observations. A fault goes
-// through observe under mu as ever. A quiet run that overlaps a fault on
-// another shard is thereby ordered before that fault; concurrent runs had
-// no defined order before either.
+// A quiet program (see progHealth.quiet) is admitted without the lock, at
+// the epoch its token carries, and its clean run is not observed at all.
+// That is what the breaker's step would do: admitting a healthy program
+// changes nothing, and sliding a clean result into a window that holds no
+// fault changes nothing either. A fault goes through step under mu as
+// ever. A quiet run that overlaps a fault on another shard is thereby
+// ordered before that fault; concurrent runs had no defined order before
+// either.
 func (s *Supervisor) gate(eng Engine, fr **runFrame, req *Request, reload Reload, box *reportBox) error {
-	// Trip notifications queue under mu on every path below; deliver them
-	// once all locks are released, whatever way the dispatch returns.
-	defer s.flushTrips()
-	st := req.Program.health.Load()
-	quiet := st != nil && st.sup == s && st.quiet.Load()
-	probe := false
-	if !quiet {
+	var quiet uint32
+	if st := req.Program.health.Load(); st != nil && st.sup == s {
+		quiet = st.quiet.Load()
+	}
+	adm := brEffects{run: true, epoch: quiet - 1}
+	if quiet == 0 {
 		var err error
-		if st, probe, err = s.admit(eng, req, reload, box); st == nil {
+		if adm, err = s.admit(eng, req, reload, box); !adm.run {
 			return err
 		}
 	}
@@ -313,181 +388,32 @@ func (s *Supervisor) gate(eng Engine, fr **runFrame, req *Request, reload Reload
 	err := s.core.run(eng, fr, req, box)
 	rep := &box.Report
 	fault := err != nil || len(rep.ExitOopses) > 0
-	if quiet && !fault {
+	if quiet != 0 && !fault {
 		rep.Supervision = string(StateHealthy)
 		return nil
 	}
-	s.mu.Lock()
-	s.observe(st, req.Program, fault, probe)
-	rep.Supervision = string(st.state)
-	s.unlock(st)
+	_, state := s.step(req.Program, brEvent{kind: brDone, fault: fault, probe: adm.probe, epoch: adm.epoch}, nil)
+	rep.Supervision = string(state)
 	return err
 }
 
-// admit decides under mu whether a dispatch runs. It returns the
-// program's health and whether this dispatch claimed the recovery probe,
-// or a nil health when the dispatch was answered without running, with
-// err its result.
-//
-// The probe claim matters because under sharded execution a run admitted
-// while healthy on another shard can complete after a trip; only the
-// claim holder may decide the quarantine's outcome in observe.
-func (s *Supervisor) admit(eng Engine, req *Request, reload Reload, box *reportBox) (*progHealth, bool, error) {
+// admit steps a dispatch's admission and runs the probe's reload. A
+// dispatch it answers without running (run unset) is denied and served
+// R0 = 0, or refused at reload with err the reload's failure.
+func (s *Supervisor) admit(eng Engine, req *Request, reload Reload, box *reportBox) (brEffects, error) {
 	p := req.Program
-	s.mu.Lock()
-	st := s.health(p)
-	switch st.state {
-	case StateDetached:
-		s.unlock(st)
-		return nil, false, s.deny(eng, p, box)
-	case StateQuarantined:
-		if s.core.K.Clock.Now() < st.until || st.probing {
-			// Still backing off — or another shard's dispatch already
-			// claimed the recovery probe and hasn't been observed yet.
-			s.unlock(st)
-			return nil, false, s.deny(eng, p, box)
-		}
-		// Backoff expired: this dispatch is the recovery probe.
-		st.probing = true
-		s.unlock(st)
-		if reload != nil {
-			if err := reload(); err != nil {
-				p.recordProbeFailure(err)
-				s.mu.Lock()
-				st.probing = false
-				s.trip(st, p)
-				s.unlock(st)
-				s.deny(eng, p, box)
-				return nil, false, fmt.Errorf("exec: recovery reload of %q failed: %w", p.name, err)
-			}
-		}
-		return st, true, nil
-	default:
-		s.unlock(st)
-		return st, false, nil
-	}
-}
-
-// deny answers a dispatch without running the program.
-func (s *Supervisor) deny(eng Engine, p *Program, box *reportBox) error {
-	s.core.K.Clock.Advance(s.cfg.DeniedCostNs)
-	fallback := s.cfg.Policy == DegradeFallback
-	p.recordDenied(fallback)
-	rep := &box.Report
-	rep.Program = p.name
-	rep.Engine = eng.Name()
-	rep.Supervision = "denied"
-	if fallback {
-		rep.R0 = s.cfg.FallbackR0
-		rep.Fallback = true
-		return nil
-	}
-	return ErrQuarantined
-}
-
-// observe folds one run outcome into the breaker state. Caller holds mu.
-// probe is true only for the dispatch that claimed the recovery probe in
-// gate — a late completion of a run admitted before the trip must not be
-// mistaken for the probe's verdict.
-func (s *Supervisor) observe(st *progHealth, p *Program, fault, probe bool) {
-	if fault {
-		p.at(pFaults).Add(1)
-	}
-	if probe {
-		// This run was the recovery probe; its outcome releases the
-		// single-flight claim.
-		st.probing = false
-		if fault {
-			p.recordProbeFailure(nil)
-			s.trip(st, p)
-			return
-		}
-		s.transition(st, p, StateRecovered)
-		s.resetWindow(st)
-		return
-	}
-	if st.state == StateQuarantined || st.state == StateDetached {
-		// A run admitted on another shard while the program was still
-		// healthy completed after the trip. Its fault is accounted above,
-		// but it must not decide recovery, extend backoff, or resurrect a
-		// detached program — the breaker's verdict belongs to the probe.
-		return
-	}
-
-	// Slide the window.
-	if st.filled == len(st.window) {
-		if st.window[st.widx] {
-			st.faults--
-		}
-	} else {
-		st.filled++
-	}
-	st.window[st.widx] = fault
-	if fault {
-		st.faults++
-	}
-	st.widx = (st.widx + 1) % len(st.window)
-
-	switch {
-	case fault && st.faults >= s.cfg.TripThreshold:
-		s.trip(st, p)
-	case fault:
-		if st.state == StateHealthy || st.state == StateRecovered {
-			s.transition(st, p, StateDegraded)
-		}
-	default:
-		if st.state == StateRecovered || (st.state == StateDegraded && st.faults == 0) {
-			s.transition(st, p, StateHealthy)
+	fx, _ := s.step(p, brEvent{kind: brAdmit}, nil)
+	var err error
+	if fx.probe && reload != nil {
+		if err = reload(); err != nil {
+			s.step(p, brEvent{kind: brRefused}, err)
+			fx.run, err = false, fmt.Errorf("exec: recovery reload of %q failed: %w", p.name, err)
 		}
 	}
-}
-
-// trip opens the breaker: detach permanently when the trip budget is
-// spent, else quarantine with exponentially longer, jittered backoff. A
-// failed recovery probe (or reload) trips again from quarantine, so its
-// "quarantined->quarantined" transition row makes failed probes visible
-// in stats.
-func (s *Supervisor) trip(st *progHealth, p *Program) {
-	st.trips++
-	if s.cfg.MaxTrips > 0 && st.trips >= s.cfg.MaxTrips {
-		s.transition(st, p, StateDetached)
-		return
+	if !fx.run {
+		rep := &box.Report
+		rep.Program, rep.Engine, rep.Supervision = p.name, eng.Name(), "denied"
+		rep.R0, rep.Fallback = 0, true
 	}
-	st.backoff = s.backoffFor(st)
-	st.until = s.core.K.Clock.Now() + st.backoff
-	s.transition(st, p, StateQuarantined)
-}
-
-// backoffFor computes min(base << (trips-1), max) with deterministic ±25%
-// jitter from the program's stream.
-func (s *Supervisor) backoffFor(st *progHealth) int64 {
-	b := s.cfg.BaseBackoffNs
-	for i := 1; i < st.trips && b < s.cfg.MaxBackoffNs; i++ {
-		b <<= 1
-	}
-	if b > s.cfg.MaxBackoffNs {
-		b = s.cfg.MaxBackoffNs
-	}
-	if half := b / 2; half > 0 {
-		b = b - b/4 + int64(st.jitter.Next()%uint64(half+1))
-	}
-	return b
-}
-
-func (s *Supervisor) resetWindow(st *progHealth) {
-	clear(st.window)
-	st.widx, st.filled, st.faults = 0, 0, 0
-}
-
-// transition moves the program to a new state and accounts it. Caller
-// holds mu; entries into quarantine or detachment queue a trip
-// notification for delivery once the lock is released.
-func (s *Supervisor) transition(st *progHealth, p *Program, to State) {
-	from := st.state
-	st.state = to
-	p.recordTransition(from, to)
-	if to == StateQuarantined || to == StateDetached {
-		s.notify = append(s.notify, tripNote{program: p, to: to})
-		s.queued.Store(int32(len(s.notify)))
-	}
+	return fx, err
 }

@@ -39,10 +39,7 @@ func newRefBreaker(cfg SupervisorConfig, program string) *refBreaker {
 // admit reports whether a dispatch at virtual time now runs, and whether
 // it is the recovery probe.
 func (r *refBreaker) admit(now int64) (run, probe bool) {
-	switch r.state {
-	case StateDetached:
-		return false, false
-	case StateQuarantined:
+	if r.state == StateQuarantined {
 		return now >= r.until, now >= r.until
 	}
 	return true, false
@@ -80,10 +77,6 @@ func (r *refBreaker) observe(fault, probe bool, now int64) {
 
 func (r *refBreaker) trip(now int64) {
 	r.trips++
-	if r.cfg.MaxTrips > 0 && r.trips >= r.cfg.MaxTrips {
-		r.to(StateDetached)
-		return
-	}
 	b := r.cfg.BaseBackoffNs
 	for i := 1; i < r.trips && b < r.cfg.MaxBackoffNs; i++ {
 		b <<= 1
@@ -135,12 +128,7 @@ func TestSupervisorQuietMatchesReference(t *testing.T) {
 			BaseBackoffNs: 3_000,
 			MaxBackoffNs:  24_000,
 			JitterSeed:    seed,
-			Policy:        DegradeFallback,
-			FallbackR0:    99,
 			DeniedCostNs:  1_000,
-		}
-		if seed%4 == 0 {
-			cfg.MaxTrips = 6
 		}
 		c := newTestCore()
 		s := c.Supervise(cfg)
@@ -200,7 +188,7 @@ func TestSupervisorQuietMatchesReference(t *testing.T) {
 			seen[tr] += n
 		}
 	}
-	for _, tr := range []string{"degraded->healthy", "recovered->degraded", "quarantined->quarantined", "degraded->detached"} {
+	for _, tr := range []string{"degraded->healthy", "recovered->degraded", "quarantined->quarantined"} {
 		if seen[tr] == 0 {
 			t.Fatalf("no seed took %s (%v)", tr, seen)
 		}
@@ -224,7 +212,6 @@ func TestSupervisorQuietSharded(t *testing.T) {
 		TripThreshold: 3,
 		BaseBackoffNs: 1 << 40, // no probe within the test
 		MaxBackoffNs:  1 << 41,
-		Policy:        DegradeFallback,
 	})
 	sh := c.NewSharded(ShardedConfig{Shards: 2, RingSize: 8})
 	defer sh.Close()

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,8 +29,6 @@ func TestSupervisorConcurrentTrip(t *testing.T) {
 		TripThreshold: 2,
 		BaseBackoffNs: 1 << 40, // far beyond what the runs advance: no probes
 		MaxBackoffNs:  1 << 41,
-		Policy:        DegradeFallback,
-		FallbackR0:    99,
 	})
 	sh := c.NewSharded(ShardedConfig{Shards: 4, RingSize: 32})
 	var wg sync.WaitGroup
@@ -110,7 +109,6 @@ func TestSupervisorLateCompletionDuringQuarantine(t *testing.T) {
 		TripThreshold: 2,
 		BaseBackoffNs: 1 << 30,
 		MaxBackoffNs:  1 << 31,
-		Policy:        DegradeFallback,
 	})
 
 	// Two runs admitted while healthy, parked inside Core.Run on their own
@@ -178,6 +176,79 @@ func TestSupervisorLateCompletionDuringQuarantine(t *testing.T) {
 	}
 }
 
+// TestSupervisorLateCompletionAfterRecovery pins the epoch rule: runs
+// admitted while the program was degraded, parked on their shards while
+// another shard trips the breaker and a recovery probe succeeds, complete
+// late. Their faults are counted, but neither the late success nor the
+// late fault may move the recovered program: only runs admitted since the
+// last trip decide its state.
+func TestSupervisorLateCompletionAfterRecovery(t *testing.T) {
+	c := newTestCore()
+	gate := make(chan struct{})
+	started := make(chan struct{}, 2)
+	late := fakeEngine{name: "late", run: func(env *helpers.Env, opts interp.Options) (uint64, error) {
+		started <- struct{}{}
+		<-gate
+		env.Ctx.Tick(1)
+		if env.Ctx.CPUID == 1 {
+			return 0, errBoom
+		}
+		return 1, nil
+	}}
+	sup := c.Supervise(SupervisorConfig{
+		Window:        8,
+		TripThreshold: 2,
+		BaseBackoffNs: 1 << 30,
+		MaxBackoffNs:  1 << 31,
+	})
+	if _, err := c.Run(tickBad("fail"), Request{Program: c.Program("p")}, nil); err == nil {
+		t.Fatal("faulty run did not error")
+	}
+	if st := sup.State("p"); st != StateDegraded {
+		t.Fatalf("state after one fault = %v, want degraded", st)
+	}
+
+	// Two runs admitted while degraded, parked inside Core.Run.
+	var wg sync.WaitGroup
+	lateErrs := make([]error, 2)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, lateErrs[i] = c.Run(late, Request{Program: c.Program("p"), CPU: i + 1}, nil)
+		}(i)
+	}
+	<-started
+	<-started
+
+	// Trip, expire the backoff and recover on CPU 0 while both are parked.
+	if _, err := c.Run(tickBad("fail"), Request{Program: c.Program("p")}, nil); err == nil {
+		t.Fatal("faulty run did not error")
+	}
+	c.K.Clock.Advance(1 << 33)
+	if rep, err := c.Run(tickOK("ok"), Request{Program: c.Program("p")}, nil); err != nil || rep.Supervision != string(StateRecovered) {
+		t.Fatalf("probe: supervision %q err %v, want recovered", rep.Supervision, err)
+	}
+
+	close(gate)
+	wg.Wait()
+	if lateErrs[0] == nil || lateErrs[1] != nil {
+		t.Fatalf("late run errors = %v, %v; want boom, nil", lateErrs[0], lateErrs[1])
+	}
+	if st := sup.State("p"); st != StateRecovered {
+		t.Fatalf("state after late completions = %v, want recovered", st)
+	}
+	ps := c.Stats.Snapshot().Programs["p"]
+	if ps.Faults != 3 {
+		t.Fatalf("faults = %d, want 3: a late fault is still counted", ps.Faults)
+	}
+	for tr := range ps.Transitions {
+		if strings.HasPrefix(tr, "recovered->") {
+			t.Fatalf("a late completion moved the recovered program (%v)", ps.Transitions)
+		}
+	}
+}
+
 // TestSupervisorProbeSingleFlight expires a quarantine's backoff while
 // many shards are dispatching: exactly one dispatch may become the
 // recovery probe; the rest must stay denied until the probe's outcome is
@@ -202,7 +273,6 @@ func TestSupervisorProbeSingleFlight(t *testing.T) {
 		TripThreshold: 1,
 		BaseBackoffNs: 1000,
 		MaxBackoffNs:  2000,
-		Policy:        DegradeFallback,
 	})
 	// Trip the breaker serially.
 	if _, err := c.Run(eng, Request{Program: c.Program("p")}, nil); err == nil {
@@ -245,7 +315,7 @@ func TestSupervisorProbeSingleFlight(t *testing.T) {
 	if got := reloads.Load(); got != 1 {
 		t.Fatalf("reloads = %d, want exactly 1 (probe single-flight)", got)
 	}
-	if st := sup.State("p"); st == StateQuarantined || st == StateDetached {
+	if st := sup.State("p"); st == StateQuarantined {
 		t.Fatalf("state after successful probe = %v", st)
 	}
 	if runs.Load() == ranBefore {

@@ -143,8 +143,6 @@ func supCfg() SupervisorConfig {
 		BaseBackoffNs: 1_000_000,
 		MaxBackoffNs:  100_000_000,
 		JitterSeed:    0xfeed,
-		Policy:        DegradeFallback,
-		FallbackR0:    99,
 		DeniedCostNs:  1_000,
 	}
 }
@@ -189,7 +187,7 @@ func TestSupervisorTripAndDeny(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fallback deny returned error: %v", err)
 		}
-		if !rep.Fallback || rep.R0 != 99 || rep.Supervision != "denied" {
+		if !rep.Fallback || rep.R0 != 0 || rep.Supervision != "denied" {
 			t.Fatalf("denied report = %+v", rep)
 		}
 	}
@@ -202,29 +200,6 @@ func TestSupervisorTripAndDeny(t *testing.T) {
 	}
 	if ps.Transitions["degraded->quarantined"] != 1 || ps.Transitions["healthy->degraded"] != 1 {
 		t.Fatalf("transitions: %v", ps.Transitions)
-	}
-}
-
-func TestSupervisorDetachPolicy(t *testing.T) {
-	c := newTestCore()
-	cfg := supCfg()
-	cfg.Policy = DegradeDetach
-	c.Supervise(cfg)
-	var calls int
-	eng := faultyEngine(&calls)
-	req := Request{Program: c.Program("p")}
-	for i := 0; i < 3; i++ {
-		c.Run(eng, req, nil)
-	}
-	rep, err := c.Run(eng, req, nil)
-	if !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("deny under DegradeDetach = %v, want ErrQuarantined", err)
-	}
-	if rep.Fallback || rep.Supervision != "denied" {
-		t.Fatalf("denied report = %+v", rep)
-	}
-	if calls != 3 {
-		t.Fatalf("engine ran %d times, want 3", calls)
 	}
 }
 
@@ -345,40 +320,6 @@ func TestSupervisorReloadFailureRequarantines(t *testing.T) {
 	}
 	if st := s.State("p"); st != StateQuarantined {
 		t.Fatalf("state = %s, want quarantined", st)
-	}
-}
-
-func TestSupervisorMaxTripsDetaches(t *testing.T) {
-	c := newTestCore()
-	cfg := supCfg()
-	cfg.MaxTrips = 2
-	s := c.Supervise(cfg)
-	var calls int
-	eng := faultyEngine(&calls)
-	req := Request{Program: c.Program("p")}
-	for i := 0; i < 3; i++ {
-		c.Run(eng, req, nil)
-	}
-	c.K.Clock.Advance(s.BackoffNs("p") + 1)
-	c.Run(eng, req, nil) // failed probe: second trip, budget spent
-	if st := s.State("p"); st != StateDetached {
-		t.Fatalf("state after trip budget spent = %s, want detached", st)
-	}
-	engineCalls := calls
-	// Detachment is permanent: no amount of time re-admits the program.
-	c.K.Clock.Advance(1_000_000_000_000)
-	for i := 0; i < 3; i++ {
-		rep, err := c.Run(eng, req, nil)
-		if err != nil || rep.Supervision != "denied" {
-			t.Fatalf("detached dispatch: rep=%+v err=%v", rep, err)
-		}
-	}
-	if calls != engineCalls {
-		t.Fatal("detached program reached the engine")
-	}
-	ps := c.Stats.Snapshot().Programs["p"]
-	if ps.Transitions["quarantined->detached"] != 1 {
-		t.Fatalf("transitions: %v", ps.Transitions)
 	}
 }
 

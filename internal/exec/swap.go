@@ -9,8 +9,9 @@ import (
 	"time"
 )
 
-// ErrSwapInProgress rejects a Swap while another swap's soak window is
-// still open — version cutover is serialized per slot.
+// ErrSwapInProgress rejects a Swap while another swap is still open —
+// draining, soaking or rolling back: version cutover is serialized per
+// slot.
 var ErrSwapInProgress = errors.New("exec: hot-swap already in progress")
 
 // Version is one attachable implementation of a program slot on the
@@ -80,13 +81,6 @@ func (a *attached) drain(ctx context.Context, abort <-chan struct{}) error {
 // errAborted is drain's internal abort signal, never returned from Swap.
 var errAborted = errors.New("exec: drain aborted")
 
-// SoakConfig shapes the post-swap observation window.
-type SoakConfig struct {
-	// Runs is how many completed invocations of the new version end the
-	// soak cleanly. Zero skips soaking: the swap commits at drain.
-	Runs int
-}
-
 // SwapReport describes one hot-swap: the cutover, the drain of the old
 // version, and — when the supervisor tripped the new version inside the
 // soak window — the automatic rollback.
@@ -103,33 +97,97 @@ type SwapReport struct {
 	SoakRuns int64
 
 	// RolledBack reports that the supervisor tripped the new version
-	// during the soak window and the plane cut back to the previous
+	// before the soak window ended, and the plane cut back to the previous
 	// version. RollbackWallNs/RollbackVirtNs measure trip -> bad version
 	// fully drained (the previous version is already serving new
-	// submissions the moment the trip fires). TripTo is the state the bad
-	// version landed in (quarantined or detached).
+	// submissions the moment the trip fires).
 	RolledBack     bool
 	RollbackWallNs int64
 	RollbackVirtNs int64
-	TripTo         State
 }
 
-// soakState tracks one in-flight swap's observation window.
-type soakState struct {
-	target *attached
-	prev   *attached
-	cfg    SoakConfig
+// swapPhase is where a slot's hot-swap lifecycle stands.
+type swapPhase uint8
 
-	completed atomic.Int64
-	notify    chan struct{} // buffered; poked on each target completion
-	trip      chan struct{} // closed when the supervisor trips the target
+const (
+	swapIdle     swapPhase = iota // no swap open: Swap may begin one
+	swapDrain                     // cut over; the old version drains
+	swapSoak                      // the old version drained; the new one soaks
+	swapRollback                  // the new version tripped and was cut back; it drains
+)
 
-	// Under HotSwap.mu:
-	finished bool
-	tripped  bool
-	tripTo   State
-	tripAt   time.Time
-	tripVirt int64
+// swapState is a slot's hot-swap lifecycle as a value. Its step method is
+// the lifecycle's only decision: it takes no lock, reads no clock and
+// blocks on nothing, but returns the effects HotSwap applies.
+type swapState struct {
+	phase      swapPhase
+	cur        *attached // the version new submissions build against
+	prev, next *attached // the last swap's old and new versions
+	runs       int64     // its soak length in completed runs of next
+}
+
+// swapKind names a hot-swap event.
+type swapKind uint8
+
+const (
+	swapBegin swapKind = iota // Swap installs v to soak for n runs
+	swapTrip                  // the supervisor tripped program
+	// swapWoke: the Swap caller, waiting in phase at with n runs of next
+	// completed, saw the version it drained go idle, the soak fill, or
+	// (expired) its ctx expire.
+	swapWoke
+)
+
+// swapEvent is one input to swapState.step.
+type swapEvent struct {
+	kind    swapKind
+	v       *attached
+	program *Program
+	at      swapPhase
+	n       int64
+	expired bool
+}
+
+// swapEffects is what one step asks of HotSwap.
+type swapEffects struct {
+	reject  bool // swapBegin: another swap is open (ErrSwapInProgress)
+	tripped bool // cut back: stamp the trip time, wake the Swap caller
+	drained bool // the old version drained: stamp the swap latency
+	// done ends the Swap call, rolled back or not, with an ErrDeadline
+	// when expired.
+	done, rolledBack, expired bool
+}
+
+// step folds one event into the lifecycle. A trip of the new version while
+// the old one drains or the new one soaks cuts back at once, and the swap
+// then ends only once the new version has drained too, or the caller's
+// deadline expires on that drain: a deadline that raced the trip still
+// ends in the rollback. A wake seen in a phase the swap has since left is
+// stale and changes nothing.
+func (s swapState) step(ev swapEvent) (swapState, swapEffects) {
+	var fx swapEffects
+	switch {
+	case ev.kind == swapBegin:
+		if s.phase != swapIdle {
+			fx.reject = true
+			break
+		}
+		s = swapState{phase: swapDrain, cur: ev.v, prev: s.cur, next: ev.v, runs: ev.n}
+	case ev.kind == swapTrip:
+		if (s.phase == swapDrain || s.phase == swapSoak) && s.next.v.Program == ev.program {
+			s.phase, s.cur, fx.tripped = swapRollback, s.prev, true
+		}
+	case ev.at != s.phase:
+		// Stale.
+	case ev.expired || s.phase == swapRollback:
+		fx.done, fx.rolledBack, fx.expired = true, s.phase == swapRollback, ev.expired
+		s.phase = swapIdle
+	case s.phase == swapDrain:
+		fx.drained, s.phase = true, swapSoak
+	case ev.n >= s.runs:
+		fx.done, s.phase = true, swapIdle
+	}
+	return s, fx
 }
 
 // HotSwap is the live-replacement layer over one Sharded plane: an atomic
@@ -141,23 +199,33 @@ type soakState struct {
 // version's in-flight batches, then soak — and if the supervisor trips the
 // new version before the soak ends, cut back to the previous version
 // immediately (inside the trip notification, before another batch is
-// built) and drain the bad one.
+// built) and drain the bad one. The lifecycle's decisions are
+// swapState.step; HotSwap applies their effects under its lock.
 //
 // Swap must not be called from a shard worker goroutine (a Batch.Done
 // hook): it blocks on drains that need the workers to make progress.
 type HotSwap struct {
 	sh *Sharded
 
-	cur atomic.Pointer[attached]
+	cur atomic.Pointer[attached] // st.cur, for Submit without the lock
+	// wake is poked on every completed batch and every cutback, so a Swap
+	// caller waiting on a drain or the soak looks at the lifecycle again.
+	wake chan struct{}
 
-	mu   sync.Mutex
-	soak *soakState
+	// Under mu: the lifecycle, the open swap's completed runs of st.next
+	// and the time stamps of its trip.
+	mu       sync.Mutex
+	st       swapState
+	soaked   int64
+	tripAt   time.Time
+	tripVirt int64
 }
 
 // NewHotSwap attaches the initial version to the plane.
 func NewHotSwap(sh *Sharded, initial Version) *HotSwap {
-	h := &HotSwap{sh: sh}
-	h.cur.Store(newAttached(initial))
+	h := &HotSwap{sh: sh, wake: make(chan struct{}, 1)}
+	h.st.cur = newAttached(initial)
+	h.cur.Store(h.st.cur)
 	return h
 }
 
@@ -170,9 +238,8 @@ func (h *HotSwap) Current() Version { return h.cur.Load().v }
 // completion retires it from its version's in-flight count, which is what
 // Swap's drain barrier waits on.
 func (h *HotSwap) Submit(ctx context.Context, cpu, n int) error {
-	a := h.cur.Load()
+	a := h.pin()
 	reqs, fin := a.v.Make(n)
-	a.inflight.Add(1)
 	b := Batch{
 		Engine: a.v.Engine,
 		Reqs:   reqs,
@@ -192,134 +259,127 @@ func (h *HotSwap) Submit(ctx context.Context, cpu, n int) error {
 	return nil
 }
 
+// pin counts one batch in flight on the current version. It counts before
+// it confirms the version is still current, so a drain that starts after
+// a cutover either sees the batch or the batch moves to the new version.
+func (h *HotSwap) pin() *attached {
+	for {
+		a := h.cur.Load()
+		a.inflight.Add(1)
+		if h.cur.Load() == a {
+			return a
+		}
+		a.retire()
+	}
+}
+
 // observe accounts completed invocations against the soak window.
 func (h *HotSwap) observe(a *attached, n int) {
 	h.mu.Lock()
-	sk := h.soak
-	h.mu.Unlock()
-	if sk == nil || sk.target != a {
-		return
+	if h.st.next == a {
+		h.soaked += int64(n)
 	}
-	sk.completed.Add(int64(n))
+	h.mu.Unlock()
+	h.poke()
+}
+
+func (h *HotSwap) poke() {
 	select {
-	case sk.notify <- struct{}{}:
+	case h.wake <- struct{}{}:
 	default:
 	}
+}
+
+// apply steps the lifecycle and publishes its current version. Caller
+// holds mu.
+func (h *HotSwap) apply(ev swapEvent) swapEffects {
+	var fx swapEffects
+	h.st, fx = h.st.step(ev)
+	h.cur.Store(h.st.cur)
+	return fx
 }
 
 // onTrip is the supervisor hook: the moment the in-soak version trips, new
 // submissions cut back to the previous version. The drain of the bad
 // version happens on the Swap caller's goroutine — this hook runs on a
 // shard worker and must not block.
-func (h *HotSwap) onTrip(p *Program, to State) {
+func (h *HotSwap) onTrip(p *Program) {
 	h.mu.Lock()
-	sk := h.soak
-	if sk == nil || sk.finished || sk.target.v.Program != p {
-		h.mu.Unlock()
-		return
+	if h.apply(swapEvent{kind: swapTrip, program: p}).tripped {
+		h.tripAt, h.tripVirt = time.Now(), h.sh.core.K.Clock.Now()
 	}
-	sk.finished = true
-	sk.tripped = true
-	sk.tripTo = to
-	sk.tripAt = time.Now()
-	sk.tripVirt = h.sh.core.K.Clock.Now()
-	h.cur.Store(sk.prev)
 	h.mu.Unlock()
-	close(sk.trip)
-}
-
-// endSoak closes the observation window if the trip hook hasn't already.
-// It reports whether this call ended it (false: a trip won the race).
-func (h *HotSwap) endSoak(sk *soakState) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if sk.finished {
-		return false
-	}
-	sk.finished = true
-	return true
+	h.poke()
 }
 
 // Swap replaces the current version: publish next so all new submissions
 // build against it, drain the old version's in-flight batches, then watch
-// the supervisor through the soak window. A trip inside the window rolls
-// back automatically — the report says so; rollback is a resolution, not
-// an error. A ctx expiry mid-drain returns an error wrapping ErrDeadline
-// with the cutover already done. Soak monitoring and rollback need the
-// plane's core to be supervised; Swap claims the supervisor's OnTrip hook.
-func (h *HotSwap) Swap(ctx context.Context, next Version, soak SoakConfig) (*SwapReport, error) {
-	na := newAttached(next)
-	sup := h.sh.core.Supervisor()
-	if sup != nil {
+// the supervisor until soakRuns invocations of next have completed. A trip
+// before then rolls back automatically — the report says so; rollback is a
+// resolution, not an error. A ctx expiry mid-drain or mid-soak returns an
+// error wrapping ErrDeadline with the cutover already done. Soak
+// monitoring and rollback need the plane's core to be supervised; Swap
+// claims the supervisor's OnTrip hook, and without a supervisor it commits
+// at drain, unsoaked.
+func (h *HotSwap) Swap(ctx context.Context, next Version, soakRuns int) (*SwapReport, error) {
+	if sup := h.sh.core.Supervisor(); sup != nil {
 		sup.OnTrip(h.onTrip)
+	} else {
+		soakRuns = 0
 	}
+	na := newAttached(next)
 	h.mu.Lock()
-	if h.soak != nil && !h.soak.finished {
+	old := h.st.cur
+	wallStart, virtStart := time.Now(), h.sh.core.K.Clock.Now()
+	if h.apply(swapEvent{kind: swapBegin, v: na, n: int64(soakRuns)}).reject {
 		h.mu.Unlock()
 		return nil, ErrSwapInProgress
 	}
-	old := h.cur.Load()
-	sk := &soakState{
-		target: na,
-		prev:   old,
-		cfg:    soak,
-		notify: make(chan struct{}, 1),
-		trip:   make(chan struct{}),
-	}
-	h.soak = sk
-	wallStart := time.Now()
-	virtStart := h.sh.core.K.Clock.Now()
-	h.cur.Store(na) // cutover: one pointer store
+	h.soaked = 0
 	h.mu.Unlock()
 
 	rep := &SwapReport{From: old.v.Digest, To: next.Digest}
-	// Drain the old version, but bail to rollback the moment a trip fires:
-	// after the cutback the old version is live again and receiving
-	// traffic, so waiting for it to go idle would be waiting on a lull.
-	if err := old.drain(ctx, sk.trip); err != nil {
-		if errors.Is(err, errAborted) {
-			return h.rollback(ctx, sk, rep)
-		}
-		h.endSoak(sk)
-		return rep, err
-	}
-	rep.SwapWallNs = time.Since(wallStart).Nanoseconds()
-	rep.SwapVirtNs = h.sh.core.K.Clock.Now() - virtStart
-
 	for {
-		if soak.Runs <= 0 || sup == nil || sk.completed.Load() >= int64(soak.Runs) {
-			if !h.endSoak(sk) {
-				return h.rollback(ctx, sk, rep)
+		h.mu.Lock()
+		ev := swapEvent{kind: swapWoke, at: h.st.phase, n: h.soaked}
+		h.mu.Unlock()
+		var err error
+		switch {
+		case ev.at == swapDrain:
+			// Look again on every wake: after a cutback the old version is
+			// live again, so waiting for it to go idle would be waiting on
+			// a lull.
+			err = old.drain(ctx, h.wake)
+		case ev.at == swapRollback:
+			err = na.drain(ctx, nil)
+		case ev.n < int64(soakRuns):
+			select {
+			case <-h.wake:
+				continue
+			case <-ctx.Done():
+				err = fmt.Errorf("%w: soak of %q after %d of %d runs: %v",
+					ErrDeadline, next.Program.name, ev.n, soakRuns, ctx.Err())
 			}
-			rep.SoakRuns = sk.completed.Load()
-			return rep, nil
 		}
-		select {
-		case <-sk.notify:
-		case <-sk.trip:
-			return h.rollback(ctx, sk, rep)
-		case <-ctx.Done():
-			if !h.endSoak(sk) {
-				return h.rollback(ctx, sk, rep)
-			}
-			rep.SoakRuns = sk.completed.Load()
-			return rep, fmt.Errorf("%w: soak of %q after %d of %d runs: %v",
-				ErrDeadline, next.Program.name, rep.SoakRuns, soak.Runs, ctx.Err())
+		if errors.Is(err, errAborted) {
+			continue
+		}
+		ev.expired = err != nil
+		h.mu.Lock()
+		fx := h.apply(ev)
+		rep.SoakRuns, rep.RolledBack = h.soaked, fx.rolledBack
+		tripAt, tripVirt := h.tripAt, h.tripVirt
+		h.mu.Unlock()
+		if fx.drained {
+			rep.SwapWallNs = time.Since(wallStart).Nanoseconds()
+			rep.SwapVirtNs = h.sh.core.K.Clock.Now() - virtStart
+		}
+		if fx.done && !fx.expired && fx.rolledBack {
+			rep.RollbackWallNs = time.Since(tripAt).Nanoseconds()
+			rep.RollbackVirtNs = h.sh.core.K.Clock.Now() - tripVirt
+		}
+		if fx.done {
+			return rep, err
 		}
 	}
-}
-
-// rollback finishes a tripped swap: the trip hook already cut submissions
-// back to the previous version, so all that remains is draining the bad
-// version and timing how long the fleet was exposed to it.
-func (h *HotSwap) rollback(ctx context.Context, sk *soakState, rep *SwapReport) (*SwapReport, error) {
-	rep.RolledBack = true
-	rep.TripTo = sk.tripTo
-	rep.SoakRuns = sk.completed.Load()
-	if err := sk.target.drain(ctx, nil); err != nil {
-		return rep, err
-	}
-	rep.RollbackWallNs = time.Since(sk.tripAt).Nanoseconds()
-	rep.RollbackVirtNs = h.sh.core.K.Clock.Now() - sk.tripVirt
-	return rep, nil
 }

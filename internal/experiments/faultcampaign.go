@@ -40,16 +40,16 @@ func x3Plan() faultinject.Plan {
 	}
 }
 
-// x3SupervisorConfig is shared by both stacks; backoff runs on the virtual
-// clock so the schedule is seed-deterministic.
-func x3SupervisorConfig() exec.SupervisorConfig {
+// X3SupervisorConfig is shared by both stacks and the supervisor's
+// recovery benchmark; backoff runs on the virtual clock so the schedule is
+// seed-deterministic.
+func X3SupervisorConfig() exec.SupervisorConfig {
 	return exec.SupervisorConfig{
 		Window:        16,
 		TripThreshold: 3,
 		BaseBackoffNs: 20_000,
 		MaxBackoffNs:  400_000,
 		JitterSeed:    x3Seed,
-		Policy:        exec.DegradeFallback,
 		DeniedCostNs:  1_000,
 	}
 }
@@ -173,7 +173,7 @@ func x3CampaignEBPF() (x3Tally, error) {
 		return t, fmt.Errorf("ebpf load: %w", err)
 	}
 	defer l.Close()
-	sup := s.Supervise(x3SupervisorConfig())
+	sup := s.Supervise(X3SupervisorConfig())
 	inj := faultinject.New(x3Seed, x3Plan())
 	faultinject.Attach(s.Core, inj)
 
@@ -210,7 +210,7 @@ func x3CampaignSafext(signer *toolchain.Signer, so *toolchain.SignedObject) (x3T
 		return t, fmt.Errorf("safext load: %w", err)
 	}
 	defer ext.Close()
-	sup := rt.Supervise(x3SupervisorConfig())
+	sup := rt.Supervise(X3SupervisorConfig())
 	inj := faultinject.New(x3Seed, x3Plan())
 	faultinject.Attach(rt.Core, inj)
 

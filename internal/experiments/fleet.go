@@ -60,7 +60,7 @@ type X5Stats struct {
 // of the campaign.
 func x5NodeConfig(keys *toolchain.Signer) fleet.NodeConfig {
 	cfg := fleet.DefaultNodeConfig()
-	cfg.Soak = exec.SoakConfig{Runs: 16}
+	cfg.Soak = 16
 	cfg.Supervisor.Window = 8
 	cfg.Supervisor.TripThreshold = 2
 	cfg.ToolchainKeys = append(cfg.ToolchainKeys, keys.PublicKey())

@@ -39,7 +39,7 @@ func newHarness(t *testing.T) *harness {
 	cfg.Timeout = 2 * time.Millisecond
 	cfg.Retries = 3
 	cfg.BackoffBase = 100 * time.Microsecond
-	cfg.Soak = exec.SoakConfig{Runs: 8}
+	cfg.Soak = 8
 	cfg.Supervisor.TripThreshold = 2
 	cfg.Supervisor.Window = 8
 	cfg.ToolchainKeys = append(cfg.ToolchainKeys, signer.PublicKey())

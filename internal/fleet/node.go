@@ -38,8 +38,9 @@ type NodeConfig struct {
 	BackoffBase time.Duration
 	// Seed drives the node's jitter stream.
 	Seed uint64
-	// Soak is the post-swap observation window handed to exec.HotSwap.
-	Soak exec.SoakConfig
+	// Soak is the post-swap observation window handed to exec.HotSwap,
+	// in completed runs of the new version.
+	Soak int
 	// Supervisor tunes the node's circuit breaker.
 	Supervisor exec.SupervisorConfig
 	// Runtime tunes the safext runtime protections.
@@ -62,13 +63,12 @@ func DefaultNodeConfig() NodeConfig {
 		Timeout:     5 * time.Millisecond,
 		Retries:     4,
 		BackoffBase: 200 * time.Microsecond,
-		Soak:        exec.SoakConfig{Runs: 32},
+		Soak:        32,
 		Supervisor: exec.SupervisorConfig{
 			Window:        16,
 			TripThreshold: 3,
 			BaseBackoffNs: 1 << 40, // a tripped version stays down for the campaign
 			MaxBackoffNs:  1 << 41,
-			Policy:        exec.DegradeFallback,
 		},
 		Runtime: runtime.DefaultConfig(),
 	}

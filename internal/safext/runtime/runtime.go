@@ -557,7 +557,7 @@ func (p *Prepared) Finish(rep *exec.Report, runErr error) (v Verdict, err error)
 		// The dispatch never reached the engine: a recovery reload failed.
 		err = runErr
 	case !p.ran:
-		// The supervisor denied the dispatch (quarantined or detached).
+		// The supervisor denied the dispatch (quarantined).
 		v = Verdict{R0: int64(rep.R0), Terminated: true, Reason: "quarantined", WallNs: rep.WallNs}
 	case len(rep.ExitOopses) > 0:
 		err = fmt.Errorf("safext: exit audit failed after cleanup: %v", rep.ExitOopses[0])

@@ -69,8 +69,6 @@ func TestSupervisedQuarantineVerdict(t *testing.T) {
 		BaseBackoffNs: 1_000_000_000,
 		MaxBackoffNs:  2_000_000_000,
 		JitterSeed:    1,
-		Policy:        exec.DegradeFallback,
-		FallbackR0:    0,
 		DeniedCostNs:  1_000,
 	})
 	ext := f.load(t, "hog", `
@@ -120,7 +118,6 @@ func TestSupervisedRecoveryRevalidatesSignature(t *testing.T) {
 		BaseBackoffNs: 1_000_000,
 		MaxBackoffNs:  2_000_000,
 		JitterSeed:    1,
-		Policy:        exec.DegradeFallback,
 		DeniedCostNs:  1_000,
 	})
 	ext := f.load(t, "hog", `

@@ -217,8 +217,9 @@ var (
 
 // Supervisor is the gate of a stack's execution core: a per-program
 // circuit breaker, exponential-backoff quarantine and graceful
-// degradation on every dispatch, whether through Run, RunBatch or a
-// Sharded plane. Install it with Supervise on either stack (a method of
+// degradation (a quarantined program's dispatches are denied and served
+// R0 = 0) on every dispatch, whether through Run, RunBatch or a Sharded
+// plane. Install it with Supervise on either stack (a method of
 // the core both embed) and read it back with Supervisor.
 type Supervisor = exec.Supervisor
 
@@ -226,15 +227,8 @@ type Supervisor = exec.Supervisor
 type SupervisorConfig = exec.SupervisorConfig
 
 // SupervisorState is one health state ("healthy", "degraded",
-// "quarantined", "recovered", "detached").
+// "quarantined", "recovered").
 type SupervisorState = exec.State
-
-// Supervisor degradation policies: serve a fallback R0, or fail denied
-// dispatches with exec.ErrQuarantined.
-const (
-	DegradeFallback = exec.DegradeFallback
-	DegradeDetach   = exec.DegradeDetach
-)
 
 // DefaultSupervisorConfig mirrors sensible production settings.
 func DefaultSupervisorConfig() SupervisorConfig { return exec.DefaultSupervisorConfig() }

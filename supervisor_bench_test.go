@@ -54,15 +54,9 @@ func BenchmarkSupervisor_Recovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := ebpf.NewStack(kernel.NewDefault())
-		sup := s.Supervise(exec.SupervisorConfig{
-			Window:        16,
-			TripThreshold: 3,
-			BaseBackoffNs: 20_000,
-			MaxBackoffNs:  400_000,
-			JitterSeed:    uint64(i + 1),
-			Policy:        exec.DegradeFallback,
-			DeniedCostNs:  1_000,
-		})
+		cfg := experiments.X3SupervisorConfig()
+		cfg.JitterSeed = uint64(i + 1)
+		sup := s.Supervise(cfg)
 		prog, err := experiments.ExecCoreProgram(s)
 		if err != nil {
 			b.Fatal(err)
